@@ -94,6 +94,7 @@ impl Bits {
     /// # Panics
     ///
     /// Panics if `width` is not in `1..=128`.
+    #[inline]
     #[must_use]
     pub fn from_u128_wrapped(width: u32, value: u128) -> Self {
         assert!((1..=MAX_WIDTH).contains(&width), "width {width} out of range");
@@ -115,6 +116,7 @@ impl Bits {
     /// assert_eq!(v.to_u128(), 0xff);
     /// assert_eq!(v.to_i128(), -1);
     /// ```
+    #[inline]
     #[must_use]
     pub fn from_i128_wrapped(width: u32, value: i128) -> Self {
         Self::from_u128_wrapped(width, value as u128)
@@ -143,6 +145,7 @@ impl Bits {
     /// assert_eq!(Bits::from_u128_wrapped(4, 0b1000).to_i128(), -8);
     /// assert_eq!(Bits::from_u128_wrapped(4, 0b0111).to_i128(), 7);
     /// ```
+    #[inline]
     #[must_use]
     pub fn to_i128(&self) -> i128 {
         if self.msb() {

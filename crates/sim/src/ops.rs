@@ -12,12 +12,17 @@
 //! * operand (group / op-ref) expressions are inlined into the parent,
 //! * SWITCH/CASE arms with constant scrutinees keep only the taken arm,
 //! * constant resource indices are pre-flattened to direct element slots,
+//! * `for` loops with a constant trip count of at most
+//!   [`UNROLL_MAX_TRIPS`] are unrolled, their induction variable folded
+//!   into each copy of the body,
 //! * every translate-time-detectable error becomes a positioned `Fail`
 //!   op so runtime error behavior matches the tree-walking backends
 //!   exactly.
 //!
-//! The cycle loop then dispatches over a contiguous op array with zero
-//! name resolution and zero tree traversal. Activation scheduling,
+//! As ops are emitted, a one-op peephole fuses the commonest pairs and
+//! triples (`const; binop` and `binop; jz`) into single ops. The cycle
+//! loop dispatches over a contiguous op array with zero name resolution
+//! and zero tree traversal. Activation scheduling,
 //! pipeline intrinsics, tracing and statistics all reuse the shared
 //! engine paths, so `State::digest` and mode-independent `SimStats`
 //! stay byte-identical across all three modes (enforced by
@@ -25,7 +30,6 @@
 
 use std::sync::Arc;
 
-use lisa_bits::Bits;
 use lisa_core::ast::{ActNode, AssignOp, BinOp, UnOp};
 use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
 use lisa_isa::Decoded;
@@ -36,6 +40,7 @@ use crate::compiled::{
 use crate::engine::{ExecItem, Pending};
 use crate::eval::{apply_binop, apply_compound, saturate};
 use crate::fasthash::FastMap;
+use crate::state::wrap_to_width;
 use crate::{SimError, Simulator, State};
 
 /// One flat micro-operation. Value-producing ops push onto an operand
@@ -69,6 +74,12 @@ pub(crate) enum MicroOp {
         op: BinOp,
         ctx: OpId,
     },
+    /// Pop lhs, push `lhs op imm` — a fused `Const imm; Binary op`.
+    BinaryImm {
+        op: BinOp,
+        imm: i64,
+        ctx: OpId,
+    },
     /// Normalize the top of stack to 0/1 (logical-op tail).
     NormBool,
     /// Builtin call; operand arity is implied by `f`.
@@ -91,6 +102,21 @@ pub(crate) enum MicroOp {
     JumpIfZero(u32),
     /// Pop; jump when non-zero.
     JumpIfNonZero(u32),
+    /// Pop rhs then lhs; jump when `lhs op rhs` is zero — a fused
+    /// `Binary op; JumpIfZero target`.
+    JumpUnless {
+        op: BinOp,
+        ctx: OpId,
+        target: u32,
+    },
+    /// Pop lhs; jump when `lhs op imm` is zero — a fused
+    /// `Const imm; Binary op; JumpIfZero target`.
+    JumpUnlessImm {
+        op: BinOp,
+        imm: i64,
+        ctx: OpId,
+        target: u32,
+    },
     /// Peek; when equal to `value`, pop and jump (SWITCH dispatch).
     CaseJump {
         value: i64,
@@ -165,6 +191,22 @@ pub(crate) enum MicroOp {
     /// Raise a translate-time-detected error at its exact runtime
     /// position (index into the routine's error table).
     Fail(u16),
+}
+
+impl MicroOp {
+    /// The jump target of a control-transfer op — the one place that
+    /// patching and child inlining retarget through.
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            MicroOp::Jump(t)
+            | MicroOp::JumpIfZero(t)
+            | MicroOp::JumpIfNonZero(t)
+            | MicroOp::CaseJump { target: t, .. }
+            | MicroOp::JumpUnless { target: t, .. }
+            | MicroOp::JumpUnlessImm { target: t, .. } => Some(t),
+            _ => None,
+        }
+    }
 }
 
 /// A translated routine: flat code plus the tables it references.
@@ -322,7 +364,22 @@ struct Emitter<'m, 'e> {
     end_patches: Vec<usize>,
     depth: usize,
     max_stack: usize,
+    /// Induction variables of the unrolled loops being emitted, with the
+    /// current iteration's value (innermost last); reads fold to it.
+    known: Vec<(u16, i64)>,
+    /// Body copies the enclosing unrolled loops already multiply to.
+    unroll_copies: usize,
+    /// The latest code position handed out as a jump target: an op
+    /// emitted there must not fuse into the one before it.
+    landing: usize,
 }
+
+/// Most iterations a constant-trip `for` loop may have to be unrolled.
+const UNROLL_MAX_TRIPS: usize = 16;
+
+/// Cap on body copies across nested unrolled loops (the product of their
+/// trip counts), so nesting cannot blow code size up exponentially.
+const UNROLL_MAX_COPIES: usize = 256;
 
 /// Translates one `(operation, variant)` behavior, specialized against
 /// `decoded` when a binding exists. Infallible: anything that would
@@ -337,18 +394,7 @@ pub(crate) fn translate_routine(
     decoded: Option<&Decoded>,
 ) -> OpsRoutine {
     let idx = tables.slot(op, variant);
-    let mut e = Emitter {
-        model,
-        state,
-        tables,
-        code: Vec::new(),
-        children: Vec::new(),
-        errors: Vec::new(),
-        frames: Vec::new(),
-        end_patches: Vec::new(),
-        depth: 0,
-        max_stack: 0,
-    };
+    let mut e = Emitter::new(model, state, tables);
     if let Some(block) = tables.behaviors[idx].as_ref() {
         e.block(block, Ctx { op, decoded });
     }
@@ -425,14 +471,6 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
     let mut max_child_stack = 0usize;
     for op in &r.code {
         match op {
-            MicroOp::Jump(t) => code.push(MicroOp::Jump(new_pos[*t as usize])),
-            MicroOp::JumpIfZero(t) => code.push(MicroOp::JumpIfZero(new_pos[*t as usize])),
-            MicroOp::JumpIfNonZero(t) => {
-                code.push(MicroOp::JumpIfNonZero(new_pos[*t as usize]));
-            }
-            MicroOp::CaseJump { value, target } => {
-                code.push(MicroOp::CaseJump { value: *value, target: new_pos[*target as usize] });
-            }
             MicroOp::InvokeChild(k) => {
                 let site = &r.children[*k as usize];
                 if site.routine.act.is_some() {
@@ -459,7 +497,7 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
                 }));
                 max_child_stack = max_child_stack.max(child.max_stack);
                 for cop in &child.code {
-                    code.push(match cop {
+                    let mut cop = match cop {
                         MicroOp::ReadLocal(s) => MicroOp::ReadLocal(s + local_base),
                         MicroOp::StoreLocal(s) => MicroOp::StoreLocal(s + local_base),
                         MicroOp::StoreLocalWrapped { slot, width, signed } => {
@@ -478,20 +516,24 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
                         MicroOp::ZeroLocals { base: b, n } => {
                             MicroOp::ZeroLocals { base: b + local_base, n: *n }
                         }
-                        MicroOp::Jump(t) => MicroOp::Jump(t + base),
-                        MicroOp::JumpIfZero(t) => MicroOp::JumpIfZero(t + base),
-                        MicroOp::JumpIfNonZero(t) => MicroOp::JumpIfNonZero(t + base),
-                        MicroOp::CaseJump { value, target } => {
-                            MicroOp::CaseJump { value: *value, target: target + base }
-                        }
                         MicroOp::InvokeChild(ck) => MicroOp::InvokeChild(ck + child_base),
                         MicroOp::Fail(fk) => MicroOp::Fail(fk + err_base),
                         other => other.clone(),
-                    });
+                    };
+                    if let Some(t) = cop.target_mut() {
+                        *t += base;
+                    }
+                    code.push(cop);
                 }
                 local_base += child.n_locals;
             }
-            other => code.push(other.clone()),
+            other => {
+                let mut op = other.clone();
+                if let Some(t) = op.target_mut() {
+                    *t = new_pos[*t as usize];
+                }
+                code.push(op);
+            }
         }
     }
     OpsRoutine {
@@ -705,18 +747,7 @@ impl PlanBuilder<'_, '_> {
                 return CondKind::Err(k);
             }
         };
-        let mut e = Emitter {
-            model: self.model,
-            state: self.state,
-            tables: self.tables,
-            code: Vec::new(),
-            children: Vec::new(),
-            errors: Vec::new(),
-            frames: Vec::new(),
-            end_patches: Vec::new(),
-            depth: 0,
-            max_stack: 0,
-        };
+        let mut e = Emitter::new(self.model, self.state, self.tables);
         let ctx = Ctx { op: self.op, decoded: self.decoded };
         if let Some(v) = e.const_eval(&lexpr, ctx) {
             return CondKind::Const(v);
@@ -756,36 +787,81 @@ pub(crate) fn translate_instance(
 /// and the runtime dispatcher (`Print`/`Nop` are handled by callers).
 fn eval_builtin_pure(f: Builtin, vals: [i64; 2]) -> i64 {
     match f {
-        Builtin::Sext => {
-            let w = vals[1].clamp(1, 64) as u32;
-            Bits::from_i128_wrapped(w, i128::from(vals[0])).to_i128() as i64
-        }
-        Builtin::Zext => {
-            let w = vals[1].clamp(1, 64) as u32;
-            Bits::from_i128_wrapped(w, i128::from(vals[0])).to_u128() as i64
-        }
+        Builtin::Sext => wrap_to_width(vals[0], vals[1].clamp(1, 64) as u32, true),
+        Builtin::Zext => wrap_to_width(vals[0], vals[1].clamp(1, 64) as u32, false),
         Builtin::Saturate => saturate(vals[0], vals[1].clamp(1, 64) as u32),
         Builtin::Abs => vals[0].wrapping_abs(),
         Builtin::Min => vals[0].min(vals[1]),
         Builtin::Max => vals[0].max(vals[1]),
         Builtin::Norm => {
+            // Redundant sign bits below the MSB of the `w`-bit value.
             let w = vals[1].clamp(1, 64) as u32;
-            i64::from(Bits::from_i128_wrapped(w, i128::from(vals[0])).norm())
+            let v = wrap_to_width(vals[0], w, true);
+            let same_as_sign = if v < 0 { (!v).leading_zeros() } else { v.leading_zeros() };
+            i64::from(same_as_sign - 1 - (64 - w))
         }
         Builtin::Print | Builtin::Nop => vals[0],
     }
 }
 
 impl<'m, 'e> Emitter<'m, 'e> {
-    fn here(&self) -> u32 {
+    fn new(model: &'m Model, state: &'e State, tables: &'e CompiledTables) -> Self {
+        Emitter {
+            model,
+            state,
+            tables,
+            code: Vec::new(),
+            children: Vec::new(),
+            errors: Vec::new(),
+            frames: Vec::new(),
+            end_patches: Vec::new(),
+            depth: 0,
+            max_stack: 0,
+            known: Vec::new(),
+            unroll_copies: 1,
+            landing: 0,
+        }
+    }
+
+    /// The next code position, as a jump target.
+    fn here(&mut self) -> u32 {
+        self.landing = self.code.len();
         self.code.len() as u32
     }
 
+    /// Appends `op` and returns its index. Peephole fusion happens here:
+    /// `Const k; Binary op` becomes `BinaryImm`, `Binary op; JumpIfZero t`
+    /// becomes `JumpUnless`, and the triple becomes `JumpUnlessImm` —
+    /// unless a jump lands on `op`, so every path still runs the same
+    /// effects. The fused ops keep the `Binary` op's division-by-zero
+    /// context, and the returned index (for patching) is the fused op's.
     fn emit(&mut self, op: MicroOp, delta: isize) -> usize {
-        self.code.push(op);
         self.depth = (self.depth as isize + delta).max(0) as usize;
         self.max_stack = self.max_stack.max(self.depth);
-        self.code.len() - 1
+        let at = self.code.len();
+        let fused = match (self.code.last(), &op) {
+            _ if self.landing == at => None,
+            (Some(MicroOp::Const(imm)), MicroOp::Binary { op, ctx }) => {
+                Some(MicroOp::BinaryImm { op: *op, imm: *imm, ctx: *ctx })
+            }
+            (Some(MicroOp::BinaryImm { op, imm, ctx }), MicroOp::JumpIfZero(target)) => {
+                Some(MicroOp::JumpUnlessImm { op: *op, imm: *imm, ctx: *ctx, target: *target })
+            }
+            (Some(MicroOp::Binary { op, ctx }), MicroOp::JumpIfZero(target)) => {
+                Some(MicroOp::JumpUnless { op: *op, ctx: *ctx, target: *target })
+            }
+            _ => None,
+        };
+        match fused {
+            Some(f) => {
+                self.code[at - 1] = f;
+                at - 1
+            }
+            None => {
+                self.code.push(op);
+                at
+            }
+        }
     }
 
     fn set_depth(&mut self, d: usize) {
@@ -798,10 +874,8 @@ impl<'m, 'e> Emitter<'m, 'e> {
     }
 
     fn patch_to(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            MicroOp::Jump(t) | MicroOp::JumpIfZero(t) | MicroOp::JumpIfNonZero(t) => *t = target,
-            MicroOp::CaseJump { target: t, .. } => *t = target,
-            _ => {}
+        if let Some(t) = self.code[at].target_mut() {
+            *t = target;
         }
     }
 
@@ -845,10 +919,12 @@ impl<'m, 'e> Emitter<'m, 'e> {
 
     /// Evaluates an expression at translate time when every input is
     /// known and side-effect-free. LABELs fold against the decoded
-    /// fields; operand expressions fold through the child instance.
+    /// fields; operand expressions fold through the child instance; the
+    /// induction variables of unrolled loops fold to this copy's value.
     fn const_eval(&self, expr: &LExpr, ctx: Ctx<'_>) -> Option<i64> {
         match expr {
             LExpr::Const(v) => Some(*v),
+            LExpr::Local(slot) => self.known.iter().rev().find(|(s, _)| s == slot).map(|&(_, v)| v),
             LExpr::Label(l) => Some(
                 ctx.decoded.map(|d| d.labels.get(*l as usize).copied().unwrap_or(0)).unwrap_or(0)
                     as i64,
@@ -908,7 +984,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
                 }
                 Some(eval_builtin_pure(*f, vals))
             }
-            LExpr::Local(_) | LExpr::ResScalar(_) | LExpr::ResElem { .. } => None,
+            LExpr::ResScalar(_) | LExpr::ResElem { .. } => None,
         }
     }
 
@@ -1362,6 +1438,12 @@ impl<'m, 'e> Emitter<'m, 'e> {
                 }
             }
             LStmt::For { init, cond, step, body } => {
+                if let Some(u) =
+                    self.const_trip(init.as_deref(), cond.as_ref(), step.as_deref(), body, ctx)
+                {
+                    self.unroll(u, body, ctx);
+                    return;
+                }
                 if let Some(init) = init {
                     self.stmt(init, ctx);
                 }
@@ -1471,6 +1553,122 @@ impl<'m, 'e> Emitter<'m, 'e> {
             LStmt::Block(b) => self.block(b, ctx),
         }
     }
+
+    /// Plans the unrolling of a constant-trip `for` loop: the init sets a
+    /// local to a translate-time constant, the condition compares that
+    /// local against a constant, the step is `++`/`--` on it, the body
+    /// never writes it and has no `break`/`continue` of its own, and the
+    /// loop runs at most [`UNROLL_MAX_TRIPS`] times. `None` keeps the loop.
+    fn const_trip(
+        &self,
+        init: Option<&LStmt>,
+        cond: Option<&LExpr>,
+        step: Option<&LStmt>,
+        body: &LBlock,
+        ctx: Ctx<'_>,
+    ) -> Option<Unroll> {
+        // The start value is what the init would store: declarations wrap
+        // to their width, plain assignments store as-is.
+        let (slot, start) = match init? {
+            LStmt::DeclLocal { slot, init: Some(e), width, signed } => {
+                (*slot, wrap_to_width(self.const_eval(e, ctx)?, *width, *signed))
+            }
+            LStmt::Assign { place: LPlace::Local(slot), op: AssignOp::Set, value } => {
+                (*slot, self.const_eval(value, ctx)?)
+            }
+            _ => return None,
+        };
+        let LExpr::Binary { op, lhs, rhs } = cond? else { return None };
+        if !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Ne)
+            || **lhs != LExpr::Local(slot)
+        {
+            return None;
+        }
+        let bound = self.const_eval(rhs, ctx)?;
+        let LStmt::IncDec { place: LPlace::Local(s), delta } = step? else { return None };
+        if *s != slot
+            || body.stmts.iter().any(|st| writes_local(st, slot))
+            || leaves_loop(body, false)
+        {
+            return None;
+        }
+        let mut values = Vec::new();
+        let mut v = start;
+        while apply_binop(*op, v, bound).ok()? != 0 {
+            if values.len() == UNROLL_MAX_TRIPS
+                || (values.len() + 1) * self.unroll_copies > UNROLL_MAX_COPIES
+            {
+                return None;
+            }
+            values.push(v);
+            v = v.wrapping_add(*delta);
+        }
+        Some(Unroll { slot, values, exit: v })
+    }
+
+    /// Emits one copy of the body per iteration with the induction value
+    /// folded in, then stores the exit value: the slot ends exactly as the
+    /// loop would leave it.
+    fn unroll<'d>(&mut self, u: Unroll, body: &'e LBlock, ctx: Ctx<'d>) {
+        let copies = self.unroll_copies;
+        self.unroll_copies = copies * u.values.len().max(1);
+        self.known.push((u.slot, 0));
+        for v in u.values {
+            self.known.last_mut().expect("induction entry").1 = v;
+            self.block(body, ctx);
+        }
+        self.known.pop();
+        self.unroll_copies = copies;
+        self.emit(MicroOp::Const(u.exit), 1);
+        self.emit(MicroOp::StoreLocal(u.slot), -1);
+    }
+}
+
+/// A `for` loop resolved for unrolling: its induction slot, the slot's
+/// value in each iteration, and its value after the loop.
+struct Unroll {
+    slot: u16,
+    values: Vec<i64>,
+    exit: i64,
+}
+
+/// Whether statement `s` (nested constructs included) writes or
+/// redeclares local `slot`.
+fn writes_local(s: &LStmt, slot: u16) -> bool {
+    let block = |b: &LBlock| b.stmts.iter().any(|s| writes_local(s, slot));
+    match s {
+        LStmt::DeclLocal { slot: s, .. } => *s == slot,
+        LStmt::Assign { place: LPlace::Local(s), .. }
+        | LStmt::IncDec { place: LPlace::Local(s), .. } => *s == slot,
+        LStmt::If { then_block, else_block, .. } => block(then_block) || block(else_block),
+        LStmt::While { body, .. } | LStmt::DoWhile { body, .. } => block(body),
+        LStmt::For { init, step, body, .. } => {
+            [init, step].into_iter().flatten().any(|st| writes_local(st, slot)) || block(body)
+        }
+        LStmt::Switch { cases, default, .. } => {
+            cases.iter().map(|(_, b)| b).chain(default).any(block)
+        }
+        LStmt::Block(b) => block(b),
+        _ => false,
+    }
+}
+
+/// Whether a `break` or `continue` in loop body `b` leaves that loop.
+/// Nested loops own theirs; inside a switch (`in_switch`) only
+/// `continue` still reaches the loop.
+fn leaves_loop(b: &LBlock, in_switch: bool) -> bool {
+    b.stmts.iter().any(|s| match s {
+        LStmt::Break => !in_switch,
+        LStmt::Continue => true,
+        LStmt::If { then_block, else_block, .. } => {
+            leaves_loop(then_block, in_switch) || leaves_loop(else_block, in_switch)
+        }
+        LStmt::Switch { cases, default, .. } => {
+            cases.iter().map(|(_, b)| b).chain(default).any(|b| leaves_loop(b, true))
+        }
+        LStmt::Block(b) => leaves_loop(b, in_switch),
+        _ => false,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1628,6 +1826,11 @@ impl Simulator<'_> {
                     let v = apply_binop(*op, l, r).map_err(|()| self.ops_div0(*ctx))?;
                     stack.push(v);
                 }
+                MicroOp::BinaryImm { op, imm, ctx } => {
+                    let l = stack.pop().unwrap_or(0);
+                    let v = apply_binop(*op, l, *imm).map_err(|()| self.ops_div0(*ctx))?;
+                    stack.push(v);
+                }
                 MicroOp::NormBool => {
                     let v = stack.pop().unwrap_or(0);
                     stack.push(i64::from(v != 0));
@@ -1661,10 +1864,7 @@ impl Simulator<'_> {
                 }
                 MicroOp::StoreLocalWrapped { slot, width, signed } => {
                     let raw = stack.pop().unwrap_or(0);
-                    let wrapped = Bits::from_i128_wrapped(*width, i128::from(raw));
-                    let v =
-                        if *signed { wrapped.to_i128() as i64 } else { wrapped.to_u128() as i64 };
-                    locals[*slot as usize] = v;
+                    locals[*slot as usize] = wrap_to_width(raw, *width, *signed);
                 }
                 MicroOp::Pop => {
                     stack.pop();
@@ -1678,6 +1878,19 @@ impl Simulator<'_> {
                 MicroOp::JumpIfNonZero(t) => {
                     if stack.pop().unwrap_or(0) != 0 {
                         pc = *t as usize;
+                    }
+                }
+                MicroOp::JumpUnless { op, ctx, target } => {
+                    let r = stack.pop().unwrap_or(0);
+                    let l = stack.pop().unwrap_or(0);
+                    if apply_binop(*op, l, r).map_err(|()| self.ops_div0(*ctx))? == 0 {
+                        pc = *target as usize;
+                    }
+                }
+                MicroOp::JumpUnlessImm { op, imm, ctx, target } => {
+                    let l = stack.pop().unwrap_or(0);
+                    if apply_binop(*op, l, *imm).map_err(|()| self.ops_div0(*ctx))? == 0 {
+                        pc = *target as usize;
                     }
                 }
                 MicroOp::CaseJump { value, target } => {
@@ -2143,6 +2356,7 @@ fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
         MicroOp::ReadIdx(res) => format!("read {}[idx]", res_name(res)),
         MicroOp::Unary(u) => format!("unary {u:?}"),
         MicroOp::Binary { op, .. } => format!("binop {op:?}"),
+        MicroOp::BinaryImm { op, imm, .. } => format!("binop {op:?} imm {imm}"),
         MicroOp::NormBool => "normbool".to_owned(),
         MicroOp::Builtin { f, .. } => format!("builtin {f:?}"),
         MicroOp::StoreLocal(s) => format!("store_local {s}"),
@@ -2153,6 +2367,10 @@ fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
         MicroOp::Jump(t) => format!("jump {t:04}"),
         MicroOp::JumpIfZero(t) => format!("jz {t:04}"),
         MicroOp::JumpIfNonZero(t) => format!("jnz {t:04}"),
+        MicroOp::JumpUnless { op, target, .. } => format!("unless {op:?} -> {target:04}"),
+        MicroOp::JumpUnlessImm { op, imm, target, .. } => {
+            format!("unless {op:?} imm {imm} -> {target:04}")
+        }
         MicroOp::CaseJump { value, target } => format!("case {value} -> {target:04}"),
         MicroOp::WriteFlat { res, flat } => format!("write {}[{flat}]", res_name(res)),
         MicroOp::WriteDyn { res, n } => format!("write {}[dyn x{n}]", res_name(res)),
@@ -2175,5 +2393,26 @@ fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
         MicroOp::Enter(o) => format!("enter {}", op_name(o)),
         MicroOp::ZeroLocals { base, n } => format!("zero-locals {base}..{}", base + n),
         MicroOp::Fail(k) => format!("fail {:?}", routine.errors[*k as usize]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lisa_bits::Bits;
+
+    use super::*;
+    use crate::state::tests::edge_values;
+
+    #[test]
+    fn width_builtins_match_bits() {
+        for width in 1..=64i64 {
+            for &v in &edge_values() {
+                let bits = Bits::from_i128_wrapped(width as u32, i128::from(v));
+                let eval = |f| eval_builtin_pure(f, [v, width]);
+                assert_eq!(eval(Builtin::Sext), bits.to_i128() as i64, "sext {v} {width}");
+                assert_eq!(eval(Builtin::Zext), bits.to_u128() as i64, "zext {v} {width}");
+                assert_eq!(eval(Builtin::Norm), i64::from(bits.norm()), "norm {v} {width}");
+            }
+        }
     }
 }

@@ -16,9 +16,35 @@ use crate::SimError;
 struct Storage {
     width: u32,
     signed: bool,
+    /// All-ones mask of `width` bits.
+    mask: u128,
     dims: Vec<Dim>,
-    /// Flattened row-major data; length 1 for scalars.
-    data: Vec<Bits>,
+    /// Flattened row-major raw words, each already masked to `width`;
+    /// length 1 for scalars.
+    data: Vec<u128>,
+}
+
+impl Storage {
+    /// The cell's word as `Bits` — built only at the public API.
+    fn bits(&self, flat: usize) -> Bits {
+        Bits::from_u128_wrapped(self.width, self.data[flat])
+    }
+}
+
+/// Wraps `value` to `width` bits, then sign- or zero-extends it back to
+/// 64: the register-write-then-read semantics of a declared C type.
+/// Widths of 64 and above leave the value unchanged.
+#[inline]
+pub(crate) fn wrap_to_width(value: i64, width: u32, signed: bool) -> i64 {
+    if width >= 64 {
+        return value;
+    }
+    let unused = 64 - width;
+    if signed {
+        (value << unused) >> unused
+    } else {
+        ((value as u64) << unused >> unused) as i64
+    }
 }
 
 /// The complete architectural state of a simulated processor.
@@ -41,11 +67,13 @@ impl State {
             .iter()
             .map(|r| {
                 let count = r.element_count().max(1) as usize;
+                let width = r.ty.width();
                 Storage {
-                    width: r.ty.width(),
+                    width,
                     signed: r.ty.is_signed(),
+                    mask: Bits::ones(width).to_u128(),
                     dims: r.dims.clone(),
-                    data: vec![Bits::zero(r.ty.width()); count],
+                    data: vec![0; count],
                 }
             })
             .collect();
@@ -55,9 +83,7 @@ impl State {
     /// Resets every resource to zero.
     pub fn reset(&mut self) {
         for s in &mut self.storages {
-            for cell in &mut s.data {
-                *cell = Bits::zero(s.width);
-            }
+            s.data.fill(0);
         }
     }
 
@@ -94,7 +120,7 @@ impl State {
     /// on bad addressing (scalars take an empty index slice).
     pub fn read(&self, res: &Resource, indices: &[i64]) -> Result<Bits, SimError> {
         let flat = self.flat_index(res, indices)?;
-        Ok(self.storages[res.id.0].data[flat])
+        Ok(self.storages[res.id.0].bits(flat))
     }
 
     /// Reads a resource element as an `i64`, honouring the declared
@@ -105,9 +131,8 @@ impl State {
     ///
     /// Same as [`State::read`].
     pub fn read_int(&self, res: &Resource, indices: &[i64]) -> Result<i64, SimError> {
-        let bits = self.read(res, indices)?;
-        let signed = self.storages[res.id.0].signed;
-        Ok(if signed { bits.to_i128() as i64 } else { bits.to_u128() as i64 })
+        let flat = self.flat_index(res, indices)?;
+        Ok(self.read_flat(res.id, flat).unwrap_or(0))
     }
 
     /// Writes a resource element, wrapping `value` to the declared width.
@@ -122,8 +147,7 @@ impl State {
         value: i64,
     ) -> Result<(), SimError> {
         let flat = self.flat_index(res, indices)?;
-        let storage = &mut self.storages[res.id.0];
-        storage.data[flat] = Bits::from_i128_wrapped(storage.width, i128::from(value));
+        self.write_flat(res.id, flat, value);
         Ok(())
     }
 
@@ -136,7 +160,7 @@ impl State {
     pub fn write(&mut self, res: &Resource, indices: &[i64], value: Bits) -> Result<(), SimError> {
         let flat = self.flat_index(res, indices)?;
         let storage = &mut self.storages[res.id.0];
-        storage.data[flat] = value.resize_zext(storage.width);
+        storage.data[flat] = value.to_u128() & storage.mask;
         Ok(())
     }
 
@@ -150,7 +174,7 @@ impl State {
     pub fn scalar(&self, id: ResourceId) -> Bits {
         let s = &self.storages[id.0];
         assert!(s.dims.is_empty(), "resource is not scalar");
-        s.data[0]
+        s.bits(0)
     }
 
     /// Fast scalar write counterpart of [`State::scalar`].
@@ -161,23 +185,26 @@ impl State {
     pub fn set_scalar(&mut self, id: ResourceId, value: Bits) {
         let s = &mut self.storages[id.0];
         assert!(s.dims.is_empty(), "resource is not scalar");
-        s.data[0] = value.resize_zext(s.width);
+        s.data[0] = value.to_u128() & s.mask;
     }
 
-    /// Direct flat read used by the compiled simulator's lowered code.
+    /// Direct flat read used by every backend's cycle loop: the raw word
+    /// sign- or zero-extended from the storage's own width. Above 64 bits
+    /// the low 64 bits of the word are the `i64` view either way.
     #[inline]
     pub(crate) fn read_flat(&self, id: ResourceId, flat: usize) -> Option<i64> {
         let s = self.storages.get(id.0)?;
-        let bits = s.data.get(flat)?;
-        Some(if s.signed { bits.to_i128() as i64 } else { bits.to_u128() as i64 })
+        let raw = *s.data.get(flat)?;
+        Some(wrap_to_width(raw as i64, s.width, s.signed))
     }
 
-    /// Direct flat write used by the compiled simulator's lowered code.
+    /// Direct flat write used by every backend's cycle loop: the
+    /// two's-complement value masked to the declared width.
     #[inline]
     pub(crate) fn write_flat(&mut self, id: ResourceId, flat: usize, value: i64) -> bool {
         let Some(s) = self.storages.get_mut(id.0) else { return false };
         let Some(cell) = s.data.get_mut(flat) else { return false };
-        *cell = Bits::from_i128_wrapped(s.width, i128::from(value));
+        *cell = i128::from(value) as u128 & s.mask;
         true
     }
 
@@ -227,8 +254,7 @@ impl State {
         };
         for s in &self.storages {
             mix(u64::from(s.width));
-            for cell in &s.data {
-                let raw = cell.to_u128();
+            for &raw in &s.data {
                 mix(raw as u64);
                 mix((raw >> 64) as u64);
             }
@@ -238,7 +264,7 @@ impl State {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lisa_core::Model;
 
@@ -313,6 +339,56 @@ mod tests {
         st.write_int(pc, &[], 123).unwrap();
         st.reset();
         assert_eq!(st.read_int(pc, &[]).unwrap(), 0);
+    }
+
+    /// Values around every sign and width boundary of a 64-bit word.
+    pub(crate) fn edge_values() -> Vec<i64> {
+        let mut vals = vec![0, 1, -1, i64::MIN, i64::MAX, 0x1234_5678_9abc_def0];
+        for b in 0..64 {
+            let p = 1i64 << b;
+            vals.extend([p, p.wrapping_sub(1), p.wrapping_neg(), !p]);
+        }
+        vals
+    }
+
+    #[test]
+    fn wrap_to_width_matches_a_bits_round_trip() {
+        for width in 1..=64 {
+            for &v in &edge_values() {
+                let bits = Bits::from_i128_wrapped(width, i128::from(v));
+                assert_eq!(wrap_to_width(v, width, true), bits.to_i128() as i64, "{v} s{width}");
+                assert_eq!(wrap_to_width(v, width, false), bits.to_u128() as i64, "{v} u{width}");
+            }
+        }
+        assert_eq!(wrap_to_width(-5, 80, true), -5);
+    }
+
+    #[test]
+    fn raw_cells_keep_wide_and_narrow_values_exact() {
+        let m = Model::from_source(
+            r#"RESOURCE {
+                PROGRAM_COUNTER int pc;
+                REGISTER bit[100] wide;
+                REGISTER bit[64] full;
+                REGISTER bit[3] tiny;
+            }"#,
+        )
+        .expect("model builds");
+        let mut st = State::new(&m);
+        let wide = m.resource_by_name("wide").unwrap();
+        st.write_int(wide, &[], -2).unwrap();
+        // A negative i64 fills all 100 bits (two's complement of the i128).
+        assert_eq!(st.read(wide, &[]).unwrap().to_u128(), (1u128 << 100) - 2);
+        assert_eq!(st.read_int(wide, &[]).unwrap(), -2);
+        st.write(wide, &[], Bits::ones(128)).unwrap();
+        assert_eq!(st.scalar(wide.id), Bits::ones(100));
+        let full = m.resource_by_name("full").unwrap();
+        st.write_int(full, &[], i64::MIN).unwrap();
+        assert_eq!(st.read_int(full, &[]).unwrap(), i64::MIN);
+        let tiny = m.resource_by_name("tiny").unwrap();
+        st.set_scalar(tiny.id, Bits::from_u128_wrapped(8, 0xff));
+        assert_eq!(st.read_int(tiny, &[]).unwrap(), 7);
+        assert_eq!(st.scalar(tiny.id).width(), 3);
     }
 
     #[test]

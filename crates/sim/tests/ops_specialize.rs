@@ -1,0 +1,399 @@
+//! Edge cases of the ops backend's translate-time specialization:
+//! constant-trip `for` unrolling and micro-op fusion.
+//!
+//! Every model runs in all three backends; cycles, the state digest, the
+//! mode-independent statistics and the error (value and cycle) must agree
+//! with the interpretive reference. The ops listing of `main` then shows
+//! whether the translator took the specialized path, so each case pins
+//! both the semantics and the shape of the emitted code.
+
+use lisa_core::Model;
+use lisa_sim::{SimError, SimMode, Simulator};
+
+/// What one backend observed: everything the modes must agree on.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    cycles: u64,
+    digest: u64,
+    /// executed_ops, decodes, activations, stalls, flushes,
+    /// instructions_retired (decode-cache hits legitimately differ).
+    stats: [u64; 6],
+    error: Option<SimError>,
+}
+
+fn observe(model: &Model, mode: SimMode, steps: u64) -> (Observed, Simulator<'_>) {
+    let mut sim = Simulator::new(model, mode).expect("simulator builds");
+    let error = sim.run(steps).err();
+    let s = sim.stats();
+    let observed = Observed {
+        cycles: s.cycles,
+        digest: sim.state().digest(),
+        stats: [
+            s.executed_ops,
+            s.decodes,
+            s.activations,
+            s.stalls,
+            s.flushes,
+            s.instructions_retired,
+        ],
+        error,
+    };
+    (observed, sim)
+}
+
+fn build(src: &str) -> Model {
+    Model::from_source(src).expect("model builds")
+}
+
+/// Runs `model` for `steps` cycles in every backend, asserts they agree,
+/// and returns the interpretive result plus the ops listing of `main`.
+fn run_three(model: &Model, steps: u64) -> (Observed, Simulator<'_>, String) {
+    let (reference, interp) = observe(model, SimMode::Interpretive, steps);
+    for mode in [SimMode::Compiled, SimMode::Ops] {
+        let (got, _) = observe(model, mode, steps);
+        assert_eq!(got, reference, "{mode:?} diverged from the interpretive backend");
+    }
+    let mut ops = Simulator::new(model, SimMode::Ops).expect("ops simulator");
+    let listing = ops.ops_listing();
+    let main = listing
+        .split("== ")
+        .find(|s| s.starts_with("op main "))
+        .expect("main has a routine")
+        .to_owned();
+    (reference, interp, main)
+}
+
+fn read(sim: &Simulator<'_>, name: &str, indices: &[i64]) -> i64 {
+    let res = sim.model().resource_by_name(name).expect(name);
+    sim.state().read_int(res, indices).expect(name)
+}
+
+/// A routine still contains a loop when it has an indexed access or a
+/// jump (the unrolled forms have neither).
+fn has_loop(listing: &str) -> bool {
+    listing.contains("[idx]") || listing.contains("jump ")
+}
+
+#[test]
+fn constant_shift_loop_unrolls_to_flat_accesses() {
+    let model = build(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int q[5]; }
+        OPERATION main {
+            BEHAVIOR {
+                for (int i = 0; i < 4; i++) {
+                    q[i] = q[i + 1];
+                }
+                q[4] = pc;
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 7);
+    assert_eq!(obs.error, None);
+    assert!(!has_loop(&main), "constant loop was not unrolled:\n{main}");
+    assert!(main.contains("read q[4]") && main.contains("write q[0]"), "{main}");
+    // q holds the last five pc values, oldest first.
+    let q: Vec<i64> = (0..5).map(|i| read(&sim, "q", &[i])).collect();
+    assert_eq!(q, [2, 3, 4, 5, 6]);
+}
+
+#[test]
+fn induction_variable_written_in_the_body_stays_a_loop() {
+    let model = build(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int acc; DATA_MEMORY int m[8]; }
+        OPERATION main {
+            BEHAVIOR {
+                for (int i = 0; i < 8; i++) {
+                    m[i] = m[i] + 1;
+                    if (i == 2) { i = i + 2; }
+                    acc += i;
+                }
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 3);
+    assert_eq!(obs.error, None);
+    assert!(has_loop(&main), "a written induction variable must keep the loop:\n{main}");
+    // i visits 0,1,2(->4),5,6,7: acc += 0+1+4+5+6+7 per cycle.
+    assert_eq!(read(&sim, "acc", &[]), 3 * 23);
+    assert_eq!(read(&sim, "m", &[3]), 0);
+    assert_eq!(read(&sim, "m", &[5]), 3);
+}
+
+#[test]
+fn break_and_continue_keep_the_loop() {
+    for body in [
+        "if (i == lim) { break; } acc += i;",
+        "if (i % 2 == lim) { continue; } acc += i;",
+        "if (i > lim) { if (i > 5) { break; } }",
+    ] {
+        let src = format!(
+            r#"
+            RESOURCE {{ PROGRAM_COUNTER int pc; REGISTER int acc; REGISTER int lim; }}
+            OPERATION main {{
+                BEHAVIOR {{
+                    lim = pc % 3;
+                    for (int i = 0; i < 8; i++) {{ {body} }}
+                    pc = pc + 1;
+                }}
+            }}
+            "#
+        );
+        let model = build(&src);
+        let (obs, _, main) = run_three(&model, 6);
+        assert_eq!(obs.error, None);
+        assert!(main.contains("jump "), "`{body}` must keep the loop:\n{main}");
+    }
+}
+
+#[test]
+fn break_inside_a_nested_switch_does_not_block_unrolling() {
+    let model = build(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int acc; }
+        OPERATION main {
+            BEHAVIOR {
+                for (int i = 0; i < 4; i++) {
+                    switch (pc % 2) {
+                        case 0: acc += i; break;
+                        default: acc += 10 * i; break;
+                    }
+                    // The switch's breaks bind to it; the next loop's do not.
+                    while (acc > 1000) { acc -= 1000; break; }
+                }
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 4);
+    assert_eq!(obs.error, None);
+    assert!(!main.contains("incdec_local"), "loop with switch breaks was not unrolled:\n{main}");
+    // Two even and two odd cycles: 2 * 6 + 2 * 60.
+    assert_eq!(read(&sim, "acc", &[]), 132);
+}
+
+#[test]
+fn trip_count_cap_is_sixteen() {
+    for (trips, unrolled) in [(16, true), (17, false)] {
+        let src = format!(
+            r#"
+            RESOURCE {{ PROGRAM_COUNTER int pc; DATA_MEMORY int m[32]; }}
+            OPERATION main {{
+                BEHAVIOR {{
+                    for (int i = 0; i < {trips}; i++) {{ m[i] = m[i] + i; }}
+                    pc = pc + 1;
+                }}
+            }}
+            "#
+        );
+        let model = build(&src);
+        let (obs, sim, main) = run_three(&model, 2);
+        assert_eq!(obs.error, None);
+        assert_eq!(!has_loop(&main), unrolled, "{trips} trips:\n{main}");
+        assert_eq!(read(&sim, "m", &[trips - 1]), 2 * (trips - 1));
+    }
+}
+
+#[test]
+fn nested_constant_loops_unroll_together() {
+    let model = build(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; DATA_MEMORY int m[12]; }
+        OPERATION main {
+            BEHAVIOR {
+                for (int i = 3; i >= 0; i--) {
+                    for (int j = 0; j != 3; j++) {
+                        m[i * 3 + j] = m[i * 3 + j] + i - j;
+                    }
+                }
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 2);
+    assert_eq!(obs.error, None);
+    assert!(!has_loop(&main), "nested loops were not unrolled:\n{main}");
+    // Two cycles of m[i*3+j] += i - j.
+    let expect: Vec<i64> = (0..12).map(|k| 2 * (k / 3 - k % 3)).collect();
+    assert_eq!((0..12).map(|k| read(&sim, "m", &[k])).collect::<Vec<_>>(), expect);
+}
+
+#[test]
+fn nested_unrolling_stops_at_256_body_copies() {
+    let model = build(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int acc; }
+        OPERATION main {
+            BEHAVIOR {
+                for (int i = 0; i < 16; i++) {
+                    for (int j = 0; j < 16; j++) {
+                        for (int k = 0; k < 16; k++) { acc += i ^ j ^ k; }
+                    }
+                }
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, _, main) = run_three(&model, 1);
+    assert_eq!(obs.error, None);
+    // The outer two loops unroll into 256 copies of the innermost one,
+    // which stays a loop: one back-edge jump per copy.
+    assert_eq!(main.matches("jump ").count(), 256, "{main}");
+}
+
+#[test]
+fn loop_variable_keeps_its_exit_value_after_the_loop() {
+    let model = build(
+        r#"
+        RESOURCE {
+            PROGRAM_COUNTER int pc; REGISTER int up; REGISTER int down;
+            REGISTER int empty; REGISTER int wrapped; REGISTER int sum;
+        }
+        OPERATION main {
+            BEHAVIOR {
+                int i;
+                for (i = 2; i <= 6; i++) { sum += i; }
+                up = i;
+                for (i = 3; i > -2; i--) { sum += i; }
+                down = i;
+                for (i = 9; i < 4; i++) { sum += 1000; }
+                empty = i;
+                // The declared width wraps the start: 65540 is 4 as a short.
+                short s;
+                for (short k = 65540; k < 8; k++) { sum += k; s = k; }
+                wrapped = s;
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 1);
+    assert_eq!(obs.error, None);
+    assert!(!has_loop(&main), "{main}");
+    assert_eq!(read(&sim, "up", &[]), 7);
+    assert_eq!(read(&sim, "down", &[]), -2);
+    assert_eq!(read(&sim, "empty", &[]), 9);
+    assert_eq!(read(&sim, "wrapped", &[]), 7);
+    assert_eq!(read(&sim, "sum", &[]), 20 + 5 + 22);
+}
+
+#[test]
+fn out_of_bounds_index_fails_at_the_same_iteration() {
+    let model = build(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int seen; DATA_MEMORY int m[4]; }
+        OPERATION main {
+            BEHAVIOR {
+                pc = pc + 1;
+                if (pc == 3) {
+                    for (int i = 0; i < 6; i++) {
+                        seen = i;
+                        m[i] = m[i] + 1;
+                    }
+                }
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 5);
+    assert!(!has_loop(&main), "{main}");
+    assert!(main.contains("fail IndexOutOfBounds"), "{main}");
+    assert_eq!(obs.cycles, 2, "fails during the third cycle");
+    assert!(
+        matches!(obs.error, Some(SimError::IndexOutOfBounds { index: 4, .. })),
+        "{:?}",
+        obs.error
+    );
+    // Iterations 0..=3 ran, and iteration 4 set `seen` before faulting.
+    assert_eq!(read(&sim, "seen", &[]), 4);
+    assert_eq!((0..4).map(|i| read(&sim, "m", &[i])).collect::<Vec<_>>(), [1, 1, 1, 1]);
+}
+
+#[test]
+fn division_by_zero_through_fused_immediates_names_the_operation() {
+    for (expr, fused) in [
+        ("r = x / 0;", "binop Div imm 0"),
+        ("r = x % 0;", "binop Rem imm 0"),
+        ("if (x / 0 == 1) { r = 1; }", "binop Div imm 0"),
+        ("if (x % 0) { r = 1; }", "unless Rem imm 0"),
+        ("if (x / y) { r = 1; }", "unless Div"),
+    ] {
+        let src = format!(
+            r#"
+            RESOURCE {{ PROGRAM_COUNTER int pc; REGISTER int x; REGISTER int y; REGISTER int r; }}
+            OPERATION divide {{ BEHAVIOR {{ {expr} }} }}
+            OPERATION main {{
+                BEHAVIOR {{
+                    pc = pc + 1;
+                    x = 7;
+                    if (pc == 2) {{ divide; }}
+                }}
+            }}
+            "#
+        );
+        let model = build(&src);
+        let mut ops = Simulator::new(&model, SimMode::Ops).expect("ops simulator");
+        let listing = ops.ops_listing();
+        assert!(listing.contains(fused), "`{expr}` should fuse to `{fused}`:\n{listing}");
+        let (obs, _, _) = run_three(&model, 4);
+        assert_eq!(obs.cycles, 1, "`{expr}`");
+        assert_eq!(
+            obs.error,
+            Some(SimError::DivisionByZero { operation: "divide".to_owned() }),
+            "`{expr}`"
+        );
+    }
+}
+
+#[test]
+fn jump_targets_between_fusable_ops_are_respected() {
+    // Each shape lands a jump on the `binop` or `jz` of a fusable group:
+    // the ternary's then-arm jumps past the else-arm's trailing `const`
+    // straight onto the `binop`, and short-circuit tails land on `jz`.
+    let model = build(
+        r#"
+        RESOURCE {
+            PROGRAM_COUNTER int pc; REGISTER int a; REGISTER int b; REGISTER int c;
+            REGISTER int r0; REGISTER int r1; REGISTER int r2; REGISTER int r3;
+            REGISTER int r4; REGISTER int r5;
+        }
+        OPERATION main {
+            BEHAVIOR {
+                a = pc & 1;
+                b = (pc >> 1) & 1;
+                c = (pc >> 2) & 1;
+                r0 += 5 - (a ? b : 3);
+                if (10 - (a ? c : 3) > 8) { r1 += 1; }
+                if (a ? b : c + 1) { r2 += 1; }
+                if ((a && b) == 0) { r3 += 1; }
+                if (a || b && c) { r4 += 1; }
+                r5 += (a || c) + 7;
+                pc = pc + 1;
+            }
+        }
+        "#,
+    );
+    let (obs, sim, main) = run_three(&model, 8);
+    assert_eq!(obs.error, None);
+    assert!(main.contains("unless") && main.contains("imm"), "nothing was fused:\n{main}");
+    let mut expect = [0i64; 6];
+    for pc in 0..8i64 {
+        let (a, b, c) = (pc & 1, (pc >> 1) & 1, (pc >> 2) & 1);
+        expect[0] += 5 - if a != 0 { b } else { 3 };
+        expect[1] += i64::from(10 - (if a != 0 { c } else { 3 }) > 8);
+        expect[2] += i64::from((if a != 0 { b } else { c + 1 }) != 0);
+        expect[3] += i64::from(!(a != 0 && b != 0));
+        expect[4] += i64::from(a != 0 || (b != 0 && c != 0));
+        expect[5] += i64::from(a != 0 || c != 0) + 7;
+    }
+    let got: Vec<i64> = (0..6).map(|k| read(&sim, &format!("r{k}"), &[])).collect();
+    assert_eq!(got, expect);
+}
