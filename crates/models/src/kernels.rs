@@ -110,7 +110,9 @@ pub fn load_kernel<'m>(
             .clone();
         sim.state_mut().write_int(&res, &[addr], value)?;
     }
-    if mode == SimMode::Compiled {
+    // The same rule as `Simulator::load_program`: every backend but the
+    // interpreter decodes (and ops mode translates) before the clock runs.
+    if mode != SimMode::Interpretive {
         sim.predecode_program_memory();
     }
     Ok(sim)

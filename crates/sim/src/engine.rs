@@ -27,18 +27,29 @@ use lisa_trace::{CollectingSink, NameTable, Profile, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledTables;
 use crate::fasthash::FastMap;
+use crate::ops::{OpsTables, RoutineId, Xlate};
 use crate::{SimError, SimStats, State};
 
 /// An operation instance scheduled for execution: the operation plus its
-/// operand binding (the decoded subtree), if any.
+/// operand binding, if any.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecItem {
     pub op: OpId,
-    pub decoded: Option<Arc<Decoded>>,
-    /// Pre-translated routine for ops-mode activation targets — skips
-    /// the instance-cache probe when the item matures. Always `None` in
-    /// the tree-walking modes.
-    pub routine: Option<Arc<crate::ops::OpsRoutine>>,
+    pub bind: Binding,
+}
+
+/// What a scheduled operation is bound to.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum Binding {
+    /// No operand binding (a decode-root operation fetches its own).
+    #[default]
+    Unbound,
+    /// A decoded subtree: the tree-walking modes' binding, and the
+    /// portable form snapshots carry.
+    Decoded(Arc<Decoded>),
+    /// A translated routine in this simulator's ops store: ops-mode
+    /// items are plain data, so scheduling one touches no refcount.
+    Routine(RoutineId),
 }
 
 /// A delayed activation waiting in the schedule.
@@ -157,7 +168,11 @@ pub struct Simulator<'m> {
     pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
     pub(crate) compiled: Option<std::sync::Arc<CompiledTables>>,
     /// Translation caches for [`SimMode::Ops`] (`None` in other modes).
-    pub(crate) ops: Option<Box<crate::ops::OpsTables>>,
+    ///
+    /// Ops execution takes the box out for the length of a step (or an
+    /// `execute_decoded` call) and passes it down explicitly, so routines
+    /// borrowed from its store run while the rest of `self` is mutated.
+    pub(crate) ops: Option<Box<OpsTables>>,
     pub(crate) seq: u64,
     pub(crate) observer: Option<Box<Observer>>,
     pub(crate) pc_res: Option<ResourceId>,
@@ -193,14 +208,15 @@ impl std::fmt::Debug for Simulator<'_> {
 impl<'m> Simulator<'m> {
     /// Creates a simulator over zeroed state.
     ///
-    /// In [`SimMode::Compiled`], behaviors, expressions and activations
-    /// are lowered to slot-resolved code up front (part of the paper's
-    /// simulator-generation step).
+    /// In [`SimMode::Compiled`] and [`SimMode::Ops`], behaviors,
+    /// expressions and activations are lowered to slot-resolved code up
+    /// front (part of the paper's simulator-generation step); ops mode
+    /// then also translates every operation's default-variant routine.
     ///
     /// # Errors
     ///
-    /// Propagates lowering errors for compiled mode (e.g. names that can
-    /// never resolve).
+    /// Propagates lowering errors for compiled and ops mode (e.g. names
+    /// that can never resolve).
     pub fn new(model: &'m Model, mode: SimMode) -> Result<Simulator<'m>, SimError> {
         let decoder = Decoder::new(model).ok();
         let compiled = match mode {
@@ -212,7 +228,7 @@ impl<'m> Simulator<'m> {
         let state = State::new(model);
         let ops = match (mode, compiled.as_deref()) {
             (SimMode::Ops, Some(tables)) => {
-                Some(Box::new(crate::ops::OpsTables::build(model, &state, tables)))
+                Some(Box::new(OpsTables::build(Xlate { model, state: &state, tables })))
             }
             _ => None,
         };
@@ -646,7 +662,7 @@ impl<'m> Simulator<'m> {
         let mut ready = std::mem::take(&mut self.step_ready);
         ready.clear();
         if let Some(main) = self.model.main_op() {
-            ready.push(ExecItem { op: main, decoded: None, routine: None });
+            ready.push(ExecItem { op: main, bind: Binding::Unbound });
         }
         let mut matured = std::mem::take(&mut self.step_matured);
         matured.clear();
@@ -664,6 +680,7 @@ impl<'m> Simulator<'m> {
         ready.extend(matured.drain(..).map(|p| p.item));
         self.step_matured = matured;
 
+        let mut ops = self.ops.take();
         let mut i = 0;
         let result = loop {
             if i >= ready.len() {
@@ -671,11 +688,7 @@ impl<'m> Simulator<'m> {
             }
             // Move the item out (Copy op id, `take` the binding) instead
             // of cloning: nothing re-reads a consumed slot.
-            let item = ExecItem {
-                op: ready[i].op,
-                decoded: ready[i].decoded.take(),
-                routine: ready[i].routine.take(),
-            };
+            let item = ExecItem { op: ready[i].op, bind: std::mem::take(&mut ready[i].bind) };
             i += 1;
             // A stalled stage holds its operation: re-queue for the next
             // control step instead of executing (`pipe.stage.stall()`
@@ -692,11 +705,13 @@ impl<'m> Simulator<'m> {
                     continue;
                 }
             }
-            if let Err(e) = self.execute_item(&item, &mut ready) {
+            if let Err(e) = self.execute_item(ops.as_deref_mut(), &item, &mut ready) {
                 break Err(e);
             }
         };
+        self.ops = ops;
         self.step_ready = ready;
+        self.ops_reclaim_if_full();
         result?;
 
         // Advance non-pipelined delayed activations; pipelined ones only
@@ -801,20 +816,27 @@ impl<'m> Simulator<'m> {
         None
     }
 
-    /// Executes one scheduled item: behavior, then activation.
-    fn execute_item(&mut self, item: &ExecItem, ready: &mut Vec<ExecItem>) -> Result<(), SimError> {
+    /// Executes one scheduled item: behavior, then activation. `ops` is
+    /// the simulator's ops tables, taken out for the step (ops mode only).
+    fn execute_item(
+        &mut self,
+        ops: Option<&mut OpsTables>,
+        item: &ExecItem,
+        ready: &mut Vec<ExecItem>,
+    ) -> Result<(), SimError> {
         self.stats.executed_ops += 1;
-        if self.mode == SimMode::Ops {
-            return self.execute_item_ops(item, ready);
+        if let Some(t) = ops {
+            return self.execute_item_ops(t, item, ready);
         }
         let operation = self.model.operation(item.op);
 
         // Decode-root operations fetch their binding from the compared
         // resource ("the coding sequences of all defined operations must be
         // compared to the actual value of the current instruction word").
-        let decoded: Option<Arc<Decoded>> = match (&item.decoded, operation.decode_root) {
-            (Some(d), _) => Some(Arc::clone(d)),
-            (None, Some(root_res)) => {
+        // Routine bindings exist only in ops mode.
+        let decoded: Option<Arc<Decoded>> = match (&item.bind, operation.decode_root) {
+            (Binding::Decoded(d), _) => Some(Arc::clone(d)),
+            (_, Some(root_res)) => {
                 let word = self.state.scalar(root_res).to_u128();
                 if self.observing() {
                     let event =
@@ -823,7 +845,7 @@ impl<'m> Simulator<'m> {
                 }
                 Some(self.decode_word(word)?)
             }
-            (None, None) => None,
+            (_, None) => None,
         };
 
         let variant = match &decoded {
@@ -864,43 +886,33 @@ impl<'m> Simulator<'m> {
 
     /// [`SimMode::Ops`] twin of `execute_item`: identical fetch/decode
     /// bookkeeping and event order, but the behavior runs as translated
-    /// micro-op code resolved through the routine caches.
+    /// micro-op code addressed by routine id.
     fn execute_item_ops(
         &mut self,
+        t: &mut OpsTables,
         item: &ExecItem,
         ready: &mut Vec<ExecItem>,
     ) -> Result<(), SimError> {
         let operation = self.model.operation(item.op);
-        let default_variant = || {
-            let choices = vec![None; operation.groups.len()];
-            operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
-        };
-        let routine = match (&item.routine, &item.decoded, operation.decode_root) {
+        let id = match (&item.bind, operation.decode_root) {
             // Activation targets resolved at translate time carry their
-            // routine — no cache probe.
-            (Some(r), _, _) => Arc::clone(r),
-            (None, Some(d), _) => {
-                if d.op == item.op {
-                    self.ops_instance_routine(d)
-                } else {
-                    self.ops_uncached_routine(item.op, default_variant(), Some(d))
-                }
-            }
-            (None, None, Some(root_res)) => {
+            // routine: no cache probe.
+            (Binding::Routine(id), _) => *id,
+            // Only `execute_decoded` schedules a decoded binding here.
+            (Binding::Decoded(d), _) => t.bind(self.xlate(), item.op, d),
+            (Binding::Unbound, Some(root_res)) => {
                 let word = self.state.scalar(root_res).to_u128();
                 if self.observing() {
                     let event =
                         TraceEvent::Fetch { cycle: self.stats.cycles, pc: self.current_pc(), word };
                     self.emit(event);
                 }
-                let (d, routine) = self.ops_decode_word(word)?;
-                if d.op == item.op {
-                    routine
-                } else {
-                    self.ops_uncached_routine(item.op, default_variant(), Some(&d))
-                }
+                // The word's own routine, unless its decode names an
+                // operation other than this decode root.
+                let id = self.ops_decode_word(t, word)?;
+                t.rebind(self.xlate(), item.op, id)
             }
-            (None, None, None) => self.ops_unbound_routine(item.op),
+            (Binding::Unbound, None) => t.unbound[item.op.0],
         };
 
         if self.observing() {
@@ -913,11 +925,8 @@ impl<'m> Simulator<'m> {
             self.emit(event);
         }
 
-        self.run_ops(&routine)?;
-
-        if let Some(plan) = routine.act.as_ref() {
-            self.run_act_steps(plan, &plan.steps, &mut crate::ops::ActSink::Sched(ready))?;
-        }
+        self.run_routine(t, id)?;
+        self.schedule_plan(t, id, ready)?;
         if operation.decode_root.is_some() {
             self.stats.instructions_retired += 1;
         }
@@ -1000,7 +1009,7 @@ impl<'m> Simulator<'m> {
                         operation: operation.name.clone(),
                     }
                 })?;
-            ExecItem { op: child.op, decoded: Some(child), routine: None }
+            ExecItem { op: child.op, bind: Binding::Decoded(child) }
         } else if let Some(target) = self.model.operation_by_name(name) {
             // Direct operation activation; if the current binding has a
             // matching op-reference child, pass it along.
@@ -1014,7 +1023,7 @@ impl<'m> Simulator<'m> {
                     _ => None,
                 })
             });
-            ExecItem { op: target.id, decoded: child, routine: None }
+            ExecItem { op: target.id, bind: child.map_or(Binding::Unbound, Binding::Decoded) }
         } else {
             return Err(SimError::UnknownActivation {
                 name: name.to_owned(),
@@ -1163,18 +1172,23 @@ impl<'m> Simulator<'m> {
     /// Directly injects a decoded instruction for execution this step —
     /// used by tests and by front-ends that bypass fetch modelling.
     pub fn execute_decoded(&mut self, decoded: &Decoded) -> Result<(), SimError> {
-        let mut ready = vec![ExecItem {
-            op: decoded.op,
-            decoded: Some(Arc::new(decoded.clone())),
-            routine: None,
-        }];
+        let mut ready =
+            vec![ExecItem { op: decoded.op, bind: Binding::Decoded(Arc::new(decoded.clone())) }];
+        let mut ops = self.ops.take();
         let mut i = 0;
-        while i < ready.len() {
+        let result = loop {
+            if i >= ready.len() {
+                break Ok(());
+            }
             let item = ready[i].clone();
-            self.execute_item(&item, &mut ready)?;
+            if let Err(e) = self.execute_item(ops.as_deref_mut(), &item, &mut ready) {
+                break Err(e);
+            }
             i += 1;
-        }
-        Ok(())
+        };
+        self.ops = ops;
+        self.ops_reclaim_if_full();
+        result
     }
 
     /// Number of delayed activations currently in flight (diagnostics).
@@ -1186,9 +1200,10 @@ impl<'m> Simulator<'m> {
     /// Writes a program image (words) into a `PROGRAM_MEMORY` resource
     /// starting at its base address.
     ///
-    /// In [`SimMode::Compiled`] the loaded region is immediately
-    /// pre-decoded into the decode cache (the translate-time step of
-    /// compiled simulation), so callers no longer need to invoke
+    /// In every mode but [`SimMode::Interpretive`] the loaded region is
+    /// immediately pre-decoded into the decode cache (the translate-time
+    /// step of compiled simulation; ops mode also translates each word to
+    /// micro-op code), so callers no longer need to invoke
     /// [`Simulator::predecode_program_memory`] by hand after loading.
     ///
     /// # Errors

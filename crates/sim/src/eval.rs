@@ -281,39 +281,14 @@ impl<'m> Simulator<'m> {
             crate::SimMode::Compiled => {
                 self.exec_behavior_compiled(decoded.op, decoded.variant, Some(decoded))?;
             }
-            crate::SimMode::Ops => {
-                // Borrowed (non-`Arc`) instances can't be identity-cached;
-                // translate on the spot. The hot paths go through
-                // `invoke_decoded_arc` instead.
-                let routine = self.ops_uncached_routine(decoded.op, decoded.variant, Some(decoded));
-                self.run_ops(&routine)?;
-                return self.invoke_plan(&routine);
-            }
+            crate::SimMode::Ops => unreachable!("ops mode invokes through routine ids"),
         }
         self.invoke_activation(decoded.op, decoded.variant, Some(decoded))
     }
 
-    /// Like [`Self::invoke_decoded`] but for `Arc`-shared instances, so
-    /// ops mode can resolve (and cache) the translated routine by
-    /// pointer identity instead of retranslating.
-    pub(crate) fn invoke_decoded_arc(
-        &mut self,
-        decoded: &std::sync::Arc<Decoded>,
-    ) -> Result<(), SimError> {
-        if self.mode == crate::SimMode::Ops {
-            self.stats.executed_ops += 1;
-            if self.observing() {
-                self.emit_exec(decoded.op);
-            }
-            let routine = self.ops_instance_routine(decoded);
-            self.run_ops(&routine)?;
-            return self.invoke_plan(&routine);
-        }
-        self.invoke_decoded(decoded)
-    }
-
     /// Executes an operation with no operand binding. Decode-root
-    /// operations fetch and decode their compared resource first.
+    /// operations fetch and decode their compared resource first. Ops
+    /// mode has its own twin, `ops_invoke_unbound`.
     pub(crate) fn invoke_unbound(&mut self, op: OpId) -> Result<(), SimError> {
         let operation = self.model.operation(op);
         if let Some(root_res) = operation.decode_root {
@@ -326,19 +301,6 @@ impl<'m> Simulator<'m> {
                 };
                 self.emit(event);
             }
-            if self.mode == crate::SimMode::Ops {
-                // Fused decode+translate lookup: one cache probe resolves
-                // both the instance and its micro-op routine.
-                let (decoded, routine) = self.ops_decode_word(word)?;
-                self.stats.executed_ops += 1;
-                if self.observing() {
-                    self.emit_exec(decoded.op);
-                }
-                self.run_ops(&routine)?;
-                self.invoke_plan(&routine)?;
-                self.stats.instructions_retired += 1;
-                return Ok(());
-            }
             let decoded = self.decode_word(word)?;
             self.invoke_decoded(&decoded)?;
             self.stats.instructions_retired += 1;
@@ -348,19 +310,12 @@ impl<'m> Simulator<'m> {
         if self.observing() {
             self.emit_exec(op);
         }
-        if self.mode == crate::SimMode::Ops {
-            // The pre-translated routine already encodes the default
-            // variant — skip the guard-matching walk entirely.
-            let routine = self.ops_unbound_routine(op);
-            self.run_ops(&routine)?;
-            return self.invoke_plan(&routine);
-        }
         let choices = vec![None; operation.groups.len()];
         let variant = operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
         match self.mode {
             crate::SimMode::Interpretive => self.exec_behavior_interp(op, variant, None)?,
             crate::SimMode::Compiled => self.exec_behavior_compiled(op, variant, None)?,
-            crate::SimMode::Ops => unreachable!("handled above"),
+            crate::SimMode::Ops => unreachable!("ops mode invokes through routine ids"),
         }
         self.invoke_activation(op, variant, None)
     }
@@ -382,9 +337,12 @@ impl<'m> Simulator<'m> {
         let mut i = 0;
         while i < ready.len() {
             let item = ready[i].clone();
-            match item.decoded {
-                Some(d) => self.invoke_decoded_arc(&d)?,
-                None => self.invoke_unbound(item.op)?,
+            match item.bind {
+                crate::engine::Binding::Decoded(d) => self.invoke_decoded(&d)?,
+                crate::engine::Binding::Unbound => self.invoke_unbound(item.op)?,
+                crate::engine::Binding::Routine(_) => {
+                    unreachable!("routine bindings exist only in ops mode")
+                }
             }
             i += 1;
         }

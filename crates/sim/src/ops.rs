@@ -37,7 +37,7 @@ use lisa_isa::Decoded;
 use crate::compiled::{
     lower_act_expr, Builtin, CompiledTables, LBlock, LExpr, LPlace, LStmt, PipeOp,
 };
-use crate::engine::{ExecItem, Pending};
+use crate::engine::{Binding, ExecItem, Pending};
 use crate::eval::{apply_binop, apply_compound, saturate};
 use crate::fasthash::FastMap;
 use crate::state::wrap_to_width;
@@ -224,10 +224,10 @@ pub(crate) struct OpsRoutine {
 }
 
 /// A pre-lowered ACTIVATION section: target names resolved to operation
-/// ids (with their decoded bindings and translated routines), delays
-/// precomputed from static stage assignments, pipeline intrinsics parsed,
-/// and conditions lowered to micro-op code — the string matching the
-/// interpretive scheduler performs per cycle all happens once here.
+/// ids (with their translated routines), delays precomputed from static
+/// stage assignments, pipeline intrinsics parsed, and conditions lowered
+/// to micro-op code — the string matching the interpretive scheduler
+/// performs per cycle all happens once here.
 #[derive(Debug)]
 pub(crate) struct ActPlan {
     pub(crate) steps: Vec<ActStep>,
@@ -260,41 +260,96 @@ pub(crate) struct ActTarget {
     /// The activating operation (event attribution).
     pub(crate) from: OpId,
     pub(crate) op: OpId,
-    /// Operand binding carried to the scheduled item, if any.
-    pub(crate) decoded: Option<Arc<Decoded>>,
-    /// Pre-translated routine for bound zero-delay targets (the
-    /// behavior-context drain runs it without a cache probe).
-    pub(crate) routine: Option<Arc<OpsRoutine>>,
+    /// The target's routine when it has an operand binding; scheduled
+    /// items carry this index, so maturing runs it without a cache probe.
+    pub(crate) routine: Option<RoutineId>,
     /// Spatial distance plus explicit `;` delay, both static.
     pub(crate) delay: u32,
     /// Target pipeline stage when the operation is pipelined.
     pub(crate) stage: Option<(PipelineId, usize)>,
 }
 
-/// A bound child operand: the decoded instance and its routine.
-#[derive(Debug)]
+/// A bound child operand kept out of line: its operation and routine.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ChildInvoke {
-    pub(crate) decoded: Arc<Decoded>,
-    pub(crate) routine: Arc<OpsRoutine>,
+    pub(crate) op: OpId,
+    pub(crate) routine: RoutineId,
 }
 
-/// Per-simulator translation caches for ops mode.
+/// Index of a translated routine in one simulator's [`OpsTables`]
+/// store. Plain data: scheduling, invoking or snapshotting by id touches
+/// no reference count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RoutineId(u32);
+
+/// One store entry: a routine and the decoded instance it was
+/// specialized against (`None` for default-variant routines).
+#[derive(Debug)]
+struct StoredRoutine {
+    decoded: Option<Arc<Decoded>>,
+    routine: OpsRoutine,
+}
+
+/// Every translated routine of one simulator, addressed by [`RoutineId`].
+/// Append-only between reclaims, so an id stays valid; but the backing
+/// vector may reallocate on append, so code holds ids, not references,
+/// across anything that can translate.
+#[derive(Debug, Default)]
+struct RoutineStore(Vec<StoredRoutine>);
+
+impl RoutineStore {
+    fn push(&mut self, decoded: Option<Arc<Decoded>>, routine: OpsRoutine) -> RoutineId {
+        let id = RoutineId(u32::try_from(self.0.len()).expect("routine store below u32::MAX"));
+        self.0.push(StoredRoutine { decoded, routine });
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The ACTIVATION plan of routine `id`, if it has one.
+    fn plan(&self, id: RoutineId) -> Option<&ActPlan> {
+        self[id].routine.act.as_ref()
+    }
+
+    /// The operation a bound routine's decoded instance belongs to.
+    fn decoded_op(&self, id: RoutineId) -> OpId {
+        self[id].decoded.as_ref().expect("bound routine").op
+    }
+}
+
+impl std::ops::Index<RoutineId> for RoutineStore {
+    type Output = StoredRoutine;
+
+    #[inline]
+    fn index(&self, id: RoutineId) -> &StoredRoutine {
+        &self.0[id.0 as usize]
+    }
+}
+
+/// Per-simulator translation state for ops mode: the routine store and
+/// the caches and pools that index into it.
 #[derive(Debug, Default)]
 pub(crate) struct OpsTables {
+    store: RoutineStore,
+    /// Store length after [`OpsTables::build`]: the default-variant
+    /// routines every reclaim keeps.
+    base: usize,
     /// Default-variant routine per operation id (no operand binding).
-    pub(crate) unbound: Vec<Arc<OpsRoutine>>,
-    /// Instance routines keyed by `Arc<Decoded>` pointer identity. The
-    /// held `Arc` pins the allocation so keys can never be reused while
-    /// an entry is live.
-    pub(crate) instances: FastMap<usize, (Arc<Decoded>, Arc<OpsRoutine>)>,
+    pub(crate) unbound: Vec<RoutineId>,
+    /// Bound routines keyed by (`Arc<Decoded>` pointer, operation id). The
+    /// store entry holds the `Arc`, pinning the allocation so a key can
+    /// never be reused while its entry is live.
+    instances: FastMap<(usize, usize), RoutineId>,
     /// Fused decode+translate cache for decode-root fetches: one lookup
     /// replaces the word-cache probe plus the instance-cache probe.
-    pub(crate) words: FastMap<u128, (Arc<Decoded>, Arc<OpsRoutine>)>,
+    words: FastMap<u128, RoutineId>,
     /// Recycled execution frames (locals + operand stack), so nested
     /// routine invocations allocate nothing in the steady state.
-    pub(crate) frames: Vec<OpsFrame>,
+    frames: Vec<OpsFrame>,
     /// Recycled target-index buffers for behavior-context plan drains.
-    pub(crate) act_scratch: Vec<Vec<u16>>,
+    act_scratch: Vec<Vec<u16>>,
 }
 
 /// One pooled execution frame: the capacity persists across invocations.
@@ -305,22 +360,101 @@ pub(crate) struct OpsFrame {
 }
 
 /// Safety valve for callers that mint transient `Arc<Decoded>` values
-/// (e.g. repeated `execute_decoded`): beyond this the caches reset.
+/// (e.g. repeated `execute_decoded`): once the routine store reaches this
+/// many entries, the next step boundary drops every bound routine.
 const OPS_CACHE_MAX: usize = 1 << 16;
+
+/// What translation reads: the model, the state's storage layout and
+/// the lowered behaviors.
+#[derive(Clone, Copy)]
+pub(crate) struct Xlate<'a> {
+    pub(crate) model: &'a Model,
+    pub(crate) state: &'a State,
+    pub(crate) tables: &'a CompiledTables,
+}
+
+/// The variant an operation runs with no operand binding.
+fn default_variant(model: &Model, op: OpId) -> usize {
+    let operation = model.operation(op);
+    let choices = vec![None; operation.groups.len()];
+    operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
+}
 
 impl OpsTables {
     /// Translates the default-variant routine of every operation.
-    pub(crate) fn build(model: &Model, state: &State, tables: &CompiledTables) -> OpsTables {
-        let unbound = model
-            .operations()
-            .iter()
-            .map(|op| {
-                let choices = vec![None; op.groups.len()];
-                let variant = op.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
-                Arc::new(translate_routine(model, state, tables, op.id, variant, None))
-            })
-            .collect();
-        OpsTables { unbound, ..OpsTables::default() }
+    pub(crate) fn build(cx: Xlate<'_>) -> OpsTables {
+        let mut t = OpsTables::default();
+        for op in cx.model.operations() {
+            let routine =
+                translate_routine(cx, &mut t, op.id, default_variant(cx.model, op.id), None);
+            let id = t.store.push(None, routine);
+            t.unbound.push(id);
+        }
+        t.base = t.store.len();
+        t
+    }
+
+    /// The routine running `op` against `decoded`, translated on miss.
+    /// `decoded` is usually an instance of `op` itself; otherwise `op`'s
+    /// default variant runs with `decoded`'s fields bound.
+    pub(crate) fn bind(&mut self, cx: Xlate<'_>, op: OpId, decoded: &Arc<Decoded>) -> RoutineId {
+        let key = (Arc::as_ptr(decoded) as usize, op.0);
+        if let Some(&id) = self.instances.get(&key) {
+            return id;
+        }
+        let variant =
+            if decoded.op == op { decoded.variant } else { default_variant(cx.model, op) };
+        let routine = translate_routine(cx, self, op, variant, Some(decoded));
+        let id = self.store.push(Some(Arc::clone(decoded)), routine);
+        self.instances.insert(key, id);
+        id
+    }
+
+    /// Like [`OpsTables::bind`] for the binding of stored routine `id`
+    /// (a fetched word's): a hit clones nothing.
+    pub(crate) fn rebind(&mut self, cx: Xlate<'_>, op: OpId, id: RoutineId) -> RoutineId {
+        let decoded = self.store[id].decoded.as_ref().expect("bound routine");
+        if decoded.op == op {
+            return id;
+        }
+        if let Some(&hit) = self.instances.get(&(Arc::as_ptr(decoded) as usize, op.0)) {
+            return hit;
+        }
+        let decoded = Arc::clone(decoded);
+        self.bind(cx, op, &decoded)
+    }
+
+    /// A binding that means the same in any simulator: routine ids turn
+    /// back into the decoded instance they were translated from.
+    fn portable(&self, bind: &Binding) -> Binding {
+        match bind {
+            Binding::Routine(id) => {
+                self.store[*id].decoded.clone().map_or(Binding::Unbound, Binding::Decoded)
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Resolves decoded bindings in `pending` to this store's routines.
+    fn bind_pending(&mut self, cx: Xlate<'_>, pending: &mut [Pending]) {
+        for p in pending {
+            if let Binding::Decoded(d) = &p.item.bind {
+                p.item.bind = Binding::Routine(self.bind(cx, p.item.op, d));
+            }
+        }
+    }
+
+    /// The safety valve: drops every bound routine and both caches,
+    /// carrying `pending` (the only ids held outside the store at a step
+    /// boundary) across by re-resolving their bindings.
+    fn reclaim(&mut self, cx: Xlate<'_>, pending: &mut [Pending]) {
+        for p in pending.iter_mut() {
+            p.item.bind = self.portable(&p.item.bind);
+        }
+        self.store.0.truncate(self.base);
+        self.instances.clear();
+        self.words.clear();
+        self.bind_pending(cx, pending);
     }
 }
 
@@ -351,12 +485,17 @@ struct CtlFrame {
     continues: Vec<usize>,
 }
 
-struct Emitter<'m, 'e> {
+struct Emitter<'m, 'e, 'o> {
     model: &'m Model,
     state: &'e State,
     tables: &'e CompiledTables,
+    /// The store that out-of-line children and activation targets of
+    /// the routine being emitted are appended to.
+    ops: &'o mut OpsTables,
     code: Vec<MicroOp>,
-    children: Vec<ChildInvoke>,
+    /// Translated child instances, in `InvokeChild` order; they enter the
+    /// store only if [`inline_children`] keeps them out of line.
+    children: Vec<(Arc<Decoded>, OpsRoutine)>,
     errors: Vec<SimError>,
     frames: Vec<CtlFrame>,
     /// Break/continue with no enclosing construct: ends the behavior
@@ -385,31 +524,41 @@ const UNROLL_MAX_COPIES: usize = 256;
 /// `decoded` when a binding exists. Infallible: anything that would
 /// error at run time in the tree-walking backends becomes a positioned
 /// `Fail` op.
-pub(crate) fn translate_routine(
-    model: &Model,
-    state: &State,
-    tables: &CompiledTables,
+fn translate_routine(
+    cx: Xlate<'_>,
+    ops: &mut OpsTables,
     op: OpId,
     variant: usize,
     decoded: Option<&Decoded>,
 ) -> OpsRoutine {
-    let idx = tables.slot(op, variant);
-    let mut e = Emitter::new(model, state, tables);
-    if let Some(block) = tables.behaviors[idx].as_ref() {
+    let idx = cx.tables.slot(op, variant);
+    let mut e = Emitter::new(cx, ops);
+    if let Some(block) = cx.tables.behaviors[idx].as_ref() {
         e.block(block, Ctx { op, decoded });
     }
     let end = e.here();
     for j in std::mem::take(&mut e.end_patches) {
         e.patch_to(j, end);
     }
-    inline_children(OpsRoutine {
+    let draft = Draft {
         code: e.code,
-        n_locals: tables.locals_count[idx],
+        n_locals: cx.tables.locals_count[idx],
         max_stack: e.max_stack,
         children: e.children,
         errors: e.errors,
-        act: translate_act_plan(model, state, tables, op, variant, decoded),
-    })
+    };
+    let act = translate_act_plan(cx, ops, op, variant, decoded);
+    inline_children(ops, draft, act)
+}
+
+/// An emitted routine whose children are not yet placed: each is either
+/// spliced into the parent or appended to the store.
+struct Draft {
+    code: Vec<MicroOp>,
+    n_locals: u16,
+    max_stack: usize,
+    children: Vec<(Arc<Decoded>, OpsRoutine)>,
+    errors: Vec<SimError>,
 }
 
 /// Flattened-size cap: beyond this, child invocations stay as calls
@@ -427,14 +576,14 @@ const INLINE_CODE_MAX: usize = 1 << 14;
 /// keep the call — their plan must run after the behavior. The pass runs
 /// bottom-up for free: children are fully translated (and themselves
 /// flattened) before the parent routine is assembled.
-fn inline_children(r: OpsRoutine) -> OpsRoutine {
+fn inline_children(ops: &mut OpsTables, r: Draft, act: Option<ActPlan>) -> OpsRoutine {
     let mut new_len = 0usize;
     let mut total_locals = r.n_locals as usize;
     let mut any = false;
     for op in &r.code {
         new_len += 1;
         if let MicroOp::InvokeChild(k) = op {
-            let child = &r.children[*k as usize].routine;
+            let child = &r.children[*k as usize].1;
             if child.act.is_none() {
                 any = true;
                 new_len += child.code.len() + usize::from(child.n_locals > 0);
@@ -443,7 +592,19 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
         }
     }
     if !any || new_len > INLINE_CODE_MAX || total_locals > u16::MAX as usize {
-        return r;
+        let children = r
+            .children
+            .into_iter()
+            .map(|(d, routine)| ChildInvoke { op: d.op, routine: ops.store.push(Some(d), routine) })
+            .collect();
+        return OpsRoutine {
+            code: r.code,
+            n_locals: r.n_locals,
+            max_stack: r.max_stack,
+            children,
+            errors: r.errors,
+            act,
+        };
     }
 
     // Pass 1: the new index of every old instruction (plus one-past-end,
@@ -454,7 +615,7 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
         new_pos.push(at);
         at += 1;
         if let MicroOp::InvokeChild(k) = op {
-            let child = &r.children[*k as usize].routine;
+            let child = &r.children[*k as usize].1;
             if child.act.is_none() {
                 at += u32::from(child.n_locals > 0) + child.code.len() as u32;
             }
@@ -464,6 +625,10 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
 
     // Pass 2: emit, relocating parent jumps through `new_pos` and child
     // jumps/slots/tables by their splice bases.
+    // Each child is named by exactly one `InvokeChild`, so it is moved
+    // out (into the store or the splice) the one time it is reached.
+    let mut sites: Vec<Option<(Arc<Decoded>, OpsRoutine)>> =
+        r.children.into_iter().map(Some).collect();
     let mut code: Vec<MicroOp> = Vec::with_capacity(new_len);
     let mut children: Vec<ChildInvoke> = Vec::new();
     let mut errors = r.errors;
@@ -472,18 +637,16 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
     for op in &r.code {
         match op {
             MicroOp::InvokeChild(k) => {
-                let site = &r.children[*k as usize];
-                if site.routine.act.is_some() {
+                let (decoded, child) = sites[*k as usize].take().expect("one site per child");
+                if child.act.is_some() {
                     let nk = children.len() as u16;
-                    children.push(ChildInvoke {
-                        decoded: Arc::clone(&site.decoded),
-                        routine: Arc::clone(&site.routine),
-                    });
+                    let child_op = decoded.op;
+                    let routine = ops.store.push(Some(decoded), child);
+                    children.push(ChildInvoke { op: child_op, routine });
                     code.push(MicroOp::InvokeChild(nk));
                     continue;
                 }
-                let child = &site.routine;
-                code.push(MicroOp::Enter(site.decoded.op));
+                code.push(MicroOp::Enter(decoded.op));
                 if child.n_locals > 0 {
                     code.push(MicroOp::ZeroLocals { base: local_base, n: child.n_locals });
                 }
@@ -491,10 +654,7 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
                 let err_base = errors.len() as u16;
                 let child_base = children.len() as u16;
                 errors.extend(child.errors.iter().cloned());
-                children.extend(child.children.iter().map(|c| ChildInvoke {
-                    decoded: Arc::clone(&c.decoded),
-                    routine: Arc::clone(&c.routine),
-                }));
+                children.extend_from_slice(&child.children);
                 max_child_stack = max_child_stack.max(child.max_stack);
                 for cop in &child.code {
                     let mut cop = match cop {
@@ -542,7 +702,7 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
         max_stack: r.max_stack + max_child_stack,
         children,
         errors,
-        act: r.act,
+        act,
     }
 }
 
@@ -551,19 +711,17 @@ fn inline_children(r: OpsRoutine) -> OpsRoutine {
 /// exactly: group of the activating operation first, then operation by
 /// name; pipeline intrinsics are recognised by their first path segment.
 fn translate_act_plan(
-    model: &Model,
-    state: &State,
-    tables: &CompiledTables,
+    cx: Xlate<'_>,
+    ops: &mut OpsTables,
     op: OpId,
     variant: usize,
     decoded: Option<&Decoded>,
 ) -> Option<ActPlan> {
     let activation =
-        model.operation(op).variants.get(variant).and_then(|v| v.activation.as_ref())?;
+        cx.model.operation(op).variants.get(variant).and_then(|v| v.activation.as_ref())?;
     let mut b = PlanBuilder {
-        model,
-        state,
-        tables,
+        cx,
+        ops,
         op,
         decoded,
         targets: Vec::new(),
@@ -574,10 +732,9 @@ fn translate_act_plan(
     Some(ActPlan { steps, targets: b.targets, conds: b.conds, errors: b.errors })
 }
 
-struct PlanBuilder<'m, 'e> {
-    model: &'m Model,
-    state: &'e State,
-    tables: &'e CompiledTables,
+struct PlanBuilder<'e, 'o> {
+    cx: Xlate<'e>,
+    ops: &'o mut OpsTables,
     op: OpId,
     decoded: Option<&'e Decoded>,
     targets: Vec<ActTarget>,
@@ -653,9 +810,9 @@ impl PlanBuilder<'_, '_> {
     /// name — the interpretive `activate_name` order) and precomputes
     /// its delay from the static stage assignments.
     fn activate(&mut self, name: &str, extra_delay: u32) -> ActStep {
-        let operation = self.model.operation(self.op);
+        let operation = self.cx.model.operation(self.op);
         let (target_op, child) = if let Some(gidx) = operation.group_index(name) {
-            match self.decoded.and_then(|d| d.group_child_rc(self.model, gidx)) {
+            match self.decoded.and_then(|d| d.group_child_rc(self.cx.model, gidx)) {
                 Some(child) => (child.op, Some(child)),
                 None => {
                     return self.fail(SimError::UnboundGroup {
@@ -664,7 +821,7 @@ impl PlanBuilder<'_, '_> {
                     });
                 }
             }
-        } else if let Some(target) = self.model.operation_by_name(name) {
+        } else if let Some(target) = self.cx.model.operation_by_name(name) {
             let target = target.id;
             // Direct operation activation; if the current binding has a
             // matching op-reference child, pass it along.
@@ -683,21 +840,18 @@ impl PlanBuilder<'_, '_> {
             });
         };
 
-        let target_stage = self.model.operation(target_op).stage;
+        let target_stage = self.cx.model.operation(target_op).stage;
         let spatial = match (operation.stage, target_stage) {
             (_, None) => 0,
             (None, Some((_, s))) => s as u32,
             (Some((p0, s0)), Some((p1, s1))) if p0 == p1 => s1.saturating_sub(s0) as u32,
             (Some(_), Some((_, s1))) => s1 as u32,
         };
-        let routine = child
-            .as_ref()
-            .map(|c| Arc::new(translate_instance(self.model, self.state, self.tables, c)));
+        let routine = child.as_ref().map(|c| self.ops.bind(self.cx, c.op, c));
         let k = self.targets.len() as u16;
         self.targets.push(ActTarget {
             from: self.op,
             op: target_op,
-            decoded: child,
             routine,
             delay: spatial + extra_delay,
             stage: target_stage,
@@ -710,7 +864,7 @@ impl PlanBuilder<'_, '_> {
     /// pipeline (it then resolves as an activation).
     fn pipe_intrinsic(&mut self, call: &lisa_core::ast::Call) -> Option<ActStep> {
         let first = call.path.first()?;
-        let pipeline = self.model.pipelines().iter().find(|p| p.name == first.name)?;
+        let pipeline = self.cx.model.pipelines().iter().find(|p| p.name == first.name)?;
         let pid = pipeline.id;
         let path_str = || call.path.iter().map(|p| p.name.as_str()).collect::<Vec<_>>().join(".");
         let step = match call.path.len() {
@@ -739,7 +893,7 @@ impl PlanBuilder<'_, '_> {
     /// pure, so resolving the branch at translate time is observably
     /// identical to re-evaluating every cycle.
     fn cond(&mut self, expr: &lisa_core::ast::Expr) -> CondKind {
-        let lexpr = match lower_act_expr(self.model, self.op, expr) {
+        let lexpr = match lower_act_expr(self.cx.model, self.op, expr) {
             Ok(l) => l,
             Err(e) => {
                 let k = self.errors.len() as u16;
@@ -747,17 +901,19 @@ impl PlanBuilder<'_, '_> {
                 return CondKind::Err(k);
             }
         };
-        let mut e = Emitter::new(self.model, self.state, self.tables);
+        let mut e = Emitter::new(self.cx, self.ops);
         let ctx = Ctx { op: self.op, decoded: self.decoded };
         if let Some(v) = e.const_eval(&lexpr, ctx) {
             return CondKind::Const(v);
         }
         e.expr(&lexpr, ctx);
+        // Expressions invoke no operations, so a condition has no children.
+        debug_assert!(e.children.is_empty());
         let routine = OpsRoutine {
             code: e.code,
             n_locals: 0,
             max_stack: e.max_stack,
-            children: e.children,
+            children: Vec::new(),
             errors: e.errors,
             act: None,
         };
@@ -771,16 +927,6 @@ enum CondKind {
     Const(i64),
     Routine(u16),
     Err(u16),
-}
-
-/// Translates a decoded instance (its own op/variant, labels bound).
-pub(crate) fn translate_instance(
-    model: &Model,
-    state: &State,
-    tables: &CompiledTables,
-    decoded: &Decoded,
-) -> OpsRoutine {
-    translate_routine(model, state, tables, decoded.op, decoded.variant, Some(decoded))
 }
 
 /// Pure builtin evaluation shared by the translator's constant folder
@@ -804,12 +950,13 @@ fn eval_builtin_pure(f: Builtin, vals: [i64; 2]) -> i64 {
     }
 }
 
-impl<'m, 'e> Emitter<'m, 'e> {
-    fn new(model: &'m Model, state: &'e State, tables: &'e CompiledTables) -> Self {
+impl<'e, 'o> Emitter<'e, 'e, 'o> {
+    fn new(cx: Xlate<'e>, ops: &'o mut OpsTables) -> Self {
         Emitter {
-            model,
-            state,
-            tables,
+            model: cx.model,
+            state: cx.state,
+            tables: cx.tables,
+            ops,
             code: Vec::new(),
             children: Vec::new(),
             errors: Vec::new(),
@@ -822,7 +969,9 @@ impl<'m, 'e> Emitter<'m, 'e> {
             landing: 0,
         }
     }
+}
 
+impl<'m, 'e> Emitter<'m, 'e, '_> {
     /// The next code position, as a jump target.
     fn here(&mut self) -> u32 {
         self.landing = self.code.len();
@@ -1006,7 +1155,7 @@ impl<'m, 'e> Emitter<'m, 'e> {
     }
 }
 
-impl<'m, 'e> Emitter<'m, 'e> {
+impl<'m, 'e> Emitter<'m, 'e, '_> {
     // -- expressions --------------------------------------------------------
 
     fn expr<'d>(&mut self, e: &'e LExpr, ctx: Ctx<'d>) {
@@ -1297,14 +1446,15 @@ impl<'m, 'e> Emitter<'m, 'e> {
 
     /// Embeds a bound child instance and emits its invocation.
     fn invoke_child(&mut self, child: Arc<Decoded>) {
-        let routine = Arc::new(translate_instance(self.model, self.state, self.tables, &child));
+        let cx = Xlate { model: self.model, state: self.state, tables: self.tables };
+        let routine = translate_routine(cx, self.ops, child.op, child.variant, Some(&child));
         let k = self.children.len() as u16;
-        self.children.push(ChildInvoke { decoded: child, routine });
+        self.children.push((child, routine));
         self.emit(MicroOp::InvokeChild(k), 0);
     }
 }
 
-impl<'m, 'e> Emitter<'m, 'e> {
+impl<'m, 'e> Emitter<'m, 'e, '_> {
     // -- statements ---------------------------------------------------------
 
     fn block<'d>(&mut self, b: &'e LBlock, ctx: Ctx<'d>) {
@@ -1678,9 +1828,36 @@ fn leaves_loop(b: &LBlock, in_switch: bool) -> bool {
 /// Where activation targets land while a plan runs: the scheduler's
 /// ready list (control-step context) or a local drain buffer of target
 /// indices (behavior context, executed immediately afterwards).
-pub(crate) enum ActSink<'a> {
+enum ActSink<'a> {
     Sched(&'a mut Vec<ExecItem>),
     Local(&'a mut Vec<u16>),
+}
+
+/// An out-of-line invocation reached by [`Simulator::exec_code`]. Its
+/// caller, `run_routine_in`, performs it, because it may translate and so
+/// append to the store the running code is borrowed from.
+enum Call {
+    Child(ChildInvoke),
+    Unbound(OpId),
+}
+
+/// Pops a recycled frame off the pool, sized for `routine`.
+fn take_frame(frames: &mut Vec<OpsFrame>, routine: &OpsRoutine) -> OpsFrame {
+    let mut f = frames.pop().unwrap_or_default();
+    f.locals.clear();
+    f.locals.resize(routine.n_locals as usize, 0);
+    f.stack.clear();
+    if f.stack.capacity() < routine.max_stack {
+        f.stack.reserve(routine.max_stack);
+    }
+    f
+}
+
+/// Returns a frame to the pool, keeping its capacity.
+fn put_frame(frames: &mut Vec<OpsFrame>, frame: OpsFrame) {
+    if frames.len() < 64 {
+        frames.push(frame);
+    }
 }
 
 impl Simulator<'_> {
@@ -1719,27 +1896,6 @@ impl Simulator<'_> {
         }
     }
 
-    /// Pops a recycled frame off the pool, sized for `routine`.
-    fn ops_frame(&mut self, routine: &OpsRoutine) -> OpsFrame {
-        let mut f = self.ops.as_mut().and_then(|o| o.frames.pop()).unwrap_or_default();
-        f.locals.clear();
-        f.locals.resize(routine.n_locals as usize, 0);
-        f.stack.clear();
-        if f.stack.capacity() < routine.max_stack {
-            f.stack.reserve(routine.max_stack);
-        }
-        f
-    }
-
-    /// Returns a frame to the pool, keeping its capacity.
-    fn ops_frame_put(&mut self, frame: OpsFrame) {
-        if let Some(o) = self.ops.as_mut() {
-            if o.frames.len() < 64 {
-                o.frames.push(frame);
-            }
-        }
-    }
-
     /// Writes one element, emitting the write event first — identical
     /// order to the tree-walking backends.
     fn ops_write(&mut self, res: ResourceId, flat: usize, value: i64) -> Result<(), SimError> {
@@ -1753,29 +1909,78 @@ impl Simulator<'_> {
         }
     }
 
-    /// Executes one translated routine: a tight dispatch loop over the
-    /// flat op array, running in a pooled frame.
-    pub(crate) fn run_ops(&mut self, routine: &OpsRoutine) -> Result<(), SimError> {
-        let mut frame = self.ops_frame(routine);
-        let res = self.run_ops_in(routine, &mut frame);
-        self.ops_frame_put(frame);
+    /// Runs routine `id`'s behavior in a pooled frame.
+    pub(crate) fn run_routine(&mut self, t: &mut OpsTables, id: RoutineId) -> Result<(), SimError> {
+        let mut frame = take_frame(&mut t.frames, &t.store[id].routine);
+        let res = self.run_routine_in(t, id, &mut frame);
+        put_frame(&mut t.frames, frame);
         res
     }
 
-    /// Like [`Self::run_ops`] but returns the value left on the operand
-    /// stack — the ACTIVATION-condition entry point.
-    pub(crate) fn run_ops_value(&mut self, routine: &OpsRoutine) -> Result<i64, SimError> {
-        let mut frame = self.ops_frame(routine);
-        let res = self.run_ops_in(routine, &mut frame);
-        let value = frame.stack.pop().unwrap_or(0);
-        self.ops_frame_put(frame);
-        res.map(|()| value)
+    /// Drives routine `id` to its end. Straight-line stretches run in
+    /// [`Self::exec_code`] on a borrowed routine; every call ends that
+    /// borrow, and the code is borrowed again by id once it returns.
+    fn run_routine_in(
+        &mut self,
+        t: &mut OpsTables,
+        id: RoutineId,
+        frame: &mut OpsFrame,
+    ) -> Result<(), SimError> {
+        let mut pc = 0;
+        while let Some(call) = self.exec_code(&t.store[id].routine, frame, &mut pc)? {
+            match call {
+                Call::Child(c) => self.invoke_routine(t, c.op, c.routine)?,
+                Call::Unbound(op) => self.ops_invoke_unbound(t, op)?,
+            }
+        }
+        Ok(())
     }
 
-    fn run_ops_in(&mut self, routine: &OpsRoutine, frame: &mut OpsFrame) -> Result<(), SimError> {
+    /// Executes `op` through routine `id` outside the scheduler: the
+    /// statistics bump and Exec event, the behavior, then its plan.
+    fn invoke_routine(
+        &mut self,
+        t: &mut OpsTables,
+        op: OpId,
+        id: RoutineId,
+    ) -> Result<(), SimError> {
+        self.stats.executed_ops += 1;
+        if self.observing() {
+            self.emit_exec(op);
+        }
+        self.run_routine(t, id)?;
+        self.invoke_plan(t, id)
+    }
+
+    /// Runs an ACTIVATION-condition routine and returns the value it
+    /// leaves on the operand stack.
+    fn run_cond(
+        &mut self,
+        frames: &mut Vec<OpsFrame>,
+        routine: &OpsRoutine,
+    ) -> Result<i64, SimError> {
+        let mut frame = take_frame(frames, routine);
+        let res = self.exec_code(routine, &mut frame, &mut 0);
+        let value = frame.stack.pop().unwrap_or(0);
+        put_frame(frames, frame);
+        match res? {
+            None => Ok(value),
+            Some(_) => unreachable!("conditions invoke no operations"),
+        }
+    }
+
+    /// The dispatch loop: runs `routine` from `*pc` over the flat op array
+    /// until it ends (`None`) or reaches a call, which it hands back with
+    /// `*pc` just past the call site.
+    fn exec_code(
+        &mut self,
+        routine: &OpsRoutine,
+        frame: &mut OpsFrame,
+        pc_io: &mut usize,
+    ) -> Result<Option<Call>, SimError> {
         let code = &routine.code;
         let OpsFrame { locals, stack } = frame;
-        let mut pc = 0usize;
+        let mut pc = *pc_io;
         while let Some(op) = code.get(pc) {
             pc += 1;
             match op {
@@ -1970,15 +2175,13 @@ impl Simulator<'_> {
                 }
                 MicroOp::Pipe(p) => self.apply_pipe_op(*p),
                 MicroOp::InvokeChild(k) => {
-                    let child = &routine.children[*k as usize];
-                    self.stats.executed_ops += 1;
-                    if self.observing() {
-                        self.emit_exec(child.decoded.op);
-                    }
-                    self.run_ops(&child.routine)?;
-                    self.invoke_plan(&child.routine)?;
+                    *pc_io = pc;
+                    return Ok(Some(Call::Child(routine.children[*k as usize])));
                 }
-                MicroOp::InvokeUnbound(op) => self.invoke_unbound(*op)?,
+                MicroOp::InvokeUnbound(op) => {
+                    *pc_io = pc;
+                    return Ok(Some(Call::Unbound(*op)));
+                }
                 MicroOp::Enter(op) => {
                     self.stats.executed_ops += 1;
                     if self.observing() {
@@ -1992,49 +2195,63 @@ impl Simulator<'_> {
                 MicroOp::Fail(k) => return Err(routine.errors[*k as usize].clone()),
             }
         }
-        Ok(())
+        Ok(None)
     }
 
-    /// Runs a routine's ACTIVATION plan in behavior context: targets are
-    /// collected, then zero-delay ones execute immediately (behavior,
+    /// Runs routine `id`'s ACTIVATION plan in behavior context: targets
+    /// are collected, then zero-delay ones execute immediately (behavior,
     /// then their own plan) in activation order — the ops-mode twin of
     /// `invoke_activation`.
-    pub(crate) fn invoke_plan(&mut self, routine: &OpsRoutine) -> Result<(), SimError> {
-        let Some(plan) = routine.act.as_ref() else { return Ok(()) };
-        let mut out = self.ops.as_mut().and_then(|o| o.act_scratch.pop()).unwrap_or_default();
+    fn invoke_plan(&mut self, t: &mut OpsTables, id: RoutineId) -> Result<(), SimError> {
+        if t.store.plan(id).is_none() {
+            return Ok(());
+        }
+        let mut out = t.act_scratch.pop().unwrap_or_default();
         out.clear();
-        let res =
-            self.run_act_steps(plan, &plan.steps, &mut ActSink::Local(&mut out)).and_then(|()| {
-                for &k in out.iter() {
-                    let t = &plan.targets[k as usize];
-                    match &t.routine {
-                        Some(r) => {
-                            self.stats.executed_ops += 1;
-                            if self.observing() {
-                                self.emit_exec(t.op);
-                            }
-                            self.run_ops(r)?;
-                            self.invoke_plan(r)?;
-                        }
-                        None => self.invoke_unbound(t.op)?,
-                    }
-                }
-                Ok(())
-            });
-        if let Some(o) = self.ops.as_mut() {
-            if o.act_scratch.len() < 16 {
-                o.act_scratch.push(out);
-            }
+        let res = self.drain_plan(t, id, &mut out);
+        if t.act_scratch.len() < 16 {
+            t.act_scratch.push(out);
         }
         res
+    }
+
+    /// Runs routine `id`'s ACTIVATION plan in control-step context:
+    /// zero-delay targets join this step's ready list.
+    pub(crate) fn schedule_plan(
+        &mut self,
+        t: &mut OpsTables,
+        id: RoutineId,
+        ready: &mut Vec<ExecItem>,
+    ) -> Result<(), SimError> {
+        let Some(plan) = t.store.plan(id) else { return Ok(()) };
+        self.run_act_steps(&mut t.frames, plan, &plan.steps, &mut ActSink::Sched(ready))
+    }
+
+    fn drain_plan(
+        &mut self,
+        t: &mut OpsTables,
+        id: RoutineId,
+        out: &mut Vec<u16>,
+    ) -> Result<(), SimError> {
+        let plan = t.store.plan(id).expect("caller checked for a plan");
+        self.run_act_steps(&mut t.frames, plan, &plan.steps, &mut ActSink::Local(out))?;
+        for &k in out.iter() {
+            let target = &t.store.plan(id).expect("plan").targets[k as usize];
+            match (target.op, target.routine) {
+                (op, Some(r)) => self.invoke_routine(t, op, r)?,
+                (op, None) => self.ops_invoke_unbound(t, op)?,
+            }
+        }
+        Ok(())
     }
 
     /// Walks a plan's steps, scheduling targets into `sink`. Statistics,
     /// trace events, delayed-activation bookkeeping and intrinsic
     /// handling are identical to the interpretive `run_act_nodes` /
     /// `activate_name` pair.
-    pub(crate) fn run_act_steps(
+    fn run_act_steps(
         &mut self,
+        frames: &mut Vec<OpsFrame>,
         plan: &ActPlan,
         steps: &[ActStep],
         sink: &mut ActSink<'_>,
@@ -2053,25 +2270,16 @@ impl Simulator<'_> {
                         };
                         self.emit(event);
                     }
+                    let bind = t.routine.map_or(Binding::Unbound, Binding::Routine);
                     if t.delay == 0 {
                         match sink {
-                            ActSink::Sched(ready) => {
-                                ready.push(ExecItem {
-                                    op: t.op,
-                                    decoded: t.decoded.clone(),
-                                    routine: t.routine.clone(),
-                                });
-                            }
+                            ActSink::Sched(ready) => ready.push(ExecItem { op: t.op, bind }),
                             ActSink::Local(out) => out.push(*k),
                         }
                     } else {
                         self.seq += 1;
                         self.pending.push(Pending {
-                            item: ExecItem {
-                                op: t.op,
-                                decoded: t.decoded.clone(),
-                                routine: t.routine.clone(),
-                            },
+                            item: ExecItem { op: t.op, bind },
                             pipe: t.stage,
                             remaining: t.delay,
                             seq: self.seq,
@@ -2083,16 +2291,16 @@ impl Simulator<'_> {
                     let taken = if *cond == u16::MAX {
                         true // branch was resolved at translate time
                     } else {
-                        self.run_ops_value(&plan.conds[*cond as usize])? != 0
+                        self.run_cond(frames, &plan.conds[*cond as usize])? != 0
                     };
                     let branch = if taken { then_steps } else { else_steps };
-                    self.run_act_steps(plan, branch, sink)?;
+                    self.run_act_steps(frames, plan, branch, sink)?;
                 }
                 ActStep::Switch { cond, cases, default } => {
-                    let value = self.run_ops_value(&plan.conds[*cond as usize])?;
+                    let value = self.run_cond(frames, &plan.conds[*cond as usize])?;
                     let body =
                         cases.iter().find(|(v, _)| *v == value).map(|(_, b)| b).unwrap_or(default);
-                    self.run_act_steps(plan, body, sink)?;
+                    self.run_act_steps(frames, plan, body, sink)?;
                 }
                 ActStep::Fail(k) => return Err(plan.errors[*k as usize].clone()),
             }
@@ -2106,57 +2314,60 @@ impl Simulator<'_> {
 // ---------------------------------------------------------------------------
 
 impl Simulator<'_> {
-    /// The cached routine for a decoded instance, translating on miss.
-    pub(crate) fn ops_instance_routine(&mut self, decoded: &Arc<Decoded>) -> Arc<OpsRoutine> {
-        let key = Arc::as_ptr(decoded) as usize;
-        if let Some((_, routine)) = self.ops.as_ref().and_then(|o| o.instances.get(&key)) {
-            return Arc::clone(routine);
+    /// The translation inputs, borrowed from this simulator.
+    pub(crate) fn xlate(&self) -> Xlate<'_> {
+        Xlate {
+            model: self.model,
+            state: &self.state,
+            tables: self.compiled.as_deref().expect("ops mode has tables"),
         }
-        let tables = Arc::clone(self.compiled.as_ref().expect("ops mode has tables"));
-        let routine = Arc::new(translate_instance(self.model, &self.state, &tables, decoded));
-        if let Some(ops) = self.ops.as_mut() {
-            if ops.instances.len() >= OPS_CACHE_MAX {
-                ops.instances.clear();
-            }
-            ops.instances.insert(key, (Arc::clone(decoded), Arc::clone(&routine)));
-        }
-        routine
     }
 
-    /// The pre-translated default-variant routine for an operation.
-    pub(crate) fn ops_unbound_routine(&self, op: OpId) -> Arc<OpsRoutine> {
-        Arc::clone(&self.ops.as_ref().expect("ops mode has tables").unbound[op.0])
+    /// Number of routines in the ops store (0 outside ops mode).
+    #[cfg(test)]
+    pub(crate) fn ops_store_len(&self) -> usize {
+        self.ops.as_ref().map_or(0, |t| t.store.len())
     }
 
-    /// A one-off routine for bindings outside both caches (e.g. a
-    /// decoded operand executed under a different operation).
-    pub(crate) fn ops_uncached_routine(
-        &self,
-        op: OpId,
-        variant: usize,
-        decoded: Option<&Decoded>,
-    ) -> Arc<OpsRoutine> {
-        let tables = self.compiled.as_ref().expect("ops mode has tables");
-        Arc::new(translate_routine(self.model, &self.state, tables, op, variant, decoded))
+    /// Executes an operation with no operand binding: the ops twin of
+    /// `invoke_unbound`. A decode-root operation fetches and decodes its
+    /// compared resource first.
+    fn ops_invoke_unbound(&mut self, t: &mut OpsTables, op: OpId) -> Result<(), SimError> {
+        let Some(root_res) = self.model.operation(op).decode_root else {
+            // The pre-translated routine already encodes the default
+            // variant, so the guard-matching walk is skipped entirely.
+            let id = t.unbound[op.0];
+            return self.invoke_routine(t, op, id);
+        };
+        let word = self.state.scalar(root_res).to_u128();
+        if self.observing() {
+            let event = lisa_trace::TraceEvent::Fetch {
+                cycle: self.stats.cycles,
+                pc: self.current_pc(),
+                word,
+            };
+            self.emit(event);
+        }
+        let id = self.ops_decode_word(t, word)?;
+        self.invoke_routine(t, t.store.decoded_op(id), id)?;
+        self.stats.instructions_retired += 1;
+        Ok(())
     }
 
     /// Fused decode+translate for decode-root fetches: bookkeeping
     /// (decode count, cache-hit count, Decode event) matches
-    /// `decode_word` exactly, but a hit costs a single map probe.
+    /// `decode_word` exactly, but a hit costs a single map probe and
+    /// hands back a routine id.
     pub(crate) fn ops_decode_word(
         &mut self,
+        t: &mut OpsTables,
         word: u128,
-    ) -> Result<(Arc<Decoded>, Arc<OpsRoutine>), SimError> {
+    ) -> Result<RoutineId, SimError> {
         self.stats.decodes += 1;
-        let hit = self
-            .ops
-            .as_ref()
-            .and_then(|o| o.words.get(&word))
-            .map(|(d, r)| (Arc::clone(d), Arc::clone(r)));
-        let (decoded, routine, cache_hit) = match hit {
-            Some((d, r)) => {
+        let (id, cache_hit) = match t.words.get(&word) {
+            Some(&id) => {
                 self.stats.decode_cache_hits += 1;
-                (d, r, true)
+                (id, true)
             }
             None => {
                 let (decoded, was_hit) = if let Some(d) = self.decode_cache.get(&word) {
@@ -2173,14 +2384,9 @@ impl Simulator<'_> {
                 if was_hit {
                     self.stats.decode_cache_hits += 1;
                 }
-                let routine = self.ops_instance_routine(&decoded);
-                if let Some(ops) = self.ops.as_mut() {
-                    if ops.words.len() >= OPS_CACHE_MAX {
-                        ops.words.clear();
-                    }
-                    ops.words.insert(word, (Arc::clone(&decoded), Arc::clone(&routine)));
-                }
-                (decoded, routine, was_hit)
+                let id = t.bind(self.xlate(), decoded.op, &decoded);
+                t.words.insert(word, id);
+                (id, was_hit)
             }
         };
         if self.observing() {
@@ -2188,37 +2394,71 @@ impl Simulator<'_> {
                 cycle: self.stats.cycles,
                 pc: self.current_pc(),
                 word,
-                op: decoded.op,
+                op: t.store.decoded_op(id),
                 cache_hit,
             };
             self.emit(event);
         }
-        Ok((decoded, routine))
+        Ok(id)
     }
 
     /// Eagerly translates every cached decode (called after predecode so
     /// `load_program` pays all translation cost up front).
     pub(crate) fn ops_translate_decode_cache(&mut self) {
-        if self.ops.is_none() {
-            return;
+        let Some(mut t) = self.ops.take() else { return };
+        let cx = self.xlate();
+        for (word, d) in &self.decode_cache {
+            let id = t.bind(cx, d.op, d);
+            t.words.entry(*word).or_insert(id);
         }
-        let entries: Vec<(u128, Arc<Decoded>)> =
-            self.decode_cache.iter().map(|(w, d)| (*w, Arc::clone(d))).collect();
-        for (word, d) in entries {
-            let routine = self.ops_instance_routine(&d);
-            if let Some(ops) = self.ops.as_mut() {
-                ops.words.entry(word).or_insert((d, routine));
-            }
+        self.ops = Some(t);
+    }
+
+    /// The pending list with every routine id turned back into its
+    /// decoded binding, as snapshots carry it.
+    pub(crate) fn portable_pending(&self) -> Vec<Pending> {
+        let Some(t) = self.ops.as_ref() else { return self.pending.clone() };
+        self.pending
+            .iter()
+            .map(|p| Pending {
+                item: ExecItem { op: p.item.op, bind: t.portable(&p.item.bind) },
+                pipe: p.pipe,
+                remaining: p.remaining,
+                seq: p.seq,
+            })
+            .collect()
+    }
+
+    /// Resolves the pending list's decoded bindings to routine ids (after
+    /// a restore installed a snapshot's portable list).
+    pub(crate) fn ops_bind_pending(&mut self) {
+        let Some(t) = self.ops.as_mut() else { return };
+        let cx = Xlate {
+            model: self.model,
+            state: &self.state,
+            tables: self.compiled.as_deref().expect("ops mode has tables"),
+        };
+        t.bind_pending(cx, &mut self.pending);
+    }
+
+    /// The [`OPS_CACHE_MAX`] safety valve, run at step boundaries, where
+    /// the pending list holds the only routine ids outside the store.
+    #[inline]
+    pub(crate) fn ops_reclaim_if_full(&mut self) {
+        if self.ops.as_ref().is_some_and(|t| t.store.len() >= OPS_CACHE_MAX) {
+            self.ops_reclaim();
         }
     }
 
-    /// Drops instance/word routines (snapshot restore replaces the
-    /// decode cache, invalidating pointer-keyed entries).
-    pub(crate) fn ops_invalidate(&mut self) {
-        if let Some(ops) = self.ops.as_mut() {
-            ops.instances.clear();
-            ops.words.clear();
-        }
+    #[cold]
+    fn ops_reclaim(&mut self) {
+        let Some(t) = self.ops.as_mut() else { return };
+        let cx = Xlate {
+            model: self.model,
+            state: &self.state,
+            tables: self.compiled.as_deref().expect("ops mode has tables"),
+        };
+        t.reclaim(cx, &mut self.pending);
     }
 
     /// Renders the translated micro-op listing: the default-variant
@@ -2231,30 +2471,29 @@ impl Simulator<'_> {
     /// byte-identical listings.
     pub fn ops_listing(&mut self) -> String {
         let mut out = String::new();
-        if self.ops.is_none() {
-            return out;
-        }
+        let Some(mut t) = self.ops.take() else { return out };
         for op in self.model.operations() {
-            let routine = self.ops_unbound_routine(op.id);
+            let routine = &t.store[t.unbound[op.id.0]].routine;
             if routine.code.is_empty() {
                 continue;
             }
             out.push_str(&format!("== op {} (unbound)\n", op.name));
-            render_routine(&routine, self.model, 1, &mut out);
+            render_routine(&t.store, routine, self.model, 1, &mut out);
         }
         let mut words: Vec<u128> = self.decode_cache.keys().copied().collect();
         words.sort_unstable();
         for word in words {
-            let d = Arc::clone(&self.decode_cache[&word]);
-            let routine = self.ops_instance_routine(&d);
+            let d = &self.decode_cache[&word];
+            let id = t.bind(self.xlate(), d.op, d);
             out.push_str(&format!(
                 "== word {:#x} op {} variant {}\n",
                 word,
                 self.model.operation(d.op).name,
                 d.variant
             ));
-            render_routine(&routine, self.model, 1, &mut out);
+            render_routine(&t.store, &t.store[id].routine, self.model, 1, &mut out);
         }
+        self.ops = Some(t);
         out
     }
 }
@@ -2263,33 +2502,40 @@ impl Simulator<'_> {
 // Listing (goldens / debugging)
 // ---------------------------------------------------------------------------
 
-fn render_routine(routine: &OpsRoutine, model: &Model, indent: usize, out: &mut String) {
+fn render_routine(
+    store: &RoutineStore,
+    routine: &OpsRoutine,
+    model: &Model,
+    indent: usize,
+    out: &mut String,
+) {
     let pad = "  ".repeat(indent);
+    let variant = |id: RoutineId| store[id].decoded.as_ref().map_or(0, |d| d.variant);
     for (i, op) in routine.code.iter().enumerate() {
         out.push_str(&format!("{pad}{i:04}  {}\n", render_micro(op, model, routine)));
     }
     for (k, child) in routine.children.iter().enumerate() {
         out.push_str(&format!(
             "{pad}child {k}: op {} variant {}\n",
-            model.operation(child.decoded.op).name,
-            child.decoded.variant
+            model.operation(store.decoded_op(child.routine)).name,
+            variant(child.routine)
         ));
-        render_routine(&child.routine, model, indent + 1, out);
+        render_routine(store, &store[child.routine].routine, model, indent + 1, out);
     }
     if let Some(plan) = routine.act.as_ref() {
         render_act_steps(plan, &plan.steps, model, indent, out);
         for (c, cond) in plan.conds.iter().enumerate() {
             out.push_str(&format!("{pad}act cond {c}:\n"));
-            render_routine(cond, model, indent + 1, out);
+            render_routine(store, cond, model, indent + 1, out);
         }
         for (k, t) in plan.targets.iter().enumerate() {
-            if let Some(r) = t.routine.as_ref() {
+            if let Some(r) = t.routine {
                 out.push_str(&format!(
                     "{pad}act target {k}: op {} variant {}\n",
                     model.operation(t.op).name,
-                    t.decoded.as_ref().map_or(0, |d| d.variant)
+                    variant(r)
                 ));
-                render_routine(r, model, indent + 1, out);
+                render_routine(store, &store[r].routine, model, indent + 1, out);
             }
         }
     }
@@ -2402,6 +2648,53 @@ mod tests {
 
     use super::*;
     use crate::state::tests::edge_values;
+
+    /// Every `execute_decoded` call mints a fresh `Arc<Decoded>`, so each
+    /// one binds a new routine. Past the cap the store must be reclaimed
+    /// at the call boundary, and execution must carry on unchanged.
+    #[test]
+    fn store_is_reclaimed_past_the_cache_cap() {
+        let wb = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
+        let model = wb.model();
+        let mut sim = Simulator::new(model, crate::SimMode::Ops).expect("simulator builds");
+        let r = model.resource_by_name("R").expect("R").clone();
+        sim.state_mut().write_int(&r, &[2], 1).expect("R2 = 1");
+        let add = wb.assemble_one("ADD R1, R1, R2").expect("assembles");
+
+        let calls = OPS_CACHE_MAX + 64;
+        let mut reclaims = 0;
+        let mut last = sim.ops_store_len();
+        for call in 0..calls {
+            sim.execute_decoded(&add).expect("executes");
+            let len = sim.ops_store_len();
+            assert!(len < OPS_CACHE_MAX, "store at {len} entries after call {call}");
+            reclaims += usize::from(len < last);
+            last = len;
+        }
+        assert!(reclaims >= 1, "the valve never fired");
+        assert_eq!(sim.state().read_int(&r, &[1]).expect("R1"), calls as i64);
+    }
+
+    /// A snapshot's pending bindings re-resolve through the instance
+    /// cache, so restoring into the simulator that took it translates
+    /// nothing.
+    #[test]
+    fn restore_into_the_same_simulator_translates_nothing() {
+        let wb = lisa_models::vliw62::workbench().expect("vliw62 builds");
+        let words = wb
+            .assemble(&["MVK A1, 40", "MVK B1, 2", "ADD .L A2, A1, A1", "HALT"])
+            .expect("assembles");
+        let mut sim = Simulator::new(wb.model(), crate::SimMode::Ops).expect("simulator builds");
+        sim.load_program(wb.program_memory(), &words).expect("loads");
+        while !sim.pending.iter().any(|p| matches!(p.item.bind, Binding::Routine(_))) {
+            sim.step().expect("steps");
+        }
+        let snap = sim.snapshot();
+        let len = sim.ops_store_len();
+        sim.run(3).expect("runs");
+        sim.restore(&snap).expect("restores");
+        assert_eq!(sim.ops_store_len(), len);
+    }
 
     #[test]
     fn width_builtins_match_bits() {

@@ -122,7 +122,7 @@ impl<'m> Simulator<'m> {
         Snapshot {
             state: self.state.clone(),
             pipes: self.pipes.clone(),
-            pending: self.pending.clone(),
+            pending: self.portable_pending(),
             stats: self.stats,
             seq: self.seq,
             mode: self.mode,
@@ -158,9 +158,11 @@ impl<'m> Simulator<'m> {
         self.stats = snapshot.stats;
         self.seq = snapshot.seq;
         self.decode_cache = snapshot.decode_cache.clone();
-        // Instance routines are keyed by decode-cache pointer identity;
-        // the restored cache invalidates them (retranslated on demand).
-        self.ops_invalidate();
+        // Routine ids are local to one simulator: the snapshot carries
+        // decoded bindings, resolved here through the instance cache.
+        // Cached routines stay valid, since a word's routine depends only
+        // on the model and the word, not on which decode cache built it.
+        self.ops_bind_pending();
         if let Some(obs) = self.observer.as_mut() {
             if let Some(sink) = obs.sink.as_mut() {
                 sink.clear();
