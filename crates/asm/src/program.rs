@@ -32,6 +32,9 @@ pub struct Assembler<'m> {
     decoder: Decoder<'m>,
     packet_size: Option<usize>,
     pbit_mask: u128,
+    /// The padding word: an assembled `NOP 1`/`NOP` when the model has
+    /// one, zero otherwise.
+    pad_word: u128,
 }
 
 /// One source statement after line-level parsing.
@@ -52,8 +55,7 @@ impl<'m> Assembler<'m> {
     /// Panics if the model has no decode root (no assemblable syntax).
     #[must_use]
     pub fn new(model: &'m Model) -> Self {
-        let decoder = Decoder::new(model).expect("model has a decode root");
-        Assembler { model, decoder, packet_size: None, pbit_mask: 1 }
+        Self::build(model, None, 1)
     }
 
     /// Creates a VLIW assembler: `||` bars join execute packets,
@@ -66,8 +68,13 @@ impl<'m> Assembler<'m> {
     #[must_use]
     pub fn with_packet(model: &'m Model, packet_size: usize, pbit_mask: u128) -> Self {
         assert!(packet_size > 0, "packet size must be positive");
+        Self::build(model, Some(packet_size), pbit_mask)
+    }
+
+    fn build(model: &'m Model, packet_size: Option<usize>, pbit_mask: u128) -> Self {
         let decoder = Decoder::new(model).expect("model has a decode root");
-        Assembler { model, decoder, packet_size: Some(packet_size), pbit_mask }
+        let pad_word = pad_word(model, &decoder);
+        Assembler { model, decoder, packet_size, pbit_mask, pad_word }
     }
 
     /// Assembles a complete program.
@@ -79,7 +86,7 @@ impl<'m> Assembler<'m> {
     pub fn assemble(&self, source: &str) -> Result<Program, AsmError> {
         let (items, label_positions) = self.parse(source)?;
         let labels = self.layout(&items, &label_positions)?;
-        self.emit(&items, &labels)
+        self.emit(&items, labels)
     }
 
     // -- parsing ---------------------------------------------------------
@@ -267,16 +274,15 @@ impl<'m> Assembler<'m> {
 
     // -- emission ---------------------------------------------------------
 
-    fn emit(&self, items: &[Item], labels: &HashMap<String, u64>) -> Result<Program, AsmError> {
+    fn emit(&self, items: &[Item], labels: HashMap<String, u64>) -> Result<Program, AsmError> {
         let isa = lisa_isa::Assembler::new(self.model, &self.decoder);
-        let pad_word = self.pad_word(&isa);
+        let pad_word = self.pad_word;
         let origin = match items.first() {
             Some(Item::Org(_, addr)) => *addr,
             _ => 0,
         };
         let mut words: Vec<u128> = Vec::new();
         let mut listing = String::new();
-        let mut addr = origin;
         let at = |words: &Vec<u128>, origin: u64| origin + words.len() as u64;
 
         let pad_to = |words: &mut Vec<u128>, listing: &mut String, target: u64| {
@@ -290,23 +296,18 @@ impl<'m> Assembler<'m> {
         for item in items {
             match item {
                 Item::Org(_, target) => {
-                    if words.is_empty() && *target == origin {
-                        addr = *target;
-                        continue;
+                    if !(words.is_empty() && *target == origin) {
+                        pad_to(&mut words, &mut listing, *target);
                     }
-                    pad_to(&mut words, &mut listing, *target);
-                    addr = *target;
                 }
                 Item::Align(n) => {
                     let target = at(&words, origin).next_multiple_of(*n);
                     pad_to(&mut words, &mut listing, target);
-                    addr = target;
                 }
                 Item::Word(value) => {
                     let a = at(&words, origin);
                     let _ = writeln!(listing, "{a:06x}  {value:08x}      ; .word");
                     words.push(*value);
-                    addr = a + 1;
                 }
                 Item::Packet(slots) => {
                     let placed = self
@@ -315,7 +316,7 @@ impl<'m> Assembler<'m> {
                     pad_to(&mut words, &mut listing, placed);
                     let n = slots.len();
                     for (i, (line, text)) in slots.iter().enumerate() {
-                        let resolved = substitute_labels(text, labels);
+                        let resolved = substitute_labels(text, &labels);
                         let decoded = isa
                             .assemble_instruction(&resolved)
                             .map_err(|source| AsmError::Instruction { line: *line, source })?;
@@ -331,30 +332,15 @@ impl<'m> Assembler<'m> {
                         let _ = writeln!(listing, "{a:06x}  {word:08x}      {bar}{text}");
                         words.push(word);
                     }
-                    addr = at(&words, origin);
                 }
             }
         }
-        let _ = addr;
         // Final fetch-packet padding for VLIW targets.
         if let Some(ps) = self.packet_size {
             let target = at(&words, origin).next_multiple_of(ps as u64);
             pad_to(&mut words, &mut listing, target);
         }
-        Ok(Program { origin, words, labels: labels.clone(), listing })
-    }
-
-    /// The word used for padding: an assembled `NOP`/`NOP 1` when the
-    /// model has one, zero otherwise.
-    fn pad_word(&self, isa: &lisa_isa::Assembler<'_>) -> u128 {
-        for candidate in ["NOP 1", "NOP"] {
-            if let Ok(decoded) = isa.assemble_instruction(candidate) {
-                if let Ok(bits) = decoded.encode(self.model) {
-                    return bits.to_u128();
-                }
-            }
-        }
-        0
+        Ok(Program { origin, words, labels, listing })
     }
 
     /// Disassembles a program image into a listing.
@@ -390,6 +376,20 @@ impl<'m> Assembler<'m> {
             0
         }
     }
+}
+
+/// The word used for padding: an assembled `NOP 1`/`NOP` when the model
+/// has one, zero otherwise.
+fn pad_word(model: &Model, decoder: &Decoder<'_>) -> u128 {
+    let isa = lisa_isa::Assembler::new(model, decoder);
+    for candidate in ["NOP 1", "NOP"] {
+        if let Ok(decoded) = isa.assemble_instruction(candidate) {
+            if let Ok(bits) = decoded.encode(model) {
+                return bits.to_u128();
+            }
+        }
+    }
+    0
 }
 
 /// Replaces identifiers matching labels with their decimal addresses,

@@ -1,7 +1,9 @@
-//! E2 — tool-generation time under Criterion: parse + analyse, decoder
-//! generation, compiled-simulator lowering, for each bundled model.
+//! E2 — tool-generation time under Criterion: parse + analyse, decoder and
+//! assembler table generation (part of analysis), compiled-simulator
+//! lowering, for each bundled model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lisa_core::model::ToolTables;
 use lisa_core::Model;
 use lisa_models::{accu16, tinyrisc, vliw62};
 use lisa_sim::{SimMode, Simulator};
@@ -21,12 +23,12 @@ fn bench_parse_analyze(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decoder_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("toolgen/decoder");
+fn bench_tool_tables(c: &mut Criterion) {
+    let mut group = c.benchmark_group("toolgen/tool_tables");
     for (name, source) in models() {
         let model = Model::from_source(source).expect("builds");
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, m| {
-            b.iter(|| lisa_isa::Decoder::new(black_box(m)).expect("decoder"));
+            b.iter(|| ToolTables::generate(black_box(m).operations()));
         });
     }
     group.finish();
@@ -43,5 +45,5 @@ fn bench_lowering(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parse_analyze, bench_decoder_generation, bench_lowering);
+criterion_group!(benches, bench_parse_analyze, bench_tool_tables, bench_lowering);
 criterion_main!(benches);

@@ -1,6 +1,10 @@
 //! Experiment E2: tool-generation time. The paper reports "the
 //! translation of the TMS320C6201 processor model into the simulator
 //! takes only 30 seconds on a Sparc Ultra 10" (§4.1).
+//!
+//! The `tables` column is the decoder and assembler table generation
+//! that `Model::build` runs once per model; it is part of
+//! `parse+analyze`, so the total does not add it again.
 
 use std::fmt::Write as _;
 
@@ -15,7 +19,7 @@ fn main() {
     writeln!(
         out,
         "{:<10} {:>16} {:>12} {:>12} {:>12} {:>12}",
-        "model", "parse+analyze", "decoder", "lowering", "predecode", "total"
+        "model", "parse+analyze", "(tables)", "lowering", "predecode", "total"
     )
     .unwrap();
     writeln!(out, "{}", "-".repeat(80)).unwrap();
@@ -33,7 +37,7 @@ fn main() {
             "{:<10} {:>16} {:>12} {:>12} {:>12} {:>12}",
             name,
             fmt_duration(best.parse_and_analyze),
-            fmt_duration(best.decoder),
+            fmt_duration(best.tables),
             fmt_duration(best.lower),
             fmt_duration(best.predecode),
             fmt_duration(best.total())

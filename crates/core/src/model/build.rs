@@ -9,7 +9,7 @@ use crate::ast::*;
 use super::coding::{Coding, CodingField, CodingTarget};
 use super::{
     Group, Model, ModelError, ModelWarning, OpId, Operation, Pipeline, PipelineId, Resource,
-    ResourceId, SynElem, Variant,
+    ResourceId, SynElem, ToolTables, Variant,
 };
 
 impl Model {
@@ -140,6 +140,7 @@ impl Builder {
         let decode_roots: Vec<OpId> =
             operations.iter().filter(|o| o.decode_root.is_some()).map(|o| o.id).collect();
         let main_op = self.op_names.get("main").copied();
+        let tools = ToolTables::generate(&operations);
 
         Ok(Model {
             resources: self.resources,
@@ -150,6 +151,7 @@ impl Builder {
             decode_roots,
             main_op,
             warnings: self.warnings,
+            tools,
             source_lines: 0,
         })
     }

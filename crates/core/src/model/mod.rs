@@ -12,16 +12,21 @@
 //! * coding resolution: element widths, bit offsets, flattened match
 //!   patterns, decode-root discovery, cycle and width validation;
 //! * ambiguity analysis of group alternatives (aliases are expected to
-//!   overlap; anything else is reported as a warning).
+//!   overlap; anything else is reported as a warning);
+//! * generation of the instruction tools' per-model tables
+//!   ([`ToolTables`]): decoder trial orders and assembler syntax lead
+//!   sets.
 
 mod build;
 mod coding;
 mod error;
 mod stats;
+mod tools;
 
 pub use coding::{Coding, CodingField, CodingTarget};
 pub use error::{ModelError, ModelWarning};
 pub use stats::ModelStats;
+pub use tools::ToolTables;
 
 use std::collections::HashMap;
 
@@ -232,6 +237,7 @@ pub struct Model {
     decode_roots: Vec<OpId>,
     main_op: Option<OpId>,
     warnings: Vec<ModelWarning>,
+    tools: ToolTables,
     source_lines: usize,
 }
 
@@ -308,6 +314,13 @@ impl Model {
     #[must_use]
     pub fn main_op(&self) -> Option<OpId> {
         self.main_op
+    }
+
+    /// The decoder trial orders and assembler syntax lead sets, generated
+    /// once with the model.
+    #[must_use]
+    pub fn tool_tables(&self) -> &ToolTables {
+        &self.tools
     }
 
     /// Non-fatal findings from analysis (coding overlaps, unreachable

@@ -5,6 +5,11 @@
 //! disassembly, the same pattern is used to generate the respective
 //! assembly statement" (paper §3.2.1). The label links between coding and
 //! syntax sections form the translation rules (paper Example 4).
+//!
+//! Matching is a backtracking search over the coding tree, pruned by the
+//! syntax lead sets generated once with the model
+//! ([`lisa_core::model::ToolTables`]): an operation or variant is only
+//! tried when its SYNTAX can begin with the statement's next text.
 
 use std::sync::Arc;
 
@@ -22,8 +27,8 @@ pub struct Assembler<'m> {
 }
 
 impl<'m> Assembler<'m> {
-    /// Creates the assembler for a model, sharing the decoder's group
-    /// orderings.
+    /// Creates the assembler for a model, matching statements from the
+    /// decoder's root.
     #[must_use]
     pub fn new(model: &'m Model, decoder: &'m Decoder<'m>) -> Self {
         Assembler { model, decoder }
@@ -63,8 +68,12 @@ impl<'m> Assembler<'m> {
 
     fn match_op(&self, op_id: OpId, cursor: &mut Cursor<'_>) -> Option<Decoded> {
         let operation = self.model.operation(op_id);
+        let tables = self.model.tool_tables();
         for (vidx, variant) in operation.variants.iter().enumerate() {
             let Some(syntax) = &variant.syntax else { continue };
+            if !tables.variant_may_match(op_id, vidx, cursor.rest()) {
+                continue;
+            }
             let save = cursor.pos;
             if let Some(decoded) = self.try_syntax(op_id, vidx, syntax, cursor) {
                 return Some(decoded);
@@ -96,7 +105,8 @@ impl<'m> Assembler<'m> {
     /// Matches syntax elements from `eidx` on, backtracking over group
     /// member choices: a member may match locally (e.g. an empty
     /// predicate) yet be wrong for the rest of the statement, in which
-    /// case the next alternative is tried.
+    /// case the next alternative is tried. Members whose syntax cannot
+    /// begin with the remaining text are skipped without saving state.
     fn match_elems(
         &self,
         op_id: OpId,
@@ -136,13 +146,13 @@ impl<'m> Assembler<'m> {
                 // Honour the guard: if this variant pins the member, only
                 // that member's syntax may match.
                 let required = variant.guard.iter().find(|(g, _)| g == group).map(|(_, m)| *m);
-                let members: Vec<OpId> = operation.groups[*group]
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|m| required.is_none_or(|r| r == *m))
-                    .collect();
-                for member in members {
+                let tables = self.model.tool_tables();
+                for &member in &operation.groups[*group].members {
+                    if required.is_some_and(|r| r != member)
+                        || !tables.op_may_match(member, cursor.rest())
+                    {
+                        continue;
+                    }
                     let save_pos = cursor.pos;
                     let save_state = state.clone();
                     if let Some(child) = self.match_op(member, cursor) {
@@ -159,7 +169,7 @@ impl<'m> Assembler<'m> {
             SynElem::Group { group, format: Some(format) } => {
                 let save_pos = cursor.pos;
                 let Some(value) = cursor.parse_int(*format) else { return false };
-                for member in operation.groups[*group].members.clone() {
+                for &member in &operation.groups[*group].members {
                     let save_state = state.clone();
                     if let Some(child) = self.immediate_child(member, value, *format) {
                         state.group_children[*group] = Some(child);
@@ -173,6 +183,9 @@ impl<'m> Assembler<'m> {
                 false
             }
             SynElem::Op { op, format: None } => {
+                if !self.model.tool_tables().op_may_match(*op, cursor.rest()) {
+                    return false;
+                }
                 let save_pos = cursor.pos;
                 let save_state = state.clone();
                 if let Some(child) = self.match_op(*op, cursor) {
@@ -670,6 +683,110 @@ mod tests {
         assert!(asm.assemble_instruction("ADD A16, A1, A2").is_err());
         // Out-of-range immediate.
         assert!(asm.assemble_instruction("ADDK A5, 300").is_err());
+    }
+
+    /// A nullable predicate group in front of the mnemonics, an
+    /// `ADD`/`ADDK` prefix pair, and a data word whose syntax starts with
+    /// a label.
+    fn predicated_model() -> Model {
+        Model::from_source(
+            r#"
+            RESOURCE { CONTROL_REGISTER int ir; REGISTER int R[4]; }
+            OPERATION p_always { CODING { 0b00 } SYNTAX { "" } }
+            OPERATION p_r0 { CODING { 0b01 } SYNTAX { "[R0]" } }
+            OPERATION p_nr0 { CODING { 0b10 } SYNTAX { "[!R0]" } }
+            OPERATION reg {
+                DECLARE { LABEL i; }
+                CODING { i:0bx[2] }
+                SYNTAX { "R" i:#u }
+                EXPRESSION { R[i] }
+            }
+            OPERATION add {
+                DECLARE { GROUP P = { p_always || p_r0 || p_nr0 }; GROUP D, S = { reg }; }
+                CODING { P 0b00 D S 0bx[2] }
+                SYNTAX { P "ADD" D "," S }
+            }
+            OPERATION addk {
+                DECLARE { GROUP P = { p_always || p_r0 || p_nr0 }; GROUP D = { reg }; LABEL k; }
+                CODING { P 0b01 D k:0bx[4] }
+                SYNTAX { P "ADDK" D "," k:#u }
+            }
+            OPERATION data {
+                DECLARE { LABEL v; }
+                CODING { 0b11 v:0bx[8] }
+                SYNTAX { v:#u }
+            }
+            OPERATION decode {
+                DECLARE { GROUP Instruction = { add || addk || data }; }
+                CODING { ir == Instruction }
+                SYNTAX { Instruction }
+            }
+            "#,
+        )
+        .expect("model builds")
+    }
+
+    fn instruction_name(model: &Model, decoded: &Decoded) -> String {
+        model.operation(decoded.children[0].as_deref().expect("instruction").op).name.clone()
+    }
+
+    #[test]
+    fn lead_sets_look_through_a_nullable_predicate() {
+        let model = predicated_model();
+        let tables = model.tool_tables();
+        let may_match = |name: &str, text: &str| {
+            tables.op_may_match(model.operation_by_name(name).unwrap().id, text)
+        };
+        // `add` begins with a predicate literal or, through the empty
+        // predicate, with its mnemonic; nothing else.
+        for text in ["ADD R1, R2", "  [R0] ADD R1, R2", "[!R0] ADD R1, R2"] {
+            assert!(may_match("add", text), "{text}");
+        }
+        for text in ["SUB R1, R2", "[R1] ADD R1, R2", "R1", ""] {
+            assert!(!may_match("add", text), "{text}");
+        }
+        assert!(!may_match("addk", "ADD R1, R2"));
+        // The empty predicate and the label-first data word admit anything,
+        // and so does the root that can begin with either.
+        for name in ["p_always", "data", "decode"] {
+            assert!(may_match(name, "%% anything"), "{name}");
+        }
+
+        let decoder = Decoder::new(&model).unwrap();
+        let asm = Assembler::new(&model, &decoder);
+        for (statement, op) in [("ADD R1, R2", "add"), ("[R0] ADD R1, R2", "add")] {
+            let decoded = asm.assemble_instruction(statement).expect("assembles");
+            assert_eq!(instruction_name(&model, &decoded), op, "{statement}");
+            let back = decoder.decode(decoded.encode(&model).unwrap().to_u128()).unwrap();
+            assert_eq!(asm.disassemble(&back), statement);
+        }
+    }
+
+    #[test]
+    fn lead_prefix_match_still_honours_the_word_boundary() {
+        let model = predicated_model();
+        let add = model.operation_by_name("add").unwrap().id;
+        // `ADD` is a prefix of `ADDK`: the lead filter lets `add` through
+        // and the literal's word boundary rejects it.
+        assert!(model.tool_tables().op_may_match(add, "ADDK R1, 3"));
+        let decoder = Decoder::new(&model).unwrap();
+        let asm = Assembler::new(&model, &decoder);
+        for statement in ["ADDK R1, 3", "[!R0] ADDK R3, 15"] {
+            let decoded = asm.assemble_instruction(statement).expect("assembles");
+            assert_eq!(instruction_name(&model, &decoded), "addk", "{statement}");
+        }
+        assert!(matches!(asm.assemble_instruction("ADDKR1, 3"), Err(IsaError::AsmNoMatch { .. })));
+    }
+
+    #[test]
+    fn label_first_syntax_is_never_filtered() {
+        let model = predicated_model();
+        let decoder = Decoder::new(&model).unwrap();
+        let asm = Assembler::new(&model, &decoder);
+        let decoded = asm.assemble_instruction("  200").expect("data word assembles");
+        assert_eq!(instruction_name(&model, &decoded), "data");
+        assert_eq!(decoded.encode(&model).unwrap().to_u128(), 0b11_1100_1000);
+        assert!(matches!(asm.assemble_instruction("SUB R1, R2"), Err(IsaError::AsmNoMatch { .. })));
     }
 
     #[test]

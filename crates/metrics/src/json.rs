@@ -133,7 +133,7 @@ pub fn escape(s: &str) -> String {
 ///
 /// A human-readable description with the byte offset of the problem.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -144,6 +144,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -244,12 +245,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped text up to the next quote or
+                    // backslash. Both are ASCII, so they never fall inside a
+                    // multi-byte character and the run is a valid slice.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -332,8 +336,42 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_round_trip_in_linear_time() {
+        // Several hundred KiB mixing multi-byte UTF-8, every escape and
+        // `\\u` sequences: parsing used to re-validate the rest of the
+        // body once per character.
+        let unit = "plain ascii µ€𝄞 \"q\" back\\slash /\n\r\t\u{8}\u{c}\u{1}\u{1f}é";
+        let nasty = unit.repeat(10 * 1024);
+        assert!(nasty.len() > 400 * 1024);
+        let doc = format!("{{\"k\": {}}}", escape(&nasty));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str(), Some(nasty.as_str()));
+        // Explicit `\\u` escapes (including a non-ASCII code point) and the
+        // `\\/` escape, which `escape` never emits.
+        let v = parse(r#"["\u00e9\u20AC\/x\u0041\b\f", "tail \"q\""]"#).unwrap();
+        assert_eq!(v.as_array().unwrap()[0].as_str(), Some("é€/xA\u{8}\u{c}"));
+        assert_eq!(v.as_array().unwrap()[1].as_str(), Some("tail \"q\""));
+        // Re-validating the rest of the body per character is quadratic:
+        // seconds at this size even in a release build.
+        assert!(start.elapsed() < std::time::Duration::from_secs(5), "{:?}", start.elapsed());
+    }
+
+    #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "\"µ€ unterminated",
+            "\"bad \\é escape\"",
+            "\"bad \\u00é\"",
+            "\"dangling \\",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }

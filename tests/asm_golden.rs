@@ -1,0 +1,155 @@
+//! Golden digests of assembled programs: the words and listing of every
+//! standard-suite and long-suite kernel, and of every `tests/corpus`
+//! program reassembled from its disassembly, are pinned to
+//! `tests/golden/asm_programs.txt`. Any change to the generated assembler
+//! that alters a single word or listing byte fails here.
+//!
+//! After an intentional change, regenerate the file with
+//! `UPDATE_GOLDEN=1 cargo test --test asm_golden`.
+
+use std::fmt::Write as _;
+use std::path::Path;
+
+use lisa::asm::{Assembler, Program};
+use lisa::conform::corpus;
+use lisa::core::Model;
+use lisa::models::kernels::{self, Kernel};
+use lisa::models::{accu16, scalar2, tinyrisc, vliw62, Workbench};
+
+const GOLDEN: &str = "tests/golden/asm_programs.txt";
+
+/// FNV-1a, 64-bit: a stable digest independent of the std hasher.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn assembler(model: &Model) -> Assembler<'_> {
+    if model.resource_by_name("fp").is_some() {
+        Assembler::with_packet(model, vliw62::FETCH_PACKET, 1)
+    } else {
+        Assembler::new(model)
+    }
+}
+
+fn digest_line(out: &mut String, model: &str, name: &str, program: &Program) {
+    let words = fnv1a(program.words.iter().flat_map(|w| w.to_le_bytes()));
+    let listing = fnv1a(program.listing.bytes());
+    let _ = writeln!(
+        out,
+        "{model} {name} origin={} words={} words_fnv={words:016x} listing_fnv={listing:016x}",
+        program.origin,
+        program.words.len()
+    );
+}
+
+/// The standard suites plus the largest sizes each kernel constructor
+/// accepts, per model name.
+fn kernel_sets() -> Vec<(&'static str, Vec<Kernel>)> {
+    vec![
+        (
+            "tinyrisc",
+            [kernels::tiny_suite(), vec![kernels::tiny_fib(31), kernels::tiny_memsum(31)]].concat(),
+        ),
+        (
+            "accu16",
+            [
+                kernels::accu_suite(),
+                vec![
+                    kernels::accu_dot_product(128),
+                    kernels::accu_block_scale(128, 3),
+                    kernels::accu_fir_unrolled(8, 32),
+                ],
+            ]
+            .concat(),
+        ),
+        (
+            "scalar2",
+            [
+                kernels::scalar_suite(),
+                vec![kernels::scalar_dot_product(64), kernels::scalar_memsum(64)],
+            ]
+            .concat(),
+        ),
+        (
+            "vliw62",
+            [
+                kernels::vliw_suite(),
+                vec![
+                    kernels::vliw_dot_product(256),
+                    kernels::vliw_vecadd(250),
+                    kernels::vliw_fir(32, 64),
+                    kernels::vliw_memcpy(1024),
+                    kernels::vliw_biquad(128),
+                ],
+            ]
+            .concat(),
+        ),
+    ]
+}
+
+fn workbench(name: &str) -> Workbench {
+    match name {
+        "tinyrisc" => tinyrisc::workbench(),
+        "accu16" => accu16::workbench(),
+        "scalar2" => scalar2::workbench(),
+        "vliw62" => vliw62::workbench(),
+        other => panic!("unknown model {other}"),
+    }
+    .expect("builtin model builds")
+}
+
+fn current_digests() -> String {
+    let mut out = String::new();
+    for (model, kernels) in kernel_sets() {
+        let wb = workbench(model);
+        let asm = assembler(wb.model());
+        for kernel in kernels {
+            let program = asm.assemble(&kernel.source).unwrap_or_else(|e| {
+                panic!("{model} kernel {} does not assemble: {e}", kernel.name)
+            });
+            digest_line(&mut out, model, &kernel.name, &program);
+        }
+    }
+
+    // Corpus programs: disassemble every word (undecodable ones become
+    // `.word` directives) and assemble the text back.
+    let entries = corpus::load_dir_verified(Path::new("tests/corpus")).expect("corpus loads");
+    for (path, rep) in entries {
+        let wb = workbench(&rep.model);
+        let decoder = wb.decoder().expect("decoder");
+        let isa = lisa::isa::Assembler::new(wb.model(), &decoder);
+        let mut source = String::new();
+        for &word in &rep.words {
+            match decoder.decode(word) {
+                Ok(decoded) => {
+                    let _ = writeln!(source, "{}", isa.disassemble(&decoded));
+                }
+                Err(_) => {
+                    let _ = writeln!(source, ".word {word:#x}");
+                }
+            }
+        }
+        let program = assembler(wb.model()).assemble(&source).unwrap_or_else(|e| {
+            panic!("corpus {} does not reassemble: {e}\n{source}", path.display())
+        });
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_owned();
+        digest_line(&mut out, &rep.model, &name, &program);
+    }
+    out
+}
+
+#[test]
+fn assembled_programs_match_golden_digests() {
+    let actual = current_digests();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(GOLDEN, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN).expect("golden file present");
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "golden line {} differs", line + 1);
+    }
+    assert_eq!(actual.lines().count(), expected.lines().count(), "program count differs");
+}
