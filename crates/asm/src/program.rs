@@ -451,7 +451,7 @@ mod tests {
         assert_eq!(program.labels["loop"], 3);
         assert_eq!(program.origin, 0);
         // Run it: 5+4+3+2+1.
-        let mut sim = wb.simulator(SimMode::Compiled).unwrap();
+        let mut sim = wb.simulator(SimMode::Ops).unwrap();
         sim.load_program("pmem", &program.words).unwrap();
         wb.run_to_halt(&mut sim, 1000).unwrap();
         let r = wb.model().resource_by_name("R").unwrap();

@@ -13,7 +13,7 @@ fn bench_scaling(c: &mut Criterion) {
         .iter()
         .flat_map(|(wb, kernels)| {
             kernels.iter().flat_map(move |k| {
-                [SimMode::Interpretive, SimMode::Compiled]
+                [SimMode::Interpretive, SimMode::Ops]
                     .into_iter()
                     .map(move |mode| wb.scenario(k, mode))
             })

@@ -1,5 +1,5 @@
-//! E3 — compiled vs interpretive simulation speed (the paper's headline
-//! contrast, §3.3). Each benchmark runs one DSP kernel to completion and
+//! E3 — compiled (ops) vs interpretive simulation speed (the paper's
+//! headline contrast, §3.3). Each benchmark runs one DSP kernel to completion and
 //! reports throughput in simulated cycles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -14,9 +14,7 @@ fn bench_suite(c: &mut Criterion, label: &str, wb: &Workbench, suite: &[kernels:
 
         let mut group = c.benchmark_group(format!("sim_speed/{label}/{}", kernel.name));
         group.throughput(Throughput::Elements(cycles));
-        for (mode_name, mode) in
-            [("interpretive", SimMode::Interpretive), ("compiled", SimMode::Compiled)]
-        {
+        for (mode_name, mode) in [("interpretive", SimMode::Interpretive), ("ops", SimMode::Ops)] {
             group.bench_function(BenchmarkId::from_parameter(mode_name), |b| {
                 b.iter_batched(
                     || kernels::load_kernel(wb, kernel, mode).expect("loads"),

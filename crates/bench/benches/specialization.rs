@@ -10,13 +10,13 @@ fn bench_specialization(c: &mut Criterion) {
     let iterations = 2_000u32;
     let spec = workbench(true).expect("specialized builds");
     let rt = workbench(false).expect("runtime builds");
-    let (cycles, _) = run_workload(&spec, iterations, SimMode::Compiled).expect("probe");
+    let (cycles, _) = run_workload(&spec, iterations, SimMode::Ops).expect("probe");
 
     let mut group = c.benchmark_group("specialization");
     group.throughput(Throughput::Elements(cycles));
     for (name, wb) in [("switch_specialised", &spec), ("runtime_checks", &rt)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), wb, |b, wb| {
-            b.iter(|| run_workload(wb, iterations, SimMode::Compiled).expect("runs"));
+            b.iter(|| run_workload(wb, iterations, SimMode::Ops).expect("runs"));
         });
     }
     group.finish();

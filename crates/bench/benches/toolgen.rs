@@ -39,7 +39,7 @@ fn bench_lowering(c: &mut Criterion) {
     for (name, source) in models() {
         let model = Model::from_source(source).expect("builds");
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, m| {
-            b.iter(|| Simulator::new(black_box(m), SimMode::Compiled).expect("lowers"));
+            b.iter(|| Simulator::new(black_box(m), SimMode::Ops).expect("lowers"));
         });
     }
     group.finish();

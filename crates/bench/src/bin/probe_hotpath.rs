@@ -1,5 +1,5 @@
 //! Manual hot-path probe: times engine phases for the vliw62 dot kernel
-//! across all three backends, plus micro-models that isolate the fixed
+//! across both backends, plus micro-models that isolate the fixed
 //! per-step engine overhead from decode and behavior-evaluation cost.
 
 use lisa_core::Model;
@@ -9,7 +9,7 @@ use std::time::Instant;
 
 fn time_micro(name: &str, source: &str, steps: u64) {
     let model = Model::from_source(source).expect("micro model builds");
-    for mode in [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = Simulator::new(&model, mode).expect("sim builds");
         sim.predecode_program_memory();
         let t = Instant::now();
@@ -62,7 +62,7 @@ fn main() {
 
     let wb = vliw62::workbench().expect("builds");
     let kernel = kernels::vliw_dot_product(64);
-    for mode in [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = kernels::load_kernel(&wb, &kernel, mode).expect("loads");
         let t = Instant::now();
         let cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("halts");

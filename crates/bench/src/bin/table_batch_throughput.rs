@@ -19,7 +19,7 @@ fn main() {
         .iter()
         .flat_map(|(wb, kernels)| {
             kernels.iter().flat_map(move |k| {
-                [SimMode::Interpretive, SimMode::Compiled]
+                [SimMode::Interpretive, SimMode::Ops]
                     .into_iter()
                     .map(move |mode| wb.scenario(k, mode))
             })

@@ -47,7 +47,7 @@ fn dot_program(n: usize, fused: bool) -> String {
 fn run_dot(wb: &Workbench, n: usize, fused: bool) -> (u64, i64) {
     let program =
         lisa_asm::Assembler::new(wb.model()).assemble(&dot_program(n, fused)).expect("assembles");
-    let mut sim = wb.simulator(SimMode::Compiled).expect("sim");
+    let mut sim = wb.simulator(SimMode::Ops).expect("sim");
     let pmem = wb.model().resource_by_name("prog_mem").expect("pmem").clone();
     for (i, &word) in program.words.iter().enumerate() {
         let addr = program.origin as i64 + i as i64;
@@ -85,7 +85,7 @@ fn main() {
             .expect("extended builds");
     // Force full tool generation for an honest turnaround time.
     let _decoder = extended.decoder().expect("decoder");
-    let _sim = extended.simulator(SimMode::Compiled).expect("compiled sim");
+    let _sim = extended.simulator(SimMode::Ops).expect("ops sim");
     let regen = t.elapsed();
     let (ext_cycles, ext_result) = run_dot(&extended, n, true);
 

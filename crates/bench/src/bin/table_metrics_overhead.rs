@@ -29,7 +29,7 @@ fn measure(
     let mut best = Duration::MAX;
     let mut cycles = 0;
     for _ in 0..repeats {
-        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Compiled).expect("kernel loads");
+        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
         let t = Instant::now();
         cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
         if let Some(reg) = registry {
@@ -96,7 +96,7 @@ fn main() {
     // once the series handles exist in the registry.
     let wb = vliw62::workbench().expect("vliw62 builds");
     let kernel = &kernels::vliw_suite()[0];
-    let mut sim = kernels::load_kernel(&wb, kernel, SimMode::Compiled).expect("loads");
+    let mut sim = kernels::load_kernel(&wb, kernel, SimMode::Ops).expect("loads");
     wb.run_to_halt(&mut sim, kernel.max_steps).expect("halts");
     sim.publish_metrics(&registry); // warm the interned handles
     let publishes = 10_000u32;

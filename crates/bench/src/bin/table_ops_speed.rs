@@ -1,9 +1,10 @@
-//! Experiment E15: threaded micro-op (ops) backend vs the interpretive
-//! and compiled backends on the DSP kernel suite. The ops backend lowers
-//! every decoded instruction instance to a flat micro-op array at
-//! translate time (labels folded, SWITCH arms resolved, register slots
-//! pre-indexed), so the cycle loop is a tight dispatch over contiguous
-//! ops — this table measures what that buys over both older backends.
+//! Experiments E3 and E15: the ops backend (the paper's compiled
+//! simulation) vs the interpretive backend on the DSP kernel suite. The
+//! ops backend lowers every decoded instruction instance to a flat
+//! micro-op array at translate time (labels folded, SWITCH arms
+//! resolved, register slots pre-indexed), so the cycle loop is a tight
+//! dispatch over contiguous ops — this table measures what that buys
+//! over interpretation.
 //!
 //! The report is **gated** at two levels. [`FLOOR`] is the hard
 //! regression gate: the geometric-mean ops-over-interpretive speedup
@@ -18,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use lisa_bench::{measure_tri_speed, write_report, TriSpeedRow};
+use lisa_bench::{measure_sim_speed, write_report, SpeedRow};
 use lisa_models::{accu16, kernels, scalar2, tinyrisc, vliw62};
 
 /// Hard gate: minimum geometric-mean ops-over-interpretive speedup.
@@ -39,55 +40,50 @@ fn geomean(xs: &[f64]) -> f64 {
 
 fn main() {
     let mut out = String::new();
-    writeln!(out, "E15 — threaded micro-op (ops) backend vs interpretive and compiled").unwrap();
+    writeln!(out, "E3/E15 — compiled (ops) vs interpretive simulation speed").unwrap();
     writeln!(out).unwrap();
     writeln!(
         out,
-        "{:<18} {:>8} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "kernel", "cycles", "interp c/s", "compiled c/s", "ops c/s", "ops/intp", "ops/comp"
+        "{:<18} {:>8} {:>12} {:>12} {:>9}",
+        "kernel", "cycles", "interp c/s", "ops c/s", "ops/intp"
     )
     .unwrap();
-    writeln!(out, "{}", "-".repeat(86)).unwrap();
+    writeln!(out, "{}", "-".repeat(63)).unwrap();
 
-    let mut rows: Vec<TriSpeedRow> = Vec::new();
+    let mut rows: Vec<SpeedRow> = Vec::new();
     let vliw = vliw62::workbench().expect("vliw62 builds");
     for kernel in kernels::vliw_suite() {
-        rows.push(measure_tri_speed(&vliw, &kernel, 3));
+        rows.push(measure_sim_speed(&vliw, &kernel, 3));
     }
     let accu = accu16::workbench().expect("accu16 builds");
     for kernel in kernels::accu_suite() {
-        rows.push(measure_tri_speed(&accu, &kernel, 3));
+        rows.push(measure_sim_speed(&accu, &kernel, 3));
     }
     let tiny = tinyrisc::workbench().expect("tinyrisc builds");
     for kernel in kernels::tiny_suite() {
-        rows.push(measure_tri_speed(&tiny, &kernel, 3));
+        rows.push(measure_sim_speed(&tiny, &kernel, 3));
     }
     let scalar = scalar2::workbench().expect("scalar2 builds");
     for kernel in kernels::scalar_suite() {
-        rows.push(measure_tri_speed(&scalar, &kernel, 3));
+        rows.push(measure_sim_speed(&scalar, &kernel, 3));
     }
 
     for row in &rows {
         writeln!(
             out,
-            "{:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>8.1}x {:>8.1}x",
+            "{:<18} {:>8} {:>12.0} {:>12.0} {:>8.1}x",
             row.kernel,
             row.cycles,
             row.interp_cps(),
-            row.compiled_cps(),
             row.ops_cps(),
-            row.ops_speedup(),
-            row.ops_over_compiled()
+            row.speedup()
         )
         .unwrap();
     }
-    writeln!(out, "{}", "-".repeat(86)).unwrap();
+    writeln!(out, "{}", "-".repeat(63)).unwrap();
 
-    let over_interp = geomean(&rows.iter().map(TriSpeedRow::ops_speedup).collect::<Vec<_>>());
-    let over_compiled =
-        geomean(&rows.iter().map(TriSpeedRow::ops_over_compiled).collect::<Vec<_>>());
+    let over_interp = geomean(&rows.iter().map(SpeedRow::speedup).collect::<Vec<_>>());
     writeln!(out, "geometric-mean ops speedup over interpretive: {over_interp:.1}x").unwrap();
-    writeln!(out, "geometric-mean ops speedup over compiled:     {over_compiled:.1}x").unwrap();
     writeln!(out).unwrap();
     let floor_verdict = if over_interp >= FLOOR { "PASS" } else { "FAIL" };
     writeln!(out, "regression gate: geomean >= {FLOOR:.1}x — {floor_verdict}").unwrap();

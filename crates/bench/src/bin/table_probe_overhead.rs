@@ -1,6 +1,6 @@
 //! Experiment E16: cost of the architectural-probe layer (`lisa-probe`).
 //!
-//! The probe hooks in all three backends sit behind the same single
+//! The probe hooks in both backends sit behind the same single
 //! `Option`-is-some branch as tracing (E10), so with no probes armed a
 //! simulation must run at the fast-path speed. This table measures
 //! compiled-mode throughput on the kernel suite under each probe
@@ -90,7 +90,7 @@ fn configure(wb: &Workbench, sim: &mut Simulator<'_>, config: Config) {
 fn sample(wb: &Workbench, kernel: &kernels::Kernel, config: Config, iters: u32) -> Duration {
     let mut total = Duration::ZERO;
     for _ in 0..iters {
-        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Compiled).expect("kernel loads");
+        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
         configure(wb, &mut sim, config);
         let t = Instant::now();
         wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
@@ -130,8 +130,7 @@ fn main() -> ExitCode {
     for (wb, suite) in &suites {
         for kernel in suite {
             // Calibrate the per-sample iteration count off one warm run.
-            let mut sim =
-                kernels::load_kernel(wb, kernel, SimMode::Compiled).expect("kernel loads");
+            let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
             let t = Instant::now();
             let cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
             let once = t.elapsed().max(Duration::from_micros(1));

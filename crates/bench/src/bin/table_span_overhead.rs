@@ -58,7 +58,7 @@ fn measure(
     let mut cycles = 0;
     for _ in 0..repeats {
         recorder.clear();
-        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Compiled).expect("kernel loads");
+        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
         if config != Config::Baseline {
             let trace = recorder.new_trace();
             sim.set_spans(Some(SpanScope::new(Arc::clone(recorder), trace)));

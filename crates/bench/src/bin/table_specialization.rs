@@ -23,7 +23,7 @@ fn main() {
         let mut best = std::time::Duration::MAX;
         let mut cycles = 0;
         for _ in 0..3 {
-            let (c, t) = run_workload(wb, iterations, SimMode::Compiled).expect("runs");
+            let (c, t) = run_workload(wb, iterations, SimMode::Ops).expect("runs");
             cycles = c;
             best = best.min(t);
         }

@@ -41,7 +41,7 @@ fn measure(
     let mut best = Duration::MAX;
     let mut cycles = 0;
     for _ in 0..repeats {
-        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Compiled).expect("kernel loads");
+        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
         configure(&mut sim, config);
         let t = Instant::now();
         cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");

@@ -7,12 +7,10 @@
 //!
 //! * **E1** — model complexity statistics ([`model_stats_rows`]);
 //! * **E2** — tool-generation time ([`toolgen_once`]);
-//! * **E3** — compiled vs interpretive simulation speed
+//! * **E3/E15** — compiled (ops) vs interpretive simulation speed
 //!   ([`measure_sim_speed`]);
 //! * **E5** — compile-time `SWITCH`/`CASE` specialisation versus run-time
-//!   operand checks ([`specialization`]);
-//! * **E15** — threaded micro-op (ops) backend vs both older backends
-//!   ([`measure_tri_speed`]).
+//!   operand checks ([`specialization`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +67,8 @@ pub struct ToolgenTiming {
     /// ([`lisa_core::model::ToolTables::generate`]), the part of
     /// `parse_and_analyze` that generates the instruction tools.
     pub tables: Duration,
-    /// Compiled-simulator generation (behavior lowering).
+    /// Compiled-simulator generation (behavior lowering and micro-op
+    /// translation).
     pub lower: Duration,
     /// Program pre-decoding (per instruction word of a loaded kernel).
     pub predecode: Duration,
@@ -107,7 +106,7 @@ pub fn toolgen_once(source: &str) -> ToolgenTiming {
     drop(desc);
 
     let t2 = Instant::now();
-    let sim = lisa_sim::Simulator::new(&model, SimMode::Compiled).expect("lowering succeeds");
+    let sim = lisa_sim::Simulator::new(&model, SimMode::Ops).expect("lowering succeeds");
     let lower = t2.elapsed();
 
     let t3 = Instant::now();
@@ -118,7 +117,7 @@ pub fn toolgen_once(source: &str) -> ToolgenTiming {
     ToolgenTiming { parse_and_analyze, tables: tables_time, lower, predecode }
 }
 
-/// The result of one E3 speed measurement.
+/// One interpretive-vs-ops speed measurement (experiments E3 and E15).
 #[derive(Debug, Clone)]
 pub struct SpeedRow {
     /// Kernel name.
@@ -127,8 +126,8 @@ pub struct SpeedRow {
     pub cycles: u64,
     /// Interpretive wall time.
     pub interpretive: Duration,
-    /// Compiled wall time.
-    pub compiled: Duration,
+    /// Ops (compiled simulation) wall time.
+    pub ops: Duration,
 }
 
 impl SpeedRow {
@@ -136,80 +135,6 @@ impl SpeedRow {
     #[must_use]
     pub fn interp_cps(&self) -> f64 {
         self.cycles as f64 / self.interpretive.as_secs_f64()
-    }
-
-    /// Compiled simulation speed in cycles/second.
-    #[must_use]
-    pub fn compiled_cps(&self) -> f64 {
-        self.cycles as f64 / self.compiled.as_secs_f64()
-    }
-
-    /// Compiled-over-interpretive speedup factor.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.interpretive.as_secs_f64() / self.compiled.as_secs_f64()
-    }
-}
-
-/// Measures interpretive vs compiled simulation speed on one kernel
-/// (experiment E3). The kernel is run `repeats` times per mode and the
-/// best time is kept (Criterion does the rigorous version; this powers
-/// the table binary).
-///
-/// # Panics
-///
-/// Panics if the kernel fails to run or the two modes disagree on the
-/// cycle count (cycle accuracy must not depend on the backend).
-#[must_use]
-pub fn measure_sim_speed(wb: &Workbench, kernel: &Kernel, repeats: u32) -> SpeedRow {
-    let mut best = [Duration::MAX; 2];
-    let mut cycles = [0u64; 2];
-    for (slot, mode) in [SimMode::Interpretive, SimMode::Compiled].into_iter().enumerate() {
-        for _ in 0..repeats {
-            let mut sim = kernels::load_kernel(wb, kernel, mode).expect("kernel loads");
-            let t = Instant::now();
-            let c = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
-            let elapsed = t.elapsed();
-            kernels::verify_kernel(wb, kernel, &sim);
-            cycles[slot] = c;
-            best[slot] = best[slot].min(elapsed);
-        }
-    }
-    assert_eq!(cycles[0], cycles[1], "modes disagree on cycles for {}", kernel.name);
-    SpeedRow {
-        kernel: kernel.name.clone(),
-        cycles: cycles[0],
-        interpretive: best[0],
-        compiled: best[1],
-    }
-}
-
-/// The result of one E15 three-backend speed measurement.
-#[derive(Debug, Clone)]
-pub struct TriSpeedRow {
-    /// Kernel name.
-    pub kernel: String,
-    /// Cycles the kernel took (identical across all modes — checked).
-    pub cycles: u64,
-    /// Interpretive wall time.
-    pub interpretive: Duration,
-    /// Compiled wall time.
-    pub compiled: Duration,
-    /// Threaded micro-op wall time.
-    pub ops: Duration,
-}
-
-impl TriSpeedRow {
-    /// Interpretive simulation speed in cycles/second.
-    #[must_use]
-    pub fn interp_cps(&self) -> f64 {
-        self.cycles as f64 / self.interpretive.as_secs_f64()
-    }
-
-    /// Compiled simulation speed in cycles/second.
-    #[must_use]
-    pub fn compiled_cps(&self) -> f64 {
-        self.cycles as f64 / self.compiled.as_secs_f64()
     }
 
     /// Ops simulation speed in cycles/second.
@@ -220,31 +145,25 @@ impl TriSpeedRow {
 
     /// Ops-over-interpretive speedup factor.
     #[must_use]
-    pub fn ops_speedup(&self) -> f64 {
+    pub fn speedup(&self) -> f64 {
         self.interpretive.as_secs_f64() / self.ops.as_secs_f64()
-    }
-
-    /// Ops-over-compiled speedup factor.
-    #[must_use]
-    pub fn ops_over_compiled(&self) -> f64 {
-        self.compiled.as_secs_f64() / self.ops.as_secs_f64()
     }
 }
 
-/// Measures all three execution backends on one kernel (experiment E15).
-/// Same protocol as [`measure_sim_speed`]: `repeats` runs per mode, best
-/// time kept, results verified and cycle counts cross-checked.
+/// Measures interpretive vs ops simulation speed on one kernel
+/// (experiments E3 and E15). The kernel is run `repeats` times per mode
+/// and the best time is kept (Criterion does the rigorous version; this
+/// powers the table binary).
 ///
 /// # Panics
 ///
-/// Panics if the kernel fails to run or any two modes disagree on the
+/// Panics if the kernel fails to run or the two modes disagree on the
 /// cycle count (cycle accuracy must not depend on the backend).
 #[must_use]
-pub fn measure_tri_speed(wb: &Workbench, kernel: &Kernel, repeats: u32) -> TriSpeedRow {
-    let mut best = [Duration::MAX; 3];
-    let mut cycles = [0u64; 3];
-    let modes = [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops];
-    for (slot, mode) in modes.into_iter().enumerate() {
+pub fn measure_sim_speed(wb: &Workbench, kernel: &Kernel, repeats: u32) -> SpeedRow {
+    let mut best = [Duration::MAX; 2];
+    let mut cycles = [0u64; 2];
+    for (slot, mode) in [SimMode::Interpretive, SimMode::Ops].into_iter().enumerate() {
         for _ in 0..repeats {
             let mut sim = kernels::load_kernel(wb, kernel, mode).expect("kernel loads");
             let t = Instant::now();
@@ -256,14 +175,7 @@ pub fn measure_tri_speed(wb: &Workbench, kernel: &Kernel, repeats: u32) -> TriSp
         }
     }
     assert_eq!(cycles[0], cycles[1], "modes disagree on cycles for {}", kernel.name);
-    assert_eq!(cycles[0], cycles[2], "ops mode disagrees on cycles for {}", kernel.name);
-    TriSpeedRow {
-        kernel: kernel.name.clone(),
-        cycles: cycles[0],
-        interpretive: best[0],
-        compiled: best[1],
-        ops: best[2],
-    }
+    SpeedRow { kernel: kernel.name.clone(), cycles: cycles[0], interpretive: best[0], ops: best[1] }
 }
 
 /// The repository's `docs/` directory, where every experiment table and
@@ -331,6 +243,6 @@ mod tests {
         let row = measure_sim_speed(&wb, &kernel, 1);
         assert!(row.cycles > 0);
         assert!(row.interpretive > Duration::ZERO);
-        assert!(row.compiled > Duration::ZERO);
+        assert!(row.ops > Duration::ZERO);
     }
 }

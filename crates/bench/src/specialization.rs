@@ -258,7 +258,7 @@ mod tests {
         let mut results = Vec::new();
         for wb in [&spec, &rt] {
             let image = lisa_asm::Assembler::new(wb.model()).assemble(&program).expect("assembles");
-            let mut sim = wb.simulator(SimMode::Compiled).expect("sim");
+            let mut sim = wb.simulator(SimMode::Ops).expect("sim");
             sim.load_program("pmem", &image.words).unwrap();
             wb.run_to_halt(&mut sim, 10_000).expect("halts");
             let a = wb.model().resource_by_name("A").unwrap();
@@ -277,8 +277,8 @@ mod tests {
     fn cycle_counts_match_between_machines() {
         let spec = workbench(true).unwrap();
         let rt = workbench(false).unwrap();
-        let (c1, _) = run_workload(&spec, 20, SimMode::Compiled).unwrap();
-        let (c2, _) = run_workload(&rt, 20, SimMode::Compiled).unwrap();
+        let (c1, _) = run_workload(&spec, 20, SimMode::Ops).unwrap();
+        let (c2, _) = run_workload(&rt, 20, SimMode::Ops).unwrap();
         assert_eq!(c1, c2, "specialisation must not change cycle counts");
     }
 }

@@ -64,7 +64,7 @@ impl Quantiles {
 pub struct BenchRow {
     /// Builtin model name.
     pub model: String,
-    /// Backend label (`"interpretive"` / `"compiled"` / `"ops"`).
+    /// Backend label (`"interpretive"` / `"ops"`).
     pub backend: String,
     /// Kernel name.
     pub kernel: String,
@@ -103,7 +103,7 @@ impl BenchRow {
     }
 }
 
-/// A full benchmark run: every builtin model × all three backends × its
+/// A full benchmark run: every builtin model × both backends × its
 /// kernel suite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchReport {
@@ -171,7 +171,7 @@ fn model_suites(quick: bool) -> Vec<(&'static str, Workbench, Vec<Kernel>)> {
     suites
 }
 
-/// Runs the benchmark matrix: every builtin model × all three backends ×
+/// Runs the benchmark matrix: every builtin model × both backends ×
 /// its kernel suite, `repeats` timed runs per cell.
 ///
 /// When `metrics` is given, each simulator publishes its stats into the
@@ -187,7 +187,7 @@ pub fn measure(quick: bool, repeats: u32, metrics: Option<&Registry>) -> BenchRe
     let repeats = repeats.max(1);
     let mut rows = Vec::new();
     for (model, wb, suite) in model_suites(quick) {
-        for mode in [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops] {
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
             let backend = mode.metric_label();
             for kernel in &suite {
                 let mut durations_us = Vec::with_capacity(repeats as usize);
@@ -408,7 +408,7 @@ mod tests {
             rows: vec![
                 BenchRow {
                     model: "tinyrisc".into(),
-                    backend: "compiled".into(),
+                    backend: "ops".into(),
                     kernel: "fib".into(),
                     cycles: 1000,
                     instructions: 500,
@@ -464,13 +464,13 @@ mod tests {
         let baseline = sample();
         assert!(compare(&baseline, &baseline, 10.0).is_empty(), "self-compare is clean");
 
-        // 5x slowdown on the compiled cell: well past any threshold.
+        // 5x slowdown on the ops cell: well past any threshold.
         let mut slow = baseline.clone();
         slow.rows[0].wall_us.min_us *= 5;
         let regs = compare(&slow, &baseline, 10.0);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].kernel, "fib");
-        assert_eq!(regs[0].backend, "compiled");
+        assert_eq!(regs[0].backend, "ops");
         assert!(regs[0].to_string().contains("MIPS vs baseline"), "{}", regs[0]);
 
         // A small wobble under the threshold is not a regression.
@@ -509,7 +509,7 @@ mod tests {
         let report = measure(true, 1, Some(&reg));
         assert!(report.quick);
         for model in ["vliw62", "accu16", "scalar2", "tinyrisc"] {
-            for backend in ["interpretive", "compiled", "ops"] {
+            for backend in ["interpretive", "ops"] {
                 assert!(
                     report.rows.iter().any(|r| r.model == model && r.backend == backend),
                     "missing {model}/{backend}"

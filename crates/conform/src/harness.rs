@@ -5,8 +5,8 @@
 //! runs the full oracle stack. The first divergence stops the run: the
 //! failing prefix is shrunk with the same oracle stack as predicate and
 //! packaged as a [`Reproducer`]. [`Fuzzer::self_check`] validates the
-//! whole pipeline by injecting a [`Fault`] into the compiled backend
-//! and demanding that it is caught and minimized.
+//! whole pipeline by injecting a [`Fault`] into the ops backend and
+//! demanding that it is caught and minimized.
 
 use lisa_metrics::Registry;
 use lisa_models::Workbench;
@@ -242,7 +242,7 @@ impl<'w> Fuzzer<'w> {
     }
 
     /// End-to-end harness validation: inject a halt-flag fault into the
-    /// compiled backend and demand the lockstep oracle catches it and
+    /// ops backend and demand the lockstep oracle catches it and
     /// the shrinker minimizes it to at most `max_shrunk` instructions.
     ///
     /// # Errors

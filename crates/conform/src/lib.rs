@@ -16,9 +16,10 @@
 //!   padding every image with a discovered halt word so programs always
 //!   terminate (or hit the cycle budget);
 //! * [`oracle`] — the lockstep differential oracle (interpretive vs
-//!   compiled, `State::digest()` + mode-independent `SimStats` per
-//!   cycle) and three metamorphic oracles (snapshot/restore at mid-run,
-//!   trace-enabled vs trace-disabled, batch vs sequential execution);
+//!   ops, `State::digest()` + mode-independent `SimStats` per cycle)
+//!   and four metamorphic oracles (snapshot/restore at mid-run,
+//!   trace-enabled vs trace-disabled, batch vs sequential execution,
+//!   probe parity);
 //! * [`shrink`] — a ddmin-style reducer that cuts a failing program to
 //!   a minimal diverging sequence;
 //! * [`corpus`] — reproducer files: persist shrunk failures, replay

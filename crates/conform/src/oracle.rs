@@ -1,8 +1,9 @@
 //! Execution oracles: the invariants every synthesized program is
 //! checked against.
 //!
-//! The primary oracle runs all three backends — interpretive, compiled
-//! and threaded micro-op (`ops`) — in **lockstep**, comparing
+//! The primary oracle runs both backends — the interpretive reference
+//! and the translated micro-op backend (`ops`, the paper's compiled
+//! simulation) — in **lockstep**, comparing
 //! [`State::digest`](lisa_sim::State::digest) and the mode-independent
 //! [`SimStats`] fields after every control step — the strictest
 //! cross-check the workspace can express, and a direct generalization
@@ -15,7 +16,7 @@
 //! streams and aggregates must also be mode-independent), and running
 //! through `lisa-exec`'s batch scheduler instead of a plain loop.
 //!
-//! A [`Fault`] can be injected into the compiled backend to prove the
+//! A [`Fault`] can be injected into the ops backend to prove the
 //! harness end-to-end: a flipped halt flag must be detected by the
 //! lockstep oracle and shrink to a trivial program.
 
@@ -28,8 +29,8 @@ use lisa_sim::{ArchProfile, ProbeSpec, SimError, SimMode, SimStats, Simulator, T
 /// Which oracle detected a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
-    /// Interpretive vs compiled vs ops lockstep digest + stats
-    /// comparison (all mode pairs, every cycle).
+    /// Interpretive vs ops lockstep digest + stats comparison (every
+    /// cycle).
     Lockstep,
     /// Snapshot at a mid-run cycle, resume in both backends.
     SnapshotRestore,
@@ -37,7 +38,7 @@ pub enum OracleKind {
     TraceParity,
     /// `lisa-exec` batch execution vs sequential execution.
     BatchParity,
-    /// Probe hit streams and architectural profile across all three
+    /// Probe hit streams and architectural profile across both
     /// backends.
     ProbeParity,
 }
@@ -102,7 +103,7 @@ impl std::fmt::Display for Verdict {
 }
 
 /// A deliberate backend corruption for harness self-validation: from
-/// `at_cycle` on, the compiled simulator's halt flag is inverted after
+/// `at_cycle` on, the ops simulator's halt flag is inverted after
 /// every step. The lockstep oracle must catch this on the first
 /// affected cycle for *any* program, so shrinking must reach a trivial
 /// reproducer.
@@ -190,11 +191,8 @@ fn lockstep(
     let fail = |detail: String| Verdict { oracle: OracleKind::Lockstep, detail };
     let halt = halt_resource(wb)?;
 
-    const MODES: [(SimMode, &str); 3] = [
-        (SimMode::Interpretive, "interpretive"),
-        (SimMode::Compiled, "compiled"),
-        (SimMode::Ops, "ops"),
-    ];
+    const MODES: [(SimMode, &str); 2] =
+        [(SimMode::Interpretive, "interpretive"), (SimMode::Ops, "ops")];
     let mut sims = Vec::with_capacity(MODES.len());
     for (mode, _) in MODES {
         sims.push(wb.simulator(mode).map_err(|e| fail(e.to_string()))?);
@@ -217,11 +215,10 @@ fn lockstep(
         let results: Vec<_> = sims.iter_mut().map(lisa_sim::Simulator::step).collect();
         if let Some(f) = fault {
             if cycle >= f.at_cycle {
-                let compiled = &mut sims[1];
-                let cur = compiled.state().read_int(&halt, &[]).unwrap_or(0);
+                let ops = &mut sims[1];
+                let cur = ops.state().read_int(&halt, &[]).unwrap_or(0);
                 let flipped = i64::from(cur == 0);
-                compiled
-                    .state_mut()
+                ops.state_mut()
                     .write_int(&halt, &[], flipped)
                     .map_err(|e| fail(format!("fault injection failed: {e}")))?;
             }
@@ -263,17 +260,10 @@ fn lockstep(
                 )));
             }
         }
-        // Compare all mode pairs, not just against the reference: the
-        // mode-independent stats contract must hold between compiled and
-        // ops as well.
-        for i in 0..MODES.len() {
-            for j in i + 1..MODES.len() {
-                if let Some(detail) =
-                    stats_mismatch(MODES[i].1, sims[i].stats(), MODES[j].1, sims[j].stats())
-                {
-                    return Err(fail(format!("cycle {cycle}: {detail}")));
-                }
-            }
+        if let Some(detail) =
+            stats_mismatch(MODES[0].1, sims[0].stats(), MODES[1].1, sims[1].stats())
+        {
+            return Err(fail(format!("cycle {cycle}: {detail}")));
         }
         if halted(&sims[0], &halt) {
             return Ok(Outcome::Halted { cycles: sims[0].stats().cycles, digest: da });
@@ -282,16 +272,10 @@ fn lockstep(
     Ok(Outcome::Budget { digest: sims[0].state().digest() })
 }
 
-/// Runs one backend to completion the same way the lockstep oracle
-/// does, optionally with tracing and profiling enabled.
-fn run_one(
-    wb: &Workbench,
-    mode: SimMode,
-    image: &[u128],
-    max_cycles: u64,
-    traced: bool,
-) -> Outcome {
-    let mut sim = match wb.simulator(mode) {
+/// Runs the ops backend to completion the same way the lockstep oracle
+/// does, with tracing and profiling enabled.
+fn run_traced(wb: &Workbench, image: &[u128], max_cycles: u64) -> Outcome {
+    let mut sim = match wb.simulator(SimMode::Ops) {
         Ok(sim) => sim,
         Err(e) => return Outcome::Error { message: e.to_string() },
     };
@@ -299,10 +283,8 @@ fn run_one(
         Some(res) => res.clone(),
         None => return Outcome::Error { message: format!("no halt flag `{}`", wb.halt_flag()) },
     };
-    if traced {
-        sim.set_trace(true);
-        sim.enable_profile();
-    }
+    sim.set_trace(true);
+    sim.enable_profile();
     if let Err(e) = sim.load_program(wb.program_memory(), image) {
         return Outcome::Error { message: e.to_string() };
     }
@@ -310,7 +292,7 @@ fn run_one(
         if let Err(e) = sim.step() {
             return Outcome::Error { message: e.to_string() };
         }
-        if traced && cycle % 256 == 255 {
+        if cycle % 256 == 255 {
             // Keep the event buffer bounded on long runs.
             let _ = sim.take_events();
         }
@@ -321,30 +303,26 @@ fn run_one(
     Outcome::Budget { digest: sim.state().digest() }
 }
 
-/// Metamorphic oracle: tracing and profiling must not change execution,
-/// in either translated backend.
+/// Metamorphic oracle: tracing and profiling must not change execution
+/// in the translated backend.
 fn trace_parity(
     wb: &Workbench,
     image: &[u128],
     max_cycles: u64,
     reference: &Outcome,
 ) -> Result<(), Verdict> {
-    for mode in [SimMode::Compiled, SimMode::Ops] {
-        let traced = run_one(wb, mode, image, max_cycles, true);
-        if traced != *reference {
-            return Err(Verdict {
-                oracle: OracleKind::TraceParity,
-                detail: format!(
-                    "traced {mode:?} run diverged: plain={reference:?} traced={traced:?}"
-                ),
-            });
-        }
+    let traced = run_traced(wb, image, max_cycles);
+    if traced != *reference {
+        return Err(Verdict {
+            oracle: OracleKind::TraceParity,
+            detail: format!("traced Ops run diverged: plain={reference:?} traced={traced:?}"),
+        });
     }
     Ok(())
 }
 
 /// Metamorphic oracle: snapshot at the midpoint, resume in the same
-/// backend and in the other backend; all three continuations must agree
+/// backend and in the other backend; both continuations must agree
 /// bit-exactly with the uninterrupted run.
 fn snapshot_restore(
     wb: &Workbench,
@@ -366,7 +344,7 @@ fn snapshot_restore(
         .map_err(|e| fail(format!("uninterrupted continuation: {e}")))?;
     let want = (rest, base.state().digest());
 
-    for mode in [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut resumed = wb.simulator(mode).map_err(|e| fail(e.to_string()))?;
         resumed.restore(&snap).map_err(|e| fail(format!("restore into {mode:?}: {e}")))?;
         if resumed.state().digest() != snap.state().digest() {
@@ -499,7 +477,7 @@ fn probe_parity(
     let spec = derived_probe_spec(wb);
 
     let mut runs = Vec::new();
-    for mode in [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let run = run_probed(wb, mode, image, max_cycles, spec.as_ref())
             .map_err(|e| fail(format!("probed {mode:?} run failed to start: {e}")))?;
         if run.outcome != *reference {
@@ -559,7 +537,7 @@ fn batch_parity(
         .ok_or_else(|| fail(format!("no program memory `{}`", wb.program_memory())))?;
     let origin = mem.dims.first().map_or(0, |d| d.base());
 
-    let sc = Scenario::new("conform", wb.model(), SimMode::Compiled)
+    let sc = Scenario::new("conform", wb.model(), SimMode::Ops)
         .program(wb.program_memory(), origin, image.to_vec())
         .halt_on(wb.halt_flag())
         .steps(max_cycles);

@@ -24,7 +24,7 @@ pub struct Check {
 #[non_exhaustive]
 pub enum JobError {
     /// The scenario could not be set up (bad resource name, snapshot
-    /// mismatch, compiled lowering failure…).
+    /// mismatch, ops-mode lowering failure…).
     Setup(String),
     /// Simulation raised a runtime error (including an exhausted step
     /// budget).
@@ -69,7 +69,7 @@ impl std::error::Error for JobError {}
 /// across worker threads without cloning model databases.
 #[derive(Clone)]
 pub struct Scenario<'m> {
-    /// Display name, used in reports (e.g. `vliw_dot_32@Compiled`).
+    /// Display name, used in reports (e.g. `vliw_dot_32@Ops`).
     pub name: String,
     /// The model to simulate.
     pub model: &'m Model,

@@ -419,7 +419,7 @@ mod tests {
             "SAT16",
             "HLT",
         ];
-        for mode in [SimMode::Interpretive, SimMode::Compiled] {
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
             let sim = wb.run_program(&program, mode, 10_000).expect("halts");
             let result = wb.model().resource_by_name("result").unwrap();
             assert_eq!(sim.state().read_int(result, &[]).unwrap(), 70, "{mode:?}");
@@ -434,7 +434,7 @@ mod tests {
         let mut program = vec!["SSAT 1", "CLR", "MOVI r0, 32767", "MOVI r1, 32767"];
         program.extend(std::iter::repeat_n("MAC r0, r1", 600));
         program.push("HLT");
-        let sim = wb.run_program(&program, SimMode::Compiled, 10_000).expect("halts");
+        let sim = wb.run_program(&program, SimMode::Ops, 10_000).expect("halts");
         let accu = wb.model().resource_by_name("accu").unwrap();
         let raw = sim.state().read(accu, &[]).unwrap();
         assert_eq!(raw.to_i128(), (1i128 << 39) - 1, "accumulator saturated at +max");
@@ -506,7 +506,7 @@ mod tests {
             "SAT16",
             "HLT",
         ];
-        for mode in [SimMode::Interpretive, SimMode::Compiled] {
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
             let sim = wb.run_program(&program, mode, 10_000).expect("halts");
             let d1 = wb.model().resource_by_name("data_mem1").unwrap();
             assert_eq!(sim.state().read_int(d1, &[100]).unwrap(), -42, "{mode:?}");
@@ -524,7 +524,7 @@ mod tests {
     fn banked_memory_load() {
         let wb = workbench().expect("builds");
         let words = wb.assemble(&["MOVB r2, 1, 17", "STX r2, 99", "HLT"]).unwrap();
-        let mut sim = wb.simulator(SimMode::Compiled).expect("sim");
+        let mut sim = wb.simulator(SimMode::Ops).expect("sim");
         sim.load_program("prog_mem", &words).unwrap();
         let bank = wb.model().resource_by_name("data_mem2").unwrap().clone();
         sim.state_mut().write_int(&bank, &[1, 17], -123).unwrap();

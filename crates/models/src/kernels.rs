@@ -964,7 +964,7 @@ impl Workbench {
 /// let scenarios: Vec<_> = matrix
 ///     .iter()
 ///     .flat_map(|(wb, kernels)| {
-///         kernels.iter().map(move |k| wb.scenario(k, SimMode::Compiled))
+///         kernels.iter().map(move |k| wb.scenario(k, SimMode::Ops))
 ///     })
 ///     .collect();
 /// assert!(scenarios.len() >= 12);
@@ -992,7 +992,7 @@ mod tests {
     fn vliw_kernels_pass_their_golden_checks_in_both_modes() {
         let wb = crate::vliw62::workbench().expect("builds");
         for kernel in vliw_suite() {
-            for mode in [SimMode::Interpretive, SimMode::Compiled] {
+            for mode in [SimMode::Interpretive, SimMode::Ops] {
                 let (sim, cycles) = run_kernel(&wb, &kernel, mode)
                     .unwrap_or_else(|e| panic!("kernel {} failed in {mode:?}: {e}", kernel.name));
                 assert!(cycles > 0);
@@ -1005,7 +1005,7 @@ mod tests {
     fn accu_kernels_pass_their_golden_checks_in_both_modes() {
         let wb = crate::accu16::workbench().expect("builds");
         for kernel in accu_suite() {
-            for mode in [SimMode::Interpretive, SimMode::Compiled] {
+            for mode in [SimMode::Interpretive, SimMode::Ops] {
                 run_kernel(&wb, &kernel, mode)
                     .unwrap_or_else(|e| panic!("kernel {} failed in {mode:?}: {e}", kernel.name));
             }
@@ -1019,7 +1019,7 @@ mod tests {
             (crate::scalar2::workbench().expect("builds"), scalar_suite()),
         ] {
             for kernel in suite {
-                for mode in [SimMode::Interpretive, SimMode::Compiled] {
+                for mode in [SimMode::Interpretive, SimMode::Ops] {
                     run_kernel(&wb, &kernel, mode).unwrap_or_else(|e| {
                         panic!("kernel {} failed in {mode:?}: {e}", kernel.name)
                     });
@@ -1035,7 +1035,7 @@ mod tests {
             .iter()
             .flat_map(|(wb, kernels)| {
                 kernels.iter().flat_map(move |k| {
-                    [SimMode::Interpretive, SimMode::Compiled]
+                    [SimMode::Interpretive, SimMode::Ops]
                         .into_iter()
                         .map(move |mode| wb.scenario(k, mode))
                 })
@@ -1045,7 +1045,7 @@ mod tests {
         let report = lisa_exec::BatchRunner::new(4).run(&scenarios);
         assert!(report.all_passed(), "failures:\n{}", report.table());
 
-        // Cross-backend check: each kernel's Interpretive/Compiled pair
+        // Cross-backend check: each kernel's Interpretive/Ops pair
         // (adjacent jobs) must agree on cycles and final state digest.
         for pair in report.jobs.chunks(2) {
             let a = pair[0].result.as_ref().expect("ok");
@@ -1061,10 +1061,9 @@ mod tests {
         for kernel in [vliw_dot_product(8), vliw_memcpy(16)] {
             let (_, interp_cycles) =
                 run_kernel(&wb, &kernel, SimMode::Interpretive).expect("interp");
-            let (_, compiled_cycles) =
-                run_kernel(&wb, &kernel, SimMode::Compiled).expect("compiled");
+            let (_, ops_cycles) = run_kernel(&wb, &kernel, SimMode::Ops).expect("ops");
             assert_eq!(
-                interp_cycles, compiled_cycles,
+                interp_cycles, ops_cycles,
                 "cycle accuracy must not depend on the backend ({})",
                 kernel.name
             );

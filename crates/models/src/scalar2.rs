@@ -273,7 +273,7 @@ mod tests {
             AND R8, R1, R2
             HLT
         "#;
-        let (cycles, issued, dual, regs) = run_full(program, SimMode::Compiled);
+        let (cycles, issued, dual, regs) = run_full(program, SimMode::Ops);
         assert_eq!(issued, 9);
         assert_eq!(dual, 4, "four dual-issue cycles");
         assert_eq!(cycles, 5, "four dual-issue cycles plus the HLT cycle");
@@ -307,7 +307,7 @@ mod tests {
             SUB R3, R2, R1
             HLT
         "#;
-        let (_, _, dual, regs) = run_full(program, SimMode::Compiled);
+        let (_, _, dual, regs) = run_full(program, SimMode::Ops);
         // LDI/LDI dual-issues; ADD/SUB write the same register → single.
         assert_eq!(dual, 1);
         assert_eq!(regs[3], -2, "program order preserved under WAW");
@@ -331,7 +331,7 @@ mod tests {
         let wb = workbench().expect("builds");
         let image = lisa_asm::Assembler::new(wb.model()).assemble(program).expect("assembles");
         let mut results = Vec::new();
-        for mode in [SimMode::Interpretive, SimMode::Compiled] {
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
             let mut sim = wb.simulator(mode).expect("sim");
             sim.load_program("pmem", &image.words).unwrap();
             let dmem = wb.model().resource_by_name("dmem").unwrap().clone();
@@ -372,8 +372,8 @@ mod tests {
             ADD R8, R7, R1
             HLT
         "#;
-        let (fast, ..) = run_full(independent, SimMode::Compiled);
-        let (slow, ..) = run_full(chain, SimMode::Compiled);
+        let (fast, ..) = run_full(independent, SimMode::Ops);
+        let (slow, ..) = run_full(chain, SimMode::Ops);
         assert!(fast < slow, "independent code must finish in fewer cycles ({fast} vs {slow})");
     }
 }

@@ -242,7 +242,7 @@ mod tests {
             "BNZ 4",
             "HLT",
         ];
-        for mode in [SimMode::Interpretive, SimMode::Compiled] {
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
             let sim = wb.run_program(&program, mode, 10_000).expect("halts");
             let r = wb.model().resource_by_name("R").unwrap();
             assert_eq!(sim.state().read_int(r, &[1]).unwrap(), 55, "{mode:?}");

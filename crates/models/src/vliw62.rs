@@ -163,7 +163,7 @@ mod tests {
         let sim = run(
             &wb,
             &[&["MVK A1, 5", "MVK B1, 11"], &["ADD .L A2, A1, A1", "ADD .L B2, B1, B1"], &["HALT"]],
-            SimMode::Compiled,
+            SimMode::Ops,
             200,
         );
         assert_eq!(a_reg(&sim, &wb, 2), 10);
@@ -235,7 +235,7 @@ mod tests {
                 &["[!B1] MVK A3, 333"], // !B1: executes
                 &["HALT"],
             ],
-            SimMode::Compiled,
+            SimMode::Ops,
             300,
         );
         assert_eq!(a_reg(&sim, &wb, 1), 111);
@@ -298,13 +298,13 @@ mod tests {
         let packet_refs: Vec<&[&str]> = packets.iter().map(|p| p.as_slice()).collect();
         let (words, _) = assemble_packets(&wb, &packet_refs).expect("assembles");
         let mut interp = wb.simulator(SimMode::Interpretive).unwrap();
-        let mut compiled = wb.simulator(SimMode::Compiled).unwrap();
+        let mut ops = wb.simulator(SimMode::Ops).unwrap();
         interp.load_program("pmem", &words).unwrap();
-        compiled.load_program("pmem", &words).unwrap();
+        ops.load_program("pmem", &words).unwrap();
         for cycle in 0..60 {
             interp.step().unwrap();
-            compiled.step().unwrap();
-            assert_eq!(interp.state(), compiled.state(), "diverged at cycle {cycle}");
+            ops.step().unwrap();
+            assert_eq!(interp.state(), ops.state(), "diverged at cycle {cycle}");
         }
     }
 
@@ -322,7 +322,7 @@ mod tests {
                 &["MV .L B2, B1"],
                 &["HALT"],
             ],
-            SimMode::Compiled,
+            SimMode::Ops,
             300,
         );
         assert_eq!(b_reg(&sim, &wb, 2), -12345);
@@ -370,7 +370,7 @@ mod tests {
                 &["SADD B2, B1, B1"], // saturates at 0x7FFFFFFF
                 &["HALT"],
             ],
-            SimMode::Compiled,
+            SimMode::Ops,
             300,
         );
         // high: 0x0001+0x0001 = 0x0002; low: 0x7FFF+0x0001 = 0x8000.

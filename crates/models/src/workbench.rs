@@ -73,7 +73,7 @@ impl From<SimError> for WorkbenchError {
 /// # fn main() -> Result<(), lisa_models::WorkbenchError> {
 /// let wb = tinyrisc::workbench()?;
 /// let words = wb.assemble(&["LDI R1, 2", "LDI R2, 3", "ADD R3, R1, R2", "HLT"])?;
-/// let mut sim = wb.simulator(SimMode::Compiled)?;
+/// let mut sim = wb.simulator(SimMode::Ops)?;
 /// sim.load_program(wb.program_memory(), &words)?;
 /// wb.run_to_halt(&mut sim, 1000)?;
 /// let r = wb.model().resource_by_name("R").expect("register file");
@@ -171,7 +171,7 @@ impl Workbench {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkbenchError::Sim`] when compiled lowering fails.
+    /// Returns [`WorkbenchError::Sim`] when ops-mode lowering fails.
     pub fn simulator(&self, mode: SimMode) -> Result<Simulator<'_>, WorkbenchError> {
         Ok(Simulator::new(&self.model, mode)?)
     }
@@ -211,7 +211,7 @@ impl Workbench {
     ) -> Result<Simulator<'_>, WorkbenchError> {
         let words = self.assemble(statements)?;
         let mut sim = self.simulator(mode)?;
-        // load_program pre-decodes automatically in compiled mode.
+        // load_program pre-decodes automatically in ops mode.
         sim.load_program(self.program_memory, &words)?;
         self.run_to_halt(&mut sim, max_steps)?;
         Ok(sim)

@@ -27,7 +27,9 @@ pub struct SimulateRequest {
     pub model: String,
     /// Assembly source text.
     pub program: String,
-    /// Backend: `"interp"`, `"ops"` or `"compiled"` (default).
+    /// Backend: `"interp"`, `"ops"` or `"compiled"` (default), the
+    /// paper's name for the ops backend: it runs on ops and reports
+    /// `ops`.
     pub mode: String,
     /// Control-step budget (default 100 000).
     pub max_cycles: u64,
@@ -41,8 +43,8 @@ pub struct SimulateRequest {
 /// `POST /v1/batch` body (all fields optional on the wire).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchRequest {
-    /// Backends: `"interp"`, `"compiled"`, `"ops"`, `"all"` or `"both"`
-    /// (default).
+    /// Backends: `"interp"`, `"compiled"` / `"ops"` (one backend), or
+    /// `"both"` (default) / `"all"` (interpretive and ops).
     pub mode: String,
     /// Worker threads for the batch pool (default 2, capped at 16).
     pub workers: usize,

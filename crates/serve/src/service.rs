@@ -379,18 +379,11 @@ impl AppState {
         let Some(served) = self.model(&req.model) else {
             return Response::json(404, api::error_body(&format!("unknown model `{}`", req.model)));
         };
-        let mode = match req.mode.as_str() {
-            "interp" | "interpretive" => SimMode::Interpretive,
-            "compiled" => SimMode::Compiled,
-            "ops" => SimMode::Ops,
-            other => {
-                // 422, not 400: the request is well-formed JSON with a
-                // semantically invalid field value.
-                return Response::json(
-                    422,
-                    api::error_body(&format!("unknown mode `{other}` (interp|compiled|ops)")),
-                );
-            }
+        let mode: SimMode = match req.mode.parse() {
+            Ok(mode) => mode,
+            // 422, not 400: the request is well-formed JSON with a
+            // semantically invalid field value.
+            Err(e) => return Response::json(422, api::error_body(&e)),
         };
 
         let program = {
@@ -529,20 +522,9 @@ impl AppState {
             Ok(r) => r,
             Err(e) => return Response::json(400, api::error_body(&e)),
         };
-        let modes: &[SimMode] = match req.mode.as_str() {
-            "interp" | "interpretive" => &[SimMode::Interpretive],
-            "compiled" => &[SimMode::Compiled],
-            "ops" => &[SimMode::Ops],
-            "both" => &[SimMode::Interpretive, SimMode::Compiled],
-            "all" => &[SimMode::Interpretive, SimMode::Compiled, SimMode::Ops],
-            other => {
-                return Response::json(
-                    422,
-                    api::error_body(&format!(
-                        "unknown mode `{other}` (interp|compiled|ops|both|all)"
-                    )),
-                );
-            }
+        let modes = match SimMode::parse_set(&req.mode) {
+            Ok(modes) => modes,
+            Err(e) => return Response::json(422, api::error_body(&e)),
         };
         let started = Instant::now();
         let matrix = match full_matrix() {
@@ -782,6 +764,35 @@ mod tests {
             text[at..].split(',').next().unwrap().to_owned()
         };
         assert_eq!(digest(&a), digest(&b));
+    }
+
+    #[test]
+    fn batch_all_queues_one_interp_and_one_ops_job_per_scenario() {
+        use lisa_metrics::MetricValue;
+        let state = AppState::new();
+        let resp = post(&state, "/v1/batch", r#"{"mode": "all"}"#);
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        // Every job records its latency under its `kernel@Mode` name.
+        let mut jobs: Vec<(String, u64)> = state
+            .registry
+            .snapshot()
+            .metrics
+            .into_iter()
+            .filter(|(k, _)| k.name == "lisa_exec_job_duration_us")
+            .map(|(k, v)| match v {
+                MetricValue::Histogram(h) => (k.labels[0].1.clone(), h.count),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        jobs.sort();
+        let mut want: Vec<(String, u64)> = full_matrix()
+            .unwrap()
+            .iter()
+            .flat_map(|(_, kernels)| kernels.iter())
+            .flat_map(|k| ["Interpretive", "Ops"].map(|m| (format!("{}@{m}", k.name), 1)))
+            .collect();
+        want.sort();
+        assert_eq!(jobs, want);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Compiled simulation: behaviors lowered to slot-resolved code.
+//! Compiled simulation, front end: behaviors lowered to slot-resolved IR.
 //!
 //! The paper's headline performance technique (§3.3) moves work from
 //! simulation run time to simulator generation time: instruction decoding
@@ -8,13 +8,11 @@
 //! variant's BEHAVIOR and EXPRESSION sections are lowered once into an IR
 //! whose locals are stack slots, whose resources are ids, and whose group
 //! operands dispatch through precomputed variant tables — no string
-//! lookups remain on the cycle path.
+//! lookups remain. `ops.rs` translates this IR into micro-op code.
 
 use lisa_core::ast::{AssignOp, BinOp, Block, Call, DataType, Expr, Stmt, UnOp};
-use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
-use lisa_isa::Decoded;
+use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 
-use crate::eval::{apply_binop, apply_compound, saturate};
 use crate::{SimError, Simulator};
 
 /// Built-in functions recognised in behavior code.
@@ -455,246 +453,7 @@ fn width_of(ty: DataType) -> u32 {
     ty.width().min(64)
 }
 
-// ---------------------------------------------------------------------------
-// Execution of lowered code
-// ---------------------------------------------------------------------------
-
-/// Local-variable slots: behaviors with up to 16 locals (all bundled
-/// models) run allocation-free.
-pub(crate) enum LocalSlots {
-    Inline([i64; 16]),
-    Heap(Vec<i64>),
-}
-
-impl LocalSlots {
-    #[inline]
-    pub(crate) fn new(n: usize) -> LocalSlots {
-        if n <= 16 {
-            LocalSlots::Inline([0; 16])
-        } else {
-            LocalSlots::Heap(vec![0; n])
-        }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, slot: u16) -> i64 {
-        match self {
-            LocalSlots::Inline(a) => a[slot as usize],
-            LocalSlots::Heap(v) => v[slot as usize],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, slot: u16, value: i64) {
-        match self {
-            LocalSlots::Inline(a) => a[slot as usize] = value,
-            LocalSlots::Heap(v) => v[slot as usize] = value,
-        }
-    }
-}
-
-/// Runtime frame for lowered code: slot-addressed locals only.
-struct LFrame<'d> {
-    decoded: Option<&'d Decoded>,
-    op: OpId,
-    #[allow(dead_code)] // kept for diagnostics
-    variant: usize,
-    locals: LocalSlots,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-}
-
-/// A resolved place at run time.
-#[derive(Debug, Clone, Copy)]
-enum RPlace {
-    Local(u16),
-    Flat { res: ResourceId, flat: usize },
-}
-
 impl Simulator<'_> {
-    /// Executes an operation's BEHAVIOR using the lowered tables.
-    pub(crate) fn exec_behavior_compiled(
-        &mut self,
-        op: OpId,
-        variant: usize,
-        decoded: Option<&Decoded>,
-    ) -> Result<(), SimError> {
-        // One `Arc` bump per behavior call decouples the tables' lifetime
-        // from `&mut self`; everything below threads a plain reference, so
-        // operand and child-expression accesses stay clone-free.
-        let tables =
-            std::sync::Arc::clone(self.compiled.as_ref().expect("compiled mode has tables"));
-        let idx = tables.slot(op, variant);
-        let Some(block) = tables.behaviors[idx].as_ref() else {
-            return Ok(());
-        };
-        let n_locals = tables.locals_count[idx] as usize;
-        let mut frame = LFrame { decoded, op, variant, locals: LocalSlots::new(n_locals) };
-        self.run_lblock(&tables, block, &mut frame)?;
-        Ok(())
-    }
-
-    fn run_lblock(
-        &mut self,
-        tables: &CompiledTables,
-        block: &LBlock,
-        frame: &mut LFrame<'_>,
-    ) -> Result<Flow, SimError> {
-        for stmt in &block.stmts {
-            match self.run_lstmt(tables, stmt, frame)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn run_lstmt(
-        &mut self,
-        tables: &CompiledTables,
-        stmt: &LStmt,
-        frame: &mut LFrame<'_>,
-    ) -> Result<Flow, SimError> {
-        match stmt {
-            LStmt::DeclLocal { slot, init, width, signed } => {
-                let mut value = match init {
-                    Some(e) => self.eval_lexpr(tables, e, frame)?,
-                    None => 0,
-                };
-                if *width < 64 {
-                    let wrapped = lisa_bits::Bits::from_i128_wrapped(*width, i128::from(value));
-                    value =
-                        if *signed { wrapped.to_i128() as i64 } else { wrapped.to_u128() as i64 };
-                }
-                frame.locals.set(*slot, value);
-                Ok(Flow::Normal)
-            }
-            LStmt::Assign { place, op, value } => {
-                let rhs = self.eval_lexpr(tables, value, frame)?;
-                let rplace = self.resolve_place(tables, place, frame)?;
-                let new = match op {
-                    AssignOp::Set => rhs,
-                    _ => {
-                        let old = self.read_rplace(rplace, frame)?;
-                        apply_compound(*op, old, rhs).map_err(|_| SimError::DivisionByZero {
-                            operation: self.model.operation(frame.op).name.clone(),
-                        })?
-                    }
-                };
-                self.write_rplace(rplace, new, frame)?;
-                Ok(Flow::Normal)
-            }
-            LStmt::IncDec { place, delta } => {
-                let rplace = self.resolve_place(tables, place, frame)?;
-                let old = self.read_rplace(rplace, frame)?;
-                self.write_rplace(rplace, old.wrapping_add(*delta), frame)?;
-                Ok(Flow::Normal)
-            }
-            LStmt::InvokeGroup(g) => {
-                let child = frame
-                    .decoded
-                    .and_then(|d| d.group_child(self.model, *g as usize))
-                    .ok_or_else(|| {
-                        let operation = self.model.operation(frame.op);
-                        SimError::UnboundGroup {
-                            group: operation.groups[*g as usize].name.clone(),
-                            operation: operation.name.clone(),
-                        }
-                    })?;
-                self.invoke_decoded(child)?;
-                Ok(Flow::Normal)
-            }
-            LStmt::InvokeOp(target) => {
-                let bound = frame.decoded.and_then(|d| {
-                    let coding =
-                        self.model.operation(frame.op).variants.get(d.variant)?.coding.as_ref()?;
-                    coding.fields.iter().zip(&d.children).find_map(|(f, c)| match (&f.target, c) {
-                        (CodingTarget::Op(o), Some(c)) if o == target => Some(&**c),
-                        _ => None,
-                    })
-                });
-                match bound {
-                    Some(child) => self.invoke_decoded(child)?,
-                    None => self.invoke_unbound(*target)?,
-                }
-                Ok(Flow::Normal)
-            }
-            LStmt::Intrinsic(op) => {
-                self.apply_pipe_op(*op);
-                Ok(Flow::Normal)
-            }
-            LStmt::EvalDrop(e) => {
-                self.eval_lexpr(tables, e, frame)?;
-                Ok(Flow::Normal)
-            }
-            LStmt::If { cond, then_block, else_block } => {
-                if self.eval_lexpr(tables, cond, frame)? != 0 {
-                    self.run_lblock(tables, then_block, frame)
-                } else {
-                    self.run_lblock(tables, else_block, frame)
-                }
-            }
-            LStmt::While { cond, body } => {
-                while self.eval_lexpr(tables, cond, frame)? != 0 {
-                    if self.run_lblock(tables, body, frame)? == Flow::Break {
-                        break;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            LStmt::DoWhile { body, cond } => {
-                loop {
-                    if self.run_lblock(tables, body, frame)? == Flow::Break {
-                        break;
-                    }
-                    if self.eval_lexpr(tables, cond, frame)? == 0 {
-                        break;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            LStmt::For { init, cond, step, body } => {
-                if let Some(init) = init {
-                    self.run_lstmt(tables, init, frame)?;
-                }
-                loop {
-                    if let Some(cond) = cond {
-                        if self.eval_lexpr(tables, cond, frame)? == 0 {
-                            break;
-                        }
-                    }
-                    if self.run_lblock(tables, body, frame)? == Flow::Break {
-                        break;
-                    }
-                    if let Some(step) = step {
-                        self.run_lstmt(tables, step, frame)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            LStmt::Switch { scrutinee, cases, default } => {
-                let value = self.eval_lexpr(tables, scrutinee, frame)?;
-                let body =
-                    cases.iter().find(|(v, _)| *v == value).map(|(_, b)| b).or(default.as_ref());
-                match body {
-                    Some(block) => match self.run_lblock(tables, block, frame)? {
-                        Flow::Break => Ok(Flow::Normal),
-                        other => Ok(other),
-                    },
-                    None => Ok(Flow::Normal),
-                }
-            }
-            LStmt::Break => Ok(Flow::Break),
-            LStmt::Continue => Ok(Flow::Continue),
-            LStmt::Block(b) => self.run_lblock(tables, b, frame),
-        }
-    }
-
     pub(crate) fn apply_pipe_op(&mut self, op: PipeOp) {
         // Same control logic (and same trace events / stall accounting)
         // as the interpretive intrinsic path — lowering only resolves
@@ -703,327 +462,6 @@ impl Simulator<'_> {
             PipeOp::Shift(pid) => self.pipe_shift(pid),
             PipeOp::Stall(pid, upto) => self.pipe_stall(pid, upto),
             PipeOp::Flush(pid, upto) => self.pipe_flush(pid, upto),
-        }
-    }
-
-    fn eval_lexpr(
-        &mut self,
-        tables: &CompiledTables,
-        expr: &LExpr,
-        frame: &mut LFrame<'_>,
-    ) -> Result<i64, SimError> {
-        Ok(match expr {
-            LExpr::Const(v) => *v,
-            LExpr::Local(slot) => frame.locals.get(*slot),
-            LExpr::Label(l) => {
-                frame.decoded.map(|d| d.labels.get(*l as usize).copied().unwrap_or(0)).unwrap_or(0)
-                    as i64
-            }
-            LExpr::ResScalar(res) => {
-                let value = self.state.read_flat(*res, 0).unwrap_or(0);
-                self.probe_read(*res, 0);
-                value
-            }
-            LExpr::ResElem { res, indices } => {
-                let flat = self.flat_of(tables, *res, indices, frame)?;
-                let value =
-                    self.state.read_flat(*res, flat).ok_or_else(|| SimError::IndexOutOfBounds {
-                        resource: self.model.resource(*res).name.clone(),
-                        index: flat as i64,
-                        dim: 0,
-                    })?;
-                self.probe_read(*res, flat);
-                value
-            }
-            LExpr::GroupValue(g) => {
-                let child = frame
-                    .decoded
-                    .and_then(|d| d.group_child(self.model, *g as usize))
-                    .ok_or_else(|| {
-                        let operation = self.model.operation(frame.op);
-                        SimError::UnboundGroup {
-                            group: operation.groups[*g as usize].name.clone(),
-                            operation: operation.name.clone(),
-                        }
-                    })?;
-                self.eval_child_expression(tables, child)?
-            }
-            LExpr::OpRefValue(target) => {
-                let child = frame
-                    .decoded
-                    .and_then(|d| {
-                        let coding = self
-                            .model
-                            .operation(frame.op)
-                            .variants
-                            .get(d.variant)?
-                            .coding
-                            .as_ref()?;
-                        coding.fields.iter().zip(&d.children).find_map(|(f, c)| {
-                            match (&f.target, c) {
-                                (CodingTarget::Op(o), Some(c)) if o == target => Some(&**c),
-                                _ => None,
-                            }
-                        })
-                    })
-                    .ok_or_else(|| SimError::UnboundGroup {
-                        group: self.model.operation(*target).name.clone(),
-                        operation: self.model.operation(frame.op).name.clone(),
-                    })?;
-                self.eval_child_expression(tables, child)?
-            }
-            LExpr::Unary { op, expr } => {
-                let v = self.eval_lexpr(tables, expr, frame)?;
-                match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => i64::from(v == 0),
-                    UnOp::BitNot => !v,
-                }
-            }
-            LExpr::Binary { op, lhs, rhs } => {
-                match op {
-                    BinOp::LogAnd => {
-                        let l = self.eval_lexpr(tables, lhs, frame)?;
-                        if l == 0 {
-                            return Ok(0);
-                        }
-                        return Ok(i64::from(self.eval_lexpr(tables, rhs, frame)? != 0));
-                    }
-                    BinOp::LogOr => {
-                        let l = self.eval_lexpr(tables, lhs, frame)?;
-                        if l != 0 {
-                            return Ok(1);
-                        }
-                        return Ok(i64::from(self.eval_lexpr(tables, rhs, frame)? != 0));
-                    }
-                    _ => {}
-                }
-                let l = self.eval_lexpr(tables, lhs, frame)?;
-                let r = self.eval_lexpr(tables, rhs, frame)?;
-                apply_binop(*op, l, r).map_err(|_| SimError::DivisionByZero {
-                    operation: self.model.operation(frame.op).name.clone(),
-                })?
-            }
-            LExpr::Ternary { cond, then_expr, else_expr } => {
-                if self.eval_lexpr(tables, cond, frame)? != 0 {
-                    self.eval_lexpr(tables, then_expr, frame)?
-                } else {
-                    self.eval_lexpr(tables, else_expr, frame)?
-                }
-            }
-            LExpr::Builtin { f, args } => {
-                let mut vals = [0i64; 2];
-                for (i, a) in args.iter().enumerate().take(2) {
-                    vals[i] = self.eval_lexpr(tables, a, frame)?;
-                }
-                match f {
-                    Builtin::Sext => {
-                        let w = vals[1].clamp(1, 64) as u32;
-                        lisa_bits::Bits::from_i128_wrapped(w, i128::from(vals[0])).to_i128() as i64
-                    }
-                    Builtin::Zext => {
-                        let w = vals[1].clamp(1, 64) as u32;
-                        lisa_bits::Bits::from_i128_wrapped(w, i128::from(vals[0])).to_u128() as i64
-                    }
-                    Builtin::Saturate => saturate(vals[0], vals[1].clamp(1, 64) as u32),
-                    Builtin::Abs => vals[0].wrapping_abs(),
-                    Builtin::Min => vals[0].min(vals[1]),
-                    Builtin::Max => vals[0].max(vals[1]),
-                    Builtin::Norm => {
-                        let w = vals[1].clamp(1, 64) as u32;
-                        i64::from(lisa_bits::Bits::from_i128_wrapped(w, i128::from(vals[0])).norm())
-                    }
-                    Builtin::Print => {
-                        let v = vals[0];
-                        if self.observing() {
-                            let event = lisa_trace::TraceEvent::Print {
-                                cycle: self.stats.cycles,
-                                op: frame.op,
-                                value: v,
-                            };
-                            self.emit(event);
-                        }
-                        v
-                    }
-                    Builtin::Nop => 0,
-                }
-            }
-        })
-    }
-
-    /// Evaluates an operand child's lowered EXPRESSION (falling back to
-    /// its sole label for immediates).
-    fn eval_child_expression(
-        &mut self,
-        tables: &CompiledTables,
-        child: &Decoded,
-    ) -> Result<i64, SimError> {
-        let idx = tables.slot(child.op, child.variant);
-        match tables.expressions[idx].as_ref() {
-            Some(expr) => {
-                let n_locals = tables.locals_count[idx] as usize;
-                let mut child_frame = LFrame {
-                    decoded: Some(child),
-                    op: child.op,
-                    variant: child.variant,
-                    locals: LocalSlots::new(n_locals),
-                };
-                self.eval_lexpr(tables, expr, &mut child_frame)
-            }
-            None => {
-                let operation = self.model.operation(child.op);
-                if operation.labels.len() == 1 {
-                    Ok(child.labels[0] as i64)
-                } else {
-                    Err(SimError::UnknownName {
-                        name: format!("<expression of {}>", operation.name),
-                        operation: operation.name.clone(),
-                    })
-                }
-            }
-        }
-    }
-
-    fn flat_of(
-        &mut self,
-        tables: &CompiledTables,
-        res: ResourceId,
-        indices: &[LExpr],
-        frame: &mut LFrame<'_>,
-    ) -> Result<usize, SimError> {
-        // Stack-allocated fast path: all bundled models use at most two
-        // dimensions; the cycle loop must not allocate per access.
-        let mut buf = [0i64; 4];
-        if indices.len() <= 4 {
-            for (i, e) in indices.iter().enumerate() {
-                buf[i] = self.eval_lexpr(tables, e, frame)?;
-            }
-            return self.state.flatten_indices(self.model.resource(res), &buf[..indices.len()]);
-        }
-        let mut vals = Vec::with_capacity(indices.len());
-        for e in indices {
-            vals.push(self.eval_lexpr(tables, e, frame)?);
-        }
-        self.state.flatten_indices(self.model.resource(res), &vals)
-    }
-
-    fn resolve_place(
-        &mut self,
-        tables: &CompiledTables,
-        place: &LPlace,
-        frame: &mut LFrame<'_>,
-    ) -> Result<RPlace, SimError> {
-        Ok(match place {
-            LPlace::Local(slot) => RPlace::Local(*slot),
-            LPlace::Res { res, indices } => {
-                let flat = self.flat_of(tables, *res, indices, frame)?;
-                RPlace::Flat { res: *res, flat }
-            }
-            LPlace::Group(g) => {
-                let child = frame
-                    .decoded
-                    .and_then(|d| d.group_child(self.model, *g as usize))
-                    .ok_or_else(|| {
-                        let operation = self.model.operation(frame.op);
-                        SimError::UnboundGroup {
-                            group: operation.groups[*g as usize].name.clone(),
-                            operation: operation.name.clone(),
-                        }
-                    })?;
-                self.child_place(tables, child)?
-            }
-            LPlace::OpRef(target) => {
-                let child = frame
-                    .decoded
-                    .and_then(|d| {
-                        let coding = self
-                            .model
-                            .operation(frame.op)
-                            .variants
-                            .get(d.variant)?
-                            .coding
-                            .as_ref()?;
-                        coding.fields.iter().zip(&d.children).find_map(|(f, c)| {
-                            match (&f.target, c) {
-                                (CodingTarget::Op(o), Some(c)) if o == target => Some(&**c),
-                                _ => None,
-                            }
-                        })
-                    })
-                    .ok_or_else(|| SimError::NotAnLvalue {
-                        operation: self.model.operation(frame.op).name.clone(),
-                    })?;
-                self.child_place(tables, child)?
-            }
-        })
-    }
-
-    /// Resolves an operand child's lowered EXPRESSION as a place.
-    fn child_place(
-        &mut self,
-        tables: &CompiledTables,
-        child: &Decoded,
-    ) -> Result<RPlace, SimError> {
-        let idx = tables.slot(child.op, child.variant);
-        let place = tables.expr_places[idx].as_ref().ok_or_else(|| SimError::NotAnLvalue {
-            operation: self.model.operation(child.op).name.clone(),
-        })?;
-        let n_locals = tables.locals_count[idx] as usize;
-        let mut child_frame = LFrame {
-            decoded: Some(child),
-            op: child.op,
-            variant: child.variant,
-            locals: LocalSlots::new(n_locals),
-        };
-        match self.resolve_place(tables, place, &mut child_frame)? {
-            RPlace::Flat { res, flat } => Ok(RPlace::Flat { res, flat }),
-            RPlace::Local(_) => Err(SimError::NotAnLvalue {
-                operation: self.model.operation(child.op).name.clone(),
-            }),
-        }
-    }
-
-    fn read_rplace(&mut self, place: RPlace, frame: &LFrame<'_>) -> Result<i64, SimError> {
-        match place {
-            RPlace::Local(slot) => Ok(frame.locals.get(slot)),
-            RPlace::Flat { res, flat } => {
-                let value =
-                    self.state.read_flat(res, flat).ok_or_else(|| SimError::IndexOutOfBounds {
-                        resource: self.model.resource(res).name.clone(),
-                        index: flat as i64,
-                        dim: 0,
-                    })?;
-                self.probe_read(res, flat);
-                Ok(value)
-            }
-        }
-    }
-
-    fn write_rplace(
-        &mut self,
-        place: RPlace,
-        value: i64,
-        frame: &mut LFrame<'_>,
-    ) -> Result<(), SimError> {
-        match place {
-            RPlace::Local(slot) => {
-                frame.locals.set(slot, value);
-                Ok(())
-            }
-            RPlace::Flat { res, flat } => {
-                if self.observing() {
-                    self.emit_write(res, flat, value);
-                }
-                if self.state.write_flat(res, flat, value) {
-                    Ok(())
-                } else {
-                    Err(SimError::IndexOutOfBounds {
-                        resource: self.model.resource(res).name.clone(),
-                        index: flat as i64,
-                        dim: 0,
-                    })
-                }
-            }
         }
     }
 }

@@ -116,21 +116,21 @@ pub struct RunOutcome {
 }
 
 /// Execution backend: the paper's two simulation techniques.
+///
+/// [`Simulator::new`] stores [`SimMode::Compiled`] as [`SimMode::Ops`],
+/// so [`Simulator::mode`], snapshots and metric labels report `ops`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimMode {
-    /// Interpretive simulation: every decode-root execution re-decodes the
-    /// instruction word, and behaviors are evaluated directly on the AST
-    /// with name-based resolution.
+    /// Interpretive simulation (the reference semantics): every
+    /// decode-root execution re-decodes the instruction word, and
+    /// behaviors are evaluated on the AST with name-based resolution.
     Interpretive,
-    /// Compiled simulation (paper §3.3): instruction words are decoded at
-    /// most once (pre-decoded from program memory or memoised) and
-    /// behaviors run as pre-lowered, slot-resolved code.
+    /// Compiled simulation (paper §3.3): an alias of [`SimMode::Ops`].
     Compiled,
-    /// Threaded micro-op simulation: on top of compiled mode's decode
-    /// caching, every decoded instruction instance is translated at
-    /// predecode time into flat, label-specialized micro-op code, so the
-    /// cycle loop dispatches over a contiguous op array with zero name
-    /// resolution or tree traversal.
+    /// Compiled simulation as threaded micro-ops: every decoded
+    /// instruction instance is translated at predecode time into flat,
+    /// label-specialized micro-op code, so the cycle loop dispatches over
+    /// a contiguous op array with zero name resolution or tree traversal.
     Ops,
 }
 
@@ -166,7 +166,7 @@ pub struct Simulator<'m> {
     pub(crate) stats: SimStats,
     pub(crate) mode: SimMode,
     pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
-    pub(crate) compiled: Option<std::sync::Arc<CompiledTables>>,
+    pub(crate) compiled: Option<CompiledTables>,
     /// Translation caches for [`SimMode::Ops`] (`None` in other modes).
     ///
     /// Ops execution takes the box out for the length of a step (or an
@@ -208,30 +208,27 @@ impl std::fmt::Debug for Simulator<'_> {
 impl<'m> Simulator<'m> {
     /// Creates a simulator over zeroed state.
     ///
-    /// In [`SimMode::Compiled`] and [`SimMode::Ops`], behaviors,
-    /// expressions and activations are lowered to slot-resolved code up
-    /// front (part of the paper's simulator-generation step); ops mode
-    /// then also translates every operation's default-variant routine.
+    /// In [`SimMode::Ops`], behaviors, expressions and activations are
+    /// lowered up front (part of the paper's simulator-generation step)
+    /// and every operation's default-variant routine is translated.
     ///
     /// # Errors
     ///
-    /// Propagates lowering errors for compiled and ops mode (e.g. names
-    /// that can never resolve).
+    /// Propagates lowering errors in ops mode (e.g. names that can never
+    /// resolve).
     pub fn new(model: &'m Model, mode: SimMode) -> Result<Simulator<'m>, SimError> {
+        // `Compiled` is the paper's name for the translated backend.
+        let mode = match mode {
+            SimMode::Interpretive => SimMode::Interpretive,
+            SimMode::Compiled | SimMode::Ops => SimMode::Ops,
+        };
         let decoder = Decoder::new(model).ok();
-        let compiled = match mode {
-            SimMode::Interpretive => None,
-            SimMode::Compiled | SimMode::Ops => {
-                Some(std::sync::Arc::new(CompiledTables::lower(model)?))
-            }
-        };
+        let compiled =
+            if mode == SimMode::Ops { Some(CompiledTables::lower(model)?) } else { None };
         let state = State::new(model);
-        let ops = match (mode, compiled.as_deref()) {
-            (SimMode::Ops, Some(tables)) => {
-                Some(Box::new(OpsTables::build(Xlate { model, state: &state, tables })))
-            }
-            _ => None,
-        };
+        let ops = compiled
+            .as_ref()
+            .map(|tables| Box::new(OpsTables::build(Xlate { model, state: &state, tables })));
         let pc_res = model
             .resources()
             .iter()
@@ -532,7 +529,7 @@ impl<'m> Simulator<'m> {
     /// Feeds a behavior-level resource read to the probe runtime's
     /// memory heatmaps. One `Option` chain when probes are off; the
     /// backends call this from their read funnels so read heat is
-    /// accumulated identically in all three modes.
+    /// accumulated identically in both modes.
     #[inline]
     pub(crate) fn probe_read(&mut self, res: ResourceId, flat: usize) {
         if let Some(runtime) = self.observer.as_mut().and_then(|o| o.probes.as_mut()) {
@@ -604,41 +601,19 @@ impl<'m> Simulator<'m> {
         added
     }
 
-    /// Decodes an instruction word, through the cache in compiled mode.
+    /// Decodes an instruction word afresh (interpretive mode only).
     pub(crate) fn decode_word(&mut self, word: u128) -> Result<Arc<Decoded>, SimError> {
         self.stats.decodes += 1;
-        let mut cache_hit = false;
-        let decoded = match self.mode {
-            SimMode::Compiled | SimMode::Ops => {
-                if let Some(hit) = self.decode_cache.get(&word) {
-                    self.stats.decode_cache_hits += 1;
-                    cache_hit = true;
-                    Arc::clone(hit)
-                } else {
-                    let decoder = self
-                        .decoder
-                        .as_ref()
-                        .ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
-                    let decoded = Arc::new(decoder.decode(word)?);
-                    self.decode_cache.insert(word, Arc::clone(&decoded));
-                    decoded
-                }
-            }
-            SimMode::Interpretive => {
-                let decoder = self
-                    .decoder
-                    .as_ref()
-                    .ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
-                Arc::new(decoder.decode(word)?)
-            }
-        };
+        let decoder =
+            self.decoder.as_ref().ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
+        let decoded = Arc::new(decoder.decode(word)?);
         if self.observing() {
             let event = TraceEvent::Decode {
                 cycle: self.stats.cycles,
                 pc: self.current_pc(),
                 word,
                 op: decoded.op,
-                cache_hit,
+                cache_hit: false,
             };
             self.emit(event);
         }
@@ -867,16 +842,7 @@ impl<'m> Simulator<'m> {
             self.emit(event);
         }
 
-        match self.mode {
-            SimMode::Interpretive => {
-                self.exec_behavior_interp(item.op, variant, decoded.as_deref())?;
-            }
-            SimMode::Compiled => {
-                self.exec_behavior_compiled(item.op, variant, decoded.as_deref())?;
-            }
-            SimMode::Ops => unreachable!("ops items route through execute_item_ops"),
-        }
-
+        self.exec_behavior_interp(item.op, variant, decoded.as_deref())?;
         self.run_activation(item.op, variant, decoded.as_deref(), ready)?;
         if operation.decode_root.is_some() {
             self.stats.instructions_retired += 1;
@@ -933,9 +899,8 @@ impl<'m> Simulator<'m> {
         Ok(())
     }
 
-    /// Runs the ACTIVATION section of an operation (shared by both
-    /// backends; condition expressions are evaluated interpretively — they
-    /// are tiny and run against resources).
+    /// Runs the ACTIVATION section of an operation for the interpretive
+    /// backend (ops mode runs translated activation plans).
     fn run_activation(
         &mut self,
         op: OpId,
@@ -947,14 +912,13 @@ impl<'m> Simulator<'m> {
         let Some(activation) = operation.variants[variant].activation.as_ref() else {
             return Ok(());
         };
-        self.run_act_nodes(activation, op, variant, decoded, ready)
+        self.run_act_nodes(activation, op, decoded, ready)
     }
 
     pub(crate) fn run_act_nodes(
         &mut self,
         nodes: &[lisa_core::ast::ActNode],
         op: OpId,
-        variant: usize,
         decoded: Option<&Decoded>,
         ready: &mut Vec<ExecItem>,
     ) -> Result<(), SimError> {
@@ -975,15 +939,15 @@ impl<'m> Simulator<'m> {
                     self.activate_name(&target, *delay, op, decoded, ready)?;
                 }
                 ActNode::If { cond, then_items, else_items, .. } => {
-                    let value = self.eval_condition(cond, op, variant, decoded)?;
+                    let value = self.eval_condition(cond, op, decoded)?;
                     let branch = if value != 0 { then_items } else { else_items };
-                    self.run_act_nodes(branch, op, variant, decoded, ready)?;
+                    self.run_act_nodes(branch, op, decoded, ready)?;
                 }
                 ActNode::Switch { scrutinee, cases, default, .. } => {
-                    let value = self.eval_condition(scrutinee, op, variant, decoded)?;
+                    let value = self.eval_condition(scrutinee, op, decoded)?;
                     let body =
                         cases.iter().find(|(v, _)| *v == value).map(|(_, b)| b).unwrap_or(default);
-                    self.run_act_nodes(body, op, variant, decoded, ready)?;
+                    self.run_act_nodes(body, op, decoded, ready)?;
                 }
             }
         }
@@ -1157,15 +1121,15 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Evaluates a small condition expression (shared by both backends).
+    /// Evaluates an ACTIVATION condition for the interpretive backend
+    /// (ops mode lowers conditions at translate time).
     fn eval_condition(
         &mut self,
         expr: &lisa_core::ast::Expr,
         op: OpId,
-        variant: usize,
         decoded: Option<&Decoded>,
     ) -> Result<i64, SimError> {
-        let mut frame = crate::eval::Frame::new(op, variant, decoded);
+        let mut frame = crate::eval::Frame::new(op, decoded);
         self.eval_expr_interp(expr, &mut frame)
     }
 
@@ -1200,11 +1164,11 @@ impl<'m> Simulator<'m> {
     /// Writes a program image (words) into a `PROGRAM_MEMORY` resource
     /// starting at its base address.
     ///
-    /// In every mode but [`SimMode::Interpretive`] the loaded region is
-    /// immediately pre-decoded into the decode cache (the translate-time
-    /// step of compiled simulation; ops mode also translates each word to
-    /// micro-op code), so callers no longer need to invoke
-    /// [`Simulator::predecode_program_memory`] by hand after loading.
+    /// In [`SimMode::Ops`] the loaded region is immediately pre-decoded
+    /// into the decode cache and each word translated to micro-op code
+    /// (the translate-time step of compiled simulation), so callers no
+    /// longer need to invoke [`Simulator::predecode_program_memory`] by
+    /// hand after loading.
     ///
     /// # Errors
     ///

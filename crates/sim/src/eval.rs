@@ -1,7 +1,7 @@
 //! Interpretive behavior evaluation: direct AST walking with name-based
-//! resolution. This is the paper's baseline simulation technique; the
-//! compiled backend ([`crate::compiled`]) pre-resolves everything this
-//! module looks up at run time.
+//! resolution: the paper's baseline technique and the reference
+//! semantics. The ops backend ([`crate::ops`]) pre-resolves everything
+//! this module looks up at run time.
 
 use lisa_core::ast::{AssignOp, BinOp, Block, Call, Expr, Stmt, UnOp};
 use lisa_core::model::{CodingTarget, OpId, Resource};
@@ -14,16 +14,14 @@ use crate::{SimError, Simulator};
 #[derive(Debug)]
 pub(crate) struct Frame<'d> {
     pub op: OpId,
-    #[allow(dead_code)] // kept for symmetry with the lowered frame and diagnostics
-    pub variant: usize,
     pub decoded: Option<&'d Decoded>,
     locals: Vec<(String, i64)>,
     scopes: Vec<usize>,
 }
 
 impl<'d> Frame<'d> {
-    pub fn new(op: OpId, variant: usize, decoded: Option<&'d Decoded>) -> Self {
-        Frame { op, variant, decoded, locals: Vec::new(), scopes: Vec::new() }
+    pub fn new(op: OpId, decoded: Option<&'d Decoded>) -> Self {
+        Frame { op, decoded, locals: Vec::new(), scopes: Vec::new() }
     }
 
     fn push_scope(&mut self) {
@@ -71,7 +69,7 @@ impl<'m> Simulator<'m> {
         let Some(behavior) = operation.variants[variant].behavior.as_ref() else {
             return Ok(());
         };
-        let mut frame = Frame::new(op, variant, decoded);
+        let mut frame = Frame::new(op, decoded);
         self.eval_block(behavior, &mut frame)?;
         Ok(())
     }
@@ -269,27 +267,19 @@ impl<'m> Simulator<'m> {
 
     /// Executes a decoded operation instance immediately (behavior +
     /// activation; zero-delay activations also run in this control step).
-    pub(crate) fn invoke_decoded(&mut self, decoded: &Decoded) -> Result<(), SimError> {
+    fn invoke_decoded(&mut self, decoded: &Decoded) -> Result<(), SimError> {
         self.stats.executed_ops += 1;
         if self.observing() {
             self.emit_exec(decoded.op);
         }
-        match self.mode {
-            crate::SimMode::Interpretive => {
-                self.exec_behavior_interp(decoded.op, decoded.variant, Some(decoded))?;
-            }
-            crate::SimMode::Compiled => {
-                self.exec_behavior_compiled(decoded.op, decoded.variant, Some(decoded))?;
-            }
-            crate::SimMode::Ops => unreachable!("ops mode invokes through routine ids"),
-        }
+        self.exec_behavior_interp(decoded.op, decoded.variant, Some(decoded))?;
         self.invoke_activation(decoded.op, decoded.variant, Some(decoded))
     }
 
     /// Executes an operation with no operand binding. Decode-root
     /// operations fetch and decode their compared resource first. Ops
     /// mode has its own twin, `ops_invoke_unbound`.
-    pub(crate) fn invoke_unbound(&mut self, op: OpId) -> Result<(), SimError> {
+    fn invoke_unbound(&mut self, op: OpId) -> Result<(), SimError> {
         let operation = self.model.operation(op);
         if let Some(root_res) = operation.decode_root {
             let word = self.state.scalar(root_res).to_u128();
@@ -312,11 +302,7 @@ impl<'m> Simulator<'m> {
         }
         let choices = vec![None; operation.groups.len()];
         let variant = operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
-        match self.mode {
-            crate::SimMode::Interpretive => self.exec_behavior_interp(op, variant, None)?,
-            crate::SimMode::Compiled => self.exec_behavior_compiled(op, variant, None)?,
-            crate::SimMode::Ops => unreachable!("ops mode invokes through routine ids"),
-        }
+        self.exec_behavior_interp(op, variant, None)?;
         self.invoke_activation(op, variant, None)
     }
 
@@ -333,7 +319,7 @@ impl<'m> Simulator<'m> {
             return Ok(());
         };
         let mut ready = Vec::new();
-        self.run_act_nodes(activation, op, variant, decoded, &mut ready)?;
+        self.run_act_nodes(activation, op, decoded, &mut ready)?;
         let mut i = 0;
         while i < ready.len() {
             let item = ready[i].clone();
@@ -469,7 +455,7 @@ impl<'m> Simulator<'m> {
         let operation = self.model.operation(child.op);
         let variant = &operation.variants[child.variant];
         if let Some(expr) = variant.expression.as_ref() {
-            let mut child_frame = Frame::new(child.op, child.variant, Some(child));
+            let mut child_frame = Frame::new(child.op, Some(child));
             return self.eval_expr_interp(expr, &mut child_frame);
         }
         // Immediate-like operand: a single label value.
@@ -678,7 +664,7 @@ impl<'m> Simulator<'m> {
             .expression
             .as_ref()
             .ok_or_else(|| SimError::NotAnLvalue { operation: operation.name.clone() })?;
-        let mut child_frame = Frame::new(child.op, child.variant, Some(child));
+        let mut child_frame = Frame::new(child.op, Some(child));
         self.eval_place(expr, &mut child_frame)
     }
 

@@ -8,11 +8,12 @@
 //!
 //! * **interpretive simulation** — instruction words are decoded every
 //!   time they execute and behaviors are evaluated directly on the AST;
-//! * **compiled simulation** (§3.3) — decoding moves to translate time
-//!   (pre-decoded program memory + decode cache) and behaviors run as
-//!   pre-lowered, slot-resolved code. The paper reports "speed-ups of
-//!   more than two orders of magnitude" for this technique; experiment E3
-//!   of the reproduction measures the same contrast.
+//! * **compiled simulation** (§3.3, [`SimMode::Ops`]) — decoding moves
+//!   to translate time and every decoded instruction is translated into
+//!   flat micro-op code. The paper reports "speed-ups of more than two
+//!   orders of magnitude" for this technique; experiments E3/E15 of the
+//!   reproduction measure the same contrast. `lisa-conform`'s lockstep
+//!   oracle holds it to the interpretive reference cycle by cycle.
 //!
 //! See [`Simulator`] for the entry point.
 

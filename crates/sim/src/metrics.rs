@@ -13,15 +13,46 @@ use lisa_metrics::Registry;
 use crate::engine::{SimMode, Simulator};
 use crate::stats::SimStats;
 
+/// Backend names accepted by [`SimMode`]'s parser.
+const NAMES: &str = "interp|compiled|ops";
+
 impl SimMode {
     /// The backend label used in exported metric series
-    /// (`"interpretive"` / `"compiled"` / `"ops"`).
+    /// (`"interpretive"` / `"ops"`).
     #[must_use]
     pub fn metric_label(self) -> &'static str {
         match self {
             SimMode::Interpretive => "interpretive",
-            SimMode::Compiled => "compiled",
-            SimMode::Ops => "ops",
+            _ => "ops",
+        }
+    }
+
+    /// Parses a batch backend set: one backend name, or `"both"` /
+    /// `"all"` for both backends.
+    ///
+    /// # Errors
+    ///
+    /// An `unknown mode` message listing the accepted names.
+    pub fn parse_set(spec: &str) -> Result<&'static [SimMode], String> {
+        match (spec, spec.parse()) {
+            ("both" | "all", _) => Ok(&[SimMode::Interpretive, SimMode::Ops]),
+            (_, Ok(SimMode::Interpretive)) => Ok(&[SimMode::Interpretive]),
+            (_, Ok(_)) => Ok(&[SimMode::Ops]),
+            (_, Err(_)) => Err(format!("unknown mode `{spec}` (expected {NAMES}|both|all)")),
+        }
+    }
+}
+
+impl std::str::FromStr for SimMode {
+    type Err = String;
+
+    /// Parses a backend name: `"interp"` / `"interpretive"`, or `"ops"` /
+    /// `"compiled"` (the paper's name for ops).
+    fn from_str(name: &str) -> Result<SimMode, String> {
+        match name {
+            "interp" | "interpretive" => Ok(SimMode::Interpretive),
+            "ops" | "compiled" => Ok(SimMode::Ops),
+            _ => Err(format!("unknown mode `{name}` (expected {NAMES})")),
         }
     }
 }
@@ -78,7 +109,7 @@ pub fn publish_stats(registry: &Registry, stats: &SimStats, backend: &str) {
     registry
         .counter(
             "lisa_sim_decode_cache_hits_total",
-            "Decode requests served from the compiled-mode cache.",
+            "Decode requests served from the ops-mode decode cache.",
             labels,
         )
         .add(stats.decode_cache_hits);
@@ -140,6 +171,32 @@ mod tests {
     use lisa_metrics::{MetricKey, MetricValue};
 
     #[test]
+    fn mode_names_parse_to_two_backends() {
+        use SimMode::{Interpretive, Ops};
+        // (name, as one backend, as a backend set); `None` = rejected.
+        type Case = (&'static str, Option<SimMode>, Option<&'static [SimMode]>);
+        let cases: [Case; 9] = [
+            ("interp", Some(Interpretive), Some(&[Interpretive])),
+            ("interpretive", Some(Interpretive), Some(&[Interpretive])),
+            ("ops", Some(Ops), Some(&[Ops])),
+            ("compiled", Some(Ops), Some(&[Ops])),
+            ("both", None, Some(&[Interpretive, Ops])),
+            ("all", None, Some(&[Interpretive, Ops])),
+            ("sideways", None, None),
+            ("", None, None),
+            ("Ops", None, None),
+        ];
+        for (name, one, set) in cases {
+            assert_eq!(name.parse::<SimMode>().ok(), one, "single `{name}`");
+            assert_eq!(SimMode::parse_set(name).ok(), set, "set `{name}`");
+        }
+        let err = "sideways".parse::<SimMode>().unwrap_err();
+        assert!(err.contains("unknown mode `sideways`") && err.contains("interp|compiled|ops"));
+        let err = SimMode::parse_set("sideways").unwrap_err();
+        assert!(err.contains("interp|compiled|ops|both|all"), "{err}");
+    }
+
+    #[test]
     fn delta_since_is_per_field_and_saturating() {
         let mut now = SimStats { cycles: 10, stalls: 4, ..SimStats::default() };
         now.stall_by_stage[2] = 4;
@@ -181,11 +238,11 @@ mod tests {
         let reg = Registry::new();
         let mut stats = SimStats { cycles: 100, stalls: 5, ..SimStats::default() };
         stats.stall_by_stage[1] = 5;
-        publish_stats(&reg, &stats, "compiled");
+        publish_stats(&reg, &stats, "ops");
         publish_stats(&reg, &stats, "interpretive");
         let snap = reg.snapshot();
         assert_eq!(
-            snap.metrics.get(&MetricKey::new("lisa_sim_cycles_total", &[("backend", "compiled")])),
+            snap.metrics.get(&MetricKey::new("lisa_sim_cycles_total", &[("backend", "ops")])),
             Some(&MetricValue::Counter(100))
         );
         assert_eq!(

@@ -1,12 +1,12 @@
 //! Threaded micro-op simulation: behaviors flattened to linear code.
 //!
-//! The third execution backend. Compiled mode (see `compiled.rs`) lowers
-//! behaviors once per model but still *walks a tree* per executed
-//! operation. This module goes one step further, in the spirit of the
-//! paper's §3.3 claim that compiled simulation can beat interpretation by
-//! orders of magnitude: at predecode time every decoded instruction
-//! *instance* is translated into a flat `Vec<MicroOp>` — a stack-machine
-//! program in which
+//! The paper's compiled simulation (§3.3), the fast backend next to the
+//! interpretive reference. `compiled.rs` lowers behaviors once per model
+//! into a slot-resolved tree IR; this module translates that IR further,
+//! in the spirit of the paper's claim that compiled simulation can beat
+//! interpretation by orders of magnitude: at predecode time every
+//! decoded instruction *instance* is translated into a flat
+//! `Vec<MicroOp>` — a stack-machine program in which
 //!
 //! * LABEL references are constant-folded against the decoded fields,
 //! * operand (group / op-ref) expressions are inlined into the parent,
@@ -16,7 +16,7 @@
 //!   [`UNROLL_MAX_TRIPS`] are unrolled, their induction variable folded
 //!   into each copy of the body,
 //! * every translate-time-detectable error becomes a positioned `Fail`
-//!   op so runtime error behavior matches the tree-walking backends
+//!   op so runtime error behavior matches the interpretive backend
 //!   exactly.
 //!
 //! As ops are emitted, a one-op peephole fuses the commonest pairs and
@@ -25,8 +25,8 @@
 //! and zero tree traversal. Activation scheduling,
 //! pipeline intrinsics, tracing and statistics all reuse the shared
 //! engine paths, so `State::digest` and mode-independent `SimStats`
-//! stay byte-identical across all three modes (enforced by
-//! `lisa-conform`'s three-way lockstep oracle).
+//! stay byte-identical across both modes (enforced by `lisa-conform`'s
+//! lockstep oracle).
 
 use std::sync::Arc;
 
@@ -522,7 +522,7 @@ const UNROLL_MAX_COPIES: usize = 256;
 
 /// Translates one `(operation, variant)` behavior, specialized against
 /// `decoded` when a binding exists. Infallible: anything that would
-/// error at run time in the tree-walking backends becomes a positioned
+/// error at run time in the interpretive backend becomes a positioned
 /// `Fail` op.
 fn translate_routine(
     cx: Xlate<'_>,
@@ -1897,7 +1897,7 @@ impl Simulator<'_> {
     }
 
     /// Writes one element, emitting the write event first — identical
-    /// order to the tree-walking backends.
+    /// order to the interpretive backend.
     fn ops_write(&mut self, res: ResourceId, flat: usize, value: i64) -> Result<(), SimError> {
         if self.observing() {
             self.emit_write(res, flat, value);
@@ -2319,7 +2319,7 @@ impl Simulator<'_> {
         Xlate {
             model: self.model,
             state: &self.state,
-            tables: self.compiled.as_deref().expect("ops mode has tables"),
+            tables: self.compiled.as_ref().expect("ops mode has tables"),
         }
     }
 
@@ -2436,7 +2436,7 @@ impl Simulator<'_> {
         let cx = Xlate {
             model: self.model,
             state: &self.state,
-            tables: self.compiled.as_deref().expect("ops mode has tables"),
+            tables: self.compiled.as_ref().expect("ops mode has tables"),
         };
         t.bind_pending(cx, &mut self.pending);
     }
@@ -2456,7 +2456,7 @@ impl Simulator<'_> {
         let cx = Xlate {
             model: self.model,
             state: &self.state,
-            tables: self.compiled.as_deref().expect("ops mode has tables"),
+            tables: self.compiled.as_ref().expect("ops mode has tables"),
         };
         t.reclaim(cx, &mut self.pending);
     }

@@ -5,7 +5,7 @@
 //! in-flight delayed activations, accumulated [`SimStats`], the
 //! activation sequence counter, and the decode cache. The decode cache's
 //! entries are `Arc`-shared with the simulator, so snapshotting a
-//! warmed-up compiled simulator is cheap and restoring one skips the
+//! warmed-up ops simulator is cheap and restoring one skips the
 //! translate-time decode work entirely — the foundation for forking one
 //! warm simulator into many scenario runs (`lisa-exec`).
 //!
@@ -114,7 +114,7 @@ impl<'m> Simulator<'m> {
     /// The architectural state, pipeline control state, in-flight
     /// activations and statistics are copied; the decode cache is
     /// shared structurally (each cached [`Decoded`] tree is behind an
-    /// `Arc`), so a snapshot of a warmed-up compiled simulator costs
+    /// `Arc`), so a snapshot of a warmed-up ops simulator costs
     /// one map clone, not a re-decode of program memory.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
@@ -139,7 +139,7 @@ impl<'m> Simulator<'m> {
     ///
     /// The snapshot may come from a simulator in either [`SimMode`]; the
     /// restored simulator keeps its own mode. Restoring an interpretive
-    /// snapshot into a compiled simulator simply starts with whatever
+    /// snapshot into an ops simulator simply starts with whatever
     /// decode cache the snapshot carried.
     ///
     /// # Errors
@@ -271,11 +271,11 @@ mod tests {
     #[test]
     fn snapshot_reports_its_capture_point() {
         let model = counter_model();
-        let mut sim = Simulator::new(&model, SimMode::Compiled).unwrap();
+        let mut sim = Simulator::new(&model, SimMode::Ops).unwrap();
         sim.run(9).unwrap();
         let snap = sim.snapshot();
         assert_eq!(snap.cycles(), 9);
-        assert_eq!(snap.mode(), SimMode::Compiled);
+        assert_eq!(snap.mode(), SimMode::Ops);
         assert_eq!(snap.stats().cycles, 9);
         let r0 = model.resource_by_name("r0").unwrap();
         assert_eq!(snap.state().read_int(r0, &[]).unwrap(), 27);

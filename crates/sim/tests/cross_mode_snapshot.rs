@@ -80,30 +80,14 @@ fn check_cross(wb: &Workbench, name: &str, from: SimMode, to: SimMode) {
 #[test]
 fn interpretive_snapshot_restores_into_compiled_bit_exactly() {
     for (name, wb) in all_workbenches() {
-        check_cross(&wb, name, SimMode::Interpretive, SimMode::Compiled);
+        check_cross(&wb, name, SimMode::Interpretive, SimMode::Ops);
     }
 }
 
 #[test]
 fn compiled_snapshot_restores_into_interpretive_bit_exactly() {
     for (name, wb) in all_workbenches() {
-        check_cross(&wb, name, SimMode::Compiled, SimMode::Interpretive);
-    }
-}
-
-#[test]
-fn ops_snapshot_restores_into_either_other_mode_bit_exactly() {
-    for (name, wb) in all_workbenches() {
         check_cross(&wb, name, SimMode::Ops, SimMode::Interpretive);
-        check_cross(&wb, name, SimMode::Ops, SimMode::Compiled);
-    }
-}
-
-#[test]
-fn either_other_mode_snapshot_restores_into_ops_bit_exactly() {
-    for (name, wb) in all_workbenches() {
-        check_cross(&wb, name, SimMode::Interpretive, SimMode::Ops);
-        check_cross(&wb, name, SimMode::Compiled, SimMode::Ops);
     }
 }
 
@@ -111,7 +95,6 @@ fn either_other_mode_snapshot_restores_into_ops_bit_exactly() {
 fn same_mode_restores_stay_bit_exact_too() {
     for (name, wb) in all_workbenches() {
         check_cross(&wb, name, SimMode::Interpretive, SimMode::Interpretive);
-        check_cross(&wb, name, SimMode::Compiled, SimMode::Compiled);
         check_cross(&wb, name, SimMode::Ops, SimMode::Ops);
     }
 }
@@ -120,10 +103,10 @@ fn same_mode_restores_stay_bit_exact_too() {
 fn compiled_snapshot_carries_its_decode_cache_across_modes() {
     let wb = lisa_models::tinyrisc::workbench().unwrap();
     let words = wb.assemble(&demo_program("tinyrisc")).unwrap();
-    let mut compiled = boot(&wb, SimMode::Compiled, &words);
-    compiled.run(2).unwrap();
-    let snap = compiled.snapshot();
-    assert!(snap.predecoded_words() > 0, "compiled snapshot should carry a warm decode cache");
+    let mut ops = boot(&wb, SimMode::Ops, &words);
+    ops.run(2).unwrap();
+    let snap = ops.snapshot();
+    assert!(snap.predecoded_words() > 0, "ops snapshot should carry a warm decode cache");
 
     // An interpretive simulator accepts the snapshot; the cache rides
     // along harmlessly.
@@ -138,7 +121,7 @@ fn foreign_model_snapshot_fails_with_the_typed_error() {
     let scalar2 = lisa_models::scalar2::workbench().unwrap();
     let donor = tinyrisc.simulator(SimMode::Interpretive).unwrap();
     let snap = donor.snapshot();
-    for mode in [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = scalar2.simulator(mode).unwrap();
         match sim.restore(&snap) {
             Err(SimError::SnapshotMismatch) => {}

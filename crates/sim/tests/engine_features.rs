@@ -6,14 +6,14 @@ use lisa_core::Model;
 use lisa_sim::{SimMode, Simulator};
 
 /// Builds the model, runs `steps` in both modes, asserts identical state,
-/// and returns the compiled simulator for inspection.
+/// and returns the ops simulator for inspection.
 fn run_both(model: &Model, steps: u64) -> Simulator<'_> {
     let mut interp = Simulator::new(model, SimMode::Interpretive).expect("interp");
-    let mut compiled = Simulator::new(model, SimMode::Compiled).expect("compiled");
+    let mut ops = Simulator::new(model, SimMode::Ops).expect("ops");
     interp.run(steps).expect("interp runs");
-    compiled.run(steps).expect("compiled runs");
-    assert_eq!(interp.state(), compiled.state(), "backends diverged");
-    compiled
+    ops.run(steps).expect("ops runs");
+    assert_eq!(interp.state(), ops.state(), "backends diverged");
+    ops
 }
 
 fn read(sim: &Simulator<'_>, name: &str) -> i64 {
@@ -242,7 +242,7 @@ fn execute_decoded_injects_instructions_directly() {
     .expect("builds");
     let decoder = lisa_isa::Decoder::new(&model).expect("decoder");
     let decoded = decoder.decode(0b0110).expect("INC r2");
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = Simulator::new(&model, mode).expect("sim");
         sim.execute_decoded(&decoded).expect("executes");
         sim.execute_decoded(&decoded).expect("executes");

@@ -1,4 +1,4 @@
-//! Compiled-mode lowering must reject bad behavior code at simulator
+//! Ops-mode lowering must reject bad behavior code at simulator
 //! *generation* time (the compile-time half of compiled simulation),
 //! with the same error classes the interpretive backend reports at run
 //! time.
@@ -17,7 +17,7 @@ fn model(behavior: &str) -> Model {
 #[test]
 fn unknown_names_fail_at_lowering_time() {
     let m = model("r = missing;");
-    let err = Simulator::new(&m, SimMode::Compiled).unwrap_err();
+    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
     assert!(matches!(err, SimError::UnknownName { ref name, .. } if name == "missing"));
     // Interpretive construction succeeds; the error surfaces at run time.
     let mut sim = Simulator::new(&m, SimMode::Interpretive).expect("builds");
@@ -27,7 +27,7 @@ fn unknown_names_fail_at_lowering_time() {
 #[test]
 fn builtin_arity_fails_at_lowering_time() {
     let m = model("r = sext(1);");
-    let err = Simulator::new(&m, SimMode::Compiled).unwrap_err();
+    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
     assert!(
         matches!(err, SimError::BadArity { ref builtin, got: 1, expected: 2 } if builtin == "sext")
     );
@@ -36,25 +36,25 @@ fn builtin_arity_fails_at_lowering_time() {
 #[test]
 fn unknown_pipeline_actions_fail_at_lowering_time() {
     let m = model("p.explode();");
-    let err = Simulator::new(&m, SimMode::Compiled).unwrap_err();
+    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
     assert!(matches!(err, SimError::UnknownPipeline { ref path } if path == "p.explode"));
 
     let m = model("p.C.stall();");
-    let err = Simulator::new(&m, SimMode::Compiled).unwrap_err();
+    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
     assert!(matches!(err, SimError::UnknownPipeline { .. }), "unknown stage: {err}");
 }
 
 #[test]
 fn unknown_dotted_calls_fail_at_lowering_time() {
     let m = model("q.shift();"); // `q` is not a pipeline
-    let err = Simulator::new(&m, SimMode::Compiled).unwrap_err();
+    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
     assert!(matches!(err, SimError::UnknownCall { ref path, .. } if path == "q.shift"));
 }
 
 #[test]
 fn error_messages_are_actionable() {
     let m = model("r = missing;");
-    let err = Simulator::new(&m, SimMode::Compiled).unwrap_err();
+    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
     let text = err.to_string();
     assert!(text.contains("missing"), "{text}");
     assert!(text.contains("main"), "names the operation: {text}");

@@ -1,7 +1,7 @@
 //! Edge cases of the ops backend's translate-time specialization:
 //! constant-trip `for` unrolling and micro-op fusion.
 //!
-//! Every model runs in all three backends; cycles, the state digest, the
+//! Every model runs in both backends; cycles, the state digest, the
 //! mode-independent statistics and the error (value and cycle) must agree
 //! with the interpretive reference. The ops listing of `main` then shows
 //! whether the translator took the specialized path, so each case pins
@@ -45,14 +45,12 @@ fn build(src: &str) -> Model {
     Model::from_source(src).expect("model builds")
 }
 
-/// Runs `model` for `steps` cycles in every backend, asserts they agree,
+/// Runs `model` for `steps` cycles in both backends, asserts they agree,
 /// and returns the interpretive result plus the ops listing of `main`.
-fn run_three(model: &Model, steps: u64) -> (Observed, Simulator<'_>, String) {
+fn run_both(model: &Model, steps: u64) -> (Observed, Simulator<'_>, String) {
     let (reference, interp) = observe(model, SimMode::Interpretive, steps);
-    for mode in [SimMode::Compiled, SimMode::Ops] {
-        let (got, _) = observe(model, mode, steps);
-        assert_eq!(got, reference, "{mode:?} diverged from the interpretive backend");
-    }
+    let (got, _) = observe(model, SimMode::Ops, steps);
+    assert_eq!(got, reference, "Ops diverged from the interpretive backend");
     let mut ops = Simulator::new(model, SimMode::Ops).expect("ops simulator");
     let listing = ops.ops_listing();
     let main = listing
@@ -90,7 +88,7 @@ fn constant_shift_loop_unrolls_to_flat_accesses() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 7);
+    let (obs, sim, main) = run_both(&model, 7);
     assert_eq!(obs.error, None);
     assert!(!has_loop(&main), "constant loop was not unrolled:\n{main}");
     assert!(main.contains("read q[4]") && main.contains("write q[0]"), "{main}");
@@ -116,7 +114,7 @@ fn induction_variable_written_in_the_body_stays_a_loop() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 3);
+    let (obs, sim, main) = run_both(&model, 3);
     assert_eq!(obs.error, None);
     assert!(has_loop(&main), "a written induction variable must keep the loop:\n{main}");
     // i visits 0,1,2(->4),5,6,7: acc += 0+1+4+5+6+7 per cycle.
@@ -145,7 +143,7 @@ fn break_and_continue_keep_the_loop() {
             "#
         );
         let model = build(&src);
-        let (obs, _, main) = run_three(&model, 6);
+        let (obs, _, main) = run_both(&model, 6);
         assert_eq!(obs.error, None);
         assert!(main.contains("jump "), "`{body}` must keep the loop:\n{main}");
     }
@@ -171,7 +169,7 @@ fn break_inside_a_nested_switch_does_not_block_unrolling() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 4);
+    let (obs, sim, main) = run_both(&model, 4);
     assert_eq!(obs.error, None);
     assert!(!main.contains("incdec_local"), "loop with switch breaks was not unrolled:\n{main}");
     // Two even and two odd cycles: 2 * 6 + 2 * 60.
@@ -193,7 +191,7 @@ fn trip_count_cap_is_sixteen() {
             "#
         );
         let model = build(&src);
-        let (obs, sim, main) = run_three(&model, 2);
+        let (obs, sim, main) = run_both(&model, 2);
         assert_eq!(obs.error, None);
         assert_eq!(!has_loop(&main), unrolled, "{trips} trips:\n{main}");
         assert_eq!(read(&sim, "m", &[trips - 1]), 2 * (trips - 1));
@@ -217,7 +215,7 @@ fn nested_constant_loops_unroll_together() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 2);
+    let (obs, sim, main) = run_both(&model, 2);
     assert_eq!(obs.error, None);
     assert!(!has_loop(&main), "nested loops were not unrolled:\n{main}");
     // Two cycles of m[i*3+j] += i - j.
@@ -242,7 +240,7 @@ fn nested_unrolling_stops_at_256_body_copies() {
         }
         "#,
     );
-    let (obs, _, main) = run_three(&model, 1);
+    let (obs, _, main) = run_both(&model, 1);
     assert_eq!(obs.error, None);
     // The outer two loops unroll into 256 copies of the innermost one,
     // which stays a loop: one back-edge jump per copy.
@@ -275,7 +273,7 @@ fn loop_variable_keeps_its_exit_value_after_the_loop() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 1);
+    let (obs, sim, main) = run_both(&model, 1);
     assert_eq!(obs.error, None);
     assert!(!has_loop(&main), "{main}");
     assert_eq!(read(&sim, "up", &[]), 7);
@@ -303,7 +301,7 @@ fn out_of_bounds_index_fails_at_the_same_iteration() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 5);
+    let (obs, sim, main) = run_both(&model, 5);
     assert!(!has_loop(&main), "{main}");
     assert!(main.contains("fail IndexOutOfBounds"), "{main}");
     assert_eq!(obs.cycles, 2, "fails during the third cycle");
@@ -343,7 +341,7 @@ fn division_by_zero_through_fused_immediates_names_the_operation() {
         let mut ops = Simulator::new(&model, SimMode::Ops).expect("ops simulator");
         let listing = ops.ops_listing();
         assert!(listing.contains(fused), "`{expr}` should fuse to `{fused}`:\n{listing}");
-        let (obs, _, _) = run_three(&model, 4);
+        let (obs, _, _) = run_both(&model, 4);
         assert_eq!(obs.cycles, 1, "`{expr}`");
         assert_eq!(
             obs.error,
@@ -381,7 +379,7 @@ fn jump_targets_between_fusable_ops_are_respected() {
         }
         "#,
     );
-    let (obs, sim, main) = run_three(&model, 8);
+    let (obs, sim, main) = run_both(&model, 8);
     assert_eq!(obs.error, None);
     assert!(main.contains("unless") && main.contains("imm"), "nothing was fused:\n{main}");
     let mut expect = [0i64; 6];

@@ -1,6 +1,6 @@
 //! Probe integration tests: watchpoints surface as `ProbeHit` trace
 //! events, `break` probes stop `run_until` with a `Breakpoint` reason,
-//! and the architectural profile is identical across all three backends.
+//! and the architectural profile is identical across both backends.
 
 use lisa_core::Model;
 use lisa_sim::{ProbeSpec, SimMode, Simulator, StopReason, TraceEvent};
@@ -98,7 +98,7 @@ OPERATION main {
 }
 "#;
 
-const MODES: [SimMode; 3] = [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops];
+const MODES: [SimMode; 2] = [SimMode::Interpretive, SimMode::Ops];
 
 /// R1 counts down from 3; stores the countdown into dmem[5] each pass.
 const LOOP: [&str; 7] = [
@@ -214,7 +214,7 @@ fn breakpoint_stops_run_until_and_resumes() {
 #[test]
 fn plain_run_ignores_breakpoints() {
     let model = Model::from_source(TOY).expect("model builds");
-    let mut sim = boot(&model, SimMode::Compiled, &LOOP);
+    let mut sim = boot(&model, SimMode::Ops, &LOOP);
     sim.set_probes(compile_spec(&model, "break 2; trace 4"));
     for _ in 0..40 {
         sim.run(1).expect("steps");

@@ -1,6 +1,6 @@
 //! End-to-end simulator tests on a small but complete stored-program
 //! machine written in LISA: fetch, decode (coding-tree root), execute,
-//! with both interpretive and compiled backends, plus pipeline timing
+//! with both interpretive and ops backends, plus pipeline timing
 //! (activation delays, stall, flush, shift).
 
 use lisa_core::Model;
@@ -128,8 +128,8 @@ fn run_program<'m>(model: &'m Model, mode: SimMode, program: &[&str], max: u64) 
     let words = assemble_program(model, program);
     let mut sim = Simulator::new(model, mode).expect("simulator builds");
     sim.load_program("pmem", &words).expect("program fits");
-    if mode == SimMode::Compiled {
-        // Loading pre-decodes automatically in compiled mode.
+    if mode == SimMode::Ops {
+        // Loading pre-decodes automatically in ops mode.
         assert!(sim.snapshot().predecoded_words() > 0, "load pre-decodes the program");
     }
     let halt = model.resource_by_name("halt").unwrap().clone();
@@ -146,7 +146,7 @@ fn reg(sim: &Simulator<'_>, model: &Model, i: i64) -> i64 {
 fn straight_line_arithmetic_both_modes() {
     let model = Model::from_source(TOY).expect("model builds");
     let program = ["LDI R1, 6", "LDI R2, 7", "MUL R3, R1, R2", "ADD R4, R3, R1", "HLT"];
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let sim = run_program(&model, mode, &program, 100);
         assert_eq!(reg(&sim, &model, 3), 42, "{mode:?}");
         assert_eq!(reg(&sim, &model, 4), 48, "{mode:?}");
@@ -157,7 +157,7 @@ fn straight_line_arithmetic_both_modes() {
 fn negative_immediates_sign_extend() {
     let model = Model::from_source(TOY).expect("model builds");
     let program = ["LDI R1, -5", "LDI R2, 3", "ADD R3, R1, R2", "HLT"];
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let sim = run_program(&model, mode, &program, 100);
         assert_eq!(reg(&sim, &model, 1), -5, "{mode:?}");
         assert_eq!(reg(&sim, &model, 3), -2, "{mode:?}");
@@ -168,7 +168,7 @@ fn negative_immediates_sign_extend() {
 fn memory_store_load_round_trip() {
     let model = Model::from_source(TOY).expect("model builds");
     let program = ["LDI R1, 29", "ST R1, 5", "LD R2, 5", "HLT"];
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let sim = run_program(&model, mode, &program, 100);
         assert_eq!(reg(&sim, &model, 2), 29, "{mode:?}");
         let dmem = model.resource_by_name("dmem").unwrap();
@@ -189,7 +189,7 @@ fn loop_with_backward_branch() {
         "BNZ R1, 3",
         "HLT",
     ];
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let sim = run_program(&model, mode, &program, 1000);
         assert_eq!(reg(&sim, &model, 2), 15, "{mode:?}");
         assert_eq!(reg(&sim, &model, 1), 0, "{mode:?}");
@@ -210,13 +210,13 @@ fn both_modes_agree_cycle_by_cycle() {
     ];
     let words = assemble_program(&model, &program);
     let mut interp = Simulator::new(&model, SimMode::Interpretive).unwrap();
-    let mut compiled = Simulator::new(&model, SimMode::Compiled).unwrap();
+    let mut ops = Simulator::new(&model, SimMode::Ops).unwrap();
     interp.load_program("pmem", &words).unwrap();
-    compiled.load_program("pmem", &words).unwrap();
+    ops.load_program("pmem", &words).unwrap();
     for cycle in 0..20 {
         interp.step().unwrap();
-        compiled.step().unwrap();
-        assert_eq!(interp.state(), compiled.state(), "state diverged at cycle {cycle}");
+        ops.step().unwrap();
+        assert_eq!(interp.state(), ops.state(), "state diverged at cycle {cycle}");
     }
 }
 
@@ -224,7 +224,7 @@ fn both_modes_agree_cycle_by_cycle() {
 fn compiled_mode_hits_decode_cache() {
     let model = Model::from_source(TOY).expect("model builds");
     let program = ["LDI R1, 1", "LDI R2, 2", "ADD R3, R1, R2", "HLT"];
-    let sim = run_program(&model, SimMode::Compiled, &program, 100);
+    let sim = run_program(&model, SimMode::Ops, &program, 100);
     let stats = sim.stats();
     assert!(stats.decodes > 0);
     assert_eq!(
@@ -419,8 +419,8 @@ fn unknown_name_in_behavior_errors() {
     let mut sim = Simulator::new(&model, SimMode::Interpretive).unwrap();
     let err = sim.step().unwrap_err();
     assert!(matches!(err, SimError::UnknownName { ref name, .. } if name == "bogus"));
-    // Compiled mode rejects the model at lowering time.
-    assert!(matches!(Simulator::new(&model, SimMode::Compiled), Err(SimError::UnknownName { .. })));
+    // Ops mode rejects the model at lowering time.
+    assert!(matches!(Simulator::new(&model, SimMode::Ops), Err(SimError::UnknownName { .. })));
 }
 
 #[test]
@@ -430,7 +430,7 @@ fn out_of_bounds_memory_access_errors() {
         OPERATION main { BEHAVIOR { m[9] = 1; } }"#,
     )
     .unwrap();
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = Simulator::new(&model, mode).unwrap();
         let err = sim.step().unwrap_err();
         assert!(matches!(err, SimError::IndexOutOfBounds { .. }), "{mode:?}");
@@ -444,7 +444,7 @@ fn division_by_zero_errors() {
         OPERATION main { BEHAVIOR { r = 5 / pc; } }"#,
     )
     .unwrap();
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = Simulator::new(&model, mode).unwrap();
         let err = sim.step().unwrap_err();
         assert!(matches!(err, SimError::DivisionByZero { .. }), "{mode:?}");
@@ -478,7 +478,7 @@ fn behavior_c_constructs_work_in_both_modes() {
     .expect("model builds");
     // sum = 10 + 100 = 110; acc = 110;
     // out = 110 + 2 + 1 + 7 + 127 + (-1) + 15 + 30 = 291.
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = Simulator::new(&model, mode).unwrap();
         sim.step().unwrap();
         let out = sim.state().read_int(model.resource_by_name("out").unwrap(), &[]).unwrap();

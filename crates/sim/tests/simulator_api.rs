@@ -60,7 +60,7 @@ fn loader_rejects_unknown_memory_and_overflow() {
 #[test]
 fn predecode_counts_distinct_instruction_words() {
     let model = model();
-    let mut sim = Simulator::new(&model, SimMode::Compiled).unwrap();
+    let mut sim = Simulator::new(&model, SimMode::Ops).unwrap();
     // Three distinct decodable words (ADDI 1, ADDI 2, DONE) plus repeats
     // and an undecodable word (opcode 0b10).
     let addi1 = 0b01_000001u128;
@@ -69,7 +69,7 @@ fn predecode_counts_distinct_instruction_words() {
     let junk = 0b10_000000u128;
     sim.load_program("pmem", &[addi1, addi2, addi1, done, junk]).unwrap();
     // The rest of pmem is zeros: 0b00_... does not decode either.
-    // Loading pre-decoded automatically (compiled mode): distinct
+    // Loading pre-decoded automatically (ops mode): distinct
     // decodable words only.
     assert_eq!(sim.snapshot().predecoded_words(), 3);
     // A further explicit call adds nothing.
@@ -96,14 +96,14 @@ fn trace_lifecycle() {
 #[test]
 fn run_until_counts_steps_taken() {
     let model = model();
-    let mut sim = Simulator::new(&model, SimMode::Compiled).unwrap();
+    let mut sim = Simulator::new(&model, SimMode::Ops).unwrap();
     sim.load_program("pmem", &[0b01_000001, 0b01_000001, 0b11_000000]).unwrap();
     sim.predecode_program_memory();
     let halt = model.resource_by_name("halt").unwrap().clone();
     let steps = sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, 100).expect("halts");
     assert_eq!(steps.cycles, 3);
     assert_eq!(sim.stats().cycles, 3);
-    assert_eq!(sim.mode(), SimMode::Compiled);
+    assert_eq!(sim.mode(), SimMode::Ops);
     // A predicate that is already true still takes one step (checked
     // after stepping).
     let steps = sim.run_until(|_| true, 100).expect("immediate");
@@ -113,7 +113,7 @@ fn run_until_counts_steps_taken() {
 #[test]
 fn stats_display_and_cache_rate() {
     let model = model();
-    let mut sim = Simulator::new(&model, SimMode::Compiled).unwrap();
+    let mut sim = Simulator::new(&model, SimMode::Ops).unwrap();
     sim.load_program("pmem", &[0b01_000001, 0b11_000000]).unwrap();
     sim.predecode_program_memory();
     let halt = model.resource_by_name("halt").unwrap().clone();
@@ -147,7 +147,7 @@ fn models_without_decoder_still_simulate() {
         "RESOURCE { PROGRAM_COUNTER int pc; } OPERATION main { BEHAVIOR { pc = pc + 1; } }",
     )
     .unwrap();
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = Simulator::new(&model, mode).unwrap();
         sim.run(5).unwrap();
         let pc = model.resource_by_name("pc").unwrap();

@@ -73,10 +73,10 @@ proptest! {
     fn tinyrisc_snapshot_restore_resume_matches_uninterrupted_run(
         n in 1usize..=20,
         split_seed in any::<u64>(),
-        mode_seed in 0usize..3,
+        mode_seed in 0usize..2,
     ) {
         let wb = tinyrisc::workbench().expect("tinyrisc builds");
-        let mode = [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops][mode_seed];
+        let mode = [SimMode::Interpretive, SimMode::Ops][mode_seed];
         assert_split_is_unobservable(&wb, &tiny_fib(n), mode, split_seed);
     }
 
@@ -84,10 +84,10 @@ proptest! {
     fn accu16_snapshot_restore_resume_matches_uninterrupted_run(
         n in 1usize..=16,
         split_seed in any::<u64>(),
-        mode_seed in 0usize..3,
+        mode_seed in 0usize..2,
     ) {
         let wb = accu16::workbench().expect("accu16 builds");
-        let mode = [SimMode::Interpretive, SimMode::Compiled, SimMode::Ops][mode_seed];
+        let mode = [SimMode::Interpretive, SimMode::Ops][mode_seed];
         assert_split_is_unobservable(&wb, &accu_dot_product(n), mode, split_seed);
     }
 
@@ -97,7 +97,7 @@ proptest! {
         split_seed in any::<u64>(),
     ) {
         // A snapshot taken from the interpretive backend resumes on the
-        // compiled backend; both backends are cycle-accurate over the
+        // ops backend; both backends are cycle-accurate over the
         // same model, so the final state and cycle count must agree.
         let wb = tinyrisc::workbench().expect("tinyrisc builds");
         let kernel = tiny_fib(n);
@@ -110,7 +110,7 @@ proptest! {
         first_half.run(k).expect("prefix runs");
         let snapshot = first_half.snapshot();
 
-        let mut resumed = wb.simulator(SimMode::Compiled).expect("compiled sim");
+        let mut resumed = wb.simulator(SimMode::Ops).expect("ops sim");
         resumed.restore(&snapshot).expect("cross-mode restore");
         resumed.predecode_program_memory();
         let remaining = finish(&wb, &mut resumed, kernel.max_steps);

@@ -42,7 +42,7 @@ pub struct Profile {
     pub cycles: u64,
     /// Instructions decoded/dispatched ([`TraceEvent::Decode`] events).
     pub instructions: u64,
-    /// Decode requests served from the compiled-mode cache.
+    /// Decode requests served from the ops-mode decode cache.
     pub decode_cache_hits: u64,
     /// Activations scheduled.
     pub activations: u64,

@@ -52,7 +52,7 @@ fn run_dot(
     fused: bool,
 ) -> Result<(u64, i64), Box<dyn std::error::Error>> {
     let program = lisa::asm::Assembler::new(wb.model()).assemble(&dot_program(n, fused))?;
-    let mut sim = wb.simulator(SimMode::Compiled)?;
+    let mut sim = wb.simulator(SimMode::Ops)?;
     let pmem = wb.model().resource_by_name("prog_mem").expect("pmem").clone();
     for (i, &word) in program.words.iter().enumerate() {
         let addr = program.origin as i64 + i as i64;

@@ -89,8 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Generated cycle-accurate simulator (compiled technique);
-    //    loading a program in compiled mode pre-decodes it automatically.
-    let mut sim = Simulator::new(&model, SimMode::Compiled)?;
+    //    loading a program in ops mode pre-decodes it automatically.
+    let mut sim = Simulator::new(&model, SimMode::Ops)?;
     sim.load_program("pmem", &words)?;
     let halt = model.resource_by_name("halt").expect("halt flag").clone();
     let cycles = sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, 100)?.cycles;

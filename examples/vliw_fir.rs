@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  ...\n");
 
     let mut rows = Vec::new();
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = kernels::load_kernel(&wb, &kernel, mode)?;
         let t = Instant::now();
         let cycles = wb.run_to_halt(&mut sim, kernel.max_steps)?;
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Dump the filtered signal.
     let dmem = wb.model().resource_by_name("dmem").expect("dmem");
-    let mut sim = kernels::load_kernel(&wb, &kernel, SimMode::Compiled)?;
+    let mut sim = kernels::load_kernel(&wb, &kernel, SimMode::Ops)?;
     wb.run_to_halt(&mut sim, kernel.max_steps)?;
     print!("\ny[] = ");
     for i in 0..16 {

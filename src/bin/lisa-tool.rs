@@ -7,7 +7,7 @@
 //! lisa-tool asm    <model> <prog.s> [-o FILE]  assemble a program (listing to stdout)
 //! lisa-tool disasm <model> <image.hex>         disassemble an image
 //! lisa-tool run    <model> <prog.s> [options]  assemble + simulate to halt
-//!     --mode interp|compiled|ops    backend (default compiled)
+//!     --mode interp|compiled|ops    backend (default compiled, an alias of ops)
 //!     --max-steps N             step budget (default 1000000)
 //!     --trace                   print the execution trace
 //!     --dump RES[:N]            print a resource (first N elements) after the run
@@ -26,7 +26,7 @@
 //!     --json                    print the profile as JSON instead of text
 //! lisa-tool batch  [options]                   run the builtin models x kernels matrix
 //!     --workers N               worker threads (default: available parallelism)
-//!     --mode interp|compiled|ops|both|all   backends to include (default both)
+//!     --mode interp|compiled|ops|both|all   backends (default both = all = interp + ops)
 //!     --profile                 collect + print the merged execution profile
 //!     --spans FILE              write a Perfetto-loadable Chrome trace of the run
 //! lisa-tool fuzz   [model] [options]           differential conformance fuzzing
@@ -396,18 +396,7 @@ fn batch(args: &[String]) -> Result<(), CliError> {
         Some(v) => v.parse().map_err(|e| format!("bad --workers: {e}"))?,
         None => std::thread::available_parallelism().map_or(1, usize::from),
     };
-    let modes: &[SimMode] = match flag_value(args, "--mode") {
-        Some("interp" | "interpretive") => &[SimMode::Interpretive],
-        Some("compiled") => &[SimMode::Compiled],
-        Some("ops") => &[SimMode::Ops],
-        Some("both") | None => &[SimMode::Interpretive, SimMode::Compiled],
-        Some("all") => &[SimMode::Interpretive, SimMode::Compiled, SimMode::Ops],
-        Some(other) => {
-            return Err(
-                format!("unknown mode `{other}` (expected interp|compiled|ops|both|all)").into()
-            )
-        }
-    };
+    let modes = SimMode::parse_set(flag_value(args, "--mode").unwrap_or("both"))?;
 
     let profile = has_flag(args, "--profile");
     let matrix = lisa::models::kernels::full_matrix().map_err(|e| e.to_string())?;
@@ -865,12 +854,7 @@ fn load_run(args: &[String]) -> Result<LoadedRun, String> {
 }
 
 fn sim_mode(args: &[String]) -> Result<SimMode, String> {
-    match flag_value(args, "--mode") {
-        Some("interp" | "interpretive") => Ok(SimMode::Interpretive),
-        Some("compiled") | None => Ok(SimMode::Compiled),
-        Some("ops") => Ok(SimMode::Ops),
-        Some(other) => Err(format!("unknown mode `{other}` (expected interp|compiled|ops)")),
-    }
+    flag_value(args, "--mode").unwrap_or("compiled").parse()
 }
 
 fn max_steps(args: &[String]) -> Result<u64, String> {
@@ -881,7 +865,7 @@ fn max_steps(args: &[String]) -> Result<u64, String> {
 }
 
 /// Builds a simulator from a loaded run: program memory filled
-/// (honouring the program origin), pre-decoded in compiled/ops mode.
+/// (honouring the program origin), pre-decoded in ops mode.
 fn boot_sim<'m>(run: &'m LoadedRun, mode: SimMode) -> Result<lisa::sim::Simulator<'m>, String> {
     let mut sim = lisa::sim::Simulator::new(&run.model, mode).map_err(|e| e.to_string())?;
     let pmem = run

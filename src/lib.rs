@@ -9,7 +9,7 @@
 //! | [`bits`] | `lisa-bits` | bit-accurate values and `0b01x` patterns |
 //! | [`core`] | `lisa-core` | the LISA language: lexer, parser, AST, model database |
 //! | [`isa`]  | `lisa-isa`  | generated decoder/encoder/assembler/disassembler |
-//! | [`sim`]  | `lisa-sim`  | interpretive + compiled cycle-accurate simulators |
+//! | [`sim`]  | `lisa-sim`  | interpretive + compiled (micro-op) cycle-accurate simulators |
 //! | [`asm`]  | `lisa-asm`  | program-level assembler (labels, `\|\|` bars, directives) |
 //! | [`docgen`] | `lisa-docgen` | automatic ISA manuals |
 //! | [`models`] | `lisa-models` | vliw62 / accu16 / tinyrisc models + DSP kernels |
@@ -31,8 +31,8 @@
 //! let program = lisa::asm::Assembler::new(wb.model()).assemble(
 //!     "LDI R1, 20\nLDI R2, 22\nADD R3, R1, R2\nHLT\n",
 //! )?;
-//! let mut sim = wb.simulator(SimMode::Compiled)?;
-//! // In compiled mode, loading pre-decodes program memory automatically.
+//! let mut sim = wb.simulator(SimMode::Ops)?;
+//! // In ops mode, loading pre-decodes program memory automatically.
 //! sim.load_program("pmem", &program.words)?;
 //! wb.run_to_halt(&mut sim, 100)?;
 //! let r = wb.model().resource_by_name("R").expect("register file");

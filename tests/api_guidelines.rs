@@ -67,7 +67,7 @@ fn debug_representations_are_not_empty() {
         "RESOURCE { PROGRAM_COUNTER int pc; } OPERATION main { BEHAVIOR { pc = pc + 1; } }",
     )
     .unwrap();
-    let sim = lisa::sim::Simulator::new(&model, lisa::sim::SimMode::Compiled).unwrap();
+    let sim = lisa::sim::Simulator::new(&model, lisa::sim::SimMode::Ops).unwrap();
     let dbg = format!("{sim:?}");
     assert!(dbg.contains("Simulator"), "{dbg}");
     assert!(dbg.contains("mode"), "{dbg}");

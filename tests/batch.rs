@@ -21,7 +21,7 @@ fn scenarios(matrix: &[(Workbench, Vec<lisa::models::kernels::Kernel>)]) -> Vec<
         .iter()
         .flat_map(|(wb, kernels)| {
             kernels.iter().flat_map(move |k| {
-                [SimMode::Interpretive, SimMode::Compiled]
+                [SimMode::Interpretive, SimMode::Ops]
                     .into_iter()
                     .map(move |mode| wb.scenario(k, mode))
             })
@@ -50,13 +50,13 @@ fn interpretive_and_compiled_backends_agree_within_a_batch() {
     let report = BatchRunner::new(2).run(&scenarios);
     assert!(report.all_passed(), "failures:\n{}", report.table());
 
-    // Scenarios come in (Interpretive, Compiled) pairs per kernel; each
+    // Scenarios come in (Interpretive, Ops) pairs per kernel; each
     // pair must agree on both cycle count and final state digest.
     for pair in report.jobs.chunks(2) {
         let interp = pair[0].result.as_ref().expect("interpretive job passed");
-        let compiled = pair[1].result.as_ref().expect("compiled job passed");
-        assert_eq!(interp.cycles, compiled.cycles, "{}: cycle mismatch", pair[0].name);
-        assert_eq!(interp.state_digest, compiled.state_digest, "{}: state mismatch", pair[0].name);
+        let ops = pair[1].result.as_ref().expect("ops job passed");
+        assert_eq!(interp.cycles, ops.cycles, "{}: cycle mismatch", pair[0].name);
+        assert_eq!(interp.state_digest, ops.state_digest, "{}: state mismatch", pair[0].name);
     }
 }
 
@@ -65,7 +65,7 @@ fn a_failing_check_is_isolated_to_its_own_job() {
     let wb = tinyrisc::workbench().expect("tinyrisc builds");
     let kernel = tiny_fib(10);
     let good = wb.scenario(&kernel, SimMode::Interpretive);
-    let mut bad = wb.scenario(&kernel, SimMode::Compiled);
+    let mut bad = wb.scenario(&kernel, SimMode::Ops);
     for check in &mut bad.checks {
         check.expected += 1;
     }

@@ -292,7 +292,8 @@ fn batch_dumps_prometheus_metrics() {
     let text = fs::read_to_string(&path).unwrap();
     assert!(text.contains("# TYPE lisa_exec_jobs_started_total counter"), "{text}");
     assert!(text.contains("lisa_exec_job_duration_us_bucket"), "{text}");
-    assert!(text.contains("lisa_sim_cycles_total{backend=\"compiled\"}"), "{text}");
+    // `compiled` is an alias of ops, and its series carry the ops label.
+    assert!(text.contains("lisa_sim_cycles_total{backend=\"ops\"}"), "{text}");
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -318,8 +319,8 @@ fn run_and_trace_dump_prometheus_metrics() {
     assert!(out.contains("halted after"), "{out}");
     let text = fs::read_to_string(&prom).unwrap();
     assert!(text.contains("# TYPE lisa_sim_cycles_total counter"), "{text}");
-    assert!(text.contains("lisa_sim_cycles_total{backend=\"compiled\"}"), "{text}");
-    assert!(text.contains("lisa_sim_instructions_retired_total{backend=\"compiled\"}"), "{text}");
+    assert!(text.contains("lisa_sim_cycles_total{backend=\"ops\"}"), "{text}");
+    assert!(text.contains("lisa_sim_instructions_retired_total{backend=\"ops\"}"), "{text}");
 
     // `trace --metrics` does the same for the tracing path.
     let prom = dir.join("trace.prom");
@@ -516,7 +517,7 @@ fn bench_writes_trajectory_and_gates_on_baseline() {
     for model in ["vliw62", "accu16", "scalar2", "tinyrisc"] {
         assert!(text.contains(model), "missing {model}: {text}");
     }
-    for backend in ["interpretive", "compiled"] {
+    for backend in ["interpretive", "ops"] {
         assert!(text.contains(backend), "missing {backend}: {text}");
     }
 

@@ -4,7 +4,7 @@
 //! Texas Instruments based on a number of typical DSP applications").
 //!
 //! The two independently-implemented backends (interpretive AST walking
-//! vs compiled slot-resolved execution) must agree bit-by-bit and
+//! vs compiled micro-op execution) must agree bit-by-bit and
 //! cycle-by-cycle on every kernel, and both must match golden results
 //! computed in plain Rust.
 
@@ -17,17 +17,16 @@ fn vliw_suite_agrees_cycle_by_cycle() {
     for kernel in kernels::vliw_suite() {
         let mut interp =
             kernels::load_kernel(&wb, &kernel, SimMode::Interpretive).expect("interp loads");
-        let mut compiled =
-            kernels::load_kernel(&wb, &kernel, SimMode::Compiled).expect("compiled loads");
+        let mut ops = kernels::load_kernel(&wb, &kernel, SimMode::Ops).expect("ops loads");
         let halt = wb.model().resource_by_name("halt").unwrap().clone();
         let mut cycle = 0u64;
         loop {
             interp.step().expect("interp step");
-            compiled.step().expect("compiled step");
+            ops.step().expect("ops step");
             cycle += 1;
             assert_eq!(
                 interp.state(),
-                compiled.state(),
+                ops.state(),
                 "kernel {} diverged at cycle {cycle}",
                 kernel.name
             );
@@ -37,7 +36,7 @@ fn vliw_suite_agrees_cycle_by_cycle() {
             assert!(cycle < kernel.max_steps, "kernel {} never halts", kernel.name);
         }
         kernels::verify_kernel(&wb, &kernel, &interp);
-        kernels::verify_kernel(&wb, &kernel, &compiled);
+        kernels::verify_kernel(&wb, &kernel, &ops);
     }
 }
 
@@ -47,17 +46,16 @@ fn accu_suite_agrees_cycle_by_cycle() {
     for kernel in kernels::accu_suite() {
         let mut interp =
             kernels::load_kernel(&wb, &kernel, SimMode::Interpretive).expect("interp loads");
-        let mut compiled =
-            kernels::load_kernel(&wb, &kernel, SimMode::Compiled).expect("compiled loads");
+        let mut ops = kernels::load_kernel(&wb, &kernel, SimMode::Ops).expect("ops loads");
         let halt = wb.model().resource_by_name("halt").unwrap().clone();
         let mut cycle = 0u64;
         loop {
             interp.step().expect("interp step");
-            compiled.step().expect("compiled step");
+            ops.step().expect("ops step");
             cycle += 1;
             assert_eq!(
                 interp.state(),
-                compiled.state(),
+                ops.state(),
                 "kernel {} diverged at cycle {cycle}",
                 kernel.name
             );
@@ -67,7 +65,7 @@ fn accu_suite_agrees_cycle_by_cycle() {
             assert!(cycle < kernel.max_steps, "kernel {} never halts", kernel.name);
         }
         kernels::verify_kernel(&wb, &kernel, &interp);
-        kernels::verify_kernel(&wb, &kernel, &compiled);
+        kernels::verify_kernel(&wb, &kernel, &ops);
     }
 }
 
@@ -76,18 +74,34 @@ fn statistics_agree_between_backends() {
     let wb = vliw62::workbench().expect("builds");
     let kernel = kernels::vliw_dot_product(16);
     let (interp, c1) = kernels::run_kernel(&wb, &kernel, SimMode::Interpretive).unwrap();
-    let (compiled, c2) = kernels::run_kernel(&wb, &kernel, SimMode::Compiled).unwrap();
+    let (ops, c2) = kernels::run_kernel(&wb, &kernel, SimMode::Ops).unwrap();
     assert_eq!(c1, c2);
-    let (si, sc) = (interp.stats(), compiled.stats());
+    let (si, sc) = (interp.stats(), ops.stats());
     assert_eq!(si.cycles, sc.cycles);
     assert_eq!(si.executed_ops, sc.executed_ops);
     assert_eq!(si.decodes, sc.decodes);
     assert_eq!(si.activations, sc.activations);
     assert_eq!(si.stalls, sc.stalls);
     assert_eq!(si.flushes, sc.flushes);
-    // The only permitted difference: the compiled backend's decode cache.
+    // The only permitted difference: the ops backend's decode cache.
     assert_eq!(si.decode_cache_hits, 0);
     assert_eq!(sc.decode_cache_hits, sc.decodes);
+}
+
+/// `SimMode::Compiled` is the paper's name for the ops backend: a
+/// simulator built with it is an ops simulator in every observable way.
+#[test]
+fn compiled_mode_is_an_alias_of_ops() {
+    for (wb, suite) in kernels::full_matrix().expect("models build") {
+        let kernel = &suite[0];
+        let (alias, c1) = kernels::run_kernel(&wb, kernel, SimMode::Compiled).unwrap();
+        let (ops, c2) = kernels::run_kernel(&wb, kernel, SimMode::Ops).unwrap();
+        assert_eq!(c1, c2, "{}", kernel.name);
+        assert_eq!(alias.state().digest(), ops.state().digest(), "{}", kernel.name);
+        assert_eq!(alias.stats(), ops.stats(), "{}", kernel.name);
+        assert_eq!(alias.mode(), SimMode::Ops, "{}", kernel.name);
+        assert_eq!(ops.mode(), SimMode::Ops, "{}", kernel.name);
+    }
 }
 
 #[test]
@@ -130,7 +144,7 @@ fn random_programs_agree_between_backends() {
         let (words, _) = vliw62::assemble_packets(&wb, &packet_refs).expect("assembles");
 
         let mut sims = Vec::new();
-        for mode in [SimMode::Interpretive, SimMode::Compiled] {
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
             let mut sim = wb.simulator(mode).expect("sim");
             sim.load_program("pmem", &words).unwrap();
             let halt = wb.model().resource_by_name("halt").unwrap().clone();

@@ -69,7 +69,7 @@ fn run_to_halt(wb: &Workbench, sim: &mut Simulator<'_>) {
 #[test]
 fn interrupt_is_serviced_and_execution_resumes_precisely() {
     let wb = vliw62::workbench().expect("builds");
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = load(&wb, mode);
         // Let setup + some loop iterations run, raise line 0, continue.
         sim.run(40).unwrap();
@@ -87,22 +87,22 @@ fn interrupt_is_serviced_and_execution_resumes_precisely() {
 fn backends_agree_through_an_interrupt() {
     let wb = vliw62::workbench().expect("builds");
     let mut interp = load(&wb, SimMode::Interpretive);
-    let mut compiled = load(&wb, SimMode::Compiled);
+    let mut ops = load(&wb, SimMode::Ops);
     for cycle in 0..200 {
         if cycle == 45 {
             raise(&mut interp, 1);
-            raise(&mut compiled, 1);
+            raise(&mut ops, 1);
         }
         interp.step().unwrap();
-        compiled.step().unwrap();
-        assert_eq!(interp.state(), compiled.state(), "diverged at cycle {cycle}");
+        ops.step().unwrap();
+        assert_eq!(interp.state(), ops.state(), "diverged at cycle {cycle}");
     }
 }
 
 #[test]
 fn masked_lines_are_ignored() {
     let wb = vliw62::workbench().expect("builds");
-    let mut sim = load(&wb, SimMode::Compiled);
+    let mut sim = load(&wb, SimMode::Ops);
     sim.run(40).unwrap();
     raise(&mut sim, 0b0100); // line 2: not in IER (mask 3)
     run_to_halt(&wb, &mut sim);
@@ -153,7 +153,7 @@ isr:    ADDK B5, 1
     let image = lisa::asm::Assembler::with_packet(wb.model(), vliw62::FETCH_PACKET, 1)
         .assemble(program)
         .expect("assembles");
-    let mut sim = wb.simulator(SimMode::Compiled).expect("sim");
+    let mut sim = wb.simulator(SimMode::Ops).expect("sim");
     sim.load_program("pmem", &image.words).unwrap();
     sim.run(30).unwrap();
     raise(&mut sim, 1);

@@ -9,7 +9,7 @@ use lisa::sim::SimMode;
 
 fn cycles_for(wb: &Workbench, packets: &[&[&str]]) -> (u64, i64) {
     let (words, _) = assemble_packets(wb, packets).expect("assembles");
-    let mut sim = wb.simulator(SimMode::Compiled).expect("sim");
+    let mut sim = wb.simulator(SimMode::Ops).expect("sim");
     sim.load_program("pmem", &words).unwrap();
     // Preload a recognisable word in both regions.
     let dmem = wb.model().resource_by_name("dmem").unwrap().clone();
@@ -114,13 +114,13 @@ fn backends_agree_with_wait_states() {
     ];
     let (words, _) = assemble_packets(&wb, &packets).expect("assembles");
     let mut interp = wb.simulator(SimMode::Interpretive).unwrap();
-    let mut compiled = wb.simulator(SimMode::Compiled).unwrap();
-    for sim in [&mut interp, &mut compiled] {
+    let mut ops = wb.simulator(SimMode::Ops).unwrap();
+    for sim in [&mut interp, &mut ops] {
         sim.load_program("pmem", &words).unwrap();
     }
     for cycle in 0..40 {
         interp.step().unwrap();
-        compiled.step().unwrap();
-        assert_eq!(interp.state(), compiled.state(), "diverged at cycle {cycle}");
+        ops.step().unwrap();
+        assert_eq!(interp.state(), ops.state(), "diverged at cycle {cycle}");
     }
 }

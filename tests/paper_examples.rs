@@ -182,7 +182,7 @@ fn example_4_behavior_execution() {
     let asm = lisa::isa::Assembler::new(&model, &decoder);
     let decoded = asm.assemble_instruction("ADD .D A3, A4, A0").expect("assembles");
 
-    for mode in [lisa::sim::SimMode::Interpretive, lisa::sim::SimMode::Compiled] {
+    for mode in [lisa::sim::SimMode::Interpretive, lisa::sim::SimMode::Ops] {
         let mut sim = lisa::sim::Simulator::new(&model, mode).expect("sim");
         let a = model.resource_by_name("A").unwrap().clone();
         sim.state_mut().write_int(&a, &[3], 30).unwrap();

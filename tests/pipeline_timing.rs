@@ -230,7 +230,7 @@ fn overlapping_loads_all_retire() {
         ],
     )
     .expect("assembles");
-    let mut sim = wb.simulator(SimMode::Compiled).expect("sim");
+    let mut sim = wb.simulator(SimMode::Ops).expect("sim");
     sim.load_program("pmem", &words).unwrap();
     let dmem = wb.model().resource_by_name("dmem").unwrap().clone();
     for i in 0..4 {

@@ -56,7 +56,7 @@ fn printed_vliw_model_simulates_identically() {
     let program = ["MVK A2, 6", "MVK A3, 7", "MPY A4, A2, A3", "NOP 2", "SADD A5, A4, A4", "HALT"];
     let mut results = Vec::new();
     for wb in [&original, &printed] {
-        let sim = wb.run_program(&program, lisa::sim::SimMode::Compiled, 1000).expect("runs");
+        let sim = wb.run_program(&program, lisa::sim::SimMode::Ops, 1000).expect("runs");
         let a = wb.model().resource_by_name("A").unwrap();
         let values: Vec<i64> = (0..16).map(|i| sim.state().read_int(a, &[i]).unwrap()).collect();
         results.push((sim.stats().cycles, values));

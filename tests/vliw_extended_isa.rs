@@ -9,7 +9,7 @@ use lisa::sim::{SimMode, Simulator};
 fn run_both<'m>(wb: &'m Workbench, packets: &[&[&str]]) -> Vec<Simulator<'m>> {
     let (words, _) = assemble_packets(wb, packets).expect("assembles");
     let mut sims = Vec::new();
-    for mode in [SimMode::Interpretive, SimMode::Compiled] {
+    for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut sim = wb.simulator(mode).expect("sim");
         sim.load_program("pmem", &words).unwrap();
         wb.run_to_halt(&mut sim, 5_000).expect("halts");
@@ -205,4 +205,19 @@ fn extended_isa_raises_model_statistics() {
     assert!(stats.instructions >= 72, "{stats}");
     assert!(stats.aliases >= 3, "{stats}");
     assert!(stats.operations >= 100, "{stats}");
+}
+
+/// Known deviation 4 (EXPERIMENTS.md): slots of one execute packet run
+/// in slot order, so a later slot reads the value an earlier slot of the
+/// same packet just wrote. The C62x reads all operands before any write
+/// and would leave A2 = 7 + 7 = 14; this test pins today's semantics and
+/// is meant to flip when the deviation is fixed.
+#[test]
+fn later_slot_sees_an_earlier_slot_write_in_the_same_packet() {
+    let wb = vliw62::workbench().expect("builds");
+    let sims = run_both(&wb, &[&["MVK A1, 7"], &["MVK A1, 5", "ADD .L A2, A1, A1"], &["HALT"]]);
+    for sim in &sims {
+        assert_eq!(a_reg(sim, &wb, 1), 5, "{:?}", sim.mode());
+        assert_eq!(a_reg(sim, &wb, 2), 10, "{:?}: ADD saw the new A1", sim.mode());
+    }
 }
