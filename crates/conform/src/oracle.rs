@@ -284,7 +284,7 @@ fn run_traced(wb: &Workbench, image: &[u128], max_cycles: u64) -> Outcome {
         None => return Outcome::Error { message: format!("no halt flag `{}`", wb.halt_flag()) },
     };
     sim.set_trace(true);
-    sim.enable_profile();
+    sim.enable_arch_profile();
     if let Err(e) = sim.load_program(wb.program_memory(), image) {
         return Outcome::Error { message: e.to_string() };
     }

@@ -2,8 +2,7 @@
 
 use std::time::Duration;
 
-use lisa_sim::SimStats;
-use lisa_trace::Profile;
+use lisa_sim::{ArchProfile, SimStats};
 
 use crate::scenario::JobError;
 
@@ -18,9 +17,9 @@ pub struct JobResult {
     /// FNV-1a fingerprint of the final architectural state, for cheap
     /// cross-run and cross-backend comparisons.
     pub state_digest: u64,
-    /// Per-job execution profile, when the scenario asked for one
+    /// Per-job architecture profile, when the scenario asked for one
     /// ([`crate::Scenario::profiled`]).
-    pub profile: Option<Profile>,
+    pub profile: Option<ArchProfile>,
     /// Wall-clock time this job took (setup, run and checks). Excluded
     /// from equality: outcomes stay comparable across runs and worker
     /// counts, while timing describes one particular run.
@@ -156,15 +155,15 @@ impl BatchReport {
     }
 
     /// Folds every successful job's profile into one fleet-level
-    /// [`Profile`] (merge is associative and keyed by names, so jobs
+    /// [`ArchProfile`] (merge is associative and keyed by names, so jobs
     /// over different models combine meaningfully). `None` when no job
     /// carried a profile.
     #[must_use]
-    pub fn merged_profile(&self) -> Option<Profile> {
-        let mut merged: Option<Profile> = None;
+    pub fn merged_profile(&self) -> Option<ArchProfile> {
+        let mut merged: Option<ArchProfile> = None;
         for job in &self.jobs {
             if let Some(profile) = job.result.as_ref().ok().and_then(|r| r.profile.as_ref()) {
-                merged.get_or_insert_with(Profile::new).merge(profile);
+                merged.get_or_insert_with(ArchProfile::new).merge(profile);
             }
         }
         merged
@@ -324,10 +323,10 @@ mod tests {
         let mut r = report();
         assert!(r.merged_profile().is_none(), "no profiles collected");
 
-        let mut pa = Profile::new();
+        let mut pa = ArchProfile::new();
         pa.cycles = 10;
         pa.op_execs.insert("main".into(), 10);
-        let mut pb = Profile::new();
+        let mut pb = ArchProfile::new();
         pb.cycles = 5;
         pb.op_execs.insert("main".into(), 5);
         pb.op_execs.insert("add".into(), 2);

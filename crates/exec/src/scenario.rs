@@ -95,8 +95,8 @@ pub struct Scenario<'m> {
     pub max_steps: u64,
     /// Checkpoint to fork from instead of zeroed reset state.
     pub base: Option<Arc<Snapshot>>,
-    /// Collect a per-instruction [`lisa_trace::Profile`] for this job
-    /// (adds per-event aggregation overhead to the run).
+    /// Collect a [`lisa_sim::ArchProfile`] for this job (adds per-event
+    /// aggregation overhead to the run).
     pub profile: bool,
 }
 
@@ -181,7 +181,7 @@ impl<'m> Scenario<'m> {
         self
     }
 
-    /// Collects a per-instruction execution profile for this job.
+    /// Collects an architecture profile for this job.
     #[must_use]
     pub fn profiled(mut self, profile: bool) -> Self {
         self.profile = profile;
@@ -252,7 +252,7 @@ pub fn run_scenario_with(
         sim.predecode_program_memory();
     }
     if sc.profile {
-        sim.enable_profile();
+        sim.enable_arch_profile();
     }
 
     let cycles = match &sc.halt_flag {
@@ -297,7 +297,7 @@ pub fn run_scenario_with(
         cycles,
         stats: *sim.stats(),
         state_digest: sim.state().digest(),
-        profile: sim.take_profile(),
+        profile: sim.arch_profile(),
         elapsed: started.elapsed(),
     })
 }

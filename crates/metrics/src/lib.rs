@@ -17,7 +17,7 @@
 //! Snapshots [`Snapshot::merge`] associatively (counters and histogram
 //! buckets add; gauges add, fleet-aggregation semantics), so per-worker
 //! or per-shard registries fold into one fleet view in any grouping —
-//! the same contract `lisa_trace::Profile::merge` keeps, and property
+//! the same contract `lisa_probe::ArchProfile::merge` keeps, and property
 //! tests hold it to that. Two exposition formats ship with round-trip
 //! parsers: the Prometheus text format ([`Snapshot::to_prometheus`] /
 //! [`parse_prometheus`]) and JSON ([`Snapshot::to_json`] / the generic

@@ -104,7 +104,7 @@ impl Snapshot {
     ///
     /// Counters and histogram buckets add (saturating); gauges add too —
     /// fleet-aggregation semantics, chosen so merge is **associative and
-    /// commutative** like `lisa_trace::Profile::merge` (property-tested).
+    /// commutative** like `lisa_probe::ArchProfile::merge` (property-tested).
     /// Missing help text is taken from `other`.
     ///
     /// # Panics

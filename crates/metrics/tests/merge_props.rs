@@ -1,5 +1,5 @@
 //! Property tests for the snapshot merge algebra, mirroring the
-//! `Profile::merge` contract: deterministic, associative, commutative,
+//! `ArchProfile::merge` contract: deterministic, associative, commutative,
 //! with the empty snapshot as identity — so fleet aggregation gives the
 //! same answer for any grouping of per-worker registries. Plus
 //! exposition round-trips on generated snapshots.

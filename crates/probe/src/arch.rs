@@ -1,28 +1,42 @@
 //! The mergeable architecture profile.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::heatmap::Heatmap;
 
 /// Aggregated architectural activity over some number of control steps:
-/// per-pipeline-stage occupancy, per-operation execution and activation
-/// (functional-unit utilization) counts, bucketed memory read/write
-/// heatmaps, and per-probe hit counts.
+/// instructions and hot program counters, per-pipeline-stage occupancy,
+/// stalls and flushes, per-operation execution and activation
+/// (functional-unit utilization) counts, register writes, bucketed
+/// memory read/write heatmaps, and per-probe hit counts.
 ///
-/// Like `lisa_trace::Profile`, the profile is an *aggregate*: merging
-/// profiles from different runs (or service requests) is associative
-/// and commutative with [`ArchProfile::default`] as identity, so
-/// per-run profiles fold into fleet-level views in any order. All maps
-/// are ordered, so two profiles of identical activity compare equal —
-/// the property the conformance harness uses to assert backend
+/// The profile is an *aggregate*: merging profiles from different runs
+/// (or service requests) is associative and commutative with
+/// [`ArchProfile::default`] as identity, and profiling a concatenation
+/// of event streams equals merging the per-stream profiles, so per-run
+/// profiles fold into fleet-level views in any order. Keys are names,
+/// not model ids, so profiles of different models merge meaningfully.
+/// All maps are ordered, so two profiles of identical activity compare
+/// equal — the property the conformance harness uses to assert backend
 /// independence.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ArchProfile {
     /// Control steps covered.
     pub cycles: u64,
+    /// Instructions decoded/dispatched (`TraceEvent::Decode` events).
+    pub instructions: u64,
+    /// Writes to register-class resources.
+    pub register_writes: u64,
+    /// Instruction dispatches per program-counter value (inside the
+    /// model's program memory).
+    pub hot_pcs: BTreeMap<i64, u64>,
     /// Operation executions per `"pipeline.stage"` key.
     pub stage_busy: BTreeMap<String, u64>,
+    /// Stall requests that held each `"pipeline.stage"`.
+    pub stage_stalls: BTreeMap<String, u64>,
+    /// Flushes that covered each `"pipeline.stage"`.
+    pub stage_flushes: BTreeMap<String, u64>,
     /// Behavior executions per operation.
     pub op_execs: BTreeMap<String, u64>,
     /// Activations scheduled per *target* operation — in a LISA model
@@ -37,7 +51,7 @@ pub struct ArchProfile {
     pub hits: BTreeMap<String, u64>,
 }
 
-fn merge_counts(into: &mut BTreeMap<String, u64>, from: &BTreeMap<String, u64>) {
+fn merge_counts<K: Ord + Clone>(into: &mut BTreeMap<K, u64>, from: &BTreeMap<K, u64>) {
     for (key, n) in from {
         match into.get_mut(key) {
             Some(slot) => *slot += n,
@@ -46,6 +60,13 @@ fn merge_counts(into: &mut BTreeMap<String, u64>, from: &BTreeMap<String, u64>) 
             }
         }
     }
+}
+
+/// `map`'s entries by descending count, ties by key.
+fn ranked<K: Ord>(map: &BTreeMap<K, u64>) -> Vec<(&K, u64)> {
+    let mut rows: Vec<(&K, u64)> = map.iter().map(|(k, n)| (k, *n)).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    rows
 }
 
 impl ArchProfile {
@@ -61,6 +82,22 @@ impl ArchProfile {
         self.hits.values().sum()
     }
 
+    /// Writes to memory-class resources (every one has a write heatmap).
+    #[must_use]
+    pub fn memory_writes(&self) -> u64 {
+        self.write_heat.values().map(Heatmap::total).sum()
+    }
+
+    /// Instructions per control step (0.0 when no cycles recorded).
+    #[must_use]
+    pub fn ipc(&self) -> f64 {
+        if self.cycles == 0 {
+            0.0
+        } else {
+            self.instructions as f64 / self.cycles as f64
+        }
+    }
+
     /// Whether the profile recorded nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -71,7 +108,12 @@ impl ArchProfile {
     /// commutative; [`ArchProfile::default`] is the identity.
     pub fn merge(&mut self, other: &ArchProfile) {
         self.cycles += other.cycles;
+        self.instructions += other.instructions;
+        self.register_writes += other.register_writes;
+        merge_counts(&mut self.hot_pcs, &other.hot_pcs);
         merge_counts(&mut self.stage_busy, &other.stage_busy);
+        merge_counts(&mut self.stage_stalls, &other.stage_stalls);
+        merge_counts(&mut self.stage_flushes, &other.stage_flushes);
         merge_counts(&mut self.op_execs, &other.op_execs);
         merge_counts(&mut self.unit_activations, &other.unit_activations);
         merge_counts(&mut self.hits, &other.hits);
@@ -83,39 +125,78 @@ impl ArchProfile {
         }
     }
 
-    /// Human-readable report: utilization tables with occupancy
-    /// percentages and one sparkline per memory heatmap.
+    /// Human-readable report: headline counters with IPC, the
+    /// per-operation execution histogram, hot PCs, the per-stage
+    /// occupancy / stall / flush table, unit utilization, one sparkline
+    /// per memory heatmap, and probe hits.
     #[must_use]
     pub fn report(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "architecture profile over {} control steps", self.cycles);
-        let percent = |n: u64| {
-            if self.cycles == 0 {
-                0.0
-            } else {
-                n as f64 * 100.0 / self.cycles as f64
-            }
-        };
-        if !self.stage_busy.is_empty() {
-            let _ = writeln!(out, "pipeline stage occupancy:");
-            for (stage, busy) in &self.stage_busy {
-                let _ = writeln!(out, "  {stage:<18} {busy:>10}  ({:.1}%)", percent(*busy));
+        let execs: u64 = self.op_execs.values().sum();
+        let acts: u64 = self.unit_activations.values().sum();
+        let _ = writeln!(
+            out,
+            "architecture profile over {} control steps: {} instructions ({:.2} instr/cycle)",
+            self.cycles,
+            self.instructions,
+            self.ipc()
+        );
+        let _ = writeln!(
+            out,
+            "{execs} operation executions, {acts} unit activations; \
+             writes: {} register, {} memory",
+            self.register_writes,
+            self.memory_writes()
+        );
+        let ops = ranked(&self.op_execs);
+        if let Some(&(_, max)) = ops.first() {
+            let _ = writeln!(out, "\nper-operation execution histogram:");
+            let name_w = ops.iter().map(|r| r.0.len()).max().unwrap_or(4).max(4);
+            for (name, count) in &ops {
+                let bar = "#".repeat((count * 40).div_ceil(max.max(1)) as usize);
+                let _ = writeln!(out, "  {name:<name_w$} {count:>10}  {bar}");
             }
         }
-        if !self.op_execs.is_empty() {
-            let _ = writeln!(out, "operation executions:");
-            let mut ops: Vec<_> = self.op_execs.iter().collect();
-            ops.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-            for (op, execs) in ops {
-                let _ = writeln!(out, "  {op:<18} {execs:>10}");
+        let hot: Vec<_> = ranked(&self.hot_pcs).into_iter().take(10).collect();
+        if !hot.is_empty() {
+            let _ = writeln!(out, "\nhot PCs (top {}):", hot.len());
+            for (pc, count) in &hot {
+                let _ = writeln!(out, "  pc {pc:>6}  {count:>10}");
+            }
+        }
+        let stages: BTreeSet<&String> = self
+            .stage_busy
+            .keys()
+            .chain(self.stage_stalls.keys())
+            .chain(self.stage_flushes.keys())
+            .collect();
+        if !stages.is_empty() {
+            let key_w = stages.iter().map(|k| k.len()).max().unwrap_or(5).max(5);
+            let _ = writeln!(
+                out,
+                "\n{:<key_w$} {:>10} {:>8} {:>8} {:>8}",
+                "stage", "occupied", "(%)", "stalls", "flushes"
+            );
+            let get = |map: &BTreeMap<String, u64>, key: &str| map.get(key).copied().unwrap_or(0);
+            for key in stages {
+                let busy = get(&self.stage_busy, key);
+                let percent =
+                    if self.cycles == 0 { 0.0 } else { busy as f64 * 100.0 / self.cycles as f64 };
+                let _ = writeln!(
+                    out,
+                    "{key:<key_w$} {busy:>10} {:>8} {:>8} {:>8}",
+                    format!("({percent:.1}%)"),
+                    get(&self.stage_stalls, key),
+                    get(&self.stage_flushes, key)
+                );
             }
         }
         if !self.unit_activations.is_empty() {
-            let _ = writeln!(out, "unit activations:");
-            let mut units: Vec<_> = self.unit_activations.iter().collect();
-            units.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
+            let _ = writeln!(out, "\nunit activations:");
+            let units = ranked(&self.unit_activations);
+            let name_w = units.iter().map(|r| r.0.len()).max().unwrap_or(0).max(18);
             for (unit, n) in units {
-                let _ = writeln!(out, "  {unit:<18} {n:>10}");
+                let _ = writeln!(out, "  {unit:<name_w$} {n:>10}");
             }
         }
         for (title, heat) in
@@ -124,7 +205,7 @@ impl ArchProfile {
             if heat.is_empty() {
                 continue;
             }
-            let _ = writeln!(out, "{title}");
+            let _ = writeln!(out, "\n{title}");
             for (mem, map) in heat {
                 let _ = writeln!(
                     out,
@@ -136,7 +217,7 @@ impl ArchProfile {
             }
         }
         if !self.hits.is_empty() {
-            let _ = writeln!(out, "probe hits ({} total):", self.probe_hits());
+            let _ = writeln!(out, "\nprobe hits ({} total):", self.probe_hits());
             for (label, n) in &self.hits {
                 let _ = writeln!(out, "  {label:<24} {n:>10}");
             }
@@ -155,15 +236,7 @@ impl ArchProfile {
             ("unit_activations", &self.unit_activations),
             ("hits", &self.hits),
         ] {
-            let _ = write!(s, ",\"{key}\":{{");
-            for (i, (name, n)) in map.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, name);
-                let _ = write!(s, ":{n}");
-            }
-            s.push('}');
+            json_counts(&mut s, key, map);
         }
         for (key, heat) in [("read_heat", &self.read_heat), ("write_heat", &self.write_heat)] {
             let _ = write!(s, ",\"{key}\":{{");
@@ -188,9 +261,30 @@ impl ArchProfile {
             }
             s.push('}');
         }
+        let _ = write!(
+            s,
+            ",\"instructions\":{},\"register_writes\":{}",
+            self.instructions, self.register_writes
+        );
+        json_counts(&mut s, "stage_stalls", &self.stage_stalls);
+        json_counts(&mut s, "stage_flushes", &self.stage_flushes);
+        json_counts(&mut s, "hot_pcs", &self.hot_pcs);
         s.push('}');
         s
     }
+}
+
+/// Appends `,"key":{"name":n,...}`.
+fn json_counts<K: std::fmt::Display>(out: &mut String, key: &str, map: &BTreeMap<K, u64>) {
+    let _ = write!(out, ",\"{key}\":{{");
+    for (i, (name, n)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json_string(out, &name.to_string());
+        let _ = write!(out, ":{n}");
+    }
+    out.push('}');
 }
 
 /// Appends `text` as a JSON string literal with the escapes JSON
@@ -220,7 +314,13 @@ mod tests {
     fn sample() -> ArchProfile {
         let mut p = ArchProfile::new();
         p.cycles = 100;
+        p.instructions = 50;
+        p.register_writes = 7;
+        p.hot_pcs.insert(4, 30);
+        p.hot_pcs.insert(5, 20);
         p.stage_busy.insert("pipe.EX".into(), 40);
+        p.stage_stalls.insert("pipe.FE".into(), 2);
+        p.stage_flushes.insert("pipe.FE".into(), 1);
         p.op_execs.insert("add".into(), 40);
         p.unit_activations.insert("mac".into(), 12);
         p.hits.insert("watch dmem".into(), 3);
@@ -236,12 +336,18 @@ mod tests {
         let mut a = sample();
         a.merge(&sample());
         assert_eq!(a.cycles, 200);
+        assert_eq!(a.instructions, 100);
+        assert_eq!(a.register_writes, 14);
+        assert_eq!(a.hot_pcs[&4], 60);
         assert_eq!(a.stage_busy["pipe.EX"], 80);
+        assert_eq!(a.stage_stalls["pipe.FE"], 4);
+        assert_eq!(a.stage_flushes["pipe.FE"], 2);
         assert_eq!(a.op_execs["add"], 80);
         assert_eq!(a.unit_activations["mac"], 24);
         assert_eq!(a.hits["watch dmem"], 6);
         assert_eq!(a.probe_hits(), 6);
         assert_eq!(a.write_heat["dmem"].total(), 4);
+        assert_eq!(a.memory_writes(), 4);
     }
 
     #[test]
@@ -260,13 +366,21 @@ mod tests {
     fn report_covers_every_section() {
         let text = sample().report();
         assert!(text.contains("100 control steps"));
+        assert!(text.contains("50 instructions (0.50 instr/cycle)"));
+        assert!(text.contains("writes: 7 register, 2 memory"));
+        assert!(text.contains("per-operation execution histogram"));
+        assert!(text.contains("hot PCs (top 2):\n  pc      4          30\n  pc      5"));
         assert!(text.contains("pipe.EX"));
         assert!(text.contains("(40.0%)"));
-        assert!(text.contains("add"));
+        let fe = text.lines().find(|l| l.starts_with("pipe.FE")).expect("stage row");
+        assert_eq!(fe.split_whitespace().collect::<Vec<_>>(), ["pipe.FE", "0", "(0.0%)", "2", "1"]);
         assert!(text.contains("mac"));
         assert!(text.contains("dmem"));
         assert!(text.contains("watch dmem"));
         assert!(text.contains("cells/bucket"));
+        for section in ["histogram", "hot PCs", "stalls", "unit activations:", "memory writes:"] {
+            assert_eq!(text.matches(section).count(), 1, "{section} printed once:\n{text}");
+        }
     }
 
     #[test]
@@ -278,6 +392,10 @@ mod tests {
         assert!(json.contains("\"pipe.EX\":40"));
         assert!(json.contains("\"bucket_size\":4"));
         assert!(json.contains("\"watch dmem\":3"));
+        assert!(json.contains("\"instructions\":50,\"register_writes\":7"));
+        assert!(json.contains("\"stage_stalls\":{\"pipe.FE\":2}"));
+        assert!(json.contains("\"stage_flushes\":{\"pipe.FE\":1}"));
+        assert!(json.contains("\"hot_pcs\":{\"4\":30,\"5\":20}"));
         let empty = ArchProfile::default().to_json();
         assert!(empty.contains("\"cycles\":0"));
         assert!(empty.contains("\"read_heat\":{}"));

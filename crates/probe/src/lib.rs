@@ -14,11 +14,12 @@
 //!   [compiled](ProbeSpec::compile) against a model into a [`ProbeSet`]
 //!   of pre-resolved flat storage indices, so the hot loop never
 //!   touches a name.
-//! * [`ArchProfile`] — an always-mergeable aggregate of per-stage
-//!   occupancy, per-operation activation utilization, and bucketed
-//!   memory read/write [`Heatmap`]s. Like `lisa_trace::Profile`, merge
-//!   is associative with the empty profile as identity, so per-run
-//!   profiles fold into fleet- or service-level views in any order.
+//! * [`ArchProfile`] — the one mergeable execution profile: IPC and hot
+//!   PCs, per-stage occupancy, stalls and flushes, per-operation
+//!   execution and activation utilization, and bucketed memory
+//!   read/write [`Heatmap`]s. Merge is associative and commutative with
+//!   the empty profile as identity, so per-run profiles fold into
+//!   fleet- or service-level views in any order.
 //! * [`ProbeRuntime`] — the per-simulator state the backends drive:
 //!   it consumes the simulator's own trace events (so probe semantics
 //!   are backend-independent by construction), emits
@@ -26,8 +27,8 @@
 //!   breakpoint stops, and accumulates the profile.
 //!
 //! The conformance harness asserts that probe hit streams and
-//! `ArchProfile` contents are byte-identical across the interpretive,
-//! compiled and threaded micro-op backends.
+//! `ArchProfile` contents are identical across the interpretive and the
+//! translated micro-op backend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

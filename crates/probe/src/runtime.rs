@@ -1,5 +1,7 @@
 //! The per-simulator probe engine the backends drive.
 
+use std::ops::Range;
+
 use lisa_core::model::{OpId, PipelineId};
 use lisa_trace::{NameTable, TraceEvent};
 
@@ -13,7 +15,8 @@ const MAX_HEAT_BUCKETS: u64 = 64;
 
 /// Per-simulator probe state: the compiled [`ProbeSet`], id-indexed
 /// architecture counters (folded to names only when the profile is
-/// taken), per-probe hit counts, and the latched breakpoint stop.
+/// taken) with the cycle they started at, per-probe hit counts, and the
+/// latched breakpoint stop.
 ///
 /// The runtime consumes the simulator's own trace events — the same
 /// stream the lockstep oracle already proves mode-independent — so
@@ -24,14 +27,22 @@ const MAX_HEAT_BUCKETS: u64 = 64;
 pub struct ProbeRuntime {
     set: ProbeSet,
     arch: bool,
+    /// Cycle counter value the profile counters started at.
+    start: u64,
+    /// Instructions decoded/dispatched.
+    instructions: u64,
+    /// Writes to register-class resources.
+    register_writes: u64,
     /// Behavior executions by [`OpId`].
     op_execs: Vec<u64>,
     /// Activations by target [`OpId`].
     unit_acts: Vec<u64>,
-    /// Stage occupancy, flattened over all pipelines.
-    stage_busy: Vec<u64>,
-    /// First `stage_busy` slot of each pipeline.
+    /// Per-stage counters, flattened over all pipelines.
+    stages: Vec<StageCounts>,
+    /// First `stages` slot of each pipeline, plus the total at the end.
     pipe_base: Vec<usize>,
+    /// Dispatches per program-counter value, offset by the window base.
+    hot_pcs: Vec<u64>,
     /// Read/write heatmaps by heat slot.
     read_heat: Vec<Heatmap>,
     write_heat: Vec<Heatmap>,
@@ -41,18 +52,27 @@ pub struct ProbeRuntime {
     stop: Option<(u16, i64)>,
 }
 
+/// What one pipeline stage did.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageCounts {
+    busy: u64,
+    stalls: u64,
+    flushes: u64,
+}
+
 impl ProbeRuntime {
     /// Builds the runtime for a compiled probe set. `names` must be the
     /// name table of the model the set was compiled against (it sizes
     /// the id-indexed counters).
     #[must_use]
     pub fn new(set: ProbeSet, names: &NameTable) -> ProbeRuntime {
-        let mut pipe_base = Vec::with_capacity(names.pipelines.len());
+        let mut pipe_base = Vec::with_capacity(names.pipelines.len() + 1);
         let mut stages = 0usize;
         for (_, stage_names) in &names.pipelines {
             pipe_base.push(stages);
             stages += stage_names.len();
         }
+        pipe_base.push(stages);
         let seeded: Vec<Heatmap> = set
             .heat
             .iter()
@@ -60,10 +80,14 @@ impl ProbeRuntime {
             .collect();
         ProbeRuntime {
             arch: false,
+            start: 0,
+            instructions: 0,
+            register_writes: 0,
             op_execs: vec![0; names.ops.len()],
             unit_acts: vec![0; names.ops.len()],
-            stage_busy: vec![0; stages],
+            stages: vec![StageCounts::default(); stages],
             pipe_base,
+            hot_pcs: vec![0; set.pc_window.1],
             read_heat: seeded.clone(),
             write_heat: seeded,
             hit_counts: vec![0; set.len()],
@@ -78,16 +102,61 @@ impl ProbeRuntime {
         &self.set
     }
 
+    /// Replaces the probe set. Hit counts restart at zero for the new
+    /// probes; the architecture counters and their start cycle are
+    /// untouched. `set` must be compiled against the same model.
+    pub fn set_probes(&mut self, set: ProbeSet) {
+        self.hit_counts = vec![0; set.len()];
+        self.stop = None;
+        self.set = set;
+    }
+
     /// Turns architecture profiling (utilization counters + heatmaps)
-    /// on. Watchpoints and breakpoints work either way.
-    pub fn enable_arch(&mut self) {
+    /// on, restarting the profile from zero at cycle `now` (see
+    /// [`ProbeRuntime::restart`]). Watchpoints and breakpoints work
+    /// either way.
+    pub fn enable_arch(&mut self, now: u64) {
         self.arch = true;
+        self.restart(now);
     }
 
     /// Whether architecture profiling is on.
     #[must_use]
     pub fn arch_enabled(&self) -> bool {
         self.arch
+    }
+
+    /// Zeroes every counter — the profile's and the probe hit counts —
+    /// and starts them at cycle `now`, so nothing recorded before `now`
+    /// (e.g. on a timeline a snapshot restore discarded) is reported.
+    pub fn restart(&mut self, now: u64) {
+        self.start = now;
+        self.instructions = 0;
+        self.register_writes = 0;
+        self.op_execs.fill(0);
+        self.unit_acts.fill(0);
+        self.stages.fill(StageCounts::default());
+        self.hot_pcs.fill(0);
+        for heat in self.read_heat.iter_mut().chain(&mut self.write_heat) {
+            heat.counts.clear();
+        }
+        self.hit_counts.fill(0);
+    }
+
+    /// The `stages` slots of `pipe` (empty for an unknown pipeline).
+    fn pipe_slots(&self, pipe: PipelineId) -> Range<usize> {
+        match self.pipe_base.get(pipe.0..=pipe.0 + 1) {
+            Some(&[base, end]) => base..end,
+            _ => 0..0,
+        }
+    }
+
+    /// The `stages` slots of stages `0..=upto` of `pipe` (the whole
+    /// pipeline when `upto` is `None`), clamped to its depth.
+    fn held_slots(&self, pipe: PipelineId, upto: Option<u16>) -> Range<usize> {
+        let all = self.pipe_slots(pipe);
+        let end = upto.map_or(all.end, |s| (all.start + usize::from(s) + 1).min(all.end));
+        all.start..end
     }
 
     /// Consumes one simulator trace event: accumulates utilization
@@ -107,23 +176,44 @@ impl ProbeRuntime {
                 self.match_write(cycle, resource, addr, value, &mut emit);
             }
             TraceEvent::RegisterWrite { cycle, resource, addr, value } => {
+                if self.arch {
+                    self.register_writes += 1;
+                }
                 self.match_write(cycle, resource, addr, value, &mut emit);
+            }
+            TraceEvent::Decode { pc, .. } if self.arch => {
+                self.instructions += 1;
+                let slot =
+                    pc.checked_sub(self.set.pc_window.0).and_then(|i| usize::try_from(i).ok());
+                if let Some(count) = slot.and_then(|i| self.hot_pcs.get_mut(i)) {
+                    *count += 1;
+                }
             }
             TraceEvent::Exec { op, stage, .. } if self.arch => {
                 if let Some(slot) = self.op_execs.get_mut(op.0) {
                     *slot += 1;
                 }
                 if let Some((pipe, s)) = stage {
-                    if let Some(&base) = self.pipe_base.get(pipe.0) {
-                        if let Some(slot) = self.stage_busy.get_mut(base + usize::from(s)) {
-                            *slot += 1;
-                        }
+                    let slots = self.pipe_slots(pipe);
+                    let slot = slots.start + usize::from(s);
+                    if slots.contains(&slot) {
+                        self.stages[slot].busy += 1;
                     }
                 }
             }
             TraceEvent::Activation { to, .. } if self.arch => {
                 if let Some(slot) = self.unit_acts.get_mut(to.0) {
                     *slot += 1;
+                }
+            }
+            TraceEvent::Stall { pipe, upto, .. } if self.arch => {
+                for slot in self.held_slots(pipe, Some(upto)) {
+                    self.stages[slot].stalls += 1;
+                }
+            }
+            TraceEvent::Flush { pipe, upto, .. } if self.arch => {
+                for slot in self.held_slots(pipe, upto) {
+                    self.stages[slot].flushes += 1;
                 }
             }
             _ => {}
@@ -200,10 +290,16 @@ impl ProbeRuntime {
     }
 
     /// Folds the id-indexed counters into a named, mergeable
-    /// [`ArchProfile`] covering `cycles` control steps. Non-destructive.
+    /// [`ArchProfile`] covering the control steps from the profile's
+    /// start to cycle `now`. Non-destructive.
     #[must_use]
-    pub fn arch_profile(&self, names: &NameTable, cycles: u64) -> ArchProfile {
-        let mut profile = ArchProfile { cycles, ..ArchProfile::default() };
+    pub fn arch_profile(&self, names: &NameTable, now: u64) -> ArchProfile {
+        let mut profile = ArchProfile {
+            cycles: now.saturating_sub(self.start),
+            instructions: self.instructions,
+            register_writes: self.register_writes,
+            ..ArchProfile::default()
+        };
         for (i, &n) in self.op_execs.iter().enumerate() {
             if n > 0 {
                 profile.op_execs.insert(names.op(OpId(i)).to_owned(), n);
@@ -214,13 +310,24 @@ impl ProbeRuntime {
                 profile.unit_activations.insert(names.op(OpId(i)).to_owned(), n);
             }
         }
-        for (p, &base) in self.pipe_base.iter().enumerate() {
-            let depth = names.pipelines.get(p).map_or(0, |(_, s)| s.len());
-            for s in 0..depth {
-                let busy = self.stage_busy[base + s];
-                if busy > 0 {
-                    profile.stage_busy.insert(names.stage_key(PipelineId(p), s), busy);
+        for p in 0..names.pipelines.len() {
+            let slots = self.pipe_slots(PipelineId(p));
+            for (s, c) in self.stages[slots].iter().enumerate() {
+                for (map, n) in [
+                    (&mut profile.stage_busy, c.busy),
+                    (&mut profile.stage_stalls, c.stalls),
+                    (&mut profile.stage_flushes, c.flushes),
+                ] {
+                    if n > 0 {
+                        map.insert(names.stage_key(PipelineId(p), s), n);
+                    }
                 }
+            }
+        }
+        let base = self.set.pc_window.0;
+        for (i, &n) in self.hot_pcs.iter().enumerate() {
+            if n > 0 {
+                profile.hot_pcs.insert(base + i as i64, n);
             }
         }
         for (slot, (name, _)) in self.set.heat.iter().enumerate() {
@@ -254,6 +361,7 @@ mod tests {
                 PROGRAM_COUNTER int pc;
                 REGISTER int acc;
                 DATA_MEMORY int dmem[256];
+                PROGRAM_MEMORY int pmem[4..19];
                 PIPELINE pipe = { FE; EX };
             }
             OPERATION main { BEHAVIOR { pc = pc + 1; } }
@@ -327,20 +435,35 @@ mod tests {
     #[test]
     fn arch_profile_folds_ids_back_to_names() {
         let (mut rt, names, model) = runtime("watch dmem[0..4]");
-        rt.enable_arch();
+        rt.enable_arch(0);
         assert!(rt.arch_enabled());
         let dmem = model.resource_by_name("dmem").unwrap().id;
+        let acc = model.resource_by_name("acc").unwrap().id;
         let main = model.operation_by_name("main").unwrap().id;
-        rt.observe(
-            &TraceEvent::Exec { cycle: 0, op: main, stage: Some((PipelineId(0), 1)), pc: 0 },
-            |_| {},
-        );
-        rt.observe(&TraceEvent::Activation { cycle: 0, from: main, to: main, delay: 1 }, |_| {});
+        let pipe = PipelineId(0);
+        let decode = |pc| TraceEvent::Decode { cycle: 0, pc, word: 1, op: main, cache_hit: false };
         let mut hits = Vec::new();
-        rt.observe(
-            &TraceEvent::MemoryAccess { cycle: 1, resource: dmem, addr: 2, value: 9 },
-            |h| hits.push(h),
-        );
+        for event in [
+            TraceEvent::Exec { cycle: 0, op: main, stage: Some((pipe, 1)), pc: 0 },
+            TraceEvent::Activation { cycle: 0, from: main, to: main, delay: 1 },
+            TraceEvent::MemoryAccess { cycle: 1, resource: dmem, addr: 2, value: 9 },
+            TraceEvent::RegisterWrite { cycle: 1, resource: acc, addr: 0, value: 9 },
+            // PCs 3 and 20 lie outside `pmem[4..19]`: instructions, not hot PCs.
+            decode(4),
+            decode(19),
+            decode(19),
+            decode(3),
+            decode(20),
+            TraceEvent::Stall { cycle: 1, pipe, upto: 0 },
+            // Stalls and flushes past the last stage clamp to the depth;
+            // unknown pipelines are ignored.
+            TraceEvent::Stall { cycle: 1, pipe, upto: 9 },
+            TraceEvent::Flush { cycle: 2, pipe, upto: None, discarded: 1 },
+            TraceEvent::Flush { cycle: 2, pipe, upto: Some(0), discarded: 0 },
+            TraceEvent::Stall { cycle: 2, pipe: PipelineId(7), upto: 0 },
+        ] {
+            rt.observe(&event, |h| hits.push(h));
+        }
         assert_eq!(hits.len(), 1);
         rt.observe_read(dmem.0, 200);
         rt.observe_read(dmem.0, 201);
@@ -353,6 +476,12 @@ mod tests {
         assert_eq!(profile.read_heat["dmem"].total(), 2);
         assert_eq!(profile.hits["watch dmem[0..4]"], 1);
         assert_eq!(profile.probe_hits(), 1);
+        assert_eq!(profile.register_writes, 1);
+        assert_eq!(profile.instructions, 5);
+        assert_eq!(profile.hot_pcs.into_iter().collect::<Vec<_>>(), [(4, 1), (19, 2)]);
+        for per_stage in [&profile.stage_stalls, &profile.stage_flushes] {
+            assert_eq!(per_stage.values().collect::<Vec<_>>(), [&1, &2], "EX, FE");
+        }
     }
 
     #[test]
@@ -374,7 +503,7 @@ mod tests {
     #[test]
     fn reads_of_non_memory_resources_are_ignored() {
         let (mut rt, names, model) = runtime("");
-        rt.enable_arch();
+        rt.enable_arch(0);
         let acc = model.resource_by_name("acc").unwrap().id;
         rt.observe_read(acc.0, 0);
         rt.observe_read(ResourceId(99).0, 0);

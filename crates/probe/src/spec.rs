@@ -246,6 +246,10 @@ impl ProbeSpec {
     }
 }
 
+/// Cap on the hot-PC table: program counters past this many words of
+/// program memory are counted as instructions but not attributed.
+pub(crate) const MAX_HOT_PCS: usize = 1 << 16;
+
 /// A spec compiled against one model: watch tables indexed by resource
 /// id, sorted PC breakpoint/tracepoint tables, and the memory-heatmap
 /// layout. Everything the hot path touches is a pre-resolved index.
@@ -263,6 +267,9 @@ pub struct ProbeSet {
     pub(crate) heat_slot: Vec<Option<u16>>,
     /// Heatmap slot layout: `(resource name, element count)`.
     pub(crate) heat: Vec<(String, u64)>,
+    /// Hot-PC table window: first address and word count of the
+    /// model's program memory (capped at [`MAX_HOT_PCS`] words).
+    pub(crate) pc_window: (i64, usize),
     /// Human-readable label per probe id.
     pub(crate) labels: Vec<String>,
 }
@@ -276,11 +283,17 @@ impl ProbeSet {
         let mut heat_slot = vec![None; n];
         let mut heat = Vec::new();
         let mut pc_res = None;
+        let mut pc_window = None;
         for res in model.resources() {
             match res.class {
                 ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
                     heat_slot[res.id.0] = Some(heat.len() as u16);
                     heat.push((res.name.clone(), res.element_count()));
+                    if res.class == ResourceClass::ProgramMemory {
+                        let base = res.dims.first().map_or(0, |d| d.base());
+                        let words = res.element_count().min(MAX_HOT_PCS as u64) as usize;
+                        pc_window.get_or_insert((i64::try_from(base).unwrap_or(i64::MAX), words));
+                    }
                 }
                 ResourceClass::ProgramCounter => {
                     pc_res.get_or_insert(res.id.0);
@@ -295,6 +308,7 @@ impl ProbeSet {
             pc_res,
             heat_slot,
             heat,
+            pc_window: pc_window.unwrap_or((0, 0)),
             labels: Vec::new(),
         }
     }

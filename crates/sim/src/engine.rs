@@ -23,7 +23,7 @@ use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 use lisa_isa::{Decoded, Decoder};
 use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
-use lisa_trace::{CollectingSink, NameTable, Profile, TraceEvent, TraceSink};
+use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledTables;
 use crate::fasthash::FastMap;
@@ -78,16 +78,10 @@ pub(crate) struct Observer {
     pub names: NameTable,
     /// Event consumer, when tracing is enabled.
     pub sink: Option<Box<dyn TraceSink>>,
-    /// In-progress profile, when profiling is enabled.
-    pub profile: Option<Profile>,
-    /// Cycle counter value when profiling was (re)started.
-    pub profile_start: u64,
-    /// Architectural probes (watchpoints, PC probes, arch profiling),
-    /// when installed. The runtime consumes the same event stream the
-    /// sink and profile see, so probe semantics are backend-independent.
+    /// Architectural probes and the architecture profile, when
+    /// installed. The runtime consumes the same event stream the sink
+    /// sees, so probe semantics are backend-independent.
     pub probes: Option<Box<ProbeRuntime>>,
-    /// Cycle counter value when architecture profiling was enabled.
-    pub arch_start: u64,
 }
 
 /// Why [`Simulator::run_until`] stopped.
@@ -296,25 +290,14 @@ impl<'m> Simulator<'m> {
 
     fn observer_mut(&mut self) -> &mut Observer {
         self.observer.get_or_insert_with(|| {
-            Box::new(Observer {
-                names: NameTable::of(self.model),
-                sink: None,
-                profile: None,
-                profile_start: 0,
-                probes: None,
-                arch_start: 0,
-            })
+            Box::new(Observer { names: NameTable::of(self.model), sink: None, probes: None })
         })
     }
 
     /// Drops the observer box again when tracing, profiling and probing
     /// are all off, restoring the single-`None` fast path.
     fn shrink_observer(&mut self) {
-        if self
-            .observer
-            .as_ref()
-            .is_some_and(|o| o.sink.is_none() && o.profile.is_none() && o.probes.is_none())
-        {
+        if self.observer.as_ref().is_some_and(|o| o.sink.is_none() && o.probes.is_none()) {
             self.observer = None;
         }
     }
@@ -323,7 +306,7 @@ impl<'m> Simulator<'m> {
     ///
     /// Enabling installs a [`CollectingSink`] unless a sink is already
     /// present; disabling removes the sink (events buffered in it are
-    /// dropped) but leaves an active profile running.
+    /// dropped) but leaves an active architecture profile running.
     pub fn set_trace(&mut self, enabled: bool) {
         if enabled {
             let obs = self.observer_mut();
@@ -373,42 +356,20 @@ impl<'m> Simulator<'m> {
         sink.drain().iter().map(|e| obs.names.line(e)).collect()
     }
 
-    /// Starts (or restarts) per-instruction profiling from this cycle.
-    pub fn enable_profile(&mut self) {
-        let cycles = self.stats.cycles;
-        let obs = self.observer_mut();
-        obs.profile = Some(Profile::new());
-        obs.profile_start = cycles;
-    }
-
-    /// Stops profiling and returns the profile, with
-    /// [`Profile::cycles`] set to the control steps covered since
-    /// [`Simulator::enable_profile`]. `None` when profiling was off.
-    pub fn take_profile(&mut self) -> Option<Profile> {
-        let cycles = self.stats.cycles;
-        let profile = self.observer.as_mut().and_then(|o| {
-            let mut p = o.profile.take()?;
-            p.cycles = cycles.saturating_sub(o.profile_start);
-            Some(p)
-        });
-        self.shrink_observer();
-        profile
-    }
-
     /// Installs a compiled probe set (watchpoints, PC breakpoints and
     /// tracepoints). Matched watch/trace probes emit
     /// [`TraceEvent::ProbeHit`] into the trace stream; `break` probes
     /// additionally stop [`Simulator::run_until`] with
-    /// [`StopReason::Breakpoint`]. Replaces any previously installed
-    /// set (its hit counts are discarded).
+    /// [`StopReason::Breakpoint`]. `set` must be compiled against this
+    /// simulator's model. Replaces any previously installed set: hit
+    /// counts restart at zero for the new probes, while a running
+    /// architecture profile keeps its counters and start cycle.
     pub fn set_probes(&mut self, set: ProbeSet) {
         let obs = self.observer_mut();
-        let arch = obs.probes.as_ref().is_some_and(|p| p.arch_enabled());
-        let mut runtime = ProbeRuntime::new(set, &obs.names);
-        if arch {
-            runtime.enable_arch();
+        match obs.probes.as_mut() {
+            Some(runtime) => runtime.set_probes(set),
+            None => obs.probes = Some(Box::new(ProbeRuntime::new(set, &obs.names))),
         }
-        obs.probes = Some(Box::new(runtime));
     }
 
     /// Removes the installed probes (and any architecture profile they
@@ -426,24 +387,26 @@ impl<'m> Simulator<'m> {
         self.observer.as_ref().is_some_and(|o| o.probes.is_some())
     }
 
-    /// Starts architecture profiling (utilization counters and memory
-    /// heatmaps) from this cycle. Installs an empty probe set first if
-    /// none is present, so profiling works without any probes.
+    /// Starts architecture profiling — instructions, hot PCs, stage
+    /// occupancy/stalls/flushes, utilization counters and memory
+    /// heatmaps — from this cycle. Installs an empty probe set first if
+    /// none is present, so profiling works without any probes. On a
+    /// running profile this restarts it from zero at the current cycle,
+    /// probe hit counts included.
     pub fn enable_arch_profile(&mut self) {
         let cycles = self.stats.cycles;
         let empty = ProbeSet::empty(self.model);
         let obs = self.observer_mut();
         let runtime =
             obs.probes.get_or_insert_with(|| Box::new(ProbeRuntime::new(empty, &obs.names)));
-        runtime.enable_arch();
-        obs.arch_start = cycles;
+        runtime.enable_arch(cycles);
     }
 
     /// The architecture profile accumulated since
-    /// [`Simulator::enable_arch_profile`], with [`ArchProfile::cycles`]
-    /// set to the control steps covered. Non-destructive — probes stay
-    /// installed and keep accumulating. `None` when arch profiling is
-    /// off.
+    /// [`Simulator::enable_arch_profile`] (or the last
+    /// [`Simulator::restore`]), with [`ArchProfile::cycles`] set to the
+    /// control steps covered. Non-destructive — probes stay installed
+    /// and keep accumulating. `None` when arch profiling is off.
     #[must_use]
     pub fn arch_profile(&self) -> Option<ArchProfile> {
         let obs = self.observer.as_ref()?;
@@ -451,10 +414,11 @@ impl<'m> Simulator<'m> {
         if !runtime.arch_enabled() {
             return None;
         }
-        Some(runtime.arch_profile(&obs.names, self.stats.cycles.saturating_sub(obs.arch_start)))
+        Some(runtime.arch_profile(&obs.names, self.stats.cycles))
     }
 
-    /// Total probe hits recorded since the probe set was installed.
+    /// Total probe hits recorded since the probe set was installed (or
+    /// the architecture profile last restarted).
     #[must_use]
     pub fn probe_hits(&self) -> u64 {
         self.observer.as_ref().and_then(|o| o.probes.as_ref()).map_or(0, |p| p.total_hits())
@@ -500,24 +464,18 @@ impl<'m> Simulator<'m> {
         self.observer.is_some()
     }
 
-    /// Routes an event to the profile, sink and probe runtime. Callers
-    /// guard with [`Simulator::observing`] so event construction itself
-    /// is skipped when observability is off. Probe hits triggered by
-    /// the event are appended to the same stream, directly after it.
+    /// Routes an event to the sink and the probe runtime. Callers guard
+    /// with [`Simulator::observing`] so event construction itself is
+    /// skipped when observability is off. Probe hits triggered by the
+    /// event are appended to the same stream, directly after it.
     pub(crate) fn emit(&mut self, event: TraceEvent) {
         if let Some(obs) = self.observer.as_mut() {
-            let Observer { names, sink, profile, probes, .. } = obs.as_mut();
-            if let Some(profile) = profile.as_mut() {
-                profile.record(names, &event);
-            }
+            let Observer { sink, probes, .. } = obs.as_mut();
             if let Some(sink) = sink.as_mut() {
                 sink.record(&event);
             }
             if let Some(runtime) = probes.as_mut() {
                 runtime.observe(&event, |hit| {
-                    if let Some(profile) = profile.as_mut() {
-                        profile.record(names, &hit);
-                    }
                     if let Some(sink) = sink.as_mut() {
                         sink.record(&hit);
                     }

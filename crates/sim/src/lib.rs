@@ -37,10 +37,10 @@ pub use metrics::publish_stats;
 // Re-exported so simulator users can drive probes/arch-profiling without
 // a separate `lisa-probe` dependency.
 pub use lisa_probe::{publish_arch, ArchProfile, Heatmap, ProbeError, ProbeSet, ProbeSpec};
-// Re-exported so simulator users can drive tracing/profiling without a
-// separate `lisa-trace` dependency.
+// Re-exported so simulator users can drive tracing without a separate
+// `lisa-trace` dependency.
 pub use lisa_trace::{
-    events_to_jsonl, write_vcd, CollectingSink, JsonLinesSink, NameTable, Profile, RingBufferSink,
+    events_to_jsonl, write_vcd, CollectingSink, JsonLinesSink, NameTable, RingBufferSink,
     TraceEvent, TraceKind, TraceSink,
 };
 pub use snapshot::Snapshot;

@@ -133,9 +133,10 @@ impl<'m> Simulator<'m> {
     /// Restores a previously captured snapshot, replacing the current
     /// dynamic state. Observability settings survive: an installed trace
     /// sink stays installed (its buffered events are cleared — traces
-    /// are a debugging aid, not architectural state) and an active
-    /// profile restarts from the restored cycle count, so events and
-    /// profiles never mix pre- and post-restore timelines.
+    /// are a debugging aid, not architectural state) and installed
+    /// probes stay armed, with the architecture profile and probe hit
+    /// counts restarted from zero at the restored cycle count, so events
+    /// and profiles never mix pre- and post-restore timelines.
     ///
     /// The snapshot may come from a simulator in either [`SimMode`]; the
     /// restored simulator keeps its own mode. Restoring an interpretive
@@ -167,9 +168,8 @@ impl<'m> Simulator<'m> {
             if let Some(sink) = obs.sink.as_mut() {
                 sink.clear();
             }
-            if obs.profile.is_some() {
-                obs.profile = Some(lisa_trace::Profile::new());
-                obs.profile_start = self.stats.cycles;
+            if let Some(runtime) = obs.probes.as_mut() {
+                runtime.restart(self.stats.cycles);
             }
         }
         Ok(())
@@ -247,7 +247,7 @@ mod tests {
         let model = counter_model();
         let mut sim = Simulator::new(&model, SimMode::Interpretive).unwrap();
         sim.set_trace(true);
-        sim.enable_profile();
+        sim.enable_arch_profile();
         sim.run(3).unwrap();
         let snap = sim.snapshot();
         sim.run(2).unwrap();
@@ -263,7 +263,7 @@ mod tests {
             events.iter().all(|e| (3..5).contains(&e.cycle())),
             "post-restore events carry only the restored timeline: {events:?}"
         );
-        let profile = sim.take_profile().expect("profiling survives restore");
+        let profile = sim.arch_profile().expect("profiling survives restore");
         assert_eq!(profile.cycles, 2, "profile restarts at the restored cycle count");
         assert_eq!(profile.op_execs["main"], 2);
     }

@@ -3,7 +3,7 @@
 //! and the architectural profile is identical across both backends.
 
 use lisa_core::Model;
-use lisa_sim::{ProbeSpec, SimMode, Simulator, StopReason, TraceEvent};
+use lisa_sim::{ArchProfile, ProbeSpec, SimMode, Simulator, StopReason, TraceEvent};
 
 const TOY: &str = r#"
 RESOURCE {
@@ -240,6 +240,9 @@ fn arch_profile_is_mode_independent() {
         let profile = sim.arch_profile().expect("profile on");
         assert!(profile.cycles > 0, "{mode:?}");
         assert!(!profile.op_execs.is_empty(), "{mode:?}");
+        assert_eq!(profile.instructions, sim.stats().instructions_retired, "{mode:?}");
+        assert_eq!(profile.hot_pcs.values().sum::<u64>(), profile.instructions, "{mode:?}");
+        assert_eq!(profile.hot_pcs[&2], 3, "{mode:?}: the loop body entered three times");
         profiles.push((mode, profile));
     }
     let (_, reference) = &profiles[0];
@@ -282,4 +285,55 @@ fn clearing_probes_stops_hit_emission() {
         sim.take_events().iter().all(|e| !matches!(e, TraceEvent::ProbeHit { .. })),
         "no hits after clear_probes"
     );
+}
+
+/// One step of a profiling sequence.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Run(u64),
+    Enable,
+    Snap,
+    Restore,
+    Watch,
+}
+
+fn play(model: &Model, mode: SimMode, steps: &[Step]) -> ArchProfile {
+    let mut sim = boot(model, mode, &LOOP);
+    let mut snapshot = None;
+    for step in steps {
+        match *step {
+            Step::Run(n) => {
+                sim.run(n).expect("runs");
+            }
+            Step::Enable => sim.enable_arch_profile(),
+            Step::Snap => snapshot = Some(sim.snapshot()),
+            Step::Restore => sim.restore(snapshot.as_ref().expect("snapshot taken")).expect("ok"),
+            Step::Watch => sim.set_probes(compile_spec(model, "watch dmem")),
+        }
+    }
+    sim.arch_profile().expect("profile on")
+}
+
+#[test]
+fn profile_span_follows_enable_restore_and_set_probes() {
+    use Step::{Enable, Restore, Run, Snap, Watch};
+    // Each sequence must read exactly like a reference run that turns
+    // profiling (and probes) on where the profile should start: restore
+    // restarts it at the restored cycle, re-enabling restarts it from
+    // zero, and set_probes restarts only hit counts. `main` runs once
+    // per cycle; `ST` (a dmem write) executes at cycles 2 and 5.
+    let cases: [(&str, &[Step], &[Step]); 4] = [
+        ("restore", &[Enable, Run(3), Snap, Run(2), Restore, Run(2)], &[Run(3), Enable, Run(2)]),
+        ("re-enable", &[Enable, Run(3), Enable, Run(2)], &[Run(3), Enable, Run(2)]),
+        ("set_probes keeps counters", &[Enable, Run(2), Watch, Run(4)], &[Watch, Enable, Run(6)]),
+        ("hit reset", &[Watch, Enable, Run(3), Watch, Run(3)], &[Enable, Run(3), Watch, Run(3)]),
+    ];
+    let model = Model::from_source(TOY).expect("model builds");
+    for mode in MODES {
+        for (name, steps, reference) in cases {
+            let got = play(&model, mode, steps);
+            assert_eq!(got, play(&model, mode, reference), "{mode:?}: {name}");
+            assert_eq!(got.op_execs["main"], got.cycles, "{mode:?}: {name}");
+        }
+    }
 }

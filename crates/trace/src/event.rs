@@ -282,7 +282,7 @@ impl NameTable {
             .map_or("?", String::as_str)
     }
 
-    /// `"pipe.stage"` attribution key used by [`crate::Profile`].
+    /// `"pipe.stage"` attribution key used by architecture profiles.
     #[must_use]
     pub fn stage_key(&self, pipe: PipelineId, stage: usize) -> String {
         format!("{}.{}", self.pipeline(pipe), self.stage(pipe, stage))

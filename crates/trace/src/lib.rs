@@ -11,10 +11,6 @@
 //! * [`TraceSink`] — where events go: [`CollectingSink`] (everything,
 //!   in order), [`RingBufferSink`] (last *N*, bounded memory for
 //!   production-length runs), [`JsonLinesSink`] (streamed JSON lines);
-//! * [`Profile`] — an aggregator over events: per-operation execution
-//!   histogram, hot-PC table and per-stage occupancy / stall / flush
-//!   attribution, with a [`Profile::merge`] operation so batch runners
-//!   can fold per-job profiles into fleet-level statistics;
 //! * exporters — [`events_to_jsonl`] for machine-readable traces and
 //!   [`write_vcd`] for a pipeline-timeline dump loadable in waveform
 //!   viewers.
@@ -28,11 +24,9 @@
 #![warn(missing_docs)]
 
 mod event;
-mod profile;
 mod sink;
 mod vcd;
 
 pub use event::{NameTable, TraceEvent, TraceKind};
-pub use profile::{Profile, StageStat};
 pub use sink::{events_to_jsonl, CollectingSink, JsonLinesSink, RingBufferSink, TraceSink};
 pub use vcd::write_vcd;

@@ -20,14 +20,14 @@
 //!     --vcd                     emit a pipeline-timeline VCD instead of JSON lines
 //!     --spans                   also print runtime spans (JSONL) after the run
 //!     --probe EXPR              arm probes; hits appear in the event stream
-//! lisa-tool profile <model> <prog.s> [options] run + print the execution profile
-//! lisa-tool inspect <model> <prog.s> [options] run + print the architectural report
+//! lisa-tool profile <model> <prog.s> [options] run + print the architecture profile
+//!                                              (`inspect` is the same command)
 //!     --probe EXPR              arm probes; hit counts join the report
 //!     --json                    print the profile as JSON instead of text
 //! lisa-tool batch  [options]                   run the builtin models x kernels matrix
 //!     --workers N               worker threads (default: available parallelism)
 //!     --mode interp|compiled|ops|both|all   backends (default both = all = interp + ops)
-//!     --profile                 collect + print the merged execution profile
+//!     --profile                 collect + print the merged architecture profile
 //!     --spans FILE              write a Perfetto-loadable Chrome trace of the run
 //! lisa-tool fuzz   [model] [options]           differential conformance fuzzing
 //!     --model M                 model to fuzz (default: all builtins)
@@ -127,8 +127,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         )?),
         "run" => Ok(simulate(args)?),
         "trace" => Ok(trace_cmd(args)?),
-        "profile" => Ok(profile_cmd(args)?),
-        "inspect" => Ok(inspect_cmd(args)?),
+        "profile" | "inspect" => Ok(profile_cmd(args)?),
         "batch" => batch(args),
         "fuzz" => fuzz(args),
         "bench" => bench(args),
@@ -147,8 +146,7 @@ fn usage() -> String {
      run options: --mode interp|compiled|ops  --max-steps N  --trace  --dump RES[:N]\n\
                   --probe EXPR  --arch-profile FILE  --metrics FILE\n\
      trace options: --out FILE  --vcd  --spans  --probe EXPR  --metrics FILE  (plus run options)\n\
-     profile options: same as run\n\
-     inspect options: --probe EXPR  --json  (plus run options)\n\
+     profile/inspect options: --probe EXPR  --json  (plus run options)\n\
      asm/disasm options: -o FILE  --packet N\n\
      batch options: --workers N  --mode interp|compiled|ops|both|all  --profile\n\
                     --metrics FILE\n\
@@ -352,40 +350,29 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a program with the architectural profile on and prints the
-/// generated report: stage occupancy, operation/unit utilization,
-/// memory heatmaps and probe hit counts.
-fn inspect_cmd(args: &[String]) -> Result<(), String> {
+/// Runs a program with the architecture profile on and prints its
+/// report (or `--json`): IPC, the operation histogram, hot PCs, the
+/// stage occupancy/stall/flush table, unit utilization, memory heatmaps
+/// and probe hit counts. `profile` and `inspect` both land here.
+fn profile_cmd(args: &[String]) -> Result<(), String> {
     let run = load_run(args)?;
     let mode = sim_mode(args)?;
     let mut sim = boot_sim(&run, mode)?;
     arm_probes(args, &mut sim)?;
     sim.enable_arch_profile();
-    let cycles = run_to_halt(&mut sim, &run, max_steps(args)?)?.cycles;
+    let outcome = run_to_halt(&mut sim, &run, max_steps(args)?)?;
     let profile = sim.arch_profile().ok_or("architecture profiling produced no data")?;
     if has_flag(args, "--json") {
         println!("{}", profile.to_json());
     } else {
-        // The report already carries the probe-hit section when probes
-        // were armed.
-        println!("ran {cycles} control steps ({mode:?})");
+        let stop = match outcome.reason {
+            lisa::sim::StopReason::Halted => "halted",
+            lisa::sim::StopReason::Breakpoint { .. } => "stopped at a breakpoint",
+        };
+        println!("{stop} after {} control steps ({mode:?})", outcome.cycles);
         print!("{}", profile.report());
     }
     dump_run_metrics(args, &sim, mode)?;
-    Ok(())
-}
-
-/// Runs a program with profiling on and prints the execution profile
-/// (per-operation histogram, hot PCs, per-stage pipeline table).
-fn profile_cmd(args: &[String]) -> Result<(), String> {
-    let run = load_run(args)?;
-    let mode = sim_mode(args)?;
-    let mut sim = boot_sim(&run, mode)?;
-    sim.enable_profile();
-    let cycles = run_to_halt(&mut sim, &run, max_steps(args)?)?.cycles;
-    let profile = sim.take_profile().ok_or("profiling produced no data")?;
-    println!("halted after {cycles} control steps ({mode:?})");
-    print!("{}", profile.report());
     Ok(())
 }
 
