@@ -161,9 +161,17 @@ struct Inner {
 /// and the hot path never touches the registry again. Registering the
 /// same name + labels twice returns the **same** underlying cell, so
 /// independent components accumulate into one series.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
     inner: Mutex<Inner>,
+    id: u64,
+}
+
+impl Default for Registry {
+    fn default() -> Registry {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        Registry { inner: Mutex::default(), id: NEXT_ID.fetch_add(1, Ordering::Relaxed) }
+    }
 }
 
 impl Registry {
@@ -171,6 +179,13 @@ impl Registry {
     #[must_use]
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// This registry's identity, unique in the process and never reused,
+    /// so a caller can key the handles it caches by registry.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Registers (or re-fetches) a counter.

@@ -670,20 +670,14 @@ impl<'m> Simulator<'m> {
     ///
     /// Stops at the first failing step.
     pub fn run(&mut self, steps: u64) -> Result<(), SimError> {
-        if let Some(scope) = self.spans.clone() {
-            let mut left = steps;
-            while left > 0 {
-                let chunk = left.min(Self::SPAN_CHUNK_STEPS);
-                let _span = scope.start(SpanKind::CycleChunk);
-                for _ in 0..chunk {
-                    self.step()?;
-                }
-                left -= chunk;
+        let mut left = steps;
+        while left > 0 {
+            let chunk = left.min(Self::SPAN_CHUNK_STEPS);
+            let _span = self.spans.as_ref().map(|s| s.start(SpanKind::CycleChunk));
+            for _ in 0..chunk {
+                self.step()?;
             }
-            return Ok(());
-        }
-        for _ in 0..steps {
-            self.step()?;
+            left -= chunk;
         }
         Ok(())
     }
@@ -706,26 +700,17 @@ impl<'m> Simulator<'m> {
         if self.observing() {
             self.take_probe_stop();
         }
-        if let Some(scope) = self.spans.clone() {
-            let mut done = 0;
-            while done < max_steps {
-                let chunk = (max_steps - done).min(Self::SPAN_CHUNK_STEPS);
-                let _span = scope.start(SpanKind::CycleChunk);
-                for _ in 0..chunk {
-                    self.step()?;
-                    done += 1;
-                    if let Some(reason) = self.stop_reason(&mut halted) {
-                        return Ok(RunOutcome { cycles: self.stats.cycles - start, reason });
-                    }
+        let mut done = 0;
+        while done < max_steps {
+            let chunk = (max_steps - done).min(Self::SPAN_CHUNK_STEPS);
+            let _span = self.spans.as_ref().map(|s| s.start(SpanKind::CycleChunk));
+            for _ in 0..chunk {
+                self.step()?;
+                if let Some(reason) = self.stop_reason(&mut halted) {
+                    return Ok(RunOutcome { cycles: self.stats.cycles - start, reason });
                 }
             }
-            return Err(SimError::StepLimit { limit: max_steps });
-        }
-        for _ in 0..max_steps {
-            self.step()?;
-            if let Some(reason) = self.stop_reason(&mut halted) {
-                return Ok(RunOutcome { cycles: self.stats.cycles - start, reason });
-            }
+            done += chunk;
         }
         Err(SimError::StepLimit { limit: max_steps })
     }

@@ -8,7 +8,9 @@
 //! registry current at effectively zero per-cycle cost, and calling it
 //! twice in a row is a no-op.
 
-use lisa_metrics::Registry;
+use std::cell::RefCell;
+
+use lisa_metrics::{Counter, Registry};
 
 use crate::engine::{SimMode, Simulator};
 use crate::stats::SimStats;
@@ -83,40 +85,52 @@ impl SimStats {
     }
 }
 
+/// The `lisa_sim_*` series labelled by backend alone, as (name, help),
+/// in the order [`publish_stats`] adds to them.
+const TOTALS: [(&str, &str); 7] = [
+    ("lisa_sim_cycles_total", "Control steps executed."),
+    ("lisa_sim_instructions_retired_total", "Decoded instructions fully executed."),
+    ("lisa_sim_executed_ops_total", "Operation behaviors evaluated."),
+    ("lisa_sim_decodes_total", "Instruction-decode requests (cache hits included)."),
+    ("lisa_sim_decode_cache_hits_total", "Decode requests served from the ops-mode decode cache."),
+    ("lisa_sim_activations_total", "Operation activations scheduled."),
+    ("lisa_sim_flushes_total", "Pipeline flushes."),
+];
+
+thread_local! {
+    /// [`TOTALS`] handles as (registry id, backend, counters) for the
+    /// registry this thread last published into. A run-boundary publish
+    /// is then seven atomic adds rather than seven registry lookups, each
+    /// of which misses cache once the run in between evicted the registry.
+    static TOTAL_HANDLES: RefCell<Vec<(u64, String, [Counter; 7])>> =
+        const { RefCell::new(Vec::new()) };
+}
+
 /// Adds one [`SimStats`] worth of counts to `registry`, labelled with
 /// the backend that produced them. Series names follow the Prometheus
 /// conventions (`*_total` counters, base units).
 pub fn publish_stats(registry: &Registry, stats: &SimStats, backend: &str) {
-    let labels: &[(&str, &str)] = &[("backend", backend)];
-    registry.counter("lisa_sim_cycles_total", "Control steps executed.", labels).add(stats.cycles);
-    registry
-        .counter(
-            "lisa_sim_instructions_retired_total",
-            "Decoded instructions fully executed.",
-            labels,
-        )
-        .add(stats.instructions_retired);
-    registry
-        .counter("lisa_sim_executed_ops_total", "Operation behaviors evaluated.", labels)
-        .add(stats.executed_ops);
-    registry
-        .counter(
-            "lisa_sim_decodes_total",
-            "Instruction-decode requests (cache hits included).",
-            labels,
-        )
-        .add(stats.decodes);
-    registry
-        .counter(
-            "lisa_sim_decode_cache_hits_total",
-            "Decode requests served from the ops-mode decode cache.",
-            labels,
-        )
-        .add(stats.decode_cache_hits);
-    registry
-        .counter("lisa_sim_activations_total", "Operation activations scheduled.", labels)
-        .add(stats.activations);
-    registry.counter("lisa_sim_flushes_total", "Pipeline flushes.", labels).add(stats.flushes);
+    let totals = [
+        stats.cycles,
+        stats.instructions_retired,
+        stats.executed_ops,
+        stats.decodes,
+        stats.decode_cache_hits,
+        stats.activations,
+        stats.flushes,
+    ];
+    TOTAL_HANDLES.with_borrow_mut(|handles| {
+        handles.retain(|(id, _, _)| *id == registry.id());
+        let i = handles.iter().position(|(_, b, _)| b == backend).unwrap_or_else(|| {
+            let labels: &[(&str, &str)] = &[("backend", backend)];
+            let counters = TOTALS.map(|(name, help)| registry.counter(name, help, labels));
+            handles.push((registry.id(), backend.to_owned(), counters));
+            handles.len() - 1
+        });
+        for (counter, n) in handles[i].2.iter().zip(totals) {
+            counter.add(n);
+        }
+    });
     // Stalls carry a second `stage` label so stage-pressure shows up in
     // the exposition without widening SimStats itself.
     for (stage, &count) in stats.stall_by_stage.iter().enumerate() {
@@ -252,5 +266,25 @@ mod tests {
             )),
             Some(&MetricValue::Counter(5))
         );
+    }
+
+    #[test]
+    fn publish_stats_lands_in_the_registry_it_is_given() {
+        // Handles are cached per thread, keyed by registry: switching
+        // back and forth, or a registry built after another is dropped,
+        // must still count every publish in its own registry.
+        let stats = SimStats { cycles: 7, ..SimStats::default() };
+        let key = MetricKey::new("lisa_sim_cycles_total", &[("backend", "ops")]);
+        let cycles = |reg: &Registry| reg.snapshot().metrics.get(&key).cloned();
+        let (a, b) = (Registry::new(), Registry::new());
+        for reg in [&a, &b, &a] {
+            publish_stats(reg, &stats, "ops");
+        }
+        assert_eq!(cycles(&a), Some(MetricValue::Counter(14)));
+        assert_eq!(cycles(&b), Some(MetricValue::Counter(7)));
+        drop((a, b));
+        let fresh = Registry::new();
+        publish_stats(&fresh, &stats, "ops");
+        assert_eq!(cycles(&fresh), Some(MetricValue::Counter(7)));
     }
 }
