@@ -16,7 +16,7 @@
 //!   padding every image with a discovered halt word so programs always
 //!   terminate (or hit the cycle budget);
 //! * [`oracle`] — the lockstep differential oracle (interpretive vs
-//!   ops, `State::digest()` + mode-independent `SimStats` per cycle)
+//!   ops, full `State` + mode-independent `SimStats` per cycle)
 //!   and four metamorphic oracles (snapshot/restore at mid-run,
 //!   trace-enabled vs trace-disabled, batch vs sequential execution,
 //!   probe parity);

@@ -29,7 +29,7 @@ use lisa_sim::{ArchProfile, ProbeSpec, SimError, SimMode, SimStats, Simulator, T
 /// Which oracle detected a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
-    /// Interpretive vs ops lockstep digest + stats comparison (every
+    /// Interpretive vs ops lockstep state + stats comparison (every
     /// cycle).
     Lockstep,
     /// Snapshot at a mid-run cycle, resume in both backends.
@@ -238,12 +238,14 @@ fn lockstep(
                         Err(e) if e.to_string() == message => {}
                         Err(e) => {
                             return Err(fail(format!(
-                                "cycle {cycle}: backends failed differently:                                  interpretive=`{message}` {label}=`{e}`"
+                                "cycle {cycle}: backends failed differently: \
+                                 interpretive=`{message}` {label}=`{e}`"
                             )));
                         }
                         Ok(()) => {
                             return Err(fail(format!(
-                                "cycle {cycle}: interpretive failed but {label} did not:                                  `{message}`"
+                                "cycle {cycle}: interpretive failed but {label} did not: \
+                                 `{message}`"
                             )));
                         }
                     }
@@ -251,12 +253,12 @@ fn lockstep(
                 return Ok(Outcome::Error { message });
             }
         }
-        let da = sims[0].state().digest();
         for ((_, label), sim) in MODES.iter().zip(&sims).skip(1) {
-            let db = sim.state().digest();
-            if da != db {
+            if sim.state() != sims[0].state() {
+                let (da, db) = (sims[0].state().digest(), sim.state().digest());
                 return Err(fail(format!(
-                    "cycle {cycle}: state digest diverged:                      interpretive={da:#018x} {label}={db:#018x}"
+                    "cycle {cycle}: state digest diverged: \
+                     interpretive={da:#018x} {label}={db:#018x}"
                 )));
             }
         }
@@ -266,7 +268,8 @@ fn lockstep(
             return Err(fail(format!("cycle {cycle}: {detail}")));
         }
         if halted(&sims[0], &halt) {
-            return Ok(Outcome::Halted { cycles: sims[0].stats().cycles, digest: da });
+            let digest = sims[0].state().digest();
+            return Ok(Outcome::Halted { cycles: sims[0].stats().cycles, digest });
         }
     }
     Ok(Outcome::Budget { digest: sims[0].state().digest() })
@@ -347,8 +350,8 @@ fn snapshot_restore(
     for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut resumed = wb.simulator(mode).map_err(|e| fail(e.to_string()))?;
         resumed.restore(&snap).map_err(|e| fail(format!("restore into {mode:?}: {e}")))?;
-        if resumed.state().digest() != snap.state().digest() {
-            return Err(fail(format!("restore into {mode:?} changed the state digest")));
+        if resumed.state() != snap.state() {
+            return Err(fail(format!("restore into {mode:?} changed the state")));
         }
         let rest = resumed
             .run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, rest_budget)
@@ -368,8 +371,8 @@ fn snapshot_restore(
     ops.load_program(wb.program_memory(), image).map_err(|e| fail(e.to_string()))?;
     ops.run(mid).map_err(|e| fail(format!("ops run to midpoint: {e}")))?;
     let ops_snap = ops.snapshot();
-    if ops_snap.state().digest() != snap.state().digest() {
-        return Err(fail("ops-mode midpoint digest differs from interpretive".to_string()));
+    if ops_snap.state() != snap.state() {
+        return Err(fail("ops-mode midpoint state differs from interpretive".to_string()));
     }
     let mut resumed = wb.simulator(SimMode::Interpretive).map_err(|e| fail(e.to_string()))?;
     resumed.restore(&ops_snap).map_err(|e| fail(format!("restore ops snapshot: {e}")))?;

@@ -2,7 +2,7 @@
 //! oracle-checked fuzzing run, and the harness proves it can catch an
 //! injected backend fault.
 
-use lisa_conform::{Fault, FuzzConfig, Fuzzer};
+use lisa_conform::{Fault, FuzzConfig, Fuzzer, OracleKind};
 use lisa_models::Workbench;
 
 fn all_workbenches() -> Vec<(&'static str, Workbench)> {
@@ -44,6 +44,18 @@ fn injected_fault_is_caught_and_shrunk() {
             "{name}: shrunk to {} instructions",
             failure.shrunk.len()
         );
+        // The flipped halt flag is a state divergence the lockstep
+        // oracle reports with both backends' digests.
+        let detail = &failure.verdict.detail;
+        assert_eq!(failure.verdict.oracle, OracleKind::Lockstep, "{name}: {detail}");
+        assert!(!detail.contains("  "), "{name}: run of spaces in `{detail}`");
+        let (_, digests) = detail
+            .split_once("state digest diverged: interpretive=0x")
+            .unwrap_or_else(|| panic!("{name}: not a digest divergence: `{detail}`"));
+        let (interp, ops) = digests
+            .split_once(" ops=0x")
+            .unwrap_or_else(|| panic!("{name}: no ops digest in `{detail}`"));
+        assert_ne!(interp, ops, "{name}: the reported digests are equal");
     }
 }
 

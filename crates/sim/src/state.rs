@@ -237,29 +237,78 @@ impl State {
             })
     }
 
-    /// A 64-bit FNV-1a fingerprint over every storage cell (widths and
-    /// values). Two states of the same model with equal contents hash
-    /// equally, so digests make cheap cross-run state comparisons — the
-    /// batch engine records one per finished job.
+    /// The exact 64-bit FNV-1a hash of every storage's width and cells
+    /// (little-endian, 16 bytes per cell), at a cost proportional to the
+    /// non-zero bytes. Equal states of one model hash equally; the batch
+    /// engine records one per finished job.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut fnv = Fnv { h: FNV_OFFSET, zeros: 0 };
         for s in &self.storages {
-            mix(u64::from(s.width));
+            fnv.word(u64::from(s.width));
             for &raw in &s.data {
-                mix(raw as u64);
-                mix((raw >> 64) as u64);
+                if raw == 0 {
+                    fnv.zeros += 16;
+                } else {
+                    fnv.word(raw as u64);
+                    fnv.word((raw >> 64) as u64);
+                }
             }
         }
-        h
+        fnv.flush();
+        fnv.h
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^(2^k) mod 2^64` for every `k`.
+const FNV_PRIME_POW2: [u64; 64] = {
+    let mut table = [FNV_PRIME; 64];
+    let mut k = 1;
+    while k < 64 {
+        table[k] = table[k - 1].wrapping_mul(table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// FNV-1a with deferred zero bytes: hashing a zero byte is `h *= PRIME`,
+/// so a run of `n` of them folds into one multiply by `PRIME^n`.
+struct Fnv {
+    h: u64,
+    /// Zero bytes hashed but not yet folded into `h`.
+    zeros: u64,
+}
+
+impl Fnv {
+    /// Hashes the eight little-endian bytes of `v`.
+    #[inline]
+    fn word(&mut self, mut v: u64) {
+        let mut rest = 8;
+        while v != 0 {
+            let skip = u64::from(v.trailing_zeros() / 8);
+            self.zeros += skip;
+            v >>= skip * 8;
+            self.flush();
+            self.h = (self.h ^ (v & 0xff)).wrapping_mul(FNV_PRIME);
+            v >>= 8;
+            rest -= skip + 1;
+        }
+        self.zeros += rest;
+    }
+
+    /// Folds the pending zero bytes into `h`, one multiply per set bit
+    /// of their count.
+    #[inline]
+    fn flush(&mut self) {
+        let mut n = self.zeros;
+        while n != 0 {
+            self.h = self.h.wrapping_mul(FNV_PRIME_POW2[n.trailing_zeros() as usize]);
+            n &= n - 1;
+        }
+        self.zeros = 0;
     }
 }
 
@@ -267,12 +316,14 @@ impl State {
 pub(crate) mod tests {
     use super::*;
     use lisa_core::Model;
+    use proptest::prelude::*;
 
     fn model() -> Model {
         Model::from_source(
             r#"RESOURCE {
                 PROGRAM_COUNTER int pc;
                 REGISTER bit[48] accu;
+                REGISTER bit[100] wide;
                 REGISTER bit carry;
                 DATA_MEMORY short mem[0x10];
                 DATA_MEMORY int banked[2]([4]);
@@ -398,5 +449,89 @@ pub(crate) mod tests {
         let carry = m.resource_by_name("carry").unwrap();
         st.write_int(carry, &[], 3).unwrap();
         assert_eq!(st.read_int(carry, &[]).unwrap(), 1); // wrapped to 1 bit
+    }
+
+    /// The byte-at-a-time FNV-1a that [`State::digest`] must equal.
+    fn bytewise_digest(st: &State) -> u64 {
+        let mut h = FNV_OFFSET;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        for s in &st.storages {
+            mix(u64::from(s.width));
+            for &raw in &s.data {
+                mix(raw as u64);
+                mix((raw >> 64) as u64);
+            }
+        }
+        h
+    }
+
+    /// Applies `(resource, cell, value)` writes, each picked modulo the
+    /// model's resources and the resource's cells.
+    fn apply_writes(m: &Model, writes: &[(usize, usize, i64)]) -> State {
+        let mut st = State::new(m);
+        for &(r, cell, value) in writes {
+            let id = m.resources()[r % m.resources().len()].id;
+            assert!(st.write_flat(id, cell % st.element_count(id), value));
+        }
+        st
+    }
+
+    fn value_strategy() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            Just(0i64),
+            -3i64..=3,
+            any::<i64>(),
+            any::<u8>().prop_map(|b| i64::from(b) << 40)
+        ]
+    }
+
+    #[test]
+    fn digest_matches_bytewise_reference_on_fixed_states() {
+        let m = model();
+        let mut st = State::new(&m);
+        assert_eq!(st.digest(), bytewise_digest(&st), "all-zero state");
+        let wide = m.resource_by_name("wide").unwrap();
+        st.write(wide, &[], Bits::ones(128)).unwrap();
+        assert_ne!(st.storages[wide.id.0].data[0] >> 64, 0, "high half is non-zero");
+        assert_eq!(st.digest(), bytewise_digest(&st), "wide register");
+        let mem = m.resource_by_name("mem").unwrap();
+        st.write_int(mem, &[0xf], -1).unwrap();
+        st.write_int(mem, &[7], i64::from(i16::MIN)).unwrap();
+        assert_eq!(st.digest(), bytewise_digest(&st), "negative short cells");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn digest_matches_bytewise_reference_on_sparse_writes(
+            writes in prop::collection::vec((any::<usize>(), any::<usize>(), value_strategy()), 0..=12),
+        ) {
+            let st = apply_writes(&model(), &writes);
+            prop_assert_eq!(st.digest(), bytewise_digest(&st));
+        }
+
+        #[test]
+        fn digest_matches_bytewise_reference_on_dense_writes(
+            values in prop::collection::vec(value_strategy(), 64..=256),
+        ) {
+            let m = model();
+            let zero = State::new(&m);
+            let writes: Vec<_> = m
+                .resources()
+                .iter()
+                .enumerate()
+                .flat_map(|(r, res)| (0..zero.element_count(res.id)).map(move |c| (r, c)))
+                .zip(values.iter().cycle())
+                .map(|((r, c), &v)| (r, c, v))
+                .collect();
+            let st = apply_writes(&m, &writes);
+            prop_assert_eq!(st.digest(), bytewise_digest(&st));
+        }
     }
 }

@@ -154,3 +154,28 @@ fn random_programs_agree_between_backends() {
         assert_eq!(sims[0].state(), sims[1].state(), "random program round {round} diverged");
     }
 }
+
+/// `(first kernel, State::new digest, end-of-kernel digest)` per model of
+/// `full_matrix()`, recorded with the byte-at-a-time FNV-1a digest. A
+/// faster digest must reproduce these exactly, so `state_digest` values
+/// in reports and API responses stay comparable across versions.
+const GOLDEN_DIGESTS: [(&str, u64, u64); 4] = [
+    ("vliw_dot_32", 0x3b25_a363_ec36_40cd, 0x6ad8_656a_2ae0_3301),
+    ("accu_dot_32", 0xc12b_1dd3_84d1_9f2d, 0xd9e5_004f_11ff_26d3),
+    ("scalar_dot_24", 0xc573_9c23_c85a_32a4, 0x4c51_9139_16e0_005a),
+    ("tiny_fib_20", 0xfafa_8e67_3382_8a05, 0x5162_773a_2058_1e52),
+];
+
+#[test]
+fn state_digests_match_recorded_values() {
+    let matrix = kernels::full_matrix().expect("models build");
+    for ((wb, suite), &(name, zero, end)) in matrix.iter().zip(&GOLDEN_DIGESTS) {
+        let kernel = &suite[0];
+        assert_eq!(kernel.name, name);
+        assert_eq!(lisa::sim::State::new(wb.model()).digest(), zero, "{name}: zero state");
+        for mode in [SimMode::Interpretive, SimMode::Ops] {
+            let (sim, _) = kernels::run_kernel(wb, kernel, mode).unwrap();
+            assert_eq!(sim.state().digest(), end, "{name}: end state in {mode:?}");
+        }
+    }
+}
