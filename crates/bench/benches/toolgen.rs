@@ -2,7 +2,7 @@
 //! assembler table generation (part of analysis), compiled-simulator
 //! lowering, for each bundled model.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use lisa_core::model::ToolTables;
 use lisa_core::Model;
 use lisa_models::{accu16, tinyrisc, vliw62};
@@ -34,12 +34,22 @@ fn bench_tool_tables(c: &mut Criterion) {
     group.finish();
 }
 
+/// The first ops simulator on a model builds the model's image (lowering
+/// plus default-variant translation); later ones share it. Each
+/// iteration therefore runs on a fresh clone, whose image slot is empty.
 fn bench_lowering(c: &mut Criterion) {
     let mut group = c.benchmark_group("toolgen/compiled_lowering");
     for (name, source) in models() {
         let model = Model::from_source(source).expect("builds");
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, m| {
-            b.iter(|| Simulator::new(black_box(m), SimMode::Ops).expect("lowers"));
+            b.iter_batched(
+                || m.clone(),
+                |fresh| {
+                    Simulator::new(black_box(&fresh), SimMode::Ops).expect("lowers");
+                    fresh
+                },
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();

@@ -48,19 +48,12 @@ fn run_dot(wb: &Workbench, n: usize, fused: bool) -> (u64, i64) {
     let program =
         lisa_asm::Assembler::new(wb.model()).assemble(&dot_program(n, fused)).expect("assembles");
     let mut sim = wb.simulator(SimMode::Ops).expect("sim");
-    let pmem = wb.model().resource_by_name("prog_mem").expect("pmem").clone();
-    for (i, &word) in program.words.iter().enumerate() {
-        let addr = program.origin as i64 + i as i64;
-        sim.state_mut()
-            .write(&pmem, &[addr], lisa_bits::Bits::from_u128_wrapped(32, word))
-            .expect("loads");
-    }
     let dmem = wb.model().resource_by_name("data_mem1").expect("dmem").clone();
     for i in 0..n as i64 {
         sim.state_mut().write_int(&dmem, &[i], i % 7 - 3).unwrap();
         sim.state_mut().write_int(&dmem, &[256 + i], (i * 3) % 11 - 5).unwrap();
     }
-    sim.predecode_program_memory();
+    sim.load_program_at("prog_mem", program.origin, &program.words).expect("loads");
     let cycles = wb.run_to_halt(&mut sim, 100_000).expect("halts");
     (cycles, sim.state().read_int(&dmem, &[512]).unwrap())
 }

@@ -67,8 +67,9 @@ pub struct ToolgenTiming {
     /// ([`lisa_core::model::ToolTables::generate`]), the part of
     /// `parse_and_analyze` that generates the instruction tools.
     pub tables: Duration,
-    /// Compiled-simulator generation (behavior lowering and micro-op
-    /// translation).
+    /// Compiled-simulator generation: the first ops simulator on the
+    /// model builds the model's image (behavior lowering and
+    /// default-variant micro-op translation).
     pub lower: Duration,
     /// Program pre-decoding (per instruction word of a loaded kernel).
     pub predecode: Duration,
@@ -105,6 +106,8 @@ pub fn toolgen_once(source: &str) -> ToolgenTiming {
     drop(tables);
     drop(desc);
 
+    // The first ops simulator on the fresh model builds its image:
+    // lowering plus every operation's default-variant routine.
     let t2 = Instant::now();
     let sim = lisa_sim::Simulator::new(&model, SimMode::Ops).expect("lowering succeeds");
     let lower = t2.elapsed();

@@ -107,3 +107,18 @@ fn fault_at_later_cycle_is_also_caught() {
     let report = fuzzer.run();
     assert!(report.failure.is_some(), "fault at cycle 5 went undetected: {report:?}");
 }
+
+/// A model without the workbench's halt flag, whose halt instruction
+/// assigns a *local* of that name, is an error for the generator, not a
+/// panic (`lisa-tool fuzz <file.lisa>` runs untrusted models).
+#[test]
+fn generator_rejects_a_model_without_its_halt_flag() {
+    let source = lisa_models::tinyrisc::SOURCE
+        .replace("REGISTER bit halt;", "REGISTER bit stopped;")
+        .replace("BEHAVIOR { halt = 1; }", "BEHAVIOR { int halt; halt = 1; stopped = 1; }")
+        .replace("if (halt == 0)", "if (stopped == 0)");
+    let wb = Workbench::from_source(&source, "pmem", "halt").expect("model builds");
+    assert!(wb.model().resource_by_name("halt").is_none());
+    let err = lisa_conform::ProgramGen::new(&wb).err().expect("no halt word");
+    assert!(matches!(err, lisa_conform::GenError::NoHaltWord { .. }), "{err}");
+}

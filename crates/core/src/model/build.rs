@@ -153,6 +153,7 @@ impl Builder {
             warnings: self.warnings,
             tools,
             source_lines: 0,
+            sim_image: super::SimImageSlot::default(),
         })
     }
 

@@ -16,6 +16,9 @@
 //! * generation of the instruction tools' per-model tables
 //!   ([`ToolTables`]): decoder trial orders and assembler syntax lead
 //!   sets.
+//!
+//! A model also keeps one slot, [`Model::sim_image`], where the
+//! simulator generator stores what it derives from the model once.
 
 mod build;
 mod coding;
@@ -28,7 +31,9 @@ pub use error::{ModelError, ModelWarning};
 pub use stats::ModelStats;
 pub use tools::ToolTables;
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::ast::{ActNode, Block, DataType, Dim, Expr, NumFormat, ResourceClass};
 
@@ -239,6 +244,25 @@ pub struct Model {
     warnings: Vec<ModelWarning>,
     tools: ToolTables,
     source_lines: usize,
+    sim_image: SimImageSlot,
+}
+
+/// The type-erased [`Model::sim_image`] slot. lisa-core cannot name the
+/// simulator's types, so the value is boxed as `Any`. A cloned model
+/// starts with an empty slot, and model equality ignores the slot.
+#[derive(Debug, Default)]
+pub(crate) struct SimImageSlot(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl Clone for SimImageSlot {
+    fn clone(&self) -> Self {
+        SimImageSlot::default()
+    }
+}
+
+impl PartialEq for SimImageSlot {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Model {
@@ -334,5 +358,22 @@ impl Model {
     #[must_use]
     pub fn source_lines(&self) -> usize {
         self.source_lines
+    }
+
+    /// The simulator image of this model: built by `init` on the first
+    /// call and kept with the model, so every later call, from any
+    /// thread, returns the same value. Simulator generation is a one-time
+    /// step per description (paper §3.3); `lisa-sim` keeps its lowered
+    /// behaviors and translated routines here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an earlier call stored a different type.
+    pub fn sim_image<T: Any + Send + Sync>(&self, init: impl FnOnce(&Model) -> T) -> &T {
+        self.sim_image
+            .0
+            .get_or_init(|| Box::new(init(self)))
+            .downcast_ref()
+            .expect("one simulator image type per model")
     }
 }

@@ -225,20 +225,8 @@ pub fn run_scenario_with(
         sim.restore(base).map_err(setup)?;
     }
 
-    if !sc.program.is_empty() {
-        let res = sc
-            .model
-            .resource_by_name(&sc.program_memory)
-            .ok_or_else(|| {
-                JobError::Setup(format!("unknown program memory `{}`", sc.program_memory))
-            })?
-            .clone();
-        for (i, &word) in sc.program.iter().enumerate() {
-            let value = Bits::from_u128_wrapped(res.ty.width(), word);
-            let addr = sc.origin as i64 + i as i64;
-            sim.state_mut().write(&res, &[addr], value).map_err(setup)?;
-        }
-    }
+    // Data first, so a poke into program memory is pre-decoded with the
+    // program.
     for (resource, index, value) in &sc.data {
         let res = sc
             .model
@@ -248,9 +236,7 @@ pub fn run_scenario_with(
         let indices: &[i64] = if res.is_array() { std::slice::from_ref(index) } else { &[] };
         sim.state_mut().write_int(&res, indices, *value).map_err(setup)?;
     }
-    if sc.mode != SimMode::Interpretive {
-        sim.predecode_program_memory();
-    }
+    sim.load_program_at(&sc.program_memory, sc.origin, &sc.program).map_err(setup)?;
     if sc.profile {
         sim.enable_arch_profile();
     }

@@ -95,13 +95,8 @@ pub fn load_kernel<'m>(
     }
     .unwrap_or_else(|e| panic!("kernel `{}` does not assemble: {e}", kernel.name));
     let mut sim = wb.simulator(mode)?;
-    // Honour the program origin (accu16 loads at its reset vector).
-    let pmem = wb.model().resource_by_name(wb.program_memory()).expect("pmem").clone();
-    for (i, &word) in program.words.iter().enumerate() {
-        let addr = program.origin as i64 + i as i64;
-        let value = lisa_bits::Bits::from_u128_wrapped(pmem.ty.width(), word);
-        sim.state_mut().write(&pmem, &[addr], value)?;
-    }
+    // Data first, so a poke into program memory is pre-decoded with the
+    // program.
     for &(resource, addr, value) in &kernel.data {
         let res = wb
             .model()
@@ -110,11 +105,8 @@ pub fn load_kernel<'m>(
             .clone();
         sim.state_mut().write_int(&res, &[addr], value)?;
     }
-    // The same rule as `Simulator::load_program`: every backend but the
-    // interpreter decodes (and ops mode translates) before the clock runs.
-    if mode != SimMode::Interpretive {
-        sim.predecode_program_memory();
-    }
+    // Honour the program origin (accu16 loads at its reset vector).
+    sim.load_program_at(wb.program_memory(), program.origin, &program.words)?;
     Ok(sim)
 }
 

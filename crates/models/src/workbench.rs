@@ -3,6 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use lisa_core::{LisaError, Model};
 use lisa_isa::{Assembler, Decoded, Decoder, IsaError};
@@ -18,6 +19,8 @@ pub enum WorkbenchError {
     Isa(IsaError),
     /// Simulation failed.
     Sim(SimError),
+    /// The model has no resource of this name (e.g. the halt flag).
+    UnknownResource(String),
 }
 
 impl fmt::Display for WorkbenchError {
@@ -26,6 +29,7 @@ impl fmt::Display for WorkbenchError {
             WorkbenchError::Lisa(e) => write!(f, "{e}"),
             WorkbenchError::Isa(e) => write!(f, "{e}"),
             WorkbenchError::Sim(e) => write!(f, "{e}"),
+            WorkbenchError::UnknownResource(name) => write!(f, "model has no resource `{name}`"),
         }
     }
 }
@@ -36,6 +40,7 @@ impl Error for WorkbenchError {
             WorkbenchError::Lisa(e) => Some(e),
             WorkbenchError::Isa(e) => Some(e),
             WorkbenchError::Sim(e) => Some(e),
+            WorkbenchError::UnknownResource(_) => None,
         }
     }
 }
@@ -60,9 +65,9 @@ impl From<SimError> for WorkbenchError {
 
 /// A model plus the program-memory resource its programs load into.
 ///
-/// Owns the [`Model`]; generated tools borrow from it via
-/// [`Workbench::decoder`], [`Workbench::assemble`] and
-/// [`Workbench::simulator`].
+/// Owns the [`Model`] (shared, see [`Workbench::shared_model`]);
+/// generated tools borrow from it via [`Workbench::decoder`],
+/// [`Workbench::assemble`] and [`Workbench::simulator`].
 ///
 /// # Examples
 ///
@@ -82,7 +87,7 @@ impl From<SimError> for WorkbenchError {
 /// # }
 /// ```
 pub struct Workbench {
-    model: Model,
+    model: Arc<Model>,
     program_memory: &'static str,
     halt_flag: &'static str,
 }
@@ -99,12 +104,21 @@ impl Workbench {
         program_memory: &'static str,
         halt_flag: &'static str,
     ) -> Result<Workbench, WorkbenchError> {
-        Ok(Workbench { model: Model::from_source(source)?, program_memory, halt_flag })
+        let model = Arc::new(Model::from_source(source)?);
+        Ok(Workbench { model, program_memory, halt_flag })
     }
 
     /// The model database.
     #[must_use]
     pub fn model(&self) -> &Model {
+        &self.model
+    }
+
+    /// The model database as a shared handle, for an owner that keeps
+    /// the model next to the workbench without building it twice (and
+    /// so without generating its simulator image twice).
+    #[must_use]
+    pub fn shared_model(&self) -> &Arc<Model> {
         &self.model
     }
 
@@ -182,7 +196,8 @@ impl Workbench {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkbenchError::Sim`] on runtime errors or when
+    /// Returns [`WorkbenchError::UnknownResource`] when the model has no
+    /// halt flag, and [`WorkbenchError::Sim`] on runtime errors or when
     /// `max_steps` is exceeded.
     pub fn run_to_halt(
         &self,
@@ -192,9 +207,8 @@ impl Workbench {
         let halt = self
             .model
             .resource_by_name(self.halt_flag)
-            .unwrap_or_else(|| panic!("model has halt flag `{}`", self.halt_flag))
-            .clone();
-        Ok(sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, max_steps)?.cycles)
+            .ok_or_else(|| WorkbenchError::UnknownResource(self.halt_flag.to_owned()))?;
+        Ok(sim.run_until(|st| st.read_int(halt, &[]).unwrap_or(0) != 0, max_steps)?.cycles)
     }
 
     /// Convenience: assemble, load, run to halt in the given mode; returns

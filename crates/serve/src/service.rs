@@ -31,16 +31,16 @@ use crate::http::{Request, Response};
 pub struct ServedModel {
     /// Registry name (`tinyrisc`, `accu16`, `scalar2`, `vliw62`).
     pub name: &'static str,
-    /// The analysed model database.
-    pub model: Model,
+    /// The analysed model database, shared with [`ServedModel::workbench`].
+    pub model: Arc<Model>,
     /// Program-memory resource programs load into.
     pub program_memory: &'static str,
     /// Halt-flag resource.
     pub halt_flag: &'static str,
     /// VLIW fetch-packet size, when packet assembly applies.
     pub packet: Option<usize>,
-    /// Conformance workbench for `/v1/fuzz` (its own model instance,
-    /// wired to the same memories and halt flag).
+    /// Conformance workbench for `/v1/fuzz`, over the same model and
+    /// wired to the same memories and halt flag.
     pub workbench: Workbench,
 }
 
@@ -95,39 +95,23 @@ impl AppState {
     /// model tests).
     #[must_use]
     pub fn new() -> AppState {
+        let served = |name, workbench: Workbench, packet| ServedModel {
+            name,
+            model: Arc::clone(workbench.shared_model()),
+            program_memory: workbench.program_memory(),
+            halt_flag: workbench.halt_flag(),
+            packet,
+            workbench,
+        };
         let models = vec![
-            ServedModel {
-                name: "tinyrisc",
-                model: Model::from_source(tinyrisc::SOURCE).expect("tinyrisc builds"),
-                program_memory: "pmem",
-                halt_flag: "halt",
-                packet: None,
-                workbench: tinyrisc::workbench().expect("tinyrisc workbench builds"),
-            },
-            ServedModel {
-                name: "accu16",
-                model: Model::from_source(accu16::SOURCE).expect("accu16 builds"),
-                program_memory: "prog_mem",
-                halt_flag: "halt",
-                packet: None,
-                workbench: accu16::workbench().expect("accu16 workbench builds"),
-            },
-            ServedModel {
-                name: "scalar2",
-                model: Model::from_source(scalar2::SOURCE).expect("scalar2 builds"),
-                program_memory: "pmem",
-                halt_flag: "halt",
-                packet: None,
-                workbench: scalar2::workbench().expect("scalar2 workbench builds"),
-            },
-            ServedModel {
-                name: "vliw62",
-                model: Model::from_source(vliw62::SOURCE).expect("vliw62 builds"),
-                program_memory: "pmem",
-                halt_flag: "halt",
-                packet: Some(vliw62::FETCH_PACKET),
-                workbench: vliw62::workbench().expect("vliw62 workbench builds"),
-            },
+            served("tinyrisc", tinyrisc::workbench().expect("tinyrisc builds"), None),
+            served("accu16", accu16::workbench().expect("accu16 builds"), None),
+            served("scalar2", scalar2::workbench().expect("scalar2 builds"), None),
+            served(
+                "vliw62",
+                vliw62::workbench().expect("vliw62 builds"),
+                Some(vliw62::FETCH_PACKET),
+            ),
         ];
         let registry = Registry::new();
         // The one place every exposition carries a version signal.
@@ -595,18 +579,7 @@ fn simulate(
         sim.set_probes(set);
     }
     sim.enable_arch_profile();
-    let pmem = served
-        .model
-        .resource_by_name(served.program_memory)
-        .ok_or_else(|| SimulateError::Sim(format!("no `{}` memory", served.program_memory)))?
-        .clone();
-    for (i, &word) in words.iter().enumerate() {
-        let value = lisa_bits::Bits::from_u128_wrapped(pmem.ty.width(), word);
-        sim.state_mut().write(&pmem, &[origin as i64 + i as i64], value).map_err(sim_err)?;
-    }
-    if mode != SimMode::Interpretive {
-        sim.predecode_program_memory();
-    }
+    sim.load_program_at(served.program_memory, origin, words).map_err(sim_err)?;
     let halt = served
         .model
         .resource_by_name(served.halt_flag)

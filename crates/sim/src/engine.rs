@@ -25,9 +25,8 @@ use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
 use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
 
-use crate::compiled::CompiledTables;
 use crate::fasthash::FastMap;
-use crate::ops::{OpsTables, RoutineId, Xlate};
+use crate::ops::{ModelImage, OpsTables, RoutineId};
 use crate::{SimError, SimStats, State};
 
 /// An operation instance scheduled for execution: the operation plus its
@@ -160,13 +159,13 @@ pub struct Simulator<'m> {
     pub(crate) stats: SimStats,
     pub(crate) mode: SimMode,
     pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
-    pub(crate) compiled: Option<CompiledTables>,
-    /// Translation caches for [`SimMode::Ops`] (`None` in other modes).
+    /// Translation caches for [`SimMode::Ops`] (`None` in other modes),
+    /// over the model's shared image.
     ///
     /// Ops execution takes the box out for the length of a step (or an
     /// `execute_decoded` call) and passes it down explicitly, so routines
     /// borrowed from its store run while the rest of `self` is mutated.
-    pub(crate) ops: Option<Box<OpsTables>>,
+    pub(crate) ops: Option<Box<OpsTables<'m>>>,
     pub(crate) seq: u64,
     pub(crate) observer: Option<Box<Observer>>,
     pub(crate) pc_res: Option<ResourceId>,
@@ -202,14 +201,17 @@ impl std::fmt::Debug for Simulator<'_> {
 impl<'m> Simulator<'m> {
     /// Creates a simulator over zeroed state.
     ///
-    /// In [`SimMode::Ops`], behaviors, expressions and activations are
-    /// lowered up front (part of the paper's simulator-generation step)
-    /// and every operation's default-variant routine is translated.
+    /// In [`SimMode::Ops`], the first simulator on a model generates the
+    /// model's image (the paper's simulator-generation step): behaviors,
+    /// expressions and activations are lowered and every operation's
+    /// default-variant routine is translated. The image is kept with the
+    /// model, so every later ops simulator on it, on any thread, shares
+    /// it and only translates the instances its own program binds.
     ///
     /// # Errors
     ///
     /// Propagates lowering errors in ops mode (e.g. names that can never
-    /// resolve).
+    /// resolve); every ops simulator on the model returns the same one.
     pub fn new(model: &'m Model, mode: SimMode) -> Result<Simulator<'m>, SimError> {
         // `Compiled` is the paper's name for the translated backend.
         let mode = match mode {
@@ -217,12 +219,12 @@ impl<'m> Simulator<'m> {
             SimMode::Compiled | SimMode::Ops => SimMode::Ops,
         };
         let decoder = Decoder::new(model).ok();
-        let compiled =
-            if mode == SimMode::Ops { Some(CompiledTables::lower(model)?) } else { None };
+        let ops = if mode == SimMode::Ops {
+            Some(Box::new(OpsTables::over(model, ModelImage::of(model)?)))
+        } else {
+            None
+        };
         let state = State::new(model);
-        let ops = compiled
-            .as_ref()
-            .map(|tables| Box::new(OpsTables::build(Xlate { model, state: &state, tables })));
         let pc_res = model
             .resources()
             .iter()
@@ -237,7 +239,6 @@ impl<'m> Simulator<'m> {
             stats: SimStats::default(),
             mode,
             decode_cache: FastMap::default(),
-            compiled,
             ops,
             seq: 0,
             observer: None,
@@ -738,7 +739,7 @@ impl<'m> Simulator<'m> {
     /// the simulator's ops tables, taken out for the step (ops mode only).
     fn execute_item(
         &mut self,
-        ops: Option<&mut OpsTables>,
+        ops: Option<&mut OpsTables<'_>>,
         item: &ExecItem,
         ready: &mut Vec<ExecItem>,
     ) -> Result<(), SimError> {
@@ -798,7 +799,7 @@ impl<'m> Simulator<'m> {
     /// micro-op code addressed by routine id.
     fn execute_item_ops(
         &mut self,
-        t: &mut OpsTables,
+        t: &mut OpsTables<'_>,
         item: &ExecItem,
         ready: &mut Vec<ExecItem>,
     ) -> Result<(), SimError> {
@@ -808,7 +809,7 @@ impl<'m> Simulator<'m> {
             // routine: no cache probe.
             (Binding::Routine(id), _) => *id,
             // Only `execute_decoded` schedules a decoded binding here.
-            (Binding::Decoded(d), _) => t.bind(self.xlate(), item.op, d),
+            (Binding::Decoded(d), _) => t.bind(item.op, d),
             (Binding::Unbound, Some(root_res)) => {
                 let word = self.state.scalar(root_res).to_u128();
                 if self.observing() {
@@ -819,7 +820,7 @@ impl<'m> Simulator<'m> {
                 // The word's own routine, unless its decode names an
                 // operation other than this decode root.
                 let id = self.ops_decode_word(t, word)?;
-                t.rebind(self.xlate(), item.op, id)
+                t.rebind(item.op, id)
             }
             (Binding::Unbound, None) => t.unbound[item.op.0],
         };
@@ -1105,27 +1106,44 @@ impl<'m> Simulator<'m> {
     }
 
     /// Writes a program image (words) into a `PROGRAM_MEMORY` resource
-    /// starting at its base address.
-    ///
-    /// In [`SimMode::Ops`] the loaded region is immediately pre-decoded
-    /// into the decode cache and each word translated to micro-op code
-    /// (the translate-time step of compiled simulation), so callers no
-    /// longer need to invoke [`Simulator::predecode_program_memory`] by
-    /// hand after loading.
+    /// starting at its base address: [`Simulator::load_program_at`] the
+    /// memory's first address.
     ///
     /// # Errors
     ///
     /// Returns addressing errors if the image exceeds the memory.
     pub fn load_program(&mut self, memory: &str, words: &[u128]) -> Result<(), SimError> {
-        let res = self.model.resource_by_name(memory).ok_or_else(|| SimError::UnknownName {
-            name: memory.to_owned(),
-            operation: "<loader>".into(),
-        })?;
-        let base = res.dims.first().map_or(0, |d| d.base()) as i64;
-        let res = res.clone();
-        for (i, &word) in words.iter().enumerate() {
-            let value = Bits::from_u128_wrapped(res.ty.width(), word);
-            self.state.write(&res, &[base + i as i64], value)?;
+        let base = self.model.resource_by_name(memory).and_then(|r| r.dims.first());
+        self.load_program_at(memory, base.map_or(0, |d| d.base()), words)
+    }
+
+    /// Writes a program image (words) into resource `memory` from address
+    /// `origin` on. Then every backend but the interpreter pre-decodes
+    /// program memory into the decode cache, and ops mode translates each
+    /// word to micro-op code (the translate-time step of compiled
+    /// simulation), so callers never invoke
+    /// [`Simulator::predecode_program_memory`] by hand after loading. An
+    /// empty image writes nothing, and `memory` is then not looked up.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownName`] for an unknown memory, and
+    /// addressing errors if the image exceeds it.
+    pub fn load_program_at(
+        &mut self,
+        memory: &str,
+        origin: u64,
+        words: &[u128],
+    ) -> Result<(), SimError> {
+        if !words.is_empty() {
+            let res = self.model.resource_by_name(memory).ok_or_else(|| SimError::UnknownName {
+                name: memory.to_owned(),
+                operation: "<loader>".into(),
+            })?;
+            for (i, &word) in words.iter().enumerate() {
+                let value = Bits::from_u128_wrapped(res.ty.width(), word);
+                self.state.write(res, &[origin as i64 + i as i64], value)?;
+            }
         }
         if self.mode != SimMode::Interpretive {
             self.predecode_program_memory();

@@ -7,6 +7,7 @@ use lisa_core::ast::{AssignOp, BinOp, Block, Call, Expr, Stmt, UnOp};
 use lisa_core::model::{CodingTarget, OpId, Resource};
 use lisa_isa::Decoded;
 
+use crate::state::flatten_indices;
 use crate::{SimError, Simulator};
 
 /// A behavior-execution frame: the operation instance being evaluated and
@@ -597,7 +598,7 @@ impl<'m> Simulator<'m> {
                     return self.place_of_expression(child);
                 }
                 if let Some(res) = self.model.resource_by_name(&id.name) {
-                    let flat = self.state.flatten_indices(res, &[])?;
+                    let flat = flatten_indices(res, &[])?;
                     return Ok(Place::Resource { res: res.id, flat });
                 }
                 if let Some(target) = self.model.operation_by_name(&id.name) {
@@ -613,7 +614,7 @@ impl<'m> Simulator<'m> {
             }
             Expr::Index { .. } => {
                 let (res, indices) = self.indexed_resource(expr, frame)?;
-                let flat = self.state.flatten_indices(res, &indices)?;
+                let flat = flatten_indices(res, &indices)?;
                 Ok(Place::Resource { res: res.id, flat })
             }
             _ => Err(SimError::NotAnLvalue {

@@ -15,16 +15,23 @@
 //!   reproduction measure the same contrast. `lisa-conform`'s lockstep
 //!   oracle holds it to the interpretive reference cycle by cycle.
 //!
+//! Simulator generation happens once per model: the first ops
+//! [`Simulator`] on a [`lisa_core::Model`] lowers its behaviors and
+//! translates every operation's default-variant routine into an
+//! immutable image kept with the model. Every later ops simulator on
+//! that model, on any thread, shares the image; a simulator holds only
+//! run state plus the instance routines its own program binds.
+//!
 //! See [`Simulator`] for the entry point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compiled;
 mod engine;
 mod error;
 mod eval;
 mod fasthash;
+mod lower;
 mod metrics;
 mod ops;
 mod snapshot;

@@ -1,12 +1,14 @@
 //! Threaded micro-op simulation: behaviors flattened to linear code.
 //!
 //! The paper's compiled simulation (§3.3), the fast backend next to the
-//! interpretive reference. `compiled.rs` lowers behaviors once per model
+//! interpretive reference. `lower.rs` lowers behaviors once per model
 //! into a slot-resolved tree IR; this module translates that IR further,
 //! in the spirit of the paper's claim that compiled simulation can beat
-//! interpretation by orders of magnitude: at predecode time every
-//! decoded instruction *instance* is translated into a flat
-//! `Vec<MicroOp>` — a stack-machine program in which
+//! interpretation by orders of magnitude. Every operation's
+//! default-variant routine is translated once per model into the shared
+//! [`ModelImage`]; at predecode time every decoded instruction
+//! *instance* is translated into a flat `Vec<MicroOp>` in the
+//! simulator's own store — a stack-machine program in which
 //!
 //! * LABEL references are constant-folded against the decoded fields,
 //! * operand (group / op-ref) expressions are inlined into the parent,
@@ -34,14 +36,12 @@ use lisa_core::ast::{ActNode, AssignOp, BinOp, UnOp};
 use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
 use lisa_isa::Decoded;
 
-use crate::compiled::{
-    lower_act_expr, Builtin, CompiledTables, LBlock, LExpr, LPlace, LStmt, PipeOp,
-};
 use crate::engine::{Binding, ExecItem, Pending};
 use crate::eval::{apply_binop, apply_compound, saturate};
 use crate::fasthash::FastMap;
-use crate::state::wrap_to_width;
-use crate::{SimError, Simulator, State};
+use crate::lower::{lower_act_expr, Builtin, LBlock, LExpr, LPlace, LStmt, Lowered, PipeOp};
+use crate::state::{flatten_indices, wrap_to_width};
+use crate::{SimError, Simulator};
 
 /// One flat micro-operation. Value-producing ops push onto an operand
 /// stack; jump targets are absolute indices into the routine's code.
@@ -276,9 +276,10 @@ pub(crate) struct ChildInvoke {
     pub(crate) routine: RoutineId,
 }
 
-/// Index of a translated routine in one simulator's [`OpsTables`]
-/// store. Plain data: scheduling, invoking or snapshotting by id touches
-/// no reference count.
+/// Index of a translated routine in one simulator's [`RoutineStore`]:
+/// the model image's routines first, then the simulator's own. Plain
+/// data: scheduling, invoking or snapshotting by id touches no reference
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RoutineId(u32);
 
@@ -290,22 +291,28 @@ struct StoredRoutine {
     routine: OpsRoutine,
 }
 
-/// Every translated routine of one simulator, addressed by [`RoutineId`].
-/// Append-only between reclaims, so an id stays valid; but the backing
-/// vector may reallocate on append, so code holds ids, not references,
-/// across anything that can translate.
-#[derive(Debug, Default)]
-struct RoutineStore(Vec<StoredRoutine>);
+/// Every routine one simulator can run, addressed by [`RoutineId`]: the
+/// model image's shared routines, then the simulator's own, appended as
+/// instances are bound. Append-only between reclaims, so an id stays
+/// valid; but the owned vector may reallocate on append, so code holds
+/// ids, not references, across anything that can translate.
+#[derive(Debug)]
+struct RoutineStore<'m> {
+    shared: &'m [StoredRoutine],
+    own: Vec<StoredRoutine>,
+}
 
-impl RoutineStore {
+impl RoutineStore<'_> {
     fn push(&mut self, decoded: Option<Arc<Decoded>>, routine: OpsRoutine) -> RoutineId {
-        let id = RoutineId(u32::try_from(self.0.len()).expect("routine store below u32::MAX"));
-        self.0.push(StoredRoutine { decoded, routine });
+        let index = self.shared.len() + self.own.len();
+        let id = RoutineId(u32::try_from(index).expect("routine store below u32::MAX"));
+        self.own.push(StoredRoutine { decoded, routine });
         id
     }
 
+    /// Number of routines this simulator added (the shared ones excluded).
     fn len(&self) -> usize {
-        self.0.len()
+        self.own.len()
     }
 
     /// The ACTIVATION plan of routine `id`, if it has one.
@@ -319,25 +326,70 @@ impl RoutineStore {
     }
 }
 
-impl std::ops::Index<RoutineId> for RoutineStore {
+impl std::ops::Index<RoutineId> for RoutineStore<'_> {
     type Output = StoredRoutine;
 
     #[inline]
     fn index(&self, id: RoutineId) -> &StoredRoutine {
-        &self.0[id.0 as usize]
+        let i = id.0 as usize;
+        match self.shared.get(i) {
+            Some(r) => r,
+            None => &self.own[i - self.shared.len()],
+        }
+    }
+}
+
+/// What ops simulation generates once per model: the lowered behaviors
+/// and the default-variant routine of every operation. Built by the
+/// first ops [`Simulator::new`] on a model and kept with it
+/// ([`Model::sim_image`]); every later ops simulator on that model,
+/// on any thread, shares it.
+#[derive(Debug)]
+pub(crate) struct ModelImage {
+    lowered: Lowered,
+    routines: Vec<StoredRoutine>,
+    /// Default-variant routine per operation id (no operand binding).
+    unbound: Vec<RoutineId>,
+}
+
+impl ModelImage {
+    /// The model's image, built on first use. A lowering error is kept
+    /// too, so every ops simulator on the model reports the same one.
+    pub(crate) fn of(model: &Model) -> Result<&ModelImage, SimError> {
+        model.sim_image(ModelImage::build).as_ref().map_err(Clone::clone)
+    }
+
+    fn build(model: &Model) -> Result<ModelImage, SimError> {
+        let lowered = Lowered::lower(model)?;
+        let mut image = ModelImage { lowered, routines: Vec::new(), unbound: Vec::new() };
+        // Translated over the empty image, the routines land in the
+        // tables' own store under the ids they keep in the image.
+        let mut t = OpsTables::over(model, &image);
+        let unbound = model
+            .operations()
+            .iter()
+            .map(|op| {
+                let variant = default_variant(model, op.id);
+                let routine = translate_routine(&mut t, op.id, variant, None);
+                t.store.push(None, routine)
+            })
+            .collect();
+        image.routines = t.store.own;
+        image.unbound = unbound;
+        Ok(image)
     }
 }
 
 /// Per-simulator translation state for ops mode: the routine store and
 /// the caches and pools that index into it.
-#[derive(Debug, Default)]
-pub(crate) struct OpsTables {
-    store: RoutineStore,
-    /// Store length after [`OpsTables::build`]: the default-variant
-    /// routines every reclaim keeps.
-    base: usize,
-    /// Default-variant routine per operation id (no operand binding).
-    pub(crate) unbound: Vec<RoutineId>,
+#[derive(Debug)]
+pub(crate) struct OpsTables<'m> {
+    /// What translation reads: the model and its lowered behaviors.
+    model: &'m Model,
+    lowered: &'m Lowered,
+    store: RoutineStore<'m>,
+    /// Default-variant routine per operation id, in the image.
+    pub(crate) unbound: &'m [RoutineId],
     /// Bound routines keyed by (`Arc<Decoded>` pointer, operation id). The
     /// store entry holds the `Arc`, pinning the allocation so a key can
     /// never be reused while its entry is live.
@@ -360,18 +412,9 @@ pub(crate) struct OpsFrame {
 }
 
 /// Safety valve for callers that mint transient `Arc<Decoded>` values
-/// (e.g. repeated `execute_decoded`): once the routine store reaches this
-/// many entries, the next step boundary drops every bound routine.
+/// (e.g. repeated `execute_decoded`): once a simulator's own routines
+/// reach this many entries, the next step boundary drops them all.
 const OPS_CACHE_MAX: usize = 1 << 16;
-
-/// What translation reads: the model, the state's storage layout and
-/// the lowered behaviors.
-#[derive(Clone, Copy)]
-pub(crate) struct Xlate<'a> {
-    pub(crate) model: &'a Model,
-    pub(crate) state: &'a State,
-    pub(crate) tables: &'a CompiledTables,
-}
 
 /// The variant an operation runs with no operand binding.
 fn default_variant(model: &Model, op: OpId) -> usize {
@@ -380,31 +423,32 @@ fn default_variant(model: &Model, op: OpId) -> usize {
     operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
 }
 
-impl OpsTables {
-    /// Translates the default-variant routine of every operation.
-    pub(crate) fn build(cx: Xlate<'_>) -> OpsTables {
-        let mut t = OpsTables::default();
-        for op in cx.model.operations() {
-            let routine =
-                translate_routine(cx, &mut t, op.id, default_variant(cx.model, op.id), None);
-            let id = t.store.push(None, routine);
-            t.unbound.push(id);
+impl<'m> OpsTables<'m> {
+    /// One simulator's empty tables over the model's shared image.
+    pub(crate) fn over(model: &'m Model, image: &'m ModelImage) -> OpsTables<'m> {
+        OpsTables {
+            model,
+            lowered: &image.lowered,
+            store: RoutineStore { shared: &image.routines, own: Vec::new() },
+            unbound: &image.unbound,
+            instances: FastMap::default(),
+            words: FastMap::default(),
+            frames: Vec::new(),
+            act_scratch: Vec::new(),
         }
-        t.base = t.store.len();
-        t
     }
 
     /// The routine running `op` against `decoded`, translated on miss.
     /// `decoded` is usually an instance of `op` itself; otherwise `op`'s
     /// default variant runs with `decoded`'s fields bound.
-    pub(crate) fn bind(&mut self, cx: Xlate<'_>, op: OpId, decoded: &Arc<Decoded>) -> RoutineId {
+    pub(crate) fn bind(&mut self, op: OpId, decoded: &Arc<Decoded>) -> RoutineId {
         let key = (Arc::as_ptr(decoded) as usize, op.0);
         if let Some(&id) = self.instances.get(&key) {
             return id;
         }
         let variant =
-            if decoded.op == op { decoded.variant } else { default_variant(cx.model, op) };
-        let routine = translate_routine(cx, self, op, variant, Some(decoded));
+            if decoded.op == op { decoded.variant } else { default_variant(self.model, op) };
+        let routine = translate_routine(self, op, variant, Some(decoded));
         let id = self.store.push(Some(Arc::clone(decoded)), routine);
         self.instances.insert(key, id);
         id
@@ -412,7 +456,7 @@ impl OpsTables {
 
     /// Like [`OpsTables::bind`] for the binding of stored routine `id`
     /// (a fetched word's): a hit clones nothing.
-    pub(crate) fn rebind(&mut self, cx: Xlate<'_>, op: OpId, id: RoutineId) -> RoutineId {
+    pub(crate) fn rebind(&mut self, op: OpId, id: RoutineId) -> RoutineId {
         let decoded = self.store[id].decoded.as_ref().expect("bound routine");
         if decoded.op == op {
             return id;
@@ -421,7 +465,7 @@ impl OpsTables {
             return hit;
         }
         let decoded = Arc::clone(decoded);
-        self.bind(cx, op, &decoded)
+        self.bind(op, &decoded)
     }
 
     /// A binding that means the same in any simulator: routine ids turn
@@ -436,25 +480,25 @@ impl OpsTables {
     }
 
     /// Resolves decoded bindings in `pending` to this store's routines.
-    fn bind_pending(&mut self, cx: Xlate<'_>, pending: &mut [Pending]) {
+    fn bind_pending(&mut self, pending: &mut [Pending]) {
         for p in pending {
             if let Binding::Decoded(d) = &p.item.bind {
-                p.item.bind = Binding::Routine(self.bind(cx, p.item.op, d));
+                p.item.bind = Binding::Routine(self.bind(p.item.op, d));
             }
         }
     }
 
-    /// The safety valve: drops every bound routine and both caches,
-    /// carrying `pending` (the only ids held outside the store at a step
-    /// boundary) across by re-resolving their bindings.
-    fn reclaim(&mut self, cx: Xlate<'_>, pending: &mut [Pending]) {
+    /// The safety valve: drops this simulator's own routines and both
+    /// caches, carrying `pending` (the only ids held outside the store at
+    /// a step boundary) across by re-resolving their bindings.
+    fn reclaim(&mut self, pending: &mut [Pending]) {
         for p in pending.iter_mut() {
             p.item.bind = self.portable(&p.item.bind);
         }
-        self.store.0.truncate(self.base);
+        self.store.own.clear();
         self.instances.clear();
         self.words.clear();
-        self.bind_pending(cx, pending);
+        self.bind_pending(pending);
     }
 }
 
@@ -487,11 +531,10 @@ struct CtlFrame {
 
 struct Emitter<'m, 'e, 'o> {
     model: &'m Model,
-    state: &'e State,
-    tables: &'e CompiledTables,
+    tables: &'e Lowered,
     /// The store that out-of-line children and activation targets of
     /// the routine being emitted are appended to.
-    ops: &'o mut OpsTables,
+    ops: &'o mut OpsTables<'m>,
     code: Vec<MicroOp>,
     /// Translated child instances, in `InvokeChild` order; they enter the
     /// store only if [`inline_children`] keeps them out of line.
@@ -525,15 +568,15 @@ const UNROLL_MAX_COPIES: usize = 256;
 /// error at run time in the interpretive backend becomes a positioned
 /// `Fail` op.
 fn translate_routine(
-    cx: Xlate<'_>,
-    ops: &mut OpsTables,
+    ops: &mut OpsTables<'_>,
     op: OpId,
     variant: usize,
     decoded: Option<&Decoded>,
 ) -> OpsRoutine {
-    let idx = cx.tables.slot(op, variant);
-    let mut e = Emitter::new(cx, ops);
-    if let Some(block) = cx.tables.behaviors[idx].as_ref() {
+    let tables = ops.lowered;
+    let idx = tables.slot(op, variant);
+    let mut e = Emitter::new(ops);
+    if let Some(block) = tables.behaviors[idx].as_ref() {
         e.block(block, Ctx { op, decoded });
     }
     let end = e.here();
@@ -542,12 +585,12 @@ fn translate_routine(
     }
     let draft = Draft {
         code: e.code,
-        n_locals: cx.tables.locals_count[idx],
+        n_locals: tables.locals_count[idx],
         max_stack: e.max_stack,
         children: e.children,
         errors: e.errors,
     };
-    let act = translate_act_plan(cx, ops, op, variant, decoded);
+    let act = translate_act_plan(ops, op, variant, decoded);
     inline_children(ops, draft, act)
 }
 
@@ -576,7 +619,7 @@ const INLINE_CODE_MAX: usize = 1 << 14;
 /// keep the call — their plan must run after the behavior. The pass runs
 /// bottom-up for free: children are fully translated (and themselves
 /// flattened) before the parent routine is assembled.
-fn inline_children(ops: &mut OpsTables, r: Draft, act: Option<ActPlan>) -> OpsRoutine {
+fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> OpsRoutine {
     let mut new_len = 0usize;
     let mut total_locals = r.n_locals as usize;
     let mut any = false;
@@ -711,16 +754,14 @@ fn inline_children(ops: &mut OpsTables, r: Draft, act: Option<ActPlan>) -> OpsRo
 /// exactly: group of the activating operation first, then operation by
 /// name; pipeline intrinsics are recognised by their first path segment.
 fn translate_act_plan(
-    cx: Xlate<'_>,
-    ops: &mut OpsTables,
+    ops: &mut OpsTables<'_>,
     op: OpId,
     variant: usize,
     decoded: Option<&Decoded>,
 ) -> Option<ActPlan> {
     let activation =
-        cx.model.operation(op).variants.get(variant).and_then(|v| v.activation.as_ref())?;
+        ops.model.operation(op).variants.get(variant).and_then(|v| v.activation.as_ref())?;
     let mut b = PlanBuilder {
-        cx,
         ops,
         op,
         decoded,
@@ -732,9 +773,8 @@ fn translate_act_plan(
     Some(ActPlan { steps, targets: b.targets, conds: b.conds, errors: b.errors })
 }
 
-struct PlanBuilder<'e, 'o> {
-    cx: Xlate<'e>,
-    ops: &'o mut OpsTables,
+struct PlanBuilder<'m, 'e, 'o> {
+    ops: &'o mut OpsTables<'m>,
     op: OpId,
     decoded: Option<&'e Decoded>,
     targets: Vec<ActTarget>,
@@ -742,7 +782,7 @@ struct PlanBuilder<'e, 'o> {
     errors: Vec<SimError>,
 }
 
-impl PlanBuilder<'_, '_> {
+impl PlanBuilder<'_, '_, '_> {
     fn steps(&mut self, nodes: &[ActNode]) -> Vec<ActStep> {
         nodes.iter().map(|n| self.node(n)).collect()
     }
@@ -810,9 +850,9 @@ impl PlanBuilder<'_, '_> {
     /// name — the interpretive `activate_name` order) and precomputes
     /// its delay from the static stage assignments.
     fn activate(&mut self, name: &str, extra_delay: u32) -> ActStep {
-        let operation = self.cx.model.operation(self.op);
+        let operation = self.ops.model.operation(self.op);
         let (target_op, child) = if let Some(gidx) = operation.group_index(name) {
-            match self.decoded.and_then(|d| d.group_child_rc(self.cx.model, gidx)) {
+            match self.decoded.and_then(|d| d.group_child_rc(self.ops.model, gidx)) {
                 Some(child) => (child.op, Some(child)),
                 None => {
                     return self.fail(SimError::UnboundGroup {
@@ -821,7 +861,7 @@ impl PlanBuilder<'_, '_> {
                     });
                 }
             }
-        } else if let Some(target) = self.cx.model.operation_by_name(name) {
+        } else if let Some(target) = self.ops.model.operation_by_name(name) {
             let target = target.id;
             // Direct operation activation; if the current binding has a
             // matching op-reference child, pass it along.
@@ -840,14 +880,14 @@ impl PlanBuilder<'_, '_> {
             });
         };
 
-        let target_stage = self.cx.model.operation(target_op).stage;
+        let target_stage = self.ops.model.operation(target_op).stage;
         let spatial = match (operation.stage, target_stage) {
             (_, None) => 0,
             (None, Some((_, s))) => s as u32,
             (Some((p0, s0)), Some((p1, s1))) if p0 == p1 => s1.saturating_sub(s0) as u32,
             (Some(_), Some((_, s1))) => s1 as u32,
         };
-        let routine = child.as_ref().map(|c| self.ops.bind(self.cx, c.op, c));
+        let routine = child.as_ref().map(|c| self.ops.bind(c.op, c));
         let k = self.targets.len() as u16;
         self.targets.push(ActTarget {
             from: self.op,
@@ -864,7 +904,7 @@ impl PlanBuilder<'_, '_> {
     /// pipeline (it then resolves as an activation).
     fn pipe_intrinsic(&mut self, call: &lisa_core::ast::Call) -> Option<ActStep> {
         let first = call.path.first()?;
-        let pipeline = self.cx.model.pipelines().iter().find(|p| p.name == first.name)?;
+        let pipeline = self.ops.model.pipelines().iter().find(|p| p.name == first.name)?;
         let pid = pipeline.id;
         let path_str = || call.path.iter().map(|p| p.name.as_str()).collect::<Vec<_>>().join(".");
         let step = match call.path.len() {
@@ -893,7 +933,7 @@ impl PlanBuilder<'_, '_> {
     /// pure, so resolving the branch at translate time is observably
     /// identical to re-evaluating every cycle.
     fn cond(&mut self, expr: &lisa_core::ast::Expr) -> CondKind {
-        let lexpr = match lower_act_expr(self.cx.model, self.op, expr) {
+        let lexpr = match lower_act_expr(self.ops.model, self.op, expr) {
             Ok(l) => l,
             Err(e) => {
                 let k = self.errors.len() as u16;
@@ -901,7 +941,7 @@ impl PlanBuilder<'_, '_> {
                 return CondKind::Err(k);
             }
         };
-        let mut e = Emitter::new(self.cx, self.ops);
+        let mut e = Emitter::new(self.ops);
         let ctx = Ctx { op: self.op, decoded: self.decoded };
         if let Some(v) = e.const_eval(&lexpr, ctx) {
             return CondKind::Const(v);
@@ -950,12 +990,11 @@ fn eval_builtin_pure(f: Builtin, vals: [i64; 2]) -> i64 {
     }
 }
 
-impl<'e, 'o> Emitter<'e, 'e, 'o> {
-    fn new(cx: Xlate<'e>, ops: &'o mut OpsTables) -> Self {
+impl<'m: 'e, 'e, 'o> Emitter<'m, 'e, 'o> {
+    fn new(ops: &'o mut OpsTables<'m>) -> Self {
         Emitter {
-            model: cx.model,
-            state: cx.state,
-            tables: cx.tables,
+            model: ops.model,
+            tables: ops.lowered,
             ops,
             code: Vec::new(),
             children: Vec::new(),
@@ -1325,7 +1364,7 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
     ) -> PlaceKind<'e, 'd> {
         let consts: Option<Vec<i64>> = indices.iter().map(|e| self.const_eval(e, ctx)).collect();
         match consts {
-            Some(vals) => match self.state.flatten_indices(self.model.resource(res), &vals) {
+            Some(vals) => match flatten_indices(self.model.resource(res), &vals) {
                 Ok(flat) => PlaceKind::Flat { res, flat: flat as u32 },
                 Err(e) => PlaceKind::Err(e),
             },
@@ -1446,8 +1485,7 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
 
     /// Embeds a bound child instance and emits its invocation.
     fn invoke_child(&mut self, child: Arc<Decoded>) {
-        let cx = Xlate { model: self.model, state: self.state, tables: self.tables };
-        let routine = translate_routine(cx, self.ops, child.op, child.variant, Some(&child));
+        let routine = translate_routine(self.ops, child.op, child.variant, Some(&child));
         let k = self.children.len() as u16;
         self.children.push((child, routine));
         self.emit(MicroOp::InvokeChild(k), 0);
@@ -1886,13 +1924,13 @@ impl Simulator<'_> {
             for i in (0..n).rev() {
                 buf[i] = stack.pop().unwrap_or(0);
             }
-            self.state.flatten_indices(self.model.resource(res), &buf[..n])
+            flatten_indices(self.model.resource(res), &buf[..n])
         } else {
             let mut vals = vec![0i64; n];
             for i in (0..n).rev() {
                 vals[i] = stack.pop().unwrap_or(0);
             }
-            self.state.flatten_indices(self.model.resource(res), &vals)
+            flatten_indices(self.model.resource(res), &vals)
         }
     }
 
@@ -1910,7 +1948,11 @@ impl Simulator<'_> {
     }
 
     /// Runs routine `id`'s behavior in a pooled frame.
-    pub(crate) fn run_routine(&mut self, t: &mut OpsTables, id: RoutineId) -> Result<(), SimError> {
+    pub(crate) fn run_routine(
+        &mut self,
+        t: &mut OpsTables<'_>,
+        id: RoutineId,
+    ) -> Result<(), SimError> {
         let mut frame = take_frame(&mut t.frames, &t.store[id].routine);
         let res = self.run_routine_in(t, id, &mut frame);
         put_frame(&mut t.frames, frame);
@@ -1922,7 +1964,7 @@ impl Simulator<'_> {
     /// borrow, and the code is borrowed again by id once it returns.
     fn run_routine_in(
         &mut self,
-        t: &mut OpsTables,
+        t: &mut OpsTables<'_>,
         id: RoutineId,
         frame: &mut OpsFrame,
     ) -> Result<(), SimError> {
@@ -1940,7 +1982,7 @@ impl Simulator<'_> {
     /// statistics bump and Exec event, the behavior, then its plan.
     fn invoke_routine(
         &mut self,
-        t: &mut OpsTables,
+        t: &mut OpsTables<'_>,
         op: OpId,
         id: RoutineId,
     ) -> Result<(), SimError> {
@@ -2202,7 +2244,7 @@ impl Simulator<'_> {
     /// are collected, then zero-delay ones execute immediately (behavior,
     /// then their own plan) in activation order — the ops-mode twin of
     /// `invoke_activation`.
-    fn invoke_plan(&mut self, t: &mut OpsTables, id: RoutineId) -> Result<(), SimError> {
+    fn invoke_plan(&mut self, t: &mut OpsTables<'_>, id: RoutineId) -> Result<(), SimError> {
         if t.store.plan(id).is_none() {
             return Ok(());
         }
@@ -2219,7 +2261,7 @@ impl Simulator<'_> {
     /// zero-delay targets join this step's ready list.
     pub(crate) fn schedule_plan(
         &mut self,
-        t: &mut OpsTables,
+        t: &mut OpsTables<'_>,
         id: RoutineId,
         ready: &mut Vec<ExecItem>,
     ) -> Result<(), SimError> {
@@ -2229,7 +2271,7 @@ impl Simulator<'_> {
 
     fn drain_plan(
         &mut self,
-        t: &mut OpsTables,
+        t: &mut OpsTables<'_>,
         id: RoutineId,
         out: &mut Vec<u16>,
     ) -> Result<(), SimError> {
@@ -2314,16 +2356,8 @@ impl Simulator<'_> {
 // ---------------------------------------------------------------------------
 
 impl Simulator<'_> {
-    /// The translation inputs, borrowed from this simulator.
-    pub(crate) fn xlate(&self) -> Xlate<'_> {
-        Xlate {
-            model: self.model,
-            state: &self.state,
-            tables: self.compiled.as_ref().expect("ops mode has tables"),
-        }
-    }
-
-    /// Number of routines in the ops store (0 outside ops mode).
+    /// Number of routines this simulator added to its ops store, the
+    /// model image's shared ones excluded (0 outside ops mode).
     #[cfg(test)]
     pub(crate) fn ops_store_len(&self) -> usize {
         self.ops.as_ref().map_or(0, |t| t.store.len())
@@ -2332,7 +2366,7 @@ impl Simulator<'_> {
     /// Executes an operation with no operand binding: the ops twin of
     /// `invoke_unbound`. A decode-root operation fetches and decodes its
     /// compared resource first.
-    fn ops_invoke_unbound(&mut self, t: &mut OpsTables, op: OpId) -> Result<(), SimError> {
+    fn ops_invoke_unbound(&mut self, t: &mut OpsTables<'_>, op: OpId) -> Result<(), SimError> {
         let Some(root_res) = self.model.operation(op).decode_root else {
             // The pre-translated routine already encodes the default
             // variant, so the guard-matching walk is skipped entirely.
@@ -2360,7 +2394,7 @@ impl Simulator<'_> {
     /// hands back a routine id.
     pub(crate) fn ops_decode_word(
         &mut self,
-        t: &mut OpsTables,
+        t: &mut OpsTables<'_>,
         word: u128,
     ) -> Result<RoutineId, SimError> {
         self.stats.decodes += 1;
@@ -2384,7 +2418,7 @@ impl Simulator<'_> {
                 if was_hit {
                     self.stats.decode_cache_hits += 1;
                 }
-                let id = t.bind(self.xlate(), decoded.op, &decoded);
+                let id = t.bind(decoded.op, &decoded);
                 t.words.insert(word, id);
                 (id, was_hit)
             }
@@ -2405,13 +2439,11 @@ impl Simulator<'_> {
     /// Eagerly translates every cached decode (called after predecode so
     /// `load_program` pays all translation cost up front).
     pub(crate) fn ops_translate_decode_cache(&mut self) {
-        let Some(mut t) = self.ops.take() else { return };
-        let cx = self.xlate();
+        let Some(t) = self.ops.as_mut() else { return };
         for (word, d) in &self.decode_cache {
-            let id = t.bind(cx, d.op, d);
+            let id = t.bind(d.op, d);
             t.words.entry(*word).or_insert(id);
         }
-        self.ops = Some(t);
     }
 
     /// The pending list with every routine id turned back into its
@@ -2433,12 +2465,7 @@ impl Simulator<'_> {
     /// a restore installed a snapshot's portable list).
     pub(crate) fn ops_bind_pending(&mut self) {
         let Some(t) = self.ops.as_mut() else { return };
-        let cx = Xlate {
-            model: self.model,
-            state: &self.state,
-            tables: self.compiled.as_ref().expect("ops mode has tables"),
-        };
-        t.bind_pending(cx, &mut self.pending);
+        t.bind_pending(&mut self.pending);
     }
 
     /// The [`OPS_CACHE_MAX`] safety valve, run at step boundaries, where
@@ -2453,12 +2480,7 @@ impl Simulator<'_> {
     #[cold]
     fn ops_reclaim(&mut self) {
         let Some(t) = self.ops.as_mut() else { return };
-        let cx = Xlate {
-            model: self.model,
-            state: &self.state,
-            tables: self.compiled.as_ref().expect("ops mode has tables"),
-        };
-        t.reclaim(cx, &mut self.pending);
+        t.reclaim(&mut self.pending);
     }
 
     /// Renders the translated micro-op listing: the default-variant
@@ -2471,7 +2493,7 @@ impl Simulator<'_> {
     /// byte-identical listings.
     pub fn ops_listing(&mut self) -> String {
         let mut out = String::new();
-        let Some(mut t) = self.ops.take() else { return out };
+        let Some(t) = self.ops.as_mut() else { return out };
         for op in self.model.operations() {
             let routine = &t.store[t.unbound[op.id.0]].routine;
             if routine.code.is_empty() {
@@ -2484,7 +2506,7 @@ impl Simulator<'_> {
         words.sort_unstable();
         for word in words {
             let d = &self.decode_cache[&word];
-            let id = t.bind(self.xlate(), d.op, d);
+            let id = t.bind(d.op, d);
             out.push_str(&format!(
                 "== word {:#x} op {} variant {}\n",
                 word,
@@ -2493,7 +2515,6 @@ impl Simulator<'_> {
             ));
             render_routine(&t.store, &t.store[id].routine, self.model, 1, &mut out);
         }
-        self.ops = Some(t);
         out
     }
 }
@@ -2503,7 +2524,7 @@ impl Simulator<'_> {
 // ---------------------------------------------------------------------------
 
 fn render_routine(
-    store: &RoutineStore,
+    store: &RoutineStore<'_>,
     routine: &OpsRoutine,
     model: &Model,
     indent: usize,
@@ -2694,6 +2715,42 @@ mod tests {
         sim.run(3).expect("runs");
         sim.restore(&snap).expect("restores");
         assert_eq!(sim.ops_store_len(), len);
+    }
+
+    /// Every ops simulator on a model shares the model's image, including
+    /// two built on their own threads the way serve's workers build them:
+    /// lowering and default translation run once per model, and every
+    /// simulator runs the program the same.
+    #[test]
+    fn ops_simulators_on_one_model_share_one_image() {
+        let wb = lisa_models::vliw62::workbench().expect("vliw62 builds");
+        let words = wb
+            .assemble(&["MVK A1, 40", "MVK B1, 2", "ADD .L A2, A1, B1", "HALT"])
+            .expect("assembles");
+        let halt = wb.model().resource_by_name(wb.halt_flag()).expect("halt flag");
+        let run = || {
+            let mut sim = Simulator::new(wb.model(), crate::SimMode::Ops).expect("builds");
+            sim.load_program(wb.program_memory(), &words).expect("loads");
+            let halted = |st: &crate::State| st.read_int(halt, &[]).unwrap_or(0) != 0;
+            let cycles = sim.run_until(halted, 1000).expect("halts").cycles;
+            let t = sim.ops.as_ref().expect("ops tables");
+            let image = (t.lowered as *const Lowered as usize, t.store.shared.as_ptr() as usize);
+            (image, cycles, sim.state().digest(), sim.ops_listing())
+        };
+        let mut runs: Vec<_> = std::thread::scope(|s| {
+            let workers = [s.spawn(run), s.spawn(run)];
+            workers.map(|w| w.join().expect("worker runs")).to_vec()
+        });
+        runs.extend([run(), run()]);
+
+        let image = ModelImage::of(wb.model()).expect("image builds");
+        let shared = (&image.lowered as *const Lowered as usize, image.routines.as_ptr() as usize);
+        assert!(!image.routines.is_empty());
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.0, shared, "simulator {i} has its own image");
+            assert_eq!((r.1, r.2), (runs[0].1, runs[0].2), "simulator {i} cycles and digest");
+            assert_eq!(r.3, runs[0].3, "simulator {i} listing");
+        }
     }
 
     #[test]

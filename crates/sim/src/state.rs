@@ -31,6 +31,37 @@ impl Storage {
     }
 }
 
+/// The flat element index of `indices` in resource `res`, from its
+/// declared dimensions alone: the addressing rules of [`State::read`],
+/// usable where no state exists (translation reads only the layout).
+pub(crate) fn flatten_indices(res: &Resource, indices: &[i64]) -> Result<usize, SimError> {
+    flatten(&res.name, &res.dims, indices)
+}
+
+fn flatten(name: &str, dims: &[Dim], indices: &[i64]) -> Result<usize, SimError> {
+    if indices.len() != dims.len() {
+        return Err(SimError::WrongArity {
+            resource: name.to_owned(),
+            got: indices.len(),
+            expected: dims.len(),
+        });
+    }
+    let mut flat = 0usize;
+    for (d, (&idx, dim)) in indices.iter().zip(dims).enumerate() {
+        let base = dim.base() as i64;
+        let len = dim.len() as i64;
+        if idx < base || idx >= base + len {
+            return Err(SimError::IndexOutOfBounds {
+                resource: name.to_owned(),
+                index: idx,
+                dim: d,
+            });
+        }
+        flat = flat * len as usize + (idx - base) as usize;
+    }
+    Ok(flat)
+}
+
 /// Wraps `value` to `width` bits, then sign- or zero-extends it back to
 /// 64: the register-write-then-read semantics of a declared C type.
 /// Widths of 64 and above leave the value unchanged.
@@ -88,28 +119,7 @@ impl State {
     }
 
     fn flat_index(&self, res: &Resource, indices: &[i64]) -> Result<usize, SimError> {
-        let storage = &self.storages[res.id.0];
-        if indices.len() != storage.dims.len() {
-            return Err(SimError::WrongArity {
-                resource: res.name.clone(),
-                got: indices.len(),
-                expected: storage.dims.len(),
-            });
-        }
-        let mut flat = 0usize;
-        for (d, (&idx, dim)) in indices.iter().zip(&storage.dims).enumerate() {
-            let base = dim.base() as i64;
-            let len = dim.len() as i64;
-            if idx < base || idx >= base + len {
-                return Err(SimError::IndexOutOfBounds {
-                    resource: res.name.clone(),
-                    index: idx,
-                    dim: d,
-                });
-            }
-            flat = flat * len as usize + (idx - base) as usize;
-        }
-        Ok(flat)
+        flatten(&res.name, &self.storages[res.id.0].dims, indices)
     }
 
     /// Reads a resource element as raw bits.
@@ -206,16 +216,6 @@ impl State {
         let Some(cell) = s.data.get_mut(flat) else { return false };
         *cell = i128::from(value) as u128 & s.mask;
         true
-    }
-
-    /// Computes the flat element index for lowered code; mirrors
-    /// [`State::read`]'s addressing rules.
-    pub(crate) fn flatten_indices(
-        &self,
-        res: &Resource,
-        indices: &[i64],
-    ) -> Result<usize, SimError> {
-        self.flat_index(res, indices)
     }
 
     /// Number of elements stored for resource `id`.

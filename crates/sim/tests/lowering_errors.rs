@@ -14,10 +14,18 @@ fn model(behavior: &str) -> Model {
     .expect("model parses")
 }
 
+/// The ops-mode construction error for `m`. The model keeps a failed
+/// image too, so a second simulator on it must return the same error.
+fn lowering_error(m: &Model) -> SimError {
+    let err = Simulator::new(m, SimMode::Ops).unwrap_err();
+    assert_eq!(Simulator::new(m, SimMode::Ops).unwrap_err(), err, "second simulator on the model");
+    err
+}
+
 #[test]
 fn unknown_names_fail_at_lowering_time() {
     let m = model("r = missing;");
-    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
+    let err = lowering_error(&m);
     assert!(matches!(err, SimError::UnknownName { ref name, .. } if name == "missing"));
     // Interpretive construction succeeds; the error surfaces at run time.
     let mut sim = Simulator::new(&m, SimMode::Interpretive).expect("builds");
@@ -27,7 +35,7 @@ fn unknown_names_fail_at_lowering_time() {
 #[test]
 fn builtin_arity_fails_at_lowering_time() {
     let m = model("r = sext(1);");
-    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
+    let err = lowering_error(&m);
     assert!(
         matches!(err, SimError::BadArity { ref builtin, got: 1, expected: 2 } if builtin == "sext")
     );
@@ -36,25 +44,25 @@ fn builtin_arity_fails_at_lowering_time() {
 #[test]
 fn unknown_pipeline_actions_fail_at_lowering_time() {
     let m = model("p.explode();");
-    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
+    let err = lowering_error(&m);
     assert!(matches!(err, SimError::UnknownPipeline { ref path } if path == "p.explode"));
 
     let m = model("p.C.stall();");
-    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
+    let err = lowering_error(&m);
     assert!(matches!(err, SimError::UnknownPipeline { .. }), "unknown stage: {err}");
 }
 
 #[test]
 fn unknown_dotted_calls_fail_at_lowering_time() {
     let m = model("q.shift();"); // `q` is not a pipeline
-    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
+    let err = lowering_error(&m);
     assert!(matches!(err, SimError::UnknownCall { ref path, .. } if path == "q.shift"));
 }
 
 #[test]
 fn error_messages_are_actionable() {
     let m = model("r = missing;");
-    let err = Simulator::new(&m, SimMode::Ops).unwrap_err();
+    let err = lowering_error(&m);
     let text = err.to_string();
     assert!(text.contains("missing"), "{text}");
     assert!(text.contains("main"), "names the operation: {text}");

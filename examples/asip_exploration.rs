@@ -53,17 +53,12 @@ fn run_dot(
 ) -> Result<(u64, i64), Box<dyn std::error::Error>> {
     let program = lisa::asm::Assembler::new(wb.model()).assemble(&dot_program(n, fused))?;
     let mut sim = wb.simulator(SimMode::Ops)?;
-    let pmem = wb.model().resource_by_name("prog_mem").expect("pmem").clone();
-    for (i, &word) in program.words.iter().enumerate() {
-        let addr = program.origin as i64 + i as i64;
-        sim.state_mut().write(&pmem, &[addr], lisa::bits::Bits::from_u128_wrapped(32, word))?;
-    }
     let dmem = wb.model().resource_by_name("data_mem1").expect("dmem").clone();
     for i in 0..n as i64 {
         sim.state_mut().write_int(&dmem, &[i], i % 7 - 3)?;
         sim.state_mut().write_int(&dmem, &[256 + i], (i * 3) % 11 - 5)?;
     }
-    sim.predecode_program_memory();
+    sim.load_program_at("prog_mem", program.origin, &program.words)?;
     let cycles = wb.run_to_halt(&mut sim, 100_000)?;
     let result = sim.state().read_int(&dmem, &[512])?;
     Ok((cycles, result))

@@ -855,20 +855,7 @@ fn max_steps(args: &[String]) -> Result<u64, String> {
 /// (honouring the program origin), pre-decoded in ops mode.
 fn boot_sim<'m>(run: &'m LoadedRun, mode: SimMode) -> Result<lisa::sim::Simulator<'m>, String> {
     let mut sim = lisa::sim::Simulator::new(&run.model, mode).map_err(|e| e.to_string())?;
-    let pmem = run
-        .model
-        .resource_by_name(run.pmem_name)
-        .ok_or_else(|| format!("model has no `{}` memory", run.pmem_name))?
-        .clone();
-    for (i, &word) in run.words.iter().enumerate() {
-        let addr = run.origin as i64 + i as i64;
-        sim.state_mut()
-            .write(&pmem, &[addr], lisa::bits::Bits::from_u128_wrapped(pmem.ty.width(), word))
-            .map_err(|e| e.to_string())?;
-    }
-    if mode != SimMode::Interpretive {
-        sim.predecode_program_memory();
-    }
+    sim.load_program_at(run.pmem_name, run.origin, &run.words).map_err(|e| e.to_string())?;
     Ok(sim)
 }
 
