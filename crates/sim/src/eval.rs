@@ -715,6 +715,7 @@ impl<'m> Simulator<'m> {
 }
 
 /// C arithmetic over i64 with explicit division-by-zero signalling.
+#[inline]
 pub(crate) fn apply_binop(op: BinOp, l: i64, r: i64) -> Result<i64, ()> {
     Ok(match op {
         BinOp::Add => l.wrapping_add(r),
@@ -749,8 +750,16 @@ pub(crate) fn apply_binop(op: BinOp, l: i64, r: i64) -> Result<i64, ()> {
 }
 
 pub(crate) fn apply_compound(op: AssignOp, old: i64, rhs: i64) -> Result<i64, ()> {
-    let bin = match op {
-        AssignOp::Set => return Ok(rhs),
+    match compound_binop(op) {
+        Some(bin) => apply_binop(bin, old, rhs),
+        None => Ok(rhs),
+    }
+}
+
+/// The operator a compound assignment applies; `None` for plain `=`.
+pub(crate) fn compound_binop(op: AssignOp) -> Option<BinOp> {
+    Some(match op {
+        AssignOp::Set => return None,
         AssignOp::Add => BinOp::Add,
         AssignOp::Sub => BinOp::Sub,
         AssignOp::Mul => BinOp::Mul,
@@ -760,8 +769,7 @@ pub(crate) fn apply_compound(op: AssignOp, old: i64, rhs: i64) -> Result<i64, ()
         AssignOp::And => BinOp::BitAnd,
         AssignOp::Or => BinOp::BitOr,
         AssignOp::Xor => BinOp::BitXor,
-    };
-    apply_binop(bin, old, rhs)
+    })
 }
 
 /// Clamps to the signed `width`-bit range (DSP saturation builtin).

@@ -8,12 +8,13 @@
 //! default-variant routine is translated once per model into the shared
 //! [`ModelImage`]; at predecode time every decoded instruction
 //! *instance* is translated into a flat `Vec<MicroOp>` in the
-//! simulator's own store — a stack-machine program in which
+//! simulator's own store — three-address code over one frame of slots,
+//! in which
 //!
 //! * LABEL references are constant-folded against the decoded fields,
 //! * operand (group / op-ref) expressions are inlined into the parent,
 //! * SWITCH/CASE arms with constant scrutinees keep only the taken arm,
-//! * constant resource indices are pre-flattened to direct element slots,
+//! * constant resource indices are pre-flattened to direct element cells,
 //! * `for` loops with a constant trip count of at most
 //!   [`UNROLL_MAX_TRIPS`] are unrolled, their induction variable folded
 //!   into each copy of the body,
@@ -21,156 +22,145 @@
 //!   op so runtime error behavior matches the interpretive backend
 //!   exactly.
 //!
-//! As ops are emitted, a one-op peephole fuses the commonest pairs and
-//! triples (`const; binop` and `binop; jz`) into single ops. The cycle
-//! loop dispatches over a contiguous op array with zero name resolution
-//! and zero tree traversal. Activation scheduling,
-//! pipeline intrinsics, tracing and statistics all reuse the shared
-//! engine paths, so `State::digest` and mode-independent `SimStats`
-//! stay byte-identical across both modes (enforced by `lisa-conform`'s
-//! lockstep oracle).
+//! Translation is one pass over the IR. Each op names its operands —
+//! frame slots, pre-flattened register cells or immediates — and its
+//! destination, so reading an operand or storing a result costs no op of
+//! its own: tinyrisc's `add` is `enter; R[3] = R[1] + R[2]; zflag = R[3]
+//! == 0`. Conditions become one compare-and-jump. The cycle loop
+//! dispatches over a contiguous op array with zero name resolution and
+//! zero tree traversal. Activation scheduling, pipeline intrinsics,
+//! tracing and statistics all reuse the shared engine paths, so
+//! `State::digest` and mode-independent `SimStats` stay byte-identical
+//! across both modes (enforced by `lisa-conform`'s lockstep oracle).
 
 use std::sync::Arc;
 
-use lisa_core::ast::{ActNode, AssignOp, BinOp, UnOp};
+use lisa_core::ast::{ActNode, AssignOp, BinOp, ResourceClass, UnOp};
 use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
 use lisa_isa::Decoded;
 
 use crate::engine::{Binding, ExecItem, Pending};
-use crate::eval::{apply_binop, apply_compound, saturate};
+use crate::eval::{apply_binop, compound_binop, saturate};
 use crate::fasthash::FastMap;
 use crate::lower::{lower_act_expr, Builtin, LBlock, LExpr, LPlace, LStmt, Lowered, PipeOp};
 use crate::state::{flatten_indices, wrap_to_width};
 use crate::{SimError, Simulator};
 
-/// One flat micro-operation. Value-producing ops push onto an operand
-/// stack; jump targets are absolute indices into the routine's code.
-#[derive(Debug, Clone, PartialEq)]
+/// Where a micro-op reads a value or writes its result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Operand {
+    /// A frame slot: a behavior local or a translator temporary.
+    Slot(u16),
+    /// A resource element at a pre-flattened, in-bounds index. As a source
+    /// it never names a memory-class resource (see [`MicroOp::Load`]), so
+    /// reading it at its use is unobservable: lowered expressions never
+    /// write state.
+    Cell { res: u16, flat: u32 },
+    /// An immediate; never a destination. Wider constants load into a
+    /// slot through [`MicroOp::Const`].
+    Imm(i32),
+}
+
+impl Operand {
+    fn slot_mut(&mut self) -> Option<&mut u16> {
+        match self {
+            Operand::Slot(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// One flat micro-operation in three-address form: a value-producing op
+/// names its operands and its destination. Jump targets are absolute
+/// indices into the routine's code; `ctx` is the id of the operation the
+/// op was translated from, named by division-by-zero errors and `print`
+/// events.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum MicroOp {
-    /// Push a constant (also the result of all translate-time folding).
-    Const(i64),
-    /// Push a local slot's value.
-    ReadLocal(u16),
-    /// Push element 0 of a resource (scalar read; missing reads as 0).
-    ReadScalar(ResourceId),
-    /// Push a resource element at a pre-flattened index.
-    ReadFlat {
+    /// `dst = src`.
+    Move {
+        dst: Operand,
+        src: Operand,
+    },
+    /// `dst = value`, for a constant too wide for [`Operand::Imm`].
+    Const {
+        dst: Operand,
+        value: i64,
+    },
+    /// `dst = res[flat]`, a read the probe runtime sees: memory reads feed
+    /// the arch profile's read heat, so they keep their own op at their
+    /// source position instead of becoming a [`Operand::Cell`].
+    Load {
+        dst: Operand,
         res: ResourceId,
         flat: u32,
     },
-    /// Pop `n` indices (pushed in source order), flatten, push element.
-    ReadDyn {
+    /// `dst = res[idx]` on a one-dimensional base-0 resource.
+    LoadIdx {
+        dst: Operand,
         res: ResourceId,
+        idx: Operand,
+    },
+    /// `dst = res[..]` with `n` indices in consecutive slots from `idx`.
+    LoadDyn {
+        dst: Operand,
+        res: ResourceId,
+        idx: u16,
         n: u8,
     },
-    /// Pop one index, push the element — the translate-time-specialized
-    /// single-dimension base-0 case of `ReadDyn` (no flatten walk).
-    ReadIdx(ResourceId),
-    /// Transform the top of stack.
-    Unary(UnOp),
-    /// Pop rhs then lhs, push the result. `ctx` names the operation for
-    /// division-by-zero diagnostics.
+    /// `dst = op src`.
+    Unary {
+        op: UnOp,
+        dst: Operand,
+        src: Operand,
+    },
+    /// `dst = a op b`.
     Binary {
         op: BinOp,
-        ctx: OpId,
+        dst: Operand,
+        a: Operand,
+        b: Operand,
+        ctx: u32,
     },
-    /// Pop lhs, push `lhs op imm` — a fused `Const imm; Binary op`.
-    BinaryImm {
-        op: BinOp,
-        imm: i64,
-        ctx: OpId,
-    },
-    /// Normalize the top of stack to 0/1 (logical-op tail).
-    NormBool,
-    /// Builtin call; operand arity is implied by `f`.
+    /// `dst = f(a, b)`; `print` emits its event and passes `a` through.
     Builtin {
         f: Builtin,
-        ctx: OpId,
+        dst: Operand,
+        a: Operand,
+        b: Operand,
+        ctx: u32,
     },
-    /// Pop into a local slot.
-    StoreLocal(u16),
-    /// Pop, wrap to a declared width, store into a local slot.
-    StoreLocalWrapped {
-        slot: u16,
-        width: u32,
-        signed: bool,
-    },
-    /// Discard the top of stack.
-    Pop,
-    Jump(u32),
-    /// Pop; jump when zero.
-    JumpIfZero(u32),
-    /// Pop; jump when non-zero.
-    JumpIfNonZero(u32),
-    /// Pop rhs then lhs; jump when `lhs op rhs` is zero — a fused
-    /// `Binary op; JumpIfZero target`.
-    JumpUnless {
-        op: BinOp,
-        ctx: OpId,
-        target: u32,
-    },
-    /// Pop lhs; jump when `lhs op imm` is zero — a fused
-    /// `Const imm; Binary op; JumpIfZero target`.
-    JumpUnlessImm {
-        op: BinOp,
-        imm: i64,
-        ctx: OpId,
-        target: u32,
-    },
-    /// Peek; when equal to `value`, pop and jump (SWITCH dispatch).
-    CaseJump {
-        value: i64,
-        target: u32,
-    },
-    /// Pop a value into a pre-flattened resource element.
-    WriteFlat {
+    /// `res[idx] = src` on a one-dimensional base-0 resource.
+    StoreIdx {
         res: ResourceId,
-        flat: u32,
+        idx: Operand,
+        src: Operand,
     },
-    /// Pop `n` indices then the value; write the element.
-    WriteDyn {
+    /// `res[..] = src` with `n` indices in consecutive slots from `idx`.
+    StoreDyn {
         res: ResourceId,
+        idx: u16,
         n: u8,
+        src: Operand,
     },
-    /// Pop one index then the value; write the element (single-dimension
-    /// base-0 specialization of `WriteDyn`).
-    WriteIdx(ResourceId),
-    /// Compound assignment into a local (rhs on stack).
-    RmwLocal {
-        slot: u16,
-        op: AssignOp,
-        ctx: OpId,
-    },
-    /// Compound assignment into a pre-flattened element (rhs on stack).
-    RmwFlat {
-        res: ResourceId,
-        flat: u32,
-        op: AssignOp,
-        ctx: OpId,
-    },
-    /// Compound assignment with dynamic indices (rhs below indices).
+    /// `res[..] = res[..] op rhs` with dynamic indices: compound
+    /// assignment and `++`/`--`.
     RmwDyn {
         res: ResourceId,
+        idx: u16,
         n: u8,
-        op: AssignOp,
-        ctx: OpId,
+        op: BinOp,
+        rhs: Operand,
+        ctx: u32,
     },
-    /// `++`/`--` on a local slot.
-    IncDecLocal {
-        slot: u16,
-        delta: i64,
-    },
-    /// `++`/`--` on a pre-flattened element.
-    IncDecFlat {
-        res: ResourceId,
-        flat: u32,
-        delta: i64,
-    },
-    /// `++`/`--` with dynamic indices on the stack.
-    IncDecDyn {
-        res: ResourceId,
-        n: u8,
-        delta: i64,
+    Jump(u32),
+    /// Jump when `a op b` is zero: every conditional branch.
+    JumpUnless {
+        op: BinOp,
+        a: Operand,
+        b: Operand,
+        ctx: u32,
+        target: u32,
     },
     /// Pipeline intrinsic (shift / stall / flush), shared engine path.
     Pipe(PipeOp),
@@ -198,14 +188,64 @@ impl MicroOp {
     /// patching and child inlining retarget through.
     fn target_mut(&mut self) -> Option<&mut u32> {
         match self {
-            MicroOp::Jump(t)
-            | MicroOp::JumpIfZero(t)
-            | MicroOp::JumpIfNonZero(t)
-            | MicroOp::CaseJump { target: t, .. }
-            | MicroOp::JumpUnless { target: t, .. }
-            | MicroOp::JumpUnlessImm { target: t, .. } => Some(t),
+            MicroOp::Jump(t) | MicroOp::JumpUnless { target: t, .. } => Some(t),
             _ => None,
         }
+    }
+
+    /// The frame slots an op names — the one place child inlining
+    /// relocates them through.
+    fn slots_mut(&mut self) -> [Option<&mut u16>; 3] {
+        match self {
+            MicroOp::Move { dst, src } | MicroOp::Unary { dst, src, .. } => {
+                [dst.slot_mut(), src.slot_mut(), None]
+            }
+            MicroOp::Const { dst, .. } | MicroOp::Load { dst, .. } => [dst.slot_mut(), None, None],
+            MicroOp::LoadIdx { dst, idx, .. } => [dst.slot_mut(), idx.slot_mut(), None],
+            MicroOp::LoadDyn { dst, idx, .. } => [dst.slot_mut(), Some(idx), None],
+            MicroOp::Binary { dst, a, b, .. } | MicroOp::Builtin { dst, a, b, .. } => {
+                [dst.slot_mut(), a.slot_mut(), b.slot_mut()]
+            }
+            MicroOp::StoreIdx { idx, src, .. } => [idx.slot_mut(), src.slot_mut(), None],
+            MicroOp::StoreDyn { idx, src, .. } => [Some(idx), src.slot_mut(), None],
+            MicroOp::RmwDyn { idx, rhs, .. } => [Some(idx), rhs.slot_mut(), None],
+            MicroOp::JumpUnless { a, b, .. } => [a.slot_mut(), b.slot_mut(), None],
+            MicroOp::ZeroLocals { base, .. } => [Some(base), None, None],
+            MicroOp::Jump(_)
+            | MicroOp::Pipe(_)
+            | MicroOp::InvokeChild(_)
+            | MicroOp::InvokeUnbound(_)
+            | MicroOp::Enter(_)
+            | MicroOp::Fail(_) => [None, None, None],
+        }
+    }
+}
+
+/// The `ctx` an op records for `op`.
+fn ctx_of(op: OpId) -> u32 {
+    u32::try_from(op.0).expect("operation ids fit in u32")
+}
+
+/// The destination cell of a place resolved to `PlaceKind::Flat`, whose
+/// resource id `Emitter::res_place` checked fits.
+fn cell(res: ResourceId, flat: u32) -> Operand {
+    Operand::Cell { res: res.0 as u16, flat }
+}
+
+fn is_compare(op: BinOp) -> bool {
+    matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne)
+}
+
+/// The comparison that holds exactly when `op` does not.
+fn inverse_compare(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Ge,
+        BinOp::Le => BinOp::Gt,
+        BinOp::Gt => BinOp::Le,
+        BinOp::Ge => BinOp::Lt,
+        BinOp::Eq => BinOp::Ne,
+        BinOp::Ne => BinOp::Eq,
+        other => unreachable!("{other:?} is not a comparison"),
     }
 }
 
@@ -213,8 +253,11 @@ impl MicroOp {
 #[derive(Debug)]
 pub(crate) struct OpsRoutine {
     pub(crate) code: Vec<MicroOp>,
+    /// Behavior locals: frame slots `0..n_locals`, zeroed on entry.
     pub(crate) n_locals: u16,
-    pub(crate) max_stack: usize,
+    /// Frame size: the locals, the translator's temporaries and the slot
+    /// blocks of inlined children.
+    pub(crate) n_slots: u16,
     /// Child instances invoked by `InvokeChild`, in emission order.
     pub(crate) children: Vec<ChildInvoke>,
     /// Errors referenced by `Fail` ops.
@@ -397,18 +440,11 @@ pub(crate) struct OpsTables<'m> {
     /// Fused decode+translate cache for decode-root fetches: one lookup
     /// replaces the word-cache probe plus the instance-cache probe.
     words: FastMap<u128, RoutineId>,
-    /// Recycled execution frames (locals + operand stack), so nested
+    /// Recycled execution frames (one slot vector each), so nested
     /// routine invocations allocate nothing in the steady state.
-    frames: Vec<OpsFrame>,
+    frames: Vec<Vec<i64>>,
     /// Recycled target-index buffers for behavior-context plan drains.
     act_scratch: Vec<Vec<u16>>,
-}
-
-/// One pooled execution frame: the capacity persists across invocations.
-#[derive(Debug, Default)]
-pub(crate) struct OpsFrame {
-    locals: Vec<i64>,
-    stack: Vec<i64>,
 }
 
 /// Safety valve for callers that mint transient `Arc<Decoded>` values
@@ -544,16 +580,16 @@ struct Emitter<'m, 'e, 'o> {
     /// Break/continue with no enclosing construct: ends the behavior
     /// (tree-walk semantics: the flow propagates out and is discarded).
     end_patches: Vec<usize>,
-    depth: usize,
-    max_stack: usize,
+    /// The next free temporary slot. Temporaries live within one
+    /// statement, so each statement hands its own back.
+    next_slot: u16,
+    /// Frame slots used so far: the locals, then the temporaries.
+    n_slots: u16,
     /// Induction variables of the unrolled loops being emitted, with the
     /// current iteration's value (innermost last); reads fold to it.
     known: Vec<(u16, i64)>,
     /// Body copies the enclosing unrolled loops already multiply to.
     unroll_copies: usize,
-    /// The latest code position handed out as a jump target: an op
-    /// emitted there must not fuse into the one before it.
-    landing: usize,
 }
 
 /// Most iterations a constant-trip `for` loop may have to be unrolled.
@@ -575,7 +611,7 @@ fn translate_routine(
 ) -> OpsRoutine {
     let tables = ops.lowered;
     let idx = tables.slot(op, variant);
-    let mut e = Emitter::new(ops);
+    let mut e = Emitter::new(ops, tables.locals_count[idx]);
     if let Some(block) = tables.behaviors[idx].as_ref() {
         e.block(block, Ctx { op, decoded });
     }
@@ -586,7 +622,7 @@ fn translate_routine(
     let draft = Draft {
         code: e.code,
         n_locals: tables.locals_count[idx],
-        max_stack: e.max_stack,
+        n_slots: e.n_slots,
         children: e.children,
         errors: e.errors,
     };
@@ -599,7 +635,7 @@ fn translate_routine(
 struct Draft {
     code: Vec<MicroOp>,
     n_locals: u16,
-    max_stack: usize,
+    n_slots: u16,
     children: Vec<(Arc<Decoded>, OpsRoutine)>,
     errors: Vec<SimError>,
 }
@@ -613,15 +649,16 @@ const INLINE_CODE_MAX: usize = 1 << 14;
 /// frame acquire/release, a nested dispatch entry and an activation-plan
 /// check per execution; after flattening the child contributes one
 /// `Enter` marker (statistics + Exec event, identical to the call) plus
-/// its own micro-ops run in the parent's frame. The child's locals move
-/// to a fresh slot block and are re-zeroed at each invocation site, so
-/// loop-carried behavior is unchanged. Children with an ACTIVATION plan
-/// keep the call — their plan must run after the behavior. The pass runs
-/// bottom-up for free: children are fully translated (and themselves
-/// flattened) before the parent routine is assembled.
+/// its own micro-ops run in the parent's frame. The child's slots move
+/// to a fresh block and its locals are re-zeroed at each invocation
+/// site, so loop-carried behavior is unchanged. Children with an
+/// ACTIVATION plan keep the call — their plan must run after the
+/// behavior. The pass runs bottom-up for free: children are fully
+/// translated (and themselves flattened) before the parent routine is
+/// assembled.
 fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> OpsRoutine {
     let mut new_len = 0usize;
-    let mut total_locals = r.n_locals as usize;
+    let mut total_slots = r.n_slots as usize;
     let mut any = false;
     for op in &r.code {
         new_len += 1;
@@ -630,11 +667,11 @@ fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> O
             if child.act.is_none() {
                 any = true;
                 new_len += child.code.len() + usize::from(child.n_locals > 0);
-                total_locals += child.n_locals as usize;
+                total_slots += child.n_slots as usize;
             }
         }
     }
-    if !any || new_len > INLINE_CODE_MAX || total_locals > u16::MAX as usize {
+    if !any || new_len > INLINE_CODE_MAX || total_slots > u16::MAX as usize {
         let children = r
             .children
             .into_iter()
@@ -643,7 +680,7 @@ fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> O
         return OpsRoutine {
             code: r.code,
             n_locals: r.n_locals,
-            max_stack: r.max_stack,
+            n_slots: r.n_slots,
             children,
             errors: r.errors,
             act,
@@ -675,8 +712,7 @@ fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> O
     let mut code: Vec<MicroOp> = Vec::with_capacity(new_len);
     let mut children: Vec<ChildInvoke> = Vec::new();
     let mut errors = r.errors;
-    let mut local_base = r.n_locals;
-    let mut max_child_stack = 0usize;
+    let mut slot_base = r.n_slots;
     for op in &r.code {
         match op {
             MicroOp::InvokeChild(k) => {
@@ -691,47 +727,32 @@ fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> O
                 }
                 code.push(MicroOp::Enter(decoded.op));
                 if child.n_locals > 0 {
-                    code.push(MicroOp::ZeroLocals { base: local_base, n: child.n_locals });
+                    code.push(MicroOp::ZeroLocals { base: slot_base, n: child.n_locals });
                 }
                 let base = code.len() as u32;
                 let err_base = errors.len() as u16;
                 let child_base = children.len() as u16;
                 errors.extend(child.errors.iter().cloned());
                 children.extend_from_slice(&child.children);
-                max_child_stack = max_child_stack.max(child.max_stack);
-                for cop in &child.code {
-                    let mut cop = match cop {
-                        MicroOp::ReadLocal(s) => MicroOp::ReadLocal(s + local_base),
-                        MicroOp::StoreLocal(s) => MicroOp::StoreLocal(s + local_base),
-                        MicroOp::StoreLocalWrapped { slot, width, signed } => {
-                            MicroOp::StoreLocalWrapped {
-                                slot: slot + local_base,
-                                width: *width,
-                                signed: *signed,
-                            }
-                        }
-                        MicroOp::RmwLocal { slot, op, ctx } => {
-                            MicroOp::RmwLocal { slot: slot + local_base, op: *op, ctx: *ctx }
-                        }
-                        MicroOp::IncDecLocal { slot, delta } => {
-                            MicroOp::IncDecLocal { slot: slot + local_base, delta: *delta }
-                        }
-                        MicroOp::ZeroLocals { base: b, n } => {
-                            MicroOp::ZeroLocals { base: b + local_base, n: *n }
-                        }
-                        MicroOp::InvokeChild(ck) => MicroOp::InvokeChild(ck + child_base),
-                        MicroOp::Fail(fk) => MicroOp::Fail(fk + err_base),
-                        other => other.clone(),
-                    };
+                for &cop in &child.code {
+                    let mut cop = cop;
+                    for slot in cop.slots_mut().into_iter().flatten() {
+                        *slot += slot_base;
+                    }
+                    match &mut cop {
+                        MicroOp::InvokeChild(ck) => *ck += child_base,
+                        MicroOp::Fail(fk) => *fk += err_base,
+                        _ => {}
+                    }
                     if let Some(t) = cop.target_mut() {
                         *t += base;
                     }
                     code.push(cop);
                 }
-                local_base += child.n_locals;
+                slot_base += child.n_slots;
             }
-            other => {
-                let mut op = other.clone();
+            &other => {
+                let mut op = other;
                 if let Some(t) = op.target_mut() {
                     *t = new_pos[*t as usize];
                 }
@@ -739,14 +760,7 @@ fn inline_children(ops: &mut OpsTables<'_>, r: Draft, act: Option<ActPlan>) -> O
             }
         }
     }
-    OpsRoutine {
-        code,
-        n_locals: local_base,
-        max_stack: r.max_stack + max_child_stack,
-        children,
-        errors,
-        act,
-    }
+    OpsRoutine { code, n_locals: r.n_locals, n_slots: slot_base, children, errors, act }
 }
 
 /// Lowers the `(operation, variant)` ACTIVATION section to a plan, when
@@ -941,18 +955,19 @@ impl PlanBuilder<'_, '_, '_> {
                 return CondKind::Err(k);
             }
         };
-        let mut e = Emitter::new(self.ops);
+        // Slot 0 receives the condition's value.
+        let mut e = Emitter::new(self.ops, 1);
         let ctx = Ctx { op: self.op, decoded: self.decoded };
         if let Some(v) = e.const_eval(&lexpr, ctx) {
             return CondKind::Const(v);
         }
-        e.expr(&lexpr, ctx);
+        e.expr_into(&lexpr, ctx, Operand::Slot(0));
         // Expressions invoke no operations, so a condition has no children.
         debug_assert!(e.children.is_empty());
         let routine = OpsRoutine {
             code: e.code,
             n_locals: 0,
-            max_stack: e.max_stack,
+            n_slots: e.n_slots,
             children: Vec::new(),
             errors: e.errors,
             act: None,
@@ -991,7 +1006,9 @@ fn eval_builtin_pure(f: Builtin, vals: [i64; 2]) -> i64 {
 }
 
 impl<'m: 'e, 'e, 'o> Emitter<'m, 'e, 'o> {
-    fn new(ops: &'o mut OpsTables<'m>) -> Self {
+    /// An emitter for a routine whose behavior has `n_locals` locals;
+    /// temporaries are allocated above them.
+    fn new(ops: &'o mut OpsTables<'m>, n_locals: u16) -> Self {
         Emitter {
             model: ops.model,
             tables: ops.lowered,
@@ -1001,64 +1018,35 @@ impl<'m: 'e, 'e, 'o> Emitter<'m, 'e, 'o> {
             errors: Vec::new(),
             frames: Vec::new(),
             end_patches: Vec::new(),
-            depth: 0,
-            max_stack: 0,
+            next_slot: n_locals,
+            n_slots: n_locals,
             known: Vec::new(),
             unroll_copies: 1,
-            landing: 0,
         }
     }
 }
 
 impl<'m, 'e> Emitter<'m, 'e, '_> {
     /// The next code position, as a jump target.
-    fn here(&mut self) -> u32 {
-        self.landing = self.code.len();
+    fn here(&self) -> u32 {
         self.code.len() as u32
     }
 
-    /// Appends `op` and returns its index. Peephole fusion happens here:
-    /// `Const k; Binary op` becomes `BinaryImm`, `Binary op; JumpIfZero t`
-    /// becomes `JumpUnless`, and the triple becomes `JumpUnlessImm` —
-    /// unless a jump lands on `op`, so every path still runs the same
-    /// effects. The fused ops keep the `Binary` op's division-by-zero
-    /// context, and the returned index (for patching) is the fused op's.
-    fn emit(&mut self, op: MicroOp, delta: isize) -> usize {
-        self.depth = (self.depth as isize + delta).max(0) as usize;
-        self.max_stack = self.max_stack.max(self.depth);
-        let at = self.code.len();
-        let fused = match (self.code.last(), &op) {
-            _ if self.landing == at => None,
-            (Some(MicroOp::Const(imm)), MicroOp::Binary { op, ctx }) => {
-                Some(MicroOp::BinaryImm { op: *op, imm: *imm, ctx: *ctx })
-            }
-            (Some(MicroOp::BinaryImm { op, imm, ctx }), MicroOp::JumpIfZero(target)) => {
-                Some(MicroOp::JumpUnlessImm { op: *op, imm: *imm, ctx: *ctx, target: *target })
-            }
-            (Some(MicroOp::Binary { op, ctx }), MicroOp::JumpIfZero(target)) => {
-                Some(MicroOp::JumpUnless { op: *op, ctx: *ctx, target: *target })
-            }
-            _ => None,
-        };
-        match fused {
-            Some(f) => {
-                self.code[at - 1] = f;
-                at - 1
-            }
-            None => {
-                self.code.push(op);
-                at
-            }
-        }
-    }
-
-    fn set_depth(&mut self, d: usize) {
-        self.depth = d;
+    /// Appends `op` and returns its index (for patching).
+    fn emit(&mut self, op: MicroOp) -> usize {
+        self.code.push(op);
+        self.code.len() - 1
     }
 
     fn patch(&mut self, at: usize) {
         let target = self.here();
         self.patch_to(at, target);
+    }
+
+    fn patch_all(&mut self, jumps: Vec<usize>) {
+        for j in jumps {
+            self.patch(j);
+        }
     }
 
     fn patch_to(&mut self, at: usize, target: u32) {
@@ -1067,12 +1055,76 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         }
     }
 
-    /// Emits a `Fail` op. `pretend` keeps linear depth tracking aligned
-    /// with the value/effect the failing construct would have produced.
-    fn fail(&mut self, err: SimError, pretend: isize) {
+    fn fail(&mut self, err: SimError) {
         let k = self.errors.len() as u16;
         self.errors.push(err);
-        self.emit(MicroOp::Fail(k), pretend);
+        self.emit(MicroOp::Fail(k));
+    }
+
+    /// A fresh temporary slot, free again when the enclosing expression
+    /// or statement restores `next_slot`.
+    fn temp(&mut self) -> u16 {
+        let t = self.next_slot;
+        self.next_slot = t.checked_add(1).expect("a frame holds at most u16::MAX slots");
+        self.n_slots = self.n_slots.max(self.next_slot);
+        t
+    }
+
+    /// The operand for constant `v`: an immediate, or a slot loaded with
+    /// it when it is wider than 32 bits.
+    fn imm(&mut self, v: i64) -> Operand {
+        match i32::try_from(v) {
+            Ok(v) => Operand::Imm(v),
+            Err(_) => {
+                let t = self.temp();
+                self.emit(MicroOp::Const { dst: Operand::Slot(t), value: v });
+                Operand::Slot(t)
+            }
+        }
+    }
+
+    /// `dst = v`.
+    fn move_const(&mut self, dst: Operand, v: i64) {
+        match i32::try_from(v) {
+            Ok(v) => self.mov(dst, Operand::Imm(v)),
+            Err(_) => {
+                self.emit(MicroOp::Const { dst, value: v });
+            }
+        }
+    }
+
+    /// `dst = src`; a slot copied onto itself emits nothing (a cell copied
+    /// onto itself still writes, with its event).
+    fn mov(&mut self, dst: Operand, src: Operand) {
+        if dst != src || !matches!(dst, Operand::Slot(_)) {
+            self.emit(MicroOp::Move { dst, src });
+        }
+    }
+
+    /// The cell operand reading element `flat` of `res` at its use, when
+    /// that read is unobservable. Memory reads feed the probe runtime's
+    /// read heat (`ProbeRuntime::observe_read`), so they keep a
+    /// [`MicroOp::Load`] at their source position; so does a resource id
+    /// too wide for a cell.
+    fn silent_cell(&self, res: ResourceId, flat: u32) -> Option<Operand> {
+        let class = self.model.resource(res).class;
+        if matches!(class, ResourceClass::DataMemory | ResourceClass::ProgramMemory) {
+            return None;
+        }
+        Some(Operand::Cell { res: u16::try_from(res.0).ok()?, flat })
+    }
+
+    /// The operand holding element `flat` of `res`: its cell, or a
+    /// temporary loaded here.
+    fn read_cell(&mut self, res: ResourceId, flat: u32) -> Operand {
+        match self.silent_cell(res, flat) {
+            Some(cell) => cell,
+            None => {
+                let t = self.temp();
+                self.emit(MicroOp::Load { dst: Operand::Slot(t), res, flat });
+                Operand::Slot(t)
+            }
+        }
     }
 
     fn unbound_group_err(&self, op: OpId, g: u16) -> SimError {
@@ -1197,138 +1249,303 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
 impl<'m, 'e> Emitter<'m, 'e, '_> {
     // -- expressions --------------------------------------------------------
 
-    fn expr<'d>(&mut self, e: &'e LExpr, ctx: Ctx<'d>) {
+    /// Emits `e` and returns the operand holding its value. A local, a
+    /// register cell or a constant costs no op; anything else is computed
+    /// into a fresh temporary.
+    fn operand(&mut self, e: &'e LExpr, ctx: Ctx<'_>) -> Operand {
         if let Some(v) = self.const_eval(e, ctx) {
-            self.emit(MicroOp::Const(v), 1);
-            return;
+            return self.imm(v);
+        }
+        if let Some((inner, ictx)) = self.look_through(e, ctx) {
+            return self.operand(inner, ictx);
         }
         match e {
+            LExpr::Local(slot) => Operand::Slot(*slot),
+            LExpr::ResScalar(res) => self.read_cell(*res, 0),
+            LExpr::ResElem { res, indices } => match self.res_place(*res, indices, ctx) {
+                PlaceKind::Flat { res, flat } => self.read_cell(res, flat),
+                kind => self.in_temp(|em, dst| em.read_into(kind, dst)),
+            },
+            _ => self.in_temp(|em, dst| em.emit_into(e, ctx, dst)),
+        }
+    }
+
+    /// Runs `emit` with a fresh temporary as its destination and returns
+    /// that temporary; whatever `emit` allocates beyond it is free again.
+    fn in_temp(&mut self, emit: impl FnOnce(&mut Self, Operand)) -> Operand {
+        let dst = Operand::Slot(self.temp());
+        let mark = self.next_slot;
+        emit(self, dst);
+        self.next_slot = mark;
+        dst
+    }
+
+    /// Emits `e` so that its value lands in `dst`. Only the last op on
+    /// each path writes `dst`, so `e` may read what `dst` names.
+    fn expr_into(&mut self, e: &'e LExpr, ctx: Ctx<'_>, dst: Operand) {
+        if let Some(v) = self.const_eval(e, ctx) {
+            self.move_const(dst, v);
+            return;
+        }
+        match self.look_through(e, ctx) {
+            Some((inner, ictx)) => self.expr_into(inner, ictx, dst),
+            None => self.emit_into(e, ctx, dst),
+        }
+    }
+
+    /// [`Self::expr_into`] for an `e` that neither folds nor looks
+    /// through.
+    fn emit_into(&mut self, e: &'e LExpr, ctx: Ctx<'_>, dst: Operand) {
+        let mark = self.next_slot;
+        match e {
             // Const/Label always fold; these arms keep the match total.
-            LExpr::Const(v) => {
-                self.emit(MicroOp::Const(*v), 1);
-            }
-            LExpr::Label(_) => {
-                self.emit(MicroOp::Const(0), 1);
-            }
-            LExpr::Local(slot) => {
-                self.emit(MicroOp::ReadLocal(*slot), 1);
-            }
-            LExpr::ResScalar(res) => {
-                self.emit(MicroOp::ReadScalar(*res), 1);
-            }
+            LExpr::Const(v) => self.move_const(dst, *v),
+            LExpr::Label(_) => self.move_const(dst, 0),
+            LExpr::Local(slot) => self.mov(dst, Operand::Slot(*slot)),
+            LExpr::ResScalar(res) => self.read_into(PlaceKind::Flat { res: *res, flat: 0 }, dst),
             LExpr::ResElem { res, indices } => {
                 let kind = self.res_place(*res, indices, ctx);
-                self.read_place_kind(kind);
+                self.read_into(kind, dst);
             }
+            // A bound operand's EXPRESSION was looked through and a sole
+            // label folded, so what reaches these arms fails.
             LExpr::GroupValue(g) => {
-                match ctx.decoded.and_then(|d| d.group_child(self.model, *g as usize)) {
-                    Some(child) => self.child_expr(child),
-                    None => {
-                        let err = self.unbound_group_err(ctx.op, *g);
-                        self.fail(err, 1);
-                    }
-                }
+                let err = match ctx.decoded.and_then(|d| d.group_child(self.model, *g as usize)) {
+                    Some(child) => self.valueless_child_err(child),
+                    None => self.unbound_group_err(ctx.op, *g),
+                };
+                self.fail(err);
             }
-            LExpr::OpRefValue(target) => match self.op_ref_child(ctx, *target) {
-                Some(child) => self.child_expr(child),
-                None => {
-                    let err = SimError::UnboundGroup {
+            LExpr::OpRefValue(target) => {
+                let err = match self.op_ref_child(ctx, *target) {
+                    Some(child) => self.valueless_child_err(child),
+                    None => SimError::UnboundGroup {
                         group: self.model.operation(*target).name.clone(),
                         operation: self.model.operation(ctx.op).name.clone(),
-                    };
-                    self.fail(err, 1);
-                }
-            },
-            LExpr::Unary { op, expr } => {
-                self.expr(expr, ctx);
-                self.emit(MicroOp::Unary(*op), 0);
+                    },
+                };
+                self.fail(err);
             }
-            LExpr::Binary { op, lhs, rhs } => match op {
-                BinOp::LogAnd => {
-                    let d0 = self.depth;
-                    self.expr(lhs, ctx);
-                    let j_false = self.emit(MicroOp::JumpIfZero(0), -1);
-                    self.expr(rhs, ctx);
-                    self.emit(MicroOp::NormBool, 0);
-                    let j_end = self.emit(MicroOp::Jump(0), 0);
-                    self.set_depth(d0);
-                    self.patch(j_false);
-                    self.emit(MicroOp::Const(0), 1);
-                    self.patch(j_end);
+            LExpr::Unary { op, expr } => {
+                let src = self.operand(expr, ctx);
+                self.emit(MicroOp::Unary { op: *op, dst, src });
+            }
+            LExpr::Binary { op: op @ (BinOp::LogAnd | BinOp::LogOr), lhs, rhs } => {
+                // `&&` is 0 once its lhs is false and `||` is 1 once its lhs
+                // is true; otherwise the rhs, normalized, decides.
+                let or = *op == BinOp::LogOr;
+                let mut decided = Vec::new();
+                self.branch(lhs, ctx, or, &mut decided);
+                self.bool_into(rhs, ctx, dst);
+                if !decided.is_empty() {
+                    let end = self.emit(MicroOp::Jump(0));
+                    self.patch_all(decided);
+                    self.move_const(dst, i64::from(or));
+                    self.patch(end);
                 }
-                BinOp::LogOr => {
-                    let d0 = self.depth;
-                    self.expr(lhs, ctx);
-                    let j_true = self.emit(MicroOp::JumpIfNonZero(0), -1);
-                    self.expr(rhs, ctx);
-                    self.emit(MicroOp::NormBool, 0);
-                    let j_end = self.emit(MicroOp::Jump(0), 0);
-                    self.set_depth(d0);
-                    self.patch(j_true);
-                    self.emit(MicroOp::Const(1), 1);
-                    self.patch(j_end);
-                }
-                _ => {
-                    self.expr(lhs, ctx);
-                    self.expr(rhs, ctx);
-                    self.emit(MicroOp::Binary { op: *op, ctx: ctx.op }, -1);
-                }
-            },
+            }
+            LExpr::Binary { op, lhs, rhs } => {
+                let a = self.operand(lhs, ctx);
+                let b = self.operand(rhs, ctx);
+                self.emit(MicroOp::Binary { op: *op, dst, a, b, ctx: ctx_of(ctx.op) });
+            }
             LExpr::Ternary { cond, then_expr, else_expr } => {
                 if let Some(c) = self.const_eval(cond, ctx) {
                     // Constant condition is pure, so evaluating only the
                     // taken branch is observably identical.
-                    self.expr(if c != 0 { then_expr } else { else_expr }, ctx);
-                    return;
+                    self.expr_into(if c != 0 { then_expr } else { else_expr }, ctx, dst);
+                } else {
+                    let mut to_else = Vec::new();
+                    self.branch(cond, ctx, false, &mut to_else);
+                    self.expr_into(then_expr, ctx, dst);
+                    let end = self.emit(MicroOp::Jump(0));
+                    self.patch_all(to_else);
+                    self.expr_into(else_expr, ctx, dst);
+                    self.patch(end);
                 }
-                let d0 = self.depth;
-                self.expr(cond, ctx);
-                let j_else = self.emit(MicroOp::JumpIfZero(0), -1);
-                self.expr(then_expr, ctx);
-                let j_end = self.emit(MicroOp::Jump(0), 0);
-                self.set_depth(d0);
-                self.patch(j_else);
-                self.expr(else_expr, ctx);
-                self.patch(j_end);
             }
-            LExpr::Builtin { f, args } => match f {
-                Builtin::Nop => {
-                    self.emit(MicroOp::Const(0), 1);
-                }
-                _ => {
-                    for a in args.iter().take(2) {
-                        self.expr(a, ctx);
-                    }
-                    let delta = 1 - args.len().min(2) as isize;
-                    self.emit(MicroOp::Builtin { f: *f, ctx: ctx.op }, delta);
-                }
-            },
+            LExpr::Builtin { f, args } => {
+                let a = match args.first() {
+                    Some(arg) => self.operand(arg, ctx),
+                    None => Operand::Imm(0),
+                };
+                let b = match args.get(1) {
+                    Some(arg) => self.operand(arg, ctx),
+                    None => Operand::Imm(0),
+                };
+                self.emit(MicroOp::Builtin { f: *f, dst, a, b, ctx: ctx_of(ctx.op) });
+            }
+        }
+        self.next_slot = mark;
+    }
+
+    /// `dst = (e != 0)`: the rhs of a logical operator. An operand that
+    /// is already 0 or 1 lands in `dst` as it is.
+    fn bool_into(&mut self, e: &'e LExpr, ctx: Ctx<'_>, dst: Operand) {
+        if let Some(v) = self.const_eval(e, ctx) {
+            self.move_const(dst, i64::from(v != 0));
+            return;
+        }
+        if let Some((inner, ictx)) = self.look_through(e, ctx) {
+            return self.bool_into(inner, ictx, dst);
+        }
+        let boolean = match e {
+            LExpr::Unary { op, .. } => *op == UnOp::Not,
+            LExpr::Binary { op, .. } => {
+                is_compare(*op) || matches!(op, BinOp::LogAnd | BinOp::LogOr)
+            }
+            _ => false,
+        };
+        if boolean {
+            self.expr_into(e, ctx, dst);
+        } else {
+            let mark = self.next_slot;
+            let a = self.operand(e, ctx);
+            let op =
+                MicroOp::Binary { op: BinOp::Ne, dst, a, b: Operand::Imm(0), ctx: ctx_of(ctx.op) };
+            self.emit(op);
+            self.next_slot = mark;
         }
     }
 
-    /// Inlines an operand child's EXPRESSION (or sole label) so operand
-    /// reads cost nothing beyond the ops they lower to.
-    fn child_expr(&mut self, child: &Decoded) {
-        let tables = self.tables;
-        let idx = tables.slot(child.op, child.variant);
-        match tables.expressions[idx].as_ref() {
-            Some(expr) => {
-                // Operand EXPRESSIONs never declare locals, so inlining
-                // into the parent's frame is safe.
-                self.expr(expr, Ctx { op: child.op, decoded: Some(child) });
+    /// Emits a test of `cond` that jumps when its truth equals `when` and
+    /// falls through otherwise, pushing the jumps to patch onto `jumps`.
+    /// A comparison is one compare-and-jump, `!` flips the sense, and
+    /// `&&`/`||` short-circuit into jump chains; anything else is
+    /// compared against zero.
+    fn branch(&mut self, cond: &'e LExpr, ctx: Ctx<'_>, when: bool, jumps: &mut Vec<usize>) {
+        if let Some(v) = self.const_eval(cond, ctx) {
+            if (v != 0) == when {
+                jumps.push(self.emit(MicroOp::Jump(0)));
             }
-            None => {
-                let operation = self.model.operation(child.op);
-                if operation.labels.len() == 1 {
-                    self.emit(MicroOp::Const(child.labels[0] as i64), 1);
+            return;
+        }
+        if let Some((inner, ictx)) = self.look_through(cond, ctx) {
+            return self.branch(inner, ictx, when, jumps);
+        }
+        let mark = self.next_slot;
+        let (op, a, b) = match cond {
+            LExpr::Unary { op: UnOp::Not, expr } => return self.branch(expr, ctx, !when, jumps),
+            LExpr::Binary { op: op @ (BinOp::LogAnd | BinOp::LogOr), lhs, rhs } => {
+                // The lhs alone decides toward `when` for `||` jumping
+                // when true and for `&&` jumping when false.
+                if (*op == BinOp::LogOr) == when {
+                    self.branch(lhs, ctx, when, jumps);
+                    self.branch(rhs, ctx, when, jumps);
                 } else {
-                    let err = SimError::UnknownName {
-                        name: format!("<expression of {}>", operation.name),
-                        operation: operation.name.clone(),
-                    };
-                    self.fail(err, 1);
+                    let mut skip = Vec::new();
+                    self.branch(lhs, ctx, !when, &mut skip);
+                    self.branch(rhs, ctx, when, jumps);
+                    self.patch_all(skip);
                 }
+                return;
             }
+            LExpr::Binary { op, lhs, rhs } if is_compare(*op) || !when => {
+                let a = self.operand(lhs, ctx);
+                let b = self.operand(rhs, ctx);
+                (if when { inverse_compare(*op) } else { *op }, a, b)
+            }
+            _ => {
+                let a = self.operand(cond, ctx);
+                (if when { BinOp::Eq } else { BinOp::Ne }, a, Operand::Imm(0))
+            }
+        };
+        jumps.push(self.emit(MicroOp::JumpUnless { op, a, b, ctx: ctx_of(ctx.op), target: 0 }));
+        self.next_slot = mark;
+    }
+
+    /// An expression with the same value and effects as `e`, and the
+    /// context it evaluates in: a bound operand child's EXPRESSION (so
+    /// operand reads cost nothing beyond the ops they lower to), the lhs
+    /// of `x + 0`, `x - 0`, `x | 0`, `x ^ 0`, `x << 0` or `x >> 0`, or the
+    /// argument of a `sext`, `zext` or `saturate` its value already fits.
+    fn look_through<'d>(&self, e: &'e LExpr, ctx: Ctx<'d>) -> Option<(&'e LExpr, Ctx<'d>)> {
+        let child = match e {
+            LExpr::GroupValue(g) => ctx.decoded?.group_child(self.model, *g as usize)?,
+            LExpr::OpRefValue(target) => self.op_ref_child(ctx, *target)?,
+            LExpr::Binary { op, lhs, rhs } => {
+                let identity = matches!(
+                    op,
+                    BinOp::Add
+                        | BinOp::Sub
+                        | BinOp::BitOr
+                        | BinOp::BitXor
+                        | BinOp::Shl
+                        | BinOp::Shr
+                );
+                return (identity && self.const_eval(rhs, ctx) == Some(0)).then_some((&**lhs, ctx));
+            }
+            LExpr::Builtin { f, args } => {
+                let signed = match f {
+                    Builtin::Sext | Builtin::Saturate => true,
+                    Builtin::Zext => false,
+                    _ => return None,
+                };
+                let [arg, width] = args.as_slice() else { return None };
+                let width = self.const_eval(width, ctx)?.clamp(1, 64) as u32;
+                return self.fits(arg, ctx, width, signed).then_some((arg, ctx));
+            }
+            _ => return None,
+        };
+        // Operand EXPRESSIONs never declare locals, so inlining into the
+        // parent's frame is safe.
+        let expr = self.tables.expressions[self.tables.slot(child.op, child.variant)].as_ref()?;
+        Some((expr, Ctx { op: child.op, decoded: Some(child) }))
+    }
+
+    /// Whether `e`'s value provably survives wrapping to `width` bits
+    /// (`signed` or not) unchanged, so the wrap can be left out.
+    fn fits(&self, e: &'e LExpr, ctx: Ctx<'_>, width: u32, signed: bool) -> bool {
+        if width >= 64 {
+            return true;
+        }
+        match self.value_range(e, ctx) {
+            Some((bits, false)) => bits + u32::from(signed) <= width,
+            Some((bits, true)) => signed && bits <= width,
+            None => false,
+        }
+    }
+
+    /// A range `e`'s value provably lies in, as `(bits, signed)`: a
+    /// `bits`-bit two's-complement (`signed`) or unsigned number.
+    fn value_range(&self, e: &'e LExpr, ctx: Ctx<'_>) -> Option<(u32, bool)> {
+        if let Some((inner, ictx)) = self.look_through(e, ctx) {
+            return self.value_range(inner, ictx);
+        }
+        match e {
+            // A read wraps to the resource's declared width.
+            LExpr::ResScalar(res) | LExpr::ResElem { res, .. } => {
+                let ty = self.model.resource(*res).ty;
+                Some((ty.width().min(64), ty.is_signed() || ty.width() >= 64))
+            }
+            LExpr::Unary { op: UnOp::Not, .. } => Some((1, false)),
+            LExpr::Binary { op: BinOp::LogAnd | BinOp::LogOr, .. } => Some((1, false)),
+            LExpr::Binary { op, .. } if is_compare(*op) => Some((1, false)),
+            // `x & m` with `m >= 0` lies in `0..=m`.
+            LExpr::Binary { op: BinOp::BitAnd, lhs, rhs } => {
+                let mask = self.const_eval(rhs, ctx).or_else(|| self.const_eval(lhs, ctx))?;
+                (mask >= 0).then(|| (64 - mask.leading_zeros(), false))
+            }
+            LExpr::Builtin { f, args } => {
+                let signed = match f {
+                    Builtin::Sext | Builtin::Saturate => true,
+                    Builtin::Zext => false,
+                    _ => return None,
+                };
+                let width = self.const_eval(args.get(1)?, ctx)?.clamp(1, 64) as u32;
+                Some((width, signed || width == 64))
+            }
+            _ => None,
+        }
+    }
+
+    /// The error reading a bound operand child with neither an EXPRESSION
+    /// nor exactly one label raises.
+    fn valueless_child_err(&self, child: &Decoded) -> SimError {
+        let operation = self.model.operation(child.op);
+        SimError::UnknownName {
+            name: format!("<expression of {}>", operation.name),
+            operation: operation.name.clone(),
         }
     }
 
@@ -1356,6 +1573,9 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         }
     }
 
+    /// Constant indices resolve to a flat element; a resource id too
+    /// wide for [`Operand::Cell`] takes the dynamic path with them, which
+    /// flattens (and fails) the same way at run time.
     fn res_place<'d>(
         &self,
         res: ResourceId,
@@ -1364,11 +1584,13 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
     ) -> PlaceKind<'e, 'd> {
         let consts: Option<Vec<i64>> = indices.iter().map(|e| self.const_eval(e, ctx)).collect();
         match consts {
-            Some(vals) => match flatten_indices(self.model.resource(res), &vals) {
-                Ok(flat) => PlaceKind::Flat { res, flat: flat as u32 },
-                Err(e) => PlaceKind::Err(e),
-            },
-            None => PlaceKind::Dyn { res, indices, ctx },
+            Some(vals) if u16::try_from(res.0).is_ok() => {
+                match flatten_indices(self.model.resource(res), &vals) {
+                    Ok(flat) => PlaceKind::Flat { res, flat: flat as u32 },
+                    Err(e) => PlaceKind::Err(e),
+                }
+            }
+            _ => PlaceKind::Dyn { res, indices, ctx },
         }
     }
 
@@ -1390,27 +1612,40 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         }
     }
 
-    fn read_place_kind(&mut self, kind: PlaceKind<'e, '_>) {
+    /// Emits the read of a resolved place into `dst`.
+    fn read_into(&mut self, kind: PlaceKind<'e, '_>, dst: Operand) {
         match kind {
-            PlaceKind::Local(slot) => {
-                self.emit(MicroOp::ReadLocal(slot), 1);
-            }
-            PlaceKind::Flat { res, flat } => {
-                self.emit(MicroOp::ReadFlat { res, flat }, 1);
-            }
+            PlaceKind::Local(slot) => self.mov(dst, Operand::Slot(slot)),
+            PlaceKind::Flat { res, flat } => match self.silent_cell(res, flat) {
+                Some(cell) => self.mov(dst, cell),
+                None => {
+                    self.emit(MicroOp::Load { dst, res, flat });
+                }
+            },
             PlaceKind::Dyn { res, indices, ctx } => {
-                for e in indices {
-                    self.expr(e, ctx);
-                }
-                let n = indices.len() as u8;
-                if n == 1 && self.linear_1d(res) {
-                    self.emit(MicroOp::ReadIdx(res), 0);
+                if indices.len() == 1 && self.linear_1d(res) {
+                    let idx = self.operand(&indices[0], ctx);
+                    self.emit(MicroOp::LoadIdx { dst, res, idx });
                 } else {
-                    self.emit(MicroOp::ReadDyn { res, n }, 1 - indices.len() as isize);
+                    let idx = self.index_slots(indices, ctx);
+                    self.emit(MicroOp::LoadDyn { dst, res, idx, n: indices.len() as u8 });
                 }
             }
-            PlaceKind::Err(e) => self.fail(e, 1),
+            PlaceKind::Err(e) => self.fail(e),
         }
+    }
+
+    /// Evaluates dynamic indices, in source order, into consecutive fresh
+    /// slots and returns the first.
+    fn index_slots(&mut self, indices: &'e [LExpr], ctx: Ctx<'_>) -> u16 {
+        let first = self.next_slot;
+        for _ in indices {
+            self.temp();
+        }
+        for (i, e) in indices.iter().enumerate() {
+            self.expr_into(e, ctx, Operand::Slot(first + i as u16));
+        }
+        first
     }
 
     /// Whether a resource is a one-dimensional base-0 array — eligible
@@ -1420,66 +1655,50 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         dims.len() == 1 && dims[0].base() == 0
     }
 
-    /// Emits the store for an assignment whose rhs is already on the
-    /// stack. `ctx` is the frame the assignment executes in (compound
-    /// division-by-zero diagnostics name the outer operation even when
-    /// writing through an operand).
-    fn assign_place<'d>(&mut self, place: &'e LPlace, op: AssignOp, ctx: Ctx<'d>) {
+    /// `place = value`: the value first, then the place — tree-walk order.
+    /// A local or cell destination is written by the value's last op.
+    fn assign(&mut self, place: &'e LPlace, value: &'e LExpr, ctx: Ctx<'_>) {
         match self.place_kind(place, ctx) {
-            PlaceKind::Local(slot) => match op {
-                AssignOp::Set => {
-                    self.emit(MicroOp::StoreLocal(slot), -1);
-                }
-                _ => {
-                    self.emit(MicroOp::RmwLocal { slot, op, ctx: ctx.op }, -1);
-                }
-            },
-            PlaceKind::Flat { res, flat } => match op {
-                AssignOp::Set => {
-                    self.emit(MicroOp::WriteFlat { res, flat }, -1);
-                }
-                _ => {
-                    self.emit(MicroOp::RmwFlat { res, flat, op, ctx: ctx.op }, -1);
-                }
-            },
+            PlaceKind::Local(slot) => self.expr_into(value, ctx, Operand::Slot(slot)),
+            PlaceKind::Flat { res, flat } => self.expr_into(value, ctx, cell(res, flat)),
             PlaceKind::Dyn { res, indices, ctx: ictx } => {
-                for e in indices {
-                    self.expr(e, ictx);
-                }
-                let n = indices.len() as u8;
-                let delta = -(indices.len() as isize) - 1;
-                match op {
-                    AssignOp::Set if n == 1 && self.linear_1d(res) => {
-                        self.emit(MicroOp::WriteIdx(res), delta);
-                    }
-                    AssignOp::Set => {
-                        self.emit(MicroOp::WriteDyn { res, n }, delta);
-                    }
-                    _ => {
-                        self.emit(MicroOp::RmwDyn { res, n, op, ctx: ctx.op }, delta);
-                    }
+                let src = self.operand(value, ctx);
+                if indices.len() == 1 && self.linear_1d(res) {
+                    let idx = self.operand(&indices[0], ictx);
+                    self.emit(MicroOp::StoreIdx { res, idx, src });
+                } else {
+                    let idx = self.index_slots(indices, ictx);
+                    self.emit(MicroOp::StoreDyn { res, idx, n: indices.len() as u8, src });
                 }
             }
-            PlaceKind::Err(e) => self.fail(e, -1),
+            PlaceKind::Err(e) => {
+                self.operand(value, ctx);
+                self.fail(e);
+            }
         }
     }
 
-    fn incdec_place<'d>(&mut self, place: &'e LPlace, delta: i64, ctx: Ctx<'d>) {
+    /// `place = place op rhs` — compound assignment and `++`/`--` — with
+    /// `rhs` already evaluated. `ctx` is the frame the update executes in:
+    /// division by zero names its operation even when writing through an
+    /// operand.
+    fn update(&mut self, place: &'e LPlace, op: BinOp, rhs: Operand, ctx: Ctx<'_>) {
+        let c = ctx_of(ctx.op);
         match self.place_kind(place, ctx) {
             PlaceKind::Local(slot) => {
-                self.emit(MicroOp::IncDecLocal { slot, delta }, 0);
+                let x = Operand::Slot(slot);
+                self.emit(MicroOp::Binary { op, dst: x, a: x, b: rhs, ctx: c });
             }
             PlaceKind::Flat { res, flat } => {
-                self.emit(MicroOp::IncDecFlat { res, flat, delta }, 0);
+                let old = self.read_cell(res, flat);
+                self.emit(MicroOp::Binary { op, dst: cell(res, flat), a: old, b: rhs, ctx: c });
             }
             PlaceKind::Dyn { res, indices, ctx: ictx } => {
-                for e in indices {
-                    self.expr(e, ictx);
-                }
+                let idx = self.index_slots(indices, ictx);
                 let n = indices.len() as u8;
-                self.emit(MicroOp::IncDecDyn { res, n, delta }, -(indices.len() as isize));
+                self.emit(MicroOp::RmwDyn { res, idx, n, op, rhs, ctx: c });
             }
-            PlaceKind::Err(e) => self.fail(e, 0),
+            PlaceKind::Err(e) => self.fail(e),
         }
     }
 
@@ -1488,7 +1707,7 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         let routine = translate_routine(self.ops, child.op, child.variant, Some(&child));
         let k = self.children.len() as u16;
         self.children.push((child, routine));
-        self.emit(MicroOp::InvokeChild(k), 0);
+        self.emit(MicroOp::InvokeChild(k));
     }
 }
 
@@ -1501,72 +1720,85 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         }
     }
 
+    /// Emits one statement; the temporaries it allocates are free again
+    /// once it ends.
     fn stmt<'d>(&mut self, s: &'e LStmt, ctx: Ctx<'d>) {
+        let mark = self.next_slot;
+        self.emit_stmt(s, ctx);
+        self.next_slot = mark;
+    }
+
+    fn emit_stmt<'d>(&mut self, s: &'e LStmt, ctx: Ctx<'d>) {
         match s {
             LStmt::DeclLocal { slot, init, width, signed } => {
+                let dst = Operand::Slot(*slot);
                 match init {
-                    Some(e) => self.expr(e, ctx),
-                    None => {
-                        self.emit(MicroOp::Const(0), 1);
-                    }
-                }
-                if *width < 64 {
-                    self.emit(
-                        MicroOp::StoreLocalWrapped { slot: *slot, width: *width, signed: *signed },
-                        -1,
-                    );
-                } else {
-                    self.emit(MicroOp::StoreLocal(*slot), -1);
+                    None => self.move_const(dst, 0),
+                    Some(e) if self.fits(e, ctx, *width, *signed) => self.expr_into(e, ctx, dst),
+                    Some(e) => match self.const_eval(e, ctx) {
+                        Some(v) => self.move_const(dst, wrap_to_width(v, *width, *signed)),
+                        None => {
+                            // Declared-width wrap: `sext`/`zext` to the width.
+                            let a = self.operand(e, ctx);
+                            let f = if *signed { Builtin::Sext } else { Builtin::Zext };
+                            let b = Operand::Imm(*width as i32);
+                            self.emit(MicroOp::Builtin { f, dst, a, b, ctx: ctx_of(ctx.op) });
+                        }
+                    },
                 }
             }
-            LStmt::Assign { place, op, value } => {
-                // rhs first, then place resolution — tree-walk order.
-                self.expr(value, ctx);
-                self.assign_place(place, *op, ctx);
+            LStmt::Assign { place, op, value } => match compound_binop(*op) {
+                None => self.assign(place, value, ctx),
+                Some(bin) => {
+                    // rhs first, then place resolution — tree-walk order.
+                    let rhs = self.operand(value, ctx);
+                    self.update(place, bin, rhs, ctx);
+                }
+            },
+            LStmt::IncDec { place, delta } => {
+                let rhs = self.imm(*delta);
+                self.update(place, BinOp::Add, rhs, ctx);
             }
-            LStmt::IncDec { place, delta } => self.incdec_place(place, *delta, ctx),
             LStmt::InvokeGroup(g) => {
                 match ctx.decoded.and_then(|d| d.group_child_rc(self.model, *g as usize)) {
                     Some(child) => self.invoke_child(child),
                     None => {
                         let err = self.unbound_group_err(ctx.op, *g);
-                        self.fail(err, 0);
+                        self.fail(err);
                     }
                 }
             }
             LStmt::InvokeOp(target) => match self.op_ref_child_arc(ctx, *target) {
                 Some(child) => self.invoke_child(child),
                 None => {
-                    self.emit(MicroOp::InvokeUnbound(*target), 0);
+                    self.emit(MicroOp::InvokeUnbound(*target));
                 }
             },
             LStmt::Intrinsic(p) => {
-                self.emit(MicroOp::Pipe(*p), 0);
+                self.emit(MicroOp::Pipe(*p));
             }
             LStmt::EvalDrop(e) => {
-                // A foldable expression is pure; discarding it emits
-                // nothing at all.
-                if self.const_eval(e, ctx).is_some() {
-                    return;
+                // A foldable expression is pure, and a local or register
+                // read is unobservable: discarding either emits nothing.
+                if self.const_eval(e, ctx).is_none() {
+                    self.operand(e, ctx);
                 }
-                self.expr(e, ctx);
-                self.emit(MicroOp::Pop, -1);
             }
             LStmt::If { cond, then_block, else_block } => {
                 if let Some(c) = self.const_eval(cond, ctx) {
                     self.block(if c != 0 { then_block } else { else_block }, ctx);
                     return;
                 }
-                self.expr(cond, ctx);
-                let j_else = self.emit(MicroOp::JumpIfZero(0), -1);
+                let mut to_else = Vec::new();
+                self.branch(cond, ctx, false, &mut to_else);
                 self.block(then_block, ctx);
                 if else_block.stmts.is_empty() {
-                    self.patch(j_else);
+                    self.patch_all(to_else);
                 } else {
-                    let j_end = self.emit(MicroOp::Jump(0), 0);
-                    self.patch(j_else);
+                    let end = self.emit(MicroOp::Jump(0));
+                    self.patch_all(to_else);
                     self.block(else_block, ctx);
-                    self.patch(j_end);
+                    self.patch(end);
                 }
             }
             LStmt::While { cond, body } => {
@@ -1574,26 +1806,19 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
                     return;
                 }
                 let start = self.here();
-                let exit_jump = if self.const_eval(cond, ctx).is_some() {
-                    None // constant-true: no test on the back edge
-                } else {
-                    self.expr(cond, ctx);
-                    Some(self.emit(MicroOp::JumpIfZero(0), -1))
-                };
+                // A constant-true condition emits no test on the back edge.
+                let mut exits = Vec::new();
+                self.branch(cond, ctx, false, &mut exits);
                 self.frames.push(CtlFrame {
                     is_loop: true,
                     breaks: Vec::new(),
                     continues: Vec::new(),
                 });
                 self.block(body, ctx);
-                self.emit(MicroOp::Jump(start), 0);
+                self.emit(MicroOp::Jump(start));
                 let frame = self.frames.pop().expect("loop frame");
-                if let Some(j) = exit_jump {
-                    self.patch(j);
-                }
-                for b in frame.breaks {
-                    self.patch(b);
-                }
+                self.patch_all(exits);
+                self.patch_all(frame.breaks);
                 for c in frame.continues {
                     self.patch_to(c, start);
                 }
@@ -1611,19 +1836,12 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
                 for c in frame.continues {
                     self.patch_to(c, cond_at);
                 }
-                match self.const_eval(cond, ctx) {
-                    Some(0) => {}
-                    Some(_) => {
-                        self.emit(MicroOp::Jump(start), 0);
-                    }
-                    None => {
-                        self.expr(cond, ctx);
-                        self.emit(MicroOp::JumpIfNonZero(start), -1);
-                    }
+                let mut back = Vec::new();
+                self.branch(cond, ctx, true, &mut back);
+                for j in back {
+                    self.patch_to(j, start);
                 }
-                for b in frame.breaks {
-                    self.patch(b);
-                }
+                self.patch_all(frame.breaks);
             }
             LStmt::For { init, cond, step, body } => {
                 if let Some(u) =
@@ -1643,13 +1861,10 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
                     }
                 }
                 let start = self.here();
-                let exit_jump = match cond {
-                    Some(c) if self.const_eval(c, ctx).is_none() => {
-                        self.expr(c, ctx);
-                        Some(self.emit(MicroOp::JumpIfZero(0), -1))
-                    }
-                    _ => None,
-                };
+                let mut exits = Vec::new();
+                if let Some(c) = cond {
+                    self.branch(c, ctx, false, &mut exits);
+                }
                 self.frames.push(CtlFrame {
                     is_loop: true,
                     breaks: Vec::new(),
@@ -1664,13 +1879,9 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
                 if let Some(step) = step {
                     self.stmt(step, ctx);
                 }
-                self.emit(MicroOp::Jump(start), 0);
-                if let Some(j) = exit_jump {
-                    self.patch(j);
-                }
-                for b in frame.breaks {
-                    self.patch(b);
-                }
+                self.emit(MicroOp::Jump(start));
+                self.patch_all(exits);
+                self.patch_all(frame.breaks);
             }
             LStmt::Switch { scrutinee, cases, default } => {
                 if let Some(v) = self.const_eval(scrutinee, ctx) {
@@ -1686,19 +1897,28 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
                         });
                         self.block(b, ctx);
                         let frame = self.frames.pop().expect("switch frame");
-                        for br in frame.breaks {
-                            self.patch(br);
-                        }
+                        self.patch_all(frame.breaks);
                     }
                     return;
                 }
-                let d0 = self.depth;
-                self.expr(scrutinee, ctx);
+                let value = self.operand(scrutinee, ctx);
                 let case_jumps: Vec<usize> = cases
                     .iter()
-                    .map(|(v, _)| self.emit(MicroOp::CaseJump { value: *v, target: 0 }, 0))
+                    .map(|(v, _)| {
+                        let mark = self.next_slot;
+                        let b = self.imm(*v);
+                        let ctx = ctx_of(ctx.op);
+                        let j = self.emit(MicroOp::JumpUnless {
+                            op: BinOp::Ne,
+                            a: value,
+                            b,
+                            ctx,
+                            target: 0,
+                        });
+                        self.next_slot = mark;
+                        j
+                    })
                     .collect();
-                self.emit(MicroOp::Pop, -1);
                 self.frames.push(CtlFrame {
                     is_loop: false,
                     breaks: Vec::new(),
@@ -1708,31 +1928,25 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
                 if let Some(def) = default {
                     self.block(def, ctx);
                 }
-                end_jumps.push(self.emit(MicroOp::Jump(0), 0));
+                end_jumps.push(self.emit(MicroOp::Jump(0)));
                 for (i, (_, body)) in cases.iter().enumerate() {
-                    self.set_depth(d0); // CaseJump popped the scrutinee
                     self.patch(case_jumps[i]);
                     self.block(body, ctx);
-                    end_jumps.push(self.emit(MicroOp::Jump(0), 0));
+                    end_jumps.push(self.emit(MicroOp::Jump(0)));
                 }
                 let frame = self.frames.pop().expect("switch frame");
-                for j in end_jumps {
-                    self.patch(j);
-                }
-                for b in frame.breaks {
-                    self.patch(b);
-                }
-                self.set_depth(d0);
+                self.patch_all(end_jumps);
+                self.patch_all(frame.breaks);
             }
             LStmt::Break => {
-                let j = self.emit(MicroOp::Jump(0), 0);
+                let j = self.emit(MicroOp::Jump(0));
                 match self.frames.last_mut() {
                     Some(f) => f.breaks.push(j),
                     None => self.end_patches.push(j),
                 }
             }
             LStmt::Continue => {
-                let j = self.emit(MicroOp::Jump(0), 0);
+                let j = self.emit(MicroOp::Jump(0));
                 match self.frames.iter_mut().rev().find(|f| f.is_loop) {
                     Some(f) => f.continues.push(j),
                     None => self.end_patches.push(j),
@@ -1756,13 +1970,15 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         ctx: Ctx<'_>,
     ) -> Option<Unroll> {
         // The start value is what the init would store: declarations wrap
-        // to their width, plain assignments store as-is.
-        let (slot, start) = match init? {
+        // to their width, plain assignments store as-is. A declared
+        // variable goes out of scope with the loop, so only an assigned
+        // one has an exit value to keep.
+        let (slot, start, scoped) = match init? {
             LStmt::DeclLocal { slot, init: Some(e), width, signed } => {
-                (*slot, wrap_to_width(self.const_eval(e, ctx)?, *width, *signed))
+                (*slot, wrap_to_width(self.const_eval(e, ctx)?, *width, *signed), true)
             }
             LStmt::Assign { place: LPlace::Local(slot), op: AssignOp::Set, value } => {
-                (*slot, self.const_eval(value, ctx)?)
+                (*slot, self.const_eval(value, ctx)?, false)
             }
             _ => return None,
         };
@@ -1791,12 +2007,12 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
             values.push(v);
             v = v.wrapping_add(*delta);
         }
-        Some(Unroll { slot, values, exit: v })
+        Some(Unroll { slot, values, exit: (!scoped).then_some(v) })
     }
 
     /// Emits one copy of the body per iteration with the induction value
-    /// folded in, then stores the exit value: the slot ends exactly as the
-    /// loop would leave it.
+    /// folded in, then stores the exit value, if any: the variable ends
+    /// exactly as the loop would leave it.
     fn unroll<'d>(&mut self, u: Unroll, body: &'e LBlock, ctx: Ctx<'d>) {
         let copies = self.unroll_copies;
         self.unroll_copies = copies * u.values.len().max(1);
@@ -1807,17 +2023,19 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
         }
         self.known.pop();
         self.unroll_copies = copies;
-        self.emit(MicroOp::Const(u.exit), 1);
-        self.emit(MicroOp::StoreLocal(u.slot), -1);
+        if let Some(exit) = u.exit {
+            self.move_const(Operand::Slot(u.slot), exit);
+        }
     }
 }
 
 /// A `for` loop resolved for unrolling: its induction slot, the slot's
-/// value in each iteration, and its value after the loop.
+/// value in each iteration, and its value after the loop (`None` when
+/// the loop declared it, so nothing can read it afterwards).
 struct Unroll {
     slot: u16,
     values: Vec<i64>,
-    exit: i64,
+    exit: Option<i64>,
 }
 
 /// Whether statement `s` (nested constructs included) writes or
@@ -1879,20 +2097,16 @@ enum Call {
     Unbound(OpId),
 }
 
-/// Pops a recycled frame off the pool, sized for `routine`.
-fn take_frame(frames: &mut Vec<OpsFrame>, routine: &OpsRoutine) -> OpsFrame {
+/// Pops a recycled frame off the pool, sized and zeroed for `routine`.
+fn take_frame(frames: &mut Vec<Vec<i64>>, routine: &OpsRoutine) -> Vec<i64> {
     let mut f = frames.pop().unwrap_or_default();
-    f.locals.clear();
-    f.locals.resize(routine.n_locals as usize, 0);
-    f.stack.clear();
-    if f.stack.capacity() < routine.max_stack {
-        f.stack.reserve(routine.max_stack);
-    }
+    f.clear();
+    f.resize(routine.n_slots as usize, 0);
     f
 }
 
 /// Returns a frame to the pool, keeping its capacity.
-fn put_frame(frames: &mut Vec<OpsFrame>, frame: OpsFrame) {
+fn put_frame(frames: &mut Vec<Vec<i64>>, frame: Vec<i64>) {
     if frames.len() < 64 {
         frames.push(frame);
     }
@@ -1907,31 +2121,60 @@ impl Simulator<'_> {
         }
     }
 
-    fn ops_div0(&self, ctx: OpId) -> SimError {
-        SimError::DivisionByZero { operation: self.model.operation(ctx).name.clone() }
+    fn ops_div0(&self, ctx: u32) -> SimError {
+        SimError::DivisionByZero {
+            operation: self.model.operation(OpId(ctx as usize)).name.clone(),
+        }
     }
 
-    /// Pops `n` indices (pushed in source order) and flattens them.
-    fn ops_pop_flatten(
+    /// Flattens the `n` indices held in slots `idx..idx + n`.
+    fn ops_flatten(
         &self,
-        stack: &mut Vec<i64>,
+        slots: &[i64],
         res: ResourceId,
+        idx: u16,
         n: u8,
     ) -> Result<usize, SimError> {
-        let n = n as usize;
-        if n <= 8 {
-            let mut buf = [0i64; 8];
-            for i in (0..n).rev() {
-                buf[i] = stack.pop().unwrap_or(0);
+        let first = usize::from(idx);
+        flatten_indices(self.model.resource(res), &slots[first..first + usize::from(n)])
+    }
+
+    /// Reads an operand. A cell is in bounds and never memory-class, so
+    /// the read has no error and nothing for the probe runtime.
+    #[inline(always)]
+    fn ops_get(&self, slots: &[i64], o: Operand) -> i64 {
+        match o {
+            Operand::Slot(s) => slots[usize::from(s)],
+            Operand::Cell { res, flat } => {
+                self.state.read_flat(ResourceId(usize::from(res)), flat as usize).unwrap_or(0)
             }
-            flatten_indices(self.model.resource(res), &buf[..n])
-        } else {
-            let mut vals = vec![0i64; n];
-            for i in (0..n).rev() {
-                vals[i] = stack.pop().unwrap_or(0);
-            }
-            flatten_indices(self.model.resource(res), &vals)
+            Operand::Imm(v) => i64::from(v),
         }
+    }
+
+    /// Writes a destination operand; a cell write emits its event first.
+    /// A cell is in bounds, so the write cannot fail.
+    #[inline(always)]
+    fn ops_put(&mut self, slots: &mut [i64], dst: Operand, value: i64) {
+        match dst {
+            Operand::Slot(s) => slots[usize::from(s)] = value,
+            Operand::Cell { res, flat } => {
+                let res = ResourceId(usize::from(res));
+                if self.observing() {
+                    self.emit_write(res, flat as usize, value);
+                }
+                let written = self.state.write_flat(res, flat as usize, value);
+                debug_assert!(written, "cells are in bounds");
+            }
+            Operand::Imm(_) => unreachable!("an immediate is never a destination"),
+        }
+    }
+
+    /// Reads one element for a load op, feeding the probe runtime.
+    fn ops_load(&mut self, res: ResourceId, flat: usize, index: i64) -> Result<i64, SimError> {
+        let v = self.state.read_flat(res, flat).ok_or_else(|| self.ops_oob(res, index))?;
+        self.probe_read(res, flat);
+        Ok(v)
     }
 
     /// Writes one element, emitting the write event first — identical
@@ -1966,7 +2209,7 @@ impl Simulator<'_> {
         &mut self,
         t: &mut OpsTables<'_>,
         id: RoutineId,
-        frame: &mut OpsFrame,
+        frame: &mut [i64],
     ) -> Result<(), SimError> {
         let mut pc = 0;
         while let Some(call) = self.exec_code(&t.store[id].routine, frame, &mut pc)? {
@@ -1995,15 +2238,15 @@ impl Simulator<'_> {
     }
 
     /// Runs an ACTIVATION-condition routine and returns the value it
-    /// leaves on the operand stack.
+    /// leaves in slot 0.
     fn run_cond(
         &mut self,
-        frames: &mut Vec<OpsFrame>,
+        frames: &mut Vec<Vec<i64>>,
         routine: &OpsRoutine,
     ) -> Result<i64, SimError> {
         let mut frame = take_frame(frames, routine);
         let res = self.exec_code(routine, &mut frame, &mut 0);
-        let value = frame.stack.pop().unwrap_or(0);
+        let value = frame[0];
         put_frame(frames, frame);
         match res? {
             None => Ok(value),
@@ -2017,224 +2260,115 @@ impl Simulator<'_> {
     fn exec_code(
         &mut self,
         routine: &OpsRoutine,
-        frame: &mut OpsFrame,
+        slots: &mut [i64],
         pc_io: &mut usize,
     ) -> Result<Option<Call>, SimError> {
         let code = &routine.code;
-        let OpsFrame { locals, stack } = frame;
         let mut pc = *pc_io;
-        while let Some(op) = code.get(pc) {
+        while let Some(&op) = code.get(pc) {
             pc += 1;
             match op {
-                MicroOp::Const(v) => stack.push(*v),
-                MicroOp::ReadLocal(slot) => stack.push(locals[*slot as usize]),
-                MicroOp::ReadScalar(res) => {
-                    stack.push(self.state.read_flat(*res, 0).unwrap_or(0));
-                    self.probe_read(*res, 0);
+                MicroOp::Move { dst, src } => {
+                    let v = self.ops_get(slots, src);
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::ReadFlat { res, flat } => {
-                    let flat = *flat as usize;
-                    let v = self
-                        .state
-                        .read_flat(*res, flat)
-                        .ok_or_else(|| self.ops_oob(*res, flat as i64))?;
-                    self.probe_read(*res, flat);
-                    stack.push(v);
+                MicroOp::Const { dst, value } => self.ops_put(slots, dst, value),
+                MicroOp::Load { dst, res, flat } => {
+                    let v = self.ops_load(res, flat as usize, i64::from(flat))?;
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::ReadDyn { res, n } => {
-                    let flat = self.ops_pop_flatten(stack, *res, *n)?;
-                    let v = self
-                        .state
-                        .read_flat(*res, flat)
-                        .ok_or_else(|| self.ops_oob(*res, flat as i64))?;
-                    self.probe_read(*res, flat);
-                    stack.push(v);
+                MicroOp::LoadIdx { dst, res, idx } => {
+                    let i = self.ops_get(slots, idx);
+                    let v = self.ops_load(res, i as usize, i)?;
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::ReadIdx(res) => {
-                    let idx = stack.pop().unwrap_or(0);
-                    let v = self
-                        .state
-                        .read_flat(*res, idx as usize)
-                        .ok_or_else(|| self.ops_oob(*res, idx))?;
-                    self.probe_read(*res, idx as usize);
-                    stack.push(v);
+                MicroOp::LoadDyn { dst, res, idx, n } => {
+                    let flat = self.ops_flatten(slots, res, idx, n)?;
+                    let v = self.ops_load(res, flat, flat as i64)?;
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::Unary(op) => {
-                    let v = stack.pop().unwrap_or(0);
-                    stack.push(match op {
+                MicroOp::Unary { op, dst, src } => {
+                    let v = self.ops_get(slots, src);
+                    let v = match op {
                         UnOp::Neg => v.wrapping_neg(),
                         UnOp::Not => i64::from(v == 0),
                         UnOp::BitNot => !v,
-                    });
+                    };
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::Binary { op, ctx } => {
-                    let r = stack.pop().unwrap_or(0);
-                    let l = stack.pop().unwrap_or(0);
-                    let v = apply_binop(*op, l, r).map_err(|()| self.ops_div0(*ctx))?;
-                    stack.push(v);
+                MicroOp::Binary { op, dst, a, b, ctx } => {
+                    let (l, r) = (self.ops_get(slots, a), self.ops_get(slots, b));
+                    let v = apply_binop(op, l, r).map_err(|()| self.ops_div0(ctx))?;
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::BinaryImm { op, imm, ctx } => {
-                    let l = stack.pop().unwrap_or(0);
-                    let v = apply_binop(*op, l, *imm).map_err(|()| self.ops_div0(*ctx))?;
-                    stack.push(v);
-                }
-                MicroOp::NormBool => {
-                    let v = stack.pop().unwrap_or(0);
-                    stack.push(i64::from(v != 0));
-                }
-                MicroOp::Builtin { f, ctx } => match f {
-                    Builtin::Abs => {
-                        let v = stack.pop().unwrap_or(0);
-                        stack.push(v.wrapping_abs());
-                    }
-                    Builtin::Print => {
-                        let v = *stack.last().unwrap_or(&0);
-                        if self.observing() {
-                            let event = lisa_trace::TraceEvent::Print {
-                                cycle: self.stats.cycles,
-                                op: *ctx,
-                                value: v,
-                            };
-                            self.emit(event);
+                MicroOp::Builtin { f, dst, a, b, ctx } => {
+                    let x = self.ops_get(slots, a);
+                    let v = match f {
+                        Builtin::Print => {
+                            if self.observing() {
+                                let event = lisa_trace::TraceEvent::Print {
+                                    cycle: self.stats.cycles,
+                                    op: OpId(ctx as usize),
+                                    value: x,
+                                };
+                                self.emit(event);
+                            }
+                            x
                         }
-                    }
-                    Builtin::Nop => stack.push(0),
-                    _ => {
-                        let b = stack.pop().unwrap_or(0);
-                        let a = stack.pop().unwrap_or(0);
-                        stack.push(eval_builtin_pure(*f, [a, b]));
-                    }
-                },
-                MicroOp::StoreLocal(slot) => {
-                    let v = stack.pop().unwrap_or(0);
-                    locals[*slot as usize] = v;
+                        _ => eval_builtin_pure(f, [x, self.ops_get(slots, b)]),
+                    };
+                    self.ops_put(slots, dst, v);
                 }
-                MicroOp::StoreLocalWrapped { slot, width, signed } => {
-                    let raw = stack.pop().unwrap_or(0);
-                    locals[*slot as usize] = wrap_to_width(raw, *width, *signed);
-                }
-                MicroOp::Pop => {
-                    stack.pop();
-                }
-                MicroOp::Jump(t) => pc = *t as usize,
-                MicroOp::JumpIfZero(t) => {
-                    if stack.pop().unwrap_or(0) == 0 {
-                        pc = *t as usize;
-                    }
-                }
-                MicroOp::JumpIfNonZero(t) => {
-                    if stack.pop().unwrap_or(0) != 0 {
-                        pc = *t as usize;
-                    }
-                }
-                MicroOp::JumpUnless { op, ctx, target } => {
-                    let r = stack.pop().unwrap_or(0);
-                    let l = stack.pop().unwrap_or(0);
-                    if apply_binop(*op, l, r).map_err(|()| self.ops_div0(*ctx))? == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                MicroOp::JumpUnlessImm { op, imm, ctx, target } => {
-                    let l = stack.pop().unwrap_or(0);
-                    if apply_binop(*op, l, *imm).map_err(|()| self.ops_div0(*ctx))? == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                MicroOp::CaseJump { value, target } => {
-                    if stack.last().copied().unwrap_or(0) == *value {
-                        stack.pop();
-                        pc = *target as usize;
-                    }
-                }
-                MicroOp::WriteFlat { res, flat } => {
-                    let v = stack.pop().unwrap_or(0);
-                    self.ops_write(*res, *flat as usize, v)?;
-                }
-                MicroOp::WriteDyn { res, n } => {
-                    let flat = self.ops_pop_flatten(stack, *res, *n)?;
-                    let v = stack.pop().unwrap_or(0);
-                    self.ops_write(*res, flat, v)?;
-                }
-                MicroOp::WriteIdx(res) => {
-                    let idx = stack.pop().unwrap_or(0);
-                    let v = stack.pop().unwrap_or(0);
+                MicroOp::StoreIdx { res, idx, src } => {
+                    let i = self.ops_get(slots, idx);
+                    let v = self.ops_get(slots, src);
                     // Bounds first, so no Write event fires for an
                     // out-of-range index (matching the flatten path).
-                    let flat = idx as usize;
-                    if flat >= self.state.element_count(*res) {
-                        return Err(self.ops_oob(*res, idx));
+                    let flat = i as usize;
+                    if flat >= self.state.element_count(res) {
+                        return Err(self.ops_oob(res, i));
                     }
-                    self.ops_write(*res, flat, v)?;
+                    self.ops_write(res, flat, v)?;
                 }
-                MicroOp::RmwLocal { slot, op, ctx } => {
-                    let rhs = stack.pop().unwrap_or(0);
-                    let old = locals[*slot as usize];
-                    let new = apply_compound(*op, old, rhs).map_err(|()| self.ops_div0(*ctx))?;
-                    locals[*slot as usize] = new;
+                MicroOp::StoreDyn { res, idx, n, src } => {
+                    let flat = self.ops_flatten(slots, res, idx, n)?;
+                    let v = self.ops_get(slots, src);
+                    self.ops_write(res, flat, v)?;
                 }
-                MicroOp::RmwFlat { res, flat, op, ctx } => {
-                    let rhs = stack.pop().unwrap_or(0);
-                    let flat = *flat as usize;
-                    let old = self
-                        .state
-                        .read_flat(*res, flat)
-                        .ok_or_else(|| self.ops_oob(*res, flat as i64))?;
-                    self.probe_read(*res, flat);
-                    let new = apply_compound(*op, old, rhs).map_err(|()| self.ops_div0(*ctx))?;
-                    self.ops_write(*res, flat, new)?;
+                MicroOp::RmwDyn { res, idx, n, op, rhs, ctx } => {
+                    let flat = self.ops_flatten(slots, res, idx, n)?;
+                    let rhs = self.ops_get(slots, rhs);
+                    let old = self.ops_load(res, flat, flat as i64)?;
+                    let new = apply_binop(op, old, rhs).map_err(|()| self.ops_div0(ctx))?;
+                    self.ops_write(res, flat, new)?;
                 }
-                MicroOp::RmwDyn { res, n, op, ctx } => {
-                    let flat = self.ops_pop_flatten(stack, *res, *n)?;
-                    let rhs = stack.pop().unwrap_or(0);
-                    let old = self
-                        .state
-                        .read_flat(*res, flat)
-                        .ok_or_else(|| self.ops_oob(*res, flat as i64))?;
-                    self.probe_read(*res, flat);
-                    let new = apply_compound(*op, old, rhs).map_err(|()| self.ops_div0(*ctx))?;
-                    self.ops_write(*res, flat, new)?;
+                MicroOp::Jump(t) => pc = t as usize,
+                MicroOp::JumpUnless { op, a, b, ctx, target } => {
+                    let (l, r) = (self.ops_get(slots, a), self.ops_get(slots, b));
+                    if apply_binop(op, l, r).map_err(|()| self.ops_div0(ctx))? == 0 {
+                        pc = target as usize;
+                    }
                 }
-                MicroOp::IncDecLocal { slot, delta } => {
-                    locals[*slot as usize] = locals[*slot as usize].wrapping_add(*delta);
-                }
-                MicroOp::IncDecFlat { res, flat, delta } => {
-                    let flat = *flat as usize;
-                    let old = self
-                        .state
-                        .read_flat(*res, flat)
-                        .ok_or_else(|| self.ops_oob(*res, flat as i64))?;
-                    self.probe_read(*res, flat);
-                    self.ops_write(*res, flat, old.wrapping_add(*delta))?;
-                }
-                MicroOp::IncDecDyn { res, n, delta } => {
-                    let flat = self.ops_pop_flatten(stack, *res, *n)?;
-                    let old = self
-                        .state
-                        .read_flat(*res, flat)
-                        .ok_or_else(|| self.ops_oob(*res, flat as i64))?;
-                    self.probe_read(*res, flat);
-                    self.ops_write(*res, flat, old.wrapping_add(*delta))?;
-                }
-                MicroOp::Pipe(p) => self.apply_pipe_op(*p),
+                MicroOp::Pipe(p) => self.apply_pipe_op(p),
                 MicroOp::InvokeChild(k) => {
                     *pc_io = pc;
-                    return Ok(Some(Call::Child(routine.children[*k as usize])));
+                    return Ok(Some(Call::Child(routine.children[k as usize])));
                 }
                 MicroOp::InvokeUnbound(op) => {
                     *pc_io = pc;
-                    return Ok(Some(Call::Unbound(*op)));
+                    return Ok(Some(Call::Unbound(op)));
                 }
                 MicroOp::Enter(op) => {
                     self.stats.executed_ops += 1;
                     if self.observing() {
-                        self.emit_exec(*op);
+                        self.emit_exec(op);
                     }
                 }
                 MicroOp::ZeroLocals { base, n } => {
-                    let base = *base as usize;
-                    locals[base..base + *n as usize].fill(0);
+                    let base = usize::from(base);
+                    slots[base..base + usize::from(n)].fill(0);
                 }
-                MicroOp::Fail(k) => return Err(routine.errors[*k as usize].clone()),
+                MicroOp::Fail(k) => return Err(routine.errors[k as usize].clone()),
             }
         }
         Ok(None)
@@ -2293,7 +2427,7 @@ impl Simulator<'_> {
     /// `activate_name` pair.
     fn run_act_steps(
         &mut self,
-        frames: &mut Vec<OpsFrame>,
+        frames: &mut Vec<Vec<i64>>,
         plan: &ActPlan,
         steps: &[ActStep],
         sink: &mut ActSink<'_>,
@@ -2614,45 +2748,59 @@ fn render_act_steps(
 fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
     let res_name = |r: &ResourceId| model.resource(*r).name.clone();
     let op_name = |o: &OpId| model.operation(*o).name.clone();
+    let o = |x: &Operand| match *x {
+        Operand::Slot(s) => format!("%{s}"),
+        Operand::Cell { res, flat } => {
+            let res = model.resource(ResourceId(usize::from(res)));
+            if res.dims.is_empty() {
+                res.name.clone()
+            } else {
+                format!("{}[{flat}]", res.name)
+            }
+        }
+        Operand::Imm(v) => v.to_string(),
+    };
     match op {
-        MicroOp::Const(v) => format!("const {v}"),
-        MicroOp::ReadLocal(s) => format!("read_local {s}"),
-        MicroOp::ReadScalar(r) => format!("read {}", res_name(r)),
-        MicroOp::ReadFlat { res, flat } => format!("read {}[{flat}]", res_name(res)),
-        MicroOp::ReadDyn { res, n } => format!("read {}[dyn x{n}]", res_name(res)),
-        MicroOp::ReadIdx(res) => format!("read {}[idx]", res_name(res)),
-        MicroOp::Unary(u) => format!("unary {u:?}"),
-        MicroOp::Binary { op, .. } => format!("binop {op:?}"),
-        MicroOp::BinaryImm { op, imm, .. } => format!("binop {op:?} imm {imm}"),
-        MicroOp::NormBool => "normbool".to_owned(),
-        MicroOp::Builtin { f, .. } => format!("builtin {f:?}"),
-        MicroOp::StoreLocal(s) => format!("store_local {s}"),
-        MicroOp::StoreLocalWrapped { slot, width, signed } => {
-            format!("store_local {slot} wrap{width}{}", if *signed { "s" } else { "u" })
+        MicroOp::Move { dst, src } => format!("{} = {}", o(dst), o(src)),
+        MicroOp::Const { dst, value } => format!("{} = {value}", o(dst)),
+        MicroOp::Load { dst, res, flat } => format!("{} = load {}[{flat}]", o(dst), res_name(res)),
+        MicroOp::LoadIdx { dst, res, idx } => {
+            format!("{} = {}[idx {}]", o(dst), res_name(res), o(idx))
         }
-        MicroOp::Pop => "pop".to_owned(),
+        MicroOp::LoadDyn { dst, res, idx, n } => {
+            format!("{} = {}[dyn %{idx} x{n}]", o(dst), res_name(res))
+        }
+        MicroOp::Unary { op, dst, src } => {
+            let sym = match op {
+                UnOp::Neg => "-",
+                UnOp::Not => "!",
+                UnOp::BitNot => "~",
+            };
+            format!("{} = {sym}{}", o(dst), o(src))
+        }
+        MicroOp::Binary { op, dst, a, b, .. } => {
+            format!("{} = {} {} {}", o(dst), o(a), binop_symbol(*op), o(b))
+        }
+        MicroOp::Builtin { f, dst, a, b, .. } => {
+            let name = format!("{f:?}").to_lowercase();
+            match f {
+                Builtin::Abs | Builtin::Print => format!("{} = {name}({})", o(dst), o(a)),
+                Builtin::Nop => format!("{} = {name}()", o(dst)),
+                _ => format!("{} = {name}({}, {})", o(dst), o(a), o(b)),
+            }
+        }
+        MicroOp::StoreIdx { res, idx, src } => {
+            format!("{}[idx {}] = {}", res_name(res), o(idx), o(src))
+        }
+        MicroOp::StoreDyn { res, idx, n, src } => {
+            format!("{}[dyn %{idx} x{n}] = {}", res_name(res), o(src))
+        }
+        MicroOp::RmwDyn { res, idx, n, op, rhs, .. } => {
+            format!("{}[dyn %{idx} x{n}] {}= {}", res_name(res), binop_symbol(*op), o(rhs))
+        }
         MicroOp::Jump(t) => format!("jump {t:04}"),
-        MicroOp::JumpIfZero(t) => format!("jz {t:04}"),
-        MicroOp::JumpIfNonZero(t) => format!("jnz {t:04}"),
-        MicroOp::JumpUnless { op, target, .. } => format!("unless {op:?} -> {target:04}"),
-        MicroOp::JumpUnlessImm { op, imm, target, .. } => {
-            format!("unless {op:?} imm {imm} -> {target:04}")
-        }
-        MicroOp::CaseJump { value, target } => format!("case {value} -> {target:04}"),
-        MicroOp::WriteFlat { res, flat } => format!("write {}[{flat}]", res_name(res)),
-        MicroOp::WriteDyn { res, n } => format!("write {}[dyn x{n}]", res_name(res)),
-        MicroOp::WriteIdx(res) => format!("write {}[idx]", res_name(res)),
-        MicroOp::RmwLocal { slot, op, .. } => format!("rmw_local {slot} {op:?}"),
-        MicroOp::RmwFlat { res, flat, op, .. } => {
-            format!("rmw {}[{flat}] {op:?}", res_name(res))
-        }
-        MicroOp::RmwDyn { res, n, op, .. } => format!("rmw {}[dyn x{n}] {op:?}", res_name(res)),
-        MicroOp::IncDecLocal { slot, delta } => format!("incdec_local {slot} {delta:+}"),
-        MicroOp::IncDecFlat { res, flat, delta } => {
-            format!("incdec {}[{flat}] {delta:+}", res_name(res))
-        }
-        MicroOp::IncDecDyn { res, n, delta } => {
-            format!("incdec {}[dyn x{n}] {delta:+}", res_name(res))
+        MicroOp::JumpUnless { op, a, b, target, .. } => {
+            format!("unless {} {} {} -> {target:04}", o(a), binop_symbol(*op), o(b))
         }
         MicroOp::Pipe(p) => format!("pipe {p:?}"),
         MicroOp::InvokeChild(k) => format!("invoke child {k}"),
@@ -2660,6 +2808,29 @@ fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
         MicroOp::Enter(o) => format!("enter {}", op_name(o)),
         MicroOp::ZeroLocals { base, n } => format!("zero-locals {base}..{}", base + n),
         MicroOp::Fail(k) => format!("fail {:?}", routine.errors[*k as usize]),
+    }
+}
+
+fn binop_symbol(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Add => "+",
+        BinOp::Sub => "-",
+        BinOp::Mul => "*",
+        BinOp::Div => "/",
+        BinOp::Rem => "%",
+        BinOp::Shl => "<<",
+        BinOp::Shr => ">>",
+        BinOp::Lt => "<",
+        BinOp::Le => "<=",
+        BinOp::Gt => ">",
+        BinOp::Ge => ">=",
+        BinOp::Eq => "==",
+        BinOp::Ne => "!=",
+        BinOp::BitAnd => "&",
+        BinOp::BitOr => "|",
+        BinOp::BitXor => "^",
+        BinOp::LogAnd => "&&",
+        BinOp::LogOr => "||",
     }
 }
 
@@ -2751,6 +2922,14 @@ mod tests {
             assert_eq!((r.1, r.2), (runs[0].1, runs[0].2), "simulator {i} cycles and digest");
             assert_eq!(r.3, runs[0].3, "simulator {i} listing");
         }
+    }
+
+    /// Every routine is an array of these, so a variant that grows the
+    /// enum grows every op the cycle loop touches.
+    #[test]
+    fn micro_op_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<Operand>(), 8);
+        assert_eq!(std::mem::size_of::<MicroOp>(), 32);
     }
 
     #[test]

@@ -49,6 +49,24 @@ fn listing_matches_the_golden_file() {
     );
 }
 
+/// Three-address form: the `ADD R3, R1, R2` instance (word 0x2650) is
+/// its entry marker, the add into R[3] and the zero-flag compare.
+#[test]
+fn add_instance_is_three_micro_ops() {
+    let wb = lisa_models::tinyrisc::workbench().unwrap();
+    // Section headers start a line with `== `.
+    let rendered = format!("\n{}", listing(&wb));
+    let add = rendered
+        .split("\n== ")
+        .find(|s| s.starts_with("word 0x2650 "))
+        .expect("the demo decodes word 0x2650");
+    let ops: Vec<&str> = add.lines().skip(1).collect();
+    assert_eq!(
+        ops,
+        ["  0000  enter add", "  0001  R[3] = R[1] + R[2]", "  0002  zflag = R[3] == 0"]
+    );
+}
+
 #[test]
 fn listing_is_empty_outside_ops_mode() {
     let wb = lisa_models::tinyrisc::workbench().unwrap();
