@@ -20,13 +20,14 @@
 //!   and a ring write per chunk.
 //! * **ring** — a ring-buffer trace sink keeping the last 4096 events.
 //! * **jsonl** — JSON-lines streaming to a null writer.
-//! * **empty** — a probe runtime compiled from the empty spec: events
-//!   flow through it and match against zero probes.
+//! * **empty** — a probe runtime compiled from the empty spec: no probe
+//!   can match and nothing is counted. Gated.
 //! * **silent** — armed watch/break probes that never fire (an
 //!   unreachable breakpoint PC plus a watch on the top data-memory
 //!   cell), so the cost is pure matching, not hit emission.
 //! * **profile** — the architecture profile (instructions, hot PCs,
-//!   stage occupancy/stalls/flushes, op/unit counters, heatmaps).
+//!   stage occupancy/stalls/flushes, op/unit counters, heatmaps), the
+//!   observation every `/v1/simulate` request pays. Gated.
 //!
 //! Methodology: a round times one run of every configuration, back to
 //! back, each on a fresh simulator right after an untimed run of its
@@ -37,9 +38,11 @@
 //! cancels the host's speed phases (seconds to minutes long), and the
 //! median drops millisecond bursts.
 //!
-//! Acceptance gate: `off`, `metrics` and `spans-off` geometric-mean
-//! overheads each < 2% (process exits 1 past the gate, so CI can hold
-//! the line).
+//! Acceptance gates on the geometric-mean overheads (the process exits 1
+//! past any of them, so CI can hold the line): `off`, `metrics` and
+//! `spans-off` each < 2%, `empty` < 10% and `profile` < 18%. The armed
+//! bounds sit well above the highest of six `--quick` runs on a 2-vCPU
+//! Xeon VM (`empty` 4.4–5.7%, `profile` 8.8–12.3%).
 //!
 //! `--quick` shrinks repeats and the budget (5 ms) for CI.
 
@@ -70,9 +73,11 @@ const CONFIGS: [&str; 10] = [
     "profile",
 ];
 
-/// Indices into [`CONFIGS`] of the paths a run pays without arming an
-/// observer (`off`, `metrics`, `spans-off`), each held under 2%.
-const GATED: [usize; 3] = [1, 2, 3];
+/// Gated columns: `(index into [`CONFIGS`], bound in %)`. The paths a
+/// run pays without arming an observer (`off`, `metrics`, `spans-off`)
+/// are held under 2%; the armed `empty` runtime and `profile` under
+/// their own bounds.
+const GATED: [(usize, f64); 5] = [(1, 2.0), (2, 2.0), (3, 2.0), (7, 10.0), (9, 18.0)];
 
 /// Shared across samples: the warm registry the `metrics` runs publish
 /// into, and the recorder behind the two span configurations.
@@ -232,24 +237,22 @@ fn main() -> ExitCode {
         "\nnotes: `off` re-measures `plain` (nothing installed, one Option-is-none branch per\n\
          event site), so it is the disabled path every run pays. `metrics` (a run-boundary\n\
          publish) and `spans-off` (a span scope on a disabled recorder) are the other paths\n\
-         a run pays without arming an observer; these three are gated. The other columns\n\
-         arm one observer each; see the module docs of table_observer_overhead.rs.\n\n",
+         a run pays without arming an observer; these three are gated at 2%. The other\n\
+         columns arm one observer each; `empty` and `profile` (what every /v1/simulate\n\
+         request pays) are gated too. See the module docs of table_observer_overhead.rs.\n\n",
     );
     writeln!(out, "Regenerate: cargo run --release -p lisa-bench --bin table_observer_overhead")
         .unwrap();
-    let measured: Vec<String> =
-        GATED.iter().map(|&i| format!("{} {:.2}%", CONFIGS[i], geo_ovh(i))).collect();
-    writeln!(
-        out,
-        "acceptance gate: off, metrics and spans-off geomean overhead < 2% (measured {})",
-        measured.join(", ")
-    )
-    .unwrap();
+    let measured: Vec<String> = GATED
+        .iter()
+        .map(|&(i, bound)| format!("{} {:.2}% (< {bound}%)", CONFIGS[i], geo_ovh(i)))
+        .collect();
+    writeln!(out, "acceptance gates, geomean overhead: {}", measured.join(", ")).unwrap();
 
     write_report("observer_overhead.txt", &out);
 
-    if GATED.iter().any(|&i| geo_ovh(i) >= 2.0) {
-        eprintln!("OBSERVER-OVERHEAD GATE FAILED: {} (each must stay < 2%)", measured.join(", "));
+    if GATED.iter().any(|&(i, bound)| geo_ovh(i) >= bound) {
+        eprintln!("OBSERVER-OVERHEAD GATE FAILED: {}", measured.join(", "));
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS

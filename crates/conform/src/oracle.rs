@@ -392,7 +392,7 @@ fn snapshot_restore(
 /// Derives a probe spec that exercises every watchable surface the
 /// model offers: a full-range watch on each data memory plus a register
 /// trace probe on the first register file.
-fn derived_probe_spec(wb: &Workbench) -> Option<ProbeSpec> {
+pub fn derived_probe_spec(wb: &Workbench) -> Option<ProbeSpec> {
     let mut clauses = Vec::new();
     let mut reg_done = false;
     for res in wb.model().resources() {

@@ -45,8 +45,10 @@ impl Heatmap {
     }
 
     /// Records one access to flat index `addr`.
+    #[inline]
     pub fn record(&mut self, addr: u64) {
-        let idx = (addr / self.bucket_size) as usize;
+        debug_assert!(self.bucket_size.is_power_of_two());
+        let idx = (addr >> self.bucket_size.trailing_zeros()) as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }

@@ -21,9 +21,9 @@
 //!   the empty profile as identity, so per-run profiles fold into
 //!   fleet- or service-level views in any order.
 //! * [`ProbeRuntime`] — the per-simulator state the backends drive:
-//!   it consumes the simulator's own trace events (so probe semantics
-//!   are backend-independent by construction), emits
-//!   `TraceEvent::ProbeHit` records for matched probes, latches
+//!   one typed entry per event kind (write, exec, activation, decode,
+//!   stall, flush, read), so no trace event is built to feed it. It
+//!   emits `TraceEvent::ProbeHit` records for matched probes, latches
 //!   breakpoint stops, and accumulates the profile.
 //!
 //! The conformance harness asserts that probe hit streams and
@@ -40,7 +40,7 @@ mod spec;
 
 pub use arch::ArchProfile;
 pub use heatmap::Heatmap;
-pub use runtime::ProbeRuntime;
+pub use runtime::{ProbeRuntime, WriteAction};
 pub use spec::{Probe, ProbeError, ProbeSet, ProbeSpec};
 
 use lisa_metrics::Registry;

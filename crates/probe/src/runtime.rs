@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use lisa_core::model::{OpId, PipelineId};
+use lisa_core::model::{OpId, PipelineId, ResourceId};
 use lisa_trace::{NameTable, TraceEvent};
 
 use crate::arch::ArchProfile;
@@ -18,11 +18,13 @@ const MAX_HEAT_BUCKETS: u64 = 64;
 /// taken) with the cycle they started at, per-probe hit counts, and the
 /// latched breakpoint stop.
 ///
-/// The runtime consumes the simulator's own trace events — the same
-/// stream the lockstep oracle already proves mode-independent — so
-/// probe semantics are identical across backends *by construction*.
-/// Reads are the one thing the event stream lacks; backends feed them
-/// through [`ProbeRuntime::observe_read`].
+/// Backends report each event kind through its own typed entry
+/// (`observe_write`, `observe_exec`, `observe_activation`,
+/// `observe_decode`, `observe_stall`, `observe_flush` and
+/// `observe_read`), with no trace event built unless a sink wants one.
+/// What a write does is worked out once per resource whenever the
+/// probes or the profile switch change ([`ProbeRuntime::write_action`]),
+/// so the common write is one table load and one add.
 #[derive(Debug, Clone)]
 pub struct ProbeRuntime {
     set: ProbeSet,
@@ -48,8 +50,25 @@ pub struct ProbeRuntime {
     write_heat: Vec<Heatmap>,
     /// Hits by probe id.
     hit_counts: Vec<u64>,
+    /// What a write does, by resource id (see `plan_writes`).
+    writes: Vec<WriteAction>,
     /// Latched breakpoint: `(probe id, pc)`.
     stop: Option<(u16, i64)>,
+}
+
+/// What the runtime does with a write to one resource. Fixed when the
+/// probes or the profile switch change, so a backend can route writes
+/// by resource without asking the runtime per write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteAction {
+    /// Nothing observes the write.
+    Ignore,
+    /// The profile counts a register write; no probe matches.
+    Count,
+    /// The profile records memory write heat; no probe matches.
+    Heat,
+    /// A watchpoint or PC probe may match (after any profile counting).
+    Match,
 }
 
 /// What one pipeline stage did.
@@ -78,7 +97,7 @@ impl ProbeRuntime {
             .iter()
             .map(|&(_, elements)| Heatmap::for_elements(elements, MAX_HEAT_BUCKETS))
             .collect();
-        ProbeRuntime {
+        let mut runtime = ProbeRuntime {
             arch: false,
             start: 0,
             instructions: 0,
@@ -92,8 +111,11 @@ impl ProbeRuntime {
             write_heat: seeded,
             hit_counts: vec![0; set.len()],
             stop: None,
+            writes: Vec::new(),
             set,
-        }
+        };
+        runtime.plan_writes();
+        runtime
     }
 
     /// The compiled probe set (for labels and hit reporting).
@@ -109,6 +131,7 @@ impl ProbeRuntime {
         self.hit_counts = vec![0; set.len()];
         self.stop = None;
         self.set = set;
+        self.plan_writes();
     }
 
     /// Turns architecture profiling (utilization counters + heatmaps)
@@ -117,6 +140,7 @@ impl ProbeRuntime {
     /// either way.
     pub fn enable_arch(&mut self, now: u64) {
         self.arch = true;
+        self.plan_writes();
         self.restart(now);
     }
 
@@ -159,71 +183,143 @@ impl ProbeRuntime {
         all.start..end
     }
 
-    /// Consumes one simulator trace event: accumulates utilization
-    /// (when profiling is on), matches watchpoints and PC probes, and
-    /// calls `emit` once per matched probe with the `ProbeHit` event to
-    /// append to the trace stream. Breakpoint matches additionally
-    /// latch a stop (see [`ProbeRuntime::take_stop`]).
+    /// What a write to `res` does, as fixed by the installed probes and
+    /// the profile switch ([`WriteAction::Ignore`] for an unknown id).
+    #[must_use]
     #[inline]
-    pub fn observe(&mut self, event: &TraceEvent, mut emit: impl FnMut(TraceEvent)) {
-        match *event {
-            TraceEvent::MemoryAccess { cycle, resource, addr, value } => {
+    pub fn write_action(&self, res: ResourceId) -> WriteAction {
+        self.writes.get(res.0).copied().unwrap_or(WriteAction::Ignore)
+    }
+
+    /// Works out [`ProbeRuntime::write_action`] for every resource; run
+    /// whenever the probe set or the profile switch changes.
+    fn plan_writes(&mut self) {
+        let set = &self.set;
+        let pc_probed = !set.breaks.is_empty() || !set.traces.is_empty();
+        self.writes = (0..set.heat_slot.len())
+            .map(|res| {
+                if !set.watches[res].is_empty() || (pc_probed && set.pc_res == Some(res)) {
+                    WriteAction::Match
+                } else if !self.arch {
+                    WriteAction::Ignore
+                } else if set.heat_slot[res].is_some() {
+                    WriteAction::Heat
+                } else {
+                    WriteAction::Count
+                }
+            })
+            .collect();
+    }
+
+    /// A write of `value` to flat element `addr` of `resource` at
+    /// `cycle`: counted as a register write or recorded as write heat
+    /// (when profiling is on) and matched against watchpoints and PC
+    /// probes. `emit` receives the `ProbeHit` event of each matched
+    /// probe; breakpoint matches additionally latch a stop (see
+    /// [`ProbeRuntime::take_stop`]).
+    #[inline]
+    pub fn observe_write(
+        &mut self,
+        cycle: u64,
+        resource: ResourceId,
+        addr: u64,
+        value: i64,
+        mut emit: impl FnMut(TraceEvent),
+    ) {
+        match self.write_action(resource) {
+            WriteAction::Ignore => {}
+            WriteAction::Count => self.register_writes += 1,
+            WriteAction::Heat => self.record_write_heat(resource.0, addr),
+            WriteAction::Match => {
                 if self.arch {
-                    if let Some(&Some(slot)) = self.set.heat_slot.get(resource.0) {
-                        self.write_heat[usize::from(slot)].record(addr);
+                    if self.set.heat_slot[resource.0].is_some() {
+                        self.record_write_heat(resource.0, addr);
+                    } else {
+                        self.register_writes += 1;
                     }
                 }
                 self.match_write(cycle, resource, addr, value, &mut emit);
             }
-            TraceEvent::RegisterWrite { cycle, resource, addr, value } => {
-                if self.arch {
-                    self.register_writes += 1;
-                }
-                self.match_write(cycle, resource, addr, value, &mut emit);
+        }
+    }
+
+    fn record_write_heat(&mut self, res: usize, addr: u64) {
+        if let Some(&Some(slot)) = self.set.heat_slot.get(res) {
+            self.write_heat[usize::from(slot)].record(addr);
+        }
+    }
+
+    /// An instruction decoded with the program counter at `pc`: counts
+    /// it and, inside the program-memory window, its hot PC. No-op
+    /// unless profiling is on.
+    #[inline]
+    pub fn observe_decode(&mut self, pc: i64) {
+        if !self.arch {
+            return;
+        }
+        self.instructions += 1;
+        let slot = pc.checked_sub(self.set.pc_window.0).and_then(|i| usize::try_from(i).ok());
+        if let Some(count) = slot.and_then(|i| self.hot_pcs.get_mut(i)) {
+            *count += 1;
+        }
+    }
+
+    /// A behavior execution of `op`, occupying `stage` when the
+    /// operation is pipelined. No-op unless profiling is on.
+    #[inline]
+    pub fn observe_exec(&mut self, op: OpId, stage: Option<(PipelineId, u16)>) {
+        if !self.arch {
+            return;
+        }
+        if let Some(slot) = self.op_execs.get_mut(op.0) {
+            *slot += 1;
+        }
+        if let Some((pipe, s)) = stage {
+            let slots = self.pipe_slots(pipe);
+            let slot = slots.start + usize::from(s);
+            if slots.contains(&slot) {
+                self.stages[slot].busy += 1;
             }
-            TraceEvent::Decode { pc, .. } if self.arch => {
-                self.instructions += 1;
-                let slot =
-                    pc.checked_sub(self.set.pc_window.0).and_then(|i| usize::try_from(i).ok());
-                if let Some(count) = slot.and_then(|i| self.hot_pcs.get_mut(i)) {
-                    *count += 1;
-                }
-            }
-            TraceEvent::Exec { op, stage, .. } if self.arch => {
-                if let Some(slot) = self.op_execs.get_mut(op.0) {
-                    *slot += 1;
-                }
-                if let Some((pipe, s)) = stage {
-                    let slots = self.pipe_slots(pipe);
-                    let slot = slots.start + usize::from(s);
-                    if slots.contains(&slot) {
-                        self.stages[slot].busy += 1;
-                    }
-                }
-            }
-            TraceEvent::Activation { to, .. } if self.arch => {
-                if let Some(slot) = self.unit_acts.get_mut(to.0) {
-                    *slot += 1;
-                }
-            }
-            TraceEvent::Stall { pipe, upto, .. } if self.arch => {
-                for slot in self.held_slots(pipe, Some(upto)) {
-                    self.stages[slot].stalls += 1;
-                }
-            }
-            TraceEvent::Flush { pipe, upto, .. } if self.arch => {
-                for slot in self.held_slots(pipe, upto) {
-                    self.stages[slot].flushes += 1;
-                }
-            }
-            _ => {}
+        }
+    }
+
+    /// An activation of `to`. No-op unless profiling is on.
+    #[inline]
+    pub fn observe_activation(&mut self, to: OpId) {
+        if !self.arch {
+            return;
+        }
+        if let Some(slot) = self.unit_acts.get_mut(to.0) {
+            *slot += 1;
+        }
+    }
+
+    /// A stall holding stages `0..=upto` of `pipe` (clamped to its
+    /// depth). No-op unless profiling is on.
+    pub fn observe_stall(&mut self, pipe: PipelineId, upto: u16) {
+        if !self.arch {
+            return;
+        }
+        for slot in self.held_slots(pipe, Some(upto)) {
+            self.stages[slot].stalls += 1;
+        }
+    }
+
+    /// A flush of stages `0..=upto` of `pipe` (the whole pipeline when
+    /// `upto` is `None`). No-op unless profiling is on.
+    pub fn observe_flush(&mut self, pipe: PipelineId, upto: Option<u16>) {
+        if !self.arch {
+            return;
+        }
+        for slot in self.held_slots(pipe, upto) {
+            self.stages[slot].flushes += 1;
         }
     }
 
     fn match_write(
         &mut self,
         cycle: u64,
-        resource: lisa_core::model::ResourceId,
+        resource: ResourceId,
         addr: u64,
         value: i64,
         emit: &mut impl FnMut(TraceEvent),
@@ -377,9 +473,15 @@ mod tests {
         (ProbeRuntime::new(set, &names), names, model)
     }
 
-    fn collect(rt: &mut ProbeRuntime, event: TraceEvent) -> Vec<TraceEvent> {
+    /// The hits one write at cycle 1 produces.
+    fn write(
+        rt: &mut ProbeRuntime,
+        resource: ResourceId,
+        addr: u64,
+        value: i64,
+    ) -> Vec<TraceEvent> {
         let mut hits = Vec::new();
-        rt.observe(&event, |h| hits.push(h));
+        rt.observe_write(1, resource, addr, value, |h| hits.push(h));
         hits
     }
 
@@ -387,13 +489,12 @@ mod tests {
     fn watch_hits_only_inside_the_range() {
         let (mut rt, _, model) = runtime("watch dmem[8..16]");
         let dmem = model.resource_by_name("dmem").unwrap().id;
-        let hit = |addr| TraceEvent::MemoryAccess { cycle: 1, resource: dmem, addr, value: 7 };
-        assert!(collect(&mut rt, hit(7)).is_empty());
+        assert!(write(&mut rt, dmem, 7, 7).is_empty());
         assert_eq!(
-            collect(&mut rt, hit(8)),
+            write(&mut rt, dmem, 8, 7),
             vec![TraceEvent::ProbeHit { cycle: 1, probe: 0, resource: dmem, addr: 8, value: 7 }]
         );
-        assert!(collect(&mut rt, hit(16)).is_empty());
+        assert!(write(&mut rt, dmem, 16, 7).is_empty());
         assert_eq!(rt.hit_count(0), 1);
         assert_eq!(rt.total_hits(), 1);
         assert!(rt.take_stop().is_none());
@@ -403,11 +504,7 @@ mod tests {
     fn overlapping_watches_each_hit() {
         let (mut rt, _, model) = runtime("watch dmem[0..16]; watch dmem[8..32]");
         let dmem = model.resource_by_name("dmem").unwrap().id;
-        let hits = collect(
-            &mut rt,
-            TraceEvent::MemoryAccess { cycle: 2, resource: dmem, addr: 9, value: 1 },
-        );
-        assert_eq!(hits.len(), 2);
+        assert_eq!(write(&mut rt, dmem, 9, 1).len(), 2);
         assert_eq!(rt.hit_count(0), 1);
         assert_eq!(rt.hit_count(1), 1);
     }
@@ -416,20 +513,32 @@ mod tests {
     fn breakpoints_latch_a_stop_on_pc_writes() {
         let (mut rt, _, model) = runtime("break 5; trace 3");
         let pc = model.resource_by_name("pc").unwrap().id;
-        let write = |v| TraceEvent::RegisterWrite { cycle: 1, resource: pc, addr: 0, value: v };
-        assert!(collect(&mut rt, write(4)).is_empty());
-        assert_eq!(collect(&mut rt, write(3)).len(), 1); // tracepoint: hit, no stop
+        assert!(write(&mut rt, pc, 0, 4).is_empty());
+        assert_eq!(write(&mut rt, pc, 0, 3).len(), 1); // tracepoint: hit, no stop
         assert!(rt.take_stop().is_none());
-        assert_eq!(collect(&mut rt, write(5)).len(), 1);
+        assert_eq!(write(&mut rt, pc, 0, 5).len(), 1);
         assert_eq!(rt.take_stop(), Some((0, 5)));
         assert!(rt.take_stop().is_none(), "stop is cleared once taken");
         // Writes to other registers never match PC probes.
         let acc = model.resource_by_name("acc").unwrap().id;
-        assert!(collect(
-            &mut rt,
-            TraceEvent::RegisterWrite { cycle: 2, resource: acc, addr: 0, value: 5 }
-        )
-        .is_empty());
+        assert!(write(&mut rt, acc, 0, 5).is_empty());
+    }
+
+    #[test]
+    fn write_actions_follow_probes_and_the_profile() {
+        use WriteAction::{Count, Heat, Ignore, Match};
+        let (mut rt, _, model) = runtime("");
+        let id = |name| model.resource_by_name(name).unwrap().id;
+        let actions = |rt: &ProbeRuntime| ["pc", "acc", "dmem"].map(|n| rt.write_action(id(n)));
+        assert_eq!(actions(&rt), [Ignore, Ignore, Ignore]);
+        rt.enable_arch(0);
+        assert_eq!(actions(&rt), [Count, Count, Heat]);
+        let watch = ProbeSpec::parse("watch acc; break 9").unwrap().compile(&model).unwrap();
+        rt.set_probes(watch);
+        assert_eq!(actions(&rt), [Match, Match, Heat]);
+        rt.set_probes(ProbeSet::empty(&model));
+        assert_eq!(actions(&rt), [Count, Count, Heat]);
+        assert_eq!(rt.write_action(ResourceId(99)), Ignore);
     }
 
     #[test]
@@ -441,30 +550,22 @@ mod tests {
         let acc = model.resource_by_name("acc").unwrap().id;
         let main = model.operation_by_name("main").unwrap().id;
         let pipe = PipelineId(0);
-        let decode = |pc| TraceEvent::Decode { cycle: 0, pc, word: 1, op: main, cache_hit: false };
-        let mut hits = Vec::new();
-        for event in [
-            TraceEvent::Exec { cycle: 0, op: main, stage: Some((pipe, 1)), pc: 0 },
-            TraceEvent::Activation { cycle: 0, from: main, to: main, delay: 1 },
-            TraceEvent::MemoryAccess { cycle: 1, resource: dmem, addr: 2, value: 9 },
-            TraceEvent::RegisterWrite { cycle: 1, resource: acc, addr: 0, value: 9 },
-            // PCs 3 and 20 lie outside `pmem[4..19]`: instructions, not hot PCs.
-            decode(4),
-            decode(19),
-            decode(19),
-            decode(3),
-            decode(20),
-            TraceEvent::Stall { cycle: 1, pipe, upto: 0 },
-            // Stalls and flushes past the last stage clamp to the depth;
-            // unknown pipelines are ignored.
-            TraceEvent::Stall { cycle: 1, pipe, upto: 9 },
-            TraceEvent::Flush { cycle: 2, pipe, upto: None, discarded: 1 },
-            TraceEvent::Flush { cycle: 2, pipe, upto: Some(0), discarded: 0 },
-            TraceEvent::Stall { cycle: 2, pipe: PipelineId(7), upto: 0 },
-        ] {
-            rt.observe(&event, |h| hits.push(h));
-        }
+        rt.observe_exec(main, Some((pipe, 1)));
+        rt.observe_activation(main);
+        let mut hits = write(&mut rt, dmem, 2, 9);
+        hits.extend(write(&mut rt, acc, 0, 9));
         assert_eq!(hits.len(), 1);
+        // PCs 3 and 20 lie outside `pmem[4..19]`: instructions, not hot PCs.
+        for pc in [4, 19, 19, 3, 20] {
+            rt.observe_decode(pc);
+        }
+        rt.observe_stall(pipe, 0);
+        // Stalls and flushes past the last stage clamp to the depth;
+        // unknown pipelines are ignored.
+        rt.observe_stall(pipe, 9);
+        rt.observe_flush(pipe, None);
+        rt.observe_flush(pipe, Some(0));
+        rt.observe_stall(PipelineId(7), 0);
         rt.observe_read(dmem.0, 200);
         rt.observe_read(dmem.0, 201);
         let profile = rt.arch_profile(&names, 2);
@@ -488,15 +589,16 @@ mod tests {
     fn arch_off_skips_utilization_but_not_probes() {
         let (mut rt, names, model) = runtime("watch dmem");
         let dmem = model.resource_by_name("dmem").unwrap().id;
+        let main = model.operation_by_name("main").unwrap().id;
         rt.observe_read(dmem.0, 5);
-        let hits = collect(
-            &mut rt,
-            TraceEvent::MemoryAccess { cycle: 0, resource: dmem, addr: 1, value: 2 },
-        );
-        assert_eq!(hits.len(), 1, "watchpoints fire with profiling off");
+        rt.observe_exec(main, None);
+        rt.observe_decode(4);
+        assert_eq!(write(&mut rt, dmem, 1, 2).len(), 1, "watchpoints fire with profiling off");
         let profile = rt.arch_profile(&names, 1);
         assert!(profile.read_heat.is_empty());
         assert!(profile.write_heat.is_empty());
+        assert!(profile.op_execs.is_empty());
+        assert_eq!(profile.instructions, 0);
         assert_eq!(profile.hits["watch dmem"], 1);
     }
 

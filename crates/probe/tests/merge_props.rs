@@ -142,9 +142,27 @@ fn profile_of(events: &[TraceEvent], cycles: u64) -> ArchProfile {
     let mut runtime = ProbeRuntime::new(set, names);
     runtime.enable_arch(7);
     for event in events {
-        runtime.observe(event, |_| {});
+        feed(&mut runtime, event);
     }
     runtime.arch_profile(names, 7 + cycles)
+}
+
+/// Reports `event` through the runtime's typed entry for its kind, as a
+/// backend does. Fetch and Print feed nothing; whether a write counts
+/// as a register write or as memory heat follows the resource's class.
+fn feed(runtime: &mut ProbeRuntime, event: &TraceEvent) {
+    match *event {
+        TraceEvent::Decode { pc, .. } => runtime.observe_decode(pc),
+        TraceEvent::Exec { op, stage, .. } => runtime.observe_exec(op, stage),
+        TraceEvent::Activation { to, .. } => runtime.observe_activation(to),
+        TraceEvent::Stall { pipe, upto, .. } => runtime.observe_stall(pipe, upto),
+        TraceEvent::Flush { pipe, upto, .. } => runtime.observe_flush(pipe, upto),
+        TraceEvent::MemoryAccess { cycle, resource, addr, value }
+        | TraceEvent::RegisterWrite { cycle, resource, addr, value } => {
+            runtime.observe_write(cycle, resource, addr, value, |_| {});
+        }
+        _ => {}
+    }
 }
 
 fn merged(a: &ArchProfile, b: &ArchProfile) -> ArchProfile {

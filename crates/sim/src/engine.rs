@@ -21,7 +21,7 @@ use std::sync::Arc;
 use lisa_bits::Bits;
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 use lisa_isa::{Decoded, Decoder};
-use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet};
+use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet, WriteAction};
 use lisa_spans::{SpanKind, SpanScope};
 use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
 
@@ -78,9 +78,97 @@ pub(crate) struct Observer {
     /// Event consumer, when tracing is enabled.
     pub sink: Option<Box<dyn TraceSink>>,
     /// Architectural probes and the architecture profile, when
-    /// installed. The runtime consumes the same event stream the sink
-    /// sees, so probe semantics are backend-independent.
+    /// installed. The emit helpers report each event to it through the
+    /// typed entry for its kind; a `TraceEvent` is built only for the
+    /// sink.
     pub probes: Option<Box<ProbeRuntime>>,
+}
+
+/// How the ops backend reports one kind of event while an observer is
+/// installed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Route {
+    /// Nothing listens.
+    #[default]
+    Skip,
+    /// Only the profile listens, and only to count: bump a [`Tally`]
+    /// counter.
+    Count,
+    /// Call the emit helper: a sink wants the event, or the runtime has
+    /// to match it or record heat.
+    Emit,
+}
+
+/// Plain counters the ops backend bumps in place of calls into the
+/// probe runtime: register writes through cell operands, behavior
+/// executions and activations, while the profile is the only listener.
+/// Routes are worked out whenever the sink, the probes or the profile
+/// change; the counts are added to the runtime's when the profile is
+/// read, and restart with it.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// What a write through a cell operand does, by resource id.
+    pub cells: Vec<Route>,
+    /// What a behavior execution or an activation does.
+    pub units: Route,
+    /// Register writes counted here, not in the runtime.
+    pub register_writes: u64,
+    /// Behavior executions counted here, by [`OpId`].
+    pub op_execs: Vec<u64>,
+    /// Activations counted here, by target [`OpId`].
+    pub unit_acts: Vec<u64>,
+}
+
+impl Tally {
+    /// Re-plans the routes for the installed observer.
+    fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
+        self.cells.clear();
+        self.units = Route::Skip;
+        let Some(obs) = observer else { return };
+        let Some(runtime) = obs.probes.as_deref() else {
+            // Only a sink: every event is built for it.
+            self.restart();
+            self.cells.resize(model.resources().len(), Route::Emit);
+            self.units = Route::Emit;
+            return;
+        };
+        let counting = obs.sink.is_none();
+        self.cells.extend(model.resources().iter().map(|r| match runtime.write_action(r.id) {
+            _ if !counting => Route::Emit,
+            WriteAction::Ignore => Route::Skip,
+            WriteAction::Count => Route::Count,
+            WriteAction::Heat | WriteAction::Match => Route::Emit,
+        }));
+        self.units = match (counting, runtime.arch_enabled()) {
+            (false, _) => Route::Emit,
+            (true, true) => Route::Count,
+            (true, false) => Route::Skip,
+        };
+        self.op_execs.resize(model.operations().len(), 0);
+        self.unit_acts.resize(model.operations().len(), 0);
+    }
+
+    /// Zeroes the counts, with the runtime's restart.
+    pub(crate) fn restart(&mut self) {
+        self.register_writes = 0;
+        self.op_execs.fill(0);
+        self.unit_acts.fill(0);
+    }
+
+    /// Adds the counts to a profile the runtime folded.
+    fn fold_into(&self, model: &Model, names: &NameTable, profile: &mut ArchProfile) {
+        profile.register_writes += self.register_writes;
+        for (i, &n) in self.op_execs.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            let op = OpId(i);
+            *profile.op_execs.entry(names.op(op).to_owned()).or_default() += n;
+            if let Some((pipe, stage)) = model.operation(op).stage {
+                *profile.stage_busy.entry(names.stage_key(pipe, stage)).or_default() += n;
+            }
+        }
+        for (i, &n) in self.unit_acts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            *profile.unit_activations.entry(names.op(OpId(i)).to_owned()).or_default() += n;
+        }
+    }
 }
 
 /// Why [`Simulator::run_until`] stopped.
@@ -168,6 +256,8 @@ pub struct Simulator<'m> {
     pub(crate) ops: Option<Box<OpsTables<'m>>>,
     pub(crate) seq: u64,
     pub(crate) observer: Option<Box<Observer>>,
+    /// The ops backend's plain profile counters (see [`Tally`]).
+    pub(crate) tally: Tally,
     pub(crate) pc_res: Option<ResourceId>,
     /// Stats values already exported by `publish_metrics`, so repeated
     /// publishes add only the delta accumulated in between.
@@ -242,6 +332,7 @@ impl<'m> Simulator<'m> {
             ops,
             seq: 0,
             observer: None,
+            tally: Tally::default(),
             pc_res,
             metrics_published: SimStats::default(),
             trace_dropped_published: 0,
@@ -295,12 +386,14 @@ impl<'m> Simulator<'m> {
         })
     }
 
-    /// Drops the observer box again when tracing, profiling and probing
-    /// are all off, restoring the single-`None` fast path.
-    fn shrink_observer(&mut self) {
+    /// Follows a change of sink, probes or profile: drops the observer
+    /// box again when tracing, profiling and probing are all off,
+    /// restoring the single-`None` fast path, and re-plans the tally.
+    fn observer_changed(&mut self) {
         if self.observer.as_ref().is_some_and(|o| o.sink.is_none() && o.probes.is_none()) {
             self.observer = None;
         }
+        self.tally.plan(self.model, self.observer.as_deref());
     }
 
     /// Enables or disables the execution trace.
@@ -314,12 +407,10 @@ impl<'m> Simulator<'m> {
             if obs.sink.is_none() {
                 obs.sink = Some(Box::new(CollectingSink::new()));
             }
-        } else {
-            if let Some(obs) = self.observer.as_mut() {
-                obs.sink = None;
-            }
-            self.shrink_observer();
+        } else if let Some(obs) = self.observer.as_mut() {
+            obs.sink = None;
         }
+        self.observer_changed();
     }
 
     /// Whether a trace sink is installed.
@@ -333,12 +424,13 @@ impl<'m> Simulator<'m> {
     /// [`lisa_trace::JsonLinesSink`]).
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.observer_mut().sink = Some(sink);
+        self.observer_changed();
     }
 
     /// Removes and returns the installed sink, disabling tracing.
     pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         let sink = self.observer.as_mut().and_then(|o| o.sink.take());
-        self.shrink_observer();
+        self.observer_changed();
         sink
     }
 
@@ -371,6 +463,7 @@ impl<'m> Simulator<'m> {
             Some(runtime) => runtime.set_probes(set),
             None => obs.probes = Some(Box::new(ProbeRuntime::new(set, &obs.names))),
         }
+        self.observer_changed();
     }
 
     /// Removes the installed probes (and any architecture profile they
@@ -379,7 +472,7 @@ impl<'m> Simulator<'m> {
         if let Some(obs) = self.observer.as_mut() {
             obs.probes = None;
         }
-        self.shrink_observer();
+        self.observer_changed();
     }
 
     /// Whether a probe runtime is installed.
@@ -401,6 +494,8 @@ impl<'m> Simulator<'m> {
         let runtime =
             obs.probes.get_or_insert_with(|| Box::new(ProbeRuntime::new(empty, &obs.names)));
         runtime.enable_arch(cycles);
+        self.tally.restart();
+        self.observer_changed();
     }
 
     /// The architecture profile accumulated since
@@ -415,7 +510,9 @@ impl<'m> Simulator<'m> {
         if !runtime.arch_enabled() {
             return None;
         }
-        Some(runtime.arch_profile(&obs.names, self.stats.cycles))
+        let mut profile = runtime.arch_profile(&obs.names, self.stats.cycles);
+        self.tally.fold_into(self.model, &obs.names, &mut profile);
+        Some(profile)
     }
 
     /// Total probe hits recorded since the probe set was installed (or
@@ -465,23 +562,18 @@ impl<'m> Simulator<'m> {
         self.observer.is_some()
     }
 
-    /// Routes an event to the sink and the probe runtime. Callers guard
-    /// with [`Simulator::observing`] so event construction itself is
-    /// skipped when observability is off. Probe hits triggered by the
-    /// event are appended to the same stream, directly after it.
-    pub(crate) fn emit(&mut self, event: TraceEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            let Observer { sink, probes, .. } = obs.as_mut();
-            if let Some(sink) = sink.as_mut() {
-                sink.record(&event);
-            }
-            if let Some(runtime) = probes.as_mut() {
-                runtime.observe(&event, |hit| {
-                    if let Some(sink) = sink.as_mut() {
-                        sink.record(&hit);
-                    }
-                });
-            }
+    /// The installed probe runtime, if any.
+    fn runtime_mut(&mut self) -> Option<&mut ProbeRuntime> {
+        self.observer.as_mut()?.probes.as_deref_mut()
+    }
+
+    /// Hands an event to the trace sink, if one is installed. Only the
+    /// sink sees `TraceEvent`s: the emit helpers feed the probe runtime
+    /// through its typed entries, and `Fetch` and `Print` events, which
+    /// the runtime ignores, are built only while [`Simulator::tracing`].
+    pub(crate) fn record(&mut self, event: &TraceEvent) {
+        if let Some(sink) = self.observer.as_mut().and_then(|o| o.sink.as_mut()) {
+            sink.record(event);
         }
     }
 
@@ -502,30 +594,86 @@ impl<'m> Simulator<'m> {
         self.pc_res.and_then(|r| self.state.read_flat(r, 0)).unwrap_or(-1)
     }
 
-    /// Emits the right write event for a resource's class.
+    // The emit helpers below report one event each. Callers guard them
+    // with [`Simulator::observing`], so nothing is built when observation
+    // is off. A trace event is built only for an installed sink; probe
+    // hits a write triggers follow it in the same stream.
+
+    /// Reports a write: the class's write event to the sink, the write to
+    /// the runtime.
     pub(crate) fn emit_write(&mut self, res: ResourceId, flat: usize, value: i64) {
         use lisa_core::ast::ResourceClass;
-        let class = self.model.resource(res).class;
         let cycle = self.stats.cycles;
-        let event = match class {
-            ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
-                TraceEvent::MemoryAccess { cycle, resource: res, addr: flat as u64, value }
-            }
-            _ => TraceEvent::RegisterWrite { cycle, resource: res, addr: flat as u64, value },
-        };
-        self.emit(event);
+        let model = self.model;
+        let Some(obs) = self.observer.as_deref_mut() else { return };
+        let Observer { sink, probes, .. } = obs;
+        let addr = flat as u64;
+        if let Some(sink) = sink.as_mut() {
+            let event = match model.resource(res).class {
+                ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
+                    TraceEvent::MemoryAccess { cycle, resource: res, addr, value }
+                }
+                _ => TraceEvent::RegisterWrite { cycle, resource: res, addr, value },
+            };
+            sink.record(&event);
+        }
+        if let Some(runtime) = probes.as_mut() {
+            runtime.observe_write(cycle, res, addr, value, |hit| {
+                if let Some(sink) = sink.as_mut() {
+                    sink.record(&hit);
+                }
+            });
+        }
     }
 
-    /// Emits an [`TraceEvent::Exec`] for an operation invoked outside
-    /// the scheduler (behavior-level invocation).
+    /// Reports a behavior execution of `op`, scheduled or invoked.
     pub(crate) fn emit_exec(&mut self, op: OpId) {
-        let event = TraceEvent::Exec {
-            cycle: self.stats.cycles,
-            op,
-            stage: self.model.operation(op).stage.map(|(p, s)| (p, s as u16)),
-            pc: self.current_pc(),
-        };
-        self.emit(event);
+        let stage = self.model.operation(op).stage.map(|(p, s)| (p, s as u16));
+        if self.tracing() {
+            let event =
+                TraceEvent::Exec { cycle: self.stats.cycles, op, stage, pc: self.current_pc() };
+            self.record(&event);
+        }
+        if let Some(runtime) = self.runtime_mut() {
+            runtime.observe_exec(op, stage);
+        }
+    }
+
+    /// Reports the decode of `word` to `op`. The program counter is read
+    /// only for the sink or a running profile.
+    pub(crate) fn emit_decode(&mut self, word: u128, op: OpId, cache_hit: bool) {
+        let tracing = self.tracing();
+        let profiling = self.runtime_mut().is_some_and(|r| r.arch_enabled());
+        if !tracing && !profiling {
+            return;
+        }
+        let pc = self.current_pc();
+        if tracing {
+            self.record(&TraceEvent::Decode { cycle: self.stats.cycles, pc, word, op, cache_hit });
+        }
+        if let Some(runtime) = self.runtime_mut() {
+            runtime.observe_decode(pc);
+        }
+    }
+
+    /// Reports an activation of `to` by `from` after `delay` steps.
+    pub(crate) fn emit_activation(&mut self, from: OpId, to: OpId, delay: u32) {
+        if self.tracing() {
+            self.record(&TraceEvent::Activation { cycle: self.stats.cycles, from, to, delay });
+        }
+        if let Some(runtime) = self.runtime_mut() {
+            runtime.observe_activation(to);
+        }
+    }
+
+    /// Reports a fetch of `word`; only a sink sees fetches, so callers
+    /// need no `observing` guard.
+    #[inline]
+    pub(crate) fn emit_fetch(&mut self, word: u128) {
+        if self.tracing() {
+            let event = TraceEvent::Fetch { cycle: self.stats.cycles, pc: self.current_pc(), word };
+            self.record(&event);
+        }
     }
 
     /// Pre-decodes every word of all `PROGRAM_MEMORY` resources into the
@@ -567,14 +715,7 @@ impl<'m> Simulator<'m> {
             self.decoder.as_ref().ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
         let decoded = Arc::new(decoder.decode(word)?);
         if self.observing() {
-            let event = TraceEvent::Decode {
-                cycle: self.stats.cycles,
-                pc: self.current_pc(),
-                word,
-                op: decoded.op,
-                cache_hit: false,
-            };
-            self.emit(event);
+            self.emit_decode(word, decoded.op, false);
         }
         Ok(decoded)
     }
@@ -757,11 +898,7 @@ impl<'m> Simulator<'m> {
             (Binding::Decoded(d), _) => Some(Arc::clone(d)),
             (_, Some(root_res)) => {
                 let word = self.state.scalar(root_res).to_u128();
-                if self.observing() {
-                    let event =
-                        TraceEvent::Fetch { cycle: self.stats.cycles, pc: self.current_pc(), word };
-                    self.emit(event);
-                }
+                self.emit_fetch(word);
                 Some(self.decode_word(word)?)
             }
             (_, None) => None,
@@ -777,13 +914,7 @@ impl<'m> Simulator<'m> {
         };
 
         if self.observing() {
-            let event = TraceEvent::Exec {
-                cycle: self.stats.cycles,
-                op: item.op,
-                stage: operation.stage.map(|(p, s)| (p, s as u16)),
-                pc: self.current_pc(),
-            };
-            self.emit(event);
+            self.emit_exec(item.op);
         }
 
         self.exec_behavior_interp(item.op, variant, decoded.as_deref())?;
@@ -812,11 +943,7 @@ impl<'m> Simulator<'m> {
             (Binding::Decoded(d), _) => t.bind(item.op, d),
             (Binding::Unbound, Some(root_res)) => {
                 let word = self.state.scalar(root_res).to_u128();
-                if self.observing() {
-                    let event =
-                        TraceEvent::Fetch { cycle: self.stats.cycles, pc: self.current_pc(), word };
-                    self.emit(event);
-                }
+                self.emit_fetch(word);
                 // The word's own routine, unless its decode names an
                 // operation other than this decode root.
                 let id = self.ops_decode_word(t, word)?;
@@ -826,13 +953,7 @@ impl<'m> Simulator<'m> {
         };
 
         if self.observing() {
-            let event = TraceEvent::Exec {
-                cycle: self.stats.cycles,
-                op: item.op,
-                stage: operation.stage.map(|(p, s)| (p, s as u16)),
-                pc: self.current_pc(),
-            };
-            self.emit(event);
+            self.ops_exec(item.op);
         }
 
         self.run_routine(t, id)?;
@@ -950,13 +1071,7 @@ impl<'m> Simulator<'m> {
         };
         let total = spatial + extra_delay;
         if self.observing() {
-            let event = TraceEvent::Activation {
-                cycle: self.stats.cycles,
-                from: from_op,
-                to: item.op,
-                delay: total,
-            };
-            self.emit(event);
+            self.emit_activation(from_op, item.op, total);
         }
         if total == 0 {
             ready.push(item);
@@ -1033,12 +1148,13 @@ impl<'m> Simulator<'m> {
         let entry = &mut self.pipes[pid.0].stall_upto;
         *entry = Some(entry.map_or(upto, |prev| prev.max(upto)));
         if self.observing() {
-            let event = TraceEvent::Stall {
-                cycle: self.stats.cycles,
-                pipe: pid,
-                upto: upto.min(usize::from(u16::MAX)) as u16,
-            };
-            self.emit(event);
+            let upto = upto.min(usize::from(u16::MAX)) as u16;
+            if self.tracing() {
+                self.record(&TraceEvent::Stall { cycle: self.stats.cycles, pipe: pid, upto });
+            }
+            if let Some(runtime) = self.runtime_mut() {
+                runtime.observe_stall(pid, upto);
+            }
         }
     }
 
@@ -1055,13 +1171,16 @@ impl<'m> Simulator<'m> {
             _ => true,
         });
         if self.observing() {
-            let event = TraceEvent::Flush {
-                cycle: self.stats.cycles,
-                pipe: pid,
-                upto: upto.map(|s| s.min(usize::from(u16::MAX)) as u16),
-                discarded: (before - self.pending.len()) as u32,
-            };
-            self.emit(event);
+            let upto = upto.map(|s| s.min(usize::from(u16::MAX)) as u16);
+            if self.tracing() {
+                let discarded = (before - self.pending.len()) as u32;
+                let event =
+                    TraceEvent::Flush { cycle: self.stats.cycles, pipe: pid, upto, discarded };
+                self.record(&event);
+            }
+            if let Some(runtime) = self.runtime_mut() {
+                runtime.observe_flush(pid, upto);
+            }
         }
     }
 

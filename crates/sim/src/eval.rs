@@ -284,14 +284,7 @@ impl<'m> Simulator<'m> {
         let operation = self.model.operation(op);
         if let Some(root_res) = operation.decode_root {
             let word = self.state.scalar(root_res).to_u128();
-            if self.observing() {
-                let event = lisa_trace::TraceEvent::Fetch {
-                    cycle: self.stats.cycles,
-                    pc: self.current_pc(),
-                    word,
-                };
-                self.emit(event);
-            }
+            self.emit_fetch(word);
             let decoded = self.decode_word(word)?;
             self.invoke_decoded(&decoded)?;
             self.stats.instructions_retired += 1;
@@ -559,13 +552,13 @@ impl<'m> Simulator<'m> {
             "print" => {
                 arity(1)?;
                 let v = self.eval_expr_interp(&args[0], frame)?;
-                if self.observing() {
+                if self.tracing() {
                     let event = lisa_trace::TraceEvent::Print {
                         cycle: self.stats.cycles,
                         op: frame.op,
                         value: v,
                     };
-                    self.emit(event);
+                    self.record(&event);
                 }
                 v
             }

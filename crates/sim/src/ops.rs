@@ -32,6 +32,9 @@
 //! tracing and statistics all reuse the shared engine paths, so
 //! `State::digest` and mode-independent `SimStats` stay byte-identical
 //! across both modes (enforced by `lisa-conform`'s lockstep oracle).
+//! While the arch profile is the only listener, register writes through
+//! cells, executions and activations are counted in the simulator's
+//! tally instead of being reported to the probe runtime.
 
 use std::sync::Arc;
 
@@ -39,7 +42,7 @@ use lisa_core::ast::{ActNode, AssignOp, BinOp, ResourceClass, UnOp};
 use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
 use lisa_isa::Decoded;
 
-use crate::engine::{Binding, ExecItem, Pending};
+use crate::engine::{Binding, ExecItem, Pending, Route};
 use crate::eval::{apply_binop, compound_binop, saturate};
 use crate::fasthash::FastMap;
 use crate::lower::{lower_act_expr, Builtin, LBlock, LExpr, LPlace, LStmt, Lowered, PipeOp};
@@ -54,7 +57,10 @@ pub(crate) enum Operand {
     /// A resource element at a pre-flattened, in-bounds index. As a source
     /// it never names a memory-class resource (see [`MicroOp::Load`]), so
     /// reading it at its use is unobservable: lowered expressions never
-    /// write state.
+    /// write state. As a destination it can: a store to a memory at a
+    /// constant index is a cell too, and the profile records it as write
+    /// heat, not as a register write, so a cell write is routed by its
+    /// resource (see `Simulator::ops_put`).
     Cell { res: u16, flat: u32 },
     /// An immediate; never a destination. Wider constants load into a
     /// slot through [`MicroOp::Const`].
@@ -2152,8 +2158,10 @@ impl Simulator<'_> {
         }
     }
 
-    /// Writes a destination operand; a cell write emits its event first.
-    /// A cell is in bounds, so the write cannot fail.
+    /// Writes a destination operand; a cell write is reported first,
+    /// through the tally's route for its resource. A cell is in bounds,
+    /// so the write cannot fail. Inlined at the dispatch loop's one
+    /// store site.
     #[inline(always)]
     fn ops_put(&mut self, slots: &mut [i64], dst: Operand, value: i64) {
         match dst {
@@ -2161,7 +2169,11 @@ impl Simulator<'_> {
             Operand::Cell { res, flat } => {
                 let res = ResourceId(usize::from(res));
                 if self.observing() {
-                    self.emit_write(res, flat as usize, value);
+                    match self.tally.cells[res.0] {
+                        Route::Count => self.tally.register_writes += 1,
+                        Route::Emit => self.emit_write(res, flat as usize, value),
+                        Route::Skip => {}
+                    }
                 }
                 let written = self.state.write_flat(res, flat as usize, value);
                 debug_assert!(written, "cells are in bounds");
@@ -2187,6 +2199,30 @@ impl Simulator<'_> {
             Ok(())
         } else {
             Err(self.ops_oob(res, flat as i64))
+        }
+    }
+
+    /// Reports an ops-mode behavior execution: a
+    /// [`Tally`](crate::engine::Tally) count while the profile is the only
+    /// listener, else the emit helper. Callers guard with `observing`. Out
+    /// of line, so the unobserved dispatch loop stays as small as before
+    /// (inlined, it read ~1.5% slower on `kernels-ops`).
+    #[inline(never)]
+    pub(crate) fn ops_exec(&mut self, op: OpId) {
+        match self.tally.units {
+            Route::Count => self.tally.op_execs[op.0] += 1,
+            Route::Emit => self.emit_exec(op),
+            Route::Skip => {}
+        }
+    }
+
+    /// Reports an activation of `t`, like [`Simulator::ops_exec`].
+    #[inline(never)]
+    fn ops_activation(&mut self, t: &ActTarget) {
+        match self.tally.units {
+            Route::Count => self.tally.unit_acts[t.op.0] += 1,
+            Route::Emit => self.emit_activation(t.from, t.op, t.delay),
+            Route::Skip => {}
         }
     }
 
@@ -2231,7 +2267,7 @@ impl Simulator<'_> {
     ) -> Result<(), SimError> {
         self.stats.executed_ops += 1;
         if self.observing() {
-            self.emit_exec(op);
+            self.ops_exec(op);
         }
         self.run_routine(t, id)?;
         self.invoke_plan(t, id)
@@ -2267,25 +2303,22 @@ impl Simulator<'_> {
         let mut pc = *pc_io;
         while let Some(&op) = code.get(pc) {
             pc += 1;
-            match op {
-                MicroOp::Move { dst, src } => {
-                    let v = self.ops_get(slots, src);
-                    self.ops_put(slots, dst, v);
-                }
-                MicroOp::Const { dst, value } => self.ops_put(slots, dst, value),
+            // Value-producing ops yield their destination and value, which
+            // the one `ops_put` after the match stores; the others
+            // `continue`.
+            let (dst, v) = match op {
+                MicroOp::Move { dst, src } => (dst, self.ops_get(slots, src)),
+                MicroOp::Const { dst, value } => (dst, value),
                 MicroOp::Load { dst, res, flat } => {
-                    let v = self.ops_load(res, flat as usize, i64::from(flat))?;
-                    self.ops_put(slots, dst, v);
+                    (dst, self.ops_load(res, flat as usize, i64::from(flat))?)
                 }
                 MicroOp::LoadIdx { dst, res, idx } => {
                     let i = self.ops_get(slots, idx);
-                    let v = self.ops_load(res, i as usize, i)?;
-                    self.ops_put(slots, dst, v);
+                    (dst, self.ops_load(res, i as usize, i)?)
                 }
                 MicroOp::LoadDyn { dst, res, idx, n } => {
                     let flat = self.ops_flatten(slots, res, idx, n)?;
-                    let v = self.ops_load(res, flat, flat as i64)?;
-                    self.ops_put(slots, dst, v);
+                    (dst, self.ops_load(res, flat, flat as i64)?)
                 }
                 MicroOp::Unary { op, dst, src } => {
                     let v = self.ops_get(slots, src);
@@ -2294,30 +2327,29 @@ impl Simulator<'_> {
                         UnOp::Not => i64::from(v == 0),
                         UnOp::BitNot => !v,
                     };
-                    self.ops_put(slots, dst, v);
+                    (dst, v)
                 }
                 MicroOp::Binary { op, dst, a, b, ctx } => {
                     let (l, r) = (self.ops_get(slots, a), self.ops_get(slots, b));
-                    let v = apply_binop(op, l, r).map_err(|()| self.ops_div0(ctx))?;
-                    self.ops_put(slots, dst, v);
+                    (dst, apply_binop(op, l, r).map_err(|()| self.ops_div0(ctx))?)
                 }
                 MicroOp::Builtin { f, dst, a, b, ctx } => {
                     let x = self.ops_get(slots, a);
                     let v = match f {
                         Builtin::Print => {
-                            if self.observing() {
+                            if self.tracing() {
                                 let event = lisa_trace::TraceEvent::Print {
                                     cycle: self.stats.cycles,
                                     op: OpId(ctx as usize),
                                     value: x,
                                 };
-                                self.emit(event);
+                                self.record(&event);
                             }
                             x
                         }
                         _ => eval_builtin_pure(f, [x, self.ops_get(slots, b)]),
                     };
-                    self.ops_put(slots, dst, v);
+                    (dst, v)
                 }
                 MicroOp::StoreIdx { res, idx, src } => {
                     let i = self.ops_get(slots, idx);
@@ -2329,11 +2361,13 @@ impl Simulator<'_> {
                         return Err(self.ops_oob(res, i));
                     }
                     self.ops_write(res, flat, v)?;
+                    continue;
                 }
                 MicroOp::StoreDyn { res, idx, n, src } => {
                     let flat = self.ops_flatten(slots, res, idx, n)?;
                     let v = self.ops_get(slots, src);
                     self.ops_write(res, flat, v)?;
+                    continue;
                 }
                 MicroOp::RmwDyn { res, idx, n, op, rhs, ctx } => {
                     let flat = self.ops_flatten(slots, res, idx, n)?;
@@ -2341,15 +2375,23 @@ impl Simulator<'_> {
                     let old = self.ops_load(res, flat, flat as i64)?;
                     let new = apply_binop(op, old, rhs).map_err(|()| self.ops_div0(ctx))?;
                     self.ops_write(res, flat, new)?;
+                    continue;
                 }
-                MicroOp::Jump(t) => pc = t as usize,
+                MicroOp::Jump(t) => {
+                    pc = t as usize;
+                    continue;
+                }
                 MicroOp::JumpUnless { op, a, b, ctx, target } => {
                     let (l, r) = (self.ops_get(slots, a), self.ops_get(slots, b));
                     if apply_binop(op, l, r).map_err(|()| self.ops_div0(ctx))? == 0 {
                         pc = target as usize;
                     }
+                    continue;
                 }
-                MicroOp::Pipe(p) => self.apply_pipe_op(p),
+                MicroOp::Pipe(p) => {
+                    self.apply_pipe_op(p);
+                    continue;
+                }
                 MicroOp::InvokeChild(k) => {
                     *pc_io = pc;
                     return Ok(Some(Call::Child(routine.children[k as usize])));
@@ -2361,15 +2403,18 @@ impl Simulator<'_> {
                 MicroOp::Enter(op) => {
                     self.stats.executed_ops += 1;
                     if self.observing() {
-                        self.emit_exec(op);
+                        self.ops_exec(op);
                     }
+                    continue;
                 }
                 MicroOp::ZeroLocals { base, n } => {
                     let base = usize::from(base);
                     slots[base..base + usize::from(n)].fill(0);
+                    continue;
                 }
                 MicroOp::Fail(k) => return Err(routine.errors[k as usize].clone()),
-            }
+            };
+            self.ops_put(slots, dst, v);
         }
         Ok(None)
     }
@@ -2438,13 +2483,7 @@ impl Simulator<'_> {
                     let t = &plan.targets[*k as usize];
                     self.stats.activations += 1;
                     if self.observing() {
-                        let event = lisa_trace::TraceEvent::Activation {
-                            cycle: self.stats.cycles,
-                            from: t.from,
-                            to: t.op,
-                            delay: t.delay,
-                        };
-                        self.emit(event);
+                        self.ops_activation(t);
                     }
                     let bind = t.routine.map_or(Binding::Unbound, Binding::Routine);
                     if t.delay == 0 {
@@ -2508,14 +2547,7 @@ impl Simulator<'_> {
             return self.invoke_routine(t, op, id);
         };
         let word = self.state.scalar(root_res).to_u128();
-        if self.observing() {
-            let event = lisa_trace::TraceEvent::Fetch {
-                cycle: self.stats.cycles,
-                pc: self.current_pc(),
-                word,
-            };
-            self.emit(event);
-        }
+        self.emit_fetch(word);
         let id = self.ops_decode_word(t, word)?;
         self.invoke_routine(t, t.store.decoded_op(id), id)?;
         self.stats.instructions_retired += 1;
@@ -2558,14 +2590,7 @@ impl Simulator<'_> {
             }
         };
         if self.observing() {
-            let event = lisa_trace::TraceEvent::Decode {
-                cycle: self.stats.cycles,
-                pc: self.current_pc(),
-                word,
-                op: t.store.decoded_op(id),
-                cache_hit,
-            };
-            self.emit(event);
+            self.emit_decode(word, t.store.decoded_op(id), cache_hit);
         }
         Ok(id)
     }

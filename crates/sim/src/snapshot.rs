@@ -172,6 +172,7 @@ impl<'m> Simulator<'m> {
                 runtime.restart(self.stats.cycles);
             }
         }
+        self.tally.restart();
         Ok(())
     }
 }

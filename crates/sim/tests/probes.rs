@@ -295,6 +295,11 @@ enum Step {
     Snap,
     Restore,
     Watch,
+    /// A register probe on `R[2]`, which only `LD R2, 5` writes.
+    Reg,
+    /// A breakpoint on a PC the program never reaches.
+    Break,
+    Trace(bool),
 }
 
 fn play(model: &Model, mode: SimMode, steps: &[Step]) -> ArchProfile {
@@ -309,6 +314,9 @@ fn play(model: &Model, mode: SimMode, steps: &[Step]) -> ArchProfile {
             Step::Snap => snapshot = Some(sim.snapshot()),
             Step::Restore => sim.restore(snapshot.as_ref().expect("snapshot taken")).expect("ok"),
             Step::Watch => sim.set_probes(compile_spec(model, "watch dmem")),
+            Step::Reg => sim.set_probes(compile_spec(model, "reg R[2]")),
+            Step::Break => sim.set_probes(compile_spec(model, "break 40")),
+            Step::Trace(on) => sim.set_trace(on),
         }
     }
     sim.arch_profile().expect("profile on")
@@ -316,24 +324,57 @@ fn play(model: &Model, mode: SimMode, steps: &[Step]) -> ArchProfile {
 
 #[test]
 fn profile_span_follows_enable_restore_and_set_probes() {
-    use Step::{Enable, Restore, Run, Snap, Watch};
+    use Step::{Break, Enable, Reg, Restore, Run, Snap, Trace, Watch};
     // Each sequence must read exactly like a reference run that turns
     // profiling (and probes) on where the profile should start: restore
     // restarts it at the restored cycle, re-enabling restarts it from
     // zero, and set_probes restarts only hit counts. `main` runs once
-    // per cycle; `ST` (a dmem write) executes at cycles 2 and 5.
-    let cases: [(&str, &[Step], &[Step]); 4] = [
+    // per cycle; `ST` (a dmem write) executes at cycles 2 and 5, and
+    // `LD R2, 5` at cycle 11.
+    //
+    // The last four move resources between the ops backend's plain
+    // counters and the runtime's matcher mid-run: a register probe on a
+    // register the loop writes, a breakpoint (every PC write is then
+    // matched), and a trace sink (every event is then built), so
+    // counts taken on both paths must add up.
+    let cases: [(&str, &[Step], &[Step]); 8] = [
         ("restore", &[Enable, Run(3), Snap, Run(2), Restore, Run(2)], &[Run(3), Enable, Run(2)]),
         ("re-enable", &[Enable, Run(3), Enable, Run(2)], &[Run(3), Enable, Run(2)]),
         ("set_probes keeps counters", &[Enable, Run(2), Watch, Run(4)], &[Watch, Enable, Run(6)]),
         ("hit reset", &[Watch, Enable, Run(3), Watch, Run(3)], &[Enable, Run(3), Watch, Run(3)]),
+        ("reg probe mid-run", &[Enable, Run(3), Reg, Run(10)], &[Reg, Enable, Run(13)]),
+        ("break mid-run", &[Enable, Run(4), Break, Run(6)], &[Break, Enable, Run(10)]),
+        (
+            "trace on and off",
+            &[Enable, Run(3), Trace(true), Run(4), Trace(false), Run(5)],
+            &[Enable, Run(12)],
+        ),
+        (
+            "all paths",
+            &[
+                Enable,
+                Run(2),
+                Reg,
+                Run(2),
+                Trace(true),
+                Run(3),
+                Break,
+                Run(2),
+                Trace(false),
+                Run(4),
+            ],
+            &[Trace(true), Break, Enable, Run(13)],
+        ),
     ];
     let model = Model::from_source(TOY).expect("model builds");
-    for mode in MODES {
-        for (name, steps, reference) in cases {
+    for (name, steps, reference) in cases {
+        let runs = MODES.map(|mode| {
             let got = play(&model, mode, steps);
             assert_eq!(got, play(&model, mode, reference), "{mode:?}: {name}");
             assert_eq!(got.op_execs["main"], got.cycles, "{mode:?}: {name}");
-        }
+            assert!(got.register_writes > got.cycles, "{mode:?}: {name}: {got:?}");
+            got
+        });
+        assert_eq!(runs[0], runs[1], "{name}: interpretive vs ops");
     }
 }
