@@ -9,7 +9,7 @@ use crate::ast::*;
 use super::coding::{Coding, CodingField, CodingTarget};
 use super::{
     Group, Model, ModelError, ModelWarning, OpId, Operation, Pipeline, PipelineId, Resource,
-    ResourceId, SynElem, ToolTables, Variant,
+    ResourceId, SynElem, ToolTables, Variant, MAX_STATE_CELLS,
 };
 
 impl Model {
@@ -70,6 +70,7 @@ impl Builder {
             op_names: HashMap::new(),
             warnings: Vec::new(),
         };
+        let mut cells = 0u64;
         for decl in &desc.resources {
             let id = ResourceId(b.resources.len());
             if b.resource_names.insert(decl.name.name.clone(), id).is_some() {
@@ -78,6 +79,25 @@ impl Builder {
                     span: decl.name.span,
                 });
             }
+            let width = decl.ty.width();
+            if !(1..=64).contains(&width) {
+                return Err(ModelError::ResourceTooWide {
+                    resource: decl.name.name.clone(),
+                    width,
+                    span: decl.name.span,
+                });
+            }
+            // The simulator keeps one cell even for an empty resource.
+            cells = decl
+                .dims
+                .iter()
+                .try_fold(1u64, |n, d| n.checked_mul(d.len()))
+                .and_then(|n| cells.checked_add(n.max(1)))
+                .filter(|&n| n <= MAX_STATE_CELLS)
+                .ok_or_else(|| ModelError::TooManyCells {
+                    resource: decl.name.name.clone(),
+                    span: decl.name.span,
+                })?;
             b.resources.push(Resource {
                 id,
                 name: decl.name.name.clone(),
@@ -133,7 +153,7 @@ impl Builder {
             raw_codings.push(codings);
         }
 
-        resolve_codings(&mut operations, &self.resource_names, &raw_codings)?;
+        resolve_codings(&mut operations, &self.resources, &self.resource_names, &raw_codings)?;
         self.warn_overlaps(&operations);
         self.warn_unreachable(&operations, desc);
 
@@ -722,6 +742,7 @@ enum Visit {
 /// field offsets, flattened patterns and decode roots.
 fn resolve_codings(
     operations: &mut [Operation],
+    resources: &[Resource],
     resource_names: &HashMap<String, ResourceId>,
     raw: &[Vec<Option<CodingSection>>],
 ) -> Result<(), ModelError> {
@@ -745,13 +766,23 @@ fn resolve_codings(
             let Some(section) = section else { continue };
             let root = match &section.root {
                 None => None,
-                Some(res) => Some(*resource_names.get(&res.name).ok_or_else(|| {
-                    ModelError::UnknownRootResource {
-                        resource: res.name.clone(),
-                        operation: op_name.clone(),
-                        span: res.span,
+                Some(res) => {
+                    let id = *resource_names.get(&res.name).ok_or_else(|| {
+                        ModelError::UnknownRootResource {
+                            resource: res.name.clone(),
+                            operation: op_name.clone(),
+                            span: res.span,
+                        }
+                    })?;
+                    if resources[id.0].is_array() {
+                        return Err(ModelError::NonScalarRoot {
+                            resource: res.name.clone(),
+                            operation: op_name.clone(),
+                            span: res.span,
+                        });
                     }
-                })?),
+                    Some(id)
+                }
             };
             let (fields, width, flat) =
                 layout_fields(&operations[idx], section, operations, &widths, &flats)?;

@@ -128,6 +128,33 @@ pub enum ModelError {
         /// Location.
         span: Span,
     },
+    /// A coding root compares against an array resource: an instruction
+    /// word is one scalar cell.
+    NonScalarRoot {
+        /// The resource name.
+        resource: String,
+        /// The operation.
+        operation: String,
+        /// Location.
+        span: Span,
+    },
+    /// A resource is declared wider than the 64 bits behaviors compute in.
+    ResourceTooWide {
+        /// The resource name.
+        resource: String,
+        /// Its declared width.
+        width: u32,
+        /// Location.
+        span: Span,
+    },
+    /// A resource's element count overflows, or brings the model's cells
+    /// past [`MAX_STATE_CELLS`](super::MAX_STATE_CELLS).
+    TooManyCells {
+        /// The resource name.
+        resource: String,
+        /// Location.
+        span: Span,
+    },
     /// The combined coding is wider than the supported maximum.
     CodingTooWide {
         /// The operation.
@@ -208,6 +235,25 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "{span}: coding root of `{operation}` compares unknown resource `{resource}`"
+                )
+            }
+            ModelError::NonScalarRoot { resource, operation, span } => {
+                write!(
+                    f,
+                    "{span}: coding root of `{operation}` compares array resource `{resource}`; an instruction word is a scalar"
+                )
+            }
+            ModelError::ResourceTooWide { resource, width, span } => {
+                write!(
+                    f,
+                    "{span}: resource `{resource}` is {width} bits wide; resources hold at most 64"
+                )
+            }
+            ModelError::TooManyCells { resource, span } => {
+                write!(
+                    f,
+                    "{span}: resource `{resource}` brings the model's state past {} cells",
+                    super::MAX_STATE_CELLS
                 )
             }
             ModelError::CodingTooWide { operation, width } => {

@@ -37,6 +37,16 @@ use std::sync::OnceLock;
 
 use crate::ast::{ActNode, Block, DataType, Dim, Expr, NumFormat, ResourceClass};
 
+/// The most cells the resources of one model may hold together, counting
+/// one per element and one for each scalar.
+///
+/// The simulator keeps every cell in one arena of 64-bit words addressed
+/// by a `u32` index, and allocates and zeroes that arena for each
+/// simulator and each snapshot. 2^28 cells fit the index with room to
+/// spare and cap one state at 2 GiB, so a description cannot make a
+/// simulator ask for more memory than a host can be expected to give it.
+pub const MAX_STATE_CELLS: u64 = 1 << 28;
+
 /// Index of a resource in [`Model::resources`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceId(pub usize);

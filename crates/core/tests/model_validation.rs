@@ -65,6 +65,46 @@ fn unknown_references_are_rejected() {
 }
 
 #[test]
+fn array_decode_roots_are_rejected() {
+    let err = build_err(
+        "RESOURCE { REGISTER int words[2]; } \
+         OPERATION x { CODING { words == 0b1 } }",
+    );
+    assert!(matches!(err, ModelError::NonScalarRoot { ref resource, .. } if resource == "words"));
+    assert!(err.to_string().contains("array resource `words`"), "{err}");
+}
+
+#[test]
+fn resources_wider_than_64_bits_are_rejected() {
+    assert!(Model::from_source("RESOURCE { REGISTER bit[64] full; }").is_ok());
+    let err = build_err("RESOURCE { REGISTER bit[65] wide; }");
+    assert!(matches!(err, ModelError::ResourceTooWide { width: 65, .. }), "{err:?}");
+    assert!(err.to_string().contains("`wide` is 65 bits wide"), "{err}");
+}
+
+#[test]
+fn overflowing_element_counts_are_rejected() {
+    let err = build_err("RESOURCE { DATA_MEMORY int m[0x100000000][0x100000000]; }");
+    assert!(matches!(err, ModelError::TooManyCells { ref resource, .. } if resource == "m"));
+}
+
+#[test]
+fn states_past_the_cell_cap_are_rejected() {
+    use lisa_core::model::MAX_STATE_CELLS;
+    let fits = format!(
+        "RESOURCE {{ PROGRAM_COUNTER int pc; DATA_MEMORY char m[{}]; }}",
+        MAX_STATE_CELLS - 1
+    );
+    assert!(Model::from_source(&fits).is_ok());
+    // One scalar cell more than the cap allows, declared after the memory.
+    let err = build_err(&format!(
+        "RESOURCE {{ DATA_MEMORY char m[{MAX_STATE_CELLS}]; REGISTER int r; }}"
+    ));
+    assert!(matches!(err, ModelError::TooManyCells { ref resource, .. } if resource == "r"));
+    assert!(err.to_string().contains(&MAX_STATE_CELLS.to_string()), "{err}");
+}
+
+#[test]
 fn recursive_codings_are_rejected() {
     assert!(matches!(
         build_err("OPERATION x { CODING { 0b1 x } }"),

@@ -362,7 +362,8 @@ impl<'m> Simulator<'m> {
     }
 
     /// Mutable access to the architectural state (for loading programs and
-    /// data).
+    /// data). Replacing it with a state of another model's layout is a
+    /// logic error: translated code indexes this model's arena.
     pub fn state_mut(&mut self) -> &mut State {
         &mut self.state
     }
@@ -691,8 +692,9 @@ impl<'m> Simulator<'m> {
                 continue;
             }
             for flat in 0..self.state.element_count(res.id) {
-                let Some(raw) = self.state.read_flat(res.id, flat) else { continue };
-                let word = raw as u64 as u128;
+                // Keyed by the declared-width bits, as fetch sees the word:
+                // a sign-extended cell of an `int` memory would miss.
+                let Some(word) = self.state.word_flat(res.id, flat) else { continue };
                 if self.decode_cache.contains_key(&word) {
                     continue;
                 }

@@ -14,7 +14,8 @@
 //! * LABEL references are constant-folded against the decoded fields,
 //! * operand (group / op-ref) expressions are inlined into the parent,
 //! * SWITCH/CASE arms with constant scrutinees keep only the taken arm,
-//! * constant resource indices are pre-flattened to direct element cells,
+//! * constant resource indices are pre-flattened to absolute cells of the
+//!   state arena, each with its wrap byte,
 //! * `for` loops with a constant trip count of at most
 //!   [`UNROLL_MAX_TRIPS`] are unrolled, their induction variable folded
 //!   into each copy of the body,
@@ -46,7 +47,7 @@ use crate::engine::{Binding, ExecItem, Pending, Route};
 use crate::eval::{apply_binop, compound_binop, saturate};
 use crate::fasthash::FastMap;
 use crate::lower::{lower_act_expr, Builtin, LBlock, LExpr, LPlace, LStmt, Lowered, PipeOp};
-use crate::state::{flatten_indices, wrap_to_width};
+use crate::state::{flatten_indices, wrap_to_width, Layout};
 use crate::{SimError, Simulator};
 
 /// Where a micro-op reads a value or writes its result.
@@ -54,14 +55,18 @@ use crate::{SimError, Simulator};
 pub(crate) enum Operand {
     /// A frame slot: a behavior local or a translator temporary.
     Slot(u16),
-    /// A resource element at a pre-flattened, in-bounds index. As a source
-    /// it never names a memory-class resource (see [`MicroOp::Load`]), so
-    /// reading it at its use is unobservable: lowered expressions never
-    /// write state. As a destination it can: a store to a memory at a
-    /// constant index is a cell too, and the profile records it as write
-    /// heat, not as a register write, so a cell write is routed by its
-    /// resource (see `Simulator::ops_put`).
-    Cell { res: u16, flat: u32 },
+    /// A resource element at a constant, in-bounds index, named by its
+    /// absolute index into the state arena and by its wrap byte (the
+    /// cell's unused high bits, `0x80` when it sign-extends), which rides
+    /// in the operand's padding. Reading one is one slice load; writing
+    /// one is a shift pair and a store. As a source it never names a
+    /// memory-class resource (see [`MicroOp::Load`]), so reading it at
+    /// its use is unobservable: lowered expressions never write state. As
+    /// a destination it can: a store to a memory at a constant index is a
+    /// cell too, and the profile records it as write heat, not as a
+    /// register write, so a cell write is routed by its resource `res`
+    /// (see `Simulator::ops_put`).
+    Cell { res: u16, wrap: u8, cell: u32 },
     /// An immediate; never a destination. Wider constants load into a
     /// slot through [`MicroOp::Const`].
     Imm(i32),
@@ -232,12 +237,6 @@ fn ctx_of(op: OpId) -> u32 {
     u32::try_from(op.0).expect("operation ids fit in u32")
 }
 
-/// The destination cell of a place resolved to `PlaceKind::Flat`, whose
-/// resource id `Emitter::res_place` checked fits.
-fn cell(res: ResourceId, flat: u32) -> Operand {
-    Operand::Cell { res: res.0 as u16, flat }
-}
-
 fn is_compare(op: BinOp) -> bool {
     matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne)
 }
@@ -396,6 +395,8 @@ impl std::ops::Index<RoutineId> for RoutineStore<'_> {
 #[derive(Debug)]
 pub(crate) struct ModelImage {
     lowered: Lowered,
+    /// The state arena's layout, which cell operands index.
+    layout: Layout,
     routines: Vec<StoredRoutine>,
     /// Default-variant routine per operation id (no operand binding).
     unbound: Vec<RoutineId>,
@@ -410,7 +411,8 @@ impl ModelImage {
 
     fn build(model: &Model) -> Result<ModelImage, SimError> {
         let lowered = Lowered::lower(model)?;
-        let mut image = ModelImage { lowered, routines: Vec::new(), unbound: Vec::new() };
+        let layout = Layout::of(model);
+        let mut image = ModelImage { lowered, layout, routines: Vec::new(), unbound: Vec::new() };
         // Translated over the empty image, the routines land in the
         // tables' own store under the ids they keep in the image.
         let mut t = OpsTables::over(model, &image);
@@ -436,6 +438,7 @@ pub(crate) struct OpsTables<'m> {
     /// What translation reads: the model and its lowered behaviors.
     model: &'m Model,
     lowered: &'m Lowered,
+    layout: &'m Layout,
     store: RoutineStore<'m>,
     /// Default-variant routine per operation id, in the image.
     pub(crate) unbound: &'m [RoutineId],
@@ -471,6 +474,7 @@ impl<'m> OpsTables<'m> {
         OpsTables {
             model,
             lowered: &image.lowered,
+            layout: &image.layout,
             store: RoutineStore { shared: &image.routines, own: Vec::new() },
             unbound: &image.unbound,
             instances: FastMap::default(),
@@ -1114,10 +1118,16 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
     /// too wide for a cell.
     fn silent_cell(&self, res: ResourceId, flat: u32) -> Option<Operand> {
         let class = self.model.resource(res).class;
-        if matches!(class, ResourceClass::DataMemory | ResourceClass::ProgramMemory) {
-            return None;
-        }
-        Some(Operand::Cell { res: u16::try_from(res.0).ok()?, flat })
+        let memory = matches!(class, ResourceClass::DataMemory | ResourceClass::ProgramMemory);
+        (!memory && u16::try_from(res.0).is_ok()).then(|| self.cell(res, flat))
+    }
+
+    /// The cell operand of element `flat` of `res`, a place resolved to
+    /// `PlaceKind::Flat`, whose resource id `Emitter::res_place` checked
+    /// fits.
+    fn cell(&self, res: ResourceId, flat: u32) -> Operand {
+        let (cell, wrap) = self.ops.layout.cell(res, flat);
+        Operand::Cell { res: res.0 as u16, wrap, cell }
     }
 
     /// The operand holding element `flat` of `res`: its cell, or a
@@ -1666,7 +1676,7 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
     fn assign(&mut self, place: &'e LPlace, value: &'e LExpr, ctx: Ctx<'_>) {
         match self.place_kind(place, ctx) {
             PlaceKind::Local(slot) => self.expr_into(value, ctx, Operand::Slot(slot)),
-            PlaceKind::Flat { res, flat } => self.expr_into(value, ctx, cell(res, flat)),
+            PlaceKind::Flat { res, flat } => self.expr_into(value, ctx, self.cell(res, flat)),
             PlaceKind::Dyn { res, indices, ctx: ictx } => {
                 let src = self.operand(value, ctx);
                 if indices.len() == 1 && self.linear_1d(res) {
@@ -1697,7 +1707,8 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
             }
             PlaceKind::Flat { res, flat } => {
                 let old = self.read_cell(res, flat);
-                self.emit(MicroOp::Binary { op, dst: cell(res, flat), a: old, b: rhs, ctx: c });
+                let dst = self.cell(res, flat);
+                self.emit(MicroOp::Binary { op, dst, a: old, b: rhs, ctx: c });
             }
             PlaceKind::Dyn { res, indices, ctx: ictx } => {
                 let idx = self.index_slots(indices, ictx);
@@ -2151,9 +2162,7 @@ impl Simulator<'_> {
     fn ops_get(&self, slots: &[i64], o: Operand) -> i64 {
         match o {
             Operand::Slot(s) => slots[usize::from(s)],
-            Operand::Cell { res, flat } => {
-                self.state.read_flat(ResourceId(usize::from(res)), flat as usize).unwrap_or(0)
-            }
+            Operand::Cell { cell, .. } => self.state.cell(cell),
             Operand::Imm(v) => i64::from(v),
         }
     }
@@ -2166,17 +2175,19 @@ impl Simulator<'_> {
     fn ops_put(&mut self, slots: &mut [i64], dst: Operand, value: i64) {
         match dst {
             Operand::Slot(s) => slots[usize::from(s)] = value,
-            Operand::Cell { res, flat } => {
-                let res = ResourceId(usize::from(res));
+            Operand::Cell { res, wrap, cell } => {
                 if self.observing() {
+                    let res = ResourceId(usize::from(res));
                     match self.tally.cells[res.0] {
                         Route::Count => self.tally.register_writes += 1,
-                        Route::Emit => self.emit_write(res, flat as usize, value),
+                        Route::Emit => {
+                            let flat = self.state.layout().flat(res, cell);
+                            self.emit_write(res, flat, value);
+                        }
                         Route::Skip => {}
                     }
                 }
-                let written = self.state.write_flat(res, flat as usize, value);
-                debug_assert!(written, "cells are in bounds");
+                self.state.put_cell(cell, wrap, value);
             }
             Operand::Imm(_) => unreachable!("an immediate is never a destination"),
         }
@@ -2659,7 +2670,7 @@ impl Simulator<'_> {
                 continue;
             }
             out.push_str(&format!("== op {} (unbound)\n", op.name));
-            render_routine(&t.store, routine, self.model, 1, &mut out);
+            render_routine(&t.store, routine, self.model, t.layout, 1, &mut out);
         }
         let mut words: Vec<u128> = self.decode_cache.keys().copied().collect();
         words.sort_unstable();
@@ -2672,7 +2683,7 @@ impl Simulator<'_> {
                 self.model.operation(d.op).name,
                 d.variant
             ));
-            render_routine(&t.store, &t.store[id].routine, self.model, 1, &mut out);
+            render_routine(&t.store, &t.store[id].routine, self.model, t.layout, 1, &mut out);
         }
         out
     }
@@ -2686,13 +2697,14 @@ fn render_routine(
     store: &RoutineStore<'_>,
     routine: &OpsRoutine,
     model: &Model,
+    layout: &Layout,
     indent: usize,
     out: &mut String,
 ) {
     let pad = "  ".repeat(indent);
     let variant = |id: RoutineId| store[id].decoded.as_ref().map_or(0, |d| d.variant);
     for (i, op) in routine.code.iter().enumerate() {
-        out.push_str(&format!("{pad}{i:04}  {}\n", render_micro(op, model, routine)));
+        out.push_str(&format!("{pad}{i:04}  {}\n", render_micro(op, model, layout, routine)));
     }
     for (k, child) in routine.children.iter().enumerate() {
         out.push_str(&format!(
@@ -2700,13 +2712,13 @@ fn render_routine(
             model.operation(store.decoded_op(child.routine)).name,
             variant(child.routine)
         ));
-        render_routine(store, &store[child.routine].routine, model, indent + 1, out);
+        render_routine(store, &store[child.routine].routine, model, layout, indent + 1, out);
     }
     if let Some(plan) = routine.act.as_ref() {
         render_act_steps(plan, &plan.steps, model, indent, out);
         for (c, cond) in plan.conds.iter().enumerate() {
             out.push_str(&format!("{pad}act cond {c}:\n"));
-            render_routine(store, cond, model, indent + 1, out);
+            render_routine(store, cond, model, layout, indent + 1, out);
         }
         for (k, t) in plan.targets.iter().enumerate() {
             if let Some(r) = t.routine {
@@ -2715,7 +2727,7 @@ fn render_routine(
                     model.operation(t.op).name,
                     variant(r)
                 ));
-                render_routine(store, &store[r].routine, model, indent + 1, out);
+                render_routine(store, &store[r].routine, model, layout, indent + 1, out);
             }
         }
     }
@@ -2770,17 +2782,17 @@ fn render_act_steps(
     }
 }
 
-fn render_micro(op: &MicroOp, model: &Model, routine: &OpsRoutine) -> String {
+fn render_micro(op: &MicroOp, model: &Model, layout: &Layout, routine: &OpsRoutine) -> String {
     let res_name = |r: &ResourceId| model.resource(*r).name.clone();
     let op_name = |o: &OpId| model.operation(*o).name.clone();
     let o = |x: &Operand| match *x {
         Operand::Slot(s) => format!("%{s}"),
-        Operand::Cell { res, flat } => {
+        Operand::Cell { res, cell, .. } => {
             let res = model.resource(ResourceId(usize::from(res)));
             if res.dims.is_empty() {
                 res.name.clone()
             } else {
-                format!("{}[{flat}]", res.name)
+                format!("{}[{}]", res.name, layout.flat(res.id, cell))
             }
         }
         Operand::Imm(v) => v.to_string(),

@@ -153,7 +153,7 @@ impl<'m> Simulator<'m> {
         if !self.state.same_shape(&snapshot.state) {
             return Err(SimError::SnapshotMismatch);
         }
-        self.state = snapshot.state.clone();
+        self.state.clone_from(&snapshot.state);
         self.pipes = snapshot.pipes.clone();
         self.pending = snapshot.pending.clone();
         self.stats = snapshot.stats;

@@ -1,9 +1,16 @@
-//! Processor state: one storage cell per declared resource element.
+//! Processor state: every resource cell in one flat arena.
 //!
 //! The memory model from the `RESOURCE` section materialises here: scalars
 //! (registers, control registers, the program counter) and arrays (register
 //! files, data/program memories, banked memories) with their declared bit
-//! widths and address ranges.
+//! widths and address ranges. They all share one `Vec<i64>`. A [`Layout`],
+//! derived from the model alone, gives each resource a run of cells in
+//! declaration order, and every cell holds its value already wrapped to
+//! the declared width, sign- or zero-extended to 64 bits. A read is then
+//! one slice load, and the ops backend names a cell by its absolute index
+//! and wrap byte, both settled at translate time.
+
+use std::sync::Arc;
 
 use lisa_bits::Bits;
 use lisa_core::ast::Dim;
@@ -11,23 +18,67 @@ use lisa_core::model::{Model, Resource, ResourceId};
 
 use crate::SimError;
 
-/// One resource's storage.
-#[derive(Debug, Clone, PartialEq)]
-struct Storage {
+/// One resource's run of cells in the arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Extent {
+    /// Arena index of the first cell.
+    offset: u32,
+    /// Cell count: the element count, 1 for a scalar.
+    len: u32,
     width: u32,
     signed: bool,
-    /// All-ones mask of `width` bits.
-    mask: u128,
     dims: Vec<Dim>,
-    /// Flattened row-major raw words, each already masked to `width`;
-    /// length 1 for scalars.
-    data: Vec<u128>,
 }
 
-impl Storage {
-    /// The cell's word as `Bits` — built only at the public API.
-    fn bits(&self, flat: usize) -> Bits {
-        Bits::from_u128_wrapped(self.width, self.data[flat])
+/// Where each resource's cells sit in the arena and how they wrap,
+/// derived from the model alone: every state of a model and the ops
+/// translator agree on it. Clones share one table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Layout {
+    extents: Arc<[Extent]>,
+}
+
+impl Layout {
+    pub(crate) fn of(model: &Model) -> Layout {
+        let mut cells = 0u32;
+        let extents = model
+            .resources()
+            .iter()
+            .map(|r| {
+                // `Model::build` caps the total at `MAX_STATE_CELLS`, which
+                // fits a `u32`, and every width at 64.
+                let len = r.element_count().max(1) as u32;
+                let extent = Extent {
+                    offset: cells,
+                    len,
+                    width: r.ty.width(),
+                    signed: r.ty.is_signed(),
+                    dims: r.dims.clone(),
+                };
+                cells += len;
+                extent
+            })
+            .collect();
+        Layout { extents }
+    }
+
+    /// Total cell count.
+    fn cells(&self) -> usize {
+        self.extents.last().map_or(0, |e| (e.offset + e.len) as usize)
+    }
+
+    /// The arena index and wrap byte of element `flat` of `res`, which
+    /// the caller has checked is in bounds.
+    pub(crate) fn cell(&self, res: ResourceId, flat: u32) -> (u32, u8) {
+        let e = &self.extents[res.0];
+        debug_assert!(flat < e.len, "cells are in bounds");
+        (e.offset + flat, wrap_byte(e.width, e.signed))
+    }
+
+    /// The element of `res` at arena index `cell`: the inverse of
+    /// [`Layout::cell`].
+    pub(crate) fn flat(&self, res: ResourceId, cell: u32) -> usize {
+        (cell - self.extents[res.0].offset) as usize
     }
 }
 
@@ -78,48 +129,84 @@ pub(crate) fn wrap_to_width(value: i64, width: u32, signed: bool) -> i64 {
     }
 }
 
+/// The wrap byte's flag for a cell that sign-extends.
+const WRAP_SIGNED: u8 = 0x80;
+
+/// The wrap byte of a cell `width` (1 to 64) bits wide: the count of its
+/// unused high bits, with [`WRAP_SIGNED`] set when it sign-extends.
+const fn wrap_byte(width: u32, signed: bool) -> u8 {
+    (64 - width) as u8 | if signed { WRAP_SIGNED } else { 0 }
+}
+
+/// `value` as a cell with wrap byte `wrap` holds it: one shift pair.
+#[inline(always)]
+pub(crate) fn wrap_cell(value: i64, wrap: u8) -> i64 {
+    let unused = u32::from(wrap & !WRAP_SIGNED);
+    if wrap & WRAP_SIGNED != 0 {
+        (value << unused) >> unused
+    } else {
+        ((value as u64) << unused >> unused) as i64
+    }
+}
+
 /// The complete architectural state of a simulated processor.
 ///
-/// Values are stored bit-accurately at each resource's declared width;
-/// reads return sign- or zero-extended `i64` views matching the declared
-/// C type (`int` is signed, `bit[N]` unsigned), and writes wrap to the
-/// declared width like hardware register writes.
-#[derive(Debug, Clone, PartialEq)]
+/// Every resource element is one cell of a single arena, kept at its
+/// declared width: reads return sign- or zero-extended `i64` views
+/// matching the declared C type (`int` is signed, `bit[N]` unsigned), and
+/// writes wrap to the declared width like hardware register writes.
+/// Equality, [`State::digest`], snapshots and [`State::reset`] each run
+/// over the arena in one pass.
+#[derive(Debug, PartialEq)]
 pub struct State {
-    storages: Vec<Storage>,
+    cells: Vec<i64>,
+    layout: Layout,
+}
+
+impl Clone for State {
+    fn clone(&self) -> State {
+        State { cells: self.cells.clone(), layout: self.layout.clone() }
+    }
+
+    /// Copies into the existing arena: a restore allocates nothing.
+    fn clone_from(&mut self, source: &State) {
+        self.cells.clone_from(&source.cells);
+        self.layout.clone_from(&source.layout);
+    }
 }
 
 impl State {
     /// Allocates zeroed state for all resources of a model.
     #[must_use]
     pub fn new(model: &Model) -> State {
-        let storages = model
-            .resources()
-            .iter()
-            .map(|r| {
-                let count = r.element_count().max(1) as usize;
-                let width = r.ty.width();
-                Storage {
-                    width,
-                    signed: r.ty.is_signed(),
-                    mask: Bits::ones(width).to_u128(),
-                    dims: r.dims.clone(),
-                    data: vec![0; count],
-                }
-            })
-            .collect();
-        State { storages }
+        let layout = Layout::of(model);
+        State { cells: vec![0; layout.cells()], layout }
     }
 
     /// Resets every resource to zero.
     pub fn reset(&mut self) {
-        for s in &mut self.storages {
-            s.data.fill(0);
-        }
+        self.cells.fill(0);
     }
 
-    fn flat_index(&self, res: &Resource, indices: &[i64]) -> Result<usize, SimError> {
-        flatten(&res.name, &self.storages[res.id.0].dims, indices)
+    /// The resource's extent and the arena index of its element at
+    /// `indices`.
+    fn locate(&self, res: &Resource, indices: &[i64]) -> Result<(&Extent, usize), SimError> {
+        let e = &self.layout.extents[res.id.0];
+        let flat = flatten(&res.name, &e.dims, indices)?;
+        Ok((e, e.offset as usize + flat))
+    }
+
+    /// The arena index of element `flat` of `id`, with its extent, when
+    /// both exist.
+    #[inline]
+    fn index(&self, id: ResourceId, flat: usize) -> Option<(&Extent, usize)> {
+        let e = self.layout.extents.get(id.0)?;
+        (flat < e.len as usize).then_some((e, e.offset as usize + flat))
+    }
+
+    /// The cell at `index` as raw bits of the extent's width.
+    fn bits(&self, e: &Extent, index: usize) -> Bits {
+        Bits::from_u128_wrapped(e.width, u128::from(self.cells[index] as u64))
     }
 
     /// Reads a resource element as raw bits.
@@ -129,8 +216,8 @@ impl State {
     /// Returns [`SimError::WrongArity`] or [`SimError::IndexOutOfBounds`]
     /// on bad addressing (scalars take an empty index slice).
     pub fn read(&self, res: &Resource, indices: &[i64]) -> Result<Bits, SimError> {
-        let flat = self.flat_index(res, indices)?;
-        Ok(self.storages[res.id.0].bits(flat))
+        let (e, index) = self.locate(res, indices)?;
+        Ok(self.bits(e, index))
     }
 
     /// Reads a resource element as an `i64`, honouring the declared
@@ -141,8 +228,8 @@ impl State {
     ///
     /// Same as [`State::read`].
     pub fn read_int(&self, res: &Resource, indices: &[i64]) -> Result<i64, SimError> {
-        let flat = self.flat_index(res, indices)?;
-        Ok(self.read_flat(res.id, flat).unwrap_or(0))
+        let (_, index) = self.locate(res, indices)?;
+        Ok(self.cells[index])
     }
 
     /// Writes a resource element, wrapping `value` to the declared width.
@@ -156,8 +243,8 @@ impl State {
         indices: &[i64],
         value: i64,
     ) -> Result<(), SimError> {
-        let flat = self.flat_index(res, indices)?;
-        self.write_flat(res.id, flat, value);
+        let (e, index) = self.locate(res, indices)?;
+        self.cells[index] = wrap_to_width(value, e.width, e.signed);
         Ok(())
     }
 
@@ -168,9 +255,8 @@ impl State {
     /// Same as [`State::read`], plus a wrap if widths differ (the value is
     /// resized with zero extension).
     pub fn write(&mut self, res: &Resource, indices: &[i64], value: Bits) -> Result<(), SimError> {
-        let flat = self.flat_index(res, indices)?;
-        let storage = &mut self.storages[res.id.0];
-        storage.data[flat] = value.to_u128() & storage.mask;
+        let (e, index) = self.locate(res, indices)?;
+        self.cells[index] = wrap_to_width(value.to_u128() as i64, e.width, e.signed);
         Ok(())
     }
 
@@ -182,9 +268,9 @@ impl State {
     /// Panics if `id` is out of range or the resource is not scalar.
     #[must_use]
     pub fn scalar(&self, id: ResourceId) -> Bits {
-        let s = &self.storages[id.0];
-        assert!(s.dims.is_empty(), "resource is not scalar");
-        s.bits(0)
+        let e = &self.layout.extents[id.0];
+        assert!(e.dims.is_empty(), "resource is not scalar");
+        self.bits(e, e.offset as usize)
     }
 
     /// Fast scalar write counterpart of [`State::scalar`].
@@ -193,66 +279,83 @@ impl State {
     ///
     /// Panics if `id` is out of range or the resource is not scalar.
     pub fn set_scalar(&mut self, id: ResourceId, value: Bits) {
-        let s = &mut self.storages[id.0];
-        assert!(s.dims.is_empty(), "resource is not scalar");
-        s.data[0] = value.to_u128() & s.mask;
+        let e = &self.layout.extents[id.0];
+        assert!(e.dims.is_empty(), "resource is not scalar");
+        self.cells[e.offset as usize] = wrap_to_width(value.to_u128() as i64, e.width, e.signed);
     }
 
-    /// Direct flat read used by every backend's cycle loop: the raw word
-    /// sign- or zero-extended from the storage's own width. Above 64 bits
-    /// the low 64 bits of the word are the `i64` view either way.
+    /// Direct flat read used by every backend's cycle loop: the cell,
+    /// already sign- or zero-extended from the declared width.
     #[inline]
     pub(crate) fn read_flat(&self, id: ResourceId, flat: usize) -> Option<i64> {
-        let s = self.storages.get(id.0)?;
-        let raw = *s.data.get(flat)?;
-        Some(wrap_to_width(raw as i64, s.width, s.signed))
+        self.index(id, flat).map(|(_, index)| self.cells[index])
     }
 
-    /// Direct flat write used by every backend's cycle loop: the
-    /// two's-complement value masked to the declared width.
+    /// The declared-width bits of element `flat` of `id`, zero-extended:
+    /// the instruction word a fetch of that element sees.
+    pub(crate) fn word_flat(&self, id: ResourceId, flat: usize) -> Option<u128> {
+        self.index(id, flat).map(|(e, index)| self.bits(e, index).to_u128())
+    }
+
+    /// Direct flat write used by every backend's cycle loop: the value
+    /// wrapped to the declared width.
     #[inline]
     pub(crate) fn write_flat(&mut self, id: ResourceId, flat: usize, value: i64) -> bool {
-        let Some(s) = self.storages.get_mut(id.0) else { return false };
-        let Some(cell) = s.data.get_mut(flat) else { return false };
-        *cell = i128::from(value) as u128 & s.mask;
+        let Some((e, index)) = self.index(id, flat) else { return false };
+        self.cells[index] = wrap_to_width(value, e.width, e.signed);
         true
+    }
+
+    /// The cell at arena index `cell`: an ops operand read.
+    #[inline(always)]
+    pub(crate) fn cell(&self, cell: u32) -> i64 {
+        self.cells[cell as usize]
+    }
+
+    /// Stores `value` at arena index `cell`, wrapped by the cell's wrap
+    /// byte: an ops operand write.
+    #[inline(always)]
+    pub(crate) fn put_cell(&mut self, cell: u32, wrap: u8, value: i64) {
+        self.cells[cell as usize] = wrap_cell(value, wrap);
+    }
+
+    /// The arena layout, shared by every clone of this state.
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// Number of elements stored for resource `id`.
     #[must_use]
     pub fn element_count(&self, id: ResourceId) -> usize {
-        self.storages[id.0].data.len()
+        self.layout.extents[id.0].len as usize
     }
 
     /// Whether another state has the same resource layout (count, widths,
     /// signedness, dimensions) — the compatibility check behind
     /// [`crate::Simulator::restore`].
     pub(crate) fn same_shape(&self, other: &State) -> bool {
-        self.storages.len() == other.storages.len()
-            && self.storages.iter().zip(&other.storages).all(|(a, b)| {
-                a.width == b.width
-                    && a.signed == b.signed
-                    && a.dims == b.dims
-                    && a.data.len() == b.data.len()
-            })
+        self.layout == other.layout
     }
 
-    /// The exact 64-bit FNV-1a hash of every storage's width and cells
-    /// (little-endian, 16 bytes per cell), at a cost proportional to the
-    /// non-zero bytes. Equal states of one model hash equally; the batch
-    /// engine records one per finished job.
+    /// The exact 64-bit FNV-1a hash of every resource's width and cells
+    /// (each cell's declared-width bits, little-endian, 16 bytes per
+    /// cell), at a cost proportional to the non-zero bytes. Equal states
+    /// of one model hash equally; the batch engine records one per
+    /// finished job.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut fnv = Fnv { h: FNV_OFFSET, zeros: 0 };
-        for s in &self.storages {
-            fnv.word(u64::from(s.width));
-            for &raw in &s.data {
-                if raw == 0 {
-                    fnv.zeros += 16;
-                } else {
-                    fnv.word(raw as u64);
-                    fnv.word((raw >> 64) as u64);
+        for e in self.layout.extents.iter() {
+            fnv.word(u64::from(e.width));
+            let mask = u64::MAX >> (64 - e.width);
+            let start = e.offset as usize;
+            for &cell in &self.cells[start..start + e.len as usize] {
+                let raw = cell as u64 & mask;
+                if raw != 0 {
+                    fnv.word(raw);
                 }
+                // The high half of the 16 bytes, always zero.
+                fnv.zeros += if raw == 0 { 16 } else { 8 };
             }
         }
         fnv.flush();
@@ -323,7 +426,7 @@ pub(crate) mod tests {
             r#"RESOURCE {
                 PROGRAM_COUNTER int pc;
                 REGISTER bit[48] accu;
-                REGISTER bit[100] wide;
+                REGISTER bit[64] wide;
                 REGISTER bit carry;
                 DATA_MEMORY short mem[0x10];
                 DATA_MEMORY int banked[2]([4]);
@@ -419,7 +522,7 @@ pub(crate) mod tests {
         let m = Model::from_source(
             r#"RESOURCE {
                 PROGRAM_COUNTER int pc;
-                REGISTER bit[100] wide;
+                REGISTER bit[40] wide;
                 REGISTER bit[64] full;
                 REGISTER bit[3] tiny;
             }"#,
@@ -428,18 +531,54 @@ pub(crate) mod tests {
         let mut st = State::new(&m);
         let wide = m.resource_by_name("wide").unwrap();
         st.write_int(wide, &[], -2).unwrap();
-        // A negative i64 fills all 100 bits (two's complement of the i128).
-        assert_eq!(st.read(wide, &[]).unwrap().to_u128(), (1u128 << 100) - 2);
-        assert_eq!(st.read_int(wide, &[]).unwrap(), -2);
+        // A negative i64 fills all 40 bits, and reads back unsigned.
+        assert_eq!(st.read(wide, &[]).unwrap().to_u128(), (1u128 << 40) - 2);
+        assert_eq!(st.read_int(wide, &[]).unwrap(), (1 << 40) - 2);
         st.write(wide, &[], Bits::ones(128)).unwrap();
-        assert_eq!(st.scalar(wide.id), Bits::ones(100));
+        assert_eq!(st.scalar(wide.id), Bits::ones(40));
         let full = m.resource_by_name("full").unwrap();
         st.write_int(full, &[], i64::MIN).unwrap();
         assert_eq!(st.read_int(full, &[]).unwrap(), i64::MIN);
+        assert_eq!(st.read(full, &[]).unwrap().to_u128(), 1u128 << 63);
         let tiny = m.resource_by_name("tiny").unwrap();
         st.set_scalar(tiny.id, Bits::from_u128_wrapped(8, 0xff));
         assert_eq!(st.read_int(tiny, &[]).unwrap(), 7);
         assert_eq!(st.scalar(tiny.id).width(), 3);
+    }
+
+    /// A state of one scalar resource with any width and signedness,
+    /// including the signed widths no C type declares.
+    fn one_cell_state(width: u32, signed: bool) -> State {
+        let extent = Extent { offset: 0, len: 1, width, signed, dims: Vec::new() };
+        State { cells: vec![0], layout: Layout { extents: Arc::new([extent]) } }
+    }
+
+    #[test]
+    fn wrap_byte_writes_match_the_flat_funnels() {
+        let res = Resource {
+            id: ResourceId(0),
+            name: "r".into(),
+            class: lisa_core::ast::ResourceClass::Register,
+            ty: lisa_core::ast::DataType::Long,
+            dims: Vec::new(),
+        };
+        for width in 1..=64 {
+            let mask = u64::MAX >> (64 - width);
+            for signed in [false, true] {
+                let mut st = one_cell_state(width, signed);
+                let (cell, wrap) = st.layout().cell(res.id, 0);
+                for &v in &edge_values() {
+                    st.put_cell(cell, wrap, v);
+                    let through_wrap = st.cell(cell);
+                    assert!(st.write_flat(res.id, 0, v));
+                    let at = format!("{v} width {width} signed {signed}");
+                    assert_eq!(st.read_flat(res.id, 0), Some(through_wrap), "{at}");
+                    let bits = st.read(&res, &[]).unwrap();
+                    assert_eq!(bits.to_u128(), u128::from(v as u64 & mask), "{at}");
+                    assert_eq!(bits.width(), width, "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -460,9 +599,10 @@ pub(crate) mod tests {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        for s in &st.storages {
-            mix(u64::from(s.width));
-            for &raw in &s.data {
+        for (r, e) in st.layout.extents.iter().enumerate() {
+            mix(u64::from(e.width));
+            for flat in 0..e.len as usize {
+                let raw = st.word_flat(ResourceId(r), flat).unwrap();
                 mix(raw as u64);
                 mix((raw >> 64) as u64);
             }
@@ -497,8 +637,8 @@ pub(crate) mod tests {
         assert_eq!(st.digest(), bytewise_digest(&st), "all-zero state");
         let wide = m.resource_by_name("wide").unwrap();
         st.write(wide, &[], Bits::ones(128)).unwrap();
-        assert_ne!(st.storages[wide.id.0].data[0] >> 64, 0, "high half is non-zero");
-        assert_eq!(st.digest(), bytewise_digest(&st), "wide register");
+        assert_eq!(st.read_int(wide, &[]).unwrap(), -1, "every bit of the cell set");
+        assert_eq!(st.digest(), bytewise_digest(&st), "full-width register");
         let mem = m.resource_by_name("mem").unwrap();
         st.write_int(mem, &[0xf], -1).unwrap();
         st.write_int(mem, &[7], i64::from(i16::MIN)).unwrap();

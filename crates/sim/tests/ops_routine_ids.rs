@@ -101,3 +101,17 @@ fn translate_on_miss_mid_run_matches_the_interpreter() {
     }
     panic!("the patched kernel never halted");
 }
+
+#[test]
+fn predecode_keys_words_with_the_sign_bit_set_as_fetch_sees_them() {
+    let wb = vliw62::workbench().expect("vliw62 builds");
+    // The predicate sets bit 31, so the `int` program-memory cell holding
+    // this word is negative.
+    let program = ["[A1] MVK A3, 333", "HALT"];
+    let words = wb.assemble(&program).expect("assembles");
+    assert_eq!(words[0], 0x8686_029a);
+    let sim = wb.run_program(&program, SimMode::Ops, 100).expect("runs");
+    let stats = sim.stats();
+    assert!(stats.decodes > 0);
+    assert_eq!(stats.decodes, stats.decode_cache_hits, "every fetch hits a predecoded word");
+}
