@@ -1,9 +1,8 @@
-//! Manual hot-path probe: times engine phases for the vliw62 dot kernel
-//! across both backends, plus micro-models that isolate the fixed
-//! per-step engine overhead from decode and behavior-evaluation cost.
+//! Manual hot-path probe: micro-models that isolate the fixed per-step
+//! engine overhead from decode and behavior-evaluation cost, on both
+//! backends. Kernel speed is E15's (`table_ops_speed`).
 
 use lisa_core::Model;
-use lisa_models::{kernels, vliw62};
 use lisa_sim::{SimMode, Simulator};
 use std::time::Instant;
 
@@ -59,19 +58,4 @@ fn main() {
            }"#,
         200_000,
     );
-
-    let wb = vliw62::workbench().expect("builds");
-    let kernel = kernels::vliw_dot_product(64);
-    for mode in [SimMode::Interpretive, SimMode::Ops] {
-        let mut sim = kernels::load_kernel(&wb, &kernel, mode).expect("loads");
-        let t = Instant::now();
-        let cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("halts");
-        let dt = t.elapsed();
-        println!(
-            "vliw_dot {mode:?}: {cycles} cycles in {:?} = {:.2} us/cycle; stats: {}",
-            dt,
-            dt.as_secs_f64() * 1e6 / cycles as f64,
-            sim.stats()
-        );
-    }
 }

@@ -29,14 +29,10 @@
 //!   stage occupancy/stalls/flushes, op/unit counters, heatmaps), the
 //!   observation every `/v1/simulate` request pays. Gated.
 //!
-//! Methodology: a round times one run of every configuration, back to
-//! back, each on a fresh simulator right after an untimed run of its
-//! own configuration (see [`sample`]). Per kernel there are `repeats` times
-//! as many rounds as plain runs fit a 10 ms budget (at most 64 per
-//! repeat). A cell's overhead is the median over rounds of its run time
-//! over the `plain` time of the same round: pairing within a round
-//! cancels the host's speed phases (seconds to minutes long), and the
-//! median drops millisecond bursts.
+//! Methodology: every configuration is one arm of the shared kernel
+//! sampler ([`lisa_bench::sampler`]; `plain` calibrates a 10 ms budget
+//! per repeat). A cell's overhead is the median over rounds of its run
+//! time over the `plain` time of the same round.
 //!
 //! Acceptance gates on the geometric-mean overheads (the process exits 1
 //! past any of them, so CI can hold the line): `off`, `metrics` and
@@ -51,16 +47,18 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lisa_bench::write_report;
+use lisa_bench::sampler::{geomean, sample_rounds, Arm};
+use lisa_bench::{model_suites, write_report};
 use lisa_core::ast::ResourceClass;
 use lisa_metrics::Registry;
-use lisa_models::{accu16, kernels, vliw62, Workbench};
+use lisa_models::{kernels, Workbench};
 use lisa_sim::{JsonLinesSink, ProbeSet, ProbeSpec, RingBufferSink, SimMode, Simulator};
 use lisa_spans::{SpanRecorder, SpanScope};
 
-/// The observation configurations under test, in table order. `plain`
-/// and `off` both install nothing; `off` is the gated re-measurement.
-const CONFIGS: [&str; 10] = [
+/// The observation configurations under test, in table order (the arms
+/// of [`configs`]). `plain` and `off` both install nothing; `off` is the
+/// gated re-measurement.
+const NAMES: [&str; 10] = [
     "plain",
     "off",
     "metrics",
@@ -73,23 +71,28 @@ const CONFIGS: [&str; 10] = [
     "profile",
 ];
 
-/// Gated columns: `(index into [`CONFIGS`], bound in %)`. The paths a
+/// Gated columns: `(index into [`NAMES`], bound in %)`. The paths a
 /// run pays without arming an observer (`off`, `metrics`, `spans-off`)
 /// are held under 2%; the armed `empty` runtime and `profile` under
 /// their own bounds.
 const GATED: [(usize, f64); 5] = [(1, 2.0), (2, 2.0), (3, 2.0), (7, 10.0), (9, 18.0)];
 
-/// Shared across samples: the warm registry the `metrics` runs publish
-/// into, and the recorder behind the two span configurations.
-struct Observers {
-    registry: Registry,
-    spans: Arc<SpanRecorder>,
-}
-
-/// A watch on the last cell of the model's first data memory plus a
-/// breakpoint on a PC value no program ever reaches: every write is
-/// matched, nothing ever hits.
-fn silent_spec(wb: &Workbench) -> ProbeSpec {
+/// The [`NAMES`] configurations as ops arms: `registry` stays warm across
+/// samples, `spans` backs both span configurations.
+fn configs<'a>(
+    wb: &Workbench,
+    registry: &'a Registry,
+    spans: &'a Arc<SpanRecorder>,
+) -> [Arm<'a>; 10] {
+    let ops = || Arm::new(SimMode::Ops);
+    let scope = |enabled: bool| {
+        move |sim: &mut Simulator<'_>| {
+            spans.set_enabled(enabled);
+            sim.set_spans(Some(SpanScope::new(Arc::clone(spans), spans.new_trace())));
+        }
+    };
+    // A watch on the last cell of the first data memory plus a breakpoint
+    // on a PC no program reaches: every write is matched, nothing hits.
     let watch = wb
         .model()
         .resources()
@@ -97,60 +100,24 @@ fn silent_spec(wb: &Workbench) -> ProbeSpec {
         .find(|r| r.class == ResourceClass::DataMemory)
         .map(|r| format!("watch {}[{}]; ", r.name, r.element_count().saturating_sub(1)))
         .unwrap_or_default();
-    ProbeSpec::parse(&format!("{watch}break -2")).expect("silent spec parses")
-}
-
-fn configure(wb: &Workbench, obs: &Observers, sim: &mut Simulator<'_>, config: &str) {
-    match config {
-        "plain" | "off" | "metrics" => {}
-        "spans-off" | "spans-on" => {
-            obs.spans.set_enabled(config == "spans-on");
-            sim.set_spans(Some(SpanScope::new(Arc::clone(&obs.spans), obs.spans.new_trace())));
-        }
-        "ring" => sim.set_sink(Box::new(RingBufferSink::new(4096))),
-        "jsonl" => {
+    let silent = ProbeSpec::parse(&format!("{watch}break -2")).expect("silent spec parses");
+    [
+        ops(),
+        ops(),
+        ops().finish(|sim| sim.publish_metrics(registry)),
+        ops().setup(scope(false)),
+        ops().setup(scope(true)),
+        ops().setup(|sim| sim.set_sink(Box::new(RingBufferSink::new(4096)))),
+        ops().setup(|sim| {
             let names = sim.name_table();
             sim.set_sink(Box::new(JsonLinesSink::new(std::io::sink(), names)));
-        }
-        "empty" => sim.set_probes(ProbeSet::empty(sim.model())),
-        "silent" => {
-            let set = silent_spec(wb).compile(sim.model()).expect("silent spec compiles");
-            sim.set_probes(set);
-        }
-        "profile" => sim.enable_arch_profile(),
-        other => unreachable!("unknown config {other}"),
-    }
-}
-
-/// One sample: the run time of a fresh simulation of the kernel under
-/// one configuration (setup and verification excluded). It is taken
-/// right after an untimed run of the same configuration, so whatever
-/// the previous configuration left behind (a dropped sink or profile,
-/// a cold registry) lands in the untimed run.
-fn sample(wb: &Workbench, obs: &Observers, kernel: &kernels::Kernel, config: &str) -> f64 {
-    let publish = (config == "metrics").then_some(&obs.registry);
-    let mut elapsed = Duration::ZERO;
-    for _ in 0..2 {
-        let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
-        configure(wb, obs, &mut sim, config);
-        let t = Instant::now();
-        wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
-        if let Some(registry) = publish {
-            sim.publish_metrics(registry);
-        }
-        elapsed = t.elapsed();
-        kernels::verify_kernel(wb, kernel, &sim);
-        if config == "silent" {
-            assert_eq!(sim.probe_hits(), 0, "silent probes must not fire");
-        }
-    }
-    elapsed.as_secs_f64()
-}
-
-/// The upper median (rounds come in any count).
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+        }),
+        ops().setup(|sim| sim.set_probes(ProbeSet::empty(sim.model()))),
+        ops()
+            .setup(move |sim| sim.set_probes(silent.compile(sim.model()).expect("compiles")))
+            .check(|sim| assert_eq!(sim.probe_hits(), 0, "silent probes must not fire")),
+        ops().setup(|sim| sim.enable_arch_profile()),
+    ]
 }
 
 fn main() -> ExitCode {
@@ -159,7 +126,15 @@ fn main() -> ExitCode {
     let repeats: usize = if quick { 7 } else { 9 };
     let budget = Duration::from_millis(if quick { 5 } else { 10 });
 
-    let obs = Observers { registry: Registry::new(), spans: Arc::new(SpanRecorder::new(1 << 12)) };
+    let registry = Registry::new();
+    let spans = Arc::new(SpanRecorder::new(1 << 12));
+
+    // The vliw62 and accu16 suites, as in every earlier run of this
+    // table: the gates' bounds were set on them.
+    let suites: Vec<_> = model_suites(false)
+        .into_iter()
+        .filter(|(model, ..)| matches!(*model, "vliw62" | "accu16"))
+        .collect();
 
     let mut out = String::new();
     writeln!(
@@ -169,66 +144,46 @@ fn main() -> ExitCode {
     .unwrap();
     writeln!(out).unwrap();
     write!(out, "{:<22} {:>6} {:>12}", "kernel", "cycles", "plain c/s").unwrap();
-    for name in &CONFIGS[1..] {
+    for name in &NAMES[1..] {
         write!(out, " {name:>9}").unwrap();
     }
     writeln!(out).unwrap();
-    let rule = "-".repeat(42 + 10 * (CONFIGS.len() - 1));
+    let rule = "-".repeat(42 + 10 * (NAMES.len() - 1));
     writeln!(out, "{rule}").unwrap();
 
-    let suites: [(Workbench, Vec<kernels::Kernel>); 2] = [
-        (vliw62::workbench().expect("vliw62 builds"), kernels::vliw_suite()),
-        (accu16::workbench().expect("accu16 builds"), kernels::accu_suite()),
-    ];
-    // Per-config sums of ln(time ratio vs plain) for the geometric means.
-    let mut ln_sums = [0.0f64; CONFIGS.len()];
-    let mut n = 0.0f64;
-    for (wb, suite) in &suites {
+    // Per-config median time ratios vs plain, one per kernel.
+    let mut ratios = vec![Vec::new(); NAMES.len()];
+    for (_, wb, suite) in &suites {
+        let arms = configs(wb, &registry, &spans);
         for kernel in suite {
-            // Calibrate the round count off one warm run: `repeats`
-            // times the runs that fit the budget, capped at 64 per repeat.
-            let mut sim = kernels::load_kernel(wb, kernel, SimMode::Ops).expect("kernel loads");
-            let t = Instant::now();
-            let cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
-            let once = t.elapsed().max(Duration::from_micros(1));
-            let per_repeat = (budget.as_nanos() / once.as_nanos()).clamp(1, 64) as usize;
-
-            // Each round samples every configuration back to back, so slow
-            // drift (host speed phases, thermal, frequency scaling) hits
-            // the whole round alike and cancels in its ratios.
-            let rounds: Vec<[f64; CONFIGS.len()]> = (0..repeats * per_repeat)
-                .map(|_| CONFIGS.map(|config| sample(wb, &obs, kernel, config)))
-                .collect();
-            let ratio = |i: usize| median(rounds.iter().map(|r| r[i] / r[0]).collect());
-            let best_plain = rounds.iter().map(|r| r[0]).fold(f64::INFINITY, f64::min);
-
-            let cps = cycles as f64 / best_plain;
-            write!(out, "{:<22} {:>6} {:>12.0}", kernel.name, cycles, cps).unwrap();
-            for (i, ln_sum) in ln_sums.iter_mut().enumerate().skip(1) {
-                let r = ratio(i);
+            let samples = sample_rounds(wb, kernel, &arms, repeats, budget);
+            let best_plain = samples.times(0).into_iter().fold(f64::INFINITY, f64::min);
+            let cps = samples.cycles as f64 / best_plain;
+            write!(out, "{:<22} {:>6} {:>12.0}", kernel.name, samples.cycles, cps).unwrap();
+            for (i, column) in ratios.iter_mut().enumerate().skip(1) {
+                let r = samples.median_ratio(i, 0);
                 write!(out, " {:>8.1}%", (r - 1.0) * 100.0).unwrap();
-                *ln_sum += r.ln();
+                column.push(r);
             }
             writeln!(out).unwrap();
-            n += 1.0;
         }
     }
-    let geo_ovh = |i: usize| ((ln_sums[i] / n).exp() - 1.0) * 100.0;
+    let geo_ovh = |i: usize| (geomean(&ratios[i]) - 1.0) * 100.0;
     writeln!(out, "{rule}").unwrap();
     let means: Vec<String> =
-        (1..CONFIGS.len()).map(|i| format!("{} {:.1}%", CONFIGS[i], geo_ovh(i))).collect();
+        (1..NAMES.len()).map(|i| format!("{} {:.1}%", NAMES[i], geo_ovh(i))).collect();
     writeln!(out, "geometric-mean overheads vs plain: {}", means.join(", ")).unwrap();
 
     // Raw boundary-publish cost: how long one `publish_metrics` takes
     // once this thread holds the series handles.
-    let (wb, suite) = &suites[0];
+    let (_, wb, suite) = &suites[0];
     let mut sim = kernels::load_kernel(wb, &suite[0], SimMode::Ops).expect("kernel loads");
     wb.run_to_halt(&mut sim, suite[0].max_steps).expect("kernel halts");
-    sim.publish_metrics(&obs.registry);
+    sim.publish_metrics(&registry);
     let publishes = 10_000u32;
     let t = Instant::now();
     for _ in 0..publishes {
-        sim.publish_metrics(&obs.registry);
+        sim.publish_metrics(&registry);
     }
     let per_publish = t.elapsed() / publishes;
     writeln!(out, "per-publish boundary cost: {per_publish:?} (amortized over a whole run)")
@@ -245,7 +200,7 @@ fn main() -> ExitCode {
         .unwrap();
     let measured: Vec<String> = GATED
         .iter()
-        .map(|&(i, bound)| format!("{} {:.2}% (< {bound}%)", CONFIGS[i], geo_ovh(i)))
+        .map(|&(i, bound)| format!("{} {:.2}% (< {bound}%)", NAMES[i], geo_ovh(i)))
         .collect();
     writeln!(out, "acceptance gates, geomean overhead: {}", measured.join(", ")).unwrap();
 

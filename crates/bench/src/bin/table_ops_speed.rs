@@ -16,31 +16,42 @@
 //! storage) dominates the cycle budget in every backend, so the
 //! measured headroom over an already-fast Rust tree-walker is ~9x, not
 //! 20x. See EXPERIMENTS.md E15 for the full analysis.
+//!
+//! Methodology: [`sample_rounds`] with an interpretive and an ops arm. A
+//! kernel's speedup is the median over rounds of the interpretive over
+//! the ops time of the same round; the c/s columns use median rounds.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
-use lisa_bench::{measure_sim_speed, write_report, SpeedRow};
-use lisa_models::{accu16, kernels, scalar2, tinyrisc, vliw62};
+use lisa_bench::sampler::{geomean, median, sample_rounds, Arm};
+use lisa_bench::{model_suites, write_report};
+use lisa_sim::SimMode;
+
+/// Repeats per kernel, each holding as many rounds as interpretive runs
+/// of the kernel fit [`BUDGET`] (at most 64).
+const REPEATS: usize = 9;
+const BUDGET: Duration = Duration::from_millis(10);
 
 /// Hard gate: minimum geometric-mean ops-over-interpretive speedup.
-/// Three runs with cell operands as absolute indices into the flat state
-/// arena measured 10.5-10.9x on the 12-kernel suite; 7.8 is 0.75 x the
-/// lowest, rounded down, the 25% noise margin every earlier floor kept
-/// (6.5 under ~8.7x, 5.3 under ~7.1x, 3.8 under ~5.1x), while still
-/// catching a translator that stops paying for itself.
+/// Six runs of the paired-median sampler read 9.9-10.4x on the
+/// 12-kernel suite (best-of-3 cold runs had read 10.5-10.9x); 7.8 keeps
+/// at least the 25% noise margin every earlier floor kept (6.5 under
+/// ~8.7x, 5.3 under ~7.1x, 3.8 under ~5.1x), while still catching a
+/// translator that stops paying for itself.
 const FLOOR: f64 = 7.8;
 
 /// Aspirational paper-parity target (DAC'99 §3.3 claims >100x against a
 /// naive interpretive simulator). Reported, not gated.
 const PAPER_TARGET: f64 = 20.0;
 
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|s| s.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 fn main() {
     let mut out = String::new();
-    writeln!(out, "E3/E15 — compiled (ops) vs interpretive simulation speed").unwrap();
+    writeln!(
+        out,
+        "E3/E15 — compiled (ops) vs interpretive simulation speed (median of paired rounds, {REPEATS} x {BUDGET:?} per kernel)"
+    )
+    .unwrap();
     writeln!(out).unwrap();
     writeln!(
         out,
@@ -50,39 +61,29 @@ fn main() {
     .unwrap();
     writeln!(out, "{}", "-".repeat(63)).unwrap();
 
-    let mut rows: Vec<SpeedRow> = Vec::new();
-    let vliw = vliw62::workbench().expect("vliw62 builds");
-    for kernel in kernels::vliw_suite() {
-        rows.push(measure_sim_speed(&vliw, &kernel, 3));
-    }
-    let accu = accu16::workbench().expect("accu16 builds");
-    for kernel in kernels::accu_suite() {
-        rows.push(measure_sim_speed(&accu, &kernel, 3));
-    }
-    let tiny = tinyrisc::workbench().expect("tinyrisc builds");
-    for kernel in kernels::tiny_suite() {
-        rows.push(measure_sim_speed(&tiny, &kernel, 3));
-    }
-    let scalar = scalar2::workbench().expect("scalar2 builds");
-    for kernel in kernels::scalar_suite() {
-        rows.push(measure_sim_speed(&scalar, &kernel, 3));
-    }
-
-    for row in &rows {
-        writeln!(
-            out,
-            "{:<18} {:>8} {:>12.0} {:>12.0} {:>8.1}x",
-            row.kernel,
-            row.cycles,
-            row.interp_cps(),
-            row.ops_cps(),
-            row.speedup()
-        )
-        .unwrap();
+    let arms = [Arm::new(SimMode::Interpretive), Arm::new(SimMode::Ops)];
+    let mut speedups = Vec::new();
+    for (_, wb, suite) in model_suites(false) {
+        for kernel in &suite {
+            let s = sample_rounds(&wb, kernel, &arms, REPEATS, BUDGET);
+            let cps = |arm: usize| s.cycles as f64 / median(s.times(arm));
+            let speedup = s.median_ratio(0, 1);
+            writeln!(
+                out,
+                "{:<18} {:>8} {:>12.0} {:>12.0} {:>8.1}x",
+                kernel.name,
+                s.cycles,
+                cps(0),
+                cps(1),
+                speedup
+            )
+            .unwrap();
+            speedups.push(speedup);
+        }
     }
     writeln!(out, "{}", "-".repeat(63)).unwrap();
 
-    let over_interp = geomean(&rows.iter().map(SpeedRow::speedup).collect::<Vec<_>>());
+    let over_interp = geomean(&speedups);
     writeln!(out, "geometric-mean ops speedup over interpretive: {over_interp:.1}x").unwrap();
     writeln!(out).unwrap();
     let floor_verdict = if over_interp >= FLOOR { "PASS" } else { "FAIL" };
@@ -90,18 +91,13 @@ fn main() {
     let parity = if over_interp >= PAPER_TARGET { "met" } else { "not met" };
     writeln!(out, "paper-parity target ({PAPER_TARGET:.0}x): {parity} at {over_interp:.1}x")
         .unwrap();
-    writeln!(out).unwrap();
-    writeln!(
-        out,
-        "paper claim: compiled simulation > 100x over interpretive (DAC'99 §3.3 / [13]),"
-    )
-    .unwrap();
-    writeln!(out, "measured against a fully naive interpretive simulator. Here the baseline")
-        .unwrap();
-    writeln!(out, "is itself a predecoded Rust tree-walker sharing the engine's scheduler and")
-        .unwrap();
-    writeln!(out, "storage, so the remaining headroom is behavior evaluation only — see").unwrap();
-    writeln!(out, "EXPERIMENTS.md E15 for the breakdown.").unwrap();
+    out.push_str(
+        "\npaper claim: compiled simulation > 100x over interpretive (DAC'99 §3.3 / [13]),\n\
+         measured against a fully naive interpretive simulator. Here the baseline\n\
+         is itself a predecoded Rust tree-walker sharing the engine's scheduler and\n\
+         storage, so the remaining headroom is behavior evaluation only — see\n\
+         EXPERIMENTS.md E15 for the breakdown.\n",
+    );
     write_report("e15_ops_speed.txt", &out);
 
     if over_interp < FLOOR {

@@ -2,19 +2,22 @@
 //!
 //! Each experiment from `DESIGN.md` has a runner here; the `table_*`
 //! binaries print the paper-versus-measured tables recorded in
-//! `EXPERIMENTS.md`, and the Criterion benches in `benches/` measure the
-//! timing-sensitive ones.
+//! `EXPERIMENTS.md`, and the Criterion benches in `benches/` measure
+//! tool generation, E5 and batch scaling.
 //!
 //! * **E1** — model complexity statistics ([`model_stats_rows`]);
 //! * **E2** — tool-generation time ([`toolgen_once`]);
-//! * **E3/E15** — compiled (ops) vs interpretive simulation speed
-//!   ([`measure_sim_speed`]);
+//! * **E3/E15** — compiled (ops) vs interpretive simulation speed, like
+//!   every kernel-speed number here (the observer-overhead table,
+//!   `lisa-tool bench` via [`trajectory`]), timed by the one kernel
+//!   sampler, [`sampler::sample_rounds`], over [`model_suites`];
 //! * **E5** — compile-time `SWITCH`/`CASE` specialisation versus run-time
 //!   operand checks ([`specialization`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod sampler;
 pub mod specialization;
 pub mod trajectory;
 
@@ -43,17 +46,10 @@ pub struct StatsRow {
 /// Panics if a bundled model fails to build (a bug, covered by tests).
 #[must_use]
 pub fn model_stats_rows() -> Vec<StatsRow> {
-    let mut rows = Vec::new();
-    for (name, source) in [
-        ("vliw62", vliw62::SOURCE),
-        ("accu16", accu16::SOURCE),
-        ("scalar2", scalar2::SOURCE),
-        ("tinyrisc", tinyrisc::SOURCE),
-    ] {
-        let model = Model::from_source(source).expect("bundled model builds");
-        rows.push(StatsRow { model: name, stats: ModelStats::of(&model) });
-    }
-    rows
+    model_suites(true)
+        .into_iter()
+        .map(|(model, wb, _)| StatsRow { model, stats: ModelStats::of(wb.model()) })
+        .collect()
 }
 
 /// Timing of the tool-generation pipeline for one model (experiment E2 —
@@ -120,65 +116,27 @@ pub fn toolgen_once(source: &str) -> ToolgenTiming {
     ToolgenTiming { parse_and_analyze, tables: tables_time, lower, predecode }
 }
 
-/// One interpretive-vs-ops speed measurement (experiments E3 and E15).
-#[derive(Debug, Clone)]
-pub struct SpeedRow {
-    /// Kernel name.
-    pub kernel: String,
-    /// Cycles the kernel took (identical for both modes — checked).
-    pub cycles: u64,
-    /// Interpretive wall time.
-    pub interpretive: Duration,
-    /// Ops (compiled simulation) wall time.
-    pub ops: Duration,
-}
-
-impl SpeedRow {
-    /// Interpretive simulation speed in cycles/second.
-    #[must_use]
-    pub fn interp_cps(&self) -> f64 {
-        self.cycles as f64 / self.interpretive.as_secs_f64()
-    }
-
-    /// Ops simulation speed in cycles/second.
-    #[must_use]
-    pub fn ops_cps(&self) -> f64 {
-        self.cycles as f64 / self.ops.as_secs_f64()
-    }
-
-    /// Ops-over-interpretive speedup factor.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.interpretive.as_secs_f64() / self.ops.as_secs_f64()
-    }
-}
-
-/// Measures interpretive vs ops simulation speed on one kernel
-/// (experiments E3 and E15). The kernel is run `repeats` times per mode
-/// and the best time is kept (Criterion does the rigorous version; this
-/// powers the table binary).
+/// The builtin models paired with their kernel suites, in report order
+/// (`quick` keeps each suite's first kernel). Every kernel-speed table
+/// and `lisa-tool bench` draw their kernels from here.
 ///
 /// # Panics
 ///
-/// Panics if the kernel fails to run or the two modes disagree on the
-/// cycle count (cycle accuracy must not depend on the backend).
+/// Panics if a bundled model fails to build (a bug, covered by tests).
 #[must_use]
-pub fn measure_sim_speed(wb: &Workbench, kernel: &Kernel, repeats: u32) -> SpeedRow {
-    let mut best = [Duration::MAX; 2];
-    let mut cycles = [0u64; 2];
-    for (slot, mode) in [SimMode::Interpretive, SimMode::Ops].into_iter().enumerate() {
-        for _ in 0..repeats {
-            let mut sim = kernels::load_kernel(wb, kernel, mode).expect("kernel loads");
-            let t = Instant::now();
-            let c = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
-            let elapsed = t.elapsed();
-            kernels::verify_kernel(wb, kernel, &sim);
-            cycles[slot] = c;
-            best[slot] = best[slot].min(elapsed);
+pub fn model_suites(quick: bool) -> Vec<(&'static str, Workbench, Vec<Kernel>)> {
+    let mut suites = vec![
+        ("vliw62", vliw62::workbench().expect("vliw62 builds"), kernels::vliw_suite()),
+        ("accu16", accu16::workbench().expect("accu16 builds"), kernels::accu_suite()),
+        ("scalar2", scalar2::workbench().expect("scalar2 builds"), kernels::scalar_suite()),
+        ("tinyrisc", tinyrisc::workbench().expect("tinyrisc builds"), kernels::tiny_suite()),
+    ];
+    if quick {
+        for (_, _, suite) in &mut suites {
+            suite.truncate(1);
         }
     }
-    assert_eq!(cycles[0], cycles[1], "modes disagree on cycles for {}", kernel.name);
-    SpeedRow { kernel: kernel.name.clone(), cycles: cycles[0], interpretive: best[0], ops: best[1] }
+    suites
 }
 
 /// The repository's `docs/` directory, where every experiment table and
@@ -237,15 +195,5 @@ mod tests {
         // The paper took 30 s on 1998 hardware; anything under 5 s here
         // would still validate the claim, and we expect milliseconds.
         assert!(timing.total() < Duration::from_secs(5), "{timing:?}");
-    }
-
-    #[test]
-    fn speed_measurement_reports_consistent_cycles() {
-        let wb = vliw62::workbench().unwrap();
-        let kernel = kernels::vliw_dot_product(8);
-        let row = measure_sim_speed(&wb, &kernel, 1);
-        assert!(row.cycles > 0);
-        assert!(row.interpretive > Duration::ZERO);
-        assert!(row.ops > Duration::ZERO);
     }
 }

@@ -11,39 +11,40 @@
 //! round-trips through [`BenchReport::to_json`] / [`BenchReport::from_json`]
 //! exactly; derived rates (MIPS, cycles/s) are computed, never stored.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use lisa_metrics::{json, Registry};
-use lisa_models::kernels::{self, Kernel};
-use lisa_models::Workbench;
 use lisa_sim::SimMode;
+
+use crate::model_suites;
+use crate::sampler::{sample_rounds, Arm, Samples};
 
 /// Document schema identifier; bump on breaking field changes.
 pub const SCHEMA: &str = "lisa-bench/1";
 
-/// Wall-clock spread over the repeats of one cell, in microseconds
+/// Wall-clock spread over the timed rounds of one cell, in microseconds
 /// (nearest-rank percentiles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quantiles {
-    /// Fastest repeat.
+    /// Fastest round.
     pub min_us: u64,
-    /// Median repeat.
+    /// Median round.
     pub p50_us: u64,
-    /// 99th-percentile repeat.
+    /// 99th-percentile round.
     pub p99_us: u64,
-    /// Slowest repeat.
+    /// Slowest round.
     pub max_us: u64,
 }
 
 impl Quantiles {
-    /// Nearest-rank quantiles of a set of repeat durations.
+    /// Nearest-rank quantiles of a set of round durations.
     ///
     /// # Panics
     ///
-    /// Panics on an empty slice (a cell always has at least one repeat).
+    /// Panics on an empty slice (a cell always has at least one round).
     #[must_use]
     pub fn of(durations_us: &[u64]) -> Quantiles {
-        assert!(!durations_us.is_empty(), "at least one repeat per cell");
+        assert!(!durations_us.is_empty(), "at least one round per cell");
         let mut sorted = durations_us.to_vec();
         sorted.sort_unstable();
         let rank = |q: f64| {
@@ -72,12 +73,12 @@ pub struct BenchRow {
     pub cycles: u64,
     /// Instructions retired per run.
     pub instructions: u64,
-    /// Wall-clock spread over the repeats.
+    /// Wall-clock spread over the timed rounds.
     pub wall_us: Quantiles,
 }
 
 impl BenchRow {
-    /// Simulated MIPS of the best repeat: millions of retired
+    /// Simulated MIPS of the best round: millions of retired
     /// instructions per wall-clock second.
     #[must_use]
     pub fn mips(&self) -> f64 {
@@ -88,7 +89,7 @@ impl BenchRow {
         }
     }
 
-    /// Simulation speed of the best repeat in cycles/second.
+    /// Simulation speed of the best round in cycles/second.
     #[must_use]
     pub fn cycles_per_sec(&self) -> f64 {
         if self.wall_us.min_us == 0 {
@@ -109,7 +110,8 @@ impl BenchRow {
 pub struct BenchReport {
     /// Civil date (UTC) the run was taken, `YYYY-MM-DD`.
     pub date: String,
-    /// Repeats per cell (best/percentiles are over these).
+    /// Repeats per cell; each repeat holds the paired rounds that fit
+    /// the time budget (best/percentiles are over all rounds).
     pub repeats: u32,
     /// Whether the reduced quick suite was used.
     pub quick: bool,
@@ -155,69 +157,61 @@ impl std::fmt::Display for Regression {
     }
 }
 
-/// The builtin models paired with their kernel suites, in report order.
-fn model_suites(quick: bool) -> Vec<(&'static str, Workbench, Vec<Kernel>)> {
-    let mut suites = vec![
-        ("vliw62", lisa_models::vliw62::workbench().expect("builds"), kernels::vliw_suite()),
-        ("accu16", lisa_models::accu16::workbench().expect("builds"), kernels::accu_suite()),
-        ("scalar2", lisa_models::scalar2::workbench().expect("builds"), kernels::scalar_suite()),
-        ("tinyrisc", lisa_models::tinyrisc::workbench().expect("builds"), kernels::tiny_suite()),
-    ];
-    if quick {
-        for (_, _, kernels) in &mut suites {
-            kernels.truncate(1);
-        }
-    }
-    suites
-}
+/// Time budget per repeat: a repeat holds as many rounds as interpretive
+/// runs of the kernel fit in it.
+const BUDGET: Duration = Duration::from_millis(10);
 
-/// Runs the benchmark matrix: every builtin model × both backends ×
-/// its kernel suite, `repeats` timed runs per cell.
+/// Runs the benchmark matrix: every builtin model × both backends × its
+/// kernel suite, each kernel timed by [`sample_rounds`] with an
+/// interpretive and an ops arm; a cell's quantiles are over its
+/// backend's round times.
 ///
-/// When `metrics` is given, each simulator publishes its stats into the
-/// registry (`lisa_sim_*` series) and per-cell wall clocks land in the
-/// `lisa_bench_cell_duration_us` histogram.
+/// When `metrics` is given, each timed simulator publishes its stats
+/// into the registry (`lisa_sim_*` series) and per-round wall clocks
+/// land in the `lisa_bench_cell_duration_us` histogram.
 ///
 /// # Panics
 ///
-/// Panics if a builtin model or kernel is broken (covered by tier-1
-/// tests).
+/// Panics if a builtin model or kernel is broken, or the backends
+/// disagree on cycles (covered by tier-1 tests).
 #[must_use]
 pub fn measure(quick: bool, repeats: u32, metrics: Option<&Registry>) -> BenchReport {
     let repeats = repeats.max(1);
+    let modes = [SimMode::Interpretive, SimMode::Ops];
+    let arms = modes.map(|mode| {
+        Arm::new(mode).check(move |sim| {
+            if let Some(reg) = metrics {
+                sim.publish_metrics(reg);
+            }
+        })
+    });
     let mut rows = Vec::new();
     for (model, wb, suite) in model_suites(quick) {
-        for mode in [SimMode::Interpretive, SimMode::Ops] {
+        let samples: Vec<Samples> = suite
+            .iter()
+            .map(|kernel| sample_rounds(&wb, kernel, &arms, repeats as usize, BUDGET))
+            .collect();
+        for (arm, mode) in modes.into_iter().enumerate() {
             let backend = mode.metric_label();
-            for kernel in &suite {
-                let mut durations_us = Vec::with_capacity(repeats as usize);
-                let mut cycles = 0u64;
-                let mut instructions = 0u64;
-                for _ in 0..repeats {
-                    let mut sim = kernels::load_kernel(&wb, kernel, mode).expect("kernel loads");
-                    let t = Instant::now();
-                    cycles = wb.run_to_halt(&mut sim, kernel.max_steps).expect("kernel halts");
-                    let elapsed = t.elapsed();
-                    kernels::verify_kernel(&wb, kernel, &sim);
-                    instructions = sim.stats().instructions_retired;
-                    let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-                    durations_us.push(us.max(1));
-                    if let Some(reg) = metrics {
-                        sim.publish_metrics(reg);
-                        reg.histogram(
-                            "lisa_bench_cell_duration_us",
-                            "Wall-clock kernel run duration in microseconds.",
-                            &[("model", model), ("backend", backend), ("kernel", &kernel.name)],
-                        )
-                        .observe(us);
+            for (kernel, s) in suite.iter().zip(&samples) {
+                let durations_us: Vec<u64> =
+                    s.times(arm).iter().map(|t| ((t * 1e6).round() as u64).max(1)).collect();
+                if let Some(reg) = metrics {
+                    let hist = reg.histogram(
+                        "lisa_bench_cell_duration_us",
+                        "Wall-clock kernel run duration in microseconds.",
+                        &[("model", model), ("backend", backend), ("kernel", &kernel.name)],
+                    );
+                    for &us in &durations_us {
+                        hist.observe(us);
                     }
                 }
                 rows.push(BenchRow {
                     model: model.to_owned(),
                     backend: backend.to_owned(),
                     kernel: kernel.name.clone(),
-                    cycles,
-                    instructions,
+                    cycles: s.cycles,
+                    instructions: s.instructions,
                     wall_us: Quantiles::of(&durations_us),
                 });
             }
@@ -531,5 +525,53 @@ mod tests {
             snap.metrics.keys().any(|k| k.name == "lisa_bench_cell_duration_us"),
             "cell latency recorded"
         );
+    }
+
+    /// The cells `measure(quick, ..)` produces, in report order.
+    fn matrix_keys(quick: bool) -> Vec<(String, String, String)> {
+        let mut keys = Vec::new();
+        for (model, _, suite) in model_suites(quick) {
+            for mode in [SimMode::Interpretive, SimMode::Ops] {
+                for kernel in &suite {
+                    let backend = mode.metric_label().to_owned();
+                    keys.push((model.to_owned(), backend, kernel.name.clone()));
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn checked_in_documents_parse_and_cover_the_matrix() {
+        let docs = crate::docs_dir();
+        let parse = |name: &str| {
+            let text = std::fs::read_to_string(docs.join(name))
+                .unwrap_or_else(|e| panic!("cannot read docs/{name}: {e}"));
+            BenchReport::from_json(&text).unwrap_or_else(|e| panic!("docs/{name}: {e}"))
+        };
+        let keys = |report: &BenchReport| {
+            report
+                .rows
+                .iter()
+                .map(|r| (r.model.clone(), r.backend.clone(), r.kernel.clone()))
+                .collect::<Vec<_>>()
+        };
+        // The CI gate's baseline: exactly the quick matrix, so no cell is
+        // reported missing and none goes ungated.
+        let baseline = parse("bench_baseline.json");
+        assert!(baseline.quick);
+        assert_eq!(keys(&baseline), matrix_keys(true));
+
+        // Every dated trajectory parses; the one the E3 table cites is
+        // the full matrix.
+        for entry in std::fs::read_dir(&docs).expect("docs/ is readable") {
+            let name = entry.expect("docs/ entry").file_name().into_string().expect("utf-8 name");
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let _ = parse(&name);
+            }
+        }
+        let cited = parse("BENCH_2026-10-18.json");
+        assert!(!cited.quick);
+        assert_eq!(keys(&cited), matrix_keys(false));
     }
 }
