@@ -20,8 +20,8 @@
 //!   and four metamorphic oracles (snapshot/restore at mid-run,
 //!   trace-enabled vs trace-disabled, batch vs sequential execution,
 //!   probe parity);
-//! * [`shrink`] — a ddmin-style reducer that cuts a failing program to
-//!   a minimal diverging sequence;
+//! * [`shrink`](mod@shrink) — a ddmin-style reducer that cuts a failing
+//!   program to a minimal diverging sequence;
 //! * [`corpus`] — reproducer files: persist shrunk failures, replay
 //!   them as regressions (with content-hash-verified loading);
 //! * [`coverage`] — coding-tree path coverage: a join-semilattice

@@ -21,10 +21,14 @@
 //!   the empty profile as identity, so per-run profiles fold into
 //!   fleet- or service-level views in any order.
 //! * [`ProbeRuntime`] — the per-simulator state the backends drive:
-//!   one typed entry per event kind (write, exec, activation, decode,
-//!   stall, flush, read), so no trace event is built to feed it. It
-//!   emits `TraceEvent::ProbeHit` records for matched probes, latches
-//!   breakpoint stops, and accumulates the profile.
+//!   one typed entry per event kind (write, decode, stall, flush, read),
+//!   so no trace event is built to feed it. It emits
+//!   `TraceEvent::ProbeHit` records for matched probes, latches
+//!   breakpoint stops, and accumulates the instruction, hot-PC, stall,
+//!   flush and heatmap parts of the profile. The simulator counts
+//!   register writes, behavior executions (and from them stage
+//!   occupancy) and activations itself, in one id-indexed home both
+//!   backends bump, and folds them into the runtime's profile.
 //!
 //! The conformance harness asserts that probe hit streams and
 //! `ArchProfile` contents are identical across the interpretive and the
@@ -40,7 +44,7 @@ mod spec;
 
 pub use arch::ArchProfile;
 pub use heatmap::Heatmap;
-pub use runtime::{ProbeRuntime, WriteAction};
+pub use runtime::ProbeRuntime;
 pub use spec::{Probe, ProbeError, ProbeSet, ProbeSpec};
 
 use lisa_metrics::Registry;

@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use lisa_core::model::{OpId, PipelineId, ResourceId};
+use lisa_core::model::{PipelineId, ResourceId};
 use lisa_trace::{NameTable, TraceEvent};
 
 use crate::arch::ArchProfile;
@@ -19,12 +19,12 @@ const MAX_HEAT_BUCKETS: u64 = 64;
 /// latched breakpoint stop.
 ///
 /// Backends report each event kind through its own typed entry
-/// (`observe_write`, `observe_exec`, `observe_activation`,
-/// `observe_decode`, `observe_stall`, `observe_flush` and
-/// `observe_read`), with no trace event built unless a sink wants one.
-/// What a write does is worked out once per resource whenever the
-/// probes or the profile switch change ([`ProbeRuntime::write_action`]),
-/// so the common write is one table load and one add.
+/// (`observe_write`, `observe_decode`, `observe_stall`, `observe_flush`
+/// and `observe_read`), with no trace event built unless a sink wants
+/// one. Register writes, behavior executions and activations are not
+/// counted here: the simulator counts them itself and decides, per
+/// resource, which writes reach [`ProbeRuntime::observe_write`] at all
+/// (see [`ProbeSet::matches_writes_to`]).
 #[derive(Debug, Clone)]
 pub struct ProbeRuntime {
     set: ProbeSet,
@@ -33,12 +33,6 @@ pub struct ProbeRuntime {
     start: u64,
     /// Instructions decoded/dispatched.
     instructions: u64,
-    /// Writes to register-class resources.
-    register_writes: u64,
-    /// Behavior executions by [`OpId`].
-    op_execs: Vec<u64>,
-    /// Activations by target [`OpId`].
-    unit_acts: Vec<u64>,
     /// Per-stage counters, flattened over all pipelines.
     stages: Vec<StageCounts>,
     /// First `stages` slot of each pipeline, plus the total at the end.
@@ -50,31 +44,13 @@ pub struct ProbeRuntime {
     write_heat: Vec<Heatmap>,
     /// Hits by probe id.
     hit_counts: Vec<u64>,
-    /// What a write does, by resource id (see `plan_writes`).
-    writes: Vec<WriteAction>,
     /// Latched breakpoint: `(probe id, pc)`.
     stop: Option<(u16, i64)>,
-}
-
-/// What the runtime does with a write to one resource. Fixed when the
-/// probes or the profile switch change, so a backend can route writes
-/// by resource without asking the runtime per write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteAction {
-    /// Nothing observes the write.
-    Ignore,
-    /// The profile counts a register write; no probe matches.
-    Count,
-    /// The profile records memory write heat; no probe matches.
-    Heat,
-    /// A watchpoint or PC probe may match (after any profile counting).
-    Match,
 }
 
 /// What one pipeline stage did.
 #[derive(Debug, Clone, Copy, Default)]
 struct StageCounts {
-    busy: u64,
     stalls: u64,
     flushes: u64,
 }
@@ -97,13 +73,10 @@ impl ProbeRuntime {
             .iter()
             .map(|&(_, elements)| Heatmap::for_elements(elements, MAX_HEAT_BUCKETS))
             .collect();
-        let mut runtime = ProbeRuntime {
+        ProbeRuntime {
             arch: false,
             start: 0,
             instructions: 0,
-            register_writes: 0,
-            op_execs: vec![0; names.ops.len()],
-            unit_acts: vec![0; names.ops.len()],
             stages: vec![StageCounts::default(); stages],
             pipe_base,
             hot_pcs: vec![0; set.pc_window.1],
@@ -111,11 +84,8 @@ impl ProbeRuntime {
             write_heat: seeded,
             hit_counts: vec![0; set.len()],
             stop: None,
-            writes: Vec::new(),
             set,
-        };
-        runtime.plan_writes();
-        runtime
+        }
     }
 
     /// The compiled probe set (for labels and hit reporting).
@@ -131,7 +101,6 @@ impl ProbeRuntime {
         self.hit_counts = vec![0; set.len()];
         self.stop = None;
         self.set = set;
-        self.plan_writes();
     }
 
     /// Turns architecture profiling (utilization counters + heatmaps)
@@ -140,7 +109,6 @@ impl ProbeRuntime {
     /// either way.
     pub fn enable_arch(&mut self, now: u64) {
         self.arch = true;
-        self.plan_writes();
         self.restart(now);
     }
 
@@ -156,9 +124,6 @@ impl ProbeRuntime {
     pub fn restart(&mut self, now: u64) {
         self.start = now;
         self.instructions = 0;
-        self.register_writes = 0;
-        self.op_execs.fill(0);
-        self.unit_acts.fill(0);
         self.stages.fill(StageCounts::default());
         self.hot_pcs.fill(0);
         for heat in self.read_heat.iter_mut().chain(&mut self.write_heat) {
@@ -183,37 +148,9 @@ impl ProbeRuntime {
         all.start..end
     }
 
-    /// What a write to `res` does, as fixed by the installed probes and
-    /// the profile switch ([`WriteAction::Ignore`] for an unknown id).
-    #[must_use]
-    #[inline]
-    pub fn write_action(&self, res: ResourceId) -> WriteAction {
-        self.writes.get(res.0).copied().unwrap_or(WriteAction::Ignore)
-    }
-
-    /// Works out [`ProbeRuntime::write_action`] for every resource; run
-    /// whenever the probe set or the profile switch changes.
-    fn plan_writes(&mut self) {
-        let set = &self.set;
-        let pc_probed = !set.breaks.is_empty() || !set.traces.is_empty();
-        self.writes = (0..set.heat_slot.len())
-            .map(|res| {
-                if !set.watches[res].is_empty() || (pc_probed && set.pc_res == Some(res)) {
-                    WriteAction::Match
-                } else if !self.arch {
-                    WriteAction::Ignore
-                } else if set.heat_slot[res].is_some() {
-                    WriteAction::Heat
-                } else {
-                    WriteAction::Count
-                }
-            })
-            .collect();
-    }
-
     /// A write of `value` to flat element `addr` of `resource` at
-    /// `cycle`: counted as a register write or recorded as write heat
-    /// (when profiling is on) and matched against watchpoints and PC
+    /// `cycle`: recorded as write heat (when profiling is on and the
+    /// resource is a memory) and matched against watchpoints and PC
     /// probes. `emit` receives the `ProbeHit` event of each matched
     /// probe; breakpoint matches additionally latch a stop (see
     /// [`ProbeRuntime::take_stop`]).
@@ -226,27 +163,10 @@ impl ProbeRuntime {
         value: i64,
         mut emit: impl FnMut(TraceEvent),
     ) {
-        match self.write_action(resource) {
-            WriteAction::Ignore => {}
-            WriteAction::Count => self.register_writes += 1,
-            WriteAction::Heat => self.record_write_heat(resource.0, addr),
-            WriteAction::Match => {
-                if self.arch {
-                    if self.set.heat_slot[resource.0].is_some() {
-                        self.record_write_heat(resource.0, addr);
-                    } else {
-                        self.register_writes += 1;
-                    }
-                }
-                self.match_write(cycle, resource, addr, value, &mut emit);
-            }
-        }
-    }
-
-    fn record_write_heat(&mut self, res: usize, addr: u64) {
-        if let Some(&Some(slot)) = self.set.heat_slot.get(res) {
+        if let (true, Some(&Some(slot))) = (self.arch, self.set.heat_slot.get(resource.0)) {
             self.write_heat[usize::from(slot)].record(addr);
         }
+        self.match_write(cycle, resource, addr, value, &mut emit);
     }
 
     /// An instruction decoded with the program counter at `pc`: counts
@@ -261,36 +181,6 @@ impl ProbeRuntime {
         let slot = pc.checked_sub(self.set.pc_window.0).and_then(|i| usize::try_from(i).ok());
         if let Some(count) = slot.and_then(|i| self.hot_pcs.get_mut(i)) {
             *count += 1;
-        }
-    }
-
-    /// A behavior execution of `op`, occupying `stage` when the
-    /// operation is pipelined. No-op unless profiling is on.
-    #[inline]
-    pub fn observe_exec(&mut self, op: OpId, stage: Option<(PipelineId, u16)>) {
-        if !self.arch {
-            return;
-        }
-        if let Some(slot) = self.op_execs.get_mut(op.0) {
-            *slot += 1;
-        }
-        if let Some((pipe, s)) = stage {
-            let slots = self.pipe_slots(pipe);
-            let slot = slots.start + usize::from(s);
-            if slots.contains(&slot) {
-                self.stages[slot].busy += 1;
-            }
-        }
-    }
-
-    /// An activation of `to`. No-op unless profiling is on.
-    #[inline]
-    pub fn observe_activation(&mut self, to: OpId) {
-        if !self.arch {
-            return;
-        }
-        if let Some(slot) = self.unit_acts.get_mut(to.0) {
-            *slot += 1;
         }
     }
 
@@ -393,27 +283,14 @@ impl ProbeRuntime {
         let mut profile = ArchProfile {
             cycles: now.saturating_sub(self.start),
             instructions: self.instructions,
-            register_writes: self.register_writes,
             ..ArchProfile::default()
         };
-        for (i, &n) in self.op_execs.iter().enumerate() {
-            if n > 0 {
-                profile.op_execs.insert(names.op(OpId(i)).to_owned(), n);
-            }
-        }
-        for (i, &n) in self.unit_acts.iter().enumerate() {
-            if n > 0 {
-                profile.unit_activations.insert(names.op(OpId(i)).to_owned(), n);
-            }
-        }
         for p in 0..names.pipelines.len() {
             let slots = self.pipe_slots(PipelineId(p));
             for (s, c) in self.stages[slots].iter().enumerate() {
-                for (map, n) in [
-                    (&mut profile.stage_busy, c.busy),
-                    (&mut profile.stage_stalls, c.stalls),
-                    (&mut profile.stage_flushes, c.flushes),
-                ] {
+                for (map, n) in
+                    [(&mut profile.stage_stalls, c.stalls), (&mut profile.stage_flushes, c.flushes)]
+                {
                     if n > 0 {
                         map.insert(names.stage_key(PipelineId(p), s), n);
                     }
@@ -525,33 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn write_actions_follow_probes_and_the_profile() {
-        use WriteAction::{Count, Heat, Ignore, Match};
-        let (mut rt, _, model) = runtime("");
-        let id = |name| model.resource_by_name(name).unwrap().id;
-        let actions = |rt: &ProbeRuntime| ["pc", "acc", "dmem"].map(|n| rt.write_action(id(n)));
-        assert_eq!(actions(&rt), [Ignore, Ignore, Ignore]);
-        rt.enable_arch(0);
-        assert_eq!(actions(&rt), [Count, Count, Heat]);
-        let watch = ProbeSpec::parse("watch acc; break 9").unwrap().compile(&model).unwrap();
-        rt.set_probes(watch);
-        assert_eq!(actions(&rt), [Match, Match, Heat]);
-        rt.set_probes(ProbeSet::empty(&model));
-        assert_eq!(actions(&rt), [Count, Count, Heat]);
-        assert_eq!(rt.write_action(ResourceId(99)), Ignore);
-    }
-
-    #[test]
     fn arch_profile_folds_ids_back_to_names() {
         let (mut rt, names, model) = runtime("watch dmem[0..4]");
         rt.enable_arch(0);
         assert!(rt.arch_enabled());
         let dmem = model.resource_by_name("dmem").unwrap().id;
         let acc = model.resource_by_name("acc").unwrap().id;
-        let main = model.operation_by_name("main").unwrap().id;
         let pipe = PipelineId(0);
-        rt.observe_exec(main, Some((pipe, 1)));
-        rt.observe_activation(main);
         let mut hits = write(&mut rt, dmem, 2, 9);
         hits.extend(write(&mut rt, acc, 0, 9));
         assert_eq!(hits.len(), 1);
@@ -570,14 +427,10 @@ mod tests {
         rt.observe_read(dmem.0, 201);
         let profile = rt.arch_profile(&names, 2);
         assert_eq!(profile.cycles, 2);
-        assert_eq!(profile.op_execs["main"], 1);
-        assert_eq!(profile.stage_busy["pipe.EX"], 1);
-        assert_eq!(profile.unit_activations["main"], 1);
         assert_eq!(profile.write_heat["dmem"].total(), 1);
         assert_eq!(profile.read_heat["dmem"].total(), 2);
         assert_eq!(profile.hits["watch dmem[0..4]"], 1);
         assert_eq!(profile.probe_hits(), 1);
-        assert_eq!(profile.register_writes, 1);
         assert_eq!(profile.instructions, 5);
         assert_eq!(profile.hot_pcs.into_iter().collect::<Vec<_>>(), [(4, 1), (19, 2)]);
         for per_stage in [&profile.stage_stalls, &profile.stage_flushes] {
@@ -589,15 +442,12 @@ mod tests {
     fn arch_off_skips_utilization_but_not_probes() {
         let (mut rt, names, model) = runtime("watch dmem");
         let dmem = model.resource_by_name("dmem").unwrap().id;
-        let main = model.operation_by_name("main").unwrap().id;
         rt.observe_read(dmem.0, 5);
-        rt.observe_exec(main, None);
         rt.observe_decode(4);
         assert_eq!(write(&mut rt, dmem, 1, 2).len(), 1, "watchpoints fire with profiling off");
         let profile = rt.arch_profile(&names, 1);
         assert!(profile.read_heat.is_empty());
         assert!(profile.write_heat.is_empty());
-        assert!(profile.op_execs.is_empty());
         assert_eq!(profile.instructions, 0);
         assert_eq!(profile.hits["watch dmem"], 1);
     }

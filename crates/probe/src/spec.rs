@@ -1,7 +1,7 @@
 //! The probe-spec language and its compilation against a model.
 
 use lisa_core::ast::ResourceClass;
-use lisa_core::model::Model;
+use lisa_core::model::{Model, ResourceId};
 
 /// A probe-spec failure: parse errors name the offending clause,
 /// compile errors name the model object that did not resolve.
@@ -336,6 +336,15 @@ impl ProbeSet {
     #[must_use]
     pub fn labels(&self) -> &[String] {
         &self.labels
+    }
+
+    /// Whether a write to `res` can match a probe: a watchpoint on it,
+    /// or a breakpoint or tracepoint when it is the program counter.
+    #[must_use]
+    pub fn matches_writes_to(&self, res: ResourceId) -> bool {
+        let pc_probed = !self.breaks.is_empty() || !self.traces.is_empty();
+        self.watches.get(res.0).is_some_and(|w| !w.is_empty())
+            || (pc_probed && self.pc_res == Some(res.0))
     }
 }
 

@@ -148,13 +148,12 @@ fn profile_of(events: &[TraceEvent], cycles: u64) -> ArchProfile {
 }
 
 /// Reports `event` through the runtime's typed entry for its kind, as a
-/// backend does. Fetch and Print feed nothing; whether a write counts
-/// as a register write or as memory heat follows the resource's class.
+/// backend does. Fetch, Print, Exec and Activation feed nothing (the
+/// simulator counts executions and activations itself); a write is
+/// memory heat when its resource is a memory.
 fn feed(runtime: &mut ProbeRuntime, event: &TraceEvent) {
     match *event {
         TraceEvent::Decode { pc, .. } => runtime.observe_decode(pc),
-        TraceEvent::Exec { op, stage, .. } => runtime.observe_exec(op, stage),
-        TraceEvent::Activation { to, .. } => runtime.observe_activation(to),
         TraceEvent::Stall { pipe, upto, .. } => runtime.observe_stall(pipe, upto),
         TraceEvent::Flush { pipe, upto, .. } => runtime.observe_flush(pipe, upto),
         TraceEvent::MemoryAccess { cycle, resource, addr, value }

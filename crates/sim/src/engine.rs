@@ -21,7 +21,7 @@ use std::sync::Arc;
 use lisa_bits::Bits;
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 use lisa_isa::{Decoded, Decoder};
-use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet, WriteAction};
+use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
 use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
 
@@ -59,8 +59,6 @@ pub(crate) struct Pending {
     pub pipe: Option<(PipelineId, usize)>,
     /// Shifts (pipelined) or control steps (non-pipelined) to go.
     pub remaining: u32,
-    /// FIFO tiebreaker.
-    pub seq: u64,
 }
 
 /// Per-pipeline per-step control state.
@@ -84,78 +82,94 @@ pub(crate) struct Observer {
     pub probes: Option<Box<ProbeRuntime>>,
 }
 
-/// How the ops backend reports one kind of event while an observer is
-/// installed.
+/// What a write to one resource, or a behavior execution or an
+/// activation, does while an observer is installed, as
+/// [`Counters::plan`] decides it.
+///
+/// A tagged `u8`, so matching one is a byte compare: the niche-packed
+/// layout costs a decode per observed event (the observer table's
+/// `empty` and `profile` columns read ~1–2 points higher with it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub(crate) enum Route {
     /// Nothing listens.
     #[default]
     Skip,
-    /// Only the profile listens, and only to count: bump a [`Tally`]
-    /// counter.
+    /// Only the profile listens: count the event.
     Count,
-    /// Call the emit helper: a sink wants the event, or the runtime has
-    /// to match it or record heat.
-    Emit,
+    /// Hand the event to the sink (and a write to the runtime, for
+    /// memory write heat and probe matching), counting it first when
+    /// `count`.
+    Emit { count: bool },
 }
 
-/// Plain counters the ops backend bumps in place of calls into the
-/// probe runtime: register writes through cell operands, behavior
-/// executions and activations, while the profile is the only listener.
-/// Routes are worked out whenever the sink, the probes or the profile
-/// change; the counts are added to the runtime's when the profile is
-/// read, and restart with it.
+impl Route {
+    fn new(count: bool, emit: bool) -> Route {
+        match (count, emit) {
+            (_, true) => Route::Emit { count },
+            (true, false) => Route::Count,
+            (false, false) => Route::Skip,
+        }
+    }
+}
+
+/// The arch profile's event counters — register writes, behavior
+/// executions and activations, id-indexed — in the one home both
+/// backends bump at their event points, with the routes that decide
+/// which events reach them, the sink and the runtime. Folded into the
+/// runtime's profile by name when the profile is read
+/// ([`Counters::fold_into`]); restarted with it
+/// ([`Simulator::restart_profile`]).
 #[derive(Debug, Default)]
-pub(crate) struct Tally {
-    /// What a write through a cell operand does, by resource id.
-    pub cells: Vec<Route>,
+pub(crate) struct Counters {
+    /// What a write does, by resource id (empty with no observer).
+    writes: Vec<Route>,
     /// What a behavior execution or an activation does.
-    pub units: Route,
-    /// Register writes counted here, not in the runtime.
-    pub register_writes: u64,
-    /// Behavior executions counted here, by [`OpId`].
-    pub op_execs: Vec<u64>,
-    /// Activations counted here, by target [`OpId`].
-    pub unit_acts: Vec<u64>,
+    units: Route,
+    /// Writes to non-memory resources.
+    register_writes: u64,
+    /// Behavior executions, by [`OpId`].
+    op_execs: Vec<u64>,
+    /// Activations, by target [`OpId`].
+    unit_acts: Vec<u64>,
 }
 
-impl Tally {
-    /// Re-plans the routes for the installed observer.
+impl Counters {
+    /// Plans the routes for the installed observer: the one place that
+    /// decides what a write to each resource, an execution and an
+    /// activation do. A profile counts executions, activations and
+    /// writes to registers, and records write heat for memories; a sink
+    /// sees every event; probes match the writes their set names.
     fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
-        self.cells.clear();
+        use lisa_core::ast::ResourceClass;
+        self.writes.clear();
         self.units = Route::Skip;
         let Some(obs) = observer else { return };
-        let Some(runtime) = obs.probes.as_deref() else {
-            // Only a sink: every event is built for it.
-            self.restart();
-            self.cells.resize(model.resources().len(), Route::Emit);
-            self.units = Route::Emit;
-            return;
-        };
-        let counting = obs.sink.is_none();
-        self.cells.extend(model.resources().iter().map(|r| match runtime.write_action(r.id) {
-            _ if !counting => Route::Emit,
-            WriteAction::Ignore => Route::Skip,
-            WriteAction::Count => Route::Count,
-            WriteAction::Heat | WriteAction::Match => Route::Emit,
+        let runtime = obs.probes.as_deref();
+        let profiling = runtime.is_some_and(ProbeRuntime::arch_enabled);
+        let tracing = obs.sink.is_some();
+        self.writes.extend(model.resources().iter().map(|r| {
+            let memory =
+                matches!(r.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory);
+            let matched = runtime.is_some_and(|rt| rt.probe_set().matches_writes_to(r.id));
+            Route::new(profiling && !memory, tracing || matched || (profiling && memory))
         }));
-        self.units = match (counting, runtime.arch_enabled()) {
-            (false, _) => Route::Emit,
-            (true, true) => Route::Count,
-            (true, false) => Route::Skip,
-        };
-        self.op_execs.resize(model.operations().len(), 0);
-        self.unit_acts.resize(model.operations().len(), 0);
+        self.units = Route::new(profiling, tracing);
+        if profiling {
+            self.op_execs.resize(model.operations().len(), 0);
+            self.unit_acts.resize(model.operations().len(), 0);
+        }
     }
 
-    /// Zeroes the counts, with the runtime's restart.
-    pub(crate) fn restart(&mut self) {
+    /// Zeroes the counts.
+    fn restart(&mut self) {
         self.register_writes = 0;
         self.op_execs.fill(0);
         self.unit_acts.fill(0);
     }
 
-    /// Adds the counts to a profile the runtime folded.
+    /// Adds the counts to a profile the runtime folded, stage occupancy
+    /// derived from each operation's static stage.
     fn fold_into(&self, model: &Model, names: &NameTable, profile: &mut ArchProfile) {
         profile.register_writes += self.register_writes;
         for (i, &n) in self.op_execs.iter().enumerate().filter(|&(_, &n)| n > 0) {
@@ -243,6 +257,9 @@ pub struct Simulator<'m> {
     pub(crate) decoder: Option<Decoder<'m>>,
     pub(crate) state: State,
     pub(crate) pipes: Vec<PipeState>,
+    /// In-flight delayed activations, in the order they were scheduled:
+    /// every site appends, and maturation and flushes keep the order, so
+    /// activations maturing on one step run in activation order.
     pub(crate) pending: Vec<Pending>,
     pub(crate) stats: SimStats,
     pub(crate) mode: SimMode,
@@ -254,10 +271,9 @@ pub struct Simulator<'m> {
     /// `execute_decoded` call) and passes it down explicitly, so routines
     /// borrowed from its store run while the rest of `self` is mutated.
     pub(crate) ops: Option<Box<OpsTables<'m>>>,
-    pub(crate) seq: u64,
     pub(crate) observer: Option<Box<Observer>>,
-    /// The ops backend's plain profile counters (see [`Tally`]).
-    pub(crate) tally: Tally,
+    /// The profile's event counters and write routes.
+    pub(crate) counters: Counters,
     pub(crate) pc_res: Option<ResourceId>,
     /// Stats values already exported by `publish_metrics`, so repeated
     /// publishes add only the delta accumulated in between.
@@ -269,8 +285,6 @@ pub struct Simulator<'m> {
     pub(crate) spans: Option<SpanScope>,
     /// Reusable per-step ready list (capacity persists across steps).
     step_ready: Vec<ExecItem>,
-    /// Reusable per-step matured-activation buffer.
-    step_matured: Vec<Pending>,
     /// Reusable still-waiting buffer for the maturation partition.
     step_keep: Vec<Pending>,
 }
@@ -330,15 +344,13 @@ impl<'m> Simulator<'m> {
             mode,
             decode_cache: FastMap::default(),
             ops,
-            seq: 0,
             observer: None,
-            tally: Tally::default(),
+            counters: Counters::default(),
             pc_res,
             metrics_published: SimStats::default(),
             trace_dropped_published: 0,
             spans: None,
             step_ready: Vec::new(),
-            step_matured: Vec::new(),
             step_keep: Vec::new(),
         })
     }
@@ -389,12 +401,23 @@ impl<'m> Simulator<'m> {
 
     /// Follows a change of sink, probes or profile: drops the observer
     /// box again when tracing, profiling and probing are all off,
-    /// restoring the single-`None` fast path, and re-plans the tally.
+    /// restoring the single-`None` fast path, and re-plans the write
+    /// routes.
     fn observer_changed(&mut self) {
         if self.observer.as_ref().is_some_and(|o| o.sink.is_none() && o.probes.is_none()) {
             self.observer = None;
         }
-        self.tally.plan(self.model, self.observer.as_deref());
+        self.counters.plan(self.model, self.observer.as_deref());
+    }
+
+    /// Restarts the profile at the current cycle: the runtime's counters
+    /// and probe hit counts together with the simulator's [`Counters`].
+    pub(crate) fn restart_profile(&mut self) {
+        let now = self.stats.cycles;
+        if let Some(runtime) = self.runtime_mut() {
+            runtime.restart(now);
+        }
+        self.counters.restart();
     }
 
     /// Enables or disables the execution trace.
@@ -495,8 +518,8 @@ impl<'m> Simulator<'m> {
         let runtime =
             obs.probes.get_or_insert_with(|| Box::new(ProbeRuntime::new(empty, &obs.names)));
         runtime.enable_arch(cycles);
-        self.tally.restart();
         self.observer_changed();
+        self.restart_profile();
     }
 
     /// The architecture profile accumulated since
@@ -512,7 +535,7 @@ impl<'m> Simulator<'m> {
             return None;
         }
         let mut profile = runtime.arch_profile(&obs.names, self.stats.cycles);
-        self.tally.fold_into(self.model, &obs.names, &mut profile);
+        self.counters.fold_into(self.model, &obs.names, &mut profile);
         Some(profile)
     }
 
@@ -600,9 +623,43 @@ impl<'m> Simulator<'m> {
     // is off. A trace event is built only for an installed sink; probe
     // hits a write triggers follow it in the same stream.
 
-    /// Reports a write: the class's write event to the sink, the write to
-    /// the runtime.
+    /// Reports a write along its planned [`Route`]: a register-write
+    /// count, then [`Simulator::hand_off_write`]. `flat` is worked out
+    /// only for a write that is handed off. Inlined into the ops
+    /// backend's store paths; the interpreter calls it through
+    /// [`Simulator::emit_write`].
+    #[inline(always)]
+    pub(crate) fn route_write(
+        &mut self,
+        res: ResourceId,
+        flat: impl FnOnce(&Self) -> usize,
+        value: i64,
+    ) {
+        match self.counters.writes.get(res.0) {
+            Some(&Route::Emit { count }) => {
+                if count {
+                    self.counters.register_writes += 1;
+                }
+                let flat = flat(self);
+                self.hand_off_write(res, flat, value);
+            }
+            Some(Route::Count) => self.counters.register_writes += 1,
+            Some(Route::Skip) | None => {}
+        }
+    }
+
+    /// [`Simulator::route_write`] out of line, so the interpreter's write
+    /// funnel stays as small as without observation.
+    #[inline(never)]
     pub(crate) fn emit_write(&mut self, res: ResourceId, flat: usize, value: i64) {
+        self.route_write(res, |_| flat, value);
+    }
+
+    /// Hands a write routed [`Route::Emit`] on: the class's write event
+    /// to the sink, the write to the runtime. Out of line, so a skipped
+    /// or counted write pays no frame for it.
+    #[inline(never)]
+    fn hand_off_write(&mut self, res: ResourceId, flat: usize, value: i64) {
         use lisa_core::ast::ResourceClass;
         let cycle = self.stats.cycles;
         let model = self.model;
@@ -627,29 +684,42 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Reports a behavior execution of `op`, scheduled or invoked.
+    /// Reports a behavior execution of `op`, scheduled or invoked, along
+    /// the planned [`Counters::units`] route. Out of line, so the ops
+    /// backend's unobserved dispatch loop stays as small as it is
+    /// without observation (inlined, a report read ~1.5% slower on
+    /// `kernels-ops`); the event is built in a cold helper, so a report
+    /// with no sink is one byte compare and at most one add.
+    #[inline(never)]
     pub(crate) fn emit_exec(&mut self, op: OpId) {
+        match self.counters.units {
+            Route::Skip => {}
+            Route::Count => self.counters.op_execs[op.0] += 1,
+            Route::Emit { count } => {
+                if count {
+                    self.counters.op_execs[op.0] += 1;
+                }
+                self.trace_exec(op);
+            }
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn trace_exec(&mut self, op: OpId) {
         let stage = self.model.operation(op).stage.map(|(p, s)| (p, s as u16));
-        if self.tracing() {
-            let event =
-                TraceEvent::Exec { cycle: self.stats.cycles, op, stage, pc: self.current_pc() };
-            self.record(&event);
-        }
-        if let Some(runtime) = self.runtime_mut() {
-            runtime.observe_exec(op, stage);
-        }
+        let event = TraceEvent::Exec { cycle: self.stats.cycles, op, stage, pc: self.current_pc() };
+        self.record(&event);
     }
 
     /// Reports the decode of `word` to `op`. The program counter is read
     /// only for the sink or a running profile.
     pub(crate) fn emit_decode(&mut self, word: u128, op: OpId, cache_hit: bool) {
-        let tracing = self.tracing();
-        let profiling = self.runtime_mut().is_some_and(|r| r.arch_enabled());
-        if !tracing && !profiling {
+        if self.counters.units == Route::Skip {
             return;
         }
         let pc = self.current_pc();
-        if tracing {
+        if self.tracing() {
             self.record(&TraceEvent::Decode { cycle: self.stats.cycles, pc, word, op, cache_hit });
         }
         if let Some(runtime) = self.runtime_mut() {
@@ -657,14 +727,26 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Reports an activation of `to` by `from` after `delay` steps.
+    /// Reports an activation of `to` by `from` after `delay` steps, like
+    /// [`Simulator::emit_exec`].
+    #[inline(never)]
     pub(crate) fn emit_activation(&mut self, from: OpId, to: OpId, delay: u32) {
-        if self.tracing() {
-            self.record(&TraceEvent::Activation { cycle: self.stats.cycles, from, to, delay });
+        match self.counters.units {
+            Route::Skip => {}
+            Route::Count => self.counters.unit_acts[to.0] += 1,
+            Route::Emit { count } => {
+                if count {
+                    self.counters.unit_acts[to.0] += 1;
+                }
+                self.trace_activation(from, to, delay);
+            }
         }
-        if let Some(runtime) = self.runtime_mut() {
-            runtime.observe_activation(to);
-        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn trace_activation(&mut self, from: OpId, to: OpId, delay: u32) {
+        self.record(&TraceEvent::Activation { cycle: self.stats.cycles, from, to, delay });
     }
 
     /// Reports a fetch of `word`; only a sink sees fetches, so callers
@@ -741,21 +823,16 @@ impl<'m> Simulator<'m> {
         if let Some(main) = self.model.main_op() {
             ready.push(ExecItem { op: main, bind: Binding::Unbound });
         }
-        let mut matured = std::mem::take(&mut self.step_matured);
-        matured.clear();
-        // Partition by moving (no clones): matured items out, waiting
-        // items back into `pending` in their original order.
+        // Partition by moving (no clones): matured items to the ready
+        // list, waiting items back into `pending`, both in schedule order.
         std::mem::swap(&mut self.pending, &mut self.step_keep);
         for p in self.step_keep.drain(..) {
             if p.remaining == 0 {
-                matured.push(p);
+                ready.push(p.item);
             } else {
                 self.pending.push(p);
             }
         }
-        matured.sort_by_key(|p| p.seq);
-        ready.extend(matured.drain(..).map(|p| p.item));
-        self.step_matured = matured;
 
         let mut ops = self.ops.take();
         let mut i = 0;
@@ -772,13 +849,7 @@ impl<'m> Simulator<'m> {
             // freezes that stage and everything upstream of it).
             if let Some((pid, stage)) = self.model.operation(item.op).stage {
                 if self.pipes[pid.0].stall_upto.is_some_and(|s| stage <= s) {
-                    self.seq += 1;
-                    self.pending.push(Pending {
-                        item,
-                        pipe: Some((pid, stage)),
-                        remaining: 0,
-                        seq: self.seq,
-                    });
+                    self.pending.push(Pending { item, pipe: Some((pid, stage)), remaining: 0 });
                     continue;
                 }
             }
@@ -955,7 +1026,7 @@ impl<'m> Simulator<'m> {
         };
 
         if self.observing() {
-            self.ops_exec(item.op);
+            self.emit_exec(item.op);
         }
 
         self.run_routine(t, id)?;
@@ -1078,13 +1149,7 @@ impl<'m> Simulator<'m> {
         if total == 0 {
             ready.push(item);
         } else {
-            self.seq += 1;
-            self.pending.push(Pending {
-                item,
-                pipe: target_stage,
-                remaining: total,
-                seq: self.seq,
-            });
+            self.pending.push(Pending { item, pipe: target_stage, remaining: total });
         }
         Ok(())
     }
@@ -1270,5 +1335,49 @@ impl<'m> Simulator<'m> {
             self.predecode_program_memory();
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lisa_probe::ProbeSpec;
+
+    use super::*;
+
+    #[test]
+    fn routes_follow_the_sink_probes_and_profile() {
+        use Route::{Count, Emit, Skip};
+        let model = Model::from_source(
+            "RESOURCE { PROGRAM_COUNTER int pc; REGISTER int acc; DATA_MEMORY int dmem[16]; }
+             OPERATION main { BEHAVIOR { pc = pc + 1; } }",
+        )
+        .expect("model builds");
+        let mut sim = Simulator::new(&model, SimMode::Ops).expect("simulator builds");
+        // The write routes of `pc`, `acc` and `dmem`, and the units route.
+        let routes = |sim: &Simulator<'_>| {
+            let writes = ["pc", "acc", "dmem"]
+                .map(|n| sim.counters.writes.get(model.resource_by_name(n).unwrap().id.0).copied());
+            (writes, sim.counters.units)
+        };
+        let (count, heat, both) =
+            (Some(Count), Some(Emit { count: false }), Some(Emit { count: true }));
+        assert_eq!(routes(&sim), ([None; 3], Skip), "no observer, no routes");
+        sim.set_probes(ProbeSet::empty(&model));
+        assert_eq!(routes(&sim), ([Some(Skip); 3], Skip));
+        sim.enable_arch_profile();
+        assert_eq!(routes(&sim), ([count, count, heat], Count));
+        let probes = ProbeSpec::parse("watch acc; break 9").unwrap().compile(&model).unwrap();
+        sim.set_probes(probes);
+        let expected = ([both, both, heat], Count);
+        assert_eq!(routes(&sim), expected, "PC probes match every PC write");
+        sim.set_probes(ProbeSet::empty(&model));
+        assert_eq!(routes(&sim), ([count, count, heat], Count));
+        sim.set_trace(true);
+        let expected = ([both, both, heat], Emit { count: true });
+        assert_eq!(routes(&sim), expected, "a sink sees every event");
+        sim.clear_probes();
+        assert_eq!(routes(&sim), ([heat; 3], Emit { count: false }));
+        sim.set_trace(false);
+        assert_eq!(routes(&sim), ([None; 3], Skip));
     }
 }

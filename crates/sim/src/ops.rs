@@ -33,9 +33,9 @@
 //! tracing and statistics all reuse the shared engine paths, so
 //! `State::digest` and mode-independent `SimStats` stay byte-identical
 //! across both modes (enforced by `lisa-conform`'s lockstep oracle).
-//! While the arch profile is the only listener, register writes through
-//! cells, executions and activations are counted in the simulator's
-//! tally instead of being reported to the probe runtime.
+//! Both backends count the arch profile's register writes, executions
+//! and activations in the simulator's one set of counters; a cell write
+//! that only the profile listens to is counted in line.
 
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ use lisa_core::ast::{ActNode, AssignOp, BinOp, ResourceClass, UnOp};
 use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
 use lisa_isa::Decoded;
 
-use crate::engine::{Binding, ExecItem, Pending, Route};
+use crate::engine::{Binding, ExecItem, Pending};
 use crate::eval::{apply_binop, compound_binop, saturate};
 use crate::fasthash::FastMap;
 use crate::lower::{lower_act_expr, Builtin, LBlock, LExpr, LPlace, LStmt, Lowered, PipeOp};
@@ -2168,9 +2168,8 @@ impl Simulator<'_> {
     }
 
     /// Writes a destination operand; a cell write is reported first,
-    /// through the tally's route for its resource. A cell is in bounds,
-    /// so the write cannot fail. Inlined at the dispatch loop's one
-    /// store site.
+    /// along its resource's route. A cell is in bounds, so the write
+    /// cannot fail. Inlined at the dispatch loop's one store site.
     #[inline(always)]
     fn ops_put(&mut self, slots: &mut [i64], dst: Operand, value: i64) {
         match dst {
@@ -2178,14 +2177,7 @@ impl Simulator<'_> {
             Operand::Cell { res, wrap, cell } => {
                 if self.observing() {
                     let res = ResourceId(usize::from(res));
-                    match self.tally.cells[res.0] {
-                        Route::Count => self.tally.register_writes += 1,
-                        Route::Emit => {
-                            let flat = self.state.layout().flat(res, cell);
-                            self.emit_write(res, flat, value);
-                        }
-                        Route::Skip => {}
-                    }
+                    self.route_write(res, |sim| sim.state.layout().flat(res, cell), value);
                 }
                 self.state.put_cell(cell, wrap, value);
             }
@@ -2204,36 +2196,12 @@ impl Simulator<'_> {
     /// order to the interpretive backend.
     fn ops_write(&mut self, res: ResourceId, flat: usize, value: i64) -> Result<(), SimError> {
         if self.observing() {
-            self.emit_write(res, flat, value);
+            self.route_write(res, |_| flat, value);
         }
         if self.state.write_flat(res, flat, value) {
             Ok(())
         } else {
             Err(self.ops_oob(res, flat as i64))
-        }
-    }
-
-    /// Reports an ops-mode behavior execution: a
-    /// [`Tally`](crate::engine::Tally) count while the profile is the only
-    /// listener, else the emit helper. Callers guard with `observing`. Out
-    /// of line, so the unobserved dispatch loop stays as small as before
-    /// (inlined, it read ~1.5% slower on `kernels-ops`).
-    #[inline(never)]
-    pub(crate) fn ops_exec(&mut self, op: OpId) {
-        match self.tally.units {
-            Route::Count => self.tally.op_execs[op.0] += 1,
-            Route::Emit => self.emit_exec(op),
-            Route::Skip => {}
-        }
-    }
-
-    /// Reports an activation of `t`, like [`Simulator::ops_exec`].
-    #[inline(never)]
-    fn ops_activation(&mut self, t: &ActTarget) {
-        match self.tally.units {
-            Route::Count => self.tally.unit_acts[t.op.0] += 1,
-            Route::Emit => self.emit_activation(t.from, t.op, t.delay),
-            Route::Skip => {}
         }
     }
 
@@ -2278,7 +2246,7 @@ impl Simulator<'_> {
     ) -> Result<(), SimError> {
         self.stats.executed_ops += 1;
         if self.observing() {
-            self.ops_exec(op);
+            self.emit_exec(op);
         }
         self.run_routine(t, id)?;
         self.invoke_plan(t, id)
@@ -2414,7 +2382,7 @@ impl Simulator<'_> {
                 MicroOp::Enter(op) => {
                     self.stats.executed_ops += 1;
                     if self.observing() {
-                        self.ops_exec(op);
+                        self.emit_exec(op);
                     }
                     continue;
                 }
@@ -2494,7 +2462,7 @@ impl Simulator<'_> {
                     let t = &plan.targets[*k as usize];
                     self.stats.activations += 1;
                     if self.observing() {
-                        self.ops_activation(t);
+                        self.emit_activation(t.from, t.op, t.delay);
                     }
                     let bind = t.routine.map_or(Binding::Unbound, Binding::Routine);
                     if t.delay == 0 {
@@ -2503,13 +2471,8 @@ impl Simulator<'_> {
                             ActSink::Local(out) => out.push(*k),
                         }
                     } else {
-                        self.seq += 1;
-                        self.pending.push(Pending {
-                            item: ExecItem { op: t.op, bind },
-                            pipe: t.stage,
-                            remaining: t.delay,
-                            seq: self.seq,
-                        });
+                        let item = ExecItem { op: t.op, bind };
+                        self.pending.push(Pending { item, pipe: t.stage, remaining: t.delay });
                     }
                 }
                 ActStep::Pipe(p) => self.apply_pipe_op(*p),
@@ -2626,7 +2589,6 @@ impl Simulator<'_> {
                 item: ExecItem { op: p.item.op, bind: t.portable(&p.item.bind) },
                 pipe: p.pipe,
                 remaining: p.remaining,
-                seq: p.seq,
             })
             .collect()
     }

@@ -2,12 +2,12 @@
 //!
 //! A [`Snapshot`] captures everything that changes while a simulator
 //! runs: the architectural [`State`], per-pipeline control state,
-//! in-flight delayed activations, accumulated [`SimStats`], the
-//! activation sequence counter, and the decode cache. The decode cache's
-//! entries are `Arc`-shared with the simulator, so snapshotting a
-//! warmed-up ops simulator is cheap and restoring one skips the
-//! translate-time decode work entirely — the foundation for forking one
-//! warm simulator into many scenario runs (`lisa-exec`).
+//! in-flight delayed activations, accumulated [`SimStats`], and the
+//! decode cache. The decode cache's entries are `Arc`-shared with the
+//! simulator, so snapshotting a warmed-up ops simulator is cheap and
+//! restoring one skips the translate-time decode work entirely — the
+//! foundation for forking one warm simulator into many scenario runs
+//! (`lisa-exec`).
 //!
 //! Snapshots are plain owned data: `Send + Sync`, independent of the
 //! model borrow, so they can be stored, cloned, and shared across
@@ -58,7 +58,6 @@ pub struct Snapshot {
     pub(crate) pipes: Vec<PipeState>,
     pub(crate) pending: Vec<Pending>,
     pub(crate) stats: SimStats,
-    pub(crate) seq: u64,
     pub(crate) mode: SimMode,
     pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
 }
@@ -124,7 +123,6 @@ impl<'m> Simulator<'m> {
             pipes: self.pipes.clone(),
             pending: self.portable_pending(),
             stats: self.stats,
-            seq: self.seq,
             mode: self.mode,
             decode_cache: self.decode_cache.clone(),
         }
@@ -157,22 +155,16 @@ impl<'m> Simulator<'m> {
         self.pipes = snapshot.pipes.clone();
         self.pending = snapshot.pending.clone();
         self.stats = snapshot.stats;
-        self.seq = snapshot.seq;
         self.decode_cache = snapshot.decode_cache.clone();
         // Routine ids are local to one simulator: the snapshot carries
         // decoded bindings, resolved here through the instance cache.
         // Cached routines stay valid, since a word's routine depends only
         // on the model and the word, not on which decode cache built it.
         self.ops_bind_pending();
-        if let Some(obs) = self.observer.as_mut() {
-            if let Some(sink) = obs.sink.as_mut() {
-                sink.clear();
-            }
-            if let Some(runtime) = obs.probes.as_mut() {
-                runtime.restart(self.stats.cycles);
-            }
+        if let Some(sink) = self.observer.as_mut().and_then(|o| o.sink.as_mut()) {
+            sink.clear();
         }
-        self.tally.restart();
+        self.restart_profile();
         Ok(())
     }
 }

@@ -70,6 +70,30 @@ fn delayed_activation_inside_conditionals() {
 }
 
 #[test]
+fn activations_maturing_on_one_step_run_in_activation_order() {
+    let model = Model::from_source(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int log; }
+        OPERATION first { BEHAVIOR { log = log * 10 + 1; } }
+        OPERATION second { BEHAVIOR { log = log * 10 + 2; } }
+        OPERATION main {
+            BEHAVIOR { pc = pc + 1; }
+            ACTIVATION {
+                if (pc == 1) { ;; first }
+                if (pc == 2) { ; second }
+            }
+        }
+        "#,
+    )
+    .expect("builds");
+    // `first` is activated at cycle 0 with delay 2 and `second` at cycle
+    // 1 with delay 1: both mature at cycle 2, where the longer-waiting
+    // `first` runs first.
+    let sim = run_both(&model, 3);
+    assert_eq!(read(&sim, "log"), 12);
+}
+
+#[test]
 fn op_reference_bindings_flow_through_coding() {
     // `user` embeds `imm4` directly (not via a group); its behavior reads
     // and writes through the reference.

@@ -378,3 +378,32 @@ fn profile_span_follows_enable_restore_and_set_probes() {
         assert_eq!(runs[0], runs[1], "{name}: interpretive vs ops");
     }
 }
+
+#[test]
+fn register_writes_count_constant_and_run_time_indices_alike() {
+    // `R[1]` has a constant index and `R[i]` a run-time one, so the ops
+    // backend stores them through different paths; with `i` and `pc`
+    // every cycle writes four registers.
+    let model = Model::from_source(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int i; REGISTER int R[4]; }
+        OPERATION main {
+            BEHAVIOR { R[1] = R[1] + 1; R[i] = pc; i = (i + 1) % 4; pc = pc + 1; }
+        }
+        "#,
+    )
+    .expect("model builds");
+    let profiles = [false, true].map(|traced| {
+        MODES.map(|mode| {
+            let mut sim = Simulator::new(&model, mode).expect("simulator builds");
+            sim.set_trace(traced);
+            sim.enable_arch_profile();
+            sim.run(10).expect("runs");
+            sim.arch_profile().expect("profile on")
+        })
+    });
+    for profile in profiles.iter().flatten() {
+        assert_eq!(profile.register_writes, 40, "{profile:?}");
+        assert_eq!(profile, &profiles[0][0]);
+    }
+}
