@@ -7,10 +7,9 @@
 //! every arm back to back, in arm order, so host speed drift hits the
 //! whole round alike and cancels in ratios within a round; medians over
 //! rounds drop millisecond bursts. A call takes `repeats` times the
-//! rounds that fit the budget, 1..=64 per repeat, calibrated off the
-//! median of [`CALIBRATION_RUNS`] unchecked runs of the first arm, so
-//! one host blip does not set the round count; every sample of every
-//! arm must take as many cycles as the first of them.
+//! rounds that fit the budget, 1..=64 per repeat, calibrated off one
+//! unchecked run of the first arm; every sample of every arm must take
+//! as many cycles as that run.
 
 use std::time::{Duration, Instant};
 
@@ -19,9 +18,6 @@ use lisa_models::Workbench;
 use lisa_sim::{SimMode, Simulator};
 
 type SimFn<'a> = Box<dyn Fn(&mut Simulator<'_>) + 'a>;
-
-/// Unchecked runs of the first arm whose median sets the round count.
-pub const CALIBRATION_RUNS: usize = 3;
 
 /// One configuration under test: a backend plus what to install before
 /// the run, time after it and check once it is done.
@@ -148,16 +144,8 @@ pub fn sample_rounds(
     repeats: usize,
     budget: Duration,
 ) -> Samples {
-    let first = arms.first().expect("at least one arm");
-    let calibration: Vec<(Duration, u64, u64)> = (0..CALIBRATION_RUNS)
-        .map(|_| {
-            let (elapsed, cycles, sim) = run(wb, kernel, first);
-            (elapsed, cycles, sim.stats().instructions_retired)
-        })
-        .collect();
-    let (_, cycles, instructions) = calibration[0];
-    let once =
-        Duration::from_secs_f64(median(calibration.iter().map(|c| c.0.as_secs_f64()).collect()));
+    let (once, cycles, sim) = run(wb, kernel, arms.first().expect("at least one arm"));
+    let instructions = sim.stats().instructions_retired;
     let round = || arms.iter().map(|arm| sample(wb, kernel, arm, cycles)).collect();
     let rounds = (0..repeats.max(1) * rounds_per_repeat(budget, once)).map(|_| round()).collect();
     Samples { cycles, instructions, rounds }
@@ -193,13 +181,12 @@ mod tests {
         // Only timed runs are checked: the rounds, in arm order.
         let checks = checks.into_inner();
         assert_eq!(checks, [0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        // The unchecked calibration runs of arm 0, then an untimed and a
+        // The unchecked calibration run of arm 0, then an untimed and a
         // timed run per sample.
         let setups = setups.into_inner();
-        let (calibration, samples) = setups.split_at(CALIBRATION_RUNS);
-        assert_eq!(calibration, [0; CALIBRATION_RUNS]);
-        assert_eq!(samples.len(), 2 * checks.len());
-        assert!(samples.chunks(2).zip(&checks).all(|(pair, &c)| pair == [c, c]));
+        assert_eq!(setups[0], 0);
+        assert_eq!(setups.len(), 1 + 2 * checks.len());
+        assert!(setups[1..].chunks(2).zip(&checks).all(|(pair, &c)| pair == [c, c]));
     }
 
     #[test]

@@ -338,6 +338,13 @@ impl ProbeSet {
         &self.labels
     }
 
+    /// Whether a profile records heat for writes to `res`: it is a
+    /// memory, so it has a heatmap slot.
+    #[must_use]
+    pub fn records_heat(&self, res: ResourceId) -> bool {
+        self.heat_slot.get(res.0).is_some_and(Option::is_some)
+    }
+
     /// Whether a write to `res` can match a probe: a watchpoint on it,
     /// or a breakpoint or tracepoint when it is the program counter.
     #[must_use]
@@ -419,13 +426,18 @@ mod tests {
 
     #[test]
     fn heatmap_layout_covers_memories_only() {
-        let set = ProbeSet::empty(&model());
+        let model = model();
+        let set = ProbeSet::empty(&model);
         assert_eq!(set.heat.len(), 2);
         assert_eq!(set.heat[0].0, "dmem");
         assert_eq!(set.heat[0].1, 256);
         assert_eq!(set.heat[1].0, "pmem");
         assert!(set.pc_res.is_some());
         assert!(set.is_empty());
+        let heat = ["pc", "acc", "R", "dmem", "pmem"]
+            .map(|n| set.records_heat(model.resource_by_name(n).unwrap().id));
+        assert_eq!(heat, [false, false, false, true, true]);
+        assert!(!set.records_heat(ResourceId(99)));
     }
 
     #[test]

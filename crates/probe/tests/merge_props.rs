@@ -59,8 +59,8 @@ const MODEL: &str = r"
         PIPELINE mac = { RD; WB };
     }
     OPERATION main { BEHAVIOR { pc = pc + 1; } }
-    OPERATION add { BEHAVIOR { R[0] = R[1] + R[2]; } }
-    OPERATION mul { BEHAVIOR { R[0] = R[1] * R[2]; } }
+    OPERATION add IN pipe.EX { BEHAVIOR { R[0] = R[1] + R[2]; } }
+    OPERATION mul IN mac.RD { BEHAVIOR { R[0] = R[1] * R[2]; } }
     OPERATION store { BEHAVIOR { dmem[R[0]] = R[1]; } }
 ";
 
@@ -144,13 +144,17 @@ fn profile_of(events: &[TraceEvent], cycles: u64) -> ArchProfile {
     for event in events {
         feed(&mut runtime, event);
     }
-    runtime.arch_profile(names, 7 + cycles)
+    let mut profile = runtime.arch_profile(names, 7 + cycles);
+    for event in events {
+        count(model, names, &mut profile, event);
+    }
+    profile
 }
 
 /// Reports `event` through the runtime's typed entry for its kind, as a
 /// backend does. Fetch, Print, Exec and Activation feed nothing (the
-/// simulator counts executions and activations itself); a write is
-/// memory heat when its resource is a memory.
+/// simulator counts executions and activations itself, see [`count`]);
+/// a write is memory heat when its resource is a memory.
 fn feed(runtime: &mut ProbeRuntime, event: &TraceEvent) {
     match *event {
         TraceEvent::Decode { pc, .. } => runtime.observe_decode(pc),
@@ -159,6 +163,33 @@ fn feed(runtime: &mut ProbeRuntime, event: &TraceEvent) {
         TraceEvent::MemoryAccess { cycle, resource, addr, value }
         | TraceEvent::RegisterWrite { cycle, resource, addr, value } => {
             runtime.observe_write(cycle, resource, addr, value, |_| {});
+        }
+        _ => {}
+    }
+}
+
+/// Adds what the simulator's own counters hold for `event` to `profile`,
+/// as their fold does: an execution (and its operation's static stage as
+/// busy), an activation, or a write to a model resource that is not a
+/// memory. Events naming ids outside the model count nothing.
+fn count(model: &Model, names: &NameTable, profile: &mut ArchProfile, event: &TraceEvent) {
+    use lisa_core::ast::ResourceClass;
+    let known = |op: OpId| op.0 < model.operations().len();
+    match *event {
+        TraceEvent::Exec { op, .. } if known(op) => {
+            *profile.op_execs.entry(names.op(op).to_owned()).or_default() += 1;
+            if let Some((pipe, stage)) = model.operation(op).stage {
+                *profile.stage_busy.entry(names.stage_key(pipe, stage)).or_default() += 1;
+            }
+        }
+        TraceEvent::Activation { to, .. } if known(to) => {
+            *profile.unit_activations.entry(names.op(to).to_owned()).or_default() += 1;
+        }
+        TraceEvent::MemoryAccess { resource, .. } | TraceEvent::RegisterWrite { resource, .. } => {
+            let register = model.resources().get(resource.0).is_some_and(|r| {
+                !matches!(r.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory)
+            });
+            profile.register_writes += u64::from(register);
         }
         _ => {}
     }
@@ -211,6 +242,11 @@ proptest! {
         prop_assert_eq!(m.cycles, a.cycles + b.cycles);
         prop_assert_eq!(m.instructions, a.instructions + b.instructions);
         prop_assert_eq!(m.register_writes, a.register_writes + b.register_writes);
+        let counts = |p: &ArchProfile| {
+            [&p.op_execs, &p.unit_activations, &p.stage_busy].map(|c| c.values().sum::<u64>())
+        };
+        let (ca, cb) = (counts(&a), counts(&b));
+        prop_assert_eq!(counts(&m), std::array::from_fn(|i| ca[i] + cb[i]));
         prop_assert_eq!(m.probe_hits(), a.probe_hits() + b.probe_hits());
         let pcs = |p: &ArchProfile| p.hot_pcs.values().sum::<u64>();
         prop_assert_eq!(pcs(&m), pcs(&a) + pcs(&b));

@@ -137,22 +137,21 @@ pub(crate) struct Counters {
 impl Counters {
     /// Plans the routes for the installed observer: the one place that
     /// decides what a write to each resource, an execution and an
-    /// activation do. A profile counts executions, activations and
-    /// writes to registers, and records write heat for memories; a sink
-    /// sees every event; probes match the writes their set names.
+    /// activation do. A profile counts executions, activations and the
+    /// writes its probe set records no heat for (registers), and hands
+    /// the others (memories) to the runtime as heat; a sink sees every
+    /// event; probes match the writes their set names.
     fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
-        use lisa_core::ast::ResourceClass;
         self.writes.clear();
         self.units = Route::Skip;
         let Some(obs) = observer else { return };
-        let runtime = obs.probes.as_deref();
-        let profiling = runtime.is_some_and(ProbeRuntime::arch_enabled);
+        let set = obs.probes.as_deref().map(ProbeRuntime::probe_set);
+        let profiling = obs.probes.as_deref().is_some_and(ProbeRuntime::arch_enabled);
         let tracing = obs.sink.is_some();
         self.writes.extend(model.resources().iter().map(|r| {
-            let memory =
-                matches!(r.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory);
-            let matched = runtime.is_some_and(|rt| rt.probe_set().matches_writes_to(r.id));
-            Route::new(profiling && !memory, tracing || matched || (profiling && memory))
+            let heat = profiling && set.is_some_and(|s| s.records_heat(r.id));
+            let matched = set.is_some_and(|s| s.matches_writes_to(r.id));
+            Route::new(profiling && !heat, tracing || matched || heat)
         }));
         self.units = Route::new(profiling, tracing);
         if profiling {
@@ -713,7 +712,9 @@ impl<'m> Simulator<'m> {
     }
 
     /// Reports the decode of `word` to `op`. The program counter is read
-    /// only for the sink or a running profile.
+    /// only for the sink or a running profile: [`Counters::plan`] sets
+    /// `units` to [`Route::Skip`] exactly when neither is on, so one byte
+    /// compare stands for both.
     pub(crate) fn emit_decode(&mut self, word: u128, op: OpId, cache_hit: bool) {
         if self.counters.units == Route::Skip {
             return;

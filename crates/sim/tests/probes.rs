@@ -407,3 +407,40 @@ fn register_writes_count_constant_and_run_time_indices_alike() {
         assert_eq!(profile, &profiles[0][0]);
     }
 }
+
+#[test]
+fn execution_stage_and_activation_counts_fold_by_name() {
+    // `main` runs every cycle and activates `ex` in `p.EX` on its first
+    // four; each activation executes `ex` one cycle later, so in ten
+    // cycles `main` runs 10 times, `ex` is activated and runs 4 times,
+    // all in `p.EX`, and the registers take 10 `pc` and 4 `acc` writes.
+    let model = Model::from_source(
+        r#"
+        RESOURCE { PROGRAM_COUNTER int pc; REGISTER int acc; PIPELINE p = { ID; EX }; }
+        OPERATION ex IN p.EX { BEHAVIOR { acc = acc + 1; } }
+        OPERATION main {
+            BEHAVIOR { pc = pc + 1; }
+            ACTIVATION { if (pc <= 4) { ex } p.shift() }
+        }
+        "#,
+    )
+    .expect("model builds");
+    for traced in [false, true] {
+        for mode in MODES {
+            let mut sim = Simulator::new(&model, mode).expect("simulator builds");
+            sim.set_trace(traced);
+            sim.enable_arch_profile();
+            sim.run(10).expect("runs");
+            let profile = sim.arch_profile().expect("profile on");
+            let ctx = format!("{mode:?}, traced {traced}: {profile:?}");
+            assert_eq!(profile.op_execs.len(), 2, "{ctx}");
+            assert_eq!(profile.op_execs["main"], 10, "{ctx}");
+            assert_eq!(profile.op_execs["ex"], 4, "{ctx}");
+            assert_eq!(profile.stage_busy.len(), 1, "{ctx}");
+            assert_eq!(profile.stage_busy["p.EX"], 4, "{ctx}");
+            assert_eq!(profile.unit_activations.len(), 1, "{ctx}");
+            assert_eq!(profile.unit_activations["ex"], 4, "{ctx}");
+            assert_eq!(profile.register_writes, 14, "{ctx}");
+        }
+    }
+}
