@@ -30,9 +30,11 @@
 //!   observation every `/v1/simulate` request pays. Gated.
 //!
 //! Methodology: every configuration is one arm of the shared kernel
-//! sampler ([`lisa_bench::sampler`]; `plain` calibrates a 10 ms budget
-//! per repeat). A cell's overhead is the median over rounds of its run
-//! time over the `plain` time of the same round.
+//! sampler ([`lisa_bench::sampler`]; [`BUDGET_CYCLES`] simulated cycles
+//! per repeat). A cell shows the arm's median ns per simulated cycle,
+//! then its overhead: the median over rounds of its run time over the
+//! `plain` time of the same round. The ns/cycle figures tell a dearer
+//! observer from a faster `plain`, which moves every ratio alike.
 //!
 //! Acceptance gates on the geometric-mean overheads (the process exits 1
 //! past any of them, so CI can hold the line): `off`, `metrics` and
@@ -40,14 +42,14 @@
 //! bounds sit well above the highest of six `--quick` runs on a 2-vCPU
 //! Xeon VM (`empty` 4.4–5.7%, `profile` 8.8–12.3%).
 //!
-//! `--quick` shrinks repeats and the budget (5 ms) for CI.
+//! `--quick` shrinks repeats (7, not 9) for CI.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use lisa_bench::sampler::{geomean, sample_rounds, Arm};
+use lisa_bench::sampler::{geomean, median, sample_rounds, Arm};
 use lisa_bench::{model_suites, write_report};
 use lisa_core::ast::ResourceClass;
 use lisa_metrics::Registry;
@@ -76,6 +78,12 @@ const NAMES: [&str; 10] = [
 /// are held under 2%; the armed `empty` runtime and `profile` under
 /// their own bounds.
 const GATED: [(usize, f64); 5] = [(1, 2.0), (2, 2.0), (3, 2.0), (7, 10.0), (9, 18.0)];
+
+/// Simulated cycles per repeat: a repeat holds as many rounds as runs of
+/// the kernel fit in it (at most 64). Every kernel gets at least the
+/// median round count of the 5 ms (`--quick`) and 10 ms wall-clock
+/// budgets this replaced.
+const BUDGET_CYCLES: u64 = 14_000;
 
 /// The [`NAMES`] configurations as ops arms: `registry` stays warm across
 /// samples, `spans` backs both span configurations.
@@ -124,7 +132,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let repeats: usize = if quick { 7 } else { 9 };
-    let budget = Duration::from_millis(if quick { 5 } else { 10 });
 
     let registry = Registry::new();
     let spans = Arc::new(SpanRecorder::new(1 << 12));
@@ -139,30 +146,36 @@ fn main() -> ExitCode {
     let mut out = String::new();
     writeln!(
         out,
-        "E10/E12/E14/E16 — observer overhead (ops mode, median of paired rounds, {repeats} x {budget:?} per kernel)"
+        "E10/E12/E14/E16 — observer overhead (ops mode, median of paired rounds, {repeats} x {BUDGET_CYCLES} cycles per kernel)"
     )
     .unwrap();
+    writeln!(out, "each arm: median ns/cycle, then median overhead vs plain").unwrap();
     writeln!(out).unwrap();
-    write!(out, "{:<22} {:>6} {:>12}", "kernel", "cycles", "plain c/s").unwrap();
+    write!(out, "{:<22} {:>6} {:>7}", "kernel", "cycles", "plain").unwrap();
     for name in &NAMES[1..] {
-        write!(out, " {name:>9}").unwrap();
+        write!(out, " {name:>15}").unwrap();
     }
     writeln!(out).unwrap();
-    let rule = "-".repeat(42 + 10 * (NAMES.len() - 1));
+    let rule = "-".repeat(37 + 16 * (NAMES.len() - 1));
     writeln!(out, "{rule}").unwrap();
 
-    // Per-config median time ratios vs plain, one per kernel.
+    // Per-config median ns/cycle and median time ratios vs plain, one
+    // per kernel.
+    let mut ns_per_cycle = vec![Vec::new(); NAMES.len()];
     let mut ratios = vec![Vec::new(); NAMES.len()];
     for (_, wb, suite) in &suites {
         let arms = configs(wb, &registry, &spans);
         for kernel in suite {
-            let samples = sample_rounds(wb, kernel, &arms, repeats, budget);
-            let best_plain = samples.times(0).into_iter().fold(f64::INFINITY, f64::min);
-            let cps = samples.cycles as f64 / best_plain;
-            write!(out, "{:<22} {:>6} {:>12.0}", kernel.name, samples.cycles, cps).unwrap();
+            let samples = sample_rounds(wb, kernel, &arms, repeats, BUDGET_CYCLES);
+            for (i, column) in ns_per_cycle.iter_mut().enumerate() {
+                column.push(median(samples.times(i)) * 1e9 / samples.cycles as f64);
+            }
+            let plain = ns_per_cycle[0].last().expect("pushed");
+            write!(out, "{:<22} {:>6} {:>7.1}", kernel.name, samples.cycles, plain).unwrap();
             for (i, column) in ratios.iter_mut().enumerate().skip(1) {
                 let r = samples.median_ratio(i, 0);
-                write!(out, " {:>8.1}%", (r - 1.0) * 100.0).unwrap();
+                let ns = ns_per_cycle[i].last().expect("pushed");
+                write!(out, " {ns:>7.1} {:>6.1}%", (r - 1.0) * 100.0).unwrap();
                 column.push(r);
             }
             writeln!(out).unwrap();
@@ -170,6 +183,10 @@ fn main() -> ExitCode {
     }
     let geo_ovh = |i: usize| (geomean(&ratios[i]) - 1.0) * 100.0;
     writeln!(out, "{rule}").unwrap();
+    let means: Vec<String> = (0..NAMES.len())
+        .map(|i| format!("{} {:.1}", NAMES[i], geomean(&ns_per_cycle[i])))
+        .collect();
+    writeln!(out, "geometric-mean ns/cycle: {}", means.join(", ")).unwrap();
     let means: Vec<String> =
         (1..NAMES.len()).map(|i| format!("{} {:.1}%", NAMES[i], geo_ovh(i))).collect();
     writeln!(out, "geometric-mean overheads vs plain: {}", means.join(", ")).unwrap();

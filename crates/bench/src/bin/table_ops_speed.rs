@@ -22,16 +22,17 @@
 //! the ops time of the same round; the c/s columns use median rounds.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use lisa_bench::sampler::{geomean, median, sample_rounds, Arm};
 use lisa_bench::{model_suites, write_report};
 use lisa_sim::SimMode;
 
-/// Repeats per kernel, each holding as many rounds as interpretive runs
-/// of the kernel fit [`BUDGET`] (at most 64).
+/// Repeats per kernel, each holding as many rounds as runs of the
+/// kernel fit [`BUDGET_CYCLES`] (at most 64).
 const REPEATS: usize = 9;
-const BUDGET: Duration = Duration::from_millis(10);
+/// Simulated cycles per repeat: every kernel gets at least the median
+/// round count of the 10 ms wall-clock budget this replaced.
+const BUDGET_CYCLES: u64 = 4_000;
 
 /// Hard gate: minimum geometric-mean ops-over-interpretive speedup.
 /// Six runs of the paired-median sampler read 9.9-10.4x on the
@@ -49,7 +50,7 @@ fn main() {
     let mut out = String::new();
     writeln!(
         out,
-        "E3/E15 — compiled (ops) vs interpretive simulation speed (median of paired rounds, {REPEATS} x {BUDGET:?} per kernel)"
+        "E3/E15 — compiled (ops) vs interpretive simulation speed (median of paired rounds, {REPEATS} x {BUDGET_CYCLES} cycles per kernel)"
     )
     .unwrap();
     writeln!(out).unwrap();
@@ -65,7 +66,7 @@ fn main() {
     let mut speedups = Vec::new();
     for (_, wb, suite) in model_suites(false) {
         for kernel in &suite {
-            let s = sample_rounds(&wb, kernel, &arms, REPEATS, BUDGET);
+            let s = sample_rounds(&wb, kernel, &arms, REPEATS, BUDGET_CYCLES);
             let cps = |arm: usize| s.cycles as f64 / median(s.times(arm));
             let speedup = s.median_ratio(0, 1);
             writeln!(
@@ -94,7 +95,7 @@ fn main() {
     out.push_str(
         "\npaper claim: compiled simulation > 100x over interpretive (DAC'99 §3.3 / [13]),\n\
          measured against a fully naive interpretive simulator. Here the baseline\n\
-         is itself a predecoded Rust tree-walker sharing the engine's scheduler and\n\
+         is itself a Rust tree-walker sharing the engine's scheduler and\n\
          storage, so the remaining headroom is behavior evaluation only — see\n\
          EXPERIMENTS.md E15 for the breakdown.\n",
     );

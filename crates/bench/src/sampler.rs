@@ -1,5 +1,5 @@
-//! The one way this crate times a kernel: paired, warmed, calibrated
-//! rounds over a list of [`Arm`]s.
+//! The one way this crate times a kernel: paired, warmed rounds, as many
+//! as fit a budget in simulated cycles, over a list of [`Arm`]s.
 //!
 //! A sample loads the kernel fresh and does one untimed run, then one
 //! timed run on another fresh load, checked against the kernel's golden
@@ -7,9 +7,11 @@
 //! every arm back to back, in arm order, so host speed drift hits the
 //! whole round alike and cancels in ratios within a round; medians over
 //! rounds drop millisecond bursts. A call takes `repeats` times the
-//! rounds that fit the budget, 1..=64 per repeat, calibrated off one
-//! unchecked run of the first arm; every sample of every arm must take
-//! as many cycles as that run.
+//! runs of the kernel that fit a budget in simulated cycles, 1..=64 per
+//! repeat, counted off one unchecked run of the first arm. Cycle counts
+//! are deterministic, so a kernel gets the same rounds in every process
+//! whatever the host's speed; every sample of every arm must take as
+//! many cycles as that run.
 
 use std::time::{Duration, Instant};
 
@@ -97,11 +99,10 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// The runs of duration `once` (at least 1 µs) that fit `budget`,
-/// clamped to 1..=64.
-fn rounds_per_repeat(budget: Duration, once: Duration) -> usize {
-    let once = once.max(Duration::from_micros(1));
-    (budget.as_nanos() / once.as_nanos()).clamp(1, 64) as usize
+/// The runs of `cycles` (at least 1) that fit `budget_cycles`, clamped
+/// to 1..=64.
+fn rounds_per_repeat(budget_cycles: u64, cycles: u64) -> usize {
+    (budget_cycles / cycles.max(1)).clamp(1, 64) as usize
 }
 
 /// One run of a fresh load under `arm`: (the run and its finish,
@@ -142,12 +143,13 @@ pub fn sample_rounds(
     kernel: &Kernel,
     arms: &[Arm<'_>],
     repeats: usize,
-    budget: Duration,
+    budget_cycles: u64,
 ) -> Samples {
-    let (once, cycles, sim) = run(wb, kernel, arms.first().expect("at least one arm"));
+    let (_, cycles, sim) = run(wb, kernel, arms.first().expect("at least one arm"));
     let instructions = sim.stats().instructions_retired;
     let round = || arms.iter().map(|arm| sample(wb, kernel, arm, cycles)).collect();
-    let rounds = (0..repeats.max(1) * rounds_per_repeat(budget, once)).map(|_| round()).collect();
+    let per_repeat = rounds_per_repeat(budget_cycles, cycles);
+    let rounds = (0..repeats.max(1) * per_repeat).map(|_| round()).collect();
     Samples { cycles, instructions, rounds }
 }
 
@@ -172,7 +174,7 @@ mod tests {
                     .check(move |_| check_log.borrow_mut().push(i))
             })
             .collect();
-        let samples = sample_rounds(&wb, &kernel, &arms, 3, Duration::ZERO);
+        let samples = sample_rounds(&wb, &kernel, &arms, 3, 0);
         drop(arms);
 
         assert_eq!(samples.rounds.len(), 3);
@@ -191,13 +193,26 @@ mod tests {
 
     #[test]
     fn rounds_per_repeat_fill_the_budget_clamped_to_1_through_64() {
-        let ms = Duration::from_millis;
-        assert_eq!(rounds_per_repeat(ms(10), ms(1)), 10);
-        assert_eq!(rounds_per_repeat(ms(10), ms(3)), 3);
-        assert_eq!(rounds_per_repeat(Duration::ZERO, ms(1)), 1);
-        assert_eq!(rounds_per_repeat(ms(1), ms(10)), 1);
-        assert_eq!(rounds_per_repeat(ms(10), Duration::from_micros(10)), 64);
-        assert_eq!(rounds_per_repeat(ms(10), Duration::ZERO), 64);
+        assert_eq!(rounds_per_repeat(10_000, 1_000), 10);
+        assert_eq!(rounds_per_repeat(10_000, 3_000), 3);
+        assert_eq!(rounds_per_repeat(0, 1_000), 1);
+        assert_eq!(rounds_per_repeat(1_000, 10_000), 1);
+        assert_eq!(rounds_per_repeat(10_000, 10), 64);
+        assert_eq!(rounds_per_repeat(10_000, 0), 64);
+    }
+
+    /// The round count depends on the kernel's cycles alone, so it is the
+    /// same in every call, however fast the host runs.
+    #[test]
+    fn rounds_follow_the_kernels_cycles() {
+        let wb = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
+        let kernel = kernels::tiny_fib(8);
+        let arms = [Arm::new(SimMode::Ops)];
+        let cycles = sample_rounds(&wb, &kernel, &arms, 1, 0).cycles;
+        for (budget, rounds) in [(cycles, 1), (5 * cycles + cycles / 2, 5), (100 * cycles, 64)] {
+            let samples = sample_rounds(&wb, &kernel, &arms, 2, budget);
+            assert_eq!(samples.rounds.len(), 2 * rounds, "budget {budget}");
+        }
     }
 
     #[test]
@@ -211,7 +226,7 @@ mod tests {
             Arm::new(SimMode::Interpretive),
             Arm::new(SimMode::Ops).setup(|sim| sim.step().expect("steps")),
         ];
-        let _ = sample_rounds(&wb, &kernel, &arms, 1, Duration::ZERO);
+        let _ = sample_rounds(&wb, &kernel, &arms, 1, 0);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! round-trips through [`BenchReport::to_json`] / [`BenchReport::from_json`]
 //! exactly; derived rates (MIPS, cycles/s) are computed, never stored.
 
-use std::time::Duration;
-
 use lisa_metrics::{json, Registry};
 use lisa_sim::SimMode;
 
@@ -111,7 +109,7 @@ pub struct BenchReport {
     /// Civil date (UTC) the run was taken, `YYYY-MM-DD`.
     pub date: String,
     /// Repeats per cell; each repeat holds the paired rounds that fit
-    /// the time budget (best/percentiles are over all rounds).
+    /// the cycle budget (best/percentiles are over all rounds).
     pub repeats: u32,
     /// Whether the reduced quick suite was used.
     pub quick: bool,
@@ -157,9 +155,10 @@ impl std::fmt::Display for Regression {
     }
 }
 
-/// Time budget per repeat: a repeat holds as many rounds as interpretive
-/// runs of the kernel fit in it.
-const BUDGET: Duration = Duration::from_millis(10);
+/// Simulated cycles per repeat: a repeat holds as many rounds as runs
+/// of the kernel fit in it (at most 64). Every kernel gets at least the
+/// median round count of the 10 ms wall-clock budget this replaced.
+const BUDGET_CYCLES: u64 = 4_000;
 
 /// Runs the benchmark matrix: every builtin model × both backends × its
 /// kernel suite, each kernel timed by [`sample_rounds`] with an
@@ -189,7 +188,7 @@ pub fn measure(quick: bool, repeats: u32, metrics: Option<&Registry>) -> BenchRe
     for (model, wb, suite) in model_suites(quick) {
         let samples: Vec<Samples> = suite
             .iter()
-            .map(|kernel| sample_rounds(&wb, kernel, &arms, repeats as usize, BUDGET))
+            .map(|kernel| sample_rounds(&wb, kernel, &arms, repeats as usize, BUDGET_CYCLES))
             .collect();
         for (arm, mode) in modes.into_iter().enumerate() {
             let backend = mode.metric_label();

@@ -25,7 +25,6 @@ use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
 use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
 
-use crate::fasthash::FastMap;
 use crate::ops::{ModelImage, OpsTables, RoutineId};
 use crate::{SimError, SimStats, State};
 
@@ -262,9 +261,9 @@ pub struct Simulator<'m> {
     pub(crate) pending: Vec<Pending>,
     pub(crate) stats: SimStats,
     pub(crate) mode: SimMode,
-    pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
     /// Translation caches for [`SimMode::Ops`] (`None` in other modes),
-    /// over the model's shared image.
+    /// over the model's shared image, including the one word cache:
+    /// each program word bound to its translated routine.
     ///
     /// Ops execution takes the box out for the length of a step (or an
     /// `execute_decoded` call) and passes it down explicitly, so routines
@@ -296,7 +295,7 @@ impl std::fmt::Debug for Simulator<'_> {
             .field("mode", &self.mode)
             .field("cycles", &self.stats.cycles)
             .field("in_flight", &self.pending.len())
-            .field("decode_cache", &self.decode_cache.len())
+            .field("words", &self.ops.as_ref().map_or(0, |t| t.words.len()))
             .finish_non_exhaustive()
     }
 }
@@ -341,7 +340,6 @@ impl<'m> Simulator<'m> {
             pending: Vec::new(),
             stats: SimStats::default(),
             mode,
-            decode_cache: FastMap::default(),
             ops,
             observer: None,
             counters: Counters::default(),
@@ -760,13 +758,18 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Pre-decodes every word of all `PROGRAM_MEMORY` resources into the
-    /// decode cache — the translate-time part of compiled simulation.
-    /// Words that do not decode are skipped (data in program memory).
+    /// Decodes every word of all `PROGRAM_MEMORY` resources and binds it
+    /// to its translated routine in the ops word cache — the
+    /// translate-time part of compiled simulation. Words that do not
+    /// decode are skipped (data in program memory), as are words bound
+    /// already. The interpreter decodes on every fetch and keeps no word
+    /// cache, so in interpretive mode this does nothing.
     ///
-    /// Returns the number of distinct words pre-decoded.
+    /// Returns the number of distinct words newly bound (0 in
+    /// interpretive mode).
     pub fn predecode_program_memory(&mut self) -> usize {
         use lisa_core::ast::ResourceClass;
+        let Some(t) = self.ops.as_deref_mut() else { return 0 };
         let _span = self.spans.as_ref().map(|s| s.start(SpanKind::Predecode));
         let Some(decoder) = &self.decoder else { return 0 };
         let mut added = 0;
@@ -778,18 +781,11 @@ impl<'m> Simulator<'m> {
                 // Keyed by the declared-width bits, as fetch sees the word:
                 // a sign-extended cell of an `int` memory would miss.
                 let Some(word) = self.state.word_flat(res.id, flat) else { continue };
-                if self.decode_cache.contains_key(&word) {
-                    continue;
-                }
-                if let Ok(decoded) = decoder.decode(word) {
-                    self.decode_cache.insert(word, Arc::new(decoded));
+                if !t.words.contains_key(&word) && t.bind_word(decoder, word).is_ok() {
                     added += 1;
                 }
             }
         }
-        // Ops mode pays the translate cost here too, so the cycle loop
-        // starts with every program word lowered to micro-op code.
-        self.ops_translate_decode_cache();
         added
     }
 
@@ -1305,12 +1301,12 @@ impl<'m> Simulator<'m> {
     }
 
     /// Writes a program image (words) into resource `memory` from address
-    /// `origin` on. Then every backend but the interpreter pre-decodes
-    /// program memory into the decode cache, and ops mode translates each
-    /// word to micro-op code (the translate-time step of compiled
-    /// simulation), so callers never invoke
-    /// [`Simulator::predecode_program_memory`] by hand after loading. An
-    /// empty image writes nothing, and `memory` is then not looked up.
+    /// `origin` on, then runs [`Simulator::predecode_program_memory`]: in
+    /// ops mode every program word is decoded and translated to micro-op
+    /// code here (the translate-time step of compiled simulation), so
+    /// callers never predecode by hand after loading; the interpreter
+    /// decodes nothing ahead. An empty image writes nothing, and `memory`
+    /// is then not looked up.
     ///
     /// # Errors
     ///
@@ -1332,9 +1328,7 @@ impl<'m> Simulator<'m> {
                 self.state.write(res, &[origin as i64 + i as i64], value)?;
             }
         }
-        if self.mode != SimMode::Interpretive {
-            self.predecode_program_memory();
-        }
+        self.predecode_program_memory();
         Ok(())
     }
 }

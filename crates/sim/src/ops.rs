@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use lisa_core::ast::{ActNode, AssignOp, BinOp, ResourceClass, UnOp};
 use lisa_core::model::{CodingTarget, Model, OpId, PipelineId, ResourceId};
-use lisa_isa::Decoded;
+use lisa_isa::{Decoded, Decoder, IsaError};
 
 use crate::engine::{Binding, ExecItem, Pending};
 use crate::eval::{apply_binop, compound_binop, saturate};
@@ -446,9 +446,10 @@ pub(crate) struct OpsTables<'m> {
     /// store entry holds the `Arc`, pinning the allocation so a key can
     /// never be reused while its entry is live.
     instances: FastMap<(usize, usize), RoutineId>,
-    /// Fused decode+translate cache for decode-root fetches: one lookup
-    /// replaces the word-cache probe plus the instance-cache probe.
-    words: FastMap<u128, RoutineId>,
+    /// The word cache: each program word bound to its routine, filled at
+    /// predecode and on a fetch miss, so a decode-root fetch that hits
+    /// costs one lookup.
+    pub(crate) words: FastMap<u128, RoutineId>,
     /// Recycled execution frames (one slot vector each), so nested
     /// routine invocations allocate nothing in the steady state.
     frames: Vec<Vec<i64>>,
@@ -498,6 +499,19 @@ impl<'m> OpsTables<'m> {
         let id = self.store.push(Some(Arc::clone(decoded)), routine);
         self.instances.insert(key, id);
         id
+    }
+
+    /// Decodes program word `word`, binds it to its routine and enters
+    /// it in the word cache.
+    pub(crate) fn bind_word(
+        &mut self,
+        decoder: &Decoder<'_>,
+        word: u128,
+    ) -> Result<RoutineId, IsaError> {
+        let decoded = Arc::new(decoder.decode(word)?);
+        let id = self.bind(decoded.op, &decoded);
+        self.words.insert(word, id);
+        Ok(id)
     }
 
     /// Like [`OpsTables::bind`] for the binding of stored routine `id`
@@ -2530,8 +2544,9 @@ impl Simulator<'_> {
 
     /// Fused decode+translate for decode-root fetches: bookkeeping
     /// (decode count, cache-hit count, Decode event) matches
-    /// `decode_word` exactly, but a hit costs a single map probe and
-    /// hands back a routine id.
+    /// `decode_word`, but a hit in the word cache costs a single map
+    /// probe and hands back a routine id; a miss decodes and translates
+    /// the word and enters it.
     pub(crate) fn ops_decode_word(
         &mut self,
         t: &mut OpsTables<'_>,
@@ -2544,39 +2559,15 @@ impl Simulator<'_> {
                 (id, true)
             }
             None => {
-                let (decoded, was_hit) = if let Some(d) = self.decode_cache.get(&word) {
-                    (Arc::clone(d), true)
-                } else {
-                    let decoder = self
-                        .decoder
-                        .as_ref()
-                        .ok_or(SimError::Decode(lisa_isa::IsaError::NoDecodeRoot))?;
-                    let decoded = Arc::new(decoder.decode(word)?);
-                    self.decode_cache.insert(word, Arc::clone(&decoded));
-                    (decoded, false)
-                };
-                if was_hit {
-                    self.stats.decode_cache_hits += 1;
-                }
-                let id = t.bind(decoded.op, &decoded);
-                t.words.insert(word, id);
-                (id, was_hit)
+                let decoder =
+                    self.decoder.as_ref().ok_or(SimError::Decode(IsaError::NoDecodeRoot))?;
+                (t.bind_word(decoder, word)?, false)
             }
         };
         if self.observing() {
             self.emit_decode(word, t.store.decoded_op(id), cache_hit);
         }
         Ok(id)
-    }
-
-    /// Eagerly translates every cached decode (called after predecode so
-    /// `load_program` pays all translation cost up front).
-    pub(crate) fn ops_translate_decode_cache(&mut self) {
-        let Some(t) = self.ops.as_mut() else { return };
-        for (word, d) in &self.decode_cache {
-            let id = t.bind(d.op, d);
-            t.words.entry(*word).or_insert(id);
-        }
     }
 
     /// The pending list with every routine id turned back into its
@@ -2617,15 +2608,15 @@ impl Simulator<'_> {
 
     /// Renders the translated micro-op listing: the default-variant
     /// routine of every operation with a behavior, then one routine per
-    /// pre-decoded program word (sorted by word), with child-operand
+    /// word in the word cache (sorted by word), with child-operand
     /// routines nested. Returns an empty string outside ops mode.
     ///
     /// This is the surface the golden/determinism tests pin down: two
     /// simulators over the same model and program must render
     /// byte-identical listings.
-    pub fn ops_listing(&mut self) -> String {
+    pub fn ops_listing(&self) -> String {
         let mut out = String::new();
-        let Some(t) = self.ops.as_mut() else { return out };
+        let Some(t) = self.ops.as_deref() else { return out };
         for op in self.model.operations() {
             let routine = &t.store[t.unbound[op.id.0]].routine;
             if routine.code.is_empty() {
@@ -2634,11 +2625,10 @@ impl Simulator<'_> {
             out.push_str(&format!("== op {} (unbound)\n", op.name));
             render_routine(&t.store, routine, self.model, t.layout, 1, &mut out);
         }
-        let mut words: Vec<u128> = self.decode_cache.keys().copied().collect();
-        words.sort_unstable();
-        for word in words {
-            let d = &self.decode_cache[&word];
-            let id = t.bind(d.op, d);
+        let mut words: Vec<(u128, RoutineId)> = t.words.iter().map(|(&w, &id)| (w, id)).collect();
+        words.sort_unstable_by_key(|&(word, _)| word);
+        for (word, id) in words {
+            let d = t.store[id].decoded.as_deref().expect("a word's routine is bound");
             out.push_str(&format!(
                 "== word {:#x} op {} variant {}\n",
                 word,

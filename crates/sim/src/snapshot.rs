@@ -2,23 +2,18 @@
 //!
 //! A [`Snapshot`] captures everything that changes while a simulator
 //! runs: the architectural [`State`], per-pipeline control state,
-//! in-flight delayed activations, accumulated [`SimStats`], and the
-//! decode cache. The decode cache's entries are `Arc`-shared with the
-//! simulator, so snapshotting a warmed-up ops simulator is cheap and
-//! restoring one skips the translate-time decode work entirely — the
-//! foundation for forking one warm simulator into many scenario runs
-//! (`lisa-exec`).
+//! in-flight delayed activations and accumulated [`SimStats`] — the
+//! foundation for forking one simulator into many scenario runs
+//! (`lisa-exec`). The ops backend's word cache is not captured: its
+//! routine ids are local to one simulator, and a word's routine depends
+//! only on the model and the word, so the simulator restored into keeps
+//! its own cache and loading a program fills it.
 //!
 //! Snapshots are plain owned data: `Send + Sync`, independent of the
 //! model borrow, so they can be stored, cloned, and shared across
 //! worker threads.
 
-use std::sync::Arc;
-
-use lisa_isa::Decoded;
-
 use crate::engine::{Pending, PipeState, SimMode, Simulator};
-use crate::fasthash::FastMap;
 use crate::{SimError, SimStats, State};
 
 /// A point-in-time capture of a simulator's complete dynamic state.
@@ -59,7 +54,6 @@ pub struct Snapshot {
     pub(crate) pending: Vec<Pending>,
     pub(crate) stats: SimStats,
     pub(crate) mode: SimMode,
-    pub(crate) decode_cache: FastMap<u128, Arc<Decoded>>,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -68,7 +62,6 @@ impl std::fmt::Debug for Snapshot {
             .field("mode", &self.mode)
             .field("cycles", &self.stats.cycles)
             .field("in_flight", &self.pending.len())
-            .field("decode_cache", &self.decode_cache.len())
             .finish_non_exhaustive()
     }
 }
@@ -98,23 +91,14 @@ impl Snapshot {
     pub fn mode(&self) -> SimMode {
         self.mode
     }
-
-    /// Number of pre-decoded instruction words carried by the snapshot
-    /// (shared by `Arc`, not deep-copied).
-    #[must_use]
-    pub fn predecoded_words(&self) -> usize {
-        self.decode_cache.len()
-    }
 }
 
 impl<'m> Simulator<'m> {
     /// Captures the simulator's complete dynamic state.
     ///
     /// The architectural state, pipeline control state, in-flight
-    /// activations and statistics are copied; the decode cache is
-    /// shared structurally (each cached [`Decoded`] tree is behind an
-    /// `Arc`), so a snapshot of a warmed-up ops simulator costs
-    /// one map clone, not a re-decode of program memory.
+    /// activations and statistics are copied; in-flight activations
+    /// carry their decoded binding (`Arc`-shared), not a routine id.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let _span = self.spans.as_ref().map(|s| s.start(lisa_spans::SpanKind::Snapshot));
@@ -124,7 +108,6 @@ impl<'m> Simulator<'m> {
             pending: self.portable_pending(),
             stats: self.stats,
             mode: self.mode,
-            decode_cache: self.decode_cache.clone(),
         }
     }
 
@@ -137,9 +120,9 @@ impl<'m> Simulator<'m> {
     /// and profiles never mix pre- and post-restore timelines.
     ///
     /// The snapshot may come from a simulator in either [`SimMode`]; the
-    /// restored simulator keeps its own mode. Restoring an interpretive
-    /// snapshot into an ops simulator simply starts with whatever
-    /// decode cache the snapshot carried.
+    /// restored simulator keeps its own mode and its own ops word cache
+    /// (a fresh ops simulator restored into decodes each word on its
+    /// first fetch, or all of them at once when a program is loaded).
     ///
     /// # Errors
     ///
@@ -155,11 +138,10 @@ impl<'m> Simulator<'m> {
         self.pipes = snapshot.pipes.clone();
         self.pending = snapshot.pending.clone();
         self.stats = snapshot.stats;
-        self.decode_cache = snapshot.decode_cache.clone();
         // Routine ids are local to one simulator: the snapshot carries
         // decoded bindings, resolved here through the instance cache.
         // Cached routines stay valid, since a word's routine depends only
-        // on the model and the word, not on which decode cache built it.
+        // on the model and the word, not on the state that fetched it.
         self.ops_bind_pending();
         if let Some(sink) = self.observer.as_mut().and_then(|o| o.sink.as_mut()) {
             sink.clear();

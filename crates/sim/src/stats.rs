@@ -16,9 +16,9 @@ pub struct SimStats {
     pub executed_ops: u64,
     /// Instruction-decode *requests*. Cache hits are included: every
     /// decode-root execution counts here whether the word was decoded
-    /// fresh or served from the ops-mode decode cache.
+    /// fresh or served from the ops-mode word cache.
     pub decodes: u64,
-    /// Decodes served from the ops-mode decode cache (a subset of
+    /// Decodes served from the ops-mode word cache (a subset of
     /// [`SimStats::decodes`]).
     pub decode_cache_hits: u64,
     /// Activations scheduled (delayed or same-step).

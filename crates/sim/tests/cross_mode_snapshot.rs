@@ -100,19 +100,56 @@ fn same_mode_restores_stay_bit_exact_too() {
 }
 
 #[test]
-fn compiled_snapshot_carries_its_decode_cache_across_modes() {
+fn compiled_snapshot_restores_into_the_interpreter_without_decoding_ahead() {
     let wb = lisa_models::tinyrisc::workbench().unwrap();
     let words = wb.assemble(&demo_program("tinyrisc")).unwrap();
     let mut ops = boot(&wb, SimMode::Ops, &words);
     ops.run(2).unwrap();
     let snap = ops.snapshot();
-    assert!(snap.predecoded_words() > 0, "ops snapshot should carry a warm decode cache");
+    let warm = snap.stats();
+    assert!(warm.decodes > 0);
+    assert_eq!(warm.decodes, warm.decode_cache_hits, "ops fetches hit its pre-decoded words");
 
-    // An interpretive simulator accepts the snapshot; the cache rides
-    // along harmlessly.
+    // An interpretive simulator accepts the snapshot, decodes nothing
+    // ahead, and every later fetch is a fresh decode.
     let mut interp = wb.simulator(SimMode::Interpretive).unwrap();
     interp.restore(&snap).unwrap();
+    assert_eq!(interp.predecode_program_memory(), 0);
     wb.run_to_halt(&mut interp, 1000).unwrap();
+    assert!(interp.stats().decodes > warm.decodes);
+    assert_eq!(interp.stats().decode_cache_hits, warm.decode_cache_hits);
+}
+
+/// The `lisa-exec` fork: a fresh ops simulator restored from an ops
+/// snapshot and then loaded binds the program in its own word cache and
+/// continues exactly as the uninterrupted run.
+#[test]
+fn fresh_ops_simulator_restored_and_loaded_matches_the_uninterrupted_run() {
+    for (name, wb) in all_workbenches() {
+        let words = wb.assemble(&demo_program(name)).unwrap();
+        let mut uninterrupted = boot(&wb, SimMode::Ops, &words);
+        let total = wb.run_to_halt(&mut uninterrupted, 1000).unwrap();
+
+        let mut source = boot(&wb, SimMode::Ops, &words);
+        source.run(total / 2).unwrap();
+        let snap = source.snapshot();
+
+        // The snapshot carries no word cache: the fresh simulator's own
+        // is empty until it predecodes.
+        let mut bare = wb.simulator(SimMode::Ops).unwrap();
+        bare.restore(&snap).unwrap();
+        assert!(bare.predecode_program_memory() > 0, "{name}: restore bound no word");
+
+        let mut fork = wb.simulator(SimMode::Ops).unwrap();
+        fork.restore(&snap).unwrap();
+        fork.load_program(wb.program_memory(), &words).unwrap();
+        let rest = wb.run_to_halt(&mut fork, 1000).unwrap();
+        assert_eq!(total / 2 + rest, total, "{name}: cycles");
+        assert_eq!(fork.state().digest(), uninterrupted.state().digest(), "{name}: digest");
+        assert_eq!(fork.stats(), uninterrupted.stats(), "{name}: stats");
+        let stats = fork.stats();
+        assert_eq!(stats.decodes, stats.decode_cache_hits, "{name}: every fetch hits");
+    }
 }
 
 #[test]

@@ -93,8 +93,8 @@ proptest! {
     #[test]
     fn lowering_is_deterministic(words in proptest::collection::vec(0u128..=0xffff, 1..=24)) {
         let wb = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
-        let mut first = load_ops(&wb, &words);
-        let mut second = load_ops(&wb, &words);
+        let first = load_ops(&wb, &words);
+        let second = load_ops(&wb, &words);
         prop_assert_eq!(first.ops_listing(), second.ops_listing());
     }
 
@@ -104,7 +104,7 @@ proptest! {
     fn lowering_is_stable_across_execution(steps in 0u64..64) {
         let wb = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
         let words = wb.assemble(DEMO).expect("demo assembles");
-        let mut cold = load_ops(&wb, &words);
+        let cold = load_ops(&wb, &words);
         let mut warm = load_ops(&wb, &words);
         let _ = warm.run(steps);
         prop_assert_eq!(cold.ops_listing(), warm.ops_listing());

@@ -64,7 +64,7 @@ fn run_both(model: &Model, steps: u64) -> (Observed, Simulator<'_>, String) {
     let (got, _) = observe(model, SimMode::Ops, steps, true);
     assert!(profiled.profile.is_some(), "the profiled run has a profile");
     assert_eq!(got, profiled, "Ops diverged from the interpretive backend under the profile");
-    let mut ops = Simulator::new(model, SimMode::Ops).expect("ops simulator");
+    let ops = Simulator::new(model, SimMode::Ops).expect("ops simulator");
     // Section headers start a line with `== `; `==` inside a line is a
     // comparison.
     let listing = format!("\n{}", ops.ops_listing());
@@ -354,7 +354,7 @@ fn division_by_zero_through_immediates_names_the_operation() {
             "#
         );
         let model = build(&src);
-        let mut ops = Simulator::new(&model, SimMode::Ops).expect("ops simulator");
+        let ops = Simulator::new(&model, SimMode::Ops).expect("ops simulator");
         let listing = ops.ops_listing();
         assert!(listing.contains(code), "`{expr}` should translate to `{code}`:\n{listing}");
         let (obs, _, _) = run_both(&model, 4);

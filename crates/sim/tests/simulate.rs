@@ -128,12 +128,16 @@ fn run_program<'m>(model: &'m Model, mode: SimMode, program: &[&str], max: u64) 
     let words = assemble_program(model, program);
     let mut sim = Simulator::new(model, mode).expect("simulator builds");
     sim.load_program("pmem", &words).expect("program fits");
-    if mode == SimMode::Ops {
-        // Loading pre-decodes automatically in ops mode.
-        assert!(sim.snapshot().predecoded_words() > 0, "load pre-decodes the program");
-    }
+    // Loading pre-decodes automatically in ops mode (and the interpreter
+    // decodes nothing ahead), so an explicit call binds nothing new.
+    assert_eq!(sim.predecode_program_memory(), 0, "load pre-decoded the program");
     let halt = model.resource_by_name("halt").unwrap().clone();
     sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, max).expect("program halts");
+    if mode == SimMode::Ops {
+        let stats = sim.stats();
+        assert!(stats.decodes > 0);
+        assert_eq!(stats.decodes, stats.decode_cache_hits, "every fetch hits a pre-decoded word");
+    }
     sim
 }
 

@@ -57,23 +57,53 @@ fn loader_rejects_unknown_memory_and_overflow() {
     assert!(sim.load_program("pmem", &vec![0u128; 16]).is_ok());
 }
 
+/// Three distinct decodable words (ADDI 1, ADDI 2, DONE) plus a repeat
+/// and an undecodable word (opcode 0b10); the rest of pmem is zeros, and
+/// 0b00_... does not decode either.
+const DISTINCT_THREE: [u128; 5] = [0b01_000001, 0b01_000010, 0b01_000001, 0b11_000000, 0b10_000000];
+
+/// Writes `words` into pmem through the state, which predecodes nothing.
+fn poke_program(sim: &mut Simulator<'_>, model: &Model, words: &[u128]) {
+    let pmem = model.resource_by_name("pmem").unwrap().clone();
+    for (i, &word) in words.iter().enumerate() {
+        sim.state_mut().write_int(&pmem, &[i as i64], word as i64).unwrap();
+    }
+}
+
 #[test]
 fn predecode_counts_distinct_instruction_words() {
     let model = model();
     let mut sim = Simulator::new(&model, SimMode::Ops).unwrap();
-    // Three distinct decodable words (ADDI 1, ADDI 2, DONE) plus repeats
-    // and an undecodable word (opcode 0b10).
-    let addi1 = 0b01_000001u128;
-    let addi2 = 0b01_000010u128;
-    let done = 0b11_000000u128;
-    let junk = 0b10_000000u128;
-    sim.load_program("pmem", &[addi1, addi2, addi1, done, junk]).unwrap();
-    // The rest of pmem is zeros: 0b00_... does not decode either.
-    // Loading pre-decoded automatically (ops mode): distinct
-    // decodable words only.
-    assert_eq!(sim.snapshot().predecoded_words(), 3);
-    // A further explicit call adds nothing.
+    poke_program(&mut sim, &model, &DISTINCT_THREE);
+    // Distinct decodable words only; a further call adds nothing.
+    assert_eq!(sim.predecode_program_memory(), 3);
     assert_eq!(sim.predecode_program_memory(), 0);
+
+    // Loading pre-decodes automatically in ops mode, so an explicit call
+    // after it adds nothing and every fetch hits.
+    let mut loaded = Simulator::new(&model, SimMode::Ops).unwrap();
+    loaded.load_program("pmem", &DISTINCT_THREE).unwrap();
+    assert_eq!(loaded.predecode_program_memory(), 0);
+    let halt = model.resource_by_name("halt").unwrap().clone();
+    loaded.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, 100).expect("halts");
+    let stats = loaded.stats();
+    assert_eq!((stats.decodes, stats.decode_cache_hits), (4, 4));
+}
+
+#[test]
+fn the_interpreter_decodes_nothing_ahead() {
+    let model = model();
+    let mut sim = Simulator::new(&model, SimMode::Interpretive).unwrap();
+    poke_program(&mut sim, &model, &DISTINCT_THREE);
+    let before = *sim.stats();
+    assert_eq!(sim.predecode_program_memory(), 0, "no word cache to fill");
+    assert_eq!(sim.stats(), &before);
+    // It decodes on every fetch instead, and no fetch is a hit.
+    sim.load_program("pmem", &DISTINCT_THREE).unwrap();
+    assert_eq!(sim.stats(), &before, "loading decodes nothing either");
+    let halt = model.resource_by_name("halt").unwrap().clone();
+    sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, 100).expect("halts");
+    assert_eq!((sim.stats().decodes, sim.stats().decode_cache_hits), (4, 0));
 }
 
 #[test]

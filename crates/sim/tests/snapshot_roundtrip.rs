@@ -42,8 +42,12 @@ fn assert_split_is_unobservable(wb: &Workbench, kernel: &Kernel, mode: SimMode, 
     let snapshot = first_half.snapshot();
     drop(first_half);
 
+    // A snapshot carries no word cache, so the fresh simulator binds the
+    // restored program itself, as a fork that reloads its program does;
+    // the decode-hit count then matches too.
     let mut resumed = wb.simulator(mode).expect("fresh simulator");
     resumed.restore(&snapshot).expect("snapshot restores");
+    resumed.predecode_program_memory();
     let remaining = finish(wb, &mut resumed, kernel.max_steps);
 
     assert_eq!(
