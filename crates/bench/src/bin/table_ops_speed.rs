@@ -6,10 +6,13 @@
 //! is a tight dispatch over contiguous ops — this table measures what
 //! that buys over interpretation.
 //!
-//! The report is **gated** at two levels. [`FLOOR`] is the hard
-//! regression gate: the geometric-mean ops-over-interpretive speedup
-//! must stay above it or the process exits non-zero, so CI catches a
-//! regressed translator. [`PAPER_TARGET`] is the DAC'99 §3.3
+//! The report is **gated** by [`e15_verdict`]: the geometric-mean
+//! ops-over-interpretive speedup must reach [`lisa_bench::E15_FLOOR`],
+//! which catches a regressed translator, and four kernels' best
+//! interpretive rounds must reach their absolute floors
+//! ([`E15_INTERP_FLOORS`]), which catch a slowdown that hits both
+//! backends alike and leaves the ratio unchanged; the process exits
+//! non-zero when any gate fails. [`PAPER_TARGET`] is the DAC'99 §3.3
 //! paper-parity goal (>2 orders of magnitude there, scaled here to 20x)
 //! and is reported honestly — the builtin models are small enough that
 //! the shared engine floor (scheduling, pipeline bookkeeping, resource
@@ -23,30 +26,23 @@
 
 use std::fmt::Write as _;
 
-use lisa_bench::sampler::{geomean, median, sample_rounds, Arm};
-use lisa_bench::{model_suites, write_report};
+use lisa_bench::sampler::{geomean, median, sample_rounds, Arm, BUDGET_CYCLES};
+use lisa_bench::{e15_verdict, model_suites, write_report, E15_INTERP_FLOORS};
 use lisa_sim::SimMode;
 
 /// Repeats per kernel, each holding as many rounds as runs of the
 /// kernel fit [`BUDGET_CYCLES`] (at most 64).
 const REPEATS: usize = 9;
-/// Simulated cycles per repeat: every kernel gets at least the median
-/// round count of the 10 ms wall-clock budget this replaced.
-const BUDGET_CYCLES: u64 = 4_000;
-
-/// Hard gate: minimum geometric-mean ops-over-interpretive speedup.
-/// Six runs of the paired-median sampler read 9.9-10.4x on the
-/// 12-kernel suite (best-of-3 cold runs had read 10.5-10.9x); 7.8 keeps
-/// at least the 25% noise margin every earlier floor kept (6.5 under
-/// ~8.7x, 5.3 under ~7.1x, 3.8 under ~5.1x), while still catching a
-/// translator that stops paying for itself.
-const FLOOR: f64 = 7.8;
 
 /// Aspirational paper-parity target (DAC'99 §3.3 claims >100x against a
 /// naive interpretive simulator). Reported, not gated.
 const PAPER_TARGET: f64 = 20.0;
 
 fn main() {
+    let suites = model_suites(false);
+    let width =
+        suites.iter().flat_map(|(_, _, suite)| suite).map(|k| k.name.len()).max().unwrap_or(0);
+    let rule = "-".repeat(width + 45);
     let mut out = String::new();
     writeln!(
         out,
@@ -56,22 +52,23 @@ fn main() {
     writeln!(out).unwrap();
     writeln!(
         out,
-        "{:<18} {:>8} {:>12} {:>12} {:>9}",
+        "{:<width$} {:>8} {:>12} {:>12} {:>9}",
         "kernel", "cycles", "interp c/s", "ops c/s", "ops/intp"
     )
     .unwrap();
-    writeln!(out, "{}", "-".repeat(63)).unwrap();
+    writeln!(out, "{rule}").unwrap();
 
     let arms = [Arm::new(SimMode::Interpretive), Arm::new(SimMode::Ops)];
     let mut speedups = Vec::new();
-    for (_, wb, suite) in model_suites(false) {
-        for kernel in &suite {
-            let s = sample_rounds(&wb, kernel, &arms, REPEATS, BUDGET_CYCLES);
+    let mut interp_best = Vec::new();
+    for (_, wb, suite) in &suites {
+        for kernel in suite {
+            let s = sample_rounds(wb, kernel, &arms, REPEATS, BUDGET_CYCLES);
             let cps = |arm: usize| s.cycles as f64 / median(s.times(arm));
             let speedup = s.median_ratio(0, 1);
             writeln!(
                 out,
-                "{:<18} {:>8} {:>12.0} {:>12.0} {:>8.1}x",
+                "{:<width$} {:>8} {:>12.0} {:>12.0} {:>8.1}x",
                 kernel.name,
                 s.cycles,
                 cps(0),
@@ -80,15 +77,25 @@ fn main() {
             )
             .unwrap();
             speedups.push(speedup);
+            let best = s.times(0).into_iter().fold(f64::INFINITY, f64::min);
+            interp_best.push((kernel.name.as_str(), s.cycles as f64 / best));
         }
     }
-    writeln!(out, "{}", "-".repeat(63)).unwrap();
+    writeln!(out, "{rule}").unwrap();
 
     let over_interp = geomean(&speedups);
     writeln!(out, "geometric-mean ops speedup over interpretive: {over_interp:.1}x").unwrap();
     writeln!(out).unwrap();
-    let floor_verdict = if over_interp >= FLOOR { "PASS" } else { "FAIL" };
-    writeln!(out, "regression gate: geomean >= {FLOOR:.1}x — {floor_verdict}").unwrap();
+    let gates = e15_verdict(over_interp, &interp_best);
+    writeln!(
+        out,
+        "regression gates (interp floors: half the 2026-08-08 best rounds of {} kernels):",
+        E15_INTERP_FLOORS.len()
+    )
+    .unwrap();
+    for (line, holds) in &gates {
+        writeln!(out, "  {line} — {}", if *holds { "PASS" } else { "FAIL" }).unwrap();
+    }
     let parity = if over_interp >= PAPER_TARGET { "met" } else { "not met" };
     writeln!(out, "paper-parity target ({PAPER_TARGET:.0}x): {parity} at {over_interp:.1}x")
         .unwrap();
@@ -101,8 +108,10 @@ fn main() {
     );
     write_report("e15_ops_speed.txt", &out);
 
-    if over_interp < FLOOR {
-        eprintln!("E15 regression gate failed: {over_interp:.2}x < {FLOOR:.1}x");
+    let failed: Vec<&str> =
+        gates.iter().filter(|(_, holds)| !holds).map(|(line, _)| line.as_str()).collect();
+    if !failed.is_empty() {
+        eprintln!("E15 regression gate failed:\n  {}", failed.join("\n  "));
         std::process::exit(1);
     }
 }

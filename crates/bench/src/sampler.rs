@@ -11,7 +11,9 @@
 //! repeat, counted off one unchecked run of the first arm. Cycle counts
 //! are deterministic, so a kernel gets the same rounds in every process
 //! whatever the host's speed; every sample of every arm must take as
-//! many cycles as that run.
+//! many cycles as that run. An arm runs on the workbench passed to
+//! [`sample_rounds`] unless it names its own ([`Arm::on`]), so two
+//! machines that share a kernel pair up like two backends.
 
 use std::time::{Duration, Instant};
 
@@ -21,10 +23,17 @@ use lisa_sim::{SimMode, Simulator};
 
 type SimFn<'a> = Box<dyn Fn(&mut Simulator<'_>) + 'a>;
 
-/// One configuration under test: a backend plus what to install before
-/// the run, time after it and check once it is done.
+/// Simulated cycles per repeat for E15, E5 and `lisa-tool bench`: every
+/// E15 kernel gets at least the median round count of the 10 ms
+/// wall-clock budget this replaced.
+pub const BUDGET_CYCLES: u64 = 4_000;
+
+/// One configuration under test: a backend, optionally its own machine,
+/// plus what to install before the run, time after it and check once it
+/// is done.
 pub struct Arm<'a> {
     mode: SimMode,
+    wb: Option<&'a Workbench>,
     setup: SimFn<'a>,
     finish: SimFn<'a>,
     check: SimFn<'a>,
@@ -34,7 +43,20 @@ impl<'a> Arm<'a> {
     /// A bare arm: nothing installed, nothing extra timed or checked.
     #[must_use]
     pub fn new(mode: SimMode) -> Arm<'a> {
-        Arm { mode, setup: Box::new(|_| {}), finish: Box::new(|_| {}), check: Box::new(|_| {}) }
+        Arm {
+            mode,
+            wb: None,
+            setup: Box::new(|_| {}),
+            finish: Box::new(|_| {}),
+            check: Box::new(|_| {}),
+        }
+    }
+
+    /// Runs this arm on `wb` instead of the workbench passed to
+    /// [`sample_rounds`]; the kernel must assemble there too.
+    #[must_use]
+    pub fn on(self, wb: &'a Workbench) -> Arm<'a> {
+        Arm { wb: Some(wb), ..self }
     }
 
     /// Untimed setup on each fresh simulator (a sink, probes, a profile).
@@ -105,9 +127,10 @@ fn rounds_per_repeat(budget_cycles: u64, cycles: u64) -> usize {
     (budget_cycles / cycles.max(1)).clamp(1, 64) as usize
 }
 
-/// One run of a fresh load under `arm`: (the run and its finish,
-/// clocked; cycles; the halted simulator).
-fn run<'w>(wb: &'w Workbench, kernel: &Kernel, arm: &Arm<'_>) -> (Duration, u64, Simulator<'w>) {
+/// One run of a fresh load under `arm`, on its own workbench or else
+/// `wb`: (the run and its finish, clocked; cycles; the halted simulator).
+fn run<'w>(wb: &'w Workbench, kernel: &Kernel, arm: &Arm<'w>) -> (Duration, u64, Simulator<'w>) {
+    let wb = arm.wb.unwrap_or(wb);
     let mut sim = kernels::load_kernel(wb, kernel, arm.mode).expect("kernel loads");
     (arm.setup)(&mut sim);
     let t = Instant::now();
@@ -126,7 +149,7 @@ fn sample(wb: &Workbench, kernel: &Kernel, arm: &Arm<'_>, cycles: u64) -> f64 {
         "a {:?} arm disagrees with the first arm on cycles for {}",
         arm.mode, kernel.name
     );
-    kernels::verify_kernel(wb, kernel, &sim);
+    kernels::verify_kernel(arm.wb.unwrap_or(wb), kernel, &sim);
     (arm.check)(&mut sim);
     elapsed.as_secs_f64()
 }
@@ -162,18 +185,32 @@ mod tests {
     #[test]
     fn every_round_holds_one_sample_per_arm_in_arm_order() {
         let wb = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
+        let own = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
         let kernel = kernels::tiny_fib(8);
         let (setups, checks) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
         let (setup_log, check_log) = (&setups, &checks);
-        let arms: Vec<Arm<'_>> = [SimMode::Interpretive, SimMode::Ops, SimMode::Ops]
-            .into_iter()
-            .enumerate()
-            .map(|(i, mode)| {
-                Arm::new(mode)
-                    .setup(move |_| setup_log.borrow_mut().push(i))
-                    .check(move |_| check_log.borrow_mut().push(i))
-            })
-            .collect();
+        // The last arm names its own workbench; the others run on `wb`.
+        let arms: Vec<Arm<'_>> =
+            [(SimMode::Interpretive, None), (SimMode::Ops, None), (SimMode::Ops, Some(&own))]
+                .into_iter()
+                .enumerate()
+                .map(|(i, (mode, own_wb))| {
+                    let expected = own_wb.unwrap_or(&wb).model();
+                    let arm = Arm::new(mode)
+                        .setup(move |sim| {
+                            assert!(
+                                std::ptr::eq(sim.model(), expected),
+                                "arm {i} on the wrong workbench"
+                            );
+                            setup_log.borrow_mut().push(i);
+                        })
+                        .check(move |_| check_log.borrow_mut().push(i));
+                    match own_wb {
+                        Some(own_wb) => arm.on(own_wb),
+                        None => arm,
+                    }
+                })
+                .collect();
         let samples = sample_rounds(&wb, &kernel, &arms, 3, 0);
         drop(arms);
 
@@ -216,17 +253,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "disagrees with the first arm on cycles")]
     fn arms_that_disagree_on_cycles_panic() {
         let wb = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
+        let other = lisa_models::tinyrisc::workbench().expect("tinyrisc builds");
         let kernel = kernels::tiny_fib(8);
         // Stepping once before the run leaves the final state golden but
-        // shortens the run by a cycle.
-        let arms = [
-            Arm::new(SimMode::Interpretive),
-            Arm::new(SimMode::Ops).setup(|sim| sim.step().expect("steps")),
+        // shortens the run by a cycle: on the shared workbench, and on an
+        // arm's own one.
+        let step = |sim: &mut Simulator<'_>| sim.step().expect("steps");
+        let cases = [
+            [Arm::new(SimMode::Interpretive), Arm::new(SimMode::Ops).setup(step)],
+            [Arm::new(SimMode::Ops), Arm::new(SimMode::Ops).on(&other).setup(step)],
         ];
-        let _ = sample_rounds(&wb, &kernel, &arms, 1, 0);
+        for arms in &cases {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sample_rounds(&wb, &kernel, arms, 1, 0)
+            }))
+            .expect_err("arms disagree on cycles");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("disagrees with the first arm on cycles"), "{message}");
+        }
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   on every execution.
 //!
 //! Both models share the encoding, the ISA and the cycle structure, so
-//! any wall-clock difference is the cost of the run-time checks.
+//! any wall-clock difference is the cost of the run-time checks: E5
+//! times [`kernel`] on the two machines as two ops arms of the kernel
+//! sampler.
 
-use std::time::{Duration, Instant};
-
+use lisa_models::kernels::{Check, Kernel};
 use lisa_models::{Workbench, WorkbenchError};
-use lisa_sim::SimMode;
 
 /// Shared model text: resources, control flow, fetch/decode driver.
 /// `{REG_OP}` and the instruction behaviors differ per variant.
@@ -191,11 +191,40 @@ OPERATION reg {
     }"#
 );
 
-/// The benchmark workload: an arithmetic loop mixing both register sides,
-/// `iterations` times around.
+/// The benchmark kernel: an arithmetic loop mixing both register sides,
+/// `iterations` times around (1..=65535, the `LDC` range), checked
+/// against the final A/B register values computed here in Rust.
+///
+/// # Panics
+///
+/// Panics when `iterations` is out of range.
 #[must_use]
-pub fn workload(iterations: u32) -> String {
-    format!(
+pub fn kernel(iterations: u32) -> Kernel {
+    assert!((1..=0xFFFF).contains(&iterations), "iterations out of LDC range");
+    // The registers the loop writes, as 32-bit `int`s.
+    let (mut a2, mut b2, mut a3, mut b3) = (1i32, 2i32, 3i32, 5i32);
+    let (mut a4, mut b4, mut a5, mut b5) = (0i32, 0i32, 0i32, 0i32);
+    for _ in 0..iterations {
+        a4 = a2.wrapping_add(b2);
+        b4 = a3.wrapping_add(b3);
+        a5 = a4.wrapping_sub(b4);
+        b5 = a4 ^ a5;
+        a2 = a2.wrapping_add(b5);
+        b2 = b2.wrapping_sub(a5);
+        a3 = a3.wrapping_add(b4);
+        b3 ^= a4;
+    }
+    let checks = [("A", [a2, a3, a4, a5]), ("B", [b2, b3, b4, b5])]
+        .into_iter()
+        .flat_map(|(resource, values)| {
+            (2..).zip(values).map(move |(index, value)| Check::Reg {
+                resource,
+                index,
+                value: i64::from(value),
+            })
+        })
+        .collect();
+    let source = format!(
         r#"
         MVK A2, 1
         MVK B2, 2
@@ -213,7 +242,14 @@ loop:   ADD A4, A2, B2
         DBNZ loop
         HLT
 "#
-    )
+    );
+    Kernel {
+        name: format!("e5_loop_{iterations}"),
+        source,
+        data: Vec::new(),
+        checks,
+        max_steps: 64 * u64::from(iterations) + 1000,
+    }
 }
 
 /// Builds the workbench for one of the two machines.
@@ -225,60 +261,24 @@ pub fn workbench(specialized: bool) -> Result<Workbench, WorkbenchError> {
     Workbench::from_source(if specialized { SPECIALIZED } else { RUNTIME }, "pmem", "halt")
 }
 
-/// Runs the workload once in the given mode, returning cycles and wall
-/// time.
-///
-/// # Errors
-///
-/// Propagates assembly/simulation errors.
-pub fn run_workload(
-    wb: &Workbench,
-    iterations: u32,
-    mode: SimMode,
-) -> Result<(u64, Duration), WorkbenchError> {
-    let program = lisa_asm::Assembler::new(wb.model())
-        .assemble(&workload(iterations))
-        .expect("workload assembles");
-    let mut sim = wb.simulator(mode)?;
-    sim.load_program("pmem", &program.words)?;
-    let t = Instant::now();
-    let cycles = wb.run_to_halt(&mut sim, 64 * u64::from(iterations) + 1000)?;
-    Ok((cycles, t.elapsed()))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use lisa_sim::SimMode;
 
+    use super::*;
+    use crate::sampler::{sample_rounds, Arm};
+
+    /// Both machines meet the kernel's golden values in the same cycles
+    /// on both backends (the sampler checks every run against both).
     #[test]
-    fn both_machines_compute_identical_results() {
+    fn both_machines_meet_the_golden_values_in_the_same_cycles() {
         let spec = workbench(true).expect("specialized builds");
         let rt = workbench(false).expect("runtime builds");
-        let program = workload(10);
-        let mut results = Vec::new();
-        for wb in [&spec, &rt] {
-            let image = lisa_asm::Assembler::new(wb.model()).assemble(&program).expect("assembles");
-            let mut sim = wb.simulator(SimMode::Ops).expect("sim");
-            sim.load_program("pmem", &image.words).unwrap();
-            wb.run_to_halt(&mut sim, 10_000).expect("halts");
-            let a = wb.model().resource_by_name("A").unwrap();
-            let b = wb.model().resource_by_name("B").unwrap();
-            let snapshot: Vec<i64> = (0..16)
-                .map(|i| sim.state().read_int(a, &[i]).unwrap())
-                .chain((0..16).map(|i| sim.state().read_int(b, &[i]).unwrap()))
-                .collect();
-            results.push(snapshot);
-        }
-        assert_eq!(results[0], results[1], "machines diverged");
-        assert!(results[0].iter().any(|&v| v != 0), "workload did something");
-    }
-
-    #[test]
-    fn cycle_counts_match_between_machines() {
-        let spec = workbench(true).unwrap();
-        let rt = workbench(false).unwrap();
-        let (c1, _) = run_workload(&spec, 20, SimMode::Ops).unwrap();
-        let (c2, _) = run_workload(&rt, 20, SimMode::Ops).unwrap();
-        assert_eq!(c1, c2, "specialisation must not change cycle counts");
+        let kernel = kernel(20);
+        let arms = [SimMode::Ops, SimMode::Interpretive]
+            .map(|mode| [Arm::new(mode).on(&spec), Arm::new(mode).on(&rt)]);
+        let samples = sample_rounds(&spec, &kernel, arms.as_flattened(), 1, 0);
+        assert_eq!(samples.cycles, 9 * 20 + 6);
+        assert!(kernel.checks.iter().any(|c| matches!(c, Check::Reg { value, .. } if *value != 0)));
     }
 }

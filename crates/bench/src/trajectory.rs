@@ -1,21 +1,20 @@
-//! Machine-readable benchmark trajectories and regression gating.
+//! Machine-readable benchmark trajectories.
 //!
 //! `lisa-tool bench` runs the standard kernel suites on every builtin
 //! model in every simulation backend and serializes the result as a
-//! schema-versioned JSON document (`BENCH_<date>.json`). Checked-in
-//! baselines plus [`compare`] turn those documents into a perf-regression
-//! gate: a run whose simulated-MIPS drops more than a threshold below the
-//! baseline fails CI.
+//! schema-versioned JSON document (`BENCH_<date>.json`), a dated record
+//! of simulation speed. Nothing gates on these documents: E15
+//! (`table_ops_speed`) is the speed regression gate.
 //!
 //! Wall-clock fields are integers (microseconds), so a document
-//! round-trips through [`BenchReport::to_json`] / [`BenchReport::from_json`]
-//! exactly; derived rates (MIPS, cycles/s) are computed, never stored.
+//! round-trips exactly; derived rates (MIPS, cycles/s) are computed,
+//! never stored.
 
 use lisa_metrics::{json, Registry};
 use lisa_sim::SimMode;
 
 use crate::model_suites;
-use crate::sampler::{sample_rounds, Arm, Samples};
+use crate::sampler::{sample_rounds, Arm, Samples, BUDGET_CYCLES};
 
 /// Document schema identifier; bump on breaking field changes.
 pub const SCHEMA: &str = "lisa-bench/1";
@@ -96,10 +95,6 @@ impl BenchRow {
             self.cycles as f64 * 1e6 / self.wall_us.min_us as f64
         }
     }
-
-    fn key(&self) -> (&str, &str, &str) {
-        (&self.model, &self.backend, &self.kernel)
-    }
 }
 
 /// A full benchmark run: every builtin model × both backends × its
@@ -116,49 +111,6 @@ pub struct BenchReport {
     /// Measurements, in deterministic model/backend/kernel order.
     pub rows: Vec<BenchRow>,
 }
-
-/// One baseline-versus-current regression found by [`compare`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Model of the regressed cell.
-    pub model: String,
-    /// Backend of the regressed cell.
-    pub backend: String,
-    /// Kernel of the regressed cell.
-    pub kernel: String,
-    /// Baseline simulated MIPS (0.0 when the cell is missing from the
-    /// current run).
-    pub baseline_mips: f64,
-    /// Current simulated MIPS.
-    pub current_mips: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.current_mips == 0.0 && self.baseline_mips == 0.0 {
-            return write!(
-                f,
-                "{}/{}/{}: missing from current run",
-                self.model, self.backend, self.kernel
-            );
-        }
-        write!(
-            f,
-            "{}/{}/{}: {:.3} MIPS vs baseline {:.3} MIPS ({:+.1}%)",
-            self.model,
-            self.backend,
-            self.kernel,
-            self.current_mips,
-            self.baseline_mips,
-            (self.current_mips / self.baseline_mips - 1.0) * 100.0,
-        )
-    }
-}
-
-/// Simulated cycles per repeat: a repeat holds as many rounds as runs
-/// of the kernel fit in it (at most 64). Every kernel gets at least the
-/// median round count of the 10 ms wall-clock budget this replaced.
-const BUDGET_CYCLES: u64 = 4_000;
 
 /// Runs the benchmark matrix: every builtin model × both backends × its
 /// kernel suite, each kernel timed by [`sample_rounds`] with an
@@ -255,12 +207,61 @@ impl BenchReport {
         out
     }
 
-    /// Parses a `lisa-bench/1` document.
-    ///
-    /// # Errors
-    ///
-    /// Malformed JSON, an unknown schema, or missing fields.
-    pub fn from_json(text: &str) -> Result<BenchReport, String> {
+    /// A plain-text summary table, one row per cell.
+    #[must_use]
+    pub fn table(&self) -> String {
+        let width = self.rows.iter().map(|r| r.kernel.len()).max().unwrap_or(0).max(6);
+        let mut out = format!(
+            "{:<9} {:<13} {:<width$} {:>9} {:>12} {:>12} {:>9}\n",
+            "model", "backend", "kernel", "cycles", "cycles/s", "best (µs)", "MIPS"
+        );
+        out.push_str(&"-".repeat(width + 70));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&format!(
+                "{:<9} {:<13} {:<width$} {:>9} {:>12.0} {:>12} {:>9.3}\n",
+                row.model,
+                row.backend,
+                row.kernel,
+                row.cycles,
+                row.cycles_per_sec(),
+                row.wall_us.min_us,
+                row.mips()
+            ));
+        }
+        out
+    }
+}
+
+/// Today's UTC civil date as `YYYY-MM-DD`, from the system clock
+/// (no external date dependency; days-to-civil per Howard Hinnant's
+/// public-domain algorithm).
+#[must_use]
+pub fn today_utc() -> String {
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let days = (secs / 86_400) as i64;
+    let z = days + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let y = yoe + era * 400;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let d = doy - (153 * mp + 2) / 5 + 1;
+    let m = if mp < 10 { mp + 3 } else { mp - 9 };
+    let y = if m <= 2 { y + 1 } else { y };
+    format!("{y:04}-{m:02}-{d:02}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses a `lisa-bench/1` document: malformed JSON, an unknown
+    /// schema or a missing field is an error.
+    fn from_json(text: &str) -> Result<BenchReport, String> {
         let doc = json::parse(text)?;
         let schema = doc.get("schema").and_then(json::Value::as_str).unwrap_or("<missing>");
         if schema != SCHEMA {
@@ -311,88 +312,6 @@ impl BenchReport {
         Ok(BenchReport { date, repeats, quick, rows })
     }
 
-    /// A plain-text summary table, one row per cell.
-    #[must_use]
-    pub fn table(&self) -> String {
-        let mut out = format!(
-            "{:<9} {:<13} {:<18} {:>9} {:>12} {:>12} {:>9}\n",
-            "model", "backend", "kernel", "cycles", "cycles/s", "best (µs)", "MIPS"
-        );
-        out.push_str(&"-".repeat(88));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&format!(
-                "{:<9} {:<13} {:<18} {:>9} {:>12.0} {:>12} {:>9.3}\n",
-                row.model,
-                row.backend,
-                row.kernel,
-                row.cycles,
-                row.cycles_per_sec(),
-                row.wall_us.min_us,
-                row.mips()
-            ));
-        }
-        out
-    }
-}
-
-/// Compares a current run against a baseline: every baseline cell whose
-/// simulated MIPS dropped by more than `threshold_pct` percent (or that
-/// vanished from the current run) is a [`Regression`]. Cells only in the
-/// current run are ignored — new kernels aren't regressions.
-#[must_use]
-pub fn compare(
-    current: &BenchReport,
-    baseline: &BenchReport,
-    threshold_pct: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for base in &baseline.rows {
-        let regression = |current_mips: f64| Regression {
-            model: base.model.clone(),
-            backend: base.backend.clone(),
-            kernel: base.kernel.clone(),
-            baseline_mips: base.mips(),
-            current_mips,
-        };
-        match current.rows.iter().find(|r| r.key() == base.key()) {
-            None => regressions.push(Regression { baseline_mips: 0.0, ..regression(0.0) }),
-            Some(now) => {
-                if now.mips() < base.mips() * (1.0 - threshold_pct / 100.0) {
-                    regressions.push(regression(now.mips()));
-                }
-            }
-        }
-    }
-    regressions
-}
-
-/// Today's UTC civil date as `YYYY-MM-DD`, from the system clock
-/// (no external date dependency; days-to-civil per Howard Hinnant's
-/// public-domain algorithm).
-#[must_use]
-pub fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     fn sample() -> BenchReport {
         BenchReport {
             date: "2026-08-06".to_owned(),
@@ -422,7 +341,7 @@ mod tests {
     #[test]
     fn json_round_trips_exactly() {
         let report = sample();
-        let back = BenchReport::from_json(&report.to_json()).expect("parses");
+        let back = from_json(&report.to_json()).expect("parses");
         assert_eq!(back, report);
         // And the re-serialization is byte-identical (deterministic).
         assert_eq!(back.to_json(), report.to_json());
@@ -431,9 +350,9 @@ mod tests {
     #[test]
     fn unknown_schema_is_rejected() {
         let doc = sample().to_json().replace(SCHEMA, "lisa-bench/99");
-        let err = BenchReport::from_json(&doc).expect_err("wrong schema");
+        let err = from_json(&doc).expect_err("wrong schema");
         assert!(err.contains("lisa-bench/99"), "{err}");
-        assert!(BenchReport::from_json("{not json").is_err());
+        assert!(from_json("{not json").is_err());
     }
 
     #[test]
@@ -450,36 +369,6 @@ mod tests {
         assert_eq!(q, Quantiles { min_us: 10, p50_us: 20, p99_us: 40, max_us: 40 });
         let single = Quantiles::of(&[7]);
         assert_eq!(single, Quantiles { min_us: 7, p50_us: 7, p99_us: 7, max_us: 7 });
-    }
-
-    #[test]
-    fn compare_flags_slowdowns_and_missing_cells() {
-        let baseline = sample();
-        assert!(compare(&baseline, &baseline, 10.0).is_empty(), "self-compare is clean");
-
-        // 5x slowdown on the ops cell: well past any threshold.
-        let mut slow = baseline.clone();
-        slow.rows[0].wall_us.min_us *= 5;
-        let regs = compare(&slow, &baseline, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].kernel, "fib");
-        assert_eq!(regs[0].backend, "ops");
-        assert!(regs[0].to_string().contains("MIPS vs baseline"), "{}", regs[0]);
-
-        // A small wobble under the threshold is not a regression.
-        let mut wobble = baseline.clone();
-        wobble.rows[0].wall_us.min_us += 5; // 100 -> 105 µs ≈ -4.8%
-        assert!(compare(&wobble, &baseline, 10.0).is_empty());
-
-        // A cell missing from the current run is flagged.
-        let mut missing = baseline.clone();
-        missing.rows.remove(1);
-        let regs = compare(&missing, &baseline, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].to_string().contains("missing"), "{}", regs[0]);
-
-        // Extra cells in the current run are fine.
-        assert!(compare(&baseline, &missing, 10.0).is_empty());
     }
 
     #[test]
@@ -526,10 +415,10 @@ mod tests {
         );
     }
 
-    /// The cells `measure(quick, ..)` produces, in report order.
-    fn matrix_keys(quick: bool) -> Vec<(String, String, String)> {
+    /// The cells `measure(false, ..)` produces, in report order.
+    fn matrix_keys() -> Vec<(String, String, String)> {
         let mut keys = Vec::new();
-        for (model, _, suite) in model_suites(quick) {
+        for (model, _, suite) in model_suites(false) {
             for mode in [SimMode::Interpretive, SimMode::Ops] {
                 for kernel in &suite {
                     let backend = mode.metric_label().to_owned();
@@ -546,7 +435,7 @@ mod tests {
         let parse = |name: &str| {
             let text = std::fs::read_to_string(docs.join(name))
                 .unwrap_or_else(|e| panic!("cannot read docs/{name}: {e}"));
-            BenchReport::from_json(&text).unwrap_or_else(|e| panic!("docs/{name}: {e}"))
+            from_json(&text).unwrap_or_else(|e| panic!("docs/{name}: {e}"))
         };
         let keys = |report: &BenchReport| {
             report
@@ -555,12 +444,6 @@ mod tests {
                 .map(|r| (r.model.clone(), r.backend.clone(), r.kernel.clone()))
                 .collect::<Vec<_>>()
         };
-        // The CI gate's baseline: exactly the quick matrix, so no cell is
-        // reported missing and none goes ungated.
-        let baseline = parse("bench_baseline.json");
-        assert!(baseline.quick);
-        assert_eq!(keys(&baseline), matrix_keys(true));
-
         // Every dated trajectory parses; the one the E3 table cites is
         // the full matrix.
         for entry in std::fs::read_dir(&docs).expect("docs/ is readable") {
@@ -571,6 +454,6 @@ mod tests {
         }
         let cited = parse("BENCH_2026-10-18.json");
         assert!(!cited.quick);
-        assert_eq!(keys(&cited), matrix_keys(false));
+        assert_eq!(keys(&cited), matrix_keys());
     }
 }

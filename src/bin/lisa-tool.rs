@@ -48,8 +48,6 @@
 //!     --quick                   reduced suite (1 kernel per model)
 //!     --repeats N               timed runs per cell (default 3, --quick 2)
 //!     --out DIR                 output directory (default: the repo's docs/)
-//!     --baseline FILE           compare against a BENCH_*.json; fail on regression
-//!     --threshold PCT           regression threshold in percent (default 10)
 //! lisa-tool serve  [options]                   HTTP simulation service
 //!     --addr A                  bind address (default 127.0.0.1:8080; port 0 = ephemeral)
 //!     --workers N               connection worker threads (default 4)
@@ -62,8 +60,7 @@
 //! FILE` to dump the run's metric registry in Prometheus text format.
 //!
 //! Exit codes: `0` success; `1` the tools ran but the work failed (batch
-//! job failures, fuzz divergence, bench regression); `2` usage or
-//! model/program errors.
+//! job failures, fuzz divergence); `2` usage or model/program errors.
 //!
 //! `<model>` is a `.lisa` file path or one of the builtins `@vliw62`,
 //! `@accu16`, `@scalar2`, `@tinyrisc`. VLIW packing (`||` bars, p-bits) is enabled
@@ -79,7 +76,7 @@ use lisa::sim::SimMode;
 
 /// CLI failure, split by exit code: `Usage` exits 2 (bad invocation,
 /// unreadable input, model errors), `Failed` exits 1 (the tools ran but
-/// the work failed — job failures, divergences, perf regressions).
+/// the work failed — job failures, divergences).
 enum CliError {
     Usage(String),
     Failed(String),
@@ -154,10 +151,9 @@ fn usage() -> String {
      fuzz options: --model M|all  --seed N  --start N  --iters N  --corpus-dir DIR\n\
                    --max-len N  --max-cycles N  --self-check  --metrics FILE\n\
                    --remote ADDR (repeatable)  --timeout-ms N  --report FILE  --distill FILE\n\
-     bench options: --quick  --repeats N  --out DIR  --baseline FILE  --threshold PCT\n\
-                    --metrics FILE\n\
+     bench options: --quick  --repeats N  --out DIR  --metrics FILE\n\
      serve options: --addr A  --workers N  --queue N  --timeout-ms N  --once\n\
-     exit codes: 0 ok; 1 jobs failed / divergence / perf regression; 2 usage or model error"
+     exit codes: 0 ok; 1 jobs failed / divergence; 2 usage or model error"
         .to_owned()
 }
 
@@ -446,32 +442,15 @@ fn batch(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Benchmarks every builtin model × both backends × its kernel suite,
-/// writes the schema-versioned `BENCH_<date>.json` trajectory, and (with
-/// `--baseline`) gates on simulated-MIPS regressions.
+/// Benchmarks every builtin model × both backends × its kernel suite and
+/// records the schema-versioned `BENCH_<date>.json` trajectory (E15's
+/// `table_ops_speed` is the speed regression gate).
 fn bench(args: &[String]) -> Result<(), CliError> {
-    use lisa_bench::trajectory::{self, BenchReport};
-
     let quick = has_flag(args, "--quick");
     let repeats: u32 = parse_flag(args, "--repeats", if quick { 2 } else { 3 })?;
-    let threshold: f64 = parse_flag(args, "--threshold", 10.0)?;
-
-    // Validate the baseline up front: an unreadable or malformed file is
-    // a usage error, and it must not cost a benchmark run — or overwrite
-    // today's `BENCH_<date>.json` — before being reported.
-    let baseline = match flag_value(args, "--baseline") {
-        Some(baseline_path) => {
-            let text = fs::read_to_string(baseline_path)
-                .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-            let parsed = BenchReport::from_json(&text)
-                .map_err(|e| format!("bad baseline `{baseline_path}`: {e}"))?;
-            Some((baseline_path, parsed))
-        }
-        None => None,
-    };
 
     let registry = Registry::new();
-    let report = trajectory::measure(quick, repeats, Some(&registry));
+    let report = lisa_bench::trajectory::measure(quick, repeats, Some(&registry));
     print!("{}", report.table());
 
     let out_dir =
@@ -481,21 +460,6 @@ fn bench(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
     println!("wrote {}", path.display());
     dump_metrics(args, &registry)?;
-
-    if let Some((baseline_path, baseline)) = baseline {
-        let regressions = trajectory::compare(&report, &baseline, threshold);
-        if !regressions.is_empty() {
-            let mut msg = format!(
-                "{} perf regression(s) vs {baseline_path} (threshold {threshold}%):",
-                regressions.len()
-            );
-            for r in &regressions {
-                msg.push_str(&format!("\n  {r}"));
-            }
-            return Err(CliError::Failed(msg));
-        }
-        println!("no regressions vs {baseline_path} (threshold {threshold}%)");
-    }
     Ok(())
 }
 

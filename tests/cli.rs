@@ -179,17 +179,6 @@ fn usage_and_model_errors_exit_2() {
 
     let output = lisa_tool().args(["batch", "--mode", "sideways"]).output().unwrap();
     assert_eq!(output.status.code(), Some(2));
-
-    // An unreadable baseline must be rejected *before* the benchmark
-    // runs, so no `--out` is needed: a regression here would otherwise
-    // overwrite docs/BENCH_<date>.json with this test binary's numbers.
-    let output =
-        lisa_tool().args(["bench", "--quick", "--baseline", "/nonexistent.json"]).output().unwrap();
-    assert_eq!(output.status.code(), Some(2), "unreadable baseline is a usage error");
-    assert!(
-        !String::from_utf8_lossy(&output.stdout).contains("wrote "),
-        "bench must not write a trajectory when the baseline is unusable"
-    );
 }
 
 #[test]
@@ -507,7 +496,7 @@ fn fuzz_distills_a_covering_seed_set() {
 }
 
 #[test]
-fn bench_writes_trajectory_and_gates_on_baseline() {
+fn bench_writes_the_trajectory_document() {
     let dir = std::env::temp_dir().join("lisa_cli_bench_test");
     fs::remove_dir_all(&dir).ok();
     fs::create_dir_all(&dir).unwrap();
@@ -537,67 +526,5 @@ fn bench_writes_trajectory_and_gates_on_baseline() {
         assert!(text.contains(backend), "missing {backend}: {text}");
     }
 
-    // Comparing a run against itself is clean (exit 0)...
-    let baseline = dir.join("baseline.json");
-    fs::copy(&files[0], &baseline).unwrap();
-    let out = run_ok(&[
-        "bench",
-        "--quick",
-        "--repeats",
-        "1",
-        "--out",
-        dir.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--threshold",
-        "99",
-    ]);
-    assert!(out.contains("no regressions"), "{out}");
-
-    // ...but a synthetically 100x-faster baseline makes the current run
-    // a regression: exit 1, with the offending cells named.
-    let sped_up = fs::read_to_string(&baseline)
-        .unwrap()
-        .lines()
-        .map(|line| {
-            if line.trim_start().starts_with("{\"model\"") {
-                // Divide every wall-clock field by 100 (min 1 µs).
-                let mut out = line.to_owned();
-                for key in ["\"min\": ", "\"p50\": ", "\"p99\": ", "\"max\": "] {
-                    if let Some(start) = out.find(key) {
-                        let vstart = start + key.len();
-                        let vend = out[vstart..]
-                            .find(|c: char| !c.is_ascii_digit())
-                            .map_or(out.len(), |i| vstart + i);
-                        let v: u64 = out[vstart..vend].parse().unwrap();
-                        out = format!("{}{}{}", &out[..vstart], (v / 100).max(1), &out[vend..]);
-                    }
-                }
-                out
-            } else {
-                line.to_owned()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    let fast = dir.join("fast_baseline.json");
-    fs::write(&fast, sped_up).unwrap();
-    let output = lisa_tool()
-        .args([
-            "bench",
-            "--quick",
-            "--repeats",
-            "1",
-            "--out",
-            dir.to_str().unwrap(),
-            "--baseline",
-            fast.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(output.status.code(), Some(1), "regression must exit 1");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("perf regression"), "{stderr}");
-    assert!(stderr.contains("MIPS vs baseline"), "{stderr}");
     fs::remove_dir_all(&dir).ok();
 }
