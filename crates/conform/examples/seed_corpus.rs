@@ -39,7 +39,7 @@ fn main() {
     save(
         &accu16,
         "accu16",
-        "trace-parity",
+        "probe-parity",
         &["MOVI r1, 11", "MOVI r2, 3", "MPY r1, r2", "SAT16", "HLT"],
         &[],
     );

@@ -9,12 +9,12 @@
 //! cross-check the workspace can express, and a direct generalization
 //! of the paper's §4.1 `sim62x` comparison.
 //!
-//! Four **metamorphic** oracles then assert that semantics-preserving
+//! Three **metamorphic** oracles then assert that semantics-preserving
 //! transformations of a run do not change its result: snapshotting at a
-//! mid-run cycle and resuming (in either backend), enabling tracing and
-//! profiling, arming probes and the architectural profile (whose hit
-//! streams and aggregates must also be mode-independent), and running
-//! through `lisa-exec`'s batch scheduler instead of a plain loop.
+//! mid-run cycle and resuming (in either backend), tracing with probes
+//! and the architectural profile armed (whose hit streams and aggregates
+//! must also be mode-independent), and running through `lisa-exec`'s
+//! batch scheduler instead of a plain loop.
 //!
 //! A [`Fault`] can be injected into the ops backend to prove the
 //! harness end-to-end: a flipped halt flag must be detected by the
@@ -24,7 +24,10 @@ use lisa_core::ast::ResourceClass;
 use lisa_core::model::Resource;
 use lisa_exec::{run_scenario, BatchRunner, JobError, Scenario};
 use lisa_models::Workbench;
-use lisa_sim::{ArchProfile, ProbeSpec, SimError, SimMode, SimStats, Simulator, TraceEvent};
+use lisa_sim::{
+    ArchProfile, ProbeSpec, RunOutcome, SimError, SimMode, SimStats, Simulator, StopReason,
+    TraceEvent,
+};
 
 /// Which oracle detected a divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,12 +37,10 @@ pub enum OracleKind {
     Lockstep,
     /// Snapshot at a mid-run cycle, resume in both backends.
     SnapshotRestore,
-    /// Trace-and-profile-enabled vs plain execution.
-    TraceParity,
     /// `lisa-exec` batch execution vs sequential execution.
     BatchParity,
-    /// Probe hit streams and architectural profile across both
-    /// backends.
+    /// Traced, probed and profiled vs plain execution, and probe hit
+    /// streams and architectural profile across both backends.
     ProbeParity,
 }
 
@@ -50,7 +51,6 @@ impl OracleKind {
         match self {
             OracleKind::Lockstep => "lockstep",
             OracleKind::SnapshotRestore => "snapshot-restore",
-            OracleKind::TraceParity => "trace-parity",
             OracleKind::BatchParity => "batch-parity",
             OracleKind::ProbeParity => "probe-parity",
         }
@@ -131,10 +131,9 @@ pub fn check_all(
 ) -> Result<Outcome, Verdict> {
     let reference = lockstep(wb, image, max_cycles, fault)?;
     if fault.is_none() {
-        trace_parity(wb, image, max_cycles, &reference)?;
-        if let Outcome::Halted { cycles, .. } = reference {
+        if let Outcome::Halted { cycles, digest } = reference {
             if cycles >= 2 {
-                snapshot_restore(wb, image, max_cycles, cycles)?;
+                snapshot_restore(wb, image, max_cycles, cycles, digest)?;
             }
         }
         batch_parity(wb, image, max_cycles, &reference)?;
@@ -275,63 +274,16 @@ fn lockstep(
     Ok(Outcome::Budget { digest: sims[0].state().digest() })
 }
 
-/// Runs the ops backend to completion the same way the lockstep oracle
-/// does, with tracing and profiling enabled.
-fn run_traced(wb: &Workbench, image: &[u128], max_cycles: u64) -> Outcome {
-    let mut sim = match wb.simulator(SimMode::Ops) {
-        Ok(sim) => sim,
-        Err(e) => return Outcome::Error { message: e.to_string() },
-    };
-    let halt = match wb.model().resource_by_name(wb.halt_flag()) {
-        Some(res) => res.clone(),
-        None => return Outcome::Error { message: format!("no halt flag `{}`", wb.halt_flag()) },
-    };
-    sim.set_trace(true);
-    sim.enable_arch_profile();
-    if let Err(e) = sim.load_program(wb.program_memory(), image) {
-        return Outcome::Error { message: e.to_string() };
-    }
-    for cycle in 0..max_cycles {
-        if let Err(e) = sim.step() {
-            return Outcome::Error { message: e.to_string() };
-        }
-        if cycle % 256 == 255 {
-            // Keep the event buffer bounded on long runs.
-            let _ = sim.take_events();
-        }
-        if halted(&sim, &halt) {
-            return Outcome::Halted { cycles: sim.stats().cycles, digest: sim.state().digest() };
-        }
-    }
-    Outcome::Budget { digest: sim.state().digest() }
-}
-
-/// Metamorphic oracle: tracing and profiling must not change execution
-/// in the translated backend.
-fn trace_parity(
-    wb: &Workbench,
-    image: &[u128],
-    max_cycles: u64,
-    reference: &Outcome,
-) -> Result<(), Verdict> {
-    let traced = run_traced(wb, image, max_cycles);
-    if traced != *reference {
-        return Err(Verdict {
-            oracle: OracleKind::TraceParity,
-            detail: format!("traced Ops run diverged: plain={reference:?} traced={traced:?}"),
-        });
-    }
-    Ok(())
-}
-
 /// Metamorphic oracle: snapshot at the midpoint, resume in the same
 /// backend and in the other backend; both continuations must agree
-/// bit-exactly with the uninterrupted run.
+/// bit-exactly with the uninterrupted run, the lockstep reference that
+/// halted after `total_cycles` with state digest `digest`.
 fn snapshot_restore(
     wb: &Workbench,
     image: &[u128],
     max_cycles: u64,
     total_cycles: u64,
+    digest: u64,
 ) -> Result<(), Verdict> {
     let fail = |detail: String| Verdict { oracle: OracleKind::SnapshotRestore, detail };
     let halt = halt_resource(wb)?;
@@ -342,10 +294,8 @@ fn snapshot_restore(
     base.load_program(wb.program_memory(), image).map_err(|e| fail(e.to_string()))?;
     base.run(mid).map_err(|e| fail(format!("run to midpoint: {e}")))?;
     let snap = base.snapshot();
-    let rest = base
-        .run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, rest_budget)
-        .map_err(|e| fail(format!("uninterrupted continuation: {e}")))?;
-    let want = (rest, base.state().digest());
+    let rest = RunOutcome { cycles: total_cycles - mid, reason: StopReason::Halted };
+    let want = (rest, digest);
 
     for mode in [SimMode::Interpretive, SimMode::Ops] {
         let mut resumed = wb.simulator(mode).map_err(|e| fail(e.to_string()))?;
@@ -467,9 +417,9 @@ fn run_probed(
     })
 }
 
-/// Metamorphic oracle: arming probes must not change execution, and the
-/// probe hit stream, hit counts and architectural profile must be
-/// identical in every backend.
+/// Metamorphic oracle: tracing, arming probes and profiling must not
+/// change execution in either backend, and the probe hit stream, hit
+/// counts and architectural profile must be identical in every backend.
 fn probe_parity(
     wb: &Workbench,
     image: &[u128],

@@ -35,6 +35,15 @@ pub enum Check {
     },
 }
 
+impl Check {
+    /// `(resource, address or index, expected value)`.
+    fn target(&self) -> (&'static str, i64, i64) {
+        let (Check::Mem { resource, addr, value } | Check::Reg { resource, index: addr, value }) =
+            *self;
+        (resource, addr, value)
+    }
+}
+
 /// A ready-to-run workload: program, data image, golden checks.
 #[derive(Debug, Clone)]
 pub struct Kernel {
@@ -86,14 +95,7 @@ pub fn load_kernel<'m>(
     kernel: &Kernel,
     mode: SimMode,
 ) -> Result<Simulator<'m>, WorkbenchError> {
-    let is_vliw = wb.model().resource_by_name("fp").is_some();
-    let program = if is_vliw {
-        lisa_asm::Assembler::with_packet(wb.model(), crate::vliw62::FETCH_PACKET, 1)
-            .assemble(&kernel.source)
-    } else {
-        lisa_asm::Assembler::new(wb.model()).assemble(&kernel.source)
-    }
-    .unwrap_or_else(|e| panic!("kernel `{}` does not assemble: {e}", kernel.name));
+    let program = assemble(wb, kernel);
     let mut sim = wb.simulator(mode)?;
     // Data first, so a poke into program memory is pre-decoded with the
     // program.
@@ -110,6 +112,19 @@ pub fn load_kernel<'m>(
     Ok(sim)
 }
 
+/// Assembles a kernel, in fetch packets on vliw62; panics if it does not
+/// assemble (a kernel bug).
+fn assemble(wb: &Workbench, kernel: &Kernel) -> lisa_asm::Program {
+    let assembler = if wb.model().resource_by_name("fp").is_some() {
+        lisa_asm::Assembler::with_packet(wb.model(), crate::vliw62::FETCH_PACKET, 1)
+    } else {
+        lisa_asm::Assembler::new(wb.model())
+    };
+    assembler
+        .assemble(&kernel.source)
+        .unwrap_or_else(|e| panic!("kernel `{}` does not assemble: {e}", kernel.name))
+}
+
 /// Checks a finished simulator against a kernel's golden values.
 ///
 /// # Panics
@@ -117,10 +132,7 @@ pub fn load_kernel<'m>(
 /// Panics on the first mismatch.
 pub fn verify_kernel(wb: &Workbench, kernel: &Kernel, sim: &Simulator<'_>) {
     for check in &kernel.checks {
-        let (resource, addr, expected) = match check {
-            Check::Mem { resource, addr, value } => (*resource, *addr, *value),
-            Check::Reg { resource, index, value } => (*resource, *index, *value),
-        };
+        let (resource, addr, expected) = check.target();
         let res = wb.model().resource_by_name(resource).expect("check resource");
         let indices: &[i64] = if res.is_array() { &[addr] } else { &[] };
         let got = sim.state().read(res, indices).expect("check address");
@@ -914,15 +926,7 @@ impl Workbench {
     /// [`load_kernel`]).
     #[must_use]
     pub fn scenario(&self, kernel: &Kernel, mode: SimMode) -> lisa_exec::Scenario<'_> {
-        let is_vliw = self.model().resource_by_name("fp").is_some();
-        let program = if is_vliw {
-            lisa_asm::Assembler::with_packet(self.model(), crate::vliw62::FETCH_PACKET, 1)
-                .assemble(&kernel.source)
-        } else {
-            lisa_asm::Assembler::new(self.model()).assemble(&kernel.source)
-        }
-        .unwrap_or_else(|e| panic!("kernel `{}` does not assemble: {e}", kernel.name));
-
+        let program = assemble(self, kernel);
         let mut sc =
             lisa_exec::Scenario::new(format!("{}@{mode:?}", kernel.name), self.model(), mode)
                 .program(self.program_memory(), program.origin, program.words)
@@ -932,10 +936,7 @@ impl Workbench {
             sc = sc.poke(resource, addr, value);
         }
         for check in &kernel.checks {
-            let (resource, addr, expected) = match check {
-                Check::Mem { resource, addr, value } => (*resource, *addr, *value),
-                Check::Reg { resource, index, value } => (*resource, *index, *value),
-            };
+            let (resource, addr, expected) = check.target();
             sc = sc.expect(resource, Some(addr), expected);
         }
         sc

@@ -20,15 +20,13 @@
 //!   read/write [`Heatmap`]s. Merge is associative and commutative with
 //!   the empty profile as identity, so per-run profiles fold into
 //!   fleet- or service-level views in any order.
-//! * [`ProbeRuntime`] — the per-simulator state the backends drive:
-//!   one typed entry per event kind (write, decode, stall, flush, read),
-//!   so no trace event is built to feed it. It emits
-//!   `TraceEvent::ProbeHit` records for matched probes, latches
-//!   breakpoint stops, and accumulates the instruction, hot-PC, stall,
-//!   flush and heatmap parts of the profile. The simulator counts
-//!   register writes, behavior executions (and from them stage
-//!   occupancy) and activations itself, in one id-indexed home both
-//!   backends bump, and folds them into the runtime's profile.
+//! * [`ProbeRuntime`] — the per-simulator probe matcher: the simulator
+//!   hands it the writes a probe names, and it emits
+//!   `TraceEvent::ProbeHit` records for matched probes, counts hits and
+//!   latches breakpoint stops. It counts nothing else: every counter of
+//!   the profile lives in the simulator, in one id-indexed home both
+//!   backends bump, and the simulator folds them (with the runtime's
+//!   hit counts) into an [`ArchProfile`] by name.
 //!
 //! The conformance harness asserts that probe hit streams and
 //! `ArchProfile` contents are identical across the interpretive and the

@@ -246,13 +246,9 @@ impl ProbeSpec {
     }
 }
 
-/// Cap on the hot-PC table: program counters past this many words of
-/// program memory are counted as instructions but not attributed.
-pub(crate) const MAX_HOT_PCS: usize = 1 << 16;
-
 /// A spec compiled against one model: watch tables indexed by resource
-/// id, sorted PC breakpoint/tracepoint tables, and the memory-heatmap
-/// layout. Everything the hot path touches is a pre-resolved index.
+/// id and sorted PC breakpoint/tracepoint tables. Everything the hot
+/// path touches is a pre-resolved index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeSet {
     /// Watch ranges per resource id: `(lo, hi, probe_id)`, half-open.
@@ -263,52 +259,23 @@ pub struct ProbeSet {
     pub(crate) traces: Vec<(i64, u16)>,
     /// The model's `PROGRAM_COUNTER` resource index, if any.
     pub(crate) pc_res: Option<usize>,
-    /// Per-resource heatmap slot (memory-class resources only).
-    pub(crate) heat_slot: Vec<Option<u16>>,
-    /// Heatmap slot layout: `(resource name, element count)`.
-    pub(crate) heat: Vec<(String, u64)>,
-    /// Hot-PC table window: first address and word count of the
-    /// model's program memory (capped at [`MAX_HOT_PCS`] words).
-    pub(crate) pc_window: (i64, usize),
     /// Human-readable label per probe id.
     pub(crate) labels: Vec<String>,
 }
 
 impl ProbeSet {
-    /// A probe-free set for `model` — still carries the memory-heatmap
-    /// layout, so architecture profiling works without any probes.
+    /// A probe-free set for `model`.
     #[must_use]
     pub fn empty(model: &Model) -> ProbeSet {
-        let n = model.resources().len();
-        let mut heat_slot = vec![None; n];
-        let mut heat = Vec::new();
-        let mut pc_res = None;
-        let mut pc_window = None;
-        for res in model.resources() {
-            match res.class {
-                ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
-                    heat_slot[res.id.0] = Some(heat.len() as u16);
-                    heat.push((res.name.clone(), res.element_count()));
-                    if res.class == ResourceClass::ProgramMemory {
-                        let base = res.dims.first().map_or(0, |d| d.base());
-                        let words = res.element_count().min(MAX_HOT_PCS as u64) as usize;
-                        pc_window.get_or_insert((i64::try_from(base).unwrap_or(i64::MAX), words));
-                    }
-                }
-                ResourceClass::ProgramCounter => {
-                    pc_res.get_or_insert(res.id.0);
-                }
-                _ => {}
-            }
-        }
         ProbeSet {
-            watches: vec![Vec::new(); n],
+            watches: vec![Vec::new(); model.resources().len()],
             breaks: Vec::new(),
             traces: Vec::new(),
-            pc_res,
-            heat_slot,
-            heat,
-            pc_window: pc_window.unwrap_or((0, 0)),
+            pc_res: model
+                .resources()
+                .iter()
+                .find(|r| r.class == ResourceClass::ProgramCounter)
+                .map(|r| r.id.0),
             labels: Vec::new(),
         }
     }
@@ -319,8 +286,7 @@ impl ProbeSet {
         self.labels.len()
     }
 
-    /// Whether the set contains no probes (it may still carry the
-    /// heatmap layout for profiling).
+    /// Whether the set contains no probes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
@@ -336,13 +302,6 @@ impl ProbeSet {
     #[must_use]
     pub fn labels(&self) -> &[String] {
         &self.labels
-    }
-
-    /// Whether a profile records heat for writes to `res`: it is a
-    /// memory, so it has a heatmap slot.
-    #[must_use]
-    pub fn records_heat(&self, res: ResourceId) -> bool {
-        self.heat_slot.get(res.0).is_some_and(Option::is_some)
     }
 
     /// Whether a write to `res` can match a probe: a watchpoint on it,
@@ -425,19 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_layout_covers_memories_only() {
+    fn empty_set_binds_the_program_counter() {
         let model = model();
         let set = ProbeSet::empty(&model);
-        assert_eq!(set.heat.len(), 2);
-        assert_eq!(set.heat[0].0, "dmem");
-        assert_eq!(set.heat[0].1, 256);
-        assert_eq!(set.heat[1].0, "pmem");
-        assert!(set.pc_res.is_some());
         assert!(set.is_empty());
-        let heat = ["pc", "acc", "R", "dmem", "pmem"]
-            .map(|n| set.records_heat(model.resource_by_name(n).unwrap().id));
-        assert_eq!(heat, [false, false, false, true, true]);
-        assert!(!set.records_heat(ResourceId(99)));
+        assert_eq!(set.pc_res, Some(model.resource_by_name("pc").unwrap().id.0));
     }
 
     #[test]

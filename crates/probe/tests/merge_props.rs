@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
-use lisa_probe::{ArchProfile, Heatmap, ProbeRuntime, ProbeSpec};
+use lisa_probe::{ArchProfile, Heatmap};
 use lisa_trace::{NameTable, TraceEvent};
 use proptest::prelude::*;
 
@@ -65,7 +65,7 @@ const MODEL: &str = r"
 ";
 
 /// Any event over the model above — including out-of-range ids,
-/// stages and program counters, which the runtime must skip
+/// stages and program counters, which must be skipped
 /// deterministically.
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
     prop_oneof!(
@@ -126,73 +126,79 @@ fn arb_job() -> impl Strategy<Value = (Vec<TraceEvent>, u64)> {
     (prop::collection::vec(arb_event(), 0..=48), 0u64..100)
 }
 
-/// Profiles `events` as one run covering `cycles` steps, with a watch,
-/// a register probe and a PC tracepoint armed.
+/// Profiles `events` as one run covering `cycles` steps, with a watch
+/// (`watch dmem[0..32]`), a register probe (`reg R`) and a PC
+/// tracepoint (`trace 3`) armed. Every field is built by hand from the
+/// events, as the simulator's fold builds it from its counters: a decode
+/// is an instruction and, inside the program memory, a hot PC; a stall
+/// or flush holds stages of a model pipeline; an execution counts its
+/// operation and its static stage as busy; an activation counts its
+/// target; a write to a memory is write heat (bucketed like the
+/// simulator's, at most 64 buckets) and any other model resource a
+/// register write. Events naming ids outside the model count nothing.
 fn profile_of(events: &[TraceEvent], cycles: u64) -> ArchProfile {
+    use lisa_core::ast::ResourceClass;
     static MODEL_NAMES: OnceLock<(Model, NameTable)> = OnceLock::new();
     let (model, names) = MODEL_NAMES.get_or_init(|| {
         let model = Model::from_source(MODEL).expect("model builds");
         let names = NameTable::of(&model);
         (model, names)
     });
-    let set = ProbeSpec::parse("watch dmem[0..32]; reg R; trace 3")
-        .expect("spec parses")
-        .compile(model)
-        .expect("spec compiles");
-    let mut runtime = ProbeRuntime::new(set, names);
-    runtime.enable_arch(7);
-    for event in events {
-        feed(&mut runtime, event);
-    }
-    let mut profile = runtime.arch_profile(names, 7 + cycles);
-    for event in events {
-        count(model, names, &mut profile, event);
-    }
-    profile
-}
-
-/// Reports `event` through the runtime's typed entry for its kind, as a
-/// backend does. Fetch, Print, Exec and Activation feed nothing (the
-/// simulator counts executions and activations itself, see [`count`]);
-/// a write is memory heat when its resource is a memory.
-fn feed(runtime: &mut ProbeRuntime, event: &TraceEvent) {
-    match *event {
-        TraceEvent::Decode { pc, .. } => runtime.observe_decode(pc),
-        TraceEvent::Stall { pipe, upto, .. } => runtime.observe_stall(pipe, upto),
-        TraceEvent::Flush { pipe, upto, .. } => runtime.observe_flush(pipe, upto),
-        TraceEvent::MemoryAccess { cycle, resource, addr, value }
-        | TraceEvent::RegisterWrite { cycle, resource, addr, value } => {
-            runtime.observe_write(cycle, resource, addr, value, |_| {});
-        }
-        _ => {}
-    }
-}
-
-/// Adds what the simulator's own counters hold for `event` to `profile`,
-/// as their fold does: an execution (and its operation's static stage as
-/// busy), an activation, or a write to a model resource that is not a
-/// memory. Events naming ids outside the model count nothing.
-fn count(model: &Model, names: &NameTable, profile: &mut ArchProfile, event: &TraceEvent) {
-    use lisa_core::ast::ResourceClass;
+    let id = |name: &str| model.resource_by_name(name).expect("resource").id;
+    let (pc_res, r_file, dmem, pmem) = (id("pc"), id("R"), id("dmem"), id("pmem"));
+    let words = model.resource(pmem).element_count() as i64;
     let known = |op: OpId| op.0 < model.operations().len();
-    match *event {
-        TraceEvent::Exec { op, .. } if known(op) => {
-            *profile.op_execs.entry(names.op(op).to_owned()).or_default() += 1;
-            if let Some((pipe, stage)) = model.operation(op).stage {
-                *profile.stage_busy.entry(names.stage_key(pipe, stage)).or_default() += 1;
+    // Stages `0..=upto` of a model pipeline (all of them for `None`).
+    let hold = |map: &mut BTreeMap<String, u64>, pipe: PipelineId, upto: Option<u16>| {
+        let depth = model.pipelines().get(pipe.0).map_or(0, |p| p.depth());
+        for stage in 0..upto.map_or(depth, |s| depth.min(usize::from(s) + 1)) {
+            *map.entry(names.stage_key(pipe, stage)).or_default() += 1;
+        }
+    };
+    let mut p = ArchProfile { cycles, ..ArchProfile::default() };
+    for event in events {
+        match *event {
+            TraceEvent::Decode { pc, .. } => {
+                p.instructions += 1;
+                if (0..words).contains(&pc) {
+                    *p.hot_pcs.entry(pc).or_default() += 1;
+                }
             }
+            TraceEvent::Stall { pipe, upto, .. } => hold(&mut p.stage_stalls, pipe, Some(upto)),
+            TraceEvent::Flush { pipe, upto, .. } => hold(&mut p.stage_flushes, pipe, upto),
+            TraceEvent::Exec { op, .. } if known(op) => {
+                *p.op_execs.entry(names.op(op).to_owned()).or_default() += 1;
+                if let Some((pipe, stage)) = model.operation(op).stage {
+                    *p.stage_busy.entry(names.stage_key(pipe, stage)).or_default() += 1;
+                }
+            }
+            TraceEvent::Activation { to, .. } if known(to) => {
+                *p.unit_activations.entry(names.op(to).to_owned()).or_default() += 1;
+            }
+            TraceEvent::MemoryAccess { resource, addr, value, .. }
+            | TraceEvent::RegisterWrite { resource, addr, value, .. } => {
+                let Some(res) = model.resources().get(resource.0) else { continue };
+                if matches!(res.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory) {
+                    p.write_heat
+                        .entry(res.name.clone())
+                        .or_insert_with(|| Heatmap::for_elements(res.element_count(), 64))
+                        .record(addr);
+                } else {
+                    p.register_writes += 1;
+                }
+                let hits = [
+                    ("watch dmem[0..32]", resource == dmem && addr < 32),
+                    ("reg R", resource == r_file && addr < 4),
+                    ("trace 3", resource == pc_res && value == 3),
+                ];
+                for (label, _) in hits.into_iter().filter(|&(_, hit)| hit) {
+                    *p.hits.entry(label.to_owned()).or_default() += 1;
+                }
+            }
+            _ => {}
         }
-        TraceEvent::Activation { to, .. } if known(to) => {
-            *profile.unit_activations.entry(names.op(to).to_owned()).or_default() += 1;
-        }
-        TraceEvent::MemoryAccess { resource, .. } | TraceEvent::RegisterWrite { resource, .. } => {
-            let register = model.resources().get(resource.0).is_some_and(|r| {
-                !matches!(r.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory)
-            });
-            profile.register_writes += u64::from(register);
-        }
-        _ => {}
     }
+    p
 }
 
 fn merged(a: &ArchProfile, b: &ArchProfile) -> ArchProfile {

@@ -19,9 +19,10 @@
 use std::sync::Arc;
 
 use lisa_bits::Bits;
+use lisa_core::ast::ResourceClass;
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 use lisa_isa::{Decoded, Decoder};
-use lisa_probe::{ArchProfile, ProbeRuntime, ProbeSet};
+use lisa_probe::{ArchProfile, Heatmap, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
 use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
 
@@ -74,10 +75,8 @@ pub(crate) struct Observer {
     pub names: NameTable,
     /// Event consumer, when tracing is enabled.
     pub sink: Option<Box<dyn TraceSink>>,
-    /// Architectural probes and the architecture profile, when
-    /// installed. The emit helpers report each event to it through the
-    /// typed entry for its kind; a `TraceEvent` is built only for the
-    /// sink.
+    /// Architectural probes, when installed: the writes a probe names
+    /// are handed to it for matching.
     pub probes: Option<Box<ProbeRuntime>>,
 }
 
@@ -96,9 +95,8 @@ pub(crate) enum Route {
     Skip,
     /// Only the profile listens: count the event.
     Count,
-    /// Hand the event to the sink (and a write to the runtime, for
-    /// memory write heat and probe matching), counting it first when
-    /// `count`.
+    /// Hand the event on (a write: memory write heat, the sink and the
+    /// probe runtime), counting it first when `count`.
     Emit { count: bool },
 }
 
@@ -112,64 +110,147 @@ impl Route {
     }
 }
 
-/// The arch profile's event counters — register writes, behavior
-/// executions and activations, id-indexed — in the one home both
+/// Cap on heatmap buckets per memory resource; bucket sizes scale with
+/// the resource so small memories keep per-cell resolution.
+const MAX_HEAT_BUCKETS: u64 = 64;
+
+/// Cap on the hot-PC table: program counters past this many words of
+/// program memory are counted as instructions but not attributed.
+const MAX_HOT_PCS: u64 = 1 << 16;
+
+/// Every counter of the arch profile, id-indexed, in the one home both
 /// backends bump at their event points, with the routes that decide
-/// which events reach them, the sink and the runtime. Folded into the
-/// runtime's profile by name when the profile is read
-/// ([`Counters::fold_into`]); restarted with it
-/// ([`Simulator::restart_profile`]).
+/// which events reach them, the sink and the probe runtime. The tables
+/// are laid out from the model when the profile is enabled
+/// ([`Counters::enable`]) and stay empty until then, so an event point
+/// reached with the profile off finds no slot. Folded to names when the
+/// profile is read ([`Counters::fold`]); zeroed by
+/// [`Simulator::restart_profile`].
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     /// What a write does, by resource id (empty with no observer).
     writes: Vec<Route>,
-    /// What a behavior execution or an activation does.
+    /// What a behavior execution, an activation or a decode does.
     units: Route,
+    /// Whether the profile is on.
+    profiling: bool,
+    /// Cycle the counts started at.
+    start: u64,
+    /// Instructions decoded.
+    instructions: u64,
     /// Writes to non-memory resources.
     register_writes: u64,
     /// Behavior executions, by [`OpId`].
     op_execs: Vec<u64>,
     /// Activations, by target [`OpId`].
     unit_acts: Vec<u64>,
+    /// Decodes per program-counter value from `pc_base` on: one slot
+    /// per word of the model's first program memory, up to
+    /// [`MAX_HOT_PCS`].
+    hot_pcs: Vec<u64>,
+    /// The program-counter value of `hot_pcs[0]`.
+    pc_base: i64,
+    /// Stalls that held each stage, by pipeline id and stage index.
+    stalls: Vec<Vec<u64>>,
+    /// Flushes that covered each stage, laid out like `stalls`.
+    flushes: Vec<Vec<u64>>,
+    /// Read heat by resource id (`None` for a non-memory resource).
+    read_heat: Vec<Option<Heatmap>>,
+    /// Write heat, laid out like `read_heat`.
+    write_heat: Vec<Option<Heatmap>>,
 }
 
 impl Counters {
+    /// Turns the profile on, laying every table out from the model.
+    fn enable(&mut self, model: &Model) {
+        self.profiling = true;
+        self.op_execs = vec![0; model.operations().len()];
+        self.unit_acts = self.op_execs.clone();
+        self.stalls = model.pipelines().iter().map(|p| vec![0; p.depth()]).collect();
+        self.flushes = self.stalls.clone();
+        self.read_heat = model
+            .resources()
+            .iter()
+            .map(|r| {
+                matches!(r.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory)
+                    .then(|| Heatmap::for_elements(r.element_count(), MAX_HEAT_BUCKETS))
+            })
+            .collect();
+        self.write_heat = self.read_heat.clone();
+        let pmem = model.resources().iter().find(|r| r.class == ResourceClass::ProgramMemory);
+        let base = pmem.and_then(|r| r.dims.first()).map_or(0, |d| d.base());
+        self.pc_base = i64::try_from(base).unwrap_or(i64::MAX);
+        self.hot_pcs = vec![0; pmem.map_or(0, |r| r.element_count().min(MAX_HOT_PCS) as usize)];
+    }
+
     /// Plans the routes for the installed observer: the one place that
-    /// decides what a write to each resource, an execution and an
-    /// activation do. A profile counts executions, activations and the
-    /// writes its probe set records no heat for (registers), and hands
-    /// the others (memories) to the runtime as heat; a sink sees every
-    /// event; probes match the writes their set names.
+    /// decides what a write to each resource, an execution, an
+    /// activation and a decode do. A profile counts executions,
+    /// activations, decodes and register writes, and takes memory writes
+    /// as heat; a sink sees every event; probes match the writes their
+    /// set names.
     fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
         self.writes.clear();
         self.units = Route::Skip;
         let Some(obs) = observer else { return };
         let set = obs.probes.as_deref().map(ProbeRuntime::probe_set);
-        let profiling = obs.probes.as_deref().is_some_and(ProbeRuntime::arch_enabled);
-        let tracing = obs.sink.is_some();
+        let (profiling, tracing) = (self.profiling, obs.sink.is_some());
+        let heat = &self.write_heat;
         self.writes.extend(model.resources().iter().map(|r| {
-            let heat = profiling && set.is_some_and(|s| s.records_heat(r.id));
+            let heat = heat.get(r.id.0).is_some_and(Option::is_some);
             let matched = set.is_some_and(|s| s.matches_writes_to(r.id));
             Route::new(profiling && !heat, tracing || matched || heat)
         }));
         self.units = Route::new(profiling, tracing);
-        if profiling {
-            self.op_execs.resize(model.operations().len(), 0);
-            self.unit_acts.resize(model.operations().len(), 0);
+    }
+
+    /// Zeroes every count and starts them at cycle `now`, so nothing
+    /// recorded before `now` (e.g. on a timeline a snapshot restore
+    /// discarded) is reported.
+    fn restart(&mut self, now: u64) {
+        self.start = now;
+        self.instructions = 0;
+        self.register_writes = 0;
+        let tables = [&mut self.op_execs, &mut self.unit_acts, &mut self.hot_pcs];
+        for counts in tables.into_iter().chain(&mut self.stalls).chain(&mut self.flushes) {
+            counts.fill(0);
+        }
+        for heat in self.read_heat.iter_mut().chain(&mut self.write_heat).flatten() {
+            heat.counts.clear();
         }
     }
 
-    /// Zeroes the counts.
-    fn restart(&mut self) {
-        self.register_writes = 0;
-        self.op_execs.fill(0);
-        self.unit_acts.fill(0);
+    /// Counts a decode with the program counter at `pc`, and its hot PC
+    /// inside the program-memory window.
+    fn decode(&mut self, pc: i64) {
+        self.instructions += 1;
+        let slot = pc.checked_sub(self.pc_base).and_then(|i| usize::try_from(i).ok());
+        if let Some(count) = slot.and_then(|i| self.hot_pcs.get_mut(i)) {
+            *count += 1;
+        }
     }
 
-    /// Adds the counts to a profile the runtime folded, stage occupancy
-    /// derived from each operation's static stage.
-    fn fold_into(&self, model: &Model, names: &NameTable, profile: &mut ArchProfile) {
-        profile.register_writes += self.register_writes;
+    /// Adds one to stages `0..=upto` of `pipe` in `table` (the whole
+    /// pipeline when `upto` is `None`).
+    fn hold(table: &mut [Vec<u64>], pipe: PipelineId, upto: Option<usize>) {
+        if let Some(stages) = table.get_mut(pipe.0) {
+            let held = upto.map_or(stages.len(), |s| s + 1);
+            for count in stages.iter_mut().take(held) {
+                *count += 1;
+            }
+        }
+    }
+
+    /// The profile of the counts from their start to cycle `now`, keyed
+    /// by the names in `names`; stage occupancy is derived from each
+    /// executed operation's static stage.
+    fn fold(&self, model: &Model, names: &NameTable, now: u64) -> ArchProfile {
+        let mut profile = ArchProfile {
+            cycles: now.saturating_sub(self.start),
+            instructions: self.instructions,
+            register_writes: self.register_writes,
+            ..ArchProfile::default()
+        };
         for (i, &n) in self.op_execs.iter().enumerate().filter(|&(_, &n)| n > 0) {
             let op = OpId(i);
             *profile.op_execs.entry(names.op(op).to_owned()).or_default() += n;
@@ -180,6 +261,28 @@ impl Counters {
         for (i, &n) in self.unit_acts.iter().enumerate().filter(|&(_, &n)| n > 0) {
             *profile.unit_activations.entry(names.op(OpId(i)).to_owned()).or_default() += n;
         }
+        for (i, &n) in self.hot_pcs.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            profile.hot_pcs.insert(self.pc_base + i as i64, n);
+        }
+        for (table, map) in
+            [(&self.stalls, &mut profile.stage_stalls), (&self.flushes, &mut profile.stage_flushes)]
+        {
+            for (p, stages) in table.iter().enumerate() {
+                for (s, &n) in stages.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                    map.insert(names.stage_key(PipelineId(p), s), n);
+                }
+            }
+        }
+        for (heats, map) in
+            [(&self.read_heat, &mut profile.read_heat), (&self.write_heat, &mut profile.write_heat)]
+        {
+            for (i, heat) in heats.iter().enumerate() {
+                if let Some(heat) = heat.as_ref().filter(|h| !h.is_empty()) {
+                    map.insert(names.resource(ResourceId(i)).to_owned(), heat.clone());
+                }
+            }
+        }
+        profile
     }
 }
 
@@ -401,20 +504,20 @@ impl<'m> Simulator<'m> {
     /// restoring the single-`None` fast path, and re-plans the write
     /// routes.
     fn observer_changed(&mut self) {
-        if self.observer.as_ref().is_some_and(|o| o.sink.is_none() && o.probes.is_none()) {
+        let idle = |o: &Observer| o.sink.is_none() && o.probes.is_none();
+        if !self.counters.profiling && self.observer.as_deref().is_some_and(idle) {
             self.observer = None;
         }
         self.counters.plan(self.model, self.observer.as_deref());
     }
 
-    /// Restarts the profile at the current cycle: the runtime's counters
-    /// and probe hit counts together with the simulator's [`Counters`].
+    /// Restarts the profile at the current cycle: the simulator's
+    /// [`Counters`] and the probe hit counts.
     pub(crate) fn restart_profile(&mut self) {
-        let now = self.stats.cycles;
         if let Some(runtime) = self.runtime_mut() {
-            runtime.restart(now);
+            runtime.restart();
         }
-        self.counters.restart();
+        self.counters.restart(self.stats.cycles);
     }
 
     /// Enables or disables the execution trace.
@@ -476,19 +579,19 @@ impl<'m> Simulator<'m> {
     /// additionally stop [`Simulator::run_until`] with
     /// [`StopReason::Breakpoint`]. `set` must be compiled against this
     /// simulator's model. Replaces any previously installed set: hit
-    /// counts restart at zero for the new probes, while a running
-    /// architecture profile keeps its counters and start cycle.
+    /// counts restart at zero for the new probes. A running architecture
+    /// profile is not touched: it keeps its counters and start cycle.
     pub fn set_probes(&mut self, set: ProbeSet) {
         let obs = self.observer_mut();
         match obs.probes.as_mut() {
             Some(runtime) => runtime.set_probes(set),
-            None => obs.probes = Some(Box::new(ProbeRuntime::new(set, &obs.names))),
+            None => obs.probes = Some(Box::new(ProbeRuntime::new(set))),
         }
         self.observer_changed();
     }
 
-    /// Removes the installed probes (and any architecture profile they
-    /// accumulated).
+    /// Removes the installed probes and their hit counts. A running
+    /// architecture profile keeps running, from then on without hits.
     pub fn clear_probes(&mut self) {
         if let Some(obs) = self.observer.as_mut() {
             obs.probes = None;
@@ -496,7 +599,8 @@ impl<'m> Simulator<'m> {
         self.observer_changed();
     }
 
-    /// Whether a probe runtime is installed.
+    /// Whether a probe set is installed (by [`Simulator::set_probes`],
+    /// even an empty one). The architecture profile installs none.
     #[must_use]
     pub fn probing(&self) -> bool {
         self.observer.as_ref().is_some_and(|o| o.probes.is_some())
@@ -504,17 +608,14 @@ impl<'m> Simulator<'m> {
 
     /// Starts architecture profiling — instructions, hot PCs, stage
     /// occupancy/stalls/flushes, utilization counters and memory
-    /// heatmaps — from this cycle. Installs an empty probe set first if
-    /// none is present, so profiling works without any probes. On a
-    /// running profile this restarts it from zero at the current cycle,
-    /// probe hit counts included.
+    /// heatmaps — from this cycle. The counters live in the simulator,
+    /// so profiling needs no probes; installed probes add their hit
+    /// counts to the profile. On a running profile this restarts it from
+    /// zero at the current cycle, probe hit counts included.
     pub fn enable_arch_profile(&mut self) {
-        let cycles = self.stats.cycles;
-        let empty = ProbeSet::empty(self.model);
-        let obs = self.observer_mut();
-        let runtime =
-            obs.probes.get_or_insert_with(|| Box::new(ProbeRuntime::new(empty, &obs.names)));
-        runtime.enable_arch(cycles);
+        self.counters.enable(self.model);
+        // Event sites report only while an observer box is installed.
+        self.observer_mut();
         self.observer_changed();
         self.restart_profile();
     }
@@ -522,17 +623,17 @@ impl<'m> Simulator<'m> {
     /// The architecture profile accumulated since
     /// [`Simulator::enable_arch_profile`] (or the last
     /// [`Simulator::restore`]), with [`ArchProfile::cycles`] set to the
-    /// control steps covered. Non-destructive — probes stay installed
-    /// and keep accumulating. `None` when arch profiling is off.
+    /// control steps covered and the installed probes' hit counts.
+    /// Non-destructive — counting goes on. `None` when arch profiling is
+    /// off.
     #[must_use]
     pub fn arch_profile(&self) -> Option<ArchProfile> {
-        let obs = self.observer.as_ref()?;
-        let runtime = obs.probes.as_ref()?;
-        if !runtime.arch_enabled() {
+        if !self.counters.profiling {
             return None;
         }
-        let mut profile = runtime.arch_profile(&obs.names, self.stats.cycles);
-        self.counters.fold_into(self.model, &obs.names, &mut profile);
+        let obs = self.observer.as_ref()?;
+        let mut profile = self.counters.fold(self.model, &obs.names, self.stats.cycles);
+        profile.hits.extend(self.probe_report().into_iter().filter(|&(_, n)| n > 0));
         Some(profile)
     }
 
@@ -589,23 +690,24 @@ impl<'m> Simulator<'m> {
     }
 
     /// Hands an event to the trace sink, if one is installed. Only the
-    /// sink sees `TraceEvent`s: the emit helpers feed the probe runtime
-    /// through its typed entries, and `Fetch` and `Print` events, which
-    /// the runtime ignores, are built only while [`Simulator::tracing`].
+    /// sink sees `TraceEvent`s: the emit helpers bump [`Counters`] and
+    /// hand writes to the probe runtime directly, and `Fetch` and `Print`
+    /// events, which neither needs, are built only while
+    /// [`Simulator::tracing`].
     pub(crate) fn record(&mut self, event: &TraceEvent) {
         if let Some(sink) = self.observer.as_mut().and_then(|o| o.sink.as_mut()) {
             sink.record(event);
         }
     }
 
-    /// Feeds a behavior-level resource read to the probe runtime's
-    /// memory heatmaps. One `Option` chain when probes are off; the
-    /// backends call this from their read funnels so read heat is
-    /// accumulated identically in both modes.
+    /// Counts a behavior-level read of a memory as read heat. The
+    /// backends call this from their read funnels, so read heat is
+    /// accumulated identically in both modes. With the profile off the
+    /// heat table is empty: one bounds check.
     #[inline]
-    pub(crate) fn probe_read(&mut self, res: ResourceId, flat: usize) {
-        if let Some(runtime) = self.observer.as_mut().and_then(|o| o.probes.as_mut()) {
-            runtime.observe_read(res.0, flat as u64);
+    pub(crate) fn count_read(&mut self, res: ResourceId, flat: usize) {
+        if let Some(Some(heat)) = self.counters.read_heat.get_mut(res.0) {
+            heat.record(flat as u64);
         }
     }
 
@@ -652,17 +754,20 @@ impl<'m> Simulator<'m> {
         self.route_write(res, |_| flat, value);
     }
 
-    /// Hands a write routed [`Route::Emit`] on: the class's write event
-    /// to the sink, the write to the runtime. Out of line, so a skipped
-    /// or counted write pays no frame for it.
+    /// Hands a write routed [`Route::Emit`] on: a memory write's heat to
+    /// the profile, the class's write event to the sink, the write to the
+    /// probe runtime. Out of line, so a skipped or counted write pays no
+    /// frame for it.
     #[inline(never)]
     fn hand_off_write(&mut self, res: ResourceId, flat: usize, value: i64) {
-        use lisa_core::ast::ResourceClass;
         let cycle = self.stats.cycles;
         let model = self.model;
+        let addr = flat as u64;
+        if let Some(Some(heat)) = self.counters.write_heat.get_mut(res.0) {
+            heat.record(addr);
+        }
         let Some(obs) = self.observer.as_deref_mut() else { return };
         let Observer { sink, probes, .. } = obs;
-        let addr = flat as u64;
         if let Some(sink) = sink.as_mut() {
             let event = match model.resource(res).class {
                 ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
@@ -673,7 +778,7 @@ impl<'m> Simulator<'m> {
             sink.record(&event);
         }
         if let Some(runtime) = probes.as_mut() {
-            runtime.observe_write(cycle, res, addr, value, |hit| {
+            runtime.match_write(cycle, res, addr, value, |hit| {
                 if let Some(sink) = sink.as_mut() {
                     sink.record(&hit);
                 }
@@ -709,20 +814,21 @@ impl<'m> Simulator<'m> {
         self.record(&event);
     }
 
-    /// Reports the decode of `word` to `op`. The program counter is read
-    /// only for the sink or a running profile: [`Counters::plan`] sets
-    /// `units` to [`Route::Skip`] exactly when neither is on, so one byte
-    /// compare stands for both.
+    /// Reports the decode of `word` to `op` along the planned
+    /// [`Counters::units`] route. The program counter is read only for
+    /// the sink or a running profile.
     pub(crate) fn emit_decode(&mut self, word: u128, op: OpId, cache_hit: bool) {
-        if self.counters.units == Route::Skip {
-            return;
-        }
+        let count = match self.counters.units {
+            Route::Skip => return,
+            Route::Count => true,
+            Route::Emit { count } => count,
+        };
         let pc = self.current_pc();
+        if count {
+            self.counters.decode(pc);
+        }
         if self.tracing() {
             self.record(&TraceEvent::Decode { cycle: self.stats.cycles, pc, word, op, cache_hit });
-        }
-        if let Some(runtime) = self.runtime_mut() {
-            runtime.observe_decode(pc);
         }
     }
 
@@ -768,7 +874,6 @@ impl<'m> Simulator<'m> {
     /// Returns the number of distinct words newly bound (0 in
     /// interpretive mode).
     pub fn predecode_program_memory(&mut self) -> usize {
-        use lisa_core::ast::ResourceClass;
         let Some(t) = self.ops.as_deref_mut() else { return 0 };
         let _span = self.spans.as_ref().map(|s| s.start(SpanKind::Predecode));
         let Some(decoder) = &self.decoder else { return 0 };
@@ -1212,12 +1317,10 @@ impl<'m> Simulator<'m> {
         let entry = &mut self.pipes[pid.0].stall_upto;
         *entry = Some(entry.map_or(upto, |prev| prev.max(upto)));
         if self.observing() {
-            let upto = upto.min(usize::from(u16::MAX)) as u16;
+            Counters::hold(&mut self.counters.stalls, pid, Some(upto));
             if self.tracing() {
+                let upto = upto.min(usize::from(u16::MAX)) as u16;
                 self.record(&TraceEvent::Stall { cycle: self.stats.cycles, pipe: pid, upto });
-            }
-            if let Some(runtime) = self.runtime_mut() {
-                runtime.observe_stall(pid, upto);
             }
         }
     }
@@ -1235,15 +1338,13 @@ impl<'m> Simulator<'m> {
             _ => true,
         });
         if self.observing() {
-            let upto = upto.map(|s| s.min(usize::from(u16::MAX)) as u16);
+            Counters::hold(&mut self.counters.flushes, pid, upto);
             if self.tracing() {
+                let upto = upto.map(|s| s.min(usize::from(u16::MAX)) as u16);
                 let discarded = (before - self.pending.len()) as u32;
                 let event =
                     TraceEvent::Flush { cycle: self.stats.cycles, pipe: pid, upto, discarded };
                 self.record(&event);
-            }
-            if let Some(runtime) = self.runtime_mut() {
-                runtime.observe_flush(pid, upto);
             }
         }
     }
@@ -1371,8 +1472,9 @@ mod tests {
         let expected = ([both, both, heat], Emit { count: true });
         assert_eq!(routes(&sim), expected, "a sink sees every event");
         sim.clear_probes();
-        assert_eq!(routes(&sim), ([heat; 3], Emit { count: false }));
+        assert!(!sim.probing());
+        assert_eq!(routes(&sim), expected, "the profile outlives the probes");
         sim.set_trace(false);
-        assert_eq!(routes(&sim), ([None; 3], Skip));
+        assert_eq!(routes(&sim), ([count, count, heat], Count), "the profile alone");
     }
 }

@@ -404,7 +404,7 @@ impl<'m> Simulator<'m> {
         }
         if let Some(res) = self.model.resource_by_name(name) {
             let value = self.state.read_int(res, &[])?;
-            self.probe_read(res.id, 0);
+            self.count_read(res.id, 0);
             return Ok(value);
         }
         // An operation reference used as a value: its expression.
@@ -672,7 +672,7 @@ impl<'m> Simulator<'m> {
                         index: flat as i64,
                         dim: 0,
                     })?;
-                self.probe_read(res, flat);
+                self.count_read(res, flat);
                 Ok(value)
             }
         }

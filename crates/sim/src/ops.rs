@@ -98,8 +98,8 @@ pub(crate) enum MicroOp {
         dst: Operand,
         value: i64,
     },
-    /// `dst = res[flat]`, a read the probe runtime sees: memory reads feed
-    /// the arch profile's read heat, so they keep their own op at their
+    /// `dst = res[flat]`, a read the profile sees: memory reads feed the
+    /// arch profile's read heat, so they keep their own op at their
     /// source position instead of becoming a [`Operand::Cell`].
     Load {
         dst: Operand,
@@ -1126,8 +1126,8 @@ impl<'m, 'e> Emitter<'m, 'e, '_> {
     }
 
     /// The cell operand reading element `flat` of `res` at its use, when
-    /// that read is unobservable. Memory reads feed the probe runtime's
-    /// read heat (`ProbeRuntime::observe_read`), so they keep a
+    /// that read is unobservable. Memory reads feed the profile's read
+    /// heat (`Simulator::count_read`), so they keep a
     /// [`MicroOp::Load`] at their source position; so does a resource id
     /// too wide for a cell.
     fn silent_cell(&self, res: ResourceId, flat: u32) -> Option<Operand> {
@@ -2171,7 +2171,7 @@ impl Simulator<'_> {
     }
 
     /// Reads an operand. A cell is in bounds and never memory-class, so
-    /// the read has no error and nothing for the probe runtime.
+    /// the read has no error and no read heat.
     #[inline(always)]
     fn ops_get(&self, slots: &[i64], o: Operand) -> i64 {
         match o {
@@ -2199,10 +2199,10 @@ impl Simulator<'_> {
         }
     }
 
-    /// Reads one element for a load op, feeding the probe runtime.
+    /// Reads one element for a load op, counting its read heat.
     fn ops_load(&mut self, res: ResourceId, flat: usize, index: i64) -> Result<i64, SimError> {
         let v = self.state.read_flat(res, flat).ok_or_else(|| self.ops_oob(res, index))?;
-        self.probe_read(res, flat);
+        self.count_read(res, flat);
         Ok(v)
     }
 

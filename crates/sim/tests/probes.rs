@@ -444,3 +444,117 @@ fn execution_stage_and_activation_counts_fold_by_name() {
         }
     }
 }
+
+/// Every cycle decodes one instruction at the current `pc` (the model
+/// fetches no word, so `pc` may leave `pmem[4..19]`), reads `dmem[200]`
+/// and `dmem[201]` and the register `acc`, writes `acc`, `dmem[2]` and
+/// `pc`, and stalls and flushes stage `FE` alone and the whole pipeline.
+const COUNTED: &str = r#"
+RESOURCE {
+    PROGRAM_COUNTER int pc;
+    CONTROL_REGISTER int ir;
+    REGISTER int acc;
+    DATA_MEMORY int dmem[256];
+    PROGRAM_MEMORY int pmem[4..19];
+    PIPELINE pipe = { FE; EX };
+}
+OPERATION nop {
+    CODING { 0bx[16] }
+    SYNTAX { "NOP" }
+    BEHAVIOR { acc = acc + dmem[200] + dmem[201]; dmem[2] = acc; }
+}
+OPERATION decode {
+    DECLARE { GROUP Instruction = { nop }; }
+    CODING { ir == Instruction }
+    SYNTAX { Instruction }
+    BEHAVIOR { Instruction; }
+}
+OPERATION main {
+    BEHAVIOR { decode; pc = pc + 1; }
+    ACTIVATION { pipe.FE.stall(), pipe.stall(), pipe.flush(), pipe.FE.flush() }
+}
+"#;
+
+#[test]
+fn arch_profile_counts_every_event_kind_by_name() {
+    let model = Model::from_source(COUNTED).expect("model builds");
+    for mode in MODES {
+        let mut sim = Simulator::new(&model, mode).expect("simulator builds");
+        sim.set_probes(compile_spec(&model, "watch dmem[0..4]"));
+        sim.enable_arch_profile();
+        sim.run(22).expect("runs");
+        let profile = sim.arch_profile().expect("profile on");
+        assert_eq!(profile.cycles, 22, "{mode:?}");
+        // PCs 0..=3 and 20..=21 lie outside `pmem[4..19]`: instructions,
+        // not hot PCs.
+        assert_eq!(profile.instructions, 22, "{mode:?}");
+        let hot: Vec<(i64, u64)> = profile.hot_pcs.clone().into_iter().collect();
+        assert_eq!(hot, (4..=19).map(|pc| (pc, 1)).collect::<Vec<_>>(), "{mode:?}");
+        // `dmem` is a memory: its accesses are heat, not register writes;
+        // `acc` and `pc` are registers, and register reads make no heat.
+        assert_eq!(profile.register_writes, 44, "{mode:?}");
+        assert_eq!(profile.read_heat.keys().collect::<Vec<_>>(), ["dmem"], "{mode:?}");
+        assert_eq!(profile.read_heat["dmem"].total(), 44, "{mode:?}");
+        assert_eq!(profile.write_heat.keys().collect::<Vec<_>>(), ["dmem"], "{mode:?}");
+        assert_eq!(profile.write_heat["dmem"].total(), 22, "{mode:?}");
+        assert_eq!(profile.write_heat["dmem"].bucket_size, 4, "{mode:?}: 256 cells, 64 buckets");
+        assert_eq!(profile.hits["watch dmem[0..4]"], 22, "{mode:?}");
+        assert_eq!(profile.probe_hits(), 22, "{mode:?}");
+        // A stage stall or flush holds `FE`; a whole-pipeline one both.
+        for per_stage in [&profile.stage_stalls, &profile.stage_flushes] {
+            let rows: Vec<(&str, u64)> = per_stage.iter().map(|(k, n)| (k.as_str(), *n)).collect();
+            assert_eq!(rows, [("pipe.EX", 22), ("pipe.FE", 44)], "{mode:?}");
+        }
+    }
+}
+
+#[test]
+fn probes_match_without_a_profile() {
+    let model = Model::from_source(COUNTED).expect("model builds");
+    for mode in MODES {
+        let mut sim = Simulator::new(&model, mode).expect("simulator builds");
+        sim.set_probes(compile_spec(&model, "watch dmem"));
+        sim.run(5).expect("runs");
+        assert!(sim.arch_profile().is_none(), "{mode:?}: profiling is off");
+        assert_eq!(sim.probe_report(), [("watch dmem".to_owned(), 5)], "{mode:?}");
+    }
+}
+
+#[test]
+fn a_profile_needs_no_probe_set() {
+    let model = Model::from_source(TOY).expect("model builds");
+    for mode in MODES {
+        let mut bare = boot(&model, mode, &LOOP);
+        bare.enable_arch_profile();
+        assert!(!bare.probing(), "{mode:?}: the profile installs no probes");
+        let mut empty = boot(&model, mode, &LOOP);
+        empty.set_probes(lisa_sim::ProbeSet::empty(&model));
+        empty.enable_arch_profile();
+        for sim in [&mut bare, &mut empty] {
+            assert_eq!(run_to_halt(sim, &model, 200), StopReason::Halted, "{mode:?}");
+        }
+        assert_eq!(bare.arch_profile(), empty.arch_profile(), "{mode:?}");
+        assert!(!bare.probing(), "{mode:?}");
+    }
+}
+
+#[test]
+fn clearing_probes_keeps_the_profile_counting() {
+    let model = Model::from_source(TOY).expect("model builds");
+    for mode in MODES {
+        // The profile covers the whole run; the probe's hits end with it.
+        let mut sim = boot(&model, mode, &LOOP);
+        sim.enable_arch_profile();
+        sim.set_probes(compile_spec(&model, "watch dmem"));
+        sim.run(3).expect("runs");
+        assert_eq!(sim.probe_hits(), 1, "{mode:?}: the first ST");
+        sim.clear_probes();
+        assert_eq!(run_to_halt(&mut sim, &model, 200), StopReason::Halted, "{mode:?}");
+        let cleared = sim.arch_profile().expect("the profile outlives the probes");
+        assert!(cleared.hits.is_empty(), "{mode:?}: {cleared:?}");
+        let mut plain = boot(&model, mode, &LOOP);
+        plain.enable_arch_profile();
+        assert_eq!(run_to_halt(&mut plain, &model, 200), StopReason::Halted, "{mode:?}");
+        assert_eq!(cleared, plain.arch_profile().expect("profile on"), "{mode:?}");
+    }
+}

@@ -107,6 +107,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
         return Err(usage().into());
     };
+    if let Some(flags) = command_flags(command) {
+        check_flags(command, flags, &args[1..])?;
+    }
     match command.as_str() {
         "check" => Ok(check(args.get(1).ok_or_else(usage)?)?),
         "stats" => Ok(stats(args.get(1).ok_or_else(usage)?)?),
@@ -137,13 +140,58 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// The flags a command takes, space-separated, a trailing `=` marking
+/// one that takes a value; `None` for an unknown command.
+fn command_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "check" | "stats" | "help" | "--help" | "-h" => "",
+        "doc" => "-o=",
+        "asm" => "-o= --packet=",
+        "disasm" => "--packet=",
+        "run" => {
+            "--mode= --max-steps= --packet= --metrics= --trace --dump= --probe= --arch-profile="
+        }
+        "trace" => "--mode= --max-steps= --packet= --metrics= --out= --vcd --spans --probe=",
+        "profile" | "inspect" => "--mode= --max-steps= --packet= --metrics= --probe= --json",
+        "batch" => "--workers= --mode= --profile --metrics= --spans=",
+        "fuzz" => {
+            "--model= --seed= --start= --iters= --corpus-dir= --max-len= --max-cycles= \
+             --self-check --metrics= --remote= --timeout-ms= --report= --distill="
+        }
+        "bench" => "--quick --repeats= --out= --metrics=",
+        "serve" => "--addr= --workers= --queue= --timeout-ms= --once",
+        _ => return None,
+    })
+}
+
+/// Rejects an argument that looks like a flag (starts with `-`) but is
+/// not one of `flags`, and a value flag given last with no value.
+fn check_flags(command: &str, flags: &str, args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            continue;
+        }
+        match flags.split_whitespace().find(|f| f.trim_end_matches('=') == arg) {
+            Some(flag) if flag.ends_with('=') && rest.next().is_none() => {
+                return Err(format!("`{command}`: flag `{arg}` needs a value\n{}", usage()));
+            }
+            Some(_) => {}
+            None => return Err(format!("`{command}` takes no flag `{arg}`\n{}", usage())),
+        }
+    }
+    Ok(())
+}
+
 fn usage() -> String {
     "usage: lisa-tool <check|stats|doc|asm|disasm|run|trace|profile|inspect|batch|fuzz|bench|serve> <model> [...]\n\
      model: a .lisa file or @vliw62 | @accu16 | @scalar2 | @tinyrisc\n\
      run options: --mode interp|compiled|ops  --max-steps N  --trace  --dump RES[:N]\n\
-                  --probe EXPR  --arch-profile FILE  --metrics FILE\n\
-     trace options: --out FILE  --vcd  --spans  --probe EXPR  --metrics FILE  (plus run options)\n\
-     profile/inspect options: --probe EXPR  --json  (plus run options)\n\
+                  --probe EXPR  --arch-profile FILE  --metrics FILE  --packet N\n\
+     trace options: --out FILE  --vcd  --spans  --probe EXPR  --metrics FILE\n\
+                    --mode M  --max-steps N  --packet N\n\
+     profile/inspect options: --probe EXPR  --json  --metrics FILE\n\
+                              --mode M  --max-steps N  --packet N\n\
      asm/disasm options: -o FILE  --packet N\n\
      batch options: --workers N  --mode interp|compiled|ops|both|all  --profile\n\
                     --metrics FILE\n\

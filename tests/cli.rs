@@ -179,6 +179,37 @@ fn usage_and_model_errors_exit_2() {
 
     let output = lisa_tool().args(["batch", "--mode", "sideways"]).output().unwrap();
     assert_eq!(output.status.code(), Some(2));
+
+    // An unknown flag is a usage error naming the flag and the command,
+    // not a flag silently ignored or read as a positional argument.
+    let dir = std::env::temp_dir().join(format!("lisa-cli-flags-{}", std::process::id()));
+    let out = dir.to_str().unwrap();
+    for (args, flag) in [
+        (
+            &[
+                "bench",
+                "--quick",
+                "--repeats",
+                "1",
+                "--out",
+                out,
+                "--baseline",
+                "/nonexistent.json",
+                "--threshold",
+                "1",
+            ][..],
+            "--baseline",
+        ),
+        (&["run", "@tinyrisc", "--bogus-flag", "x"][..], "--bogus-flag"),
+        (&["run", "@tinyrisc", "prog.s", "--max-steps"][..], "--max-steps"),
+    ] {
+        let output = lisa_tool().args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("`{}`", args[0])), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{flag}`")), "{args:?}: {stderr}");
+    }
+    assert!(!dir.exists(), "a rejected bench run writes no trajectory");
 }
 
 #[test]
