@@ -74,8 +74,7 @@ fn main() {
         1,
     );
     let extended =
-        Workbench::from_source(Box::leak(extended_source.into_boxed_str()), "prog_mem", "halt")
-            .expect("extended builds");
+        Workbench::from_source(&extended_source, "prog_mem", "halt").expect("extended builds");
     // Force full tool generation for an honest turnaround time.
     let _decoder = extended.decoder().expect("decoder");
     let _sim = extended.simulator(SimMode::Ops).expect("ops sim");

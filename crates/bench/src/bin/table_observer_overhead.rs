@@ -1,5 +1,5 @@
 //! Experiments E10, E12, E14 and E16: cost of observing a simulation —
-//! trace sinks (`lisa-trace`), boundary metrics (`lisa-metrics`),
+//! the event trace (`lisa-trace`), boundary metrics (`lisa-metrics`),
 //! cycle-loop spans (`lisa-spans`), probes and the architecture profile
 //! (`lisa-probe`).
 //!
@@ -18,8 +18,8 @@
 //!   atomic-bool branch per `SPAN_CHUNK_STEPS` chunk. Gated.
 //! * **spans-on** — the same scope on an enabled recorder: a clock read
 //!   and a ring write per chunk.
-//! * **ring** — a ring-buffer trace sink keeping the last 4096 events.
-//! * **jsonl** — JSON-lines streaming to a null writer.
+//! * **trace** — `set_trace(true)`: every event recorded, in order,
+//!   into the simulator's trace buffer.
 //! * **empty** — a probe runtime compiled from the empty spec: no probe
 //!   can match and nothing is counted. Gated.
 //! * **silent** — armed watch/break probes that never fire (an
@@ -54,30 +54,20 @@ use lisa_bench::{model_suites, write_report};
 use lisa_core::ast::ResourceClass;
 use lisa_metrics::Registry;
 use lisa_models::{kernels, Workbench};
-use lisa_sim::{JsonLinesSink, ProbeSet, ProbeSpec, RingBufferSink, SimMode, Simulator};
+use lisa_sim::{ProbeSet, ProbeSpec, SimMode, Simulator};
 use lisa_spans::{SpanRecorder, SpanScope};
 
 /// The observation configurations under test, in table order (the arms
 /// of [`configs`]). `plain` and `off` both install nothing; `off` is the
 /// gated re-measurement.
-const NAMES: [&str; 10] = [
-    "plain",
-    "off",
-    "metrics",
-    "spans-off",
-    "spans-on",
-    "ring",
-    "jsonl",
-    "empty",
-    "silent",
-    "profile",
-];
+const NAMES: [&str; 9] =
+    ["plain", "off", "metrics", "spans-off", "spans-on", "trace", "empty", "silent", "profile"];
 
 /// Gated columns: `(index into [`NAMES`], bound in %)`. The paths a
 /// run pays without arming an observer (`off`, `metrics`, `spans-off`)
 /// are held under 2%; the armed `empty` runtime and `profile` under
 /// their own bounds.
-const GATED: [(usize, f64); 5] = [(1, 2.0), (2, 2.0), (3, 2.0), (7, 10.0), (9, 18.0)];
+const GATED: [(usize, f64); 5] = [(1, 2.0), (2, 2.0), (3, 2.0), (6, 10.0), (8, 18.0)];
 
 /// Simulated cycles per repeat: a repeat holds as many rounds as runs of
 /// the kernel fit in it (at most 64). Every kernel gets at least the
@@ -91,7 +81,7 @@ fn configs<'a>(
     wb: &Workbench,
     registry: &'a Registry,
     spans: &'a Arc<SpanRecorder>,
-) -> [Arm<'a>; 10] {
+) -> [Arm<'a>; 9] {
     let ops = || Arm::new(SimMode::Ops);
     let scope = |enabled: bool| {
         move |sim: &mut Simulator<'_>| {
@@ -115,11 +105,7 @@ fn configs<'a>(
         ops().finish(|sim| sim.publish_metrics(registry)),
         ops().setup(scope(false)),
         ops().setup(scope(true)),
-        ops().setup(|sim| sim.set_sink(Box::new(RingBufferSink::new(4096)))),
-        ops().setup(|sim| {
-            let names = sim.name_table();
-            sim.set_sink(Box::new(JsonLinesSink::new(std::io::sink(), names)));
-        }),
+        ops().setup(|sim| sim.set_trace(true)),
         ops().setup(|sim| sim.set_probes(ProbeSet::empty(sim.model()))),
         ops()
             .setup(move |sim| sim.set_probes(silent.compile(sim.model()).expect("compiles")))

@@ -1,18 +1,18 @@
-//! Profile and probe parity on the path without a trace sink.
+//! Profile and probe parity on the path without a trace.
 //!
-//! The `probe_parity` oracle always installs a sink, so every event it
-//! checks is also built as a `TraceEvent`. `/v1/simulate` and
-//! `lisa-tool run --probe` install none: the simulator then calls the
-//! probe runtime's typed entries directly, and the ops backend counts
-//! register writes, executions and activations in its own plain
-//! counters. Over a fixed range of generated programs per model, the
-//! probe report and the architecture profile of sink-less runs on both
-//! backends must equal those of the interpretive run with a sink.
+//! The `probe_parity` oracle always traces, so every event it checks is
+//! also built as a `TraceEvent`. `/v1/simulate` and `lisa-tool run
+//! --probe` do not: the simulator then calls the probe runtime's typed
+//! entries directly, and the ops backend counts register writes,
+//! executions and activations in its own plain counters. Over a fixed
+//! range of generated programs per model, the probe report and the
+//! architecture profile of untraced runs on both backends must equal
+//! those of the traced interpretive run.
 
 use lisa_conform::oracle::derived_probe_spec;
 use lisa_conform::{ProgramGen, Rng};
 use lisa_models::Workbench;
-use lisa_sim::{ArchProfile, ProbeSpec, RingBufferSink, SimMode};
+use lisa_sim::{ArchProfile, ProbeSpec, SimMode};
 
 const SEED: u64 = 0;
 const PROGRAMS: u64 = 100;
@@ -50,12 +50,10 @@ fn observe(
     mode: SimMode,
     image: &[u128],
     spec: &ProbeSpec,
-    sink: bool,
+    traced: bool,
 ) -> Observed {
     let mut sim = wb.simulator(mode).expect("simulator builds");
-    if sink {
-        sim.set_sink(Box::new(RingBufferSink::new(64)));
-    }
+    sim.set_trace(traced);
     sim.set_probes(spec.compile(wb.model()).expect("spec compiles"));
     sim.enable_arch_profile();
     sim.load_program(wb.program_memory(), image).expect("image fits");
@@ -77,7 +75,7 @@ fn sinkless_runs_match_the_traced_interpretive_run() {
             let want = observe(&wb, SimMode::Interpretive, &image, &spec, true);
             for mode in [SimMode::Interpretive, SimMode::Ops] {
                 let got = observe(&wb, mode, &image, &spec, false);
-                assert_eq!(got, want, "{name}: program {index}, {mode:?} without a sink");
+                assert_eq!(got, want, "{name}: program {index}, {mode:?} untraced");
             }
             hits += want.0.iter().map(|(_, n)| n).sum::<u64>();
             register_writes += want.1.map_or(0, |p| p.register_writes);

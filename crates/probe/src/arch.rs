@@ -3,6 +3,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use lisa_metrics::json::escape;
+
 use crate::heatmap::Heatmap;
 
 /// Aggregated architectural activity over some number of control steps:
@@ -244,7 +246,7 @@ impl ArchProfile {
                 if i > 0 {
                     s.push(',');
                 }
-                json_string(&mut s, mem);
+                s.push_str(&escape(mem));
                 let _ = write!(
                     s,
                     ":{{\"bucket_size\":{},\"total\":{},\"counts\":[",
@@ -281,30 +283,10 @@ fn json_counts<K: std::fmt::Display>(out: &mut String, key: &str, map: &BTreeMap
         if i > 0 {
             out.push(',');
         }
-        json_string(out, &name.to_string());
+        out.push_str(&escape(&name.to_string()));
         let _ = write!(out, ":{n}");
     }
     out.push('}');
-}
-
-/// Appends `text` as a JSON string literal with the escapes JSON
-/// requires (resource and probe labels may contain anything).
-fn json_string(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

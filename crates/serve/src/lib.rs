@@ -8,7 +8,7 @@
 //! | `/v1/assemble`      | POST   | assemble a program for a builtin model |
 //! | `/v1/simulate`      | POST   | run one program under a cycle budget and wall-clock deadline |
 //! | `/v1/batch`         | POST   | fan the kernel matrix out over the batch runner |
-//! | `/v1/fuzz`          | POST   | run the five-oracle conformance fuzzer over a seed range |
+//! | `/v1/fuzz`          | POST   | run the four-oracle conformance fuzzer over a seed range |
 //! | `/v1/models`        | GET    | list the builtin models |
 //! | `/metrics`          | GET    | Prometheus exposition of the shared registry |
 //! | `/v1/debug/spans`   | GET    | recent runtime spans (`?format=json\|chrome&limit=N`) |

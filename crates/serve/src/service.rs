@@ -415,7 +415,7 @@ impl AppState {
         }
     }
 
-    /// `POST /v1/fuzz`: run the five-oracle conformance fuzzer over one
+    /// `POST /v1/fuzz`: run the four-oracle conformance fuzzer over one
     /// iteration range. The request deadline is polled between
     /// iterations; an expired deadline answers 504 rather than returning
     /// a partial report, so fleet coordinators never merge truncated

@@ -24,7 +24,7 @@ use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 use lisa_isa::{Decoded, Decoder};
 use lisa_probe::{ArchProfile, Heatmap, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
-use lisa_trace::{CollectingSink, NameTable, TraceEvent, TraceSink};
+use lisa_trace::{NameTable, TraceEvent};
 
 use crate::ops::{ModelImage, OpsTables, RoutineId};
 use crate::{SimError, SimStats, State};
@@ -73,8 +73,8 @@ pub(crate) struct PipeState {
 pub(crate) struct Observer {
     /// Owned snapshot of the model's names, for rendering and profiling.
     pub names: NameTable,
-    /// Event consumer, when tracing is enabled.
-    pub sink: Option<Box<dyn TraceSink>>,
+    /// The recorded trace events, in order, when tracing is enabled.
+    pub events: Option<Vec<TraceEvent>>,
     /// Architectural probes, when installed: the writes a probe names
     /// are handed to it for matching.
     pub probes: Option<Box<ProbeRuntime>>,
@@ -95,7 +95,7 @@ pub(crate) enum Route {
     Skip,
     /// Only the profile listens: count the event.
     Count,
-    /// Hand the event on (a write: memory write heat, the sink and the
+    /// Hand the event on (a write: memory write heat, the trace and the
     /// probe runtime), counting it first when `count`.
     Emit { count: bool },
 }
@@ -120,7 +120,7 @@ const MAX_HOT_PCS: u64 = 1 << 16;
 
 /// Every counter of the arch profile, id-indexed, in the one home both
 /// backends bump at their event points, with the routes that decide
-/// which events reach them, the sink and the probe runtime. The tables
+/// which events reach them, the trace and the probe runtime. The tables
 /// are laid out from the model when the profile is enabled
 /// ([`Counters::enable`]) and stay empty until then, so an event point
 /// reached with the profile off finds no slot. Folded to names when the
@@ -187,14 +187,14 @@ impl Counters {
     /// decides what a write to each resource, an execution, an
     /// activation and a decode do. A profile counts executions,
     /// activations, decodes and register writes, and takes memory writes
-    /// as heat; a sink sees every event; probes match the writes their
+    /// as heat; the trace sees every event; probes match the writes their
     /// set names.
     fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
         self.writes.clear();
         self.units = Route::Skip;
         let Some(obs) = observer else { return };
         let set = obs.probes.as_deref().map(ProbeRuntime::probe_set);
-        let (profiling, tracing) = (self.profiling, obs.sink.is_some());
+        let (profiling, tracing) = (self.profiling, obs.events.is_some());
         let heat = &self.write_heat;
         self.writes.extend(model.resources().iter().map(|r| {
             let heat = heat.get(r.id.0).is_some_and(Option::is_some);
@@ -379,8 +379,6 @@ pub struct Simulator<'m> {
     /// Stats values already exported by `publish_metrics`, so repeated
     /// publishes add only the delta accumulated in between.
     pub(crate) metrics_published: SimStats,
-    /// Sink-dropped count already exported by `publish_metrics`.
-    pub(crate) trace_dropped_published: u64,
     /// Wall-clock span context, when a caller attached one. `None` keeps
     /// the run loops on their unobserved fast path.
     pub(crate) spans: Option<SpanScope>,
@@ -448,7 +446,6 @@ impl<'m> Simulator<'m> {
             counters: Counters::default(),
             pc_res,
             metrics_published: SimStats::default(),
-            trace_dropped_published: 0,
             spans: None,
             step_ready: Vec::new(),
             step_keep: Vec::new(),
@@ -495,16 +492,16 @@ impl<'m> Simulator<'m> {
 
     fn observer_mut(&mut self) -> &mut Observer {
         self.observer.get_or_insert_with(|| {
-            Box::new(Observer { names: NameTable::of(self.model), sink: None, probes: None })
+            Box::new(Observer { names: NameTable::of(self.model), events: None, probes: None })
         })
     }
 
-    /// Follows a change of sink, probes or profile: drops the observer
+    /// Follows a change of trace, probes or profile: drops the observer
     /// box again when tracing, profiling and probing are all off,
     /// restoring the single-`None` fast path, and re-plans the write
     /// routes.
     fn observer_changed(&mut self) {
-        let idle = |o: &Observer| o.sink.is_none() && o.probes.is_none();
+        let idle = |o: &Observer| o.events.is_none() && o.probes.is_none();
         if !self.counters.profiling && self.observer.as_deref().is_some_and(idle) {
             self.observer = None;
         }
@@ -522,55 +519,42 @@ impl<'m> Simulator<'m> {
 
     /// Enables or disables the execution trace.
     ///
-    /// Enabling installs a [`CollectingSink`] unless a sink is already
-    /// present; disabling removes the sink (events buffered in it are
-    /// dropped) but leaves an active architecture profile running.
+    /// Enabling starts recording every event, in order, into a buffer
+    /// (kept if tracing is on already); disabling drops the buffer and
+    /// the events in it but leaves an active architecture profile
+    /// running.
     pub fn set_trace(&mut self, enabled: bool) {
         if enabled {
-            let obs = self.observer_mut();
-            if obs.sink.is_none() {
-                obs.sink = Some(Box::new(CollectingSink::new()));
-            }
+            self.observer_mut().events.get_or_insert_with(Vec::new);
         } else if let Some(obs) = self.observer.as_mut() {
-            obs.sink = None;
+            obs.events = None;
         }
         self.observer_changed();
     }
 
-    /// Whether a trace sink is installed.
+    /// Whether events are being recorded.
     #[must_use]
     pub fn tracing(&self) -> bool {
-        self.observer.as_ref().is_some_and(|o| o.sink.is_some())
+        self.observer.as_ref().is_some_and(|o| o.events.is_some())
     }
 
-    /// Routes events into `sink` instead of the default collecting sink
-    /// (e.g. a [`lisa_trace::RingBufferSink`] or a streaming
-    /// [`lisa_trace::JsonLinesSink`]).
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.observer_mut().sink = Some(sink);
-        self.observer_changed();
-    }
-
-    /// Removes and returns the installed sink, disabling tracing.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        let sink = self.observer.as_mut().and_then(|o| o.sink.take());
-        self.observer_changed();
-        sink
-    }
-
-    /// Drains the buffered trace events from the installed sink (empty
-    /// for streaming sinks, which keep no buffer). Tracing stays on.
+    /// Takes the events recorded so far, oldest first; tracing stays as
+    /// it is (with tracing off there are none).
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        self.observer.as_mut().and_then(|o| o.sink.as_mut()).map_or_else(Vec::new, |s| s.drain())
+        self.observer
+            .as_mut()
+            .and_then(|o| o.events.as_mut())
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Takes the accumulated trace as legacy formatted lines
     /// (`"[cycle] exec main"` …) — a thin formatter over
     /// [`Simulator::take_events`].
     pub fn take_trace(&mut self) -> Vec<String> {
-        let Some(obs) = self.observer.as_mut() else { return Vec::new() };
-        let Some(sink) = obs.sink.as_mut() else { return Vec::new() };
-        sink.drain().iter().map(|e| obs.names.line(e)).collect()
+        let events = self.take_events();
+        let Some(obs) = self.observer.as_ref() else { return Vec::new() };
+        events.iter().map(|e| obs.names.line(e)).collect()
     }
 
     /// Installs a compiled probe set (watchpoints, PC breakpoints and
@@ -633,7 +617,9 @@ impl<'m> Simulator<'m> {
         }
         let obs = self.observer.as_ref()?;
         let mut profile = self.counters.fold(self.model, &obs.names, self.stats.cycles);
-        profile.hits.extend(self.probe_report().into_iter().filter(|&(_, n)| n > 0));
+        for (label, n) in self.probe_report().into_iter().filter(|&(_, n)| n > 0) {
+            *profile.hits.entry(label).or_default() += n;
+        }
         Some(profile)
     }
 
@@ -689,14 +675,14 @@ impl<'m> Simulator<'m> {
         self.observer.as_mut()?.probes.as_deref_mut()
     }
 
-    /// Hands an event to the trace sink, if one is installed. Only the
-    /// sink sees `TraceEvent`s: the emit helpers bump [`Counters`] and
+    /// Records an event, if tracing is on. Only the trace sees
+    /// `TraceEvent`s: the emit helpers bump [`Counters`] and
     /// hand writes to the probe runtime directly, and `Fetch` and `Print`
     /// events, which neither needs, are built only while
     /// [`Simulator::tracing`].
     pub(crate) fn record(&mut self, event: &TraceEvent) {
-        if let Some(sink) = self.observer.as_mut().and_then(|o| o.sink.as_mut()) {
-            sink.record(event);
+        if let Some(events) = self.observer.as_mut().and_then(|o| o.events.as_mut()) {
+            events.push(*event);
         }
     }
 
@@ -719,7 +705,7 @@ impl<'m> Simulator<'m> {
 
     // The emit helpers below report one event each. Callers guard them
     // with [`Simulator::observing`], so nothing is built when observation
-    // is off. A trace event is built only for an installed sink; probe
+    // is off. A trace event is built only while tracing; probe
     // hits a write triggers follow it in the same stream.
 
     /// Reports a write along its planned [`Route`]: a register-write
@@ -755,7 +741,7 @@ impl<'m> Simulator<'m> {
     }
 
     /// Hands a write routed [`Route::Emit`] on: a memory write's heat to
-    /// the profile, the class's write event to the sink, the write to the
+    /// the profile, the class's write event to the trace, the write to the
     /// probe runtime. Out of line, so a skipped or counted write pays no
     /// frame for it.
     #[inline(never)]
@@ -767,20 +753,20 @@ impl<'m> Simulator<'m> {
             heat.record(addr);
         }
         let Some(obs) = self.observer.as_deref_mut() else { return };
-        let Observer { sink, probes, .. } = obs;
-        if let Some(sink) = sink.as_mut() {
+        let Observer { events, probes, .. } = obs;
+        if let Some(events) = events.as_mut() {
             let event = match model.resource(res).class {
                 ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
                     TraceEvent::MemoryAccess { cycle, resource: res, addr, value }
                 }
                 _ => TraceEvent::RegisterWrite { cycle, resource: res, addr, value },
             };
-            sink.record(&event);
+            events.push(event);
         }
         if let Some(runtime) = probes.as_mut() {
             runtime.match_write(cycle, res, addr, value, |hit| {
-                if let Some(sink) = sink.as_mut() {
-                    sink.record(&hit);
+                if let Some(events) = events.as_mut() {
+                    events.push(hit);
                 }
             });
         }
@@ -791,7 +777,7 @@ impl<'m> Simulator<'m> {
     /// backend's unobserved dispatch loop stays as small as it is
     /// without observation (inlined, a report read ~1.5% slower on
     /// `kernels-ops`); the event is built in a cold helper, so a report
-    /// with no sink is one byte compare and at most one add.
+    /// with tracing off is one byte compare and at most one add.
     #[inline(never)]
     pub(crate) fn emit_exec(&mut self, op: OpId) {
         match self.counters.units {
@@ -816,7 +802,7 @@ impl<'m> Simulator<'m> {
 
     /// Reports the decode of `word` to `op` along the planned
     /// [`Counters::units`] route. The program counter is read only for
-    /// the sink or a running profile.
+    /// the trace or a running profile.
     pub(crate) fn emit_decode(&mut self, word: u128, op: OpId, cache_hit: bool) {
         let count = match self.counters.units {
             Route::Skip => return,
@@ -854,7 +840,7 @@ impl<'m> Simulator<'m> {
         self.record(&TraceEvent::Activation { cycle: self.stats.cycles, from, to, delay });
     }
 
-    /// Reports a fetch of `word`; only a sink sees fetches, so callers
+    /// Reports a fetch of `word`; only the trace sees fetches, so callers
     /// need no `observing` guard.
     #[inline]
     pub(crate) fn emit_fetch(&mut self, word: u128) {
@@ -1441,7 +1427,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn routes_follow_the_sink_probes_and_profile() {
+    fn routes_follow_the_trace_probes_and_profile() {
         use Route::{Count, Emit, Skip};
         let model = Model::from_source(
             "RESOURCE { PROGRAM_COUNTER int pc; REGISTER int acc; DATA_MEMORY int dmem[16]; }
@@ -1470,7 +1456,7 @@ mod tests {
         assert_eq!(routes(&sim), ([count, count, heat], Count));
         sim.set_trace(true);
         let expected = ([both, both, heat], Emit { count: true });
-        assert_eq!(routes(&sim), expected, "a sink sees every event");
+        assert_eq!(routes(&sim), expected, "the trace sees every event");
         sim.clear_probes();
         assert!(!sim.probing());
         assert_eq!(routes(&sim), expected, "the profile outlives the probes");

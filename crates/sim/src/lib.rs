@@ -46,10 +46,7 @@ pub use metrics::publish_stats;
 pub use lisa_probe::{publish_arch, ArchProfile, Heatmap, ProbeError, ProbeSet, ProbeSpec};
 // Re-exported so simulator users can drive tracing without a separate
 // `lisa-trace` dependency.
-pub use lisa_trace::{
-    events_to_jsonl, write_vcd, CollectingSink, JsonLinesSink, NameTable, RingBufferSink,
-    TraceEvent, TraceKind, TraceSink,
-};
+pub use lisa_trace::{events_to_jsonl, write_vcd, NameTable, TraceEvent, TraceKind};
 pub use snapshot::Snapshot;
 pub use state::State;
 pub use stats::{SimStats, STALL_STAGE_BUCKETS};

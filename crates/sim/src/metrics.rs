@@ -159,23 +159,6 @@ impl Simulator<'_> {
         let delta = self.stats.delta_since(&self.metrics_published);
         publish_stats(registry, &delta, self.mode.metric_label());
         self.metrics_published = self.stats;
-
-        // Bounded sinks (e.g. `RingBufferSink`) discard events silently;
-        // surface the loss so operators can see it without asking the
-        // process. Published as a delta like everything else.
-        let dropped =
-            self.observer.as_ref().and_then(|o| o.sink.as_deref()).map_or(0, |s| s.dropped());
-        let delta = dropped.saturating_sub(self.trace_dropped_published);
-        if delta > 0 {
-            registry
-                .counter(
-                    "lisa_trace_events_dropped_total",
-                    "Trace events discarded by bounded sinks to stay within capacity.",
-                    &[("backend", self.mode.metric_label())],
-                )
-                .add(delta);
-        }
-        self.trace_dropped_published = dropped;
     }
 }
 
@@ -222,29 +205,6 @@ mod tests {
         assert_eq!(d.stall_by_stage[2], 3);
         // Rewound baseline (snapshot restore) publishes zero, not a wrap.
         assert_eq!(base.delta_since(&now).cycles, 0);
-    }
-
-    #[test]
-    fn publish_metrics_reports_ring_sink_drops_as_a_delta() {
-        let model = lisa_core::Model::from_source(
-            r#"RESOURCE { PROGRAM_COUNTER int pc; REGISTER int r0; }
-               OPERATION main { BEHAVIOR { r0 = r0 + 1; pc = pc + 1; } }"#,
-        )
-        .unwrap();
-        let mut sim = Simulator::new(&model, SimMode::Interpretive).unwrap();
-        sim.set_sink(Box::new(lisa_trace::RingBufferSink::new(4)));
-        sim.run(20).unwrap();
-        let reg = Registry::new();
-        sim.publish_metrics(&reg);
-        let key = MetricKey::new("lisa_trace_events_dropped_total", &[("backend", "interpretive")]);
-        let snap = reg.snapshot();
-        let Some(&MetricValue::Counter(first)) = snap.metrics.get(&key) else {
-            panic!("drop counter missing: {:?}", snap.metrics.keys().collect::<Vec<_>>());
-        };
-        assert!(first > 0, "a 4-slot ring over 20 cycles must drop events");
-        // No new drops since: the second publish adds nothing.
-        sim.publish_metrics(&reg);
-        assert_eq!(reg.snapshot().metrics.get(&key), Some(&MetricValue::Counter(first)));
     }
 
     #[test]

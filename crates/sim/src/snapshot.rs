@@ -112,12 +112,12 @@ impl<'m> Simulator<'m> {
     }
 
     /// Restores a previously captured snapshot, replacing the current
-    /// dynamic state. Observability settings survive: an installed trace
-    /// sink stays installed (its buffered events are cleared — traces
-    /// are a debugging aid, not architectural state) and installed
-    /// probes stay armed, with the architecture profile and probe hit
-    /// counts restarted from zero at the restored cycle count, so events
-    /// and profiles never mix pre- and post-restore timelines.
+    /// dynamic state. Observability settings survive: tracing stays on
+    /// (the recorded events are cleared — traces are a debugging aid,
+    /// not architectural state) and installed probes stay armed, with
+    /// the architecture profile and probe hit counts restarted from zero
+    /// at the restored cycle count, so events and profiles never mix
+    /// pre- and post-restore timelines.
     ///
     /// The snapshot may come from a simulator in either [`SimMode`]; the
     /// restored simulator keeps its own mode and its own ops word cache
@@ -143,8 +143,8 @@ impl<'m> Simulator<'m> {
         // Cached routines stay valid, since a word's routine depends only
         // on the model and the word, not on the state that fetched it.
         self.ops_bind_pending();
-        if let Some(sink) = self.observer.as_mut().and_then(|o| o.sink.as_mut()) {
-            sink.clear();
+        if let Some(events) = self.observer.as_mut().and_then(|o| o.events.as_mut()) {
+            events.clear();
         }
         self.restart_profile();
         Ok(())
@@ -228,7 +228,7 @@ mod tests {
         sim.run(2).unwrap();
 
         sim.restore(&snap).unwrap();
-        assert!(sim.tracing(), "the installed sink survives restore");
+        assert!(sim.tracing(), "tracing survives restore");
         assert!(sim.take_events().is_empty(), "restore clears buffered events");
 
         sim.run(2).unwrap();

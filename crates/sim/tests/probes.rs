@@ -184,6 +184,22 @@ fn register_probe_counts_writes() {
 }
 
 #[test]
+fn profile_sums_hits_of_probes_with_equal_labels() {
+    let model = Model::from_source(TOY).expect("model builds");
+    for mode in MODES {
+        let mut sim = boot(&model, mode, &LOOP);
+        sim.set_probes(compile_spec(&model, "watch dmem; watch dmem"));
+        sim.enable_arch_profile();
+        assert_eq!(run_to_halt(&mut sim, &model, 200), StopReason::Halted, "{mode:?}");
+        // Three `ST R1, 5` passes, seen by each of the two probes.
+        assert_eq!(sim.probe_hits(), 6, "{mode:?}");
+        let profile = sim.arch_profile().expect("profile on");
+        assert_eq!(profile.probe_hits(), sim.probe_hits(), "{mode:?}");
+        assert_eq!(profile.hits.len(), 1, "{mode:?}: one label");
+    }
+}
+
+#[test]
 fn breakpoint_stops_run_until_and_resumes() {
     let model = Model::from_source(TOY).expect("model builds");
     for mode in MODES {

@@ -2,7 +2,7 @@
 //! pre-decode counting, mode/stats accessors, and run_until edge cases.
 
 use lisa_core::Model;
-use lisa_sim::{SimError, SimMode, Simulator};
+use lisa_sim::{SimError, SimMode, Simulator, TraceEvent};
 
 fn model() -> Model {
     Model::from_source(
@@ -114,6 +114,11 @@ fn trace_lifecycle() {
     sim.run(1).unwrap();
     assert!(sim.take_trace().is_empty(), "trace off by default");
     sim.set_trace(true);
+    sim.run(2).unwrap();
+    let cycles: Vec<u64> = sim.take_events().iter().map(TraceEvent::cycle).collect();
+    assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "recorded in order: {cycles:?}");
+    assert!(cycles.first() < cycles.last(), "both steps recorded: {cycles:?}");
+    assert!(sim.take_events().is_empty(), "take drains");
     sim.run(1).unwrap();
     let trace = sim.take_trace();
     assert!(!trace.is_empty());

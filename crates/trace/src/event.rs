@@ -404,6 +404,19 @@ impl NameTable {
     }
 }
 
+/// Renders a slice of events as a JSON-lines document: one
+/// [`NameTable::json`] object per line, trailing newline included when
+/// non-empty.
+#[must_use]
+pub fn events_to_jsonl(names: &NameTable, events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&names.json(event));
+        out.push('\n');
+    }
+    out
+}
+
 /// Appends `text` as a JSON string literal (quotes, backslashes and
 /// control characters escaped — model names are identifiers, but the
 /// exporter must never emit invalid JSON).
@@ -469,6 +482,8 @@ mod tests {
         assert!(line.contains("\"kind\":\"exec\""));
         assert!(line.contains("we\\\"ird\\\\name"));
         assert!(line.contains("\"stage\":\"EX\""));
+        assert_eq!(events_to_jsonl(&n, &[ev, ev]), format!("{line}\n{line}\n"));
+        assert_eq!(events_to_jsonl(&n, &[]), "");
     }
 
     #[test]

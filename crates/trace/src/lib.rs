@@ -7,10 +7,9 @@
 //!
 //! * [`TraceEvent`] — a typed event stream (fetch, decode, exec,
 //!   activation, stall, flush, memory access, register write) with the
-//!   cycle, stage, program counter and operation identity attached;
-//! * [`TraceSink`] — where events go: [`CollectingSink`] (everything,
-//!   in order), [`RingBufferSink`] (last *N*, bounded memory for
-//!   production-length runs), [`JsonLinesSink`] (streamed JSON lines);
+//!   cycle, stage, program counter and operation identity attached. A
+//!   traced simulator records them, in order, into one buffer
+//!   (`Simulator::set_trace`) that its caller drains;
 //! * exporters — [`events_to_jsonl`] for machine-readable traces and
 //!   [`write_vcd`] for a pipeline-timeline dump loadable in waveform
 //!   viewers.
@@ -24,9 +23,7 @@
 #![warn(missing_docs)]
 
 mod event;
-mod sink;
 mod vcd;
 
-pub use event::{NameTable, TraceEvent, TraceKind};
-pub use sink::{events_to_jsonl, CollectingSink, JsonLinesSink, RingBufferSink, TraceSink};
+pub use event::{events_to_jsonl, NameTable, TraceEvent, TraceKind};
 pub use vcd::write_vcd;

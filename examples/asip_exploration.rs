@@ -79,8 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "nop || clr || macp ||",
         1,
     );
-    let extended =
-        Workbench::from_source(Box::leak(extended_source.into_boxed_str()), "prog_mem", "halt")?;
+    let extended = Workbench::from_source(&extended_source, "prog_mem", "halt")?;
     let (ext_cycles, ext_result) = run_dot(&extended, n, true)?;
     println!("accu16 + MACP:     dot({n}) = {ext_result} in {ext_cycles} cycles");
 

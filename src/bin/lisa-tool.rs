@@ -47,7 +47,7 @@
 //! lisa-tool bench  [options]                   benchmark models x backends x kernels
 //!     --quick                   reduced suite (1 kernel per model)
 //!     --repeats N               timed runs per cell (default 3, --quick 2)
-//!     --out DIR                 output directory (default: the repo's docs/)
+//!     --out DIR                 output directory (default: the current directory)
 //! lisa-tool serve  [options]                   HTTP simulation service
 //!     --addr A                  bind address (default 127.0.0.1:8080; port 0 = ephemeral)
 //!     --workers N               connection worker threads (default 4)
@@ -501,8 +501,7 @@ fn bench(args: &[String]) -> Result<(), CliError> {
     let report = lisa_bench::trajectory::measure(quick, repeats, Some(&registry));
     print!("{}", report.table());
 
-    let out_dir =
-        flag_value(args, "--out").map_or_else(lisa_bench::docs_dir, std::path::PathBuf::from);
+    let out_dir = flag_value(args, "--out").map(std::path::PathBuf::from).unwrap_or_default();
     let path = out_dir.join(format!("BENCH_{}.json", report.date));
     fs::write(&path, report.to_json())
         .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;

@@ -530,31 +530,42 @@ fn fuzz_distills_a_covering_seed_set() {
 fn bench_writes_the_trajectory_document() {
     let dir = std::env::temp_dir().join("lisa_cli_bench_test");
     fs::remove_dir_all(&dir).ok();
-    fs::create_dir_all(&dir).unwrap();
-    let out = run_ok(&["bench", "--quick", "--repeats", "1", "--out", dir.to_str().unwrap()]);
-    assert!(out.contains("MIPS"), "{out}");
-    assert!(out.contains("wrote"), "{out}");
+    // Into `--out`, and without it into the current directory.
+    let (to_out, to_cwd) = (dir.join("out"), dir.join("cwd"));
+    for (out_flag, cwd) in [(Some(&to_out), &dir), (None, &to_cwd)] {
+        let target = out_flag.unwrap_or(cwd);
+        fs::create_dir_all(target).unwrap();
+        let mut args = vec!["bench", "--quick", "--repeats", "1"];
+        if let Some(out) = out_flag {
+            args.extend(["--out", out.to_str().unwrap()]);
+        }
+        let output = lisa_tool().args(&args).current_dir(cwd).output().expect("binary runs");
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        let out = String::from_utf8(output.stdout).expect("utf-8 output");
+        assert!(out.contains("MIPS"), "{out}");
+        assert!(out.contains("wrote"), "{out}");
 
-    // Exactly one BENCH_<date>.json appeared, with the expected schema
-    // and the full model × backend matrix.
-    let files: Vec<_> = fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    assert_eq!(files.len(), 1, "{files:?}");
-    let text = fs::read_to_string(&files[0]).unwrap();
-    assert!(text.contains("\"schema\": \"lisa-bench/1\""), "{text}");
-    for model in ["vliw62", "accu16", "scalar2", "tinyrisc"] {
-        assert!(text.contains(model), "missing {model}: {text}");
-    }
-    for backend in ["interpretive", "ops"] {
-        assert!(text.contains(backend), "missing {backend}: {text}");
+        // Exactly one BENCH_<date>.json appeared, with the expected schema
+        // and the full model × backend matrix.
+        let files: Vec<_> = fs::read_dir(target)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            })
+            .collect();
+        assert_eq!(files.len(), 1, "{args:?}: {files:?}");
+        let text = fs::read_to_string(&files[0]).unwrap();
+        assert!(text.contains("\"schema\": \"lisa-bench/1\""), "{text}");
+        for model in ["vliw62", "accu16", "scalar2", "tinyrisc"] {
+            assert!(text.contains(model), "missing {model}: {text}");
+        }
+        for backend in ["interpretive", "ops"] {
+            assert!(text.contains(backend), "missing {backend}: {text}");
+        }
     }
 
     fs::remove_dir_all(&dir).ok();
