@@ -8,7 +8,6 @@
 
 use std::fmt::Write as _;
 
-use lisa_bench::write_report;
 use lisa_exec::BatchRunner;
 use lisa_models::kernels::full_matrix;
 use lisa_sim::SimMode;
@@ -70,5 +69,5 @@ fn main() {
     }
     writeln!(out, "{}", "-".repeat(58)).unwrap();
     writeln!(out, "identical job outcomes at every worker count (determinism contract).").unwrap();
-    write_report("e9_batch_throughput.txt", &out);
+    print!("{out}");
 }

@@ -8,7 +8,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use lisa_bench::write_report;
 use lisa_models::{accu16, Workbench};
 use lisa_sim::SimMode;
 
@@ -97,5 +96,5 @@ fn main() {
     writeln!(out).unwrap();
     writeln!(out, "paper context: the C6201 model regenerated in 30 s (§4.1); iteration").unwrap();
     writeln!(out, "at this cost is what makes description-driven ASIP exploration work.").unwrap();
-    write_report("e8_exploration.txt", &out);
+    print!("{out}");
 }

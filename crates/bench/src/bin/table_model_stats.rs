@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use lisa_bench::{model_stats_rows, write_report};
+use lisa_bench::model_stats_rows;
 
 fn main() {
     let mut out = String::new();
@@ -48,5 +48,5 @@ fn main() {
     .unwrap();
     writeln!(out).unwrap();
     writeln!(out, "paper row: the TMS320C6201 model of Pees et al. (DAC 1999), §4.").unwrap();
-    write_report("e1_model_stats.txt", &out);
+    print!("{out}");
 }

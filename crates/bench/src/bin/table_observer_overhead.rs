@@ -49,8 +49,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use lisa_bench::model_suites;
 use lisa_bench::sampler::{geomean, median, sample_rounds, Arm};
-use lisa_bench::{model_suites, write_report};
 use lisa_core::ast::ResourceClass;
 use lisa_metrics::Registry;
 use lisa_models::{kernels, Workbench};
@@ -207,7 +207,7 @@ fn main() -> ExitCode {
         .collect();
     writeln!(out, "acceptance gates, geomean overhead: {}", measured.join(", ")).unwrap();
 
-    write_report("observer_overhead.txt", &out);
+    print!("{out}");
 
     if GATED.iter().any(|&(i, bound)| geo_ovh(i) >= bound) {
         eprintln!("OBSERVER-OVERHEAD GATE FAILED: {}", measured.join(", "));

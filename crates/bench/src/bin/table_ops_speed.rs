@@ -27,7 +27,7 @@
 use std::fmt::Write as _;
 
 use lisa_bench::sampler::{geomean, median, sample_rounds, Arm, BUDGET_CYCLES};
-use lisa_bench::{e15_verdict, model_suites, write_report, E15_INTERP_FLOORS};
+use lisa_bench::{e15_verdict, model_suites, E15_INTERP_FLOORS};
 use lisa_sim::SimMode;
 
 /// Repeats per kernel, each holding as many rounds as runs of the
@@ -106,7 +106,7 @@ fn main() {
          storage, so the remaining headroom is behavior evaluation only — see\n\
          EXPERIMENTS.md E15 for the breakdown.\n",
     );
-    write_report("e15_ops_speed.txt", &out);
+    print!("{out}");
 
     let failed: Vec<&str> =
         gates.iter().filter(|(_, holds)| !holds).map(|(line, _)| line.as_str()).collect();

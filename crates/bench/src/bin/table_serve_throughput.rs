@@ -17,7 +17,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lisa_bench::write_report;
 use lisa_serve::{AppState, ServeConfig, Server};
 use lisa_spans::SpanKind;
 
@@ -245,5 +244,5 @@ fn main() {
         writeln!(out, "  queue_wait share at {workers} worker(s): {share:.2}%").unwrap();
     }
 
-    write_report("e13_serve_throughput.txt", &out);
+    print!("{out}");
 }

@@ -10,7 +10,6 @@ use std::fmt::Write as _;
 
 use lisa_bench::sampler::{median, sample_rounds, Arm, BUDGET_CYCLES};
 use lisa_bench::specialization::{kernel, workbench};
-use lisa_bench::write_report;
 use lisa_sim::SimMode;
 
 /// Loop iterations per run (9 cycles each).
@@ -62,5 +61,5 @@ fn main() {
         pct(ratios[3 * ratios.len() / 4])
     )
     .unwrap();
-    write_report("e5_specialization.txt", &out);
+    print!("{out}");
 }

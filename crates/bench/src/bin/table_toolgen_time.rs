@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use lisa_bench::{fmt_duration, toolgen_once, write_report};
+use lisa_bench::{fmt_duration, toolgen_once};
 use lisa_models::{accu16, tinyrisc, vliw62};
 
 fn main() {
@@ -44,5 +44,5 @@ fn main() {
         )
         .unwrap();
     }
-    write_report("e2_toolgen.txt", &out);
+    print!("{out}");
 }

@@ -180,56 +180,15 @@ impl Reproducer {
         std::fs::write(&path, self.to_text())?;
         Ok(path)
     }
-
-    /// Reads and parses one reproducer file.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors, or parse errors mapped to
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load(path: &Path) -> std::io::Result<Reproducer> {
-        let text = std::fs::read_to_string(path)?;
-        Reproducer::parse(&text).map_err(|msg| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {msg}", path.display()),
-            )
-        })
-    }
 }
 
 /// Loads every `.repro` file in `dir`, sorted by file name for a
-/// deterministic replay order. A missing directory is an empty corpus.
-///
-/// # Errors
-///
-/// Filesystem or parse errors for files that exist but do not load.
-pub fn load_dir(dir: &Path) -> std::io::Result<Vec<(PathBuf, Reproducer)>> {
-    let mut entries = Vec::new();
-    let read = match std::fs::read_dir(dir) {
-        Ok(read) => read,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(entries),
-        Err(e) => return Err(e),
-    };
-    let mut paths: Vec<PathBuf> = read
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == EXTENSION))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let rep = Reproducer::load(&path)?;
-        entries.push((path, rep));
-    }
-    Ok(entries)
-}
-
-/// [`load_dir`] with integrity checking: every file must read, parse,
-/// and — when its name carries the canonical `-<16 hex digits>` content
-/// hash suffix — hash to exactly that value. Hand-named files without a
-/// hash suffix are loaded but not hash-checked. The first violation is
-/// returned as a typed [`CorpusError`]; callers are expected to treat
-/// it as fatal.
+/// deterministic replay order; a missing directory is an empty corpus.
+/// Every file must read, parse, and — when its name carries the
+/// canonical `-<16 hex digits>` content hash suffix — hash to exactly
+/// that value. Hand-named files without a hash suffix are loaded but
+/// not hash-checked. The first violation is returned as a typed
+/// [`CorpusError`]; callers are expected to treat it as fatal.
 ///
 /// # Errors
 ///
@@ -320,7 +279,7 @@ mod tests {
         let rep = sample();
         let path = rep.save(&dir).unwrap();
         assert!(path.exists());
-        let loaded = load_dir(&dir).unwrap();
+        let loaded = load_dir_verified(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].1, rep);
         let _ = std::fs::remove_dir_all(&dir);
@@ -329,7 +288,6 @@ mod tests {
     #[test]
     fn missing_corpus_directory_is_empty() {
         let dir = Path::new("/nonexistent/lisa-conform-corpus");
-        assert!(load_dir(dir).unwrap().is_empty());
         assert!(load_dir_verified(dir).unwrap().is_empty());
     }
 

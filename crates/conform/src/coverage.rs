@@ -105,12 +105,6 @@ impl CoverageMap {
         self.paths.contains_key(&path)
     }
 
-    /// Paths in `self` not yet covered by `other`.
-    #[must_use]
-    pub fn novel_against(&self, other: &CoverageMap) -> usize {
-        self.paths.keys().filter(|p| !other.paths.contains_key(p)).count()
-    }
-
     /// Whether every path in `other` is also covered here.
     #[must_use]
     pub fn covers(&self, other: &CoverageMap) -> bool {
@@ -235,13 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn covers_and_novelty() {
+    fn covers_is_superset() {
         let a = map(&[1, 2, 3]);
         let b = map(&[2, 3]);
         assert!(a.covers(&b));
         assert!(!b.covers(&a));
-        assert_eq!(a.novel_against(&b), 1);
-        assert_eq!(b.novel_against(&a), 0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Exposition formats: Prometheus text and JSON, both with parsers so
-//! snapshots round-trip (tested) and downstream tools can consume the
-//! output without this crate.
+//! The Prometheus text exposition served at `GET /metrics` and written
+//! by `--metrics FILE`.
 
 use std::fmt::Write as _;
 
-use crate::snapshot::{HistogramData, MetricKey, MetricValue, Snapshot};
-use crate::{json, HISTOGRAM_BUCKETS};
+use crate::snapshot::{MetricValue, Snapshot};
+use crate::HISTOGRAM_BUCKETS;
 
 impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format
@@ -48,7 +47,7 @@ impl Snapshot {
                         if count == 0 {
                             continue;
                         }
-                        let le = le_text(i);
+                        let le = (1u64 << i).to_string();
                         let _ = writeln!(
                             out,
                             "{}_bucket{} {cumulative}",
@@ -82,109 +81,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Renders the snapshot as one deterministic JSON document
-    /// (`lisa-metrics/1` schema; histogram buckets non-cumulative).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"lisa-metrics/1\",\n  \"metrics\": [");
-        for (i, (key, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            out.push_str(&json::escape(&key.name));
-            out.push_str(", \"labels\": {");
-            for (j, (k, v)) in key.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}: {}", json::escape(k), json::escape(v));
-            }
-            out.push_str("}, ");
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, "\"type\": \"counter\", \"value\": {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, "\"type\": \"gauge\", \"value\": {v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"buckets\": [",
-                        h.count, h.sum
-                    );
-                    for (j, b) in h.buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{b}");
-                    }
-                    out.push(']');
-                }
-            }
-            if let Some(help) = self.help.get(&key.name) {
-                let _ = write!(out, ", \"help\": {}", json::escape(help));
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses a document produced by [`Snapshot::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural problem.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let doc = json::parse(text)?;
-        if doc.get("schema").and_then(json::Value::as_str) != Some("lisa-metrics/1") {
-            return Err("not a lisa-metrics/1 document".into());
-        }
-        let mut snap = Snapshot::new();
-        let metrics =
-            doc.get("metrics").and_then(json::Value::as_array).ok_or("missing `metrics` array")?;
-        for m in metrics {
-            let name = m.get("name").and_then(json::Value::as_str).ok_or("metric without name")?;
-            let labels = m
-                .get("labels")
-                .and_then(json::Value::as_string_map)
-                .ok_or("metric without labels")?;
-            let label_refs: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            let key = MetricKey::new(name, &label_refs);
-            let value = match m.get("type").and_then(json::Value::as_str) {
-                Some("counter") => MetricValue::Counter(
-                    m.get("value").and_then(json::Value::as_u64).ok_or("bad counter value")?,
-                ),
-                Some("gauge") => MetricValue::Gauge(
-                    m.get("value").and_then(json::Value::as_i64).ok_or("bad gauge value")?,
-                ),
-                Some("histogram") => {
-                    let buckets = m
-                        .get("buckets")
-                        .and_then(json::Value::as_array)
-                        .ok_or("histogram without buckets")?
-                        .iter()
-                        .map(|b| b.as_u64().ok_or("bad bucket count"))
-                        .collect::<Result<Vec<u64>, _>>()?;
-                    MetricValue::Histogram(HistogramData {
-                        count: m.get("count").and_then(json::Value::as_u64).ok_or("bad count")?,
-                        sum: m.get("sum").and_then(json::Value::as_u64).ok_or("bad sum")?,
-                        buckets,
-                    })
-                }
-                other => return Err(format!("unknown metric type {other:?}")),
-            };
-            if let Some(help) = m.get("help").and_then(json::Value::as_str) {
-                snap.help.entry(name.to_owned()).or_insert_with(|| help.to_owned());
-            }
-            snap.metrics.insert(key, value);
-        }
-        Ok(snap)
-    }
 }
 
 /// `{a="x",le="+Inf"}` label block text (empty string when no labels).
@@ -212,239 +108,50 @@ fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
     out
 }
 
-/// Text of the `le` boundary for finite bucket `i` (`2^i`).
-fn le_text(i: usize) -> String {
-    if i + 1 >= HISTOGRAM_BUCKETS {
-        "+Inf".to_owned()
-    } else {
-        (1u64 << i).to_string()
-    }
-}
-
-/// Parses the Prometheus text format emitted by
-/// [`Snapshot::to_prometheus`] back into a [`Snapshot`].
-///
-/// Understands the subset this crate emits: `# HELP` / `# TYPE`
-/// comments, samples with optional label blocks, and histogram series
-/// (`_bucket`/`_sum`/`_count`, cumulative buckets de-cumulated back
-/// into per-bucket counts).
-///
-/// # Errors
-///
-/// A description of the first malformed line.
-pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
-    let mut snap = Snapshot::new();
-    let mut types: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    // Histogram reassembly state per (base name, labels-without-le).
-    let mut hist_cum: std::collections::HashMap<MetricKey, Vec<(usize, u64)>> =
-        std::collections::HashMap::new();
-    let mut hist_meta: std::collections::HashMap<MetricKey, (u64, u64)> =
-        std::collections::HashMap::new();
-
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        let ctx = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let (name, help) = rest.split_once(' ').ok_or_else(|| ctx("bad HELP"))?;
-            let unescaped = help.replace("\\n", "\n").replace("\\\\", "\\");
-            snap.help.insert(name.to_owned(), unescaped);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest.split_once(' ').ok_or_else(|| ctx("bad TYPE"))?;
-            types.insert(name.to_owned(), kind.to_owned());
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-
-        let (series, value_text) = split_sample(line).ok_or_else(|| ctx("bad sample"))?;
-        let (name, labels) = parse_series(series).map_err(|e| ctx(&e))?;
-
-        // Histogram component samples fold back into one metric.
-        let base_and_part = ["_bucket", "_sum", "_count"].iter().find_map(|suffix| {
-            let base = name.strip_suffix(suffix)?;
-            (types.get(base).map(String::as_str) == Some("histogram"))
-                .then(|| (base.to_owned(), *suffix))
-        });
-        if let Some((base, part)) = base_and_part {
-            let mut labels = labels;
-            let le = match part {
-                "_bucket" => {
-                    let pos = labels
-                        .iter()
-                        .position(|(k, _)| k == "le")
-                        .ok_or_else(|| ctx("bucket without le"))?;
-                    Some(labels.remove(pos).1)
-                }
-                _ => None,
-            };
-            let key = MetricKey { name: base, labels };
-            let entry = hist_meta.entry(key.clone()).or_insert((0, 0));
-            match part {
-                "_sum" => entry.1 = value_text.parse().map_err(|_| ctx("bad sum"))?,
-                "_count" => entry.0 = value_text.parse().map_err(|_| ctx("bad count"))?,
-                _ => {
-                    let le = le.expect("bucket le present");
-                    let index = if le == "+Inf" {
-                        HISTOGRAM_BUCKETS - 1
-                    } else {
-                        let bound: u64 = le.parse().map_err(|_| ctx("bad le"))?;
-                        if !bound.is_power_of_two() {
-                            return Err(ctx("le is not a power of two"));
-                        }
-                        (bound.trailing_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
-                    };
-                    let cum: u64 = value_text.parse().map_err(|_| ctx("bad bucket value"))?;
-                    hist_cum.entry(key).or_default().push((index, cum));
-                }
-            }
-            continue;
-        }
-
-        let key = MetricKey { name: name.clone(), labels };
-        let value = match types.get(&name).map(String::as_str) {
-            Some("gauge") => {
-                MetricValue::Gauge(value_text.parse().map_err(|_| ctx("bad gauge value"))?)
-            }
-            // Untyped samples default to counter, the common case.
-            _ => MetricValue::Counter(value_text.parse().map_err(|_| ctx("bad counter value"))?),
-        };
-        snap.metrics.insert(key, value);
-    }
-
-    // Assemble histograms: de-cumulate buckets (elided buckets are zero).
-    for (key, (count, sum)) in hist_meta {
-        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-        let mut samples = hist_cum.remove(&key).unwrap_or_default();
-        samples.sort_unstable();
-        let mut prev = 0u64;
-        for (index, cum) in samples {
-            buckets[index] = cum.saturating_sub(prev);
-            prev = cum;
-        }
-        snap.metrics.insert(key, MetricValue::Histogram(HistogramData { count, sum, buckets }));
-    }
-    Ok(snap)
-}
-
-/// Splits `name{labels} value` / `name value` into (series, value).
-fn split_sample(line: &str) -> Option<(&str, &str)> {
-    if let Some(close) = line.rfind('}') {
-        let value = line.get(close + 1..)?.trim();
-        (!value.is_empty()).then_some((line.get(..=close)?, value))
-    } else {
-        let (series, value) = line.rsplit_once(' ')?;
-        Some((series.trim(), value.trim()))
-    }
-}
-
-/// Parses `name{a="x",b="y"}` into its name and label pairs.
-fn parse_series(series: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let Some(open) = series.find('{') else {
-        return Ok((series.to_owned(), Vec::new()));
-    };
-    let name = series[..open].to_owned();
-    let body = series[open + 1..]
-        .strip_suffix('}')
-        .ok_or_else(|| format!("unterminated label block in `{series}`"))?;
-    let mut labels = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let eq = rest.find("=\"").ok_or_else(|| format!("bad label in `{series}`"))?;
-        let key = rest[..eq].to_owned();
-        rest = &rest[eq + 2..];
-        // Find the closing quote, honouring backslash escapes.
-        let mut value = String::new();
-        let mut chars = rest.char_indices();
-        let mut end = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => value.push('\n'),
-                    Some((_, escaped)) => value.push(escaped),
-                    None => return Err(format!("dangling escape in `{series}`")),
-                },
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                c => value.push(c),
-            }
-        }
-        let end = end.ok_or_else(|| format!("unterminated label value in `{series}`"))?;
-        labels.push((key, value));
-        rest = &rest[end + 1..];
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-    }
-    labels.sort();
-    Ok((name, labels))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Registry;
 
-    fn populated() -> Snapshot {
+    /// A registry exercising every exposition path: one counter under
+    /// two label sets, a negative gauge, a histogram with several finite
+    /// buckets and overflow into `+Inf`, a label value and a help text
+    /// that need escaping.
+    fn populated() -> Registry {
         let reg = Registry::new();
-        reg.counter("sim_cycles_total", "control steps", &[("backend", "compiled")]).add(1234);
+        reg.counter("sim_cycles_total", "control steps", &[("backend", "ops")]).add(1234);
         reg.counter("sim_cycles_total", "control steps", &[("backend", "interp")]).add(99);
-        reg.gauge("batch_inflight", "jobs in flight", &[]).set(-3);
+        reg.gauge("batch_inflight", "jobs in flight\nback\\slash", &[]).set(-3);
         let h = reg.histogram("job_us", "job latency", &[("mode", "both")]);
-        for v in [1, 2, 3, 900, 70_000] {
+        for v in [1, 2, 3, 900, 70_000, 1 << 40] {
             h.observe(v);
         }
-        reg.snapshot()
+        reg.counter("requests_total", "requests served", &[("path", "a\"b\\c\nd")]).inc();
+        reg
     }
 
     #[test]
-    fn prometheus_round_trips() {
-        let snap = populated();
-        let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE sim_cycles_total counter"), "{text}");
-        assert!(text.contains("sim_cycles_total{backend=\"compiled\"} 1234"), "{text}");
-        assert!(text.contains("# TYPE batch_inflight gauge"), "{text}");
-        assert!(text.contains("batch_inflight -3"), "{text}");
-        assert!(text.contains("job_us_bucket{mode=\"both\",le=\"+Inf\"} 5"), "{text}");
-        assert!(text.contains("job_us_sum{mode=\"both\"} 70906"), "{text}");
-        let back = parse_prometheus(&text).expect("parses");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let snap = populated();
-        let text = snap.to_json();
-        assert!(text.contains("\"schema\": \"lisa-metrics/1\""), "{text}");
-        let back = Snapshot::from_json(&text).expect("parses");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn exposition_is_deterministic() {
-        let a = populated();
-        let b = populated();
-        assert_eq!(a.to_prometheus(), b.to_prometheus());
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn label_values_with_quotes_survive() {
-        let reg = Registry::new();
-        reg.counter("m", "", &[("path", "a\"b\\c")]).inc();
-        let snap = reg.snapshot();
-        let back = parse_prometheus(&snap.to_prometheus()).expect("parses");
-        assert_eq!(back.metrics, snap.metrics);
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_prometheus("metric_without_value").is_err());
-        assert!(parse_prometheus("m{unclosed=\"x\" 3").is_err());
+    fn prometheus_exposition_matches_the_golden_bytes() {
+        let expected = r#"# HELP batch_inflight jobs in flight\nback\\slash
+# TYPE batch_inflight gauge
+batch_inflight -3
+# HELP job_us job latency
+# TYPE job_us histogram
+job_us_bucket{mode="both",le="1"} 1
+job_us_bucket{mode="both",le="2"} 2
+job_us_bucket{mode="both",le="4"} 3
+job_us_bucket{mode="both",le="1024"} 4
+job_us_bucket{mode="both",le="131072"} 5
+job_us_bucket{mode="both",le="+Inf"} 6
+job_us_sum{mode="both"} 1099511698682
+job_us_count{mode="both"} 6
+# HELP requests_total requests served
+# TYPE requests_total counter
+requests_total{path="a\"b\\c\nd"} 1
+# HELP sim_cycles_total control steps
+# TYPE sim_cycles_total counter
+sim_cycles_total{backend="interp"} 99
+sim_cycles_total{backend="ops"} 1234
+"#;
+        assert_eq!(populated().snapshot().to_prometheus(), expected);
     }
 }

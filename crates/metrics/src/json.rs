@@ -1,5 +1,5 @@
 //! A minimal JSON reader/writer for the toolchain's machine-readable
-//! artifacts (metric snapshots, `BENCH_*.json` trajectories).
+//! artifacts (HTTP bodies, coverage maps, `BENCH_*.json` trajectories).
 //!
 //! The workspace is dependency-free by policy (no serde in the
 //! container), and its JSON needs are small: write deterministic
@@ -7,7 +7,6 @@
 //! tests. Numbers keep their raw text so `u64` values survive exactly
 //! instead of detouring through `f64`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -88,17 +87,6 @@ impl Value {
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Object fields as a map (string values only), for label sets.
-    #[must_use]
-    pub fn as_string_map(&self) -> Option<BTreeMap<String, String>> {
-        match self {
-            Value::Obj(fields) => {
-                fields.iter().map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned()))).collect()
-            }
             _ => None,
         }
     }

@@ -9,8 +9,7 @@ use crate::snapshot::{HistogramData, MetricKey, MetricValue, Snapshot};
 /// Total histogram slots: finite buckets with upper bounds `2^0..=2^38`
 /// plus one overflow (`+Inf`) slot. Bucket *b* counts observations `v`
 /// with `2^(b-1) < v <= 2^b` (bucket 0 counts `v <= 1`), which keeps
-/// the Prometheus `le` boundaries exact powers of two and lets merged
-/// snapshots stay bit-identical regardless of merge order.
+/// the Prometheus `le` boundaries exact powers of two.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A monotonically increasing counter (relaxed atomic adds).

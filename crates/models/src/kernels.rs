@@ -89,7 +89,12 @@ pub fn run_kernel<'m>(
 ///
 /// # Errors
 ///
-/// Propagates assembly and loading errors.
+/// Propagates simulator construction and loading errors.
+///
+/// # Panics
+///
+/// Panics when the kernel does not assemble or names an unknown
+/// resource (a kernel bug).
 pub fn load_kernel<'m>(
     wb: &'m Workbench,
     kernel: &Kernel,
@@ -112,15 +117,10 @@ pub fn load_kernel<'m>(
     Ok(sim)
 }
 
-/// Assembles a kernel, in fetch packets on vliw62; panics if it does not
-/// assemble (a kernel bug).
+/// Assembles a kernel with the workbench's program assembler; panics if
+/// it does not assemble (a kernel bug).
 fn assemble(wb: &Workbench, kernel: &Kernel) -> lisa_asm::Program {
-    let assembler = if wb.model().resource_by_name("fp").is_some() {
-        lisa_asm::Assembler::with_packet(wb.model(), crate::vliw62::FETCH_PACKET, 1)
-    } else {
-        lisa_asm::Assembler::new(wb.model())
-    };
-    assembler
+    wb.assembler()
         .assemble(&kernel.source)
         .unwrap_or_else(|e| panic!("kernel `{}` does not assemble: {e}", kernel.name))
 }

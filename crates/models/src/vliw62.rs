@@ -43,7 +43,9 @@ pub const SOURCE: &str = include_str!("vliw62.lisa");
 /// Returns [`WorkbenchError::Lisa`] if the embedded source fails to build
 /// (a bug, covered by tests).
 pub fn workbench() -> Result<Workbench, WorkbenchError> {
-    Workbench::from_source(SOURCE, "pmem", "halt")
+    let mut wb = Workbench::from_source(SOURCE, "pmem", "halt")?;
+    wb.packet = Some(FETCH_PACKET);
+    Ok(wb)
 }
 
 /// Assembles a program given as *execute packets* (each inner slice is a

@@ -90,6 +90,9 @@ pub struct Workbench {
     model: Arc<Model>,
     program_memory: &'static str,
     halt_flag: &'static str,
+    /// Fetch-packet size in words, for a VLIW model whose programs
+    /// assemble in packets (`None`: one word per statement).
+    pub(crate) packet: Option<usize>,
 }
 
 impl Workbench {
@@ -105,7 +108,7 @@ impl Workbench {
         halt_flag: &'static str,
     ) -> Result<Workbench, WorkbenchError> {
         let model = Arc::new(Model::from_source(source)?);
-        Ok(Workbench { model, program_memory, halt_flag })
+        Ok(Workbench { model, program_memory, halt_flag, packet: None })
     }
 
     /// The model database.
@@ -156,6 +159,16 @@ impl Workbench {
             .iter()
             .map(|s| Ok(asm.assemble_instruction(s)?.encode(&self.model)?.to_u128()))
             .collect()
+    }
+
+    /// The program assembler (labels, directives, listing) for this
+    /// model, packing fetch packets on a VLIW model.
+    #[must_use]
+    pub fn assembler(&self) -> lisa_asm::Assembler<'_> {
+        match self.packet {
+            Some(n) => lisa_asm::Assembler::with_packet(&self.model, n, 1),
+            None => lisa_asm::Assembler::new(&self.model),
+        }
     }
 
     /// Assembles one statement into a decoded tree (for inspection).

@@ -195,12 +195,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
 }
 
 /// A bound-but-not-yet-running service.
@@ -544,15 +538,5 @@ mod tests {
         assert!(matches!(queue.push(held), Push::Closed));
         drop(extra);
         drop(clients);
-    }
-
-    #[test]
-    fn handle_reports_shutdown_state() {
-        let state = Arc::new(AppState::new());
-        let server = Server::bind(ServeConfig::default(), state).unwrap();
-        let handle = server.handle();
-        assert!(!handle.is_shutting_down());
-        handle.shutdown();
-        assert!(handle.is_shutting_down());
     }
 }

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lisa_asm::Assembler;
 use lisa_conform::{publish_fuzz, CoverageMap, Fault, FuzzConfig, Fuzzer, Reproducer};
 use lisa_core::Model;
 use lisa_exec::{BatchObserver, BatchRunner};
@@ -37,20 +36,9 @@ pub struct ServedModel {
     pub program_memory: &'static str,
     /// Halt-flag resource.
     pub halt_flag: &'static str,
-    /// VLIW fetch-packet size, when packet assembly applies.
-    pub packet: Option<usize>,
-    /// Conformance workbench for `/v1/fuzz`, over the same model and
-    /// wired to the same memories and halt flag.
+    /// The workbench over the same model: its program assembler serves
+    /// `/v1/assemble` and `/v1/simulate`, and `/v1/fuzz` runs on it.
     pub workbench: Workbench,
-}
-
-impl ServedModel {
-    fn assembler(&self) -> Assembler<'_> {
-        match self.packet {
-            Some(n) => Assembler::with_packet(&self.model, n, 1),
-            None => Assembler::new(&self.model),
-        }
-    }
 }
 
 /// Span-ring capacity for the always-on request tracer: a flight
@@ -95,23 +83,18 @@ impl AppState {
     /// model tests).
     #[must_use]
     pub fn new() -> AppState {
-        let served = |name, workbench: Workbench, packet| ServedModel {
+        let served = |name, workbench: Workbench| ServedModel {
             name,
             model: Arc::clone(workbench.shared_model()),
             program_memory: workbench.program_memory(),
             halt_flag: workbench.halt_flag(),
-            packet,
             workbench,
         };
         let models = vec![
-            served("tinyrisc", tinyrisc::workbench().expect("tinyrisc builds"), None),
-            served("accu16", accu16::workbench().expect("accu16 builds"), None),
-            served("scalar2", scalar2::workbench().expect("scalar2 builds"), None),
-            served(
-                "vliw62",
-                vliw62::workbench().expect("vliw62 builds"),
-                Some(vliw62::FETCH_PACKET),
-            ),
+            served("tinyrisc", tinyrisc::workbench().expect("tinyrisc builds")),
+            served("accu16", accu16::workbench().expect("accu16 builds")),
+            served("scalar2", scalar2::workbench().expect("scalar2 builds")),
+            served("vliw62", vliw62::workbench().expect("vliw62 builds")),
         ];
         let registry = Registry::new();
         // The one place every exposition carries a version signal.
@@ -341,7 +324,7 @@ impl AppState {
         let Some(served) = self.model(&req.model) else {
             return Response::json(404, api::error_body(&format!("unknown model `{}`", req.model)));
         };
-        match served.assembler().assemble(&req.program) {
+        match served.workbench.assembler().assemble(&req.program) {
             Ok(program) => Response::json(
                 200,
                 api::assemble_body(program.origin, &program.words, &program.listing),
@@ -372,7 +355,7 @@ impl AppState {
 
         let program = {
             let _span = spans.map(|s| s.start(SpanKind::Assemble));
-            match served.assembler().assemble(&req.program) {
+            match served.workbench.assembler().assemble(&req.program) {
                 Ok(p) => p,
                 Err(e) => return Response::json(422, api::error_body(&e.to_string())),
             }

@@ -39,29 +39,6 @@ pub struct SimStats {
     pub stall_by_stage: [u64; STALL_STAGE_BUCKETS],
 }
 
-impl SimStats {
-    /// Fraction of decode *requests* served from the cache, in `0.0..=1.0`
-    /// (`0.0` when no decode was requested). Because
-    /// [`SimStats::decodes`] includes the hits themselves, this is
-    /// `decode_cache_hits / decodes`, not hits over misses.
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.decodes == 0 {
-            0.0
-        } else {
-            self.decode_cache_hits as f64 / self.decodes as f64
-        }
-    }
-
-    /// Decode requests that missed the cache and paid for a full decode
-    /// (`decodes - decode_cache_hits`). In interpretive mode every
-    /// decode is a miss.
-    #[must_use]
-    pub fn decode_misses(&self) -> u64 {
-        self.decodes.saturating_sub(self.decode_cache_hits)
-    }
-}
-
 impl fmt::Display for SimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -94,30 +71,6 @@ impl fmt::Display for SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_rate_handles_zero() {
-        assert_eq!(SimStats::default().cache_hit_rate(), 0.0);
-        let s = SimStats { decodes: 10, decode_cache_hits: 9, ..SimStats::default() };
-        assert!((s.cache_hit_rate() - 0.9).abs() < 1e-12);
-        assert!(s.to_string().contains("decodes=10"));
-    }
-
-    #[test]
-    fn decode_misses_covers_both_cache_paths() {
-        // Compiled-mode shape: most requests hit the cache.
-        let compiled = SimStats { decodes: 10, decode_cache_hits: 9, ..SimStats::default() };
-        assert_eq!(compiled.decode_misses(), 1);
-        assert!(
-            (compiled.cache_hit_rate() + compiled.decode_misses() as f64 / 10.0 - 1.0).abs()
-                < 1e-12
-        );
-        // Interpretive-mode shape: no cache, every request misses.
-        let interp = SimStats { decodes: 7, decode_cache_hits: 0, ..SimStats::default() };
-        assert_eq!(interp.decode_misses(), 7);
-        assert_eq!(interp.cache_hit_rate(), 0.0);
-        assert_eq!(SimStats::default().decode_misses(), 0);
-    }
 
     #[test]
     fn display_appends_new_fields_after_legacy_ones() {

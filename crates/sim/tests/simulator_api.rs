@@ -155,7 +155,7 @@ fn stats_display_and_cache_rate() {
     sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, 100).unwrap();
     let stats = *sim.stats();
     assert_eq!(stats.decodes, 2);
-    assert!((stats.cache_hit_rate() - 1.0).abs() < 1e-12);
+    assert_eq!(stats.decode_cache_hits, stats.decodes);
     let text = stats.to_string();
     assert!(text.contains("cycles=2"));
     assert!(text.contains("decodes=2 (hits=2)"));

@@ -1,18 +1,17 @@
-//! Span exporters: Chrome trace-event JSON and JSONL, plus the JSONL
-//! importer.
+//! Span exporters: Chrome trace-event JSON and JSONL.
 //!
 //! The Chrome format is the JSON *array form* of the trace-event spec —
 //! a bare array of complete (`"ph": "X"`) events with microsecond
 //! timestamps — which both Perfetto (<https://ui.perfetto.dev>) and
-//! `chrome://tracing` load directly. JSONL is one span object per line
-//! with raw nanosecond fields; [`from_jsonl`] parses it back so traces
-//! can be saved, merged and re-exported.
+//! `chrome://tracing` load directly (`format=chrome` on
+//! `/v1/debug/spans`, `lisa-tool batch --spans`). [`span_json`] renders
+//! one span as an object with raw nanosecond fields, the element of the
+//! `/v1/debug/spans` array; [`to_jsonl`] writes one such object per line
+//! (`lisa-tool trace --spans`).
 
 use std::fmt::Write as _;
 
-use lisa_metrics::json::{self, Value};
-
-use crate::{SpanKind, SpanRecord};
+use crate::SpanRecord;
 
 /// Microseconds with three decimals from a nanosecond count, rendered
 /// deterministically (no float formatting).
@@ -71,7 +70,7 @@ pub fn span_json(s: &SpanRecord) -> String {
 }
 
 /// Renders spans as JSON lines (one object per line, trailing newline
-/// when non-empty). Round-trips through [`from_jsonl`].
+/// when non-empty).
 #[must_use]
 pub fn to_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::with_capacity(spans.len() * 96);
@@ -82,52 +81,12 @@ pub fn to_jsonl(spans: &[SpanRecord]) -> String {
     out
 }
 
-fn required_u64(obj: &Value, key: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing or non-integer `{key}`"))
-}
-
-/// Parses a JSONL span document produced by [`to_jsonl`] (blank lines
-/// ignored; the redundant `cat` field is ignored on input — it is
-/// derived from the name).
-///
-/// # Errors
-///
-/// A message naming the first offending line.
-pub fn from_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = json::parse(line).map_err(|e| format!("line {line_no}: bad JSON: {e}"))?;
-        let name = obj
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: missing or non-string `name`"))?;
-        let kind = SpanKind::from_str(name)
-            .ok_or_else(|| format!("line {line_no}: unknown span name `{name}`"))?;
-        let worker = required_u64(&obj, "worker", line_no)?;
-        let worker =
-            u32::try_from(worker).map_err(|_| format!("line {line_no}: `worker` out of range"))?;
-        out.push(SpanRecord {
-            trace: required_u64(&obj, "trace", line_no)?,
-            span: required_u64(&obj, "span", line_no)?,
-            parent: required_u64(&obj, "parent", line_no)?,
-            kind,
-            worker,
-            start_ns: required_u64(&obj, "start_ns", line_no)?,
-            dur_ns: required_u64(&obj, "dur_ns", line_no)?,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
+    use lisa_metrics::json::{self, Value};
+
     use super::*;
+    use crate::SpanKind;
 
     fn sample() -> Vec<SpanRecord> {
         vec![
@@ -172,27 +131,5 @@ mod tests {
     fn empty_exports_are_well_formed() {
         assert_eq!(json::parse(&to_chrome_trace(&[])).unwrap().as_array().unwrap().len(), 0);
         assert_eq!(to_jsonl(&[]), "");
-        assert_eq!(from_jsonl("").unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let spans = sample();
-        let text = to_jsonl(&spans);
-        assert_eq!(text.lines().count(), 2);
-        assert_eq!(from_jsonl(&text).unwrap(), spans);
-        // Blank lines are tolerated.
-        assert_eq!(from_jsonl(&format!("\n{text}\n")).unwrap(), spans);
-    }
-
-    #[test]
-    fn importer_names_the_offending_line() {
-        let good = span_json(&sample()[0]);
-        let err = from_jsonl(&format!("{good}\nnot json\n")).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        let err = from_jsonl("{\"name\": \"zeppelin\"}").unwrap_err();
-        assert!(err.contains("unknown span name"), "{err}");
-        let err = from_jsonl("{\"name\": \"run\"}").unwrap_err();
-        assert!(err.contains("`worker`"), "{err}");
     }
 }

@@ -12,16 +12,14 @@
 //!   mid-write. When disabled, [`SpanRecorder::start`] is a single
 //!   atomic-bool branch — no clock read, no ID allocation.
 //! * [`SpanKind`] — the closed vocabulary of span names. A closed enum
-//!   (rather than free-form strings) keeps records fixed-size and `Copy`
-//!   and makes the JSONL importer total.
+//!   (rather than free-form strings) keeps records fixed-size and `Copy`.
 //! * [`SpanScope`] — a `(recorder, trace, parent, worker)` bundle that
 //!   layers hand to each other so one `/v1/simulate` request produces a
 //!   single connected tree: `accept → queue_wait → request → parse →
 //!   route → assemble → run → serialize → write`, with simulator phases
 //!   (`predecode`, `cycle_chunk`) hanging under `run`.
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto or
-//!   `chrome://tracing`) and JSONL, plus a JSONL importer that
-//!   round-trips every record.
+//!   `chrome://tracing`) and JSONL.
 //!
 //! The recorder is a *flight recorder*: collection is non-destructive,
 //! capacity is bounded, and overflow is counted ([`SpanRecorder::dropped`])
@@ -63,9 +61,9 @@ impl Category {
 
 /// The closed set of span names.
 ///
-/// Closed on purpose: records stay `Copy` and fit in atomic ring slots,
-/// and [`export::from_jsonl`] can map every name back without a string
-/// table. Add a variant (and its `as_str`/`from_str` arm) to extend.
+/// Closed on purpose: records stay `Copy` and fit in atomic ring slots.
+/// Add a variant (with its `as_str` and `category` arms, and an entry in
+/// [`SpanKind::ALL`]) to extend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -112,8 +110,8 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Every kind, in discriminant order (used by the importer and
-    /// property tests).
+    /// Every kind, in discriminant order (the recorder maps a stored
+    /// discriminant back through it).
     pub const ALL: [SpanKind; 20] = [
         SpanKind::Accept,
         SpanKind::QueueWait,
@@ -162,14 +160,6 @@ impl SpanKind {
             SpanKind::Snapshot => "snapshot",
             SpanKind::Restore => "restore",
         }
-    }
-
-    /// Inverse of [`SpanKind::as_str`] (not the `FromStr` trait: this
-    /// is total over the closed vocabulary and infallible to call).
-    #[must_use]
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(name: &str) -> Option<SpanKind> {
-        SpanKind::ALL.iter().copied().find(|k| k.as_str() == name)
     }
 
     /// The layer this kind belongs to.
@@ -291,14 +281,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_round_trip_and_are_unique() {
+    fn kind_names_are_unique_and_discriminants_round_trip() {
         let mut seen = std::collections::BTreeSet::new();
         for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_str(kind.as_str()), Some(kind));
             assert!(seen.insert(kind.as_str()), "duplicate name {}", kind.as_str());
             assert_eq!(SpanKind::from_discriminant(kind as u8), Some(kind));
         }
-        assert_eq!(SpanKind::from_str("nope"), None);
         assert_eq!(SpanKind::from_discriminant(200), None);
     }
 

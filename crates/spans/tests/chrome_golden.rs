@@ -1,10 +1,10 @@
-//! Chrome trace-event export determinism.
+//! Span export determinism.
 //!
-//! The exporter promises byte-for-byte deterministic output for a given
-//! span list, and the document shape is pinned against a checked-in
-//! golden file (Perfetto and `chrome://tracing` both consume this
-//! format, so drift is a compatibility break). The same fixture must
-//! also survive JSONL export → import losslessly.
+//! The exporters promise byte-for-byte deterministic output for a given
+//! span list, and both documents are pinned against checked-in golden
+//! files: the Chrome trace (Perfetto and `chrome://tracing` both consume
+//! this format, so drift is a compatibility break) and the JSONL lines
+//! `lisa-tool trace --spans` prints.
 //!
 //! To bless an intentional format change:
 //!
@@ -12,7 +12,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p lisa-spans --test chrome_golden
 //! ```
 
-use lisa_spans::export::{from_jsonl, to_chrome_trace, to_jsonl};
+use lisa_spans::export::{to_chrome_trace, to_jsonl};
 use lisa_spans::{SpanKind, SpanRecord};
 
 /// A fixed span tree covering the interesting paths: one full request
@@ -49,29 +49,32 @@ fn two_exports_are_byte_identical() {
     assert_eq!(to_chrome_trace(&fixture()), to_chrome_trace(&fixture()));
 }
 
-#[test]
-fn chrome_export_matches_the_golden_file() {
+/// Compares `rendered` with `tests/golden/<name>`, or rewrites the file
+/// under `UPDATE_GOLDEN`.
+fn check_golden(name: &str, rendered: &str) {
     let golden_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/spans.json");
-    let rendered = to_chrome_trace(&fixture());
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &rendered).expect("write golden");
+        std::fs::write(&golden_path, rendered).expect("write golden");
         return;
     }
     let golden = std::fs::read_to_string(&golden_path)
         .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
     assert_eq!(
         rendered, golden,
-        "Chrome trace output drifted from tests/golden/spans.json; if \
-         intentional, re-bless with UPDATE_GOLDEN=1"
+        "span export drifted from tests/golden/{name}; if intentional, re-bless with \
+         UPDATE_GOLDEN=1"
     );
 }
 
 #[test]
-fn golden_fixture_round_trips_through_jsonl() {
-    let spans = fixture();
-    let imported = from_jsonl(&to_jsonl(&spans)).expect("importer accepts its own output");
-    assert_eq!(imported, spans);
+fn chrome_export_matches_the_golden_file() {
+    check_golden("spans.json", &to_chrome_trace(&fixture()));
+}
+
+#[test]
+fn jsonl_export_matches_the_golden_file() {
+    check_golden("spans.jsonl", &to_jsonl(&fixture()));
 }
 
 #[test]

@@ -12,7 +12,7 @@ use lisa::trace::{TraceEvent, TraceKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wb = vliw62::workbench()?;
-    let program = lisa::asm::Assembler::with_packet(wb.model(), vliw62::FETCH_PACKET, 1).assemble(
+    let program = wb.assembler().assemble(
         r#"
             MVK A2, 1
             MVK B2, 2       ; serial packets: one dispatch per cycle

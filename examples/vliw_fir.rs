@@ -20,8 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("kernel: {} (8 taps, 16 outputs, 16-bit data)\n", kernel.name);
 
     // Show the first packets of the program listing.
-    let program = lisa::asm::Assembler::with_packet(wb.model(), vliw62::FETCH_PACKET, 1)
-        .assemble(&kernel.source)?;
+    let program = wb.assembler().assemble(&kernel.source)?;
     println!("program listing (first fetch packets):");
     for line in program.listing.lines().take(18) {
         println!("  {line}");

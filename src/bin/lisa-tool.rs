@@ -70,8 +70,8 @@ use std::fs;
 use std::process::ExitCode;
 
 use lisa::core::model::ModelStats;
-use lisa::core::Model;
 use lisa::metrics::Registry;
+use lisa::models::Workbench;
 use lisa::sim::SimMode;
 
 /// CLI failure, split by exit code: `Usage` exits 2 (bad invocation,
@@ -114,17 +114,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "check" => Ok(check(args.get(1).ok_or_else(usage)?)?),
         "stats" => Ok(stats(args.get(1).ok_or_else(usage)?)?),
         "doc" => Ok(doc(args.get(1).ok_or_else(usage)?, flag_value(args, "-o"))?),
-        "asm" => Ok(asm(
-            args.get(1).ok_or_else(usage)?,
-            args.get(2).ok_or_else(usage)?,
-            flag_value(args, "-o"),
-            packet_size(args),
-        )?),
-        "disasm" => Ok(disasm(
-            args.get(1).ok_or_else(usage)?,
-            args.get(2).ok_or_else(usage)?,
-            packet_size(args),
-        )?),
+        "asm" => Ok(asm(args)?),
+        "disasm" => Ok(disasm(args)?),
         "run" => Ok(simulate(args)?),
         "trace" => Ok(trace_cmd(args)?),
         "profile" | "inspect" => Ok(profile_cmd(args)?),
@@ -234,39 +225,39 @@ fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// Loads a model source: builtin (`@name`) or file path. Returns the
-/// source text plus default (program-memory, halt-flag, packet) settings.
-fn load_source(spec: &str) -> Result<(String, &'static str, &'static str, Option<usize>), String> {
-    match spec {
-        "@vliw62" => Ok((
-            lisa::models::vliw62::SOURCE.to_owned(),
-            "pmem",
-            "halt",
-            Some(lisa::models::vliw62::FETCH_PACKET),
-        )),
-        "@accu16" => Ok((lisa::models::accu16::SOURCE.to_owned(), "prog_mem", "halt", None)),
-        "@scalar2" => Ok((lisa::models::scalar2::SOURCE.to_owned(), "pmem", "halt", None)),
-        "@tinyrisc" => Ok((lisa::models::tinyrisc::SOURCE.to_owned(), "pmem", "halt", None)),
+/// The builtin models, by their `@name` specs.
+const BUILTINS: [&str; 4] = ["@tinyrisc", "@scalar2", "@accu16", "@vliw62"];
+
+/// Builds the workbench for a model spec: a builtin (`@name`), or a
+/// `.lisa` file whose programs load into `pmem` and which halts on
+/// `halt`.
+fn workbench(spec: &str) -> Result<Workbench, String> {
+    let wb = match spec {
+        "@vliw62" => lisa::models::vliw62::workbench(),
+        "@accu16" => lisa::models::accu16::workbench(),
+        "@scalar2" => lisa::models::scalar2::workbench(),
+        "@tinyrisc" => lisa::models::tinyrisc::workbench(),
         path => {
             let text =
                 fs::read_to_string(path).map_err(|e| format!("cannot read model `{path}`: {e}"))?;
-            Ok((text, "pmem", "halt", None))
+            Workbench::from_source(&text, "pmem", "halt")
         }
+    };
+    wb.map_err(|e| e.to_string())
+}
+
+/// The program assembler for a workbench, packing `--packet N` words
+/// per fetch packet when given (the workbench's own packing otherwise).
+fn assembler<'m>(wb: &'m Workbench, args: &[String]) -> lisa::asm::Assembler<'m> {
+    match flag_value(args, "--packet").and_then(|v| v.parse().ok()) {
+        Some(n) => lisa::asm::Assembler::with_packet(wb.model(), n, 1),
+        None => wb.assembler(),
     }
 }
 
-fn build_model(spec: &str) -> Result<(Model, &'static str, &'static str, Option<usize>), String> {
-    let (source, pmem, halt, packet) = load_source(spec)?;
-    let model = Model::from_source(&source).map_err(|e| e.to_string())?;
-    Ok((model, pmem, halt, packet))
-}
-
-fn packet_size(args: &[String]) -> Option<usize> {
-    flag_value(args, "--packet").and_then(|v| v.parse().ok())
-}
-
 fn check(spec: &str) -> Result<(), String> {
-    let (model, ..) = build_model(spec)?;
+    let wb = workbench(spec)?;
+    let model = wb.model();
     println!("ok: {} operations, {} resources", model.operations().len(), model.resources().len());
     for warning in model.warnings() {
         println!("warning: {warning}");
@@ -281,15 +272,13 @@ fn check(spec: &str) -> Result<(), String> {
 }
 
 fn stats(spec: &str) -> Result<(), String> {
-    let (model, ..) = build_model(spec)?;
-    println!("{}", ModelStats::of(&model));
+    println!("{}", ModelStats::of(workbench(spec)?.model()));
     Ok(())
 }
 
 fn doc(spec: &str, out: Option<&str>) -> Result<(), String> {
-    let (model, ..) = build_model(spec)?;
     let title = spec.trim_start_matches('@');
-    let manual = lisa::docgen::manual(&model, title);
+    let manual = lisa::docgen::manual(workbench(spec)?.model(), title);
     match out {
         Some(path) => {
             fs::write(path, &manual).map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -300,30 +289,14 @@ fn doc(spec: &str, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn make_assembler<'m>(
-    model: &'m Model,
-    builtin_packet: Option<usize>,
-    cli_packet: Option<usize>,
-) -> lisa::asm::Assembler<'m> {
-    match cli_packet.or(builtin_packet) {
-        Some(n) => lisa::asm::Assembler::with_packet(model, n, 1),
-        None => lisa::asm::Assembler::new(model),
-    }
-}
-
-fn asm(
-    spec: &str,
-    program_path: &str,
-    out: Option<&str>,
-    cli_packet: Option<usize>,
-) -> Result<(), String> {
-    let (model, _, _, builtin_packet) = build_model(spec)?;
+fn asm(args: &[String]) -> Result<(), String> {
+    let wb = workbench(args.get(1).ok_or_else(usage)?)?;
+    let program_path = args.get(2).ok_or_else(usage)?;
     let source = fs::read_to_string(program_path)
         .map_err(|e| format!("cannot read `{program_path}`: {e}"))?;
-    let assembler = make_assembler(&model, builtin_packet, cli_packet);
-    let program = assembler.assemble(&source).map_err(|e| e.to_string())?;
+    let program = assembler(&wb, args).assemble(&source).map_err(|e| e.to_string())?;
     print!("{}", program.listing);
-    if let Some(path) = out {
+    if let Some(path) = flag_value(args, "-o") {
         let hex: String = program.words.iter().map(|w| format!("{w:08x}\n")).collect();
         fs::write(path, hex).map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("wrote {} words to {path} (origin {:#x})", program.words.len(), program.origin);
@@ -331,8 +304,9 @@ fn asm(
     Ok(())
 }
 
-fn disasm(spec: &str, image_path: &str, cli_packet: Option<usize>) -> Result<(), String> {
-    let (model, _, _, builtin_packet) = build_model(spec)?;
+fn disasm(args: &[String]) -> Result<(), String> {
+    let wb = workbench(args.get(1).ok_or_else(usage)?)?;
+    let image_path = args.get(2).ok_or_else(usage)?;
     let text =
         fs::read_to_string(image_path).map_err(|e| format!("cannot read `{image_path}`: {e}"))?;
     let words: Vec<u128> = text
@@ -340,8 +314,7 @@ fn disasm(spec: &str, image_path: &str, cli_packet: Option<usize>) -> Result<(),
         .map(|t| u128::from_str_radix(t.trim_start_matches("0x"), 16))
         .collect::<Result<_, _>>()
         .map_err(|e| format!("bad hex word: {e}"))?;
-    let assembler = make_assembler(&model, builtin_packet, cli_packet);
-    print!("{}", assembler.disassemble_listing(&words, 0));
+    print!("{}", assembler(&wb, args).disassemble_listing(&words, 0));
     Ok(())
 }
 
@@ -571,8 +544,12 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
     let remotes: Vec<String> =
         flag_values(args, "--remote").into_iter().map(str::to_owned).collect();
 
+    // `fuzz` also names a builtin without its `@`.
+    let builtin = format!("@{spec}");
     let specs: Vec<&str> = if spec == "all" {
-        vec!["@tinyrisc", "@scalar2", "@accu16", "@vliw62"]
+        BUILTINS.to_vec()
+    } else if BUILTINS.contains(&builtin.as_str()) {
+        vec![&builtin]
     } else {
         vec![spec]
     };
@@ -593,7 +570,13 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
     let mut failed = Vec::new();
     let mut distilled = Vec::new();
     for spec in specs {
-        let (name, wb) = fuzz_workbench(spec)?;
+        let wb = workbench(spec)?;
+        let name = match spec.strip_prefix('@') {
+            Some(builtin) => builtin.to_owned(),
+            None => std::path::Path::new(spec)
+                .file_stem()
+                .map_or_else(|| spec.to_owned(), |s| s.to_string_lossy().into_owned()),
+        };
         match fuzz_one(
             &name,
             &wb,
@@ -705,36 +688,12 @@ fn fuzz_fleet_cmd(
     }
 }
 
-/// Builds the workbench to fuzz: a builtin by name or a `.lisa` file
-/// (assumed to use the default `pmem`/`halt` resource names).
-fn fuzz_workbench(spec: &str) -> Result<(String, lisa::models::Workbench), String> {
-    let wb = match spec.trim_start_matches('@') {
-        "vliw62" => lisa::models::vliw62::workbench(),
-        "accu16" => lisa::models::accu16::workbench(),
-        "scalar2" => lisa::models::scalar2::workbench(),
-        "tinyrisc" => lisa::models::tinyrisc::workbench(),
-        path => {
-            let text =
-                fs::read_to_string(path).map_err(|e| format!("cannot read model `{path}`: {e}"))?;
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.to_owned(), |s| s.to_string_lossy().into_owned());
-            return Ok((
-                name,
-                lisa::models::Workbench::from_source(&text, "pmem", "halt")
-                    .map_err(|e| e.to_string())?,
-            ));
-        }
-    };
-    Ok((spec.trim_start_matches('@').to_owned(), wb.map_err(|e| e.to_string())?))
-}
-
 /// Fuzzes one model: harness self-check, corpus replay, fresh programs.
 /// Returns the distilled covering seed set when `distill` is requested
 /// and the run was clean.
 fn fuzz_one<'a>(
     name: &str,
-    wb: &'a lisa::models::Workbench,
+    wb: &'a Workbench,
     config: lisa::conform::FuzzConfig,
     corpus_dir: Option<&std::path::Path>,
     self_check_only: bool,
@@ -830,25 +789,21 @@ where
     }
 }
 
-/// A model + assembled program, ready to be booted into a simulator.
+/// A workbench + assembled program, ready to be booted into a simulator.
 struct LoadedRun {
-    model: Model,
+    wb: Workbench,
     words: Vec<u128>,
     origin: u64,
-    pmem_name: &'static str,
-    halt_name: &'static str,
 }
 
 /// Parses `<model> <prog.s>` from positions 1/2 and assembles the program.
 fn load_run(args: &[String]) -> Result<LoadedRun, String> {
-    let spec = args.get(1).ok_or_else(usage)?;
+    let wb = workbench(args.get(1).ok_or_else(usage)?)?;
     let program_path = args.get(2).ok_or_else(usage)?;
-    let (model, pmem_name, halt_name, builtin_packet) = build_model(spec)?;
     let source = fs::read_to_string(program_path)
         .map_err(|e| format!("cannot read `{program_path}`: {e}"))?;
-    let assembler = make_assembler(&model, builtin_packet, packet_size(args));
-    let program = assembler.assemble(&source).map_err(|e| e.to_string())?;
-    Ok(LoadedRun { model, words: program.words, origin: program.origin, pmem_name, halt_name })
+    let program = assembler(&wb, args).assemble(&source).map_err(|e| e.to_string())?;
+    Ok(LoadedRun { words: program.words, origin: program.origin, wb })
 }
 
 fn sim_mode(args: &[String]) -> Result<SimMode, String> {
@@ -865,8 +820,9 @@ fn max_steps(args: &[String]) -> Result<u64, String> {
 /// Builds a simulator from a loaded run: program memory filled
 /// (honouring the program origin), pre-decoded in ops mode.
 fn boot_sim<'m>(run: &'m LoadedRun, mode: SimMode) -> Result<lisa::sim::Simulator<'m>, String> {
-    let mut sim = lisa::sim::Simulator::new(&run.model, mode).map_err(|e| e.to_string())?;
-    sim.load_program_at(run.pmem_name, run.origin, &run.words).map_err(|e| e.to_string())?;
+    let mut sim = run.wb.simulator(mode).map_err(|e| e.to_string())?;
+    sim.load_program_at(run.wb.program_memory(), run.origin, &run.words)
+        .map_err(|e| e.to_string())?;
     Ok(sim)
 }
 
@@ -915,10 +871,12 @@ fn run_to_halt(
     run: &LoadedRun,
     max_steps: u64,
 ) -> Result<lisa::sim::RunOutcome, String> {
+    let halt_name = run.wb.halt_flag();
     let halt = run
-        .model
-        .resource_by_name(run.halt_name)
-        .ok_or_else(|| format!("model has no `{}` flag", run.halt_name))?
+        .wb
+        .model()
+        .resource_by_name(halt_name)
+        .ok_or_else(|| format!("model has no `{halt_name}` flag"))?
         .clone();
     sim.run_until(|st| st.read_int(&halt, &[]).unwrap_or(0) != 0, max_steps)
         .map_err(|e| e.to_string())
@@ -978,8 +936,11 @@ fn simulate(args: &[String]) -> Result<(), String> {
             Some((n, c)) => (n, c.parse::<usize>().map_err(|e| format!("bad --dump count: {e}"))?),
             None => (dump, 8),
         };
-        let res =
-            run.model.resource_by_name(name).ok_or_else(|| format!("unknown resource `{name}`"))?;
+        let res = run
+            .wb
+            .model()
+            .resource_by_name(name)
+            .ok_or_else(|| format!("unknown resource `{name}`"))?;
         if res.is_array() {
             let base = res.dims.first().map_or(0, |d| d.base()) as i64;
             print!("{name} =");

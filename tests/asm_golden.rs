@@ -10,9 +10,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use lisa::asm::{Assembler, Program};
+use lisa::asm::Program;
 use lisa::conform::corpus;
-use lisa::core::Model;
 use lisa::models::kernels::{self, Kernel};
 use lisa::models::{accu16, scalar2, tinyrisc, vliw62, Workbench};
 
@@ -23,14 +22,6 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes
         .into_iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
-fn assembler(model: &Model) -> Assembler<'_> {
-    if model.resource_by_name("fp").is_some() {
-        Assembler::with_packet(model, vliw62::FETCH_PACKET, 1)
-    } else {
-        Assembler::new(model)
-    }
 }
 
 fn digest_line(out: &mut String, model: &str, name: &str, program: &Program) {
@@ -104,7 +95,7 @@ fn current_digests() -> String {
     let mut out = String::new();
     for (model, kernels) in kernel_sets() {
         let wb = workbench(model);
-        let asm = assembler(wb.model());
+        let asm = wb.assembler();
         for kernel in kernels {
             let program = asm.assemble(&kernel.source).unwrap_or_else(|e| {
                 panic!("{model} kernel {} does not assemble: {e}", kernel.name)
@@ -131,7 +122,7 @@ fn current_digests() -> String {
                 }
             }
         }
-        let program = assembler(wb.model()).assemble(&source).unwrap_or_else(|e| {
+        let program = wb.assembler().assemble(&source).unwrap_or_else(|e| {
             panic!("corpus {} does not reassemble: {e}\n{source}", path.display())
         });
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_owned();

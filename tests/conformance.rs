@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use lisa::conform::corpus::load_dir;
+use lisa::conform::corpus::load_dir_verified;
 use lisa::conform::{FuzzConfig, Fuzzer};
 use lisa::models::Workbench;
 
@@ -28,7 +28,7 @@ fn workbench(model: &str) -> Workbench {
 
 #[test]
 fn the_corpus_is_not_empty() {
-    let entries = load_dir(corpus_dir()).unwrap();
+    let entries = load_dir_verified(corpus_dir()).unwrap();
     assert!(
         entries.len() >= 5,
         "tests/corpus/ should ship seeded reproducers, found {}",
@@ -38,7 +38,7 @@ fn the_corpus_is_not_empty() {
 
 #[test]
 fn every_corpus_entry_replays_clean() {
-    let entries = load_dir(corpus_dir()).unwrap();
+    let entries = load_dir_verified(corpus_dir()).unwrap();
     let mut fuzzers: BTreeMap<String, (Workbench, FuzzConfig)> = BTreeMap::new();
     for (path, rep) in &entries {
         let (wb, config) = fuzzers
@@ -58,7 +58,7 @@ fn every_corpus_entry_replays_clean() {
 
 #[test]
 fn corpus_file_names_are_content_addressed() {
-    for (path, rep) in load_dir(corpus_dir()).unwrap() {
+    for (path, rep) in load_dir_verified(corpus_dir()).unwrap() {
         let expect = rep.file_name();
         let actual = path.file_name().unwrap().to_string_lossy();
         assert_eq!(
@@ -72,7 +72,7 @@ fn corpus_file_names_are_content_addressed() {
 
 #[test]
 fn every_model_has_at_least_one_corpus_entry() {
-    let entries = load_dir(corpus_dir()).unwrap();
+    let entries = load_dir_verified(corpus_dir()).unwrap();
     for model in ["tinyrisc", "scalar2", "accu16", "vliw62"] {
         assert!(entries.iter().any(|(_, rep)| rep.model == model), "no corpus entry for {model}");
     }

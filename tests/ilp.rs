@@ -75,9 +75,7 @@ loop:   LDH *+A10[0], A3
 }
 
 fn run(wb: &Workbench, source: &str) -> (u64, i64) {
-    let program = lisa::asm::Assembler::with_packet(wb.model(), vliw62::FETCH_PACKET, 1)
-        .assemble(source)
-        .expect("assembles");
+    let program = wb.assembler().assemble(source).expect("assembles");
     let mut sim = wb.simulator(SimMode::Ops).expect("sim");
     sim.load_program("pmem", &program.words).unwrap();
     let dmem = wb.model().resource_by_name("dmem").unwrap().clone();

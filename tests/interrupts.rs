@@ -39,9 +39,7 @@ isr:    ADDK B5, 1
 "#;
 
 fn load<'m>(wb: &'m Workbench, mode: SimMode) -> Simulator<'m> {
-    let program = lisa::asm::Assembler::with_packet(wb.model(), vliw62::FETCH_PACKET, 1)
-        .assemble(PROGRAM)
-        .expect("assembles");
+    let program = wb.assembler().assemble(PROGRAM).expect("assembles");
     let mut sim = wb.simulator(mode).expect("sim");
     sim.load_program("pmem", &program.words).unwrap();
     sim
@@ -150,9 +148,7 @@ isr:    ADDK B5, 1
         IRET
         NOP 5
 "#;
-    let image = lisa::asm::Assembler::with_packet(wb.model(), vliw62::FETCH_PACKET, 1)
-        .assemble(program)
-        .expect("assembles");
+    let image = wb.assembler().assemble(program).expect("assembles");
     let mut sim = wb.simulator(SimMode::Ops).expect("sim");
     sim.load_program("pmem", &image.words).unwrap();
     sim.run(30).unwrap();
