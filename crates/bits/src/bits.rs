@@ -155,24 +155,11 @@ impl Bits {
         }
     }
 
-    /// The low 64 bits of the payload, truncating any higher bits.
-    #[must_use]
-    pub fn to_u64_lossy(&self) -> u64 {
-        self.value as u64
-    }
-
     /// The most significant (sign) bit.
     #[inline]
     #[must_use]
     pub fn msb(&self) -> bool {
         self.value >> (self.width - 1) & 1 == 1
-    }
-
-    /// Whether every bit is zero.
-    #[inline]
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.value == 0
     }
 
     /// Bit at `index` (0 = least significant).

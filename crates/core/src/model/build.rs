@@ -249,8 +249,9 @@ impl Builder {
             OpCtx { name: &decl.name.name, groups: &resolved_groups, op_names: &self.op_names };
         let mut sets = vec![SectionSet::default()];
         expand_items(&decl.items, &mut sets, &ctx)?;
-        // Most-specific guard first so `select_variant` finds the right
-        // specialisation before any unguarded default.
+        // Most-specific guard first so the first matching guard is the
+        // right specialisation and `Operation::default_variant` picks an
+        // unguarded one.
         sets.sort_by_key(|s| std::cmp::Reverse(s.guard.len()));
 
         let mut variants = Vec::with_capacity(sets.len());

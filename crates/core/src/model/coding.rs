@@ -79,11 +79,6 @@ impl Coding {
         &self.flat
     }
 
-    /// Fields that are operand-like (labels, groups, op references).
-    pub fn operand_fields(&self) -> impl Iterator<Item = &CodingField> {
-        self.fields.iter().filter(|f| !matches!(f.target, CodingTarget::Pattern(_)))
-    }
-
     /// Number of fixed (discriminating) bits in the flattened pattern.
     #[must_use]
     pub fn fixed_bits(&self) -> u32 {

@@ -224,13 +224,12 @@ impl Operation {
         self.labels.iter().position(|l| l == name)
     }
 
-    /// The variant matching the given group-member choices.
-    ///
-    /// Variants are ordered most-specific-guard first at build time, so
-    /// the first match wins and an empty guard acts as the default.
+    /// The index of the variant this operation runs with no group
+    /// member chosen: the first whose guard matches all-`None` choices
+    /// (an unguarded one), else 0.
     #[must_use]
-    pub fn select_variant(&self, choices: &[Option<OpId>]) -> Option<&Variant> {
-        self.variants.iter().find(|v| v.matches(choices))
+    pub fn default_variant(&self) -> usize {
+        self.variants.iter().position(|v| v.matches(&[])).unwrap_or(0)
     }
 
     /// The coding width of this operation (all variants agree; validated

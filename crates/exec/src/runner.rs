@@ -32,13 +32,6 @@ impl BatchRunner {
         BatchRunner { workers }
     }
 
-    /// A runner sized to the machine's available parallelism.
-    #[must_use]
-    pub fn with_available_parallelism() -> BatchRunner {
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        BatchRunner { workers }
-    }
-
     /// Fans `f` out over `items` on the worker pool. `f` receives
     /// `(worker, index, item)` — the worker ordinal (`0..workers`, for
     /// attribution) and the item's index in `items`.
@@ -194,22 +187,10 @@ impl BatchRunner {
                     Some((_, jobs_scope, epoch)) => {
                         let job_scope = jobs_scope.clone().with_worker(worker as u32);
                         let claimed = job_scope.now_ns();
-                        // The job id is allocated up front so the
-                        // simulator phases can nest under it while the
-                        // job span itself is still open.
-                        let job_id = job_scope.recorder.alloc_id();
-                        let sim_scope = job_scope.child(job_id);
-                        let result = run(Some(&sim_scope));
-                        let dur = job_scope.now_ns().saturating_sub(claimed);
-                        job_scope.recorder.record_with_id(
-                            job_id,
-                            job_scope.trace,
-                            job_scope.parent,
-                            SpanKind::Job,
-                            job_scope.worker,
-                            claimed,
-                            dur,
-                        );
+                        // The simulator phases nest under the job span
+                        // while it is still open.
+                        let job = job_scope.start_at(SpanKind::Job, claimed);
+                        let sim_scope = job_scope.child(job.id());
                         // Queue wait: batch start to the worker claiming
                         // this job (the parallelism-limited share).
                         sim_scope.record(
@@ -217,7 +198,7 @@ impl BatchRunner {
                             *epoch,
                             claimed.saturating_sub(*epoch),
                         );
-                        result
+                        run(Some(&sim_scope))
                     }
                     None => run(None),
                 };

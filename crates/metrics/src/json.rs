@@ -17,7 +17,7 @@ pub enum Value {
     /// `true` / `false`
     Bool(bool),
     /// A number, kept as its raw text (convert with
-    /// [`Value::as_u64`] / [`Value::as_i64`] / [`Value::as_f64`]).
+    /// [`Value::as_u64`] / [`Value::as_f64`]).
     Num(String),
     /// A string (unescaped).
     Str(String),
@@ -49,15 +49,6 @@ impl Value {
     /// The number as `u64`, if it parses exactly.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `i64`, if it parses exactly.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
             _ => None,

@@ -619,12 +619,12 @@ mod tests {
         assert_eq!(v.get("cycles").unwrap().as_u64(), Some(9));
         assert_eq!(v.get("halted").unwrap().as_bool(), Some(true));
         let dump = v.get("dump").unwrap().get("R").unwrap().as_array().unwrap();
-        assert_eq!(dump[1].as_i64(), Some(-4));
+        assert_eq!(dump[1].as_f64(), Some(-4.0));
         assert_eq!(v.get("probe_hits").unwrap().as_u64(), Some(4));
         assert_eq!(v.get("probes").unwrap().get("watch dmem").unwrap().as_u64(), Some(3));
         let bp = v.get("breakpoint").unwrap();
         assert_eq!(bp.get("probe").unwrap().as_str(), Some("break 5"));
-        assert_eq!(bp.get("pc").unwrap().as_i64(), Some(5));
+        assert_eq!(bp.get("pc").unwrap().as_f64(), Some(5.0));
 
         let v = parse(&batch_body(10, 1, 12345, 678)).unwrap();
         assert_eq!(v.get("failed").unwrap().as_u64(), Some(1));

@@ -75,23 +75,9 @@ pub struct ServeSummary {
     pub shed: u64,
 }
 
-/// A connection waiting for a worker, with its tracing identity: the
-/// trace id, the pre-allocated `accept` root span id (recorded once the
-/// connection finishes, so it covers the whole session), and the
-/// enqueue timestamp the worker turns into a `queue_wait` span.
-struct QueuedConn {
-    conn: TcpStream,
-    trace: u64,
-    accept: u64,
-    queued_ns: u64,
-}
-
-impl QueuedConn {
-    /// A connection with no tracing identity (recorder disabled, tests).
-    fn untraced(conn: TcpStream) -> QueuedConn {
-        QueuedConn { conn, trace: 0, accept: 0, queued_ns: 0 }
-    }
-}
+/// A connection waiting for a worker, with its enqueue timestamp when
+/// spans are on: the worker opens the connection's `accept` root there.
+type QueuedConn = (TcpStream, Option<u64>);
 
 /// Why the accept queue rejected a connection.
 enum Push {
@@ -263,37 +249,24 @@ impl Server {
                 let (state, config, stop) = (&self.state, &self.config, &self.stop);
                 let worker = worker as u32;
                 scope.spawn(move || {
-                    while let Some(qc) = queue.pop() {
+                    while let Some((conn, queued_ns)) = queue.pop() {
                         depth_gauge.set(queue.depth() as i64);
-                        let QueuedConn { conn, trace, accept, queued_ns } = qc;
-                        let scope = (trace != 0).then(|| {
-                            let now = spans.now_ns();
-                            spans.record(
-                                trace,
-                                accept,
+                        // The accept root covers the whole session:
+                        // enqueue, queue wait, every request on the
+                        // connection.
+                        let traced = queued_ns.map(|queued| {
+                            let root = SpanScope::new(Arc::clone(spans), spans.new_trace())
+                                .with_worker(worker);
+                            let accept = root.start_at(SpanKind::Accept, queued);
+                            let scope = root.child(accept.id());
+                            scope.record(
                                 SpanKind::QueueWait,
-                                worker,
-                                queued_ns,
-                                now.saturating_sub(queued_ns),
+                                queued,
+                                spans.now_ns().saturating_sub(queued),
                             );
-                            SpanScope { recorder: Arc::clone(spans), trace, parent: accept, worker }
+                            (scope, accept)
                         });
-                        handle_connection(conn, scope.as_ref(), state, config, stop);
-                        if trace != 0 {
-                            // The accept root covers the whole session:
-                            // enqueue, queue wait, every request on the
-                            // connection.
-                            let now = spans.now_ns();
-                            spans.record_with_id(
-                                accept,
-                                trace,
-                                0,
-                                SpanKind::Accept,
-                                worker,
-                                queued_ns,
-                                now.saturating_sub(queued_ns),
-                            );
-                        }
+                        handle_connection(conn, traced.as_ref().map(|t| &t.0), state, config, stop);
                     }
                 });
             }
@@ -310,23 +283,14 @@ impl Server {
                         // disable Nagle so small responses leave now.
                         let _ = conn.set_nonblocking(false);
                         let _ = conn.set_nodelay(true);
-                        let qc = if spans.is_enabled() {
-                            QueuedConn {
-                                conn,
-                                trace: spans.new_trace(),
-                                accept: spans.alloc_id(),
-                                queued_ns: spans.now_ns(),
-                            }
-                        } else {
-                            QueuedConn::untraced(conn)
-                        };
-                        match queue.push(qc) {
+                        let queued_ns = spans.is_enabled().then(|| spans.now_ns());
+                        match queue.push((conn, queued_ns)) {
                             Push::Queued => depth_gauge.set(queue.depth() as i64),
-                            Push::Full(qc) => {
+                            Push::Full((conn, _)) => {
                                 summary.shed += 1;
                                 shed_ctr.inc();
                                 let t0 = spans.is_enabled().then(|| spans.now_ns());
-                                shed(qc.conn);
+                                shed(conn);
                                 if let Some(t0) = t0 {
                                     let now = spans.now_ns();
                                     spans.record(
@@ -454,48 +418,30 @@ fn handle_connection(
             }
         };
 
-        // Pre-allocate the request span id so parse/dispatch/write can
-        // parent on it; it is recorded last, covering all of them.
+        // The request span opens at the first byte and covers parse,
+        // dispatch and write, which parent on it.
         let req_span = spans.zip(parse_start).map(|(scope, start)| {
-            let id = scope.recorder.alloc_id();
-            let now = scope.recorder.now_ns();
-            scope.recorder.record(
-                scope.trace,
-                id,
-                SpanKind::Parse,
-                scope.worker,
-                start,
-                now.saturating_sub(start),
-            );
-            (scope.child(id), id, start)
+            let request = scope.start_at(SpanKind::Request, start);
+            let scope = scope.child(request.id());
+            scope.record(SpanKind::Parse, start, scope.now_ns().saturating_sub(start));
+            (scope, request)
         });
 
         let keep_alive = request.keep_alive();
         let response = state.dispatch_spanned(
             &request,
             Instant::now() + config.timeout,
-            req_span.as_ref().map(|(scope, _, _)| scope),
+            req_span.as_ref().map(|(scope, _)| scope),
         );
         // Close when the client asked to, or when shutdown began and no
         // further pipelined request is already buffered.
         let draining = stop.load(Ordering::SeqCst);
         let close = !keep_alive || (draining && buf.is_empty());
         let _ = conn.set_write_timeout(Some(config.timeout));
-        let write_guard = req_span.as_ref().map(|(scope, _, _)| scope.start(SpanKind::Write));
+        let write_guard = req_span.as_ref().map(|(scope, _)| scope.start(SpanKind::Write));
         let wrote = response.write_to(&mut conn, close);
         drop(write_guard);
-        if let (Some(conn_scope), Some((scope, id, start))) = (spans, req_span) {
-            let now = scope.recorder.now_ns();
-            scope.recorder.record_with_id(
-                id,
-                scope.trace,
-                conn_scope.parent,
-                SpanKind::Request,
-                scope.worker,
-                start,
-                now.saturating_sub(start),
-            );
-        }
+        drop(req_span);
         if wrote.is_err() || close {
             break;
         }
@@ -520,7 +466,7 @@ mod tests {
         }
 
         let queue = ConnQueue::new(2);
-        let mut it = server_side.into_iter().map(QueuedConn::untraced);
+        let mut it = server_side.into_iter().map(|conn| (conn, None));
         assert!(matches!(queue.push(it.next().unwrap()), Push::Queued));
         assert!(matches!(queue.push(it.next().unwrap()), Push::Queued));
         assert!(matches!(queue.push(it.next().unwrap()), Push::Full(_)));
@@ -534,7 +480,7 @@ mod tests {
 
         // Pushing after close is rejected.
         let extra = TcpStream::connect(addr).unwrap();
-        let held = QueuedConn::untraced(listener.accept().unwrap().0);
+        let held = (listener.accept().unwrap().0, None);
         assert!(matches!(queue.push(held), Push::Closed));
         drop(extra);
         drop(clients);

@@ -831,9 +831,9 @@ mod tests {
         // handler's phases dispatched beneath it.
         let recorder = Arc::clone(state.spans());
         let trace = recorder.new_trace();
-        let request_id = recorder.alloc_id();
+        let request = recorder.start(trace, 0, SpanKind::Request, 1);
         let scope =
-            SpanScope { recorder: Arc::clone(&recorder), trace, parent: request_id, worker: 1 };
+            SpanScope { recorder: Arc::clone(&recorder), trace, parent: request.id(), worker: 1 };
         let req = Request {
             method: "POST".to_owned(),
             target: "/v1/simulate".to_owned(),
@@ -841,11 +841,9 @@ mod tests {
             headers: Vec::new(),
             body: br#"{"model": "tinyrisc", "program": "LDI R1, 6\nLDI R2, 7\nMUL R3, R1, R2\nHLT\n"}"#.to_vec(),
         };
-        let start = recorder.now_ns();
         let resp = state.dispatch_spanned(&req, no_deadline(), Some(&scope));
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        let dur = recorder.now_ns().saturating_sub(start);
-        recorder.record_with_id(request_id, trace, 0, SpanKind::Request, 1, start, dur);
+        drop(request);
 
         let resp = get(&state, "/v1/debug/spans?limit=512");
         assert_eq!(resp.status, 200);
@@ -957,7 +955,7 @@ mod tests {
         assert_eq!(doc.get("halted").and_then(json::Value::as_bool), Some(false));
         let bp = doc.get("breakpoint").expect("breakpoint object");
         assert_eq!(bp.get("probe").and_then(json::Value::as_str), Some("break 2"));
-        assert_eq!(bp.get("pc").and_then(json::Value::as_i64), Some(2));
+        assert_eq!(bp.get("pc").and_then(json::Value::as_f64), Some(2.0));
     }
 
     #[test]

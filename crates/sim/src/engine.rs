@@ -1067,11 +1067,7 @@ impl<'m> Simulator<'m> {
 
         let variant = match &decoded {
             Some(d) if d.op == item.op => d.variant,
-            _ => {
-                // No binding: select the default (guard-free) variant.
-                let choices = vec![None; operation.groups.len()];
-                operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
-            }
+            _ => operation.default_variant(),
         };
 
         if self.observing() {

@@ -294,8 +294,7 @@ impl<'m> Simulator<'m> {
         if self.observing() {
             self.emit_exec(op);
         }
-        let choices = vec![None; operation.groups.len()];
-        let variant = operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0);
+        let variant = operation.default_variant();
         self.exec_behavior_interp(op, variant, None)?;
         self.invoke_activation(op, variant, None)
     }

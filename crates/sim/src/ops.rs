@@ -420,7 +420,7 @@ impl ModelImage {
             .operations()
             .iter()
             .map(|op| {
-                let variant = default_variant(model, op.id);
+                let variant = op.default_variant();
                 let routine = translate_routine(&mut t, op.id, variant, None);
                 t.store.push(None, routine)
             })
@@ -462,13 +462,6 @@ pub(crate) struct OpsTables<'m> {
 /// reach this many entries, the next step boundary drops them all.
 const OPS_CACHE_MAX: usize = 1 << 16;
 
-/// The variant an operation runs with no operand binding.
-fn default_variant(model: &Model, op: OpId) -> usize {
-    let operation = model.operation(op);
-    let choices = vec![None; operation.groups.len()];
-    operation.variants.iter().position(|v| v.matches(&choices)).unwrap_or(0)
-}
-
 impl<'m> OpsTables<'m> {
     /// One simulator's empty tables over the model's shared image.
     pub(crate) fn over(model: &'m Model, image: &'m ModelImage) -> OpsTables<'m> {
@@ -493,8 +486,11 @@ impl<'m> OpsTables<'m> {
         if let Some(&id) = self.instances.get(&key) {
             return id;
         }
-        let variant =
-            if decoded.op == op { decoded.variant } else { default_variant(self.model, op) };
+        let variant = if decoded.op == op {
+            decoded.variant
+        } else {
+            self.model.operation(op).default_variant()
+        };
         let routine = translate_routine(self, op, variant, Some(decoded));
         let id = self.store.push(Some(Arc::clone(decoded)), routine);
         self.instances.insert(key, id);

@@ -5,12 +5,11 @@
 //! wall-clock time of a request goes** across the serve → exec → sim
 //! path. This crate fills that gap with a low-overhead span layer:
 //!
-//! * [`SpanRecorder`] — a sharded, lock-free, bounded flight recorder.
-//!   Writers claim ring slots with an atomic ticket (`fetch_add`) and
-//!   stamp each slot with a seqlock-style sequence word, so the hot path
-//!   never touches a mutex and readers simply discard records caught
-//!   mid-write. When disabled, [`SpanRecorder::start`] is a single
-//!   atomic-bool branch — no clock read, no ID allocation.
+//! * [`SpanRecorder`] — a bounded flight recorder: one mutex-guarded
+//!   ring that keeps exactly the newest `capacity` spans and counts the
+//!   ones it overwrote ([`SpanRecorder::dropped`]); collection is
+//!   non-destructive. When disabled, [`SpanRecorder::start`] is a single
+//!   atomic-bool branch — no clock read, no ID allocation, no lock.
 //! * [`SpanKind`] — the closed vocabulary of span names. A closed enum
 //!   (rather than free-form strings) keeps records fixed-size and `Copy`.
 //! * [`SpanScope`] — a `(recorder, trace, parent, worker)` bundle that
@@ -20,10 +19,6 @@
 //!   (`predecode`, `cycle_chunk`) hanging under `run`.
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`) and JSONL.
-//!
-//! The recorder is a *flight recorder*: collection is non-destructive,
-//! capacity is bounded, and overflow is counted ([`SpanRecorder::dropped`])
-//! rather than blocking the hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,57 +56,55 @@ impl Category {
 
 /// The closed set of span names.
 ///
-/// Closed on purpose: records stay `Copy` and fit in atomic ring slots.
-/// Add a variant (with its `as_str` and `category` arms, and an entry in
-/// [`SpanKind::ALL`]) to extend.
+/// Closed on purpose: records stay small and `Copy`. Add a variant (with
+/// its `as_str` and `category` arms, and an entry in [`SpanKind::ALL`])
+/// to extend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
 pub enum SpanKind {
-    /// Acceptor-side handling of one new connection (tree root).
-    Accept = 0,
+    /// One connection's whole session, enqueue to close (tree root).
+    Accept,
     /// Time a connection sat in the bounded accept queue.
-    QueueWait = 1,
+    QueueWait,
     /// Mutex acquisition latency on the accept-queue push side.
-    LockPush = 2,
+    LockPush,
     /// Mutex acquisition latency on the accept-queue pop side.
-    LockPop = 3,
+    LockPop,
     /// A connection answered 503 because the queue was full.
-    Shed = 4,
+    Shed,
     /// Graceful drain: queue close until the workers finished.
-    Drain = 5,
+    Drain,
     /// One HTTP request, parse through write.
-    Request = 6,
+    Request,
     /// Reading and parsing one request (first byte to parse success).
-    Parse = 7,
+    Parse,
     /// Routing and handling inside [`dispatch`](SpanKind::Route).
-    Route = 8,
+    Route,
     /// Assembling the request's program.
-    Assemble = 9,
+    Assemble,
     /// Running the simulation for a request or CLI invocation.
-    Run = 10,
+    Run,
     /// Rendering the response body.
-    Serialize = 11,
+    Serialize,
     /// Writing the response to the socket.
-    Write = 12,
+    Write,
     /// One whole batch run.
-    Batch = 13,
+    Batch,
     /// One batch job, claim to completion.
-    Job = 14,
+    Job,
     /// Time a batch job waited before a worker claimed it.
-    JobQueueWait = 15,
+    JobQueueWait,
     /// Pre-decoding program memory (compiled mode).
-    Predecode = 16,
+    Predecode,
     /// A chunk of the cycle loop (every N control steps).
-    CycleChunk = 17,
+    CycleChunk,
     /// Taking a simulator snapshot.
-    Snapshot = 18,
+    Snapshot,
     /// Restoring a simulator snapshot.
-    Restore = 19,
+    Restore,
 }
 
 impl SpanKind {
-    /// Every kind, in discriminant order (the recorder maps a stored
-    /// discriminant back through it).
+    /// Every kind, in declaration order.
     pub const ALL: [SpanKind; 20] = [
         SpanKind::Accept,
         SpanKind::QueueWait,
@@ -183,10 +176,6 @@ impl SpanKind {
             }
         }
     }
-
-    pub(crate) fn from_discriminant(d: u8) -> Option<SpanKind> {
-        SpanKind::ALL.get(d as usize).copied()
-    }
 }
 
 /// One completed span, as read back from the recorder.
@@ -257,16 +246,17 @@ impl SpanScope {
         self.recorder.start(self.trace, self.parent, kind, self.worker)
     }
 
+    /// Like [`SpanScope::start`], but opened at `start_ns`, a timestamp
+    /// already read from this recorder (enqueue time, first byte, claim
+    /// time); children parent on the guard's id while it is open.
+    pub fn start_at(&self, kind: SpanKind, start_ns: u64) -> SpanGuard {
+        self.recorder.open(self.trace, self.parent, kind, self.worker, Some(start_ns))
+    }
+
     /// Records an already-measured span under this scope's parent.
     /// Returns the span id (0 when disabled).
     pub fn record(&self, kind: SpanKind, start_ns: u64, dur_ns: u64) -> u64 {
         self.recorder.record(self.trace, self.parent, kind, self.worker, start_ns, dur_ns)
-    }
-
-    /// Whether the underlying recorder is currently enabled.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.recorder.is_enabled()
     }
 
     /// Nanoseconds since the recorder's epoch.
@@ -281,13 +271,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_are_unique_and_discriminants_round_trip() {
+    fn kind_names_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
         for kind in SpanKind::ALL {
             assert!(seen.insert(kind.as_str()), "duplicate name {}", kind.as_str());
-            assert_eq!(SpanKind::from_discriminant(kind as u8), Some(kind));
         }
-        assert_eq!(SpanKind::from_discriminant(200), None);
     }
 
     #[test]

@@ -1,143 +1,31 @@
-//! The lock-free sharded span recorder.
+//! The span recorder: one mutex-guarded ring of [`SpanRecord`]s.
 //!
-//! Design constraints, in order:
-//!
-//! 1. **Disabled is (almost) free.** [`SpanRecorder::start`] loads one
-//!    `AtomicBool` and returns an inert guard — no clock read, no id
-//!    allocation, no allocation at all.
-//! 2. **No global mutex on the hot path.** Each recording thread maps to
-//!    one of a fixed set of shards; within a shard, writers claim ring
-//!    slots with a `fetch_add` ticket and publish with a seqlock-style
-//!    sequence word. Readers ([`SpanRecorder::collect`]) never block a
-//!    writer; they discard any slot caught mid-write.
-//! 3. **Bounded.** Each shard is a fixed ring; overflow overwrites the
-//!    oldest records and is *counted* ([`SpanRecorder::dropped`]) so
-//!    silent loss is observable (and exported as a metric by consumers).
-//!
-//! The one accepted imperfection: when a ring wraps, two writers racing
-//! the *same slot* (tickets exactly one capacity apart, interleaved
-//! within nanoseconds) can leave a mixed record that passes the sequence
-//! check. That record is garbled but harmless — every field is its own
-//! atomic, so there is no torn word and no unsafety. A recorder sized so
-//! collection happens before wrap (the default 16k) never hits this.
+//! Spans come a handful per served request, a rate an uncontended mutex
+//! absorbs at a small fraction of one core. Disabled, recording is one
+//! `AtomicBool` load: no clock read, no id, no lock. The ring is
+//! allocated once for exactly `capacity` spans (pages are touched as it
+//! fills); once full, each new span overwrites the oldest and is counted
+//! ([`SpanRecorder::dropped`]). Every update keeps the ring valid, so a
+//! poisoned lock is recovered, never a panic.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::{SpanKind, SpanRecord};
-
-/// Words per ring slot: seq, trace, span, parent, kind|worker, start, dur.
-const SLOT_WORDS: usize = 7;
-
-/// Shards available to writer threads. Fixed and modest: the point is to
-/// split unrelated threads, not to scale to hundreds of cores.
-const SHARDS: usize = 8;
-
-type Slot = [AtomicU64; SLOT_WORDS];
-
-fn empty_slot() -> Slot {
-    std::array::from_fn(|_| AtomicU64::new(0))
-}
-
-struct Shard {
-    /// Monotonic ticket counter; slot = ticket % capacity.
-    cursor: AtomicU64,
-    slots: Vec<Slot>,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard { cursor: AtomicU64::new(0), slots: (0..capacity).map(|_| empty_slot()).collect() }
-    }
-
-    fn write(&self, record: &SpanRecord) {
-        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Seqlock stamp: odd = writing, even = complete. `fetch_max` on
-        // the closing stamp keeps a lapped writer's stale "complete"
-        // value from masking a newer in-progress write.
-        slot[0].store(2 * ticket + 1, Ordering::SeqCst);
-        slot[1].store(record.trace, Ordering::Relaxed);
-        slot[2].store(record.span, Ordering::Relaxed);
-        slot[3].store(record.parent, Ordering::Relaxed);
-        slot[4].store(
-            u64::from(record.kind as u8) | (u64::from(record.worker) << 8),
-            Ordering::Relaxed,
-        );
-        slot[5].store(record.start_ns, Ordering::Relaxed);
-        slot[6].store(record.dur_ns, Ordering::Relaxed);
-        slot[0].fetch_max(2 * ticket + 2, Ordering::SeqCst);
-    }
-
-    fn read_into(&self, out: &mut Vec<SpanRecord>) {
-        for slot in &self.slots {
-            let before = slot[0].load(Ordering::SeqCst);
-            // 0 = never written, odd = mid-write.
-            if before == 0 || before % 2 == 1 {
-                continue;
-            }
-            let trace = slot[1].load(Ordering::Relaxed);
-            let span = slot[2].load(Ordering::Relaxed);
-            let parent = slot[3].load(Ordering::Relaxed);
-            let packed = slot[4].load(Ordering::Relaxed);
-            let start_ns = slot[5].load(Ordering::Relaxed);
-            let dur_ns = slot[6].load(Ordering::Relaxed);
-            let after = slot[0].load(Ordering::SeqCst);
-            if before != after {
-                continue; // overwritten while reading
-            }
-            let Some(kind) = SpanKind::from_discriminant((packed & 0xff) as u8) else {
-                continue;
-            };
-            out.push(SpanRecord {
-                trace,
-                span,
-                parent,
-                kind,
-                worker: (packed >> 8) as u32,
-                start_ns,
-                dur_ns,
-            });
-        }
-    }
-
-    fn dropped(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed).saturating_sub(self.slots.len() as u64)
-    }
-
-    fn clear(&self) {
-        self.cursor.store(0, Ordering::SeqCst);
-        for slot in &self.slots {
-            slot[0].store(0, Ordering::SeqCst);
-        }
-    }
-}
 
 /// Process-wide span-id allocator: ids are unique across every recorder
 /// so merged exports never collide. 0 is reserved for "no span".
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Process-wide writer-thread token, cached per thread; `token % SHARDS`
-/// picks the thread's shard without hashing `ThreadId` on every record.
-static NEXT_THREAD_TOKEN: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_TOKEN: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+/// The retained spans, oldest first, and the overwrite tally.
+struct Ring {
+    spans: VecDeque<SpanRecord>,
+    dropped: u64,
 }
 
-fn thread_token() -> usize {
-    THREAD_TOKEN.with(|cell| {
-        let mut token = cell.get();
-        if token == usize::MAX {
-            token = NEXT_THREAD_TOKEN.fetch_add(1, Ordering::Relaxed);
-            cell.set(token);
-        }
-        token
-    })
-}
-
-/// A bounded, lock-free flight recorder for [`SpanRecord`]s.
+/// A bounded flight recorder for [`SpanRecord`]s.
 ///
 /// Construct once per process (or per server), share behind an `Arc`,
 /// and hand [`crate::SpanScope`]s down the layers. Disabled by default —
@@ -145,7 +33,8 @@ fn thread_token() -> usize {
 pub struct SpanRecorder {
     enabled: AtomicBool,
     epoch: Instant,
-    shards: Vec<Shard>,
+    capacity: usize,
+    ring: Mutex<Ring>,
     next_trace: AtomicU64,
 }
 
@@ -153,30 +42,25 @@ impl std::fmt::Debug for SpanRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanRecorder")
             .field("enabled", &self.is_enabled())
-            .field("capacity", &self.capacity())
+            .field("capacity", &self.capacity)
             .field("dropped", &self.dropped())
             .finish()
     }
 }
 
 impl SpanRecorder {
-    /// A recorder retaining at most `capacity` spans (split across
-    /// internal shards; minimum one slot per shard). Starts disabled.
+    /// A recorder retaining exactly the newest `capacity` spans (none
+    /// when 0: every record is then counted as dropped). Starts
+    /// disabled.
     #[must_use]
     pub fn new(capacity: usize) -> SpanRecorder {
-        let per_shard = (capacity / SHARDS).max(1);
         SpanRecorder {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
-            shards: (0..SHARDS).map(|_| Shard::new(per_shard)).collect(),
+            capacity,
+            ring: Mutex::new(Ring { spans: VecDeque::with_capacity(capacity), dropped: 0 }),
             next_trace: AtomicU64::new(1),
         }
-    }
-
-    /// Total spans the rings can retain.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.slots.len()).sum()
     }
 
     /// Turns recording on or off. Off is the default; when off,
@@ -204,17 +88,6 @@ impl SpanRecorder {
         self.next_trace.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Allocates a span id without recording anything — for call sites
-    /// that must hand the id to children before the span's duration is
-    /// known. Returns 0 when disabled.
-    #[must_use]
-    pub fn alloc_id(&self) -> u64 {
-        if !self.is_enabled() {
-            return 0;
-        }
-        NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Starts a span now; the returned guard records it on drop. When
     /// the recorder is disabled this is a single branch returning an
     /// inert guard whose [`SpanGuard::id`] is 0.
@@ -225,20 +98,25 @@ impl SpanRecorder {
         kind: SpanKind,
         worker: u32,
     ) -> SpanGuard {
+        self.open(trace, parent, kind, worker, None)
+    }
+
+    /// A guard for a span opened at `start_ns`, or now when `None`.
+    pub(crate) fn open(
+        self: &Arc<SpanRecorder>,
+        trace: u64,
+        parent: u64,
+        kind: SpanKind,
+        worker: u32,
+        start_ns: Option<u64>,
+    ) -> SpanGuard {
         if !self.is_enabled() {
             return SpanGuard { inner: None };
         }
-        SpanGuard {
-            inner: Some(GuardInner {
-                recorder: Arc::clone(self),
-                trace,
-                parent,
-                id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-                kind,
-                worker,
-                start_ns: self.now_ns(),
-            }),
-        }
+        let start_ns = start_ns.unwrap_or_else(|| self.now_ns());
+        let span = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let record = SpanRecord { trace, span, parent, kind, worker, start_ns, dur_ns: 0 };
+        SpanGuard { inner: Some((Arc::clone(self), record)) }
     }
 
     /// Records a completed span with explicit timing, returning its id
@@ -252,69 +130,55 @@ impl SpanRecorder {
         start_ns: u64,
         dur_ns: u64,
     ) -> u64 {
-        let id = self.alloc_id();
-        self.record_with_id(id, trace, parent, kind, worker, start_ns, dur_ns);
-        id
+        if !self.is_enabled() {
+            return 0;
+        }
+        let span = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        self.push(SpanRecord { trace, span, parent, kind, worker, start_ns, dur_ns });
+        span
     }
 
-    /// Records a completed span under a pre-allocated id (see
-    /// [`SpanRecorder::alloc_id`]). A 0 id or a disabled recorder is a
-    /// no-op.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_with_id(
-        &self,
-        id: u64,
-        trace: u64,
-        parent: u64,
-        kind: SpanKind,
-        worker: u32,
-        start_ns: u64,
-        dur_ns: u64,
-    ) {
-        if id == 0 || !self.is_enabled() {
-            return;
+    /// Appends a span, overwriting the oldest once the ring is full.
+    fn push(&self, record: SpanRecord) {
+        let mut ring = self.ring();
+        if ring.spans.len() == self.capacity {
+            ring.dropped += 1;
+            if ring.spans.pop_front().is_none() {
+                return; // capacity 0 keeps nothing
+            }
         }
-        let shard = &self.shards[thread_token() % self.shards.len()];
-        shard.write(&SpanRecord { trace, span: id, parent, kind, worker, start_ns, dur_ns });
+        ring.spans.push_back(record);
+    }
+
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Non-destructive snapshot of every retained span, ordered by start
-    /// time (ties broken by span id). Slots caught mid-write are skipped.
+    /// time (ties broken by span id); copied under the lock, sorted
+    /// outside it.
     #[must_use]
     pub fn collect(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.capacity().min(4096));
-        for shard in &self.shards {
-            shard.read_into(&mut out);
-        }
+        let mut out: Vec<SpanRecord> = self.ring().spans.iter().copied().collect();
         out.sort_by_key(|s| (s.start_ns, s.span));
         out
     }
 
-    /// Spans overwritten because a ring wrapped (cumulative). Monotonic
-    /// while the recorder lives; reset only by [`SpanRecorder::clear`].
+    /// Spans overwritten because the ring was full (cumulative).
+    /// Monotonic while the recorder lives; reset only by
+    /// [`SpanRecorder::clear`].
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(Shard::dropped).sum()
+        self.ring().dropped
     }
 
-    /// Empties the rings and resets the drop count. Intended for
-    /// benchmarks and tests between measurement windows; concurrent
-    /// writers may leave a handful of fresh spans behind.
+    /// Empties the ring and resets the drop count. Intended for
+    /// benchmarks and tests between measurement windows.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.clear();
-        }
+        let mut ring = self.ring();
+        ring.spans.clear();
+        ring.dropped = 0;
     }
-}
-
-struct GuardInner {
-    recorder: Arc<SpanRecorder>,
-    trace: u64,
-    parent: u64,
-    id: u64,
-    kind: SpanKind,
-    worker: u32,
-    start_ns: u64,
 }
 
 /// An in-flight span; records itself on drop with the elapsed duration.
@@ -322,25 +186,23 @@ struct GuardInner {
 /// Inert (and cheap) when obtained from a disabled recorder.
 #[must_use = "dropping the guard ends the span"]
 pub struct SpanGuard {
-    inner: Option<GuardInner>,
+    inner: Option<(Arc<SpanRecorder>, SpanRecord)>,
 }
 
 impl SpanGuard {
     /// This span's id, for parenting children under it (0 when inert).
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |g| g.id)
+        self.inner.as_ref().map_or(0, |(_, record)| record.span)
     }
-
-    /// Ends the span now (equivalent to dropping it).
-    pub fn end(self) {}
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(g) = self.inner.take() {
-            let dur = g.recorder.now_ns().saturating_sub(g.start_ns);
-            g.recorder.record_with_id(g.id, g.trace, g.parent, g.kind, g.worker, g.start_ns, dur);
+        // Disabling the recorder mid-span drops the span.
+        if let Some((recorder, record)) = self.inner.take().filter(|(r, _)| r.is_enabled()) {
+            let dur_ns = recorder.now_ns().saturating_sub(record.start_ns);
+            recorder.push(SpanRecord { dur_ns, ..record });
         }
     }
 }
@@ -357,7 +219,6 @@ mod tests {
         assert_eq!(guard.id(), 0);
         drop(guard);
         assert_eq!(rec.record(1, 0, SpanKind::Run, 0, 0, 10), 0);
-        assert_eq!(rec.alloc_id(), 0);
         assert!(rec.collect().is_empty());
         assert_eq!(rec.dropped(), 0);
     }
@@ -383,9 +244,8 @@ mod tests {
 
     #[test]
     fn ring_overflow_is_counted_not_blocking() {
-        let rec = SpanRecorder::new(8); // one slot per shard
+        let rec = SpanRecorder::new(1);
         rec.set_enabled(true);
-        // All from one thread -> one shard -> wraps after 1 record.
         for i in 0..10 {
             rec.record(1, 0, SpanKind::Job, 0, i, 1);
         }
@@ -396,6 +256,44 @@ mod tests {
         rec.clear();
         assert_eq!(rec.dropped(), 0);
         assert!(rec.collect().is_empty());
+    }
+
+    #[test]
+    fn ring_keeps_exactly_the_newest_capacity_spans() {
+        let rec = SpanRecorder::new(5);
+        rec.set_enabled(true);
+        for i in 0..9 {
+            rec.record(1, 0, SpanKind::Job, 0, i, 1);
+        }
+        let starts: Vec<u64> = rec.collect().iter().map(|s| s.start_ns).collect();
+        assert_eq!(starts, [4, 5, 6, 7, 8]);
+        assert_eq!(rec.dropped(), 4);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_nothing_and_counts_every_record() {
+        let rec = SpanRecorder::new(0);
+        rec.set_enabled(true);
+        rec.record(1, 0, SpanKind::Job, 0, 0, 1);
+        rec.record(1, 0, SpanKind::Job, 0, 1, 1);
+        assert!(rec.collect().is_empty());
+        assert_eq!(rec.dropped(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_ring_keeps_recording() {
+        let rec = Arc::new(SpanRecorder::new(4));
+        rec.set_enabled(true);
+        let poisoner = Arc::clone(&rec);
+        let panicked = std::thread::spawn(move || {
+            let _ring = poisoner.ring();
+            panic!("poison the ring lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        rec.record(1, 0, SpanKind::Job, 0, 7, 1);
+        assert_eq!(rec.collect().len(), 1);
+        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]

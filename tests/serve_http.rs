@@ -109,7 +109,7 @@ fn all_endpoints_answer_their_happy_path() {
         .and_then(|d| d.get("R"))
         .and_then(json::Value::as_array)
         .expect("R dump");
-    assert_eq!(regs[3].as_i64(), Some(42));
+    assert_eq!(regs[3].as_f64(), Some(42.0));
     let probes = outcome.get("probes").expect("probe report");
     assert_eq!(probes.get("reg R[3]").and_then(json::Value::as_u64), Some(1));
 
