@@ -4,6 +4,10 @@
 //! `tests/golden/asm_programs.txt`. Any change to the generated assembler
 //! that alters a single word or listing byte fails here.
 //!
+//! A second section pins the assembler's answer to a fixed list of
+//! malformed programs on every model: the error text, or the words when
+//! the program assembles.
+//!
 //! After an intentional change, regenerate the file with
 //! `UPDATE_GOLDEN=1 cargo test --test asm_golden`.
 
@@ -128,7 +132,113 @@ fn current_digests() -> String {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_owned();
         digest_line(&mut out, &rep.model, &name, &program);
     }
+
+    out.push_str(ERRORS_HEADER);
+    for (model, dialect) in &DIALECTS {
+        let wb = workbench(model);
+        let asm = wb.assembler();
+        for (case, source) in error_cases(dialect) {
+            let outcome = match asm.assemble(&source) {
+                Ok(program) => {
+                    let words: Vec<String> =
+                        program.words.iter().map(|w| format!("{w:x}")).collect();
+                    format!("ok words=[{}]", words.join(" "))
+                }
+                Err(e) => format!("error {e}"),
+            };
+            let _ = writeln!(out, "{model} {case}: {outcome}");
+        }
+    }
     out
+}
+
+const ERRORS_HEADER: &str = "# malformed programs\n";
+
+/// The statements one model's error cases are written with.
+struct Dialect {
+    nop: &'static str,
+    halt: &'static str,
+    /// Load-immediate mnemonic: `{mov} {reg}, {value}`.
+    mov: &'static str,
+    jump: &'static str,
+    reg: &'static str,
+    bad_reg: &'static str,
+    non_ascii_reg: &'static str,
+    big_imm: &'static str,
+}
+
+const DIALECTS: [(&str, Dialect); 4] = [
+    (
+        "tinyrisc",
+        Dialect {
+            nop: "NOP",
+            halt: "HLT",
+            mov: "LDI",
+            jump: "JMP",
+            reg: "R1",
+            bad_reg: "R9",
+            non_ascii_reg: "R\u{e9}",
+            big_imm: "99",
+        },
+    ),
+    (
+        "accu16",
+        Dialect {
+            nop: "NOP",
+            halt: "HLT",
+            mov: "MOVI",
+            jump: "JMP",
+            reg: "r1",
+            bad_reg: "r7",
+            non_ascii_reg: "r\u{e9}",
+            big_imm: "70000",
+        },
+    ),
+    (
+        "scalar2",
+        Dialect {
+            nop: "NOP",
+            halt: "HLT",
+            mov: "LDI",
+            jump: "JMP",
+            reg: "R1",
+            bad_reg: "R16",
+            non_ascii_reg: "R\u{e9}",
+            big_imm: "99999",
+        },
+    ),
+    (
+        "vliw62",
+        Dialect {
+            nop: "NOP 1",
+            halt: "HALT",
+            mov: "MVK",
+            jump: "B",
+            reg: "A1",
+            bad_reg: "A16",
+            non_ascii_reg: "A\u{e9}",
+            big_imm: "70000",
+        },
+    ),
+];
+
+/// The fixed list of malformed programs, `(case, source)`.
+fn error_cases(d: &Dialect) -> Vec<(&'static str, String)> {
+    let Dialect { nop, halt, mov, jump, reg, bad_reg, non_ascii_reg, big_imm } = d;
+    let nine_slots = format!("{nop}\n{}", format!("|| {nop}\n").repeat(8));
+    vec![
+        ("unknown_mnemonic", format!("{nop}\nFROB {reg}, {reg}\n")),
+        ("trailing_text", format!("top: {jump} top extra\n")),
+        ("register_out_of_range", format!("{mov} {bad_reg}, 1\n")),
+        ("immediate_out_of_range", format!("{mov} {reg}, {big_imm}\n")),
+        ("undefined_label", format!("{jump} nowhere\n")),
+        ("duplicate_label", format!("x: {nop}\nx: {halt}\n")),
+        ("dangling_bar", format!("|| {nop}\n")),
+        ("packet_too_long", nine_slots),
+        ("org_backwards", format!("{nop}\n{nop}\n.org 1\n{nop}\n")),
+        ("non_ascii_operand", format!("{mov} {non_ascii_reg}, 2\n")),
+        ("label_named_like_register", format!("{reg}: {mov} {reg}, 1\n{halt}\n")),
+    ]
 }
 
 #[test]
