@@ -44,6 +44,16 @@ fn out_of_range_operand_points_at_its_source_line() {
 }
 
 #[test]
+fn errors_quote_the_statement_as_written() {
+    let wb = lisa_models::tinyrisc::workbench().unwrap();
+    let asm = Assembler::new(wb.model());
+    let err = asm.assemble("LDI Ré, 2\n").unwrap_err();
+    assert_eq!(err.to_string(), "line 1: no instruction syntax matches `LDI Ré, 2`");
+    let err = asm.assemble("top: JMP top 3\n").unwrap_err();
+    assert_eq!(err.to_string(), "line 1: trailing input `3` after assembling `JMP top 3`");
+}
+
+#[test]
 fn dangling_parallel_bar_is_rejected() {
     let wb = lisa_models::vliw62::workbench().unwrap();
     let asm = Assembler::with_packet(wb.model(), lisa_models::vliw62::FETCH_PACKET, 1);

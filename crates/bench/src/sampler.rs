@@ -115,6 +115,19 @@ pub fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// The lower quartile, the (upper) median and the upper quartile,
+/// nearest-rank.
+///
+/// # Panics
+///
+/// Panics on an empty vector.
+#[must_use]
+pub fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    [xs[n / 4], xs[n / 2], xs[(3 * n / 4).min(n - 1)]]
+}
+
 /// The geometric mean (of per-kernel ratios).
 #[must_use]
 pub fn geomean(xs: &[f64]) -> f64 {

@@ -251,22 +251,20 @@ impl Server {
                 scope.spawn(move || {
                     while let Some((conn, queued_ns)) = queue.pop() {
                         depth_gauge.set(queue.depth() as i64);
-                        // The accept root covers the whole session:
-                        // enqueue, queue wait, every request on the
-                        // connection.
+                        // The accept root spans enqueue to this worker
+                        // taking the connection, and is recorded now, so
+                        // a dump read on the same connection holds the
+                        // root its requests hang under.
                         let traced = queued_ns.map(|queued| {
                             let root = SpanScope::new(Arc::clone(spans), spans.new_trace())
                                 .with_worker(worker);
-                            let accept = root.start_at(SpanKind::Accept, queued);
-                            let scope = root.child(accept.id());
-                            scope.record(
-                                SpanKind::QueueWait,
-                                queued,
-                                spans.now_ns().saturating_sub(queued),
-                            );
-                            (scope, accept)
+                            let waited = spans.now_ns().saturating_sub(queued);
+                            let accept = root.record(SpanKind::Accept, queued, waited);
+                            let scope = root.child(accept);
+                            scope.record(SpanKind::QueueWait, queued, waited);
+                            scope
                         });
-                        handle_connection(conn, traced.as_ref().map(|t| &t.0), state, config, stop);
+                        handle_connection(conn, traced.as_ref(), state, config, stop);
                     }
                 });
             }

@@ -56,8 +56,9 @@ fn one_simulate_request_yields_a_single_connected_span_tree() {
     let resp = roundtrip(addr, sim.as_bytes());
     assert!(resp.contains("\"halted\": true"), "simulate failed: {resp}");
 
-    // The accept root is recorded when the connection's worker finishes
-    // with it, which races this client's read of the close; poll.
+    // The accept root is recorded when a worker takes the connection;
+    // the spans of the request land as the worker writes the response,
+    // which races this client's read of the close; poll.
     let debug = b"GET /v1/debug/spans?limit=4096 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
     let deadline = Instant::now() + Duration::from_secs(5);
     let spans = loop {

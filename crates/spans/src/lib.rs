@@ -61,7 +61,8 @@ impl Category {
 /// to extend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
-    /// One connection's whole session, enqueue to close (tree root).
+    /// A connection from its enqueue to a worker taking it (tree root:
+    /// the connection's requests hang under it).
     Accept,
     /// Time a connection sat in the bounded accept queue.
     QueueWait,

@@ -389,6 +389,16 @@ fn simulate_budget_and_bad_requests_map_to_statuses() {
         &request("POST", "/v1/assemble", r#"{"model": "tinyrisc", "program": "FROB R1\n"}"#),
     );
     assert_eq!(parse_response(&raw).0, 422);
+    // The 422 body quotes the statement as written: a label operand and
+    // non-ASCII text come back unchanged.
+    for path in ["/v1/assemble", "/v1/simulate"] {
+        let body = r#"{"model": "tinyrisc", "program": "top: LDI Ré, top\n"}"#;
+        let raw = send_raw(addr, &request("POST", path, body));
+        assert_eq!(parse_response(&raw).0, 422, "{path}");
+        let err = body_json(&raw);
+        let msg = err.get("error").and_then(json::Value::as_str).unwrap_or("");
+        assert!(msg.contains("no instruction syntax matches `LDI Ré, top`"), "{path}: {msg}");
+    }
 
     // Unknown simulation mode: 422 (well-formed JSON, invalid value),
     // with a diagnostic naming the valid set.
