@@ -42,14 +42,6 @@ pub enum AsmError {
         /// Configured fetch-packet size.
         packet_size: usize,
     },
-    /// A label name is also a valid instruction operand, or shadows a
-    /// directive — not resolvable.
-    BadLabelName {
-        /// 1-based source line.
-        line: usize,
-        /// The label name.
-        label: String,
-    },
     /// `.org` went backwards over already-emitted words.
     OrgBackwards {
         /// 1-based source line.
@@ -71,7 +63,6 @@ impl AsmError {
             | AsmError::BadDirective { line, .. }
             | AsmError::DanglingParallelBar { line }
             | AsmError::PacketTooLong { line, .. }
-            | AsmError::BadLabelName { line, .. }
             | AsmError::OrgBackwards { line, .. } => *line,
         }
     }
@@ -92,9 +83,6 @@ impl fmt::Display for AsmError {
             }
             AsmError::PacketTooLong { line, packet_size } => {
                 write!(f, "line {line}: execute packet exceeds the {packet_size}-slot fetch packet")
-            }
-            AsmError::BadLabelName { line, label } => {
-                write!(f, "line {line}: label `{label}` is not a valid name")
             }
             AsmError::OrgBackwards { line, requested, current } => {
                 write!(

@@ -59,8 +59,6 @@ pub struct ToolTables {
     lead_literals: Vec<u32>,
     /// The first byte of each `lead_literals` entry's literal.
     lead_first: Vec<u8>,
-    /// Union of the variants' lead sets, per operation.
-    op_leads: Vec<LeadSet>,
     /// Per operation, the index of its first group in `group_ranges`.
     group_base: Vec<u32>,
     /// Per group, its range of `trial_orders`.
@@ -136,7 +134,6 @@ impl ToolTables {
             literals: leads.literals,
             lead_literals: leads.lead_literals,
             lead_first,
-            op_leads: leads.op_leads,
             group_base,
             group_ranges,
             trial_orders,
@@ -154,13 +151,6 @@ impl ToolTables {
     pub fn group_order(&self, op: OpId, group: usize) -> &[OpId] {
         let (start, end) = self.group_ranges[self.group_base[op.0] as usize + group];
         &self.trial_orders[start as usize..end as usize]
-    }
-
-    /// Whether some variant of `op` can begin matching `text` (leading
-    /// whitespace ignored).
-    #[must_use]
-    pub fn op_may_match(&self, op: OpId, text: &str) -> bool {
-        self.admits(&self.op_leads[op.0], text)
     }
 
     /// The compiled variants of `op` an assembler tries on `text`, in

@@ -790,26 +790,35 @@ mod tests {
         model.operation(decoded.children[0].as_deref().expect("instruction").op).name.clone()
     }
 
+    /// The names of the `decode` root's `Instruction` candidates that
+    /// can begin matching `text`.
+    fn instruction_candidates(model: &Model, text: &str) -> Vec<String> {
+        let tables = model.tool_tables();
+        let decode = model.operation_by_name("decode").unwrap().id;
+        let variant = tables.asm_variants(decode, text).next().expect("the root admits anything");
+        let list = tables
+            .asm_elems(variant.elems)
+            .iter()
+            .find_map(|elem| match *elem {
+                AsmElem::Operand { candidates, .. } => Some(candidates),
+                _ => None,
+            })
+            .expect("an operand list");
+        tables.candidates(list, text).map(|op| model.operation(op).name.clone()).collect()
+    }
+
     #[test]
     fn lead_sets_look_through_a_nullable_predicate() {
         let model = predicated_model();
-        let tables = model.tool_tables();
-        let may_match = |name: &str, text: &str| {
-            tables.op_may_match(model.operation_by_name(name).unwrap().id, text)
-        };
-        // `add` begins with a predicate literal or, through the empty
-        // predicate, with its mnemonic; nothing else.
-        for text in ["ADD R1, R2", "  [R0] ADD R1, R2", "[!R0] ADD R1, R2"] {
-            assert!(may_match("add", text), "{text}");
+        // `add` and `addk` begin with a predicate literal or, through the
+        // empty predicate, with their mnemonics; nothing else. The
+        // label-first data word admits anything.
+        assert_eq!(instruction_candidates(&model, "ADD R1, R2"), ["add", "data"]);
+        for text in ["  [R0] ADD R1, R2", "[!R0] ADD R1, R2"] {
+            assert_eq!(instruction_candidates(&model, text), ["add", "addk", "data"], "{text}");
         }
-        for text in ["SUB R1, R2", "[R1] ADD R1, R2", "R1", ""] {
-            assert!(!may_match("add", text), "{text}");
-        }
-        assert!(!may_match("addk", "ADD R1, R2"));
-        // The empty predicate and the label-first data word admit anything,
-        // and so does the root that can begin with either.
-        for name in ["p_always", "data", "decode"] {
-            assert!(may_match(name, "%% anything"), "{name}");
+        for text in ["SUB R1, R2", "[R1] ADD R1, R2", "R1", "", "%% anything"] {
+            assert_eq!(instruction_candidates(&model, text), ["data"], "{text}");
         }
 
         let decoder = Decoder::new(&model).unwrap();
@@ -825,10 +834,9 @@ mod tests {
     #[test]
     fn lead_prefix_match_still_honours_the_word_boundary() {
         let model = predicated_model();
-        let add = model.operation_by_name("add").unwrap().id;
         // `ADD` is a prefix of `ADDK`: the lead filter lets `add` through
         // and the literal's word boundary rejects it.
-        assert!(model.tool_tables().op_may_match(add, "ADDK R1, 3"));
+        assert_eq!(instruction_candidates(&model, "ADDK R1, 3"), ["add", "addk", "data"]);
         let decoder = Decoder::new(&model).unwrap();
         let asm = Assembler::new(&model, &decoder);
         for statement in ["ADDK R1, 3", "[!R0] ADDK R3, 15"] {

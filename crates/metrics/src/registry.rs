@@ -242,8 +242,8 @@ impl Registry {
     ) -> Entry {
         let key = MetricKey::new(name, labels);
         let mut inner = self.inner.lock().expect("metrics registry lock");
-        if !help.is_empty() {
-            inner.help.entry(name.to_owned()).or_insert_with(|| help.to_owned());
+        if !help.is_empty() && !inner.help.contains_key(name) {
+            inner.help.insert(name.to_owned(), help.to_owned());
         }
         inner.metrics.entry(key).or_insert_with(make).clone()
     }

@@ -18,7 +18,9 @@ use lisa_exec::{BatchObserver, BatchRunner};
 use lisa_metrics::Registry;
 use lisa_models::kernels::full_matrix;
 use lisa_models::{accu16, scalar2, tinyrisc, vliw62, Workbench};
-use lisa_sim::{publish_arch, ArchProfile, ProbeSpec, SimError, SimMode, Simulator, StopReason};
+use lisa_sim::{
+    publish_arch, ArchCounts, ArchProfile, ProbeSpec, SimError, SimMode, Simulator, StopReason,
+};
 use lisa_spans::{export, SpanKind, SpanRecorder, SpanScope};
 
 use crate::api::{
@@ -39,6 +41,9 @@ pub struct ServedModel {
     /// The workbench over the same model: its program assembler serves
     /// `/v1/assemble` and `/v1/simulate`, and `/v1/fuzz` runs on it.
     pub workbench: Workbench,
+    /// The arch counts of every `/v1/simulate` run on this model, summed:
+    /// folded to names only when `/v1/debug/arch` or `/metrics` is read.
+    arch: Mutex<ArchCounts>,
 }
 
 /// Span-ring capacity for the always-on request tracer: a flight
@@ -56,7 +61,8 @@ const MAX_FUZZ_LEN: u64 = 2048;
 /// Upper bound on `/v1/fuzz` `max_cycles`.
 const MAX_FUZZ_CYCLES: u64 = 10_000_000;
 
-/// Shared service state: models + metrics + the span recorder.
+/// Shared service state: the models, each with the arch counts of its
+/// runs summed, the metrics registry and the span recorder.
 pub struct AppState {
     models: Vec<ServedModel>,
     registry: Registry,
@@ -64,9 +70,9 @@ pub struct AppState {
     /// Span-ring drop count already published to the registry, so each
     /// `/metrics` scrape adds only the delta.
     spans_dropped_published: AtomicU64,
-    /// Architectural profile merged across every `/v1/simulate` run,
-    /// served at `GET /v1/debug/arch`.
-    arch: Mutex<ArchProfile>,
+    /// Probe hits by label, merged across the `/v1/simulate` runs that
+    /// set probes.
+    arch_hits: Mutex<BTreeMap<String, u64>>,
     /// Per-model coding-tree coverage merged across every `/v1/fuzz`
     /// request, so the `lisa_fuzz_paths_covered` gauge is monotone.
     fuzz_coverage: Mutex<BTreeMap<&'static str, CoverageMap>>,
@@ -89,6 +95,7 @@ impl AppState {
             program_memory: workbench.program_memory(),
             halt_flag: workbench.halt_flag(),
             workbench,
+            arch: Mutex::default(),
         };
         let models = vec![
             served("tinyrisc", tinyrisc::workbench().expect("tinyrisc builds")),
@@ -112,7 +119,7 @@ impl AppState {
             registry,
             spans,
             spans_dropped_published: AtomicU64::new(0),
-            arch: Mutex::new(ArchProfile::new()),
+            arch_hits: Mutex::default(),
             fuzz_coverage: Mutex::new(BTreeMap::new()),
             started: Instant::now(),
         }
@@ -218,8 +225,9 @@ impl AppState {
 
     /// `GET /metrics`: the Prometheus exposition. Span-ring overflow is
     /// folded into the registry right before the snapshot, so the scrape
-    /// that reports loss is never stale; uptime and the scrape counter
-    /// are refreshed the same way.
+    /// that reports loss is never stale; uptime, the scrape counter and,
+    /// once a run has been summed, the `lisa_arch_*` gauges of the merged
+    /// profile are refreshed the same way.
     fn handle_metrics(&self) -> Response {
         self.registry
             .counter("lisa_metrics_scrapes_total", "Scrapes of the /metrics endpoint.", &[])
@@ -239,6 +247,9 @@ impl AppState {
                     &[],
                 )
                 .add(delta);
+        }
+        if self.models.iter().any(|m| lock(&m.arch).runs() > 0) {
+            publish_arch(&self.registry, &self.arch_profile());
         }
         Response::prometheus(self.registry.snapshot().to_prometheus())
     }
@@ -271,18 +282,13 @@ impl AppState {
         match format {
             "chrome" => Response::json(200, export::to_chrome_trace(&spans)),
             "json" => {
-                let mut body = format!(
-                    "{{\"enabled\": {}, \"dropped\": {}, \"spans\": [",
+                let spans: Vec<String> = spans.iter().map(export::span_json).collect();
+                let body = format!(
+                    "{{\"enabled\": {}, \"dropped\": {}, \"spans\": [{}]}}",
                     self.spans.is_enabled(),
-                    self.spans.dropped()
+                    self.spans.dropped(),
+                    spans.join(", ")
                 );
-                for (i, s) in spans.iter().enumerate() {
-                    if i > 0 {
-                        body.push_str(", ");
-                    }
-                    body.push_str(&export::span_json(s));
-                }
-                body.push_str("]}");
                 Response::json(200, body)
             }
             _ => Response::json(400, api::error_body("unknown `format` (json|chrome)")),
@@ -292,8 +298,18 @@ impl AppState {
     /// `GET /v1/debug/arch`: the architectural profile merged across
     /// every `/v1/simulate` run since startup.
     fn handle_arch(&self) -> Response {
-        let arch = self.arch.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Response::json(200, arch.to_json())
+        Response::json(200, self.arch_profile().to_json())
+    }
+
+    /// Every served model's summed arch counts folded to names and
+    /// merged, with the probe hits.
+    fn arch_profile(&self) -> ArchProfile {
+        let mut profile = ArchProfile::new();
+        for m in &self.models {
+            profile.merge(&lock(&m.arch).fold(&m.model));
+        }
+        profile.hits.clone_from(&lock(&self.arch_hits));
+        profile
     }
 
     fn handle_models(&self) -> Response {
@@ -373,21 +389,17 @@ impl AppState {
                 mode,
                 &program.words,
                 program.origin,
-                req.max_cycles,
-                &req.dump,
-                &req.probes,
+                &req,
                 deadline,
                 run_scope.as_ref(),
             )
         };
         match run {
-            Ok((outcome, profile)) => {
+            Ok(outcome) => {
                 let _span = spans.map(|s| s.start(SpanKind::Serialize));
-                {
-                    let mut arch =
-                        self.arch.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    arch.merge(&profile);
-                    publish_arch(&self.registry, &arch);
+                // Empty unless the request set probes: no lock otherwise.
+                for (label, n) in outcome.probes.iter().filter(|(_, n)| *n > 0) {
+                    *lock(&self.arch_hits).entry(label.clone()).or_default() += n;
                 }
                 Response::json(200, api::simulate_body(&outcome))
             }
@@ -413,30 +425,18 @@ impl AppState {
         let Some(served) = self.model(&req.model) else {
             return Response::json(404, api::error_body(&format!("unknown model `{}`", req.model)));
         };
-        if req.seed_count == 0 || req.seed_count > MAX_FUZZ_PROGRAMS {
-            return Response::json(
-                422,
-                api::error_body(&format!(
-                    "field `seed_count` must be between 1 and {MAX_FUZZ_PROGRAMS}"
-                )),
-            );
+        for (field, value, max) in [
+            ("seed_count", req.seed_count, MAX_FUZZ_PROGRAMS),
+            ("max_len", req.max_len, MAX_FUZZ_LEN),
+            ("max_cycles", req.max_cycles, MAX_FUZZ_CYCLES),
+        ] {
+            if value == 0 || value > max {
+                let message = format!("field `{field}` must be between 1 and {max}");
+                return Response::json(422, api::error_body(&message));
+            }
         }
         if req.seed_start.checked_add(req.seed_count).is_none() {
             return Response::json(422, api::error_body("seed range overflows"));
-        }
-        if req.max_len == 0 || req.max_len > MAX_FUZZ_LEN {
-            return Response::json(
-                422,
-                api::error_body(&format!("field `max_len` must be between 1 and {MAX_FUZZ_LEN}")),
-            );
-        }
-        if req.max_cycles == 0 || req.max_cycles > MAX_FUZZ_CYCLES {
-            return Response::json(
-                422,
-                api::error_body(&format!(
-                    "field `max_cycles` must be between 1 and {MAX_FUZZ_CYCLES}"
-                )),
-            );
         }
 
         let config = FuzzConfig {
@@ -473,8 +473,7 @@ impl AppState {
         }
 
         let merged_paths = {
-            let mut merged =
-                self.fuzz_coverage.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut merged = lock(&self.fuzz_coverage);
             let entry = merged.entry(served.name).or_default();
             entry.merge(&report.coverage);
             entry.len()
@@ -530,6 +529,11 @@ impl Default for AppState {
     }
 }
 
+/// Locks `mutex`, taking the data of a poisoned lock as it is.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 enum SimulateError {
     Deadline,
     Sim(String),
@@ -538,26 +542,24 @@ enum SimulateError {
 /// Runs one simulation with both a cycle budget and a wall-clock
 /// deadline. The deadline is checked every 1024 control steps so the
 /// hot loop stays free of syscalls. Probes from the request are armed
-/// before the run; the architectural profile is always collected so the
-/// service's merged `/v1/debug/arch` view covers every run.
-#[allow(clippy::too_many_arguments)]
+/// before the run; the arch profile is always on, and a run that
+/// succeeds adds its raw counts into the model's sum, so the service's
+/// `/v1/debug/arch` view covers every run.
 fn simulate(
     served: &ServedModel,
     mode: SimMode,
     words: &[u128],
     origin: u64,
-    max_cycles: u64,
-    dumps: &[(String, usize)],
-    probes: &[String],
+    req: &SimulateRequest,
     deadline: Instant,
     spans: Option<&SpanScope>,
-) -> Result<(SimulateOutcome, ArchProfile), SimulateError> {
+) -> Result<SimulateOutcome, SimulateError> {
     let sim_err = |e: SimError| SimulateError::Sim(e.to_string());
     let mut sim = Simulator::new(&served.model, mode).map_err(sim_err)?;
     sim.set_spans(spans.cloned());
-    if !probes.is_empty() {
-        let spec =
-            ProbeSpec::parse(&probes.join("; ")).map_err(|e| SimulateError::Sim(e.to_string()))?;
+    if !req.probes.is_empty() {
+        let spec = ProbeSpec::parse(&req.probes.join("; "))
+            .map_err(|e| SimulateError::Sim(e.to_string()))?;
         let set = spec.compile(&served.model).map_err(|e| SimulateError::Sim(e.to_string()))?;
         sim.set_probes(set);
     }
@@ -583,12 +585,12 @@ fn simulate(
             }
             false
         },
-        max_cycles,
+        req.max_cycles,
     );
     let (cycles, halted, stop) = match outcome {
         Ok(out) if timed_out => (out.cycles, false, StopReason::Halted),
         Ok(out) => (out.cycles, out.reason == StopReason::Halted, out.reason),
-        Err(SimError::StepLimit { .. }) => (max_cycles, false, StopReason::Halted),
+        Err(SimError::StepLimit { .. }) => (req.max_cycles, false, StopReason::Halted),
         Err(e) => return Err(sim_err(e)),
     };
     if timed_out {
@@ -605,7 +607,7 @@ fn simulate(
         StopReason::Halted => None,
     };
     let mut dump = Vec::new();
-    for (name, count) in dumps {
+    for (name, count) in &req.dump {
         let res = served
             .model
             .resource_by_name(name)
@@ -620,19 +622,16 @@ fn simulate(
         };
         dump.push((name.clone(), values));
     }
-    let profile = sim.arch_profile().unwrap_or_default();
-    Ok((
-        SimulateOutcome {
-            cycles,
-            halted,
-            instructions_retired: sim.stats().instructions_retired,
-            state_digest: sim.state().digest(),
-            dump,
-            probes: report,
-            breakpoint,
-        },
-        profile,
-    ))
+    sim.add_arch_counts_into(&mut lock(&served.arch));
+    Ok(SimulateOutcome {
+        cycles,
+        halted,
+        instructions_retired: sim.stats().instructions_retired,
+        state_digest: sim.state().digest(),
+        dump,
+        probes: report,
+        breakpoint,
+    })
 }
 
 /// A far-future deadline for contexts without a per-request timeout

@@ -70,9 +70,8 @@ pub(crate) struct PipeState {
 
 /// Observability state, boxed behind one `Option` so the cycle path pays
 /// a single branch when neither tracing, profiling nor probing is on.
+#[derive(Default)]
 pub(crate) struct Observer {
-    /// Owned snapshot of the model's names, for rendering and profiling.
-    pub names: NameTable,
     /// The recorded trace events, in order, when tracing is enabled.
     pub events: Option<Vec<TraceEvent>>,
     /// Architectural probes, when installed: the writes a probe names
@@ -118,14 +117,12 @@ const MAX_HEAT_BUCKETS: u64 = 64;
 /// program memory are counted as instructions but not attributed.
 const MAX_HOT_PCS: u64 = 1 << 16;
 
-/// Every counter of the arch profile, id-indexed, in the one home both
-/// backends bump at their event points, with the routes that decide
-/// which events reach them, the trace and the probe runtime. The tables
-/// are laid out from the model when the profile is enabled
-/// ([`Counters::enable`]) and stay empty until then, so an event point
-/// reached with the profile off finds no slot. Folded to names when the
-/// profile is read ([`Counters::fold`]); zeroed by
-/// [`Simulator::restart_profile`].
+/// The profile's [`ArchCounts`], in the one home both backends bump at
+/// their event points, with the routes that decide which events reach
+/// them, the trace and the probe runtime. The tables are laid out from
+/// the model when the profile is enabled ([`Counters::enable`]) and
+/// stay empty until then, so an event point reached with the profile
+/// off finds no slot. Zeroed by [`Simulator::restart_profile`].
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     /// What a write does, by resource id (empty with no observer).
@@ -136,6 +133,65 @@ pub(crate) struct Counters {
     profiling: bool,
     /// Cycle the counts started at.
     start: u64,
+    /// The counts.
+    counts: ArchCounts,
+}
+
+impl Counters {
+    /// Turns the profile on, laying every table out from the model.
+    fn enable(&mut self, model: &Model) {
+        self.profiling = true;
+        self.counts = ArchCounts::of(model);
+    }
+
+    /// Plans the routes for the installed observer: the one place that
+    /// decides what a write to each resource, an execution, an
+    /// activation and a decode do. A profile counts executions,
+    /// activations, decodes and register writes, and takes memory writes
+    /// as heat; the trace sees every event; probes match the writes their
+    /// set names.
+    fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
+        self.writes.clear();
+        self.units = Route::Skip;
+        let Some(obs) = observer else { return };
+        let set = obs.probes.as_deref().map(ProbeRuntime::probe_set);
+        let (profiling, tracing) = (self.profiling, obs.events.is_some());
+        let heat = &self.counts.write_heat;
+        self.writes.extend(model.resources().iter().map(|r| {
+            let heat = heat.get(r.id.0).is_some_and(Option::is_some);
+            let matched = set.is_some_and(|s| s.matches_writes_to(r.id));
+            Route::new(profiling && !heat, tracing || matched || heat)
+        }));
+        self.units = Route::new(profiling, tracing);
+    }
+
+    /// Zeroes every count and starts them at cycle `now`, so nothing
+    /// recorded before `now` (e.g. on a timeline a snapshot restore
+    /// discarded) is reported.
+    fn restart(&mut self, now: u64) {
+        self.start = now;
+        self.counts.clear();
+    }
+}
+
+/// The raw counts of an arch profile, id-indexed against one model:
+/// cycles, instructions and hot PCs, register writes, behavior
+/// executions and activations per operation, stalls and flushes per
+/// stage, and read and write heat per memory. A simulator bumps one
+/// while it runs; [`Simulator::add_arch_counts_into`] adds a run's
+/// counts into a sum, so many runs of one model are summed with
+/// elementwise adds and folded to names once, by [`ArchCounts::fold`],
+/// when the profile is read.
+///
+/// A sum holds the counts of one model's runs: adding runs of another
+/// model into it is a logic error.
+#[derive(Debug, Clone, Default)]
+pub struct ArchCounts {
+    /// Runs added into these counts (0 for a simulator's own).
+    runs: u64,
+    /// Control steps covered. A simulator's own counts leave this at
+    /// zero: it knows the steps covered from its cycle count.
+    cycles: u64,
     /// Instructions decoded.
     instructions: u64,
     /// Writes to non-memory resources.
@@ -160,15 +216,28 @@ pub(crate) struct Counters {
     write_heat: Vec<Option<Heatmap>>,
 }
 
-impl Counters {
-    /// Turns the profile on, laying every table out from the model.
-    fn enable(&mut self, model: &Model) {
-        self.profiling = true;
-        self.op_execs = vec![0; model.operations().len()];
-        self.unit_acts = self.op_execs.clone();
-        self.stalls = model.pipelines().iter().map(|p| vec![0; p.depth()]).collect();
-        self.flushes = self.stalls.clone();
-        self.read_heat = model
+/// Adds `from` into `into` elementwise, growing `into` to fit.
+fn add_counts(into: &mut Vec<u64>, from: &[u64]) {
+    if into.len() < from.len() {
+        into.resize(from.len(), 0);
+    }
+    for (sum, n) in into.iter_mut().zip(from) {
+        *sum += n;
+    }
+}
+
+/// `"pipeline.stage"`, the stage key of profiles.
+fn stage_key(model: &Model, pipe: PipelineId, stage: usize) -> String {
+    let pipeline = model.pipeline(pipe);
+    format!("{}.{}", pipeline.name, pipeline.stages[stage])
+}
+
+impl ArchCounts {
+    /// Zeroed counts with every table laid out from the model.
+    fn of(model: &Model) -> ArchCounts {
+        let op_execs = vec![0; model.operations().len()];
+        let stalls: Vec<Vec<u64>> = model.pipelines().iter().map(|p| vec![0; p.depth()]).collect();
+        let read_heat: Vec<Option<Heatmap>> = model
             .resources()
             .iter()
             .map(|r| {
@@ -176,39 +245,24 @@ impl Counters {
                     .then(|| Heatmap::for_elements(r.element_count(), MAX_HEAT_BUCKETS))
             })
             .collect();
-        self.write_heat = self.read_heat.clone();
         let pmem = model.resources().iter().find(|r| r.class == ResourceClass::ProgramMemory);
         let base = pmem.and_then(|r| r.dims.first()).map_or(0, |d| d.base());
-        self.pc_base = i64::try_from(base).unwrap_or(i64::MAX);
-        self.hot_pcs = vec![0; pmem.map_or(0, |r| r.element_count().min(MAX_HOT_PCS) as usize)];
+        ArchCounts {
+            unit_acts: op_execs.clone(),
+            op_execs,
+            flushes: stalls.clone(),
+            stalls,
+            write_heat: read_heat.clone(),
+            read_heat,
+            pc_base: i64::try_from(base).unwrap_or(i64::MAX),
+            hot_pcs: vec![0; pmem.map_or(0, |r| r.element_count().min(MAX_HOT_PCS) as usize)],
+            ..ArchCounts::default()
+        }
     }
 
-    /// Plans the routes for the installed observer: the one place that
-    /// decides what a write to each resource, an execution, an
-    /// activation and a decode do. A profile counts executions,
-    /// activations, decodes and register writes, and takes memory writes
-    /// as heat; the trace sees every event; probes match the writes their
-    /// set names.
-    fn plan(&mut self, model: &Model, observer: Option<&Observer>) {
-        self.writes.clear();
-        self.units = Route::Skip;
-        let Some(obs) = observer else { return };
-        let set = obs.probes.as_deref().map(ProbeRuntime::probe_set);
-        let (profiling, tracing) = (self.profiling, obs.events.is_some());
-        let heat = &self.write_heat;
-        self.writes.extend(model.resources().iter().map(|r| {
-            let heat = heat.get(r.id.0).is_some_and(Option::is_some);
-            let matched = set.is_some_and(|s| s.matches_writes_to(r.id));
-            Route::new(profiling && !heat, tracing || matched || heat)
-        }));
-        self.units = Route::new(profiling, tracing);
-    }
-
-    /// Zeroes every count and starts them at cycle `now`, so nothing
-    /// recorded before `now` (e.g. on a timeline a snapshot restore
-    /// discarded) is reported.
-    fn restart(&mut self, now: u64) {
-        self.start = now;
+    /// Zeroes every count, keeping the layout.
+    fn clear(&mut self) {
+        self.cycles = 0;
         self.instructions = 0;
         self.register_writes = 0;
         let tables = [&mut self.op_execs, &mut self.unit_acts, &mut self.hot_pcs];
@@ -217,6 +271,37 @@ impl Counters {
         }
         for heat in self.read_heat.iter_mut().chain(&mut self.write_heat).flatten() {
             heat.counts.clear();
+        }
+    }
+
+    /// Adds `other`'s counts, covering `cycles` control steps, into
+    /// these. Arrays add elementwise; a heatmap of one resource has one
+    /// bucket size, so heat adds bucket by bucket.
+    fn add(&mut self, other: &ArchCounts, cycles: u64) {
+        self.runs += 1;
+        self.cycles += cycles;
+        self.instructions += other.instructions;
+        self.register_writes += other.register_writes;
+        self.pc_base = other.pc_base;
+        add_counts(&mut self.op_execs, &other.op_execs);
+        add_counts(&mut self.unit_acts, &other.unit_acts);
+        add_counts(&mut self.hot_pcs, &other.hot_pcs);
+        for (into, from) in [(&mut self.stalls, &other.stalls), (&mut self.flushes, &other.flushes)]
+        {
+            into.resize_with(into.len().max(from.len()), Vec::new);
+            for (sum, counts) in into.iter_mut().zip(from) {
+                add_counts(sum, counts);
+            }
+        }
+        for (into, from) in
+            [(&mut self.read_heat, &other.read_heat), (&mut self.write_heat, &other.write_heat)]
+        {
+            into.resize(into.len().max(from.len()), None);
+            for (sum, heat) in into.iter_mut().zip(from) {
+                if let Some(heat) = heat {
+                    sum.get_or_insert_with(Heatmap::new).merge(heat);
+                }
+            }
         }
     }
 
@@ -241,25 +326,34 @@ impl Counters {
         }
     }
 
-    /// The profile of the counts from their start to cycle `now`, keyed
-    /// by the names in `names`; stage occupancy is derived from each
-    /// executed operation's static stage.
-    fn fold(&self, model: &Model, names: &NameTable, now: u64) -> ArchProfile {
+    /// How many runs [`Simulator::add_arch_counts_into`] added into these
+    /// counts.
+    #[must_use]
+    pub fn runs(&self) -> u64 {
+        self.runs
+    }
+
+    /// The profile of these counts, keyed by the names of `model` (the
+    /// model they were counted on), with no probe hits; stage occupancy
+    /// is derived from each executed operation's static stage.
+    #[must_use]
+    pub fn fold(&self, model: &Model) -> ArchProfile {
         let mut profile = ArchProfile {
-            cycles: now.saturating_sub(self.start),
+            cycles: self.cycles,
             instructions: self.instructions,
             register_writes: self.register_writes,
             ..ArchProfile::default()
         };
         for (i, &n) in self.op_execs.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            let op = OpId(i);
-            *profile.op_execs.entry(names.op(op).to_owned()).or_default() += n;
-            if let Some((pipe, stage)) = model.operation(op).stage {
-                *profile.stage_busy.entry(names.stage_key(pipe, stage)).or_default() += n;
+            let operation = model.operation(OpId(i));
+            *profile.op_execs.entry(operation.name.clone()).or_default() += n;
+            if let Some((pipe, stage)) = operation.stage {
+                *profile.stage_busy.entry(stage_key(model, pipe, stage)).or_default() += n;
             }
         }
         for (i, &n) in self.unit_acts.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            *profile.unit_activations.entry(names.op(OpId(i)).to_owned()).or_default() += n;
+            *profile.unit_activations.entry(model.operation(OpId(i)).name.clone()).or_default() +=
+                n;
         }
         for (i, &n) in self.hot_pcs.iter().enumerate().filter(|&(_, &n)| n > 0) {
             profile.hot_pcs.insert(self.pc_base + i as i64, n);
@@ -269,7 +363,7 @@ impl Counters {
         {
             for (p, stages) in table.iter().enumerate() {
                 for (s, &n) in stages.iter().enumerate().filter(|&(_, &n)| n > 0) {
-                    map.insert(names.stage_key(PipelineId(p), s), n);
+                    map.insert(stage_key(model, PipelineId(p), s), n);
                 }
             }
         }
@@ -278,7 +372,7 @@ impl Counters {
         {
             for (i, heat) in heats.iter().enumerate() {
                 if let Some(heat) = heat.as_ref().filter(|h| !h.is_empty()) {
-                    map.insert(names.resource(ResourceId(i)).to_owned(), heat.clone());
+                    map.insert(model.resource(ResourceId(i)).name.clone(), heat.clone());
                 }
             }
         }
@@ -491,9 +585,7 @@ impl<'m> Simulator<'m> {
     }
 
     fn observer_mut(&mut self) -> &mut Observer {
-        self.observer.get_or_insert_with(|| {
-            Box::new(Observer { names: NameTable::of(self.model), events: None, probes: None })
-        })
+        self.observer.get_or_insert_with(Box::default)
     }
 
     /// Follows a change of trace, probes or profile: drops the observer
@@ -553,8 +645,11 @@ impl<'m> Simulator<'m> {
     /// [`Simulator::take_events`].
     pub fn take_trace(&mut self) -> Vec<String> {
         let events = self.take_events();
-        let Some(obs) = self.observer.as_ref() else { return Vec::new() };
-        events.iter().map(|e| obs.names.line(e)).collect()
+        if events.is_empty() {
+            return Vec::new();
+        }
+        let names = NameTable::of(self.model);
+        events.iter().map(|e| names.line(e)).collect()
     }
 
     /// Installs a compiled probe set (watchpoints, PC breakpoints and
@@ -615,12 +710,24 @@ impl<'m> Simulator<'m> {
         if !self.counters.profiling {
             return None;
         }
-        let obs = self.observer.as_ref()?;
-        let mut profile = self.counters.fold(self.model, &obs.names, self.stats.cycles);
+        let mut profile = self.counters.counts.fold(self.model);
+        profile.cycles = self.stats.cycles.saturating_sub(self.counters.start);
         for (label, n) in self.probe_report().into_iter().filter(|&(_, n)| n > 0) {
             *profile.hits.entry(label).or_default() += n;
         }
         Some(profile)
+    }
+
+    /// Adds the architecture profile's counts since
+    /// [`Simulator::enable_arch_profile`] (or the last
+    /// [`Simulator::restore`]) into `sum`, a sum of runs of this
+    /// simulator's model: [`Simulator::arch_profile`] without the fold
+    /// or the probe hits, for callers that aggregate many runs and read
+    /// the profile rarely. Adds nothing when arch profiling is off.
+    pub fn add_arch_counts_into(&self, sum: &mut ArchCounts) {
+        if self.counters.profiling {
+            sum.add(&self.counters.counts, self.stats.cycles.saturating_sub(self.counters.start));
+        }
     }
 
     /// Total probe hits recorded since the probe set was installed (or
@@ -692,7 +799,7 @@ impl<'m> Simulator<'m> {
     /// heat table is empty: one bounds check.
     #[inline]
     pub(crate) fn count_read(&mut self, res: ResourceId, flat: usize) {
-        if let Some(Some(heat)) = self.counters.read_heat.get_mut(res.0) {
+        if let Some(Some(heat)) = self.counters.counts.read_heat.get_mut(res.0) {
             heat.record(flat as u64);
         }
     }
@@ -723,12 +830,12 @@ impl<'m> Simulator<'m> {
         match self.counters.writes.get(res.0) {
             Some(&Route::Emit { count }) => {
                 if count {
-                    self.counters.register_writes += 1;
+                    self.counters.counts.register_writes += 1;
                 }
                 let flat = flat(self);
                 self.hand_off_write(res, flat, value);
             }
-            Some(Route::Count) => self.counters.register_writes += 1,
+            Some(Route::Count) => self.counters.counts.register_writes += 1,
             Some(Route::Skip) | None => {}
         }
     }
@@ -749,7 +856,7 @@ impl<'m> Simulator<'m> {
         let cycle = self.stats.cycles;
         let model = self.model;
         let addr = flat as u64;
-        if let Some(Some(heat)) = self.counters.write_heat.get_mut(res.0) {
+        if let Some(Some(heat)) = self.counters.counts.write_heat.get_mut(res.0) {
             heat.record(addr);
         }
         let Some(obs) = self.observer.as_deref_mut() else { return };
@@ -782,10 +889,10 @@ impl<'m> Simulator<'m> {
     pub(crate) fn emit_exec(&mut self, op: OpId) {
         match self.counters.units {
             Route::Skip => {}
-            Route::Count => self.counters.op_execs[op.0] += 1,
+            Route::Count => self.counters.counts.op_execs[op.0] += 1,
             Route::Emit { count } => {
                 if count {
-                    self.counters.op_execs[op.0] += 1;
+                    self.counters.counts.op_execs[op.0] += 1;
                 }
                 self.trace_exec(op);
             }
@@ -811,7 +918,7 @@ impl<'m> Simulator<'m> {
         };
         let pc = self.current_pc();
         if count {
-            self.counters.decode(pc);
+            self.counters.counts.decode(pc);
         }
         if self.tracing() {
             self.record(&TraceEvent::Decode { cycle: self.stats.cycles, pc, word, op, cache_hit });
@@ -824,10 +931,10 @@ impl<'m> Simulator<'m> {
     pub(crate) fn emit_activation(&mut self, from: OpId, to: OpId, delay: u32) {
         match self.counters.units {
             Route::Skip => {}
-            Route::Count => self.counters.unit_acts[to.0] += 1,
+            Route::Count => self.counters.counts.unit_acts[to.0] += 1,
             Route::Emit { count } => {
                 if count {
-                    self.counters.unit_acts[to.0] += 1;
+                    self.counters.counts.unit_acts[to.0] += 1;
                 }
                 self.trace_activation(from, to, delay);
             }
@@ -1299,7 +1406,7 @@ impl<'m> Simulator<'m> {
         let entry = &mut self.pipes[pid.0].stall_upto;
         *entry = Some(entry.map_or(upto, |prev| prev.max(upto)));
         if self.observing() {
-            Counters::hold(&mut self.counters.stalls, pid, Some(upto));
+            ArchCounts::hold(&mut self.counters.counts.stalls, pid, Some(upto));
             if self.tracing() {
                 let upto = upto.min(usize::from(u16::MAX)) as u16;
                 self.record(&TraceEvent::Stall { cycle: self.stats.cycles, pipe: pid, upto });
@@ -1320,7 +1427,7 @@ impl<'m> Simulator<'m> {
             _ => true,
         });
         if self.observing() {
-            Counters::hold(&mut self.counters.flushes, pid, upto);
+            ArchCounts::hold(&mut self.counters.counts.flushes, pid, upto);
             if self.tracing() {
                 let upto = upto.map(|s| s.min(usize::from(u16::MAX)) as u16);
                 let discarded = (before - self.pending.len()) as u32;

@@ -38,7 +38,7 @@ mod snapshot;
 mod state;
 mod stats;
 
-pub use engine::{RunOutcome, SimMode, Simulator, StopReason};
+pub use engine::{ArchCounts, RunOutcome, SimMode, Simulator, StopReason};
 pub use error::SimError;
 pub use metrics::publish_stats;
 // Re-exported so simulator users can drive probes/arch-profiling without

@@ -57,8 +57,7 @@ impl Category {
 /// The closed set of span names.
 ///
 /// Closed on purpose: records stay small and `Copy`. Add a variant (with
-/// its `as_str` and `category` arms, and an entry in [`SpanKind::ALL`])
-/// to extend.
+/// its `as_str` and `category` arms) to extend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// A connection from its enqueue to a worker taking it (tree root:
@@ -105,30 +104,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [SpanKind; 20] = [
-        SpanKind::Accept,
-        SpanKind::QueueWait,
-        SpanKind::LockPush,
-        SpanKind::LockPop,
-        SpanKind::Shed,
-        SpanKind::Drain,
-        SpanKind::Request,
-        SpanKind::Parse,
-        SpanKind::Route,
-        SpanKind::Assemble,
-        SpanKind::Run,
-        SpanKind::Serialize,
-        SpanKind::Write,
-        SpanKind::Batch,
-        SpanKind::Job,
-        SpanKind::JobQueueWait,
-        SpanKind::Predecode,
-        SpanKind::CycleChunk,
-        SpanKind::Snapshot,
-        SpanKind::Restore,
-    ];
-
     /// Stable lower-case name used in every export format.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -271,10 +246,34 @@ impl SpanScope {
 mod tests {
     use super::*;
 
+    /// Every kind, in declaration order.
+    const KINDS: [SpanKind; 20] = [
+        SpanKind::Accept,
+        SpanKind::QueueWait,
+        SpanKind::LockPush,
+        SpanKind::LockPop,
+        SpanKind::Shed,
+        SpanKind::Drain,
+        SpanKind::Request,
+        SpanKind::Parse,
+        SpanKind::Route,
+        SpanKind::Assemble,
+        SpanKind::Run,
+        SpanKind::Serialize,
+        SpanKind::Write,
+        SpanKind::Batch,
+        SpanKind::Job,
+        SpanKind::JobQueueWait,
+        SpanKind::Predecode,
+        SpanKind::CycleChunk,
+        SpanKind::Snapshot,
+        SpanKind::Restore,
+    ];
+
     #[test]
     fn kind_names_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for kind in SpanKind::ALL {
+        for kind in KINDS {
             assert!(seen.insert(kind.as_str()), "duplicate name {}", kind.as_str());
         }
     }
