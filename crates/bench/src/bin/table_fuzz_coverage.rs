@@ -1,5 +1,5 @@
 //! Experiment E17: coding-tree coverage saturation under coverage-guided
-//! fuzzing, and the losslessness of fleet-style range splitting.
+//! fuzzing, and the losslessness of splitting a run into seed ranges.
 //!
 //! Two questions, per builtin model:
 //!
@@ -7,12 +7,13 @@
 //!    `ProgramGen`'s coding-tree walk saturate as the program budget
 //!    grows? The table reports distinct paths at checkpoints, plus how
 //!    few seeds corpus distillation needs to replay the final set.
-//! 2. **Fleet losslessness** — splitting the same budget into four
-//!    disjoint contiguous ranges (exactly what the `/v1/fuzz` fleet
-//!    coordinator does across instances) and merging the four coverage
-//!    maps must reproduce the single-instance map **exactly**. This is
-//!    the property that makes distributed fuzzing trustworthy, so it is
-//!    a hard gate: any mismatch exits non-zero.
+//! 2. **Range-split losslessness** — splitting the same budget into
+//!    four disjoint contiguous ranges (four `lisa-tool fuzz --start`
+//!    runs) and merging the four coverage maps with `CoverageMap::merge`
+//!    must reproduce the whole-range map **exactly**. Program `i` is a
+//!    pure function of `(seed, i)`, so split runs check exactly the
+//!    programs one run checks; this is a hard gate: any mismatch exits
+//!    non-zero.
 
 use std::fmt::Write as _;
 
@@ -27,12 +28,13 @@ const SEED: u64 = 0;
 const MAX_LEN: usize = 24;
 /// Checkpoints at which saturation is sampled.
 const CHECKPOINTS: [u64; 7] = [10, 50, 100, 250, 500, 1000, 2000];
-/// Instances in the simulated fleet split.
+/// Disjoint `--start` ranges the budget is split into.
 const INSTANCES: u64 = 4;
 
 fn main() {
     let mut out = String::new();
-    writeln!(out, "E17 — coverage-guided fuzzing: saturation and fleet losslessness").unwrap();
+    writeln!(out, "E17 — coverage-guided fuzzing: saturation and range-split losslessness")
+        .unwrap();
     writeln!(out).unwrap();
     writeln!(
         out,
@@ -80,8 +82,8 @@ fn main() {
         }
         assert!(replayed.covers(&single), "{name}: distilled replay lost paths");
 
-        // Fleet split: four disjoint contiguous ranges, merged. The
-        // merge must be byte-identical to the single-instance map.
+        // Range split: four disjoint contiguous ranges, merged. The
+        // merge must be identical to the whole-range map.
         let mut merged = CoverageMap::new();
         let chunk = BUDGET / INSTANCES;
         for i in 0..INSTANCES {
@@ -113,5 +115,5 @@ fn main() {
     .unwrap();
 
     print!("{out}");
-    assert!(all_lossless, "fleet split/merge must be lossless");
+    assert!(all_lossless, "range split/merge must be lossless");
 }

@@ -7,21 +7,21 @@
 //! group/reference field, recursively, ignoring operand (label) values.
 //! Paths are a pure function of `(model, word)`, so the same coverage is
 //! observed whether a word was freshly generated, replayed from a corpus
-//! file, or re-derived on another machine — the property distillation
-//! and fleet merging both rest on.
+//! file, or produced by another run over a disjoint `start` range — the
+//! property distillation and range merging both rest on.
 //!
 //! A [`CoverageMap`] counts path witnesses and merges as a
 //! **join-semilattice** (per-path `max`): merging is associative,
-//! commutative and idempotent, so per-instance maps fold into one fleet
-//! view in any grouping and re-reporting an instance cannot inflate
-//! coverage. [`distill`] computes a small sub-multiset of programs whose
-//! union covers every reached path (greedy set cover), which keeps a
-//! checked-in seed corpus minimal while coverage only grows.
+//! commutative and idempotent, so the maps of runs over disjoint ranges
+//! fold into one view in any grouping and merging a run twice cannot
+//! inflate coverage. [`distill`] computes a small sub-multiset of
+//! programs whose union covers every reached path (greedy set cover),
+//! which keeps a checked-in seed corpus minimal while coverage only
+//! grows.
 
 use std::collections::BTreeMap;
 
 use lisa_isa::Decoded;
-use lisa_metrics::json::{self, Value};
 
 /// The sentinel path for words that do not decode. Junk words exercise
 /// the shared decode-failure path, which is itself worth covering once.
@@ -123,50 +123,6 @@ impl CoverageMap {
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.paths.iter().map(|(&p, &c)| (p, c))
     }
-
-    /// Serializes as `{"paths": {"<16-hex path>": count, …}}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"paths\": {");
-        for (i, (path, count)) in self.paths.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{path:016x}\": {count}"));
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Parses the [`CoverageMap::to_json`] shape.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed field.
-    pub fn from_json(text: &str) -> Result<CoverageMap, String> {
-        let value = json::parse(text).map_err(|e| format!("bad coverage JSON: {e}"))?;
-        CoverageMap::from_value(&value)
-    }
-
-    /// Reads the map out of an already-parsed [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed field.
-    pub fn from_value(value: &Value) -> Result<CoverageMap, String> {
-        let Some(Value::Obj(fields)) = value.get("paths") else {
-            return Err("coverage is missing the `paths` object".to_owned());
-        };
-        let mut map = CoverageMap::new();
-        for (key, count) in fields {
-            let path = u64::from_str_radix(key, 16)
-                .map_err(|e| format!("bad coverage path `{key}`: {e}"))?;
-            let count =
-                count.as_u64().ok_or_else(|| format!("bad count for coverage path `{key}`"))?;
-            map.paths.insert(path, count);
-        }
-        Ok(map)
-    }
 }
 
 /// Greedy set cover over per-program coverage: returns the indices (into
@@ -234,15 +190,6 @@ mod tests {
         let b = map(&[2, 3]);
         assert!(a.covers(&b));
         assert!(!b.covers(&a));
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let m = map(&[7, 7, 0xdead_beef_dead_beef]);
-        let back = CoverageMap::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        assert!(CoverageMap::from_json("{}").is_err());
-        assert!(CoverageMap::from_json("{\"paths\": {\"zz\": 1}}").is_err());
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// First iteration index. Program `i` depends only on `(seed, i)`,
     /// so disjoint `start` ranges under one seed partition the program
-    /// space exactly — the basis for fleet fan-out.
+    /// space exactly, and merging their coverage equals one run over the
+    /// whole range (E17's losslessness gate).
     pub start: u64,
     /// Number of fresh programs to synthesize and check.
     pub iters: u64,
@@ -149,8 +150,8 @@ impl<'w> Fuzzer<'w> {
 
     /// [`Fuzzer::run`] with a stop guard, polled once per iteration.
     /// When the guard returns `true` the loop exits early with
-    /// `report.stopped` set — this is how the serve worker pool honors
-    /// request deadlines without aborting mid-oracle.
+    /// `report.stopped` set, without aborting mid-oracle. The repository
+    /// benchmark times the fuzz loop through it.
     pub fn run_guarded(&self, mut should_stop: impl FnMut() -> bool) -> FuzzReport {
         let handles = self.metrics.map(|reg| {
             (
@@ -275,31 +276,4 @@ pub struct Distilled {
     /// Union coverage of the selected programs — equal to the coverage
     /// of the full iteration range.
     pub coverage: CoverageMap,
-}
-
-/// Publishes a finished fuzz run into the `lisa_fuzz_*` metric family:
-/// per-model counters for programs checked and their outcomes, plus a
-/// `lisa_fuzz_paths_covered` gauge set to `paths_covered` (callers pass
-/// their *merged* per-model path count so the gauge stays monotone
-/// across requests).
-pub fn publish_fuzz(registry: &Registry, model: &str, report: &FuzzReport, paths_covered: usize) {
-    let labels = &[("model", model)];
-    registry
-        .counter("lisa_fuzz_programs_total", "Programs synthesized and oracle-checked.", labels)
-        .add(report.iterations);
-    registry
-        .counter("lisa_fuzz_halted_total", "Fuzzed programs that halted cleanly.", labels)
-        .add(report.halted);
-    registry
-        .counter("lisa_fuzz_budget_total", "Fuzzed programs that hit the cycle budget.", labels)
-        .add(report.budget);
-    registry
-        .counter("lisa_fuzz_errored_total", "Fuzzed programs where both backends errored.", labels)
-        .add(report.errored);
-    registry
-        .counter("lisa_fuzz_divergences_total", "Oracle divergences found while fuzzing.", labels)
-        .add(u64::from(report.failure.is_some()));
-    registry
-        .gauge("lisa_fuzz_paths_covered", "Distinct coding-tree paths covered.", labels)
-        .set(i64::try_from(paths_covered).unwrap_or(i64::MAX));
 }

@@ -25,11 +25,11 @@
 //! * [`corpus`] — reproducer files: persist shrunk failures, replay
 //!   them as regressions (with content-hash-verified loading);
 //! * [`coverage`] — coding-tree path coverage: a join-semilattice
-//!   [`CoverageMap`] that merges across fleet instances, plus greedy
-//!   corpus distillation;
+//!   [`CoverageMap`] that merges the coverage of disjoint `start` ranges,
+//!   plus greedy corpus distillation;
 //! * [`harness`] — the fuzz loop that ties it all together, plus fault
-//!   injection for validating the harness itself and `lisa_fuzz_*`
-//!   metric publication.
+//!   injection for validating the harness itself and the
+//!   `lisa_conform_*` metric counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub mod shrink;
 pub use corpus::{load_dir_verified, CorpusError, Reproducer};
 pub use coverage::{distill, path_key, CoverageMap};
 pub use gen::{GenError, ProgramGen};
-pub use harness::{publish_fuzz, Distilled, Failure, FuzzConfig, FuzzReport, Fuzzer};
+pub use harness::{Distilled, Failure, FuzzConfig, FuzzReport, Fuzzer};
 pub use oracle::{check_all, Fault, OracleKind, Outcome, Verdict};
 pub use rng::Rng;
 pub use shrink::shrink;

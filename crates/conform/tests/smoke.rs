@@ -1,6 +1,7 @@
 //! Bounded fuzzing smoke tests: every builtin model survives a short
-//! oracle-checked fuzzing run, and the harness proves it can catch an
-//! injected backend fault.
+//! oracle-checked fuzzing run, the harness proves it can catch an
+//! injected backend fault, disjoint `start` ranges merge losslessly and
+//! a guarded run stops when its guard fires.
 
 use lisa_conform::{Fault, FuzzConfig, Fuzzer, OracleKind};
 use lisa_models::Workbench;
@@ -106,6 +107,46 @@ fn fault_at_later_cycle_is_also_caught() {
     let fuzzer = Fuzzer::new(&wb, config).unwrap();
     let report = fuzzer.run();
     assert!(report.failure.is_some(), "fault at cycle 5 went undetected: {report:?}");
+}
+
+#[test]
+fn disjoint_start_ranges_merge_to_the_whole_range_run() {
+    // Program `i` is a pure function of `(seed, i)`, so two runs over
+    // the halves of a range see exactly what one run over it sees.
+    let wb = lisa_models::tinyrisc::workbench().unwrap();
+    let run = |start, iters| {
+        let config =
+            FuzzConfig { seed: 7, start, iters, max_len: 16, max_cycles: 2000, fault: None };
+        let report = Fuzzer::new(&wb, config).unwrap().run();
+        assert!(report.passed(), "{report:?}");
+        assert_eq!(report.iterations, iters);
+        report
+    };
+    let whole = run(0, 40);
+    assert!(!whole.coverage.is_empty());
+    let mut merged = run(0, 20).coverage;
+    merged.merge(&run(20, 20).coverage);
+    assert_eq!(merged, whole.coverage, "split coverage must equal whole-range coverage");
+}
+
+#[test]
+fn guarded_run_stops_when_the_guard_fires() {
+    let wb = lisa_models::tinyrisc::workbench().unwrap();
+    let config = FuzzConfig { seed: 0, iters: 100_000, ..FuzzConfig::default() };
+    let fuzzer = Fuzzer::new(&wb, config).unwrap();
+    let mut polls = 0;
+    let report = fuzzer.run_guarded(|| {
+        polls += 1;
+        polls > 3
+    });
+    assert!(report.stopped, "{report:?}");
+    assert_eq!(report.iterations, 3, "the guard is polled once per iteration");
+    assert!(report.passed());
+
+    let report = fuzzer.run_guarded(|| true);
+    assert!(report.stopped);
+    assert_eq!(report.iterations, 0);
+    assert!(report.coverage.is_empty());
 }
 
 /// A model without the workbench's halt flag, whose halt instruction

@@ -154,7 +154,7 @@ impl BatchReport {
         self.jobs.iter().all(|j| j.result.is_ok())
     }
 
-    /// Folds every successful job's profile into one fleet-level
+    /// Folds every successful job's profile into one merged
     /// [`ArchProfile`] (merge is associative and keyed by names, so jobs
     /// over different models combine meaningfully). `None` when no job
     /// carried a profile.

@@ -1,9 +1,9 @@
 //! Always-on runtime metrics for the LISA toolchain.
 //!
 //! `lisa-trace` gives *event-level* visibility into one run; this
-//! crate is the complementary layer the fleet needs: cheap **aggregate**
-//! metrics that stay on in production across millions of runs. The
-//! design follows the usual two-plane split:
+//! crate is the complementary layer a batch or a service needs: cheap
+//! **aggregate** metrics that stay on in production across millions of
+//! runs. The design follows the usual two-plane split:
 //!
 //! * the **hot plane** is lock-free: a [`Counter`], [`Gauge`] or
 //!   [`Histogram`] handle is an `Arc` around plain atomics, so

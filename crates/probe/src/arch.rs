@@ -17,7 +17,7 @@ use crate::heatmap::Heatmap;
 /// (or service requests) is associative and commutative with
 /// [`ArchProfile::default`] as identity, and profiling a concatenation
 /// of event streams equals merging the per-stream profiles, so per-run
-/// profiles fold into fleet-level views in any order. Keys are names,
+/// profiles fold into batch- or service-level views in any order. Keys are names,
 /// not model ids, so profiles of different models merge meaningfully.
 /// All maps are ordered, so two profiles of identical activity compare
 /// equal — the property the conformance harness uses to assert backend

@@ -7,7 +7,7 @@
 /// a narrower one, and [`Heatmap::merge`] (coarsen both sides to the
 /// larger bucket size, then add counts) is associative and commutative
 /// with the empty heatmap as identity — the property that lets
-/// per-run profiles fold into fleet aggregates in any order.
+/// per-run profiles fold into batch aggregates in any order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Heatmap {
     /// Elements per bucket (a power of two).

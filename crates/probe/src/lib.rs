@@ -19,7 +19,7 @@
 //!   execution and activation utilization, and bucketed memory
 //!   read/write [`Heatmap`]s. Merge is associative and commutative with
 //!   the empty profile as identity, so per-run profiles fold into
-//!   fleet- or service-level views in any order.
+//!   batch- or service-level views in any order.
 //! * [`ProbeRuntime`] — the per-simulator probe matcher: the simulator
 //!   hands it the writes a probe names, and it emits
 //!   `TraceEvent::ProbeHit` records for matched probes, counts hits and

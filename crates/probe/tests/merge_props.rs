@@ -2,7 +2,7 @@
 //! `Snapshot` merge suite: profiling a concatenation of event streams
 //! equals merging the per-stream profiles, and merge is associative and
 //! commutative with the empty profile as identity — so per-run
-//! architecture profiles fold into fleet aggregates in any order. Plus
+//! architecture profiles fold into batch aggregates in any order. Plus
 //! heatmap bucket boundary properties (coarsening and merging never
 //! lose accesses).
 

@@ -8,7 +8,6 @@
 
 use std::fmt::Write as _;
 
-use lisa_conform::{Distilled, FuzzReport, Reproducer};
 use lisa_metrics::json::{self, escape, Value};
 
 /// `POST /v1/assemble` body.
@@ -50,32 +49,6 @@ pub struct BatchRequest {
     pub workers: usize,
 }
 
-/// `POST /v1/fuzz` body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzRequest {
-    /// Builtin model name.
-    pub model: String,
-    /// Master seed (default 0); with `seed_start` it makes every
-    /// program a pure function of the request.
-    pub seed: u64,
-    /// First iteration index (default 0). Fleet coordinators assign
-    /// each instance a disjoint `[seed_start, seed_start + seed_count)`
-    /// range under one shared seed.
-    pub seed_start: u64,
-    /// Programs to synthesize and oracle-check (default 100).
-    pub seed_count: u64,
-    /// Maximum synthesized prefix length in words (default 24).
-    pub max_len: u64,
-    /// Cycle budget per simulated run (default 2000).
-    pub max_cycles: u64,
-    /// Inject a backend fault and demand the oracles catch it —
-    /// validates the whole pipeline over HTTP (default false).
-    pub self_check: bool,
-    /// Also distill the seed range to a minimal covering seed set
-    /// (default false).
-    pub distill: bool,
-}
-
 fn parse_object(body: &[u8]) -> Result<Value, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
     let value = json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
@@ -107,13 +80,6 @@ fn optional_u64(obj: &Value, key: &str, default: u64) -> Result<u64, String> {
         Some(v) => {
             v.as_u64().ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
         }
-    }
-}
-
-fn optional_bool(obj: &Value, key: &str, default: bool) -> Result<bool, String> {
-    match obj.get(key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| format!("field `{key}` must be a boolean")),
     }
 }
 
@@ -243,44 +209,6 @@ impl BatchRequest {
     }
 }
 
-impl FuzzRequest {
-    /// Parses the request body.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first schema violation.
-    pub fn from_json(body: &[u8]) -> Result<FuzzRequest, String> {
-        let obj = parse_object(body)?;
-        Ok(FuzzRequest {
-            model: required_str(&obj, "model")?,
-            seed: optional_u64(&obj, "seed", 0)?,
-            seed_start: optional_u64(&obj, "seed_start", 0)?,
-            seed_count: optional_u64(&obj, "seed_count", 100)?,
-            max_len: optional_u64(&obj, "max_len", 24)?,
-            max_cycles: optional_u64(&obj, "max_cycles", 2000)?,
-            self_check: optional_bool(&obj, "self_check", false)?,
-            distill: optional_bool(&obj, "distill", false)?,
-        })
-    }
-
-    /// Serializes to the wire shape (used by the fleet coordinator).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"model\": {}, \"seed\": {}, \"seed_start\": {}, \"seed_count\": {}, \
-             \"max_len\": {}, \"max_cycles\": {}, \"self_check\": {}, \"distill\": {}}}",
-            escape(&self.model),
-            self.seed,
-            self.seed_start,
-            self.seed_count,
-            self.max_len,
-            self.max_cycles,
-            self.self_check,
-            self.distill
-        )
-    }
-}
-
 /// Renders an error body: `{"error": "<message>"}`.
 #[must_use]
 pub fn error_body(message: &str) -> String {
@@ -372,104 +300,6 @@ pub fn batch_body(jobs: usize, failed: usize, total_cycles: u64, elapsed_us: u64
     )
 }
 
-/// Renders one reproducer as a JSON object (words as `0x…` strings, the
-/// same encoding the `.repro` corpus format uses).
-#[must_use]
-pub fn reproducer_json(rep: &Reproducer) -> String {
-    let mut out = format!(
-        "{{\"model\": {}, \"seed\": {}, \"oracle\": {}, \"content_hash\": \"{:016x}\", \
-         \"words\": [",
-        escape(&rep.model),
-        rep.seed,
-        escape(&rep.oracle),
-        rep.content_hash()
-    );
-    for (i, w) in rep.words.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{w:#x}\"");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Parses the [`reproducer_json`] shape back (used by the fleet
-/// coordinator on `/v1/fuzz` responses).
-///
-/// # Errors
-///
-/// A description of the first malformed field.
-pub fn reproducer_from_value(v: &Value) -> Result<Reproducer, String> {
-    let model =
-        v.get("model").and_then(Value::as_str).ok_or("reproducer is missing `model`")?.to_owned();
-    let seed = v.get("seed").and_then(Value::as_u64).ok_or("reproducer is missing `seed`")?;
-    let oracle =
-        v.get("oracle").and_then(Value::as_str).ok_or("reproducer is missing `oracle`")?.to_owned();
-    let mut words = Vec::new();
-    for item in v.get("words").and_then(Value::as_array).ok_or("reproducer is missing `words`")? {
-        let text = item.as_str().ok_or("reproducer words must be strings")?;
-        let digits = text.strip_prefix("0x").ok_or("reproducer words must be 0x-hex")?;
-        words.push(u128::from_str_radix(digits, 16).map_err(|e| format!("bad word: {e}"))?);
-    }
-    Ok(Reproducer { model, seed, oracle, words })
-}
-
-/// Renders the fuzz response: run counters, merged coverage, shrunk
-/// reproducers, and — when requested — the self-check outcome and the
-/// distilled seed set.
-#[must_use]
-pub fn fuzz_body(
-    req: &FuzzRequest,
-    report: &FuzzReport,
-    reproducers: &[Reproducer],
-    self_check_caught: Option<bool>,
-    distilled: Option<&Distilled>,
-) -> String {
-    let mut out = format!(
-        "{{\"model\": {}, \"seed\": {}, \"seed_start\": {}, \"iterations\": {}, \
-         \"halted\": {}, \"budget\": {}, \"errored\": {}, \"passed\": {}, \"stopped\": {}",
-        escape(&req.model),
-        req.seed,
-        req.seed_start,
-        report.iterations,
-        report.halted,
-        report.budget,
-        report.errored,
-        report.passed(),
-        report.stopped
-    );
-    let _ = write!(
-        out,
-        ", \"coverage\": {{\"paths\": {}, \"map\": {}}}",
-        report.coverage.len(),
-        report.coverage.to_json()
-    );
-    out.push_str(", \"reproducers\": [");
-    for (i, rep) in reproducers.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&reproducer_json(rep));
-    }
-    out.push(']');
-    if let Some(caught) = self_check_caught {
-        let _ = write!(out, ", \"self_check_caught\": {caught}");
-    }
-    if let Some(d) = distilled {
-        let _ = write!(out, ", \"distilled\": {{\"paths\": {}, \"indices\": [", d.coverage.len());
-        for (i, index) in d.indices.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{index}");
-        }
-        out.push_str("]}");
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,73 +350,6 @@ mod tests {
         }
         assert!(BatchRequest::from_json(b"{\"workers\": 0}").unwrap_err().contains("workers"));
         assert!(BatchRequest::from_json(b"{\"workers\": 17}").unwrap_err().contains("workers"));
-    }
-
-    #[test]
-    fn fuzz_request_defaults_and_round_trip() {
-        let req = FuzzRequest::from_json(br#"{"model": "tinyrisc"}"#).unwrap();
-        assert_eq!(req.seed, 0);
-        assert_eq!(req.seed_start, 0);
-        assert_eq!(req.seed_count, 100);
-        assert_eq!(req.max_len, 24);
-        assert_eq!(req.max_cycles, 2000);
-        assert!(!req.self_check);
-        assert!(!req.distill);
-
-        let full = FuzzRequest {
-            model: "vliw62".to_owned(),
-            seed: 9,
-            seed_start: 1000,
-            seed_count: 250,
-            max_len: 16,
-            max_cycles: 500,
-            self_check: true,
-            distill: true,
-        };
-        assert_eq!(FuzzRequest::from_json(full.to_json().as_bytes()).unwrap(), full);
-
-        let err = FuzzRequest::from_json(br#"{"model": "t", "seed_count": -1}"#).unwrap_err();
-        assert!(err.contains("seed_count"), "{err}");
-        let err = FuzzRequest::from_json(br#"{"model": "t", "self_check": 3}"#).unwrap_err();
-        assert!(err.contains("self_check"), "{err}");
-    }
-
-    #[test]
-    fn fuzz_body_is_valid_json_and_reproducers_round_trip() {
-        use lisa_conform::CoverageMap;
-        use lisa_metrics::json::parse;
-
-        let req = FuzzRequest::from_json(br#"{"model": "tinyrisc"}"#).unwrap();
-        let mut report = FuzzReport { iterations: 10, halted: 8, budget: 2, ..Default::default() };
-        report.coverage.record(0x1234);
-        report.coverage.record(0x5678);
-        let rep = Reproducer {
-            model: "tinyrisc".to_owned(),
-            seed: 0,
-            oracle: "lockstep".to_owned(),
-            words: vec![0xf000, 0x1a2b],
-        };
-        let distilled = Distilled { indices: vec![3, 7], coverage: report.coverage.clone() };
-        let body =
-            fuzz_body(&req, &report, std::slice::from_ref(&rep), Some(true), Some(&distilled));
-        let v = parse(&body).unwrap();
-        assert_eq!(v.get("iterations").unwrap().as_u64(), Some(10));
-        assert_eq!(v.get("passed").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("stopped").unwrap().as_bool(), Some(false));
-        let cov = v.get("coverage").unwrap();
-        assert_eq!(cov.get("paths").unwrap().as_u64(), Some(2));
-        assert!(CoverageMap::from_value(cov.get("map").unwrap()).unwrap().covers(&report.coverage));
-        assert_eq!(v.get("self_check_caught").unwrap().as_bool(), Some(true));
-        let d = v.get("distilled").unwrap();
-        assert_eq!(d.get("indices").unwrap().as_array().unwrap().len(), 2);
-
-        let reps = v.get("reproducers").unwrap().as_array().unwrap();
-        let back = reproducer_from_value(&reps[0]).unwrap();
-        assert_eq!(back, rep);
-        assert_eq!(
-            reps[0].get("content_hash").unwrap().as_str().unwrap(),
-            format!("{:016x}", rep.content_hash())
-        );
     }
 
     #[test]

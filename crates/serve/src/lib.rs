@@ -8,7 +8,6 @@
 //! | `/v1/assemble`      | POST   | assemble a program for a builtin model |
 //! | `/v1/simulate`      | POST   | run one program under a cycle budget and wall-clock deadline |
 //! | `/v1/batch`         | POST   | fan the kernel matrix out over the batch runner |
-//! | `/v1/fuzz`          | POST   | run the four-oracle conformance fuzzer over a seed range |
 //! | `/v1/models`        | GET    | list the builtin models |
 //! | `/metrics`          | GET    | Prometheus exposition of the shared registry |
 //! | `/v1/debug/spans`   | GET    | recent runtime spans (`?format=json\|chrome&limit=N`) |
@@ -17,21 +16,15 @@
 //! The module split mirrors the layering: [`http`] is the pure
 //! parser/serializer (no I/O, proptest-friendly), [`api`] the JSON
 //! bodies, [`service`] the router + handlers, [`server`] the TCP
-//! acceptor/worker-pool front end. On the client side, [`client`] is a
-//! minimal blocking HTTP client and [`fleet`] the coordinator that fans
-//! `/v1/fuzz` seed ranges across several instances and merges the
-//! results.
+//! acceptor/worker-pool front end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod client;
-pub mod fleet;
 pub mod http;
 pub mod server;
 pub mod service;
 
-pub use fleet::{fuzz_fleet, FleetConfig, FleetReport, InstanceReport};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
 pub use service::AppState;

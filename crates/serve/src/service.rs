@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lisa_conform::{publish_fuzz, CoverageMap, Fault, FuzzConfig, Fuzzer, Reproducer};
 use lisa_core::Model;
 use lisa_exec::{BatchObserver, BatchRunner};
 use lisa_metrics::Registry;
@@ -23,9 +22,7 @@ use lisa_sim::{
 };
 use lisa_spans::{export, SpanKind, SpanRecorder, SpanScope};
 
-use crate::api::{
-    self, AssembleRequest, BatchRequest, FuzzRequest, SimulateOutcome, SimulateRequest,
-};
+use crate::api::{self, AssembleRequest, BatchRequest, SimulateOutcome, SimulateRequest};
 use crate::http::{Request, Response};
 
 /// One builtin model, ready to serve requests.
@@ -39,7 +36,7 @@ pub struct ServedModel {
     /// Halt-flag resource.
     pub halt_flag: &'static str,
     /// The workbench over the same model: its program assembler serves
-    /// `/v1/assemble` and `/v1/simulate`, and `/v1/fuzz` runs on it.
+    /// `/v1/assemble` and `/v1/simulate`.
     pub workbench: Workbench,
     /// The arch counts of every `/v1/simulate` run on this model, summed:
     /// folded to names only when `/v1/debug/arch` or `/metrics` is read.
@@ -49,17 +46,6 @@ pub struct ServedModel {
 /// Span-ring capacity for the always-on request tracer: a flight
 /// recorder, large enough to hold several hundred request trees.
 const SPAN_CAPACITY: usize = 16 * 1024;
-
-/// Upper bound on `seed_count` per `/v1/fuzz` request — larger ranges
-/// belong to a coordinator fanning out chunks, not one request.
-const MAX_FUZZ_PROGRAMS: u64 = 100_000;
-
-/// Upper bound on `/v1/fuzz` `max_len` (matches the generator's image
-/// ceiling).
-const MAX_FUZZ_LEN: u64 = 2048;
-
-/// Upper bound on `/v1/fuzz` `max_cycles`.
-const MAX_FUZZ_CYCLES: u64 = 10_000_000;
 
 /// Shared service state: the models, each with the arch counts of its
 /// runs summed, the metrics registry and the span recorder.
@@ -73,9 +59,6 @@ pub struct AppState {
     /// Probe hits by label, merged across the `/v1/simulate` runs that
     /// set probes.
     arch_hits: Mutex<BTreeMap<String, u64>>,
-    /// Per-model coding-tree coverage merged across every `/v1/fuzz`
-    /// request, so the `lisa_fuzz_paths_covered` gauge is monotone.
-    fuzz_coverage: Mutex<BTreeMap<&'static str, CoverageMap>>,
     /// Process start, for the `lisa_uptime_seconds` gauge.
     started: Instant,
 }
@@ -120,7 +103,6 @@ impl AppState {
             spans,
             spans_dropped_published: AtomicU64::new(0),
             arch_hits: Mutex::default(),
-            fuzz_coverage: Mutex::new(BTreeMap::new()),
             started: Instant::now(),
         }
     }
@@ -213,11 +195,10 @@ impl AppState {
                 ("/v1/simulate", self.handle_simulate(&req.body, deadline, spans))
             }
             ("POST", "/v1/batch") => ("/v1/batch", self.handle_batch(&req.body, spans)),
-            ("POST", "/v1/fuzz") => ("/v1/fuzz", self.handle_fuzz(&req.body, deadline)),
             (
                 _,
                 "/healthz" | "/metrics" | "/v1/models" | "/v1/debug/spans" | "/v1/debug/arch"
-                | "/v1/assemble" | "/v1/simulate" | "/v1/batch" | "/v1/fuzz",
+                | "/v1/assemble" | "/v1/simulate" | "/v1/batch",
             ) => ("method_not_allowed", Response::json(405, api::error_body("method not allowed"))),
             _ => ("not_found", Response::json(404, api::error_body("no such route"))),
         }
@@ -408,79 +389,6 @@ impl AppState {
             }
             Err(SimulateError::Sim(msg)) => Response::json(422, api::error_body(&msg)),
         }
-    }
-
-    /// `POST /v1/fuzz`: run the four-oracle conformance fuzzer over one
-    /// iteration range. The request deadline is polled between
-    /// iterations; an expired deadline answers 504 rather than returning
-    /// a partial report, so fleet coordinators never merge truncated
-    /// coverage silently. Self-check requests (deliberate fault
-    /// injection) skip the `lisa_fuzz_*` metrics and the merged coverage
-    /// so they cannot pollute real conformance data.
-    fn handle_fuzz(&self, body: &[u8], deadline: Instant) -> Response {
-        let req = match FuzzRequest::from_json(body) {
-            Ok(r) => r,
-            Err(e) => return Response::json(400, api::error_body(&e)),
-        };
-        let Some(served) = self.model(&req.model) else {
-            return Response::json(404, api::error_body(&format!("unknown model `{}`", req.model)));
-        };
-        for (field, value, max) in [
-            ("seed_count", req.seed_count, MAX_FUZZ_PROGRAMS),
-            ("max_len", req.max_len, MAX_FUZZ_LEN),
-            ("max_cycles", req.max_cycles, MAX_FUZZ_CYCLES),
-        ] {
-            if value == 0 || value > max {
-                let message = format!("field `{field}` must be between 1 and {max}");
-                return Response::json(422, api::error_body(&message));
-            }
-        }
-        if req.seed_start.checked_add(req.seed_count).is_none() {
-            return Response::json(422, api::error_body("seed range overflows"));
-        }
-
-        let config = FuzzConfig {
-            seed: req.seed,
-            start: req.seed_start,
-            iters: req.seed_count,
-            max_len: req.max_len as usize,
-            max_cycles: req.max_cycles,
-            fault: req.self_check.then_some(Fault { at_cycle: 0 }),
-        };
-        let fuzzer = match Fuzzer::new(&served.workbench, config) {
-            Ok(f) => f,
-            Err(e) => return Response::json(500, api::error_body(&e.to_string())),
-        };
-        let report = fuzzer.run_guarded(|| Instant::now() >= deadline);
-        if report.stopped {
-            return Response::json(504, api::error_body("deadline exceeded"));
-        }
-        let reproducers: Vec<Reproducer> =
-            report.failure.iter().map(|f| fuzzer.reproducer(served.name, f)).collect();
-
-        if req.self_check {
-            let caught = report.failure.is_some();
-            if !caught {
-                return Response::json(
-                    500,
-                    api::error_body("self_check: injected backend fault was NOT caught"),
-                );
-            }
-            return Response::json(
-                200,
-                api::fuzz_body(&req, &report, &reproducers, Some(true), None),
-            );
-        }
-
-        let merged_paths = {
-            let mut merged = lock(&self.fuzz_coverage);
-            let entry = merged.entry(served.name).or_default();
-            entry.merge(&report.coverage);
-            entry.len()
-        };
-        publish_fuzz(&self.registry, served.name, &report, merged_paths);
-        let distilled = if req.distill { Some(fuzzer.distill()) } else { None };
-        Response::json(200, api::fuzz_body(&req, &report, &reproducers, None, distilled.as_ref()))
     }
 
     fn handle_batch(&self, body: &[u8], spans: Option<&SpanScope>) -> Response {
@@ -1002,132 +910,6 @@ mod tests {
         assert!(text.contains("lisa_arch_cycles"), "{text}");
 
         assert_eq!(post(&state, "/v1/debug/arch", "").status, 405);
-    }
-
-    #[test]
-    fn fuzz_happy_path_reports_coverage_and_metrics() {
-        use lisa_metrics::json;
-
-        let state = AppState::new();
-        let resp =
-            post(&state, "/v1/fuzz", r#"{"model": "tinyrisc", "seed_count": 20, "max_len": 8}"#);
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        assert_eq!(doc.get("iterations").and_then(json::Value::as_u64), Some(20));
-        assert_eq!(doc.get("passed").and_then(json::Value::as_bool), Some(true));
-        assert_eq!(doc.get("stopped").and_then(json::Value::as_bool), Some(false));
-        let paths = doc.get("coverage").unwrap().get("paths").and_then(json::Value::as_u64);
-        assert!(paths.unwrap() > 0, "no coverage recorded");
-        assert!(doc.get("reproducers").unwrap().as_array().unwrap().is_empty());
-
-        let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
-        assert!(text.contains("lisa_fuzz_programs_total{model=\"tinyrisc\"} 20"), "{text}");
-        assert!(text.contains("lisa_fuzz_paths_covered{model=\"tinyrisc\"}"), "{text}");
-        assert!(text.contains("lisa_fuzz_divergences_total{model=\"tinyrisc\"} 0"), "{text}");
-    }
-
-    #[test]
-    fn fuzz_coverage_gauge_is_monotone_across_requests() {
-        use lisa_metrics::{MetricKey, MetricValue};
-
-        let state = AppState::new();
-        let body = |start: u64| {
-            format!(r#"{{"model": "tinyrisc", "seed_start": {start}, "seed_count": 10}}"#)
-        };
-        let gauge = |state: &AppState| {
-            let snap = state.registry().snapshot();
-            let key = MetricKey::new("lisa_fuzz_paths_covered", &[("model", "tinyrisc")]);
-            match snap.metrics.get(&key) {
-                Some(&MetricValue::Gauge(v)) => v,
-                other => panic!("gauge missing: {other:?}"),
-            }
-        };
-        assert_eq!(post(&state, "/v1/fuzz", &body(0)).status, 200);
-        let first = gauge(&state);
-        assert_eq!(post(&state, "/v1/fuzz", &body(10)).status, 200);
-        let second = gauge(&state);
-        assert!(second >= first, "coverage gauge regressed: {first} -> {second}");
-        // Replaying the same range cannot shrink (or inflate) coverage.
-        assert_eq!(post(&state, "/v1/fuzz", &body(0)).status, 200);
-        assert_eq!(gauge(&state), second);
-    }
-
-    #[test]
-    fn fuzz_validates_the_request() {
-        let state = AppState::new();
-        assert_eq!(post(&state, "/v1/fuzz", "not json").status, 400);
-        assert_eq!(post(&state, "/v1/fuzz", r#"{"model": "z80"}"#).status, 404);
-        for bad in [
-            r#"{"model": "tinyrisc", "seed_count": 0}"#,
-            r#"{"model": "tinyrisc", "seed_count": 100000000}"#,
-            r#"{"model": "tinyrisc", "max_len": 0}"#,
-            r#"{"model": "tinyrisc", "max_len": 1000000}"#,
-            r#"{"model": "tinyrisc", "max_cycles": 0}"#,
-            r#"{"model": "tinyrisc", "seed_start": 18446744073709551615, "seed_count": 2}"#,
-        ] {
-            let resp = post(&state, "/v1/fuzz", bad);
-            assert_eq!(resp.status, 422, "{bad}: {}", String::from_utf8_lossy(&resp.body));
-        }
-        assert_eq!(get(&state, "/v1/fuzz").status, 405);
-    }
-
-    #[test]
-    fn fuzz_self_check_catches_and_shrinks_the_injected_fault() {
-        use lisa_metrics::json;
-
-        let state = AppState::new();
-        let resp = post(
-            &state,
-            "/v1/fuzz",
-            r#"{"model": "tinyrisc", "seed_count": 4, "self_check": true}"#,
-        );
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        assert_eq!(doc.get("self_check_caught").and_then(json::Value::as_bool), Some(true));
-        let reps = doc.get("reproducers").unwrap().as_array().unwrap();
-        assert_eq!(reps.len(), 1, "the injected fault must come back as a reproducer");
-        // A fault at cycle 0 diverges even on the empty (all-halt)
-        // image, so the minimal reproducer can be zero words.
-        let words = reps[0].get("words").unwrap().as_array().unwrap();
-        assert!(words.len() <= 4, "not shrunk: {} words", words.len());
-
-        // Deliberate faults never pollute the real conformance metrics.
-        let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
-        assert!(!text.contains("lisa_fuzz_divergences_total"), "{text}");
-    }
-
-    #[test]
-    fn fuzz_deadline_is_a_504() {
-        let state = AppState::new();
-        let req = Request {
-            method: "POST".to_owned(),
-            target: "/v1/fuzz".to_owned(),
-            http11: true,
-            headers: Vec::new(),
-            body: br#"{"model": "tinyrisc", "seed_count": 100000}"#.to_vec(),
-        };
-        let resp = state.dispatch(&req, Instant::now());
-        assert_eq!(resp.status, 504, "{}", String::from_utf8_lossy(&resp.body));
-    }
-
-    #[test]
-    fn fuzz_distill_covers_exactly_the_run() {
-        use lisa_metrics::json;
-
-        let state = AppState::new();
-        let resp = post(
-            &state,
-            "/v1/fuzz",
-            r#"{"model": "tinyrisc", "seed_count": 30, "max_len": 8, "distill": true}"#,
-        );
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        let run_paths =
-            doc.get("coverage").unwrap().get("paths").and_then(json::Value::as_u64).unwrap();
-        let distilled = doc.get("distilled").expect("distilled section");
-        assert_eq!(distilled.get("paths").and_then(json::Value::as_u64), Some(run_paths));
-        let indices = distilled.get("indices").unwrap().as_array().unwrap();
-        assert!(!indices.is_empty() && indices.len() <= 30);
     }
 
     #[test]

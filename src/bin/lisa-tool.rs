@@ -39,11 +39,7 @@
 //!     --max-len N               longest synthesized prefix (default 24)
 //!     --max-cycles N            cycle budget per run (default 2000)
 //!     --self-check              only validate the harness via fault injection
-//!     --remote ADDR             coordinate lisa-serve instances instead of fuzzing
-//!                               locally (repeatable; disjoint seed ranges per instance)
-//!     --timeout-ms N            per-instance request timeout with --remote (default 600000)
-//!     --report FILE             write the fleet report as JSON (with --remote)
-//!     --distill FILE            write the distilled covering seed set as JSON (local runs)
+//!     --distill FILE            write the distilled covering seed set as JSON
 //! lisa-tool bench  [options]                   benchmark models x backends x kernels
 //!     --quick                   reduced suite (1 kernel per model)
 //!     --repeats N               timed runs per cell (default 3, --quick 2)
@@ -147,7 +143,7 @@ fn command_flags(command: &str) -> Option<&'static str> {
         "batch" => "--workers= --mode= --profile --metrics= --spans=",
         "fuzz" => {
             "--model= --seed= --start= --iters= --corpus-dir= --max-len= --max-cycles= \
-             --self-check --metrics= --remote= --timeout-ms= --report= --distill="
+             --self-check --metrics= --distill="
         }
         "bench" => "--quick --repeats= --out= --metrics=",
         "serve" => "--addr= --workers= --queue= --timeout-ms= --once",
@@ -189,7 +185,7 @@ fn usage() -> String {
                     --spans FILE\n\
      fuzz options: --model M|all  --seed N  --start N  --iters N  --corpus-dir DIR\n\
                    --max-len N  --max-cycles N  --self-check  --metrics FILE\n\
-                   --remote ADDR (repeatable)  --timeout-ms N  --report FILE  --distill FILE\n\
+                   --distill FILE\n\
      bench options: --quick  --repeats N  --out DIR  --metrics FILE\n\
      serve options: --addr A  --workers N  --queue N  --timeout-ms N  --once\n\
      exit codes: 0 ok; 1 jobs failed / divergence; 2 usage or model error"
@@ -213,16 +209,6 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
-}
-
-/// Every value of a repeatable flag, in order (`--remote A --remote B`).
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
 }
 
 /// The builtin models, by their `@name` specs.
@@ -449,7 +435,7 @@ fn batch(args: &[String]) -> Result<(), CliError> {
     }
     dump_metrics(args, &registry)?;
     if let Some(merged) = report.merged_profile() {
-        println!("\nmerged fleet profile:");
+        println!("\nmerged profile:");
         print!("{}", merged.report());
     }
     if report.all_passed() {
@@ -525,8 +511,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Differential conformance fuzzing: replay the corpus, then synthesize
-/// fresh programs and run the full oracle stack on each — locally, or
-/// fanned out across lisa-serve instances with `--remote`.
+/// fresh programs and run the full oracle stack on each.
 fn fuzz(args: &[String]) -> Result<(), CliError> {
     let spec = flag_value(args, "--model")
         .or_else(|| args.get(1).map(String::as_str).filter(|a| !a.starts_with("--")))
@@ -541,8 +526,6 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
     };
     let corpus_dir = flag_value(args, "--corpus-dir").map(std::path::PathBuf::from);
     let self_check_only = has_flag(args, "--self-check");
-    let remotes: Vec<String> =
-        flag_values(args, "--remote").into_iter().map(str::to_owned).collect();
 
     // `fuzz` also names a builtin without its `@`.
     let builtin = format!("@{spec}");
@@ -559,10 +542,6 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
     if let Some(dir) = &corpus_dir {
         lisa::conform::corpus::load_dir_verified(dir)
             .map_err(|e| CliError::Failed(e.to_string()))?;
-    }
-
-    if !remotes.is_empty() {
-        return fuzz_fleet_cmd(args, &remotes, &specs, config, corpus_dir.as_deref());
     }
 
     let distill_path = flag_value(args, "--distill");
@@ -618,73 +597,6 @@ fn fuzz(args: &[String]) -> Result<(), CliError> {
         Ok(())
     } else {
         Err(CliError::Failed(format!("conformance failures in: {}", failed.join(", "))))
-    }
-}
-
-/// The `--remote` coordinator: fan disjoint seed ranges across
-/// lisa-serve instances, merge coverage, dedupe reproducers, and write
-/// the fleet report.
-fn fuzz_fleet_cmd(
-    args: &[String],
-    remotes: &[String],
-    specs: &[&str],
-    config: lisa::conform::FuzzConfig,
-    corpus_dir: Option<&std::path::Path>,
-) -> Result<(), CliError> {
-    use lisa::serve::fleet::{fuzz_fleet, FleetConfig};
-
-    let timeout = std::time::Duration::from_millis(parse_flag(args, "--timeout-ms", 600_000u64)?);
-    let self_check = has_flag(args, "--self-check");
-    let mut failed = Vec::new();
-    let mut report_json = String::from("{");
-    for (i, spec) in specs.iter().enumerate() {
-        let name = spec.trim_start_matches('@').to_owned();
-        let cfg = FleetConfig {
-            model: name.clone(),
-            seed: config.seed,
-            seed_start: config.start,
-            seed_count: config.iters,
-            max_len: config.max_len as u64,
-            max_cycles: config.max_cycles,
-            self_check,
-            timeout,
-        };
-        let report = fuzz_fleet(remotes, &cfg);
-        println!("== {name} across {} instance(s) ==", remotes.len());
-        print!("{}", report.table());
-        if let Some(dir) = corpus_dir {
-            for rep in &report.reproducers {
-                match rep.save(dir) {
-                    Ok(path) => println!("reproducer written to {}", path.display()),
-                    Err(e) => eprintln!("could not write reproducer: {e}"),
-                }
-            }
-        }
-        if i > 0 {
-            report_json.push_str(", ");
-        }
-        report_json.push_str(&format!("\"{name}\": {}", report.to_json()));
-        // A self-check fleet run *passes* when every instance caught the
-        // injected fault (each reports one divergence).
-        let ok = if self_check {
-            report.instances.iter().all(|inst| inst.error.is_none() && inst.found == 1)
-        } else {
-            report.passed()
-        };
-        if !ok {
-            failed.push(name);
-        }
-    }
-    report_json.push('}');
-    if let Some(path) = flag_value(args, "--report") {
-        fs::write(path, &report_json)
-            .map_err(|e| CliError::Usage(format!("cannot write fleet report to `{path}`: {e}")))?;
-        println!("fleet report written to {path}");
-    }
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Failed(format!("fleet conformance failures in: {}", failed.join(", "))))
     }
 }
 

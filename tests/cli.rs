@@ -123,10 +123,10 @@ fn batch_runs_the_kernel_matrix() {
     let out = run_ok(&["batch", "--workers", "2", "--mode", "interp"]);
     assert!(out.contains("0 failed"), "{out}");
     assert!(out.contains("on 2 workers"), "{out}");
-    assert!(!out.contains("merged fleet profile"), "no profile without --profile: {out}");
+    assert!(!out.contains("merged profile"), "no profile without --profile: {out}");
 
     let out = run_ok(&["batch", "--workers", "2", "--mode", "interp", "--profile"]);
-    assert!(out.contains("merged fleet profile"), "{out}");
+    assert!(out.contains("merged profile"), "{out}");
     assert!(out.contains("per-operation execution histogram"), "{out}");
     assert!(out.contains("stage"), "{out}");
 }
@@ -202,6 +202,7 @@ fn usage_and_model_errors_exit_2() {
         ),
         (&["run", "@tinyrisc", "--bogus-flag", "x"][..], "--bogus-flag"),
         (&["run", "@tinyrisc", "prog.s", "--max-steps"][..], "--max-steps"),
+        (&["fuzz", "--remote", "127.0.0.1:1"][..], "--remote"),
     ] {
         let output = lisa_tool().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "{args:?}");

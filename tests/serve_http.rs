@@ -179,8 +179,10 @@ fn rude_clients_get_clean_errors_never_panics() {
     );
     assert_eq!(parse_response(&raw).0, 501);
 
-    // Unknown path and wrong method.
+    // Unknown paths, the retired fuzz endpoint among them, and wrong method.
     let raw = send_raw(addr, &request("GET", "/nope", ""));
+    assert_eq!(parse_response(&raw).0, 404);
+    let raw = send_raw(addr, &request("POST", "/v1/fuzz", r#"{"model": "tinyrisc"}"#));
     assert_eq!(parse_response(&raw).0, 404);
     let raw = send_raw(addr, &request("DELETE", "/healthz", ""));
     assert_eq!(parse_response(&raw).0, 405);
@@ -199,136 +201,6 @@ fn rude_clients_get_clean_errors_never_panics() {
     // The server is still alive and sane after all of the above.
     let raw = send_raw(addr, &request("GET", "/healthz", ""));
     assert_eq!(parse_response(&raw).0, 200);
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn fuzz_endpoint_reports_coverage_and_metrics_over_http() {
-    let (addr, handle, _state, join) = boot(2, 16, 120_000);
-
-    let body = r#"{"model": "tinyrisc", "seed_count": 20, "max_len": 12, "max_cycles": 2000}"#;
-    let raw = send_raw(addr, &request("POST", "/v1/fuzz", body));
-    assert_eq!(parse_response(&raw).0, 200);
-    let report = body_json(&raw);
-    assert_eq!(report.get("iterations").and_then(json::Value::as_u64), Some(20));
-    assert_eq!(report.get("passed").and_then(json::Value::as_bool), Some(true));
-    assert_eq!(report.get("stopped").and_then(json::Value::as_bool), Some(false));
-    let paths = report
-        .get("coverage")
-        .and_then(|c| c.get("paths"))
-        .and_then(json::Value::as_u64)
-        .unwrap_or(0);
-    assert!(paths > 0, "a real run covers at least one coding-tree path");
-    let map = report
-        .get("coverage")
-        .and_then(|c| c.get("map"))
-        .and_then(|m| m.get("paths"))
-        .expect("coverage.map.paths object");
-    // Path keys over the wire are 16-hex-digit strings.
-    if let json::Value::Obj(entries) = map {
-        assert_eq!(entries.len() as u64, paths);
-        for (key, _) in entries {
-            assert!(
-                key.len() == 16 && key.chars().all(|c| c.is_ascii_hexdigit()),
-                "bad path key {key:?}"
-            );
-        }
-    } else {
-        panic!("coverage.map.paths is not an object: {map:?}");
-    }
-    assert_eq!(
-        report.get("reproducers").and_then(json::Value::as_array).map(<[json::Value]>::len),
-        Some(0)
-    );
-
-    // The run surfaces in the lisa_fuzz_* metric family.
-    let raw = send_raw(addr, &request("GET", "/metrics", ""));
-    let (_, body) = parse_response(&raw);
-    let text = String::from_utf8(body).expect("metrics text");
-    assert!(text.contains(r#"lisa_fuzz_programs_total{model="tinyrisc"} 20"#), "{text}");
-    assert!(text.contains("lisa_fuzz_paths_covered"), "{text}");
-    assert!(text.contains(r#"lisa_fuzz_divergences_total{model="tinyrisc"} 0"#), "{text}");
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn fuzz_endpoint_validates_requests_over_http() {
-    let (addr, handle, _state, join) = boot(2, 16, 10_000);
-
-    // Unknown model: 404.
-    let raw = send_raw(addr, &request("POST", "/v1/fuzz", r#"{"model": "pdp11"}"#));
-    assert_eq!(parse_response(&raw).0, 404);
-    assert!(body_json(&raw).get("error").is_some());
-
-    // Malformed ranges: well-formed JSON, semantically invalid → 422.
-    for body in [
-        r#"{"model": "tinyrisc", "seed_count": 0}"#,
-        r#"{"model": "tinyrisc", "seed_count": 10000000}"#,
-        r#"{"model": "tinyrisc", "seed_start": 18446744073709551615, "seed_count": 2}"#,
-        r#"{"model": "tinyrisc", "max_len": 0}"#,
-        r#"{"model": "tinyrisc", "max_cycles": 0}"#,
-    ] {
-        let raw = send_raw(addr, &request("POST", "/v1/fuzz", body));
-        assert_eq!(parse_response(&raw).0, 422, "expected 422 for {body}");
-        assert!(body_json(&raw).get("error").is_some(), "{body}");
-    }
-
-    // Broken JSON: 400. Wrong method: 405.
-    let raw = send_raw(addr, &request("POST", "/v1/fuzz", "{not json"));
-    assert_eq!(parse_response(&raw).0, 400);
-    let raw = send_raw(addr, &request("GET", "/v1/fuzz", ""));
-    assert_eq!(parse_response(&raw).0, 405);
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn fuzz_self_check_round_trips_a_shrunk_reproducer() {
-    let (addr, handle, _state, join) = boot(2, 16, 120_000);
-
-    let body = r#"{"model": "tinyrisc", "seed_count": 4, "self_check": true}"#;
-    let raw = send_raw(addr, &request("POST", "/v1/fuzz", body));
-    assert_eq!(parse_response(&raw).0, 200);
-    let report = body_json(&raw);
-    assert_eq!(report.get("self_check_caught").and_then(json::Value::as_bool), Some(true));
-    assert_eq!(report.get("passed").and_then(json::Value::as_bool), Some(false));
-    let reps = report.get("reproducers").and_then(json::Value::as_array).expect("reproducers");
-    assert_eq!(reps.len(), 1, "the injected fault yields exactly one reproducer");
-    let rep = &reps[0];
-    assert_eq!(rep.get("model").and_then(json::Value::as_str), Some("tinyrisc"));
-    assert!(rep.get("oracle").and_then(json::Value::as_str).is_some());
-    let hash = rep.get("content_hash").and_then(json::Value::as_str).expect("content_hash");
-    assert!(hash.len() == 16 && hash.chars().all(|c| c.is_ascii_hexdigit()), "{hash}");
-    let words = rep.get("words").and_then(json::Value::as_array).expect("words");
-    // ddmin shrinks the injected at-cycle-0 fault to a tiny prefix (a
-    // zero-word image is legitimate: the fault fires even on halt fill).
-    assert!(words.len() <= 4, "not shrunk: {} words", words.len());
-    for w in words {
-        let text = w.as_str().expect("hex word");
-        assert!(text.starts_with("0x"), "{text}");
-    }
-
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-#[test]
-fn fuzz_deadline_exhaustion_maps_to_504() {
-    // A 50 ms deadline cannot survive a 100k-program assignment; the
-    // guarded run must stop early and map to 504, not hang.
-    let (addr, handle, _state, join) = boot(2, 16, 50);
-
-    let body = r#"{"model": "tinyrisc", "seed_count": 100000, "max_len": 24}"#;
-    let raw = send_raw(addr, &request("POST", "/v1/fuzz", body));
-    assert_eq!(parse_response(&raw).0, 504);
-    let err = body_json(&raw);
-    let msg = err.get("error").and_then(json::Value::as_str).unwrap_or("");
-    assert!(msg.contains("deadline"), "{msg}");
 
     handle.shutdown();
     join.join().expect("server thread");
