@@ -1,14 +1,14 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error type for bit-value and bit-pattern construction and manipulation.
+/// Error type for bit-pattern construction and manipulation.
 ///
 /// # Examples
 ///
 /// ```
-/// use lisa_bits::{Bits, BitsError};
+/// use lisa_bits::{BitPattern, BitsError};
 ///
-/// let err = Bits::new(0, 1).unwrap_err();
+/// let err = "0b".parse::<BitPattern>().unwrap_err();
 /// assert!(matches!(err, BitsError::InvalidWidth { width: 0 }));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,27 +19,13 @@ pub enum BitsError {
         /// The offending width.
         width: u32,
     },
-    /// The value does not fit in the requested width.
-    ValueTooWide {
-        /// The offending value.
-        value: u128,
-        /// The target width.
-        width: u32,
-    },
-    /// Two operands had different widths where equal widths are required.
-    WidthMismatch {
-        /// Width of the left operand.
-        left: u32,
-        /// Width of the right operand.
-        right: u32,
-    },
-    /// A bit range `[lo, lo + len)` escapes the value's width.
+    /// A bit range `[lo, lo + len)` escapes the pattern's width.
     RangeOutOfBounds {
         /// Low bit index of the range.
         lo: u32,
         /// Length of the range in bits.
         len: u32,
-        /// Width of the value being indexed.
+        /// Width of the pattern being indexed.
         width: u32,
     },
     /// A bit-pattern literal contained a character other than `0`, `1`, `x`,
@@ -48,16 +34,10 @@ pub enum BitsError {
         /// The offending literal text.
         text: String,
     },
-    /// Concatenating two values or patterns would exceed [`MAX_WIDTH`](crate::MAX_WIDTH).
+    /// Concatenating two patterns would exceed [`MAX_WIDTH`](crate::MAX_WIDTH).
     ConcatTooWide {
         /// The combined width.
         width: u32,
-    },
-    /// A pattern with don't-care bits was used where a fully-specified
-    /// pattern is required (e.g. when encoding without field values).
-    UnderspecifiedPattern {
-        /// Number of don't-care bits in the pattern.
-        dont_cares: u32,
     },
 }
 
@@ -67,12 +47,6 @@ impl fmt::Display for BitsError {
             BitsError::InvalidWidth { width } => {
                 write!(f, "bit width {width} is not in 1..={}", crate::MAX_WIDTH)
             }
-            BitsError::ValueTooWide { value, width } => {
-                write!(f, "value {value:#x} does not fit in {width} bits")
-            }
-            BitsError::WidthMismatch { left, right } => {
-                write!(f, "operand widths differ: {left} vs {right}")
-            }
             BitsError::RangeOutOfBounds { lo, len, width } => {
                 write!(f, "bit range [{lo}, {}) escapes width {width}", lo + len)
             }
@@ -81,9 +55,6 @@ impl fmt::Display for BitsError {
             }
             BitsError::ConcatTooWide { width } => {
                 write!(f, "concatenated width {width} exceeds maximum {}", crate::MAX_WIDTH)
-            }
-            BitsError::UnderspecifiedPattern { dont_cares } => {
-                write!(f, "pattern has {dont_cares} unresolved don't-care bits")
             }
         }
     }
@@ -99,12 +70,9 @@ mod tests {
     fn display_messages_are_lowercase_and_specific() {
         let cases: Vec<(BitsError, &str)> = vec![
             (BitsError::InvalidWidth { width: 0 }, "bit width 0"),
-            (BitsError::ValueTooWide { value: 0x1ff, width: 8 }, "0x1ff"),
-            (BitsError::WidthMismatch { left: 8, right: 16 }, "8 vs 16"),
             (BitsError::RangeOutOfBounds { lo: 4, len: 8, width: 8 }, "[4, 12)"),
             (BitsError::InvalidPattern { text: "0b12".into() }, "`0b12`"),
             (BitsError::ConcatTooWide { width: 200 }, "200"),
-            (BitsError::UnderspecifiedPattern { dont_cares: 3 }, "3 unresolved"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

@@ -1,16 +1,15 @@
-//! Bit-accurate value substrate for the LISA toolchain.
+//! Bit-accurate value types for the LISA toolchain.
 //!
 //! LISA resource declarations give every storage object an exact bit width
 //! (`REGISTER bit[48] accu;`, `REGISTER bit carry;`), and instruction codings
 //! are sequences of `0`, `1` and don't-care `x` bits (`0b1001x110`). This
-//! crate provides the two corresponding value types used throughout the
-//! generated tools:
+//! crate provides the two corresponding types:
 //!
-//! * [`Bits`] — an arbitrary-width (1..=128) two's-complement value with
-//!   wrapping, saturating and bit-manipulation arithmetic, used for register
-//!   and memory contents and for instruction words;
+//! * [`Bits`] — an arbitrary-width (1..=128) two's-complement word, the
+//!   width-tagged value at API edges (`State::read`/`write` in `lisa-sim`,
+//!   golden checks); simulation itself computes on wrapped `i64` cells;
 //! * [`BitPattern`] — a ternary (`0`/`1`/`x`) bit string with matching,
-//!   encoding, field extraction and overlap analysis, used for `CODING`
+//!   concatenation and overlap analysis, used for `CODING`
 //!   sections and decoder construction.
 //!
 //! # Examples
@@ -19,8 +18,8 @@
 //! use lisa_bits::{Bits, BitPattern};
 //!
 //! # fn main() -> Result<(), lisa_bits::BitsError> {
-//! let accu = Bits::new(48, 0xFFFF_FFFF_FFFF)?;
-//! assert_eq!(accu.wrapping_add(Bits::new(48, 1)?).to_u128(), 0);
+//! let accu = Bits::from_u128_wrapped(48, 0x1_FFFF_FFFF_FFFF);
+//! assert_eq!(accu.to_u128(), 0xFFFF_FFFF_FFFF); // wrapped to 48 bits
 //!
 //! let pat: BitPattern = "0b1001x110".parse()?;
 //! assert!(pat.matches_u128(0b1001_0110));

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{mask, Bits, BitsError, MAX_WIDTH};
+use crate::{mask, BitsError, MAX_WIDTH};
 
 /// One ternary bit of a [`BitPattern`]: fixed `0`, fixed `1`, or don't-care.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,8 +32,8 @@ impl fmt::Display for Tern {
 /// instruction word and `x` matches always, while during encoding the same
 /// pattern generates the instruction word (don't-cares filled by operand
 /// fields). `BitPattern` captures exactly that: a `(mask, value)` pair plus
-/// width, with helpers for matching, encoding, concatenation, and overlap
-/// analysis used when the decoder is built.
+/// width, with helpers for matching, concatenation and overlap analysis used
+/// when the decoder is built.
 ///
 /// # Examples
 ///
@@ -85,17 +85,6 @@ impl BitPattern {
             }
         }
         Ok(BitPattern { width, fixed_mask, value })
-    }
-
-    /// Builds a fully-specified pattern from a concrete value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not in `1..=128` (the value is masked).
-    #[must_use]
-    pub fn from_value(width: u32, value: u128) -> Self {
-        let b = Bits::from_u128_wrapped(width, value);
-        BitPattern { width, fixed_mask: mask(width), value: b.to_u128() }
     }
 
     /// An all-don't-care pattern of `width` bits (a pure operand field).
@@ -150,39 +139,6 @@ impl BitPattern {
         word & self.fixed_mask == self.value
     }
 
-    /// Tests a [`Bits`] value of the same width against the pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::WidthMismatch`] if the widths differ.
-    pub fn matches(&self, word: &Bits) -> Result<bool, BitsError> {
-        if word.width() != self.width {
-            return Err(BitsError::WidthMismatch { left: self.width, right: word.width() });
-        }
-        Ok(self.matches_u128(word.to_u128()))
-    }
-
-    /// Encodes the pattern to a concrete word, requiring that every bit is
-    /// fixed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::UnderspecifiedPattern`] if don't-care bits
-    /// remain.
-    pub fn encode_exact(&self) -> Result<Bits, BitsError> {
-        if !self.is_fully_specified() {
-            return Err(BitsError::UnderspecifiedPattern { dont_cares: self.dont_care_count() });
-        }
-        Ok(Bits::from_u128_wrapped(self.width, self.value))
-    }
-
-    /// Encodes with don't-care bits forced to zero (used for canonical
-    /// encodings of patterns whose free bits are architectural zeros).
-    #[must_use]
-    pub fn encode_zero_filled(&self) -> Bits {
-        Bits::from_u128_wrapped(self.width, self.value)
-    }
-
     /// Concatenates `self` (high bits) with `low` (low bits), as coding
     /// elements concatenate left-to-right in a `CODING` section.
     ///
@@ -222,15 +178,6 @@ impl BitPattern {
     pub fn overlaps(&self, other: &BitPattern) -> bool {
         self.width == other.width
             && (self.value ^ other.value) & self.fixed_mask & other.fixed_mask == 0
-    }
-
-    /// Whether every word matching `other` also matches `self` (i.e.
-    /// `self` is the more general pattern). Used to rank alias encodings.
-    #[must_use]
-    pub fn subsumes(&self, other: &BitPattern) -> bool {
-        self.width == other.width
-            && self.fixed_mask & !other.fixed_mask == 0
-            && (self.value ^ other.value) & self.fixed_mask == 0
     }
 
     /// Ternary bit at position `index` (0 = least significant).
@@ -339,13 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_checks_width() {
-        let p = pat("0b10");
-        assert!(p.matches(&Bits::new(2, 0b10).unwrap()).unwrap());
-        assert!(p.matches(&Bits::new(3, 0b10).unwrap()).is_err());
-    }
-
-    #[test]
     fn concat_joins_high_to_low() {
         let hi = pat("0b10");
         let lo = pat("0bx1");
@@ -371,25 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn subsumption_orders_general_before_specific() {
-        assert!(pat("0b1xx").subsumes(&pat("0b1x0")));
-        assert!(pat("0b1xx").subsumes(&pat("0b111")));
-        assert!(!pat("0b1x0").subsumes(&pat("0b1xx")));
-        assert!(pat("0b1xx").subsumes(&pat("0b1xx")));
-        assert!(!pat("0b0xx").subsumes(&pat("0b111")));
-    }
-
-    #[test]
-    fn encode_exact_requires_full_specification() {
-        assert_eq!(pat("0b1010").encode_exact().unwrap().to_u128(), 0b1010);
-        assert!(matches!(
-            pat("0b1x10").encode_exact(),
-            Err(BitsError::UnderspecifiedPattern { dont_cares: 1 })
-        ));
-        assert_eq!(pat("0b1x10").encode_zero_filled().to_u128(), 0b1010);
-    }
-
-    #[test]
     fn tern_round_trip() {
         let p = pat("0b10x");
         assert_eq!(p.tern(0).unwrap(), Tern::DontCare);
@@ -398,13 +319,5 @@ mod tests {
         assert!(p.tern(3).is_err());
         let collected: Vec<Tern> = p.terns().collect();
         assert_eq!(BitPattern::from_terns(&collected).unwrap(), p);
-    }
-
-    #[test]
-    fn from_value_is_fully_specified() {
-        let p = BitPattern::from_value(8, 0x5A);
-        assert!(p.is_fully_specified());
-        assert!(p.matches_u128(0x5A));
-        assert!(!p.matches_u128(0x5B));
     }
 }

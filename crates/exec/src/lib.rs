@@ -53,7 +53,7 @@ mod report;
 mod runner;
 mod scenario;
 
-pub use observe::{BatchObserver, BatchProgress, Heartbeat};
+pub use observe::BatchObserver;
 pub use report::{BatchReport, JobOutcome, JobResult, LatencySummary};
 pub use runner::BatchRunner;
 pub use scenario::{run_scenario, run_scenario_with, Check, JobError, Scenario};

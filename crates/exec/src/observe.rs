@@ -1,65 +1,16 @@
-//! Batch observability: live progress heartbeats and metrics export.
+//! Batch observability: metrics export and wall-clock spans.
 //!
 //! [`BatchRunner::run`](crate::BatchRunner::run) is deliberately silent —
 //! it returns a deterministic report and nothing else. Long campaigns
-//! want more: a heartbeat while the batch runs (jobs done, failures so
-//! far, ETA) and counters/latency histograms accumulated into a
-//! [`lisa_metrics::Registry`] shared with the rest of the process.
-//! [`BatchObserver`] carries both concerns;
+//! want more: counters and latency histograms accumulated into a
+//! [`lisa_metrics::Registry`] shared with the rest of the process, and a
+//! span per job. [`BatchObserver`] carries both concerns;
 //! [`BatchRunner::run_observed`](crate::BatchRunner::run_observed)
 //! consumes one. Neither changes job outcomes: observed and unobserved
 //! runs of the same scenario list produce equal `jobs`.
 
-use std::time::Duration;
-
 use lisa_metrics::Registry;
 use lisa_spans::SpanScope;
-
-/// A point-in-time view of a running batch, handed to the heartbeat
-/// callback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchProgress {
-    /// Jobs in the batch.
-    pub total: usize,
-    /// Jobs finished (successes and failures).
-    pub done: usize,
-    /// Jobs finished with an error so far.
-    pub failed: usize,
-    /// Wall-clock time since the batch started.
-    pub elapsed: Duration,
-    /// Estimated time remaining, extrapolated from throughput so far
-    /// (`None` until the first job lands).
-    pub eta: Option<Duration>,
-}
-
-impl BatchProgress {
-    /// A one-line human-readable rendering, e.g.
-    /// `12/48 jobs (1 failed), 3.2 s elapsed, ETA 9.6 s`.
-    #[must_use]
-    pub fn line(&self) -> String {
-        let mut out = format!(
-            "{}/{} jobs ({} failed), {:.1} s elapsed",
-            self.done,
-            self.total,
-            self.failed,
-            self.elapsed.as_secs_f64()
-        );
-        if let Some(eta) = self.eta {
-            out.push_str(&format!(", ETA {:.1} s", eta.as_secs_f64()));
-        }
-        out
-    }
-}
-
-/// A periodic progress callback for a running batch.
-pub struct Heartbeat<'a> {
-    /// How often to emit (a final synchronous beat also fires when the
-    /// batch completes).
-    pub interval: Duration,
-    /// Receives each progress sample; called from a monitor thread, so
-    /// it must be `Sync` (e.g. write to stderr or a mutex-guarded log).
-    pub emit: Box<dyn Fn(&BatchProgress) + Sync + 'a>,
-}
 
 /// What to observe while a batch runs. The default observes nothing,
 /// making [`BatchRunner::run_observed`](crate::BatchRunner::run_observed)
@@ -70,8 +21,6 @@ pub struct BatchObserver<'a> {
     /// (`lisa_exec_jobs_{started,succeeded,failed,panicked}_total`) and
     /// the per-scenario `lisa_exec_job_duration_us` latency histogram.
     pub metrics: Option<&'a Registry>,
-    /// Periodic progress callback.
-    pub heartbeat: Option<Heartbeat<'a>>,
     /// Span context for wall-clock tracing: the batch becomes one
     /// `batch` root span with a worker-stamped `job` span (and its
     /// `job_queue_wait` split) per scenario, and the simulator phases of
@@ -83,7 +32,6 @@ impl std::fmt::Debug for BatchObserver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchObserver")
             .field("metrics", &self.metrics.is_some())
-            .field("heartbeat", &self.heartbeat.as_ref().map(|h| h.interval))
             .field("spans", &self.spans.is_some())
             .finish()
     }
@@ -100,18 +48,6 @@ impl<'a> BatchObserver<'a> {
     #[must_use]
     pub fn with_metrics(mut self, registry: &'a Registry) -> BatchObserver<'a> {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Emits a progress sample roughly every `interval` while the batch
-    /// runs, plus one final sample when it completes.
-    #[must_use]
-    pub fn with_heartbeat(
-        mut self,
-        interval: Duration,
-        emit: impl Fn(&BatchProgress) + Sync + 'a,
-    ) -> BatchObserver<'a> {
-        self.heartbeat = Some(Heartbeat { interval, emit: Box::new(emit) });
         self
     }
 

@@ -2,12 +2,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use lisa_spans::SpanKind;
 
-use crate::observe::{BatchObserver, BatchProgress};
+use crate::observe::BatchObserver;
 use crate::report::{BatchReport, JobOutcome};
 use crate::scenario::{run_scenario_with, JobError, Scenario};
 
@@ -93,8 +93,8 @@ impl BatchRunner {
 
     /// Runs every scenario like [`BatchRunner::run`], additionally
     /// feeding the given [`BatchObserver`]: job counters and latency
-    /// histograms into its metrics registry, and periodic
-    /// [`BatchProgress`] samples (with ETA) to its heartbeat.
+    /// histograms into its metrics registry, and a span per job to its
+    /// span scope.
     ///
     /// Observation never changes outcomes — `report.jobs` equals what an
     /// unobserved run produces.
@@ -105,8 +105,6 @@ impl BatchRunner {
         observer: &BatchObserver<'_>,
     ) -> BatchReport {
         let start = Instant::now();
-        let done = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(0);
 
         // Counter handles are interned once; the per-scenario latency
         // histogram is fetched per job (one short registry lock per
@@ -128,19 +126,6 @@ impl BatchRunner {
             )
         });
 
-        let progress = |done_now: usize, failed_now: usize| {
-            let elapsed = start.elapsed();
-            let eta = (done_now > 0 && done_now < scenarios.len())
-                .then(|| elapsed.mul_f64((scenarios.len() - done_now) as f64 / done_now as f64));
-            BatchProgress {
-                total: scenarios.len(),
-                done: done_now,
-                failed: failed_now,
-                elapsed,
-                eta,
-            }
-        };
-
         // When a span context is attached, the batch is one root span
         // and each job nests under it; the root guard commits when
         // `execute` returns.
@@ -151,90 +136,56 @@ impl BatchRunner {
             (root, jobs_scope, epoch)
         });
 
-        let finished = Mutex::new(false);
-        let wake = Condvar::new();
-        let results = std::thread::scope(|scope| {
-            if let Some(hb) = &observer.heartbeat {
-                scope.spawn(|| {
-                    let mut guard = finished.lock().expect("heartbeat lock");
-                    while !*guard {
-                        let (g, timeout) =
-                            wake.wait_timeout(guard, hb.interval).expect("heartbeat lock");
-                        guard = g;
-                        if !*guard && timeout.timed_out() {
-                            (hb.emit)(&progress(
-                                done.load(Ordering::Relaxed),
-                                failed.load(Ordering::Relaxed),
-                            ));
-                        }
-                    }
-                });
+        let results = self.execute(scenarios, |worker, _, sc| {
+            if let Some((started, _, _, _)) = &counters {
+                started.inc();
             }
-
-            let results = self.execute(scenarios, |worker, _, sc| {
-                if let Some((started, _, _, _)) = &counters {
-                    started.inc();
+            let job_start = Instant::now();
+            // Catch panics here (instead of leaving it to `execute`)
+            // so the panic outcome is counted and timed like any
+            // other failure.
+            let run = |spans: Option<&lisa_spans::SpanScope>| {
+                catch_unwind(AssertUnwindSafe(|| run_scenario_with(sc, spans)))
+                    .unwrap_or_else(|payload| Err(JobError::Panic(panic_text(&*payload))))
+            };
+            let result = match &span_root {
+                Some((_, jobs_scope, epoch)) => {
+                    let job_scope = jobs_scope.clone().with_worker(worker as u32);
+                    let claimed = job_scope.now_ns();
+                    // The simulator phases nest under the job span
+                    // while it is still open.
+                    let job = job_scope.start_at(SpanKind::Job, claimed);
+                    let sim_scope = job_scope.child(job.id());
+                    // Queue wait: batch start to the worker claiming
+                    // this job (the parallelism-limited share).
+                    sim_scope.record(
+                        SpanKind::JobQueueWait,
+                        *epoch,
+                        claimed.saturating_sub(*epoch),
+                    );
+                    run(Some(&sim_scope))
                 }
-                let job_start = Instant::now();
-                // Catch panics here (instead of leaving it to `execute`)
-                // so the panic outcome is counted and timed like any
-                // other failure.
-                let run = |spans: Option<&lisa_spans::SpanScope>| {
-                    catch_unwind(AssertUnwindSafe(|| run_scenario_with(sc, spans)))
-                        .unwrap_or_else(|payload| Err(JobError::Panic(panic_text(&*payload))))
-                };
-                let result = match &span_root {
-                    Some((_, jobs_scope, epoch)) => {
-                        let job_scope = jobs_scope.clone().with_worker(worker as u32);
-                        let claimed = job_scope.now_ns();
-                        // The simulator phases nest under the job span
-                        // while it is still open.
-                        let job = job_scope.start_at(SpanKind::Job, claimed);
-                        let sim_scope = job_scope.child(job.id());
-                        // Queue wait: batch start to the worker claiming
-                        // this job (the parallelism-limited share).
-                        sim_scope.record(
-                            SpanKind::JobQueueWait,
-                            *epoch,
-                            claimed.saturating_sub(*epoch),
-                        );
-                        run(Some(&sim_scope))
-                    }
-                    None => run(None),
-                };
-                if let Some((_, succeeded, failures, panicked)) = &counters {
-                    match &result {
-                        Ok(_) => succeeded.inc(),
-                        Err(JobError::Panic(_)) => panicked.inc(),
-                        Err(_) => failures.inc(),
-                    }
+                None => run(None),
+            };
+            if let Some((_, succeeded, failures, panicked)) = &counters {
+                match &result {
+                    Ok(_) => succeeded.inc(),
+                    Err(JobError::Panic(_)) => panicked.inc(),
+                    Err(_) => failures.inc(),
                 }
-                if let Some(reg) = observer.metrics {
-                    let micros = u64::try_from(job_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    reg.histogram(
-                        "lisa_exec_job_duration_us",
-                        "Wall-clock job duration in microseconds.",
-                        &[("scenario", &sc.name)],
-                    )
-                    .observe(micros);
-                }
-                if result.is_err() {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-                result
-            });
-
-            *finished.lock().expect("heartbeat lock") = true;
-            wake.notify_all();
-            results
+            }
+            if let Some(reg) = observer.metrics {
+                let micros = u64::try_from(job_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                reg.histogram(
+                    "lisa_exec_job_duration_us",
+                    "Wall-clock job duration in microseconds.",
+                    &[("scenario", &sc.name)],
+                )
+                .observe(micros);
+            }
+            result
         });
         drop(span_root);
-
-        if let Some(hb) = &observer.heartbeat {
-            // Final synchronous beat so consumers always see 100%.
-            (hb.emit)(&progress(done.load(Ordering::Relaxed), failed.load(Ordering::Relaxed)));
-        }
 
         let jobs = results
             .into_iter()
@@ -406,31 +357,6 @@ mod tests {
         assert!(spans.iter().all(|s| s.parent == 0 || ids.contains(&s.parent)));
         // Worker ordinals stay within the pool.
         assert!(spans.iter().filter(|s| s.kind == SpanKind::Job).all(|s| s.worker < 3));
-    }
-
-    #[test]
-    fn heartbeat_emits_a_final_complete_sample() {
-        let model = counter();
-        let scenarios: Vec<Scenario> = (0..4)
-            .map(|i| {
-                Scenario::new(format!("job{i}"), &model, SimMode::Interpretive)
-                    .halt_on("halt")
-                    .steps(100)
-            })
-            .collect();
-        let samples = Mutex::new(Vec::new());
-        let observer = BatchObserver::new()
-            .with_heartbeat(std::time::Duration::from_millis(1), |p: &crate::BatchProgress| {
-                samples.lock().unwrap().push(*p)
-            });
-        let report = BatchRunner::new(2).run_observed(&scenarios, &observer);
-        assert!(report.all_passed());
-        drop(observer);
-        let samples = samples.into_inner().unwrap();
-        let last = samples.last().expect("at least the final beat");
-        assert_eq!((last.total, last.done, last.failed), (4, 4, 0));
-        assert_eq!(last.eta, None, "nothing remains at completion");
-        assert!(last.line().contains("4/4 jobs (0 failed)"), "{}", last.line());
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl<'m> Assembler<'m> {
         // encoder decides, on the tree of the same match.
         let mut steps = Vec::new();
         self.match_statement(statement, labels, &mut steps)?;
-        Ok(self.build(&mut steps.iter()).encode(self.model)?.to_u128())
+        self.build(&mut steps.iter()).encode(self.model)
     }
 
     /// Renders a decoded instruction back to canonical assembly text.
@@ -687,7 +687,7 @@ mod tests {
 
         let decoded = asm.assemble_instruction("ADD B3, A1, B2").expect("assembles");
         let word = decoded.encode(&model).expect("encodes");
-        let back = decoder.decode(word.to_u128()).expect("decodes");
+        let back = decoder.decode(word).expect("decodes");
         assert_eq!(asm.disassemble(&back), "ADD B3, A1, B2");
     }
 
@@ -721,7 +721,7 @@ mod tests {
             let stmt = format!("ADDK A5, {imm}");
             let decoded = asm.assemble_instruction(&stmt).expect("assembles");
             let word = decoded.encode(&model).unwrap();
-            let back = decoder.decode(word.to_u128()).unwrap();
+            let back = decoder.decode(word).unwrap();
             assert_eq!(asm.disassemble(&back), stmt, "round trip of {imm}");
         }
     }
@@ -826,7 +826,7 @@ mod tests {
         for (statement, op) in [("ADD R1, R2", "add"), ("[R0] ADD R1, R2", "add")] {
             let decoded = asm.assemble_instruction(statement).expect("assembles");
             assert_eq!(instruction_name(&model, &decoded), op, "{statement}");
-            let back = decoder.decode(decoded.encode(&model).unwrap().to_u128()).unwrap();
+            let back = decoder.decode(decoded.encode(&model).unwrap()).unwrap();
             assert_eq!(asm.disassemble(&back), statement);
         }
     }
@@ -853,7 +853,7 @@ mod tests {
         let asm = Assembler::new(&model, &decoder);
         let decoded = asm.assemble_instruction("  200").expect("data word assembles");
         assert_eq!(instruction_name(&model, &decoded), "data");
-        assert_eq!(decoded.encode(&model).unwrap().to_u128(), 0b11_1100_1000);
+        assert_eq!(decoded.encode(&model).unwrap(), 0b11_1100_1000);
         assert!(matches!(asm.assemble_instruction("SUB R1, R2"), Err(IsaError::AsmNoMatch { .. })));
     }
 
@@ -877,8 +877,7 @@ mod tests {
         .expect("model builds");
         let decoder = Decoder::new(&model).unwrap();
         let asm = Assembler::new(&model, &decoder);
-        let exact =
-            |stmt: &str| asm.assemble_instruction(stmt)?.encode(&model).map(|b| b.to_u128());
+        let exact = |stmt: &str| asm.assemble_instruction(stmt)?.encode(&model);
         assert_eq!(asm.assemble_word("ODD 5", &|_| None), Ok(0b0101));
         let err = asm.assemble_word("ODD 3", &|_| None);
         assert!(matches!(err, Err(IsaError::LabelFixedBitConflict { .. })), "{err:?}");

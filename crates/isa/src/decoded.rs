@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use lisa_bits::Bits;
 use lisa_core::model::{CodingTarget, Model, OpId};
 
 use crate::IsaError;
@@ -91,7 +90,8 @@ impl Decoded {
         (0..n).map(|g| self.group_choice(model, g)).collect()
     }
 
-    /// Regenerates the instruction word for this decoded tree.
+    /// Regenerates the instruction word for this decoded tree: each
+    /// coding field's value ORed in at its offset.
     ///
     /// # Errors
     ///
@@ -99,17 +99,17 @@ impl Decoded {
     /// [`IsaError::LabelFixedBitConflict`] if a label value cannot be
     /// encoded, and [`IsaError::MalformedDecoded`] if a group/reference
     /// field has no child (hand-built trees only).
-    pub fn encode(&self, model: &Model) -> Result<Bits, IsaError> {
+    pub fn encode(&self, model: &Model) -> Result<u128, IsaError> {
         let operation = model.operation(self.op);
         let coding =
             operation.variants[self.variant].coding.as_ref().ok_or(IsaError::MalformedDecoded {
                 operation: operation.name.clone(),
                 missing: "a coding section",
             })?;
-        let mut word = Bits::zero(coding.width());
+        let mut word = 0u128;
         for (field, child) in coding.fields.iter().zip(&self.children) {
-            let bits = match &field.target {
-                CodingTarget::Pattern(p) => p.encode_zero_filled(),
+            let value = match &field.target {
+                CodingTarget::Pattern(p) => p.fixed_value(),
                 CodingTarget::Label { label, pattern } => {
                     let value = self.labels[*label];
                     if field.width < 128 && value >> field.width != 0 {
@@ -127,7 +127,7 @@ impl Decoded {
                             value,
                         });
                     }
-                    Bits::from_u128_wrapped(field.width, value)
+                    value
                 }
                 CodingTarget::Group(_) | CodingTarget::Op(_) => {
                     let child = child.as_deref().ok_or_else(|| IsaError::MalformedDecoded {
@@ -137,9 +137,7 @@ impl Decoded {
                     child.encode(model)?
                 }
             };
-            word = word
-                .insert(field.offset, bits.resize_zext(field.width))
-                .expect("field layout validated at model build");
+            word |= value << field.offset;
         }
         Ok(word)
     }

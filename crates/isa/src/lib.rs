@@ -49,9 +49,9 @@
 //!
 //! let decoded = asm.assemble_instruction("ADD A3, A1, A2")?;
 //! let word = decoded.encode(&model)?;
-//! assert_eq!(word.to_u128(), 0b0001_0011_0001_0010);
+//! assert_eq!(word, 0b0001_0011_0001_0010);
 //!
-//! let back = decoder.decode(word.to_u128())?;
+//! let back = decoder.decode(word)?;
 //! assert_eq!(asm.disassemble(&back), "ADD A3, A1, A2");
 //! # Ok(())
 //! # }

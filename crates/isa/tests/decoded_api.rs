@@ -96,7 +96,7 @@ fn encode_rejects_fixed_bit_conflict() {
     let err = decoded.encode(&conflicted).unwrap_err();
     assert!(matches!(err, IsaError::LabelFixedBitConflict { .. }), "{err}");
     decoded.labels[0] = 0b111;
-    assert_eq!(decoded.encode(&conflicted).unwrap().to_u128(), 0b111);
+    assert_eq!(decoded.encode(&conflicted).unwrap(), 0b111);
     let _ = imm;
 }
 

@@ -11,6 +11,7 @@
 //! | `/v1/models`        | GET    | list the builtin models |
 //! | `/metrics`          | GET    | Prometheus exposition of the shared registry |
 //! | `/v1/debug/spans`   | GET    | recent runtime spans (`?format=json\|chrome&limit=N`) |
+//! | `/v1/debug/arch`    | GET    | architectural profile merged over every `/v1/simulate` run |
 //! | `/healthz`          | GET    | liveness probe |
 //!
 //! The module split mirrors the layering: [`http`] is the pure

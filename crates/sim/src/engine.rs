@@ -947,14 +947,17 @@ impl<'m> Simulator<'m> {
         self.record(&TraceEvent::Activation { cycle: self.stats.cycles, from, to, delay });
     }
 
-    /// Reports a fetch of `word`; only the trace sees fetches, so callers
-    /// need no `observing` guard.
+    /// Fetches the instruction word held in the decode root `root` and
+    /// reports the fetch; only the trace sees fetches, so callers need no
+    /// `observing` guard.
     #[inline]
-    pub(crate) fn emit_fetch(&mut self, word: u128) {
+    pub(crate) fn fetch(&mut self, root: ResourceId) -> u128 {
+        let word = self.state.word_flat(root, 0).expect("model build keeps decode roots scalar");
         if self.tracing() {
             let event = TraceEvent::Fetch { cycle: self.stats.cycles, pc: self.current_pc(), word };
             self.record(&event);
         }
+        word
     }
 
     /// Decodes every word of all `PROGRAM_MEMORY` resources and binds it
@@ -1165,8 +1168,7 @@ impl<'m> Simulator<'m> {
         let decoded: Option<Arc<Decoded>> = match (&item.bind, operation.decode_root) {
             (Binding::Decoded(d), _) => Some(Arc::clone(d)),
             (_, Some(root_res)) => {
-                let word = self.state.scalar(root_res).to_u128();
-                self.emit_fetch(word);
+                let word = self.fetch(root_res);
                 Some(self.decode_word(word)?)
             }
             (_, None) => None,
@@ -1206,8 +1208,7 @@ impl<'m> Simulator<'m> {
             // Only `execute_decoded` schedules a decoded binding here.
             (Binding::Decoded(d), _) => t.bind(item.op, d),
             (Binding::Unbound, Some(root_res)) => {
-                let word = self.state.scalar(root_res).to_u128();
-                self.emit_fetch(word);
+                let word = self.fetch(root_res);
                 // The word's own routine, unless its decode names an
                 // operation other than this decode root.
                 let id = self.ops_decode_word(t, word)?;

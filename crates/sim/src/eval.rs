@@ -283,8 +283,7 @@ impl<'m> Simulator<'m> {
     fn invoke_unbound(&mut self, op: OpId) -> Result<(), SimError> {
         let operation = self.model.operation(op);
         if let Some(root_res) = operation.decode_root {
-            let word = self.state.scalar(root_res).to_u128();
-            self.emit_fetch(word);
+            let word = self.fetch(root_res);
             let decoded = self.decode_word(word)?;
             self.invoke_decoded(&decoded)?;
             self.stats.instructions_retired += 1;

@@ -2530,8 +2530,7 @@ impl Simulator<'_> {
             let id = t.unbound[op.0];
             return self.invoke_routine(t, op, id);
         };
-        let word = self.state.scalar(root_res).to_u128();
-        self.emit_fetch(word);
+        let word = self.fetch(root_res);
         let id = self.ops_decode_word(t, word)?;
         self.invoke_routine(t, t.store.decoded_op(id), id)?;
         self.stats.instructions_retired += 1;

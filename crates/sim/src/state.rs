@@ -204,11 +204,6 @@ impl State {
         (flat < e.len as usize).then_some((e, e.offset as usize + flat))
     }
 
-    /// The cell at `index` as raw bits of the extent's width.
-    fn bits(&self, e: &Extent, index: usize) -> Bits {
-        Bits::from_u128_wrapped(e.width, u128::from(self.cells[index] as u64))
-    }
-
     /// Reads a resource element as raw bits.
     ///
     /// # Errors
@@ -217,7 +212,7 @@ impl State {
     /// on bad addressing (scalars take an empty index slice).
     pub fn read(&self, res: &Resource, indices: &[i64]) -> Result<Bits, SimError> {
         let (e, index) = self.locate(res, indices)?;
-        Ok(self.bits(e, index))
+        Ok(Bits::from_u128_wrapped(e.width, u128::from(self.cells[index] as u64)))
     }
 
     /// Reads a resource element as an `i64`, honouring the declared
@@ -260,30 +255,6 @@ impl State {
         Ok(())
     }
 
-    /// Fast unchecked-by-id scalar read (panics on arrays), used by the
-    /// engine for control resources like the instruction register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range or the resource is not scalar.
-    #[must_use]
-    pub fn scalar(&self, id: ResourceId) -> Bits {
-        let e = &self.layout.extents[id.0];
-        assert!(e.dims.is_empty(), "resource is not scalar");
-        self.bits(e, e.offset as usize)
-    }
-
-    /// Fast scalar write counterpart of [`State::scalar`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range or the resource is not scalar.
-    pub fn set_scalar(&mut self, id: ResourceId, value: Bits) {
-        let e = &self.layout.extents[id.0];
-        assert!(e.dims.is_empty(), "resource is not scalar");
-        self.cells[e.offset as usize] = wrap_to_width(value.to_u128() as i64, e.width, e.signed);
-    }
-
     /// Direct flat read used by every backend's cycle loop: the cell,
     /// already sign- or zero-extended from the declared width.
     #[inline]
@@ -293,8 +264,10 @@ impl State {
 
     /// The declared-width bits of element `flat` of `id`, zero-extended:
     /// the instruction word a fetch of that element sees.
+    #[inline]
     pub(crate) fn word_flat(&self, id: ResourceId, flat: usize) -> Option<u128> {
-        self.index(id, flat).map(|(e, index)| self.bits(e, index).to_u128())
+        self.index(id, flat)
+            .map(|(e, index)| u128::from(wrap_to_width(self.cells[index], e.width, false) as u64))
     }
 
     /// Direct flat write used by every backend's cycle loop: the value
@@ -535,15 +508,15 @@ pub(crate) mod tests {
         assert_eq!(st.read(wide, &[]).unwrap().to_u128(), (1u128 << 40) - 2);
         assert_eq!(st.read_int(wide, &[]).unwrap(), (1 << 40) - 2);
         st.write(wide, &[], Bits::ones(128)).unwrap();
-        assert_eq!(st.scalar(wide.id), Bits::ones(40));
+        assert_eq!(st.read(wide, &[]).unwrap(), Bits::ones(40));
         let full = m.resource_by_name("full").unwrap();
         st.write_int(full, &[], i64::MIN).unwrap();
         assert_eq!(st.read_int(full, &[]).unwrap(), i64::MIN);
         assert_eq!(st.read(full, &[]).unwrap().to_u128(), 1u128 << 63);
         let tiny = m.resource_by_name("tiny").unwrap();
-        st.set_scalar(tiny.id, Bits::from_u128_wrapped(8, 0xff));
+        st.write(tiny, &[], Bits::from_u128_wrapped(8, 0xff)).unwrap();
         assert_eq!(st.read_int(tiny, &[]).unwrap(), 7);
-        assert_eq!(st.scalar(tiny.id).width(), 3);
+        assert_eq!(st.read(tiny, &[]).unwrap().width(), 3);
     }
 
     /// A state of one scalar resource with any width and signedness,
@@ -576,6 +549,7 @@ pub(crate) mod tests {
                     let bits = st.read(&res, &[]).unwrap();
                     assert_eq!(bits.to_u128(), u128::from(v as u64 & mask), "{at}");
                     assert_eq!(bits.width(), width, "{at}");
+                    assert_eq!(st.word_flat(res.id, 0), Some(bits.to_u128()), "{at}");
                 }
             }
         }

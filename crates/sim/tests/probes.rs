@@ -121,7 +121,6 @@ fn boot<'m>(model: &'m Model, mode: SimMode, program: &[&str]) -> Simulator<'m> 
                 .unwrap_or_else(|e| panic!("assemble `{stmt}`: {e}"))
                 .encode(model)
                 .expect("encodes")
-                .to_u128()
         })
         .collect();
     let mut sim = Simulator::new(model, mode).expect("simulator builds");

@@ -119,7 +119,6 @@ fn assemble_program(model: &Model, program: &[&str]) -> Vec<u128> {
                 .unwrap_or_else(|e| panic!("assemble `{stmt}`: {e}"))
                 .encode(model)
                 .expect("encodes")
-                .to_u128()
         })
         .collect()
 }

@@ -201,29 +201,6 @@ impl TraceEvent {
             TraceEvent::ProbeHit { .. } => TraceKind::ProbeHit,
         }
     }
-
-    /// The operation the event is attributed to, if any.
-    #[must_use]
-    pub fn op(&self) -> Option<OpId> {
-        match *self {
-            TraceEvent::Decode { op, .. }
-            | TraceEvent::Exec { op, .. }
-            | TraceEvent::Activation { to: op, .. }
-            | TraceEvent::Print { op, .. } => Some(op),
-            _ => None,
-        }
-    }
-
-    /// The program counter the event carries, if any.
-    #[must_use]
-    pub fn pc(&self) -> Option<i64> {
-        match *self {
-            TraceEvent::Fetch { pc, .. }
-            | TraceEvent::Decode { pc, .. }
-            | TraceEvent::Exec { pc, .. } => Some(pc),
-            _ => None,
-        }
-    }
 }
 
 /// An owned snapshot of a model's name space: operation, resource and
@@ -487,15 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn event_accessors_expose_cycle_kind_op_pc() {
+    fn event_accessors_expose_cycle_and_kind() {
         let ev = TraceEvent::Decode { cycle: 11, pc: 4, word: 0xff, op: OpId(1), cache_hit: true };
         assert_eq!(ev.cycle(), 11);
         assert_eq!(ev.kind(), TraceKind::Decode);
         assert_eq!(ev.kind().name(), "decode");
-        assert_eq!(ev.op(), Some(OpId(1)));
-        assert_eq!(ev.pc(), Some(4));
         let st = TraceEvent::Stall { cycle: 2, pipe: PipelineId(0), upto: 1 };
-        assert_eq!(st.op(), None);
-        assert_eq!(st.pc(), None);
+        assert_eq!(st.cycle(), 2);
+        assert_eq!(st.kind(), TraceKind::Stall);
     }
 }

@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("assembled program:");
     for stmt in program {
         let word = asm.assemble_instruction(stmt)?.encode(&model)?;
-        println!("  {:04x}  {stmt}", word.to_u128());
-        words.push(word.to_u128());
+        println!("  {word:04x}  {stmt}");
+        words.push(word);
     }
 
     // 3. Generated disassembler: bits → text (round trip).

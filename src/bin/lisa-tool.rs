@@ -171,25 +171,27 @@ fn check_flags(command: &str, flags: &str, args: &[String]) -> Result<(), String
 }
 
 fn usage() -> String {
-    "usage: lisa-tool <check|stats|doc|asm|disasm|run|trace|profile|inspect|batch|fuzz|bench|serve> <model> [...]\n\
-     model: a .lisa file or @vliw62 | @accu16 | @scalar2 | @tinyrisc\n\
-     run options: --mode interp|compiled|ops  --max-steps N  --trace  --dump RES[:N]\n\
-                  --probe EXPR  --arch-profile FILE  --metrics FILE  --packet N\n\
-     trace options: --out FILE  --vcd  --spans  --probe EXPR  --metrics FILE\n\
-                    --mode M  --max-steps N  --packet N\n\
-     profile/inspect options: --probe EXPR  --json  --metrics FILE\n\
-                              --mode M  --max-steps N  --packet N\n\
-     asm/disasm options: -o FILE  --packet N\n\
-     batch options: --workers N  --mode interp|compiled|ops|both|all  --profile\n\
-                    --metrics FILE\n\
-                    --spans FILE\n\
-     fuzz options: --model M|all  --seed N  --start N  --iters N  --corpus-dir DIR\n\
-                   --max-len N  --max-cycles N  --self-check  --metrics FILE\n\
-                   --distill FILE\n\
-     bench options: --quick  --repeats N  --out DIR  --metrics FILE\n\
-     serve options: --addr A  --workers N  --queue N  --timeout-ms N  --once\n\
-     exit codes: 0 ok; 1 jobs failed / divergence; 2 usage or model error"
-        .to_owned()
+    [
+        "usage: lisa-tool <check|stats|doc|asm|disasm|run|trace|profile|inspect|batch|fuzz|bench|serve> <model> [...]",
+        "model: a .lisa file or @vliw62 | @accu16 | @scalar2 | @tinyrisc",
+        "run options: --mode interp|compiled|ops  --max-steps N  --trace  --dump RES[:N]",
+        "             --probe EXPR  --arch-profile FILE  --metrics FILE  --packet N",
+        "trace options: --out FILE  --vcd  --spans  --probe EXPR  --metrics FILE",
+        "               --mode M  --max-steps N  --packet N",
+        "profile/inspect options: --probe EXPR  --json  --metrics FILE",
+        "                         --mode M  --max-steps N  --packet N",
+        "asm/disasm options: -o FILE  --packet N",
+        "batch options: --workers N  --mode interp|compiled|ops|both|all  --profile",
+        "               --metrics FILE",
+        "               --spans FILE",
+        "fuzz options: --model M|all  --seed N  --start N  --iters N  --corpus-dir DIR",
+        "              --max-len N  --max-cycles N  --self-check  --metrics FILE",
+        "              --distill FILE",
+        "bench options: --quick  --repeats N  --out DIR  --metrics FILE",
+        "serve options: --addr A  --workers N  --queue N  --timeout-ms N  --once",
+        "exit codes: 0 ok; 1 jobs failed / divergence; 2 usage or model error",
+    ]
+    .join("\n")
 }
 
 /// Writes the registry's snapshot in Prometheus text format when the
@@ -401,13 +403,6 @@ fn batch(args: &[String]) -> Result<(), CliError> {
 
     let registry = Registry::new();
     let mut observer = lisa::exec::BatchObserver::new().with_metrics(&registry);
-    // Live heartbeat with ETA when a human is watching; file/pipe
-    // consumers (tests, CI logs) get the silent deterministic output.
-    if std::io::IsTerminal::is_terminal(&std::io::stderr()) {
-        observer = observer.with_heartbeat(std::time::Duration::from_secs(1), |p| {
-            eprintln!("batch: {}", p.line());
-        });
-    }
     let spans = flag_value(args, "--spans").map(|path| {
         let recorder = std::sync::Arc::new(lisa::spans::SpanRecorder::new(1 << 18));
         recorder.set_enabled(true);

@@ -22,13 +22,13 @@ fn round_trip(name: &str, decoder: &Decoder<'_>, word: u128) {
     let assembled = asm
         .assemble_instruction(&text)
         .unwrap_or_else(|e| panic!("{name}: `{text}` (from {word:#x}) does not assemble: {e}"));
-    let again = assembled.encode(model).expect("assembled tree encodes").to_u128();
+    let again = assembled.encode(model).expect("assembled tree encodes");
     let second = decoder.decode(again).expect("assembled word decodes");
     let text_again = asm.disassemble(&second);
     assert_eq!(text_again, text, "{name}: listing of {word:#x} is not a fixed point");
     let reassembled = asm.assemble_instruction(&text_again).expect("fixed-point text assembles");
     assert_eq!(
-        reassembled.encode(model).expect("encodes").to_u128(),
+        reassembled.encode(model).expect("encodes"),
         again,
         "{name}: `{text}` assembles to two different words"
     );

@@ -176,6 +176,10 @@ fn usage_and_model_errors_exit_2() {
 
     let output = lisa_tool().output().unwrap();
     assert_eq!(output.status.code(), Some(2), "no arguments is a usage error");
+    // Continuation lines of the usage text stay indented under their
+    // command's options.
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("\n             --probe EXPR"), "{stderr}");
 
     let output = lisa_tool().args(["batch", "--mode", "sideways"]).output().unwrap();
     assert_eq!(output.status.code(), Some(2));

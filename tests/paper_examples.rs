@@ -134,7 +134,7 @@ fn example_4_operation_groups_and_translation_rule() {
 
     // The paper's assembly statement.
     let decoded = asm.assemble_instruction("ADD .D A4, A3, A15").expect("assembles");
-    let word = decoded.encode(&model).expect("encodes").to_u128();
+    let word = decoded.encode(&model).expect("encodes");
 
     // Field placement: Dest(5) Src2(5) Src1(5) 0b1000000 0b10000.
     // Dest = A15 → index 15; Src2 = A3 → 3; Src1 = A4 → 4.

@@ -91,7 +91,7 @@ proptest! {
         let asm = Assembler::new(wb.model(), &decoder);
         let decoded = asm.assemble_instruction(&stmt).expect("assembles");
         let word = decoded.encode(wb.model()).expect("encodes");
-        let back = decoder.decode(word.to_u128()).expect("decodes");
+        let back = decoder.decode(word).expect("decodes");
         prop_assert_eq!(asm.disassemble(&back), stmt);
     }
 
@@ -105,7 +105,7 @@ proptest! {
             let stmt = format!("{m} {}, {imm}", reg_name(dst.0, dst.1));
             let decoded = asm.assemble_instruction(&stmt).expect("assembles");
             let word = decoded.encode(wb.model()).expect("encodes");
-            let back = decoder.decode(word.to_u128()).expect("decodes");
+            let back = decoder.decode(word).expect("decodes");
             prop_assert_eq!(asm.disassemble(&back), stmt);
         }
     }
@@ -128,7 +128,7 @@ proptest! {
         );
         let decoded = asm.assemble_instruction(&stmt).expect("assembles");
         let word = decoded.encode(wb.model()).expect("encodes");
-        let back = decoder.decode(word.to_u128()).expect("decodes");
+        let back = decoder.decode(word).expect("decodes");
         prop_assert_eq!(asm.disassemble(&back), stmt);
     }
 
@@ -141,7 +141,7 @@ proptest! {
         let decoder = Decoder::new(wb.model()).expect("decoder");
         if let Ok(decoded) = decoder.decode(u128::from(word)) {
             let encoded = decoded.encode(wb.model()).expect("encodes");
-            let again = decoder.decode(encoded.to_u128()).expect("re-decodes");
+            let again = decoder.decode(encoded).expect("re-decodes");
             prop_assert_eq!(&decoded, &again, "decode is stable under re-encoding");
         }
     }
@@ -175,8 +175,8 @@ proptest! {
             let text = asm.disassemble(&decoded);
             let re = asm.assemble_instruction(&text)
                 .unwrap_or_else(|e| panic!("canonical text must re-assemble: {text:?}: {e}"));
-            let canon1 = decoded.encode(wb.model()).expect("encodes").to_u128();
-            let canon2 = re.encode(wb.model()).expect("encodes").to_u128();
+            let canon1 = decoded.encode(wb.model()).expect("encodes");
+            let canon2 = re.encode(wb.model()).expect("encodes");
             prop_assert_eq!(canon1, canon2, "text: {}", text);
         }
     }
