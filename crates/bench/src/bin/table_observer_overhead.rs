@@ -1,7 +1,7 @@
 //! Experiments E10, E12, E14 and E16: cost of observing a simulation —
-//! the event trace (`lisa-trace`), boundary metrics (`lisa-metrics`),
-//! cycle-loop spans (`lisa-spans`), probes and the architecture profile
-//! (`lisa-probe`).
+//! the simulator's event trace, boundary metrics (`lisa-metrics`),
+//! cycle-loop spans (`lisa-spans`), and the simulator's probes and
+//! architecture profile.
 //!
 //! Every observation hook in both backends sits behind one
 //! `Option`-is-some branch, so with nothing installed a simulation must
@@ -11,7 +11,7 @@
 //! * **plain** — nothing installed: the disabled path every user pays
 //!   by default. Measured twice; the second pass is the gated **off**
 //!   column, so the gate also bounds measurement noise honestly.
-//! * **metrics** — the run plus `publish_metrics` into a warm registry,
+//! * **metrics** — the run plus `publish_stats` into a warm registry,
 //!   the publish timed with the run: what an instrumented run pays at
 //!   its boundary. Gated.
 //! * **spans-off** — a span scope on a *disabled* recorder: one
@@ -20,7 +20,7 @@
 //!   and a ring write per chunk.
 //! * **trace** — `set_trace(true)`: every event recorded, in order,
 //!   into the simulator's trace buffer.
-//! * **empty** — a probe runtime compiled from the empty spec: no probe
+//! * **empty** — a probe set compiled from the empty spec: no probe
 //!   can match and nothing is counted. Gated.
 //! * **silent** — armed watch/break probes that never fire (an
 //!   unreachable breakpoint PC plus a watch on the top data-memory
@@ -54,7 +54,7 @@ use lisa_bench::sampler::{geomean, median, sample_rounds, Arm};
 use lisa_core::ast::ResourceClass;
 use lisa_metrics::Registry;
 use lisa_models::{kernels, Workbench};
-use lisa_sim::{ProbeSet, ProbeSpec, SimMode, Simulator};
+use lisa_sim::{publish_stats, ProbeSet, ProbeSpec, SimMode, Simulator};
 use lisa_spans::{SpanRecorder, SpanScope};
 
 /// The observation configurations under test, in table order (the arms
@@ -102,7 +102,7 @@ fn configs<'a>(
     [
         ops(),
         ops(),
-        ops().finish(|sim| sim.publish_metrics(registry)),
+        ops().finish(|sim| publish_stats(registry, sim.stats(), sim.mode().metric_label())),
         ops().setup(scope(false)),
         ops().setup(scope(true)),
         ops().setup(|sim| sim.set_trace(true)),
@@ -177,16 +177,17 @@ fn main() -> ExitCode {
         (1..NAMES.len()).map(|i| format!("{} {:.1}%", NAMES[i], geo_ovh(i))).collect();
     writeln!(out, "geometric-mean overheads vs plain: {}", means.join(", ")).unwrap();
 
-    // Raw boundary-publish cost: how long one `publish_metrics` takes
-    // once this thread holds the series handles.
+    // Raw boundary-publish cost: how long one `publish_stats` of a whole
+    // kernel run takes once this thread holds the series handles.
     let (_, wb, suite) = &suites[0];
     let mut sim = kernels::load_kernel(wb, &suite[0], SimMode::Ops).expect("kernel loads");
     wb.run_to_halt(&mut sim, suite[0].max_steps).expect("kernel halts");
-    sim.publish_metrics(&registry);
+    let publish = || publish_stats(&registry, sim.stats(), sim.mode().metric_label());
+    publish();
     let publishes = 10_000u32;
     let t = Instant::now();
     for _ in 0..publishes {
-        sim.publish_metrics(&registry);
+        publish();
     }
     let per_publish = t.elapsed() / publishes;
     writeln!(out, "per-publish boundary cost: {per_publish:?} (amortized over a whole run)")

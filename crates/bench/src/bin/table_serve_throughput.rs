@@ -57,7 +57,6 @@ fn boot(
         workers,
         queue: 256,
         timeout: Duration::from_secs(30),
-        once: false,
         ..ServeConfig::default()
     };
     let state = Arc::new(AppState::new());

@@ -11,7 +11,7 @@
 //! never stored.
 
 use lisa_metrics::{json, Registry};
-use lisa_sim::SimMode;
+use lisa_sim::{publish_stats, SimMode};
 
 use crate::model_suites;
 use crate::sampler::{sample_rounds, Arm, Samples, BUDGET_CYCLES};
@@ -132,7 +132,7 @@ pub fn measure(quick: bool, repeats: u32, metrics: Option<&Registry>) -> BenchRe
     let arms = modes.map(|mode| {
         Arm::new(mode).check(move |sim| {
             if let Some(reg) = metrics {
-                sim.publish_metrics(reg);
+                publish_stats(reg, sim.stats(), sim.mode().metric_label());
             }
         })
     });

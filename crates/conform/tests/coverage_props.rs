@@ -1,5 +1,5 @@
 //! Property tests for the coverage algebra and corpus distillation,
-//! mirroring the merge suites in `lisa-probe` and `lisa-metrics`. The
+//! mirroring the merge suites in `lisa-sim` and `lisa-metrics`. The
 //! coverage maps of fuzz runs over disjoint `--start` ranges fold in any
 //! order, and merging one run twice must not inflate anything, so the
 //! merge must be a join-semilattice: associative, commutative, and

@@ -1,7 +1,7 @@
 //! Always-on runtime metrics for the LISA toolchain.
 //!
-//! `lisa-trace` gives *event-level* visibility into one run; this
-//! crate is the complementary layer a batch or a service needs: cheap
+//! The simulator's trace gives *event-level* visibility into one run;
+//! this crate is the complementary layer a batch or a service needs: cheap
 //! **aggregate** metrics that stay on in production across millions of
 //! runs. The design follows the usual two-plane split:
 //!

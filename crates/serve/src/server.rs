@@ -49,8 +49,6 @@ pub struct ServeConfig {
     pub timeout: Duration,
     /// Serve a single connection, then return (deterministic tests).
     pub once: bool,
-    /// HTTP parsing limits.
-    pub limits: Limits,
 }
 
 impl Default for ServeConfig {
@@ -61,7 +59,6 @@ impl Default for ServeConfig {
             queue: 64,
             timeout: Duration::from_millis(5000),
             once: false,
-            limits: Limits::default(),
         }
     }
 }
@@ -355,6 +352,7 @@ fn handle_connection(
     config: &ServeConfig,
     stop: &AtomicBool,
 ) {
+    let limits = Limits::default();
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
 
@@ -376,7 +374,7 @@ fn handle_connection(
 
         // Accumulate bytes until one full request parses.
         let request = loop {
-            match parse_request(&buf, &config.limits) {
+            match parse_request(&buf, &limits) {
                 Ok(Some((request, consumed))) => {
                     buf.drain(..consumed);
                     break request;

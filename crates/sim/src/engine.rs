@@ -22,11 +22,12 @@ use lisa_bits::Bits;
 use lisa_core::ast::ResourceClass;
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
 use lisa_isa::{Decoded, Decoder};
-use lisa_probe::{ArchProfile, Heatmap, ProbeRuntime, ProbeSet};
 use lisa_spans::{SpanKind, SpanScope};
-use lisa_trace::{NameTable, TraceEvent};
 
 use crate::ops::{ModelImage, OpsTables, RoutineId};
+use crate::probe::ProbeSet;
+use crate::profile::{ArchCounts, ArchProfile};
+use crate::trace::{NameTable, TraceEvent};
 use crate::{SimError, SimStats, State};
 
 /// An operation instance scheduled for execution: the operation plus its
@@ -74,9 +75,61 @@ pub(crate) struct PipeState {
 pub(crate) struct Observer {
     /// The recorded trace events, in order, when tracing is enabled.
     pub events: Option<Vec<TraceEvent>>,
-    /// Architectural probes, when installed: the writes a probe names
-    /// are handed to it for matching.
-    pub probes: Option<Box<ProbeRuntime>>,
+    /// The installed probe set: the writes a probe names are matched
+    /// against it.
+    pub probes: Option<ProbeSet>,
+    /// Hits by probe id of the installed set.
+    hits: Vec<u64>,
+    /// The latched breakpoint stop: `(probe id, pc)`.
+    stop: Option<(u16, i64)>,
+}
+
+impl Observer {
+    /// Installs `set` (or removes the probes, with `None`), with its hit
+    /// counts at zero and no stop latched.
+    fn install(&mut self, set: Option<ProbeSet>) {
+        self.hits = vec![0; set.as_ref().map_or(0, ProbeSet::len)];
+        self.stop = None;
+        self.probes = set;
+    }
+
+    /// Matches a write of `value` to flat element `addr` of `resource` at
+    /// `cycle` against the installed watchpoints and PC probes. Each hit
+    /// is counted and, while tracing, recorded as a
+    /// [`TraceEvent::ProbeHit`]; the first breakpoint hit latches a stop.
+    #[inline]
+    fn match_write(&mut self, cycle: u64, resource: ResourceId, addr: u64, value: i64) {
+        let Observer { events, probes: Some(set), hits, stop } = self else { return };
+        let mut hit = |probe: u16| {
+            hits[usize::from(probe)] += 1;
+            if let Some(events) = events.as_mut() {
+                events.push(TraceEvent::ProbeHit { cycle, probe, resource, addr, value });
+            }
+        };
+        if let Some(watches) = set.watches.get(resource.0) {
+            for &(lo, hi, probe) in watches {
+                if addr >= lo && addr < hi {
+                    hit(probe);
+                }
+            }
+        }
+        // PC breakpoints and tracepoints ride the same write funnel:
+        // in every backend a control-flow change is an ordinary write
+        // to the PROGRAM_COUNTER resource.
+        if set.pc_res == Some(resource.0) {
+            for &(pc, probe) in &set.traces {
+                if pc == value {
+                    hit(probe);
+                }
+            }
+            for &(pc, probe) in &set.breaks {
+                if pc == value {
+                    hit(probe);
+                    stop.get_or_insert((probe, pc));
+                }
+            }
+        }
+    }
 }
 
 /// What a write to one resource, or a behavior execution or an
@@ -95,7 +148,7 @@ pub(crate) enum Route {
     /// Only the profile listens: count the event.
     Count,
     /// Hand the event on (a write: memory write heat, the trace and the
-    /// probe runtime), counting it first when `count`.
+    /// probes), counting it first when `count`.
     Emit { count: bool },
 }
 
@@ -109,17 +162,9 @@ impl Route {
     }
 }
 
-/// Cap on heatmap buckets per memory resource; bucket sizes scale with
-/// the resource so small memories keep per-cell resolution.
-const MAX_HEAT_BUCKETS: u64 = 64;
-
-/// Cap on the hot-PC table: program counters past this many words of
-/// program memory are counted as instructions but not attributed.
-const MAX_HOT_PCS: u64 = 1 << 16;
-
 /// The profile's [`ArchCounts`], in the one home both backends bump at
 /// their event points, with the routes that decide which events reach
-/// them, the trace and the probe runtime. The tables are laid out from
+/// them, the trace and the probes. The tables are laid out from
 /// the model when the profile is enabled ([`Counters::enable`]) and
 /// stay empty until then, so an event point reached with the profile
 /// off finds no slot. Zeroed by [`Simulator::restart_profile`].
@@ -154,7 +199,7 @@ impl Counters {
         self.writes.clear();
         self.units = Route::Skip;
         let Some(obs) = observer else { return };
-        let set = obs.probes.as_deref().map(ProbeRuntime::probe_set);
+        let set = obs.probes.as_ref();
         let (profiling, tracing) = (self.profiling, obs.events.is_some());
         let heat = &self.counts.write_heat;
         self.writes.extend(model.resources().iter().map(|r| {
@@ -171,212 +216,6 @@ impl Counters {
     fn restart(&mut self, now: u64) {
         self.start = now;
         self.counts.clear();
-    }
-}
-
-/// The raw counts of an arch profile, id-indexed against one model:
-/// cycles, instructions and hot PCs, register writes, behavior
-/// executions and activations per operation, stalls and flushes per
-/// stage, and read and write heat per memory. A simulator bumps one
-/// while it runs; [`Simulator::add_arch_counts_into`] adds a run's
-/// counts into a sum, so many runs of one model are summed with
-/// elementwise adds and folded to names once, by [`ArchCounts::fold`],
-/// when the profile is read.
-///
-/// A sum holds the counts of one model's runs: adding runs of another
-/// model into it is a logic error.
-#[derive(Debug, Clone, Default)]
-pub struct ArchCounts {
-    /// Runs added into these counts (0 for a simulator's own).
-    runs: u64,
-    /// Control steps covered. A simulator's own counts leave this at
-    /// zero: it knows the steps covered from its cycle count.
-    cycles: u64,
-    /// Instructions decoded.
-    instructions: u64,
-    /// Writes to non-memory resources.
-    register_writes: u64,
-    /// Behavior executions, by [`OpId`].
-    op_execs: Vec<u64>,
-    /// Activations, by target [`OpId`].
-    unit_acts: Vec<u64>,
-    /// Decodes per program-counter value from `pc_base` on: one slot
-    /// per word of the model's first program memory, up to
-    /// [`MAX_HOT_PCS`].
-    hot_pcs: Vec<u64>,
-    /// The program-counter value of `hot_pcs[0]`.
-    pc_base: i64,
-    /// Stalls that held each stage, by pipeline id and stage index.
-    stalls: Vec<Vec<u64>>,
-    /// Flushes that covered each stage, laid out like `stalls`.
-    flushes: Vec<Vec<u64>>,
-    /// Read heat by resource id (`None` for a non-memory resource).
-    read_heat: Vec<Option<Heatmap>>,
-    /// Write heat, laid out like `read_heat`.
-    write_heat: Vec<Option<Heatmap>>,
-}
-
-/// Adds `from` into `into` elementwise, growing `into` to fit.
-fn add_counts(into: &mut Vec<u64>, from: &[u64]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), 0);
-    }
-    for (sum, n) in into.iter_mut().zip(from) {
-        *sum += n;
-    }
-}
-
-/// `"pipeline.stage"`, the stage key of profiles.
-fn stage_key(model: &Model, pipe: PipelineId, stage: usize) -> String {
-    let pipeline = model.pipeline(pipe);
-    format!("{}.{}", pipeline.name, pipeline.stages[stage])
-}
-
-impl ArchCounts {
-    /// Zeroed counts with every table laid out from the model.
-    fn of(model: &Model) -> ArchCounts {
-        let op_execs = vec![0; model.operations().len()];
-        let stalls: Vec<Vec<u64>> = model.pipelines().iter().map(|p| vec![0; p.depth()]).collect();
-        let read_heat: Vec<Option<Heatmap>> = model
-            .resources()
-            .iter()
-            .map(|r| {
-                matches!(r.class, ResourceClass::DataMemory | ResourceClass::ProgramMemory)
-                    .then(|| Heatmap::for_elements(r.element_count(), MAX_HEAT_BUCKETS))
-            })
-            .collect();
-        let pmem = model.resources().iter().find(|r| r.class == ResourceClass::ProgramMemory);
-        let base = pmem.and_then(|r| r.dims.first()).map_or(0, |d| d.base());
-        ArchCounts {
-            unit_acts: op_execs.clone(),
-            op_execs,
-            flushes: stalls.clone(),
-            stalls,
-            write_heat: read_heat.clone(),
-            read_heat,
-            pc_base: i64::try_from(base).unwrap_or(i64::MAX),
-            hot_pcs: vec![0; pmem.map_or(0, |r| r.element_count().min(MAX_HOT_PCS) as usize)],
-            ..ArchCounts::default()
-        }
-    }
-
-    /// Zeroes every count, keeping the layout.
-    fn clear(&mut self) {
-        self.cycles = 0;
-        self.instructions = 0;
-        self.register_writes = 0;
-        let tables = [&mut self.op_execs, &mut self.unit_acts, &mut self.hot_pcs];
-        for counts in tables.into_iter().chain(&mut self.stalls).chain(&mut self.flushes) {
-            counts.fill(0);
-        }
-        for heat in self.read_heat.iter_mut().chain(&mut self.write_heat).flatten() {
-            heat.counts.clear();
-        }
-    }
-
-    /// Adds `other`'s counts, covering `cycles` control steps, into
-    /// these. Arrays add elementwise; a heatmap of one resource has one
-    /// bucket size, so heat adds bucket by bucket.
-    fn add(&mut self, other: &ArchCounts, cycles: u64) {
-        self.runs += 1;
-        self.cycles += cycles;
-        self.instructions += other.instructions;
-        self.register_writes += other.register_writes;
-        self.pc_base = other.pc_base;
-        add_counts(&mut self.op_execs, &other.op_execs);
-        add_counts(&mut self.unit_acts, &other.unit_acts);
-        add_counts(&mut self.hot_pcs, &other.hot_pcs);
-        for (into, from) in [(&mut self.stalls, &other.stalls), (&mut self.flushes, &other.flushes)]
-        {
-            into.resize_with(into.len().max(from.len()), Vec::new);
-            for (sum, counts) in into.iter_mut().zip(from) {
-                add_counts(sum, counts);
-            }
-        }
-        for (into, from) in
-            [(&mut self.read_heat, &other.read_heat), (&mut self.write_heat, &other.write_heat)]
-        {
-            into.resize(into.len().max(from.len()), None);
-            for (sum, heat) in into.iter_mut().zip(from) {
-                if let Some(heat) = heat {
-                    sum.get_or_insert_with(Heatmap::new).merge(heat);
-                }
-            }
-        }
-    }
-
-    /// Counts a decode with the program counter at `pc`, and its hot PC
-    /// inside the program-memory window.
-    fn decode(&mut self, pc: i64) {
-        self.instructions += 1;
-        let slot = pc.checked_sub(self.pc_base).and_then(|i| usize::try_from(i).ok());
-        if let Some(count) = slot.and_then(|i| self.hot_pcs.get_mut(i)) {
-            *count += 1;
-        }
-    }
-
-    /// Adds one to stages `0..=upto` of `pipe` in `table` (the whole
-    /// pipeline when `upto` is `None`).
-    fn hold(table: &mut [Vec<u64>], pipe: PipelineId, upto: Option<usize>) {
-        if let Some(stages) = table.get_mut(pipe.0) {
-            let held = upto.map_or(stages.len(), |s| s + 1);
-            for count in stages.iter_mut().take(held) {
-                *count += 1;
-            }
-        }
-    }
-
-    /// How many runs [`Simulator::add_arch_counts_into`] added into these
-    /// counts.
-    #[must_use]
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// The profile of these counts, keyed by the names of `model` (the
-    /// model they were counted on), with no probe hits; stage occupancy
-    /// is derived from each executed operation's static stage.
-    #[must_use]
-    pub fn fold(&self, model: &Model) -> ArchProfile {
-        let mut profile = ArchProfile {
-            cycles: self.cycles,
-            instructions: self.instructions,
-            register_writes: self.register_writes,
-            ..ArchProfile::default()
-        };
-        for (i, &n) in self.op_execs.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            let operation = model.operation(OpId(i));
-            *profile.op_execs.entry(operation.name.clone()).or_default() += n;
-            if let Some((pipe, stage)) = operation.stage {
-                *profile.stage_busy.entry(stage_key(model, pipe, stage)).or_default() += n;
-            }
-        }
-        for (i, &n) in self.unit_acts.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            *profile.unit_activations.entry(model.operation(OpId(i)).name.clone()).or_default() +=
-                n;
-        }
-        for (i, &n) in self.hot_pcs.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            profile.hot_pcs.insert(self.pc_base + i as i64, n);
-        }
-        for (table, map) in
-            [(&self.stalls, &mut profile.stage_stalls), (&self.flushes, &mut profile.stage_flushes)]
-        {
-            for (p, stages) in table.iter().enumerate() {
-                for (s, &n) in stages.iter().enumerate().filter(|&(_, &n)| n > 0) {
-                    map.insert(stage_key(model, PipelineId(p), s), n);
-                }
-            }
-        }
-        for (heats, map) in
-            [(&self.read_heat, &mut profile.read_heat), (&self.write_heat, &mut profile.write_heat)]
-        {
-            for (i, heat) in heats.iter().enumerate() {
-                if let Some(heat) = heat.as_ref().filter(|h| !h.is_empty()) {
-                    map.insert(model.resource(ResourceId(i)).name.clone(), heat.clone());
-                }
-            }
-        }
-        profile
     }
 }
 
@@ -470,9 +309,6 @@ pub struct Simulator<'m> {
     /// The profile's event counters and write routes.
     pub(crate) counters: Counters,
     pub(crate) pc_res: Option<ResourceId>,
-    /// Stats values already exported by `publish_metrics`, so repeated
-    /// publishes add only the delta accumulated in between.
-    pub(crate) metrics_published: SimStats,
     /// Wall-clock span context, when a caller attached one. `None` keeps
     /// the run loops on their unobserved fast path.
     pub(crate) spans: Option<SpanScope>,
@@ -539,7 +375,6 @@ impl<'m> Simulator<'m> {
             observer: None,
             counters: Counters::default(),
             pc_res,
-            metrics_published: SimStats::default(),
             spans: None,
             step_ready: Vec::new(),
             step_keep: Vec::new(),
@@ -603,8 +438,8 @@ impl<'m> Simulator<'m> {
     /// Restarts the profile at the current cycle: the simulator's
     /// [`Counters`] and the probe hit counts.
     pub(crate) fn restart_profile(&mut self) {
-        if let Some(runtime) = self.runtime_mut() {
-            runtime.restart();
+        if let Some(obs) = self.observer.as_mut() {
+            obs.hits.fill(0);
         }
         self.counters.restart(self.stats.cycles);
     }
@@ -661,11 +496,7 @@ impl<'m> Simulator<'m> {
     /// counts restart at zero for the new probes. A running architecture
     /// profile is not touched: it keeps its counters and start cycle.
     pub fn set_probes(&mut self, set: ProbeSet) {
-        let obs = self.observer_mut();
-        match obs.probes.as_mut() {
-            Some(runtime) => runtime.set_probes(set),
-            None => obs.probes = Some(Box::new(ProbeRuntime::new(set))),
-        }
+        self.observer_mut().install(Some(set));
         self.observer_changed();
     }
 
@@ -673,7 +504,7 @@ impl<'m> Simulator<'m> {
     /// architecture profile keeps running, from then on without hits.
     pub fn clear_probes(&mut self) {
         if let Some(obs) = self.observer.as_mut() {
-            obs.probes = None;
+            obs.install(None);
         }
         self.observer_changed();
     }
@@ -734,27 +565,22 @@ impl<'m> Simulator<'m> {
     /// the architecture profile last restarted).
     #[must_use]
     pub fn probe_hits(&self) -> u64 {
-        self.observer.as_ref().and_then(|o| o.probes.as_ref()).map_or(0, |p| p.total_hits())
+        self.observer.as_ref().map_or(0, |o| o.hits.iter().sum())
     }
 
     /// Per-probe hit report: `(label, hits)` in probe-id order.
     #[must_use]
     pub fn probe_report(&self) -> Vec<(String, u64)> {
-        let Some(runtime) = self.observer.as_ref().and_then(|o| o.probes.as_ref()) else {
+        let Some(Observer { probes: Some(set), hits, .. }) = self.observer.as_deref() else {
             return Vec::new();
         };
-        runtime
-            .probe_set()
-            .labels()
-            .iter()
-            .enumerate()
-            .map(|(i, label)| (label.clone(), runtime.hit_count(i as u16)))
-            .collect()
+        set.labels().iter().cloned().zip(hits.iter().copied()).collect()
     }
 
-    /// Takes the latched breakpoint stop, if any.
+    /// Takes the latched breakpoint stop, if any, clearing it so a
+    /// resumed run does not stop again at once.
     fn take_probe_stop(&mut self) -> Option<(u16, i64)> {
-        self.observer.as_mut()?.probes.as_mut()?.take_stop()
+        self.observer.as_mut()?.stop.take()
     }
 
     /// Attaches a wall-clock span context: phase spans (predecode, cycle
@@ -777,14 +603,9 @@ impl<'m> Simulator<'m> {
         self.observer.is_some()
     }
 
-    /// The installed probe runtime, if any.
-    fn runtime_mut(&mut self) -> Option<&mut ProbeRuntime> {
-        self.observer.as_mut()?.probes.as_deref_mut()
-    }
-
     /// Records an event, if tracing is on. Only the trace sees
     /// `TraceEvent`s: the emit helpers bump [`Counters`] and
-    /// hand writes to the probe runtime directly, and `Fetch` and `Print`
+    /// match writes against the probes directly, and `Fetch` and `Print`
     /// events, which neither needs, are built only while
     /// [`Simulator::tracing`].
     pub(crate) fn record(&mut self, event: &TraceEvent) {
@@ -849,8 +670,8 @@ impl<'m> Simulator<'m> {
 
     /// Hands a write routed [`Route::Emit`] on: a memory write's heat to
     /// the profile, the class's write event to the trace, the write to the
-    /// probe runtime. Out of line, so a skipped or counted write pays no
-    /// frame for it.
+    /// probes. Out of line, so a skipped or counted write pays no frame
+    /// for it.
     #[inline(never)]
     fn hand_off_write(&mut self, res: ResourceId, flat: usize, value: i64) {
         let cycle = self.stats.cycles;
@@ -860,8 +681,7 @@ impl<'m> Simulator<'m> {
             heat.record(addr);
         }
         let Some(obs) = self.observer.as_deref_mut() else { return };
-        let Observer { events, probes, .. } = obs;
-        if let Some(events) = events.as_mut() {
+        if let Some(events) = obs.events.as_mut() {
             let event = match model.resource(res).class {
                 ResourceClass::DataMemory | ResourceClass::ProgramMemory => {
                     TraceEvent::MemoryAccess { cycle, resource: res, addr, value }
@@ -870,13 +690,7 @@ impl<'m> Simulator<'m> {
             };
             events.push(event);
         }
-        if let Some(runtime) = probes.as_mut() {
-            runtime.match_write(cycle, res, addr, value, |hit| {
-                if let Some(events) = events.as_mut() {
-                    events.push(hit);
-                }
-            });
-        }
+        obs.match_write(cycle, res, addr, value);
     }
 
     /// Reports a behavior execution of `op`, scheduled or invoked, along
@@ -1526,9 +1340,8 @@ impl<'m> Simulator<'m> {
 
 #[cfg(test)]
 mod tests {
-    use lisa_probe::ProbeSpec;
-
     use super::*;
+    use crate::ProbeSpec;
 
     #[test]
     fn routes_follow_the_trace_probes_and_profile() {

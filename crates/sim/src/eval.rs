@@ -551,7 +551,7 @@ impl<'m> Simulator<'m> {
                 arity(1)?;
                 let v = self.eval_expr_interp(&args[0], frame)?;
                 if self.tracing() {
-                    let event = lisa_trace::TraceEvent::Print {
+                    let event = crate::TraceEvent::Print {
                         cycle: self.stats.cycles,
                         op: frame.op,
                         value: v,

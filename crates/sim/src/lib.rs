@@ -22,6 +22,14 @@
 //! that model, on any thread, shares the image; a simulator holds only
 //! run state plus the instance routines its own program binds.
 //!
+//! A simulator also makes the pipeline visible, at the same event
+//! points in both backends: an ordered [`TraceEvent`] stream with JSONL
+//! and VCD exporters, [`ProbeSpec`] watchpoints, breakpoints and
+//! tracepoints, and the mergeable [`ArchProfile`] (IPC, hot PCs, stage
+//! occupancy, stalls and flushes, unit utilization, memory heatmaps).
+//! [`publish_stats`] and [`publish_arch`] export the counts into a
+//! metrics registry.
+//!
 //! See [`Simulator`] for the entry point.
 
 #![forbid(unsafe_code)]
@@ -34,19 +42,21 @@ mod fasthash;
 mod lower;
 mod metrics;
 mod ops;
+mod probe;
+mod profile;
 mod snapshot;
 mod state;
 mod stats;
+mod trace;
+mod vcd;
 
-pub use engine::{ArchCounts, RunOutcome, SimMode, Simulator, StopReason};
+pub use engine::{RunOutcome, SimMode, Simulator, StopReason};
 pub use error::SimError;
-pub use metrics::publish_stats;
-// Re-exported so simulator users can drive probes/arch-profiling without
-// a separate `lisa-probe` dependency.
-pub use lisa_probe::{publish_arch, ArchProfile, Heatmap, ProbeError, ProbeSet, ProbeSpec};
-// Re-exported so simulator users can drive tracing without a separate
-// `lisa-trace` dependency.
-pub use lisa_trace::{events_to_jsonl, write_vcd, NameTable, TraceEvent, TraceKind};
+pub use metrics::{publish_arch, publish_stats};
+pub use probe::{Probe, ProbeError, ProbeSet, ProbeSpec};
+pub use profile::{ArchCounts, ArchProfile, Heatmap};
 pub use snapshot::Snapshot;
 pub use state::State;
 pub use stats::{SimStats, STALL_STAGE_BUCKETS};
+pub use trace::{events_to_jsonl, NameTable, TraceEvent};
+pub use vcd::write_vcd;

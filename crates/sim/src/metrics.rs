@@ -1,18 +1,19 @@
-//! Publishing simulator statistics into a `lisa-metrics` registry.
+//! Publishing simulator statistics and architecture profiles into a
+//! `lisa-metrics` registry.
 //!
 //! The cycle path keeps accumulating into the plain-`u64` [`SimStats`]
-//! counters it always had — no atomics, no branches added. Metrics are
-//! published at *run boundaries* instead: [`Simulator::publish_metrics`]
-//! diffs the current stats against the last published baseline and adds
-//! only the delta, so calling it after every `run`/`run_until` keeps a
-//! registry current at effectively zero per-cycle cost, and calling it
-//! twice in a row is a no-op.
+//! counters and the profile's counts — no atomics, no branches added.
+//! Metrics are published at *run boundaries* instead: [`publish_stats`]
+//! adds one run's stats to the `lisa_sim_*` counters, and
+//! [`publish_arch`] sets the `lisa_arch_*` gauges from a (merged)
+//! profile.
 
 use std::cell::RefCell;
 
 use lisa_metrics::{Counter, Registry};
 
-use crate::engine::{SimMode, Simulator};
+use crate::engine::SimMode;
+use crate::profile::ArchProfile;
 use crate::stats::SimStats;
 
 /// Backend names accepted by [`SimMode`]'s parser.
@@ -56,32 +57,6 @@ impl std::str::FromStr for SimMode {
             "ops" | "compiled" => Ok(SimMode::Ops),
             _ => Err(format!("unknown mode `{name}` (expected {NAMES})")),
         }
-    }
-}
-
-impl SimStats {
-    /// Per-field difference `self - baseline` (saturating, so a
-    /// snapshot-restore that rewinds the counters publishes zero rather
-    /// than wrapping).
-    #[must_use]
-    pub fn delta_since(&self, baseline: &SimStats) -> SimStats {
-        let mut out = SimStats {
-            cycles: self.cycles.saturating_sub(baseline.cycles),
-            executed_ops: self.executed_ops.saturating_sub(baseline.executed_ops),
-            decodes: self.decodes.saturating_sub(baseline.decodes),
-            decode_cache_hits: self.decode_cache_hits.saturating_sub(baseline.decode_cache_hits),
-            activations: self.activations.saturating_sub(baseline.activations),
-            stalls: self.stalls.saturating_sub(baseline.stalls),
-            flushes: self.flushes.saturating_sub(baseline.flushes),
-            instructions_retired: self
-                .instructions_retired
-                .saturating_sub(baseline.instructions_retired),
-            ..SimStats::default()
-        };
-        for (i, slot) in out.stall_by_stage.iter_mut().enumerate() {
-            *slot = self.stall_by_stage[i].saturating_sub(baseline.stall_by_stage[i]);
-        }
-        out
     }
 }
 
@@ -148,17 +123,53 @@ pub fn publish_stats(registry: &Registry, stats: &SimStats, backend: &str) {
     }
 }
 
-impl Simulator<'_> {
-    /// Publishes the statistics accumulated since the last call (or
-    /// since construction) into `registry`, labelled with this
-    /// simulator's backend.
-    ///
-    /// Call this at run boundaries; the per-cycle path is untouched, so
-    /// metrics stay "always on" without measurable overhead.
-    pub fn publish_metrics(&mut self, registry: &Registry) {
-        let delta = self.stats.delta_since(&self.metrics_published);
-        publish_stats(registry, &delta, self.mode.metric_label());
-        self.metrics_published = self.stats;
+/// Publishes a profile's utilization aggregates as gauges into a
+/// metrics registry: `lisa_arch_stage_busy` (per stage),
+/// `lisa_arch_op_execs` (per operation), `lisa_arch_unit_activations`
+/// (per activation target), `lisa_arch_memory_reads` /
+/// `lisa_arch_memory_writes` (per memory), and `lisa_arch_probe_hits`.
+///
+/// Values are cumulative counts from the (merged) profile; publishing
+/// again overwrites with the latest aggregate.
+pub fn publish_arch(registry: &Registry, profile: &ArchProfile) {
+    registry
+        .gauge("lisa_arch_cycles", "Control steps covered by the merged architecture profile", &[])
+        .set(profile.cycles.min(i64::MAX as u64) as i64);
+    registry
+        .gauge("lisa_arch_probe_hits", "Probe hits recorded in the merged profile", &[])
+        .set(profile.probe_hits().min(i64::MAX as u64) as i64);
+    for (stage, busy) in &profile.stage_busy {
+        registry
+            .gauge(
+                "lisa_arch_stage_busy",
+                "Control steps in which the pipeline stage executed an operation",
+                &[("stage", stage)],
+            )
+            .set((*busy).min(i64::MAX as u64) as i64);
+    }
+    for (op, execs) in &profile.op_execs {
+        registry
+            .gauge("lisa_arch_op_execs", "Behavior executions per operation", &[("op", op)])
+            .set((*execs).min(i64::MAX as u64) as i64);
+    }
+    for (unit, n) in &profile.unit_activations {
+        registry
+            .gauge(
+                "lisa_arch_unit_activations",
+                "Activations scheduled per target operation (functional unit)",
+                &[("unit", unit)],
+            )
+            .set((*n).min(i64::MAX as u64) as i64);
+    }
+    for (mem, heat) in &profile.read_heat {
+        registry
+            .gauge("lisa_arch_memory_reads", "Reads per memory resource", &[("memory", mem)])
+            .set(heat.total().min(i64::MAX as u64) as i64);
+    }
+    for (mem, heat) in &profile.write_heat {
+        registry
+            .gauge("lisa_arch_memory_writes", "Writes per memory resource", &[("memory", mem)])
+            .set(heat.total().min(i64::MAX as u64) as i64);
     }
 }
 
@@ -191,20 +202,6 @@ mod tests {
         assert!(err.contains("unknown mode `sideways`") && err.contains("interp|compiled|ops"));
         let err = SimMode::parse_set("sideways").unwrap_err();
         assert!(err.contains("interp|compiled|ops|both|all"), "{err}");
-    }
-
-    #[test]
-    fn delta_since_is_per_field_and_saturating() {
-        let mut now = SimStats { cycles: 10, stalls: 4, ..SimStats::default() };
-        now.stall_by_stage[2] = 4;
-        let mut base = SimStats { cycles: 3, stalls: 1, ..SimStats::default() };
-        base.stall_by_stage[2] = 1;
-        let d = now.delta_since(&base);
-        assert_eq!(d.cycles, 7);
-        assert_eq!(d.stalls, 3);
-        assert_eq!(d.stall_by_stage[2], 3);
-        // Rewound baseline (snapshot restore) publishes zero, not a wrap.
-        assert_eq!(base.delta_since(&now).cycles, 0);
     }
 
     #[test]
@@ -246,5 +243,21 @@ mod tests {
         let fresh = Registry::new();
         publish_stats(&fresh, &stats, "ops");
         assert_eq!(cycles(&fresh), Some(MetricValue::Counter(7)));
+    }
+
+    #[test]
+    fn publish_exposes_utilization_gauges() {
+        let mut p = ArchProfile::new();
+        p.cycles = 10;
+        p.stage_busy.insert("pipe.EX".into(), 7);
+        p.op_execs.insert("add".into(), 3);
+        p.unit_activations.insert("mac".into(), 2);
+        let registry = Registry::new();
+        publish_arch(&registry, &p);
+        let text = registry.snapshot().to_prometheus();
+        assert!(text.contains("lisa_arch_cycles 10"));
+        assert!(text.contains("lisa_arch_stage_busy{stage=\"pipe.EX\"} 7"));
+        assert!(text.contains("lisa_arch_op_execs{op=\"add\"} 3"));
+        assert!(text.contains("lisa_arch_unit_activations{unit=\"mac\"} 2"));
     }
 }

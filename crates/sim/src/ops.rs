@@ -2327,7 +2327,7 @@ impl Simulator<'_> {
                     let v = match f {
                         Builtin::Print => {
                             if self.tracing() {
-                                let event = lisa_trace::TraceEvent::Print {
+                                let event = crate::TraceEvent::Print {
                                     cycle: self.stats.cycles,
                                     op: OpId(ctx as usize),
                                     value: x,

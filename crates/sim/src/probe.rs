@@ -1,4 +1,16 @@
 //! The probe-spec language and its compilation against a model.
+//!
+//! A probe spec is a tiny debugger language (`watch MEM[0..64]`,
+//! `break 0x12`, `trace 7`, `reg ACC`), parsed from text and compiled
+//! against a model into a [`ProbeSet`] of pre-resolved flat storage
+//! indices, so the cycle path never touches a name. A simulator with a
+//! set installed ([`Simulator::set_probes`]) hands it only the writes to
+//! resources a probe names ([`ProbeSet::matches_writes_to`]); PC
+//! breakpoints and tracepoints ride the same funnel, because in every
+//! backend a control-flow change is an ordinary write to the
+//! `PROGRAM_COUNTER` resource.
+//!
+//! [`Simulator::set_probes`]: crate::Simulator::set_probes
 
 use lisa_core::ast::ResourceClass;
 use lisa_core::model::{Model, ResourceId};
@@ -60,7 +72,7 @@ pub enum Probe {
 /// A parsed probe specification: `;`-separated clauses.
 ///
 /// ```
-/// use lisa_probe::ProbeSpec;
+/// use lisa_sim::ProbeSpec;
 /// let spec = ProbeSpec::parse("watch dmem[0..16]; break 0x12; reg acc").unwrap();
 /// assert_eq!(spec.probes.len(), 3);
 /// ```
@@ -72,16 +84,26 @@ pub struct ProbeSpec {
 
 fn parse_int(text: &str) -> Result<i64, ProbeError> {
     let text = text.trim();
+    let bad = || ProbeError::Parse(format!("bad integer `{text}`"));
     let (negative, digits) = match text.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, text),
     };
-    let value = match digits.strip_prefix("0x").or_else(|| digits.strip_prefix("0X")) {
-        Some(hex) => i64::from_str_radix(hex, 16),
-        None => digits.parse(),
+    let (radix, digits) = match digits.strip_prefix("0x").or_else(|| digits.strip_prefix("0X")) {
+        Some(hex) => (16, hex),
+        None => (10, digits),
+    };
+    // `from_str_radix` takes a sign of its own: after a `-` or a `0x`
+    // one is a second sign (`--5`, `-0x-5`), not a number.
+    if (negative || radix == 16) && digits.starts_with(['-', '+']) {
+        return Err(bad());
     }
-    .map_err(|_| ProbeError::Parse(format!("bad integer `{text}`")))?;
-    Ok(if negative { -value } else { value })
+    let value = i64::from_str_radix(digits, radix).map_err(|_| bad())?;
+    if negative {
+        value.checked_neg().ok_or_else(bad)
+    } else {
+        Ok(value)
+    }
 }
 
 fn parse_index(text: &str) -> Result<u64, ProbeError> {
@@ -358,6 +380,9 @@ mod tests {
             ("break 12z", "bad integer"),
             ("watch R[-1]", "negative index"),
             ("reg R[0..4]", "single index"),
+            ("break --5", "bad integer"),
+            ("trace -0x-5", "bad integer"),
+            ("break --9223372036854775808", "bad integer"),
         ] {
             let err = ProbeSpec::parse(text).unwrap_err();
             assert!(matches!(&err, ProbeError::Parse(m) if m.contains(needle)), "{text}: {err}");

@@ -1,8 +1,24 @@
 //! Typed trace events and the name table that renders them.
+//!
+//! A traced simulator ([`Simulator::set_trace`]) records what the
+//! simulated machine did, cycle by cycle, as [`TraceEvent`]s in one
+//! ordered buffer its caller drains: fetch, decode, exec, activation,
+//! stall, flush, memory and register writes, prints and probe hits, each
+//! with its cycle, stage, program counter and operation attached. Events
+//! carry raw model ids ([`OpId`] etc.), so they stay `Copy` and cheap to
+//! record on the cycle path; a [`NameTable`], an owned snapshot of a
+//! model's name space, renders them for humans and for the exporters:
+//! [`events_to_jsonl`] for machine-readable traces and
+//! [`write_vcd`](crate::write_vcd) for a pipeline timeline.
+//!
+//! [`Simulator::set_trace`]: crate::Simulator::set_trace
 
 use std::fmt::Write as _;
 
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
+use lisa_metrics::json::escape;
+
+use crate::profile::stage_key;
 
 /// One observable simulator action, stamped with the control step it
 /// happened in. Events carry model *ids*, not names, so they are `Copy`
@@ -123,50 +139,6 @@ pub enum TraceEvent {
     },
 }
 
-/// The discriminant of a [`TraceEvent`], for filtering and assertions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceKind {
-    /// [`TraceEvent::Fetch`].
-    Fetch,
-    /// [`TraceEvent::Decode`].
-    Decode,
-    /// [`TraceEvent::Exec`].
-    Exec,
-    /// [`TraceEvent::Activation`].
-    Activation,
-    /// [`TraceEvent::Stall`].
-    Stall,
-    /// [`TraceEvent::Flush`].
-    Flush,
-    /// [`TraceEvent::MemoryAccess`].
-    MemoryAccess,
-    /// [`TraceEvent::RegisterWrite`].
-    RegisterWrite,
-    /// [`TraceEvent::Print`].
-    Print,
-    /// [`TraceEvent::ProbeHit`].
-    ProbeHit,
-}
-
-impl TraceKind {
-    /// Stable lowercase name, used by the JSONL exporter.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Fetch => "fetch",
-            TraceKind::Decode => "decode",
-            TraceKind::Exec => "exec",
-            TraceKind::Activation => "activation",
-            TraceKind::Stall => "stall",
-            TraceKind::Flush => "flush",
-            TraceKind::MemoryAccess => "memory_access",
-            TraceKind::RegisterWrite => "register_write",
-            TraceKind::Print => "print",
-            TraceKind::ProbeHit => "probe",
-        }
-    }
-}
-
 impl TraceEvent {
     /// The control step the event happened in.
     #[must_use]
@@ -182,23 +154,6 @@ impl TraceEvent {
             | TraceEvent::RegisterWrite { cycle, .. }
             | TraceEvent::Print { cycle, .. }
             | TraceEvent::ProbeHit { cycle, .. } => cycle,
-        }
-    }
-
-    /// The event's discriminant.
-    #[must_use]
-    pub fn kind(&self) -> TraceKind {
-        match self {
-            TraceEvent::Fetch { .. } => TraceKind::Fetch,
-            TraceEvent::Decode { .. } => TraceKind::Decode,
-            TraceEvent::Exec { .. } => TraceKind::Exec,
-            TraceEvent::Activation { .. } => TraceKind::Activation,
-            TraceEvent::Stall { .. } => TraceKind::Stall,
-            TraceEvent::Flush { .. } => TraceKind::Flush,
-            TraceEvent::MemoryAccess { .. } => TraceKind::MemoryAccess,
-            TraceEvent::RegisterWrite { .. } => TraceKind::RegisterWrite,
-            TraceEvent::Print { .. } => TraceKind::Print,
-            TraceEvent::ProbeHit { .. } => TraceKind::ProbeHit,
         }
     }
 }
@@ -262,7 +217,7 @@ impl NameTable {
     /// `"pipe.stage"` attribution key used by architecture profiles.
     #[must_use]
     pub fn stage_key(&self, pipe: PipelineId, stage: usize) -> String {
-        format!("{}.{}", self.pipeline(pipe), self.stage(pipe, stage))
+        stage_key(self.pipeline(pipe), self.stage(pipe, stage))
     }
 
     /// Human-readable description of an event (no cycle prefix).
@@ -311,73 +266,68 @@ impl NameTable {
         format!("[{}] {}", event.cycle(), self.describe(event))
     }
 
-    /// One JSON object (a single line, no trailing newline) for an event.
+    /// One JSON object (a single line, no trailing newline) for an event:
+    /// its cycle, a lowercase `kind` naming the variant, then the
+    /// variant's fields with ids rendered as (escaped) names.
     #[must_use]
     pub fn json(&self, event: &TraceEvent) -> String {
         let mut s = String::with_capacity(96);
-        s.push('{');
-        let _ = write!(s, "\"cycle\":{},\"kind\":\"{}\"", event.cycle(), event.kind().name());
+        // Writing into a `String` cannot fail.
+        let _ = self.write_json(&mut s, event);
+        s
+    }
+
+    fn write_json(&self, s: &mut String, event: &TraceEvent) -> std::fmt::Result {
+        write!(s, "{{\"cycle\":{},\"kind\":", event.cycle())?;
         match *event {
             TraceEvent::Fetch { pc, word, .. } => {
-                let _ = write!(s, ",\"pc\":{pc},\"word\":\"{word:#x}\"");
+                write!(s, "\"fetch\",\"pc\":{pc},\"word\":\"{word:#x}\"")?;
             }
             TraceEvent::Decode { pc, word, op, cache_hit, .. } => {
-                let _ = write!(s, ",\"pc\":{pc},\"word\":\"{word:#x}\",\"op\":");
-                json_string(&mut s, self.op(op));
-                let _ = write!(s, ",\"cache_hit\":{cache_hit}");
+                write!(s, "\"decode\",\"pc\":{pc},\"word\":\"{word:#x}\"")?;
+                write!(s, ",\"op\":{},\"cache_hit\":{cache_hit}", escape(self.op(op)))?;
             }
             TraceEvent::Exec { op, stage, pc, .. } => {
-                s.push_str(",\"op\":");
-                json_string(&mut s, self.op(op));
-                let _ = write!(s, ",\"pc\":{pc}");
+                write!(s, "\"exec\",\"op\":{},\"pc\":{pc}", escape(self.op(op)))?;
                 if let Some((p, st)) = stage {
-                    s.push_str(",\"pipe\":");
-                    json_string(&mut s, self.pipeline(p));
-                    s.push_str(",\"stage\":");
-                    json_string(&mut s, self.stage(p, st as usize));
+                    let (pipe, stage) =
+                        (escape(self.pipeline(p)), escape(self.stage(p, st.into())));
+                    write!(s, ",\"pipe\":{pipe},\"stage\":{stage}")?;
                 }
             }
             TraceEvent::Activation { from, to, delay, .. } => {
-                s.push_str(",\"from\":");
-                json_string(&mut s, self.op(from));
-                s.push_str(",\"to\":");
-                json_string(&mut s, self.op(to));
-                let _ = write!(s, ",\"delay\":{delay}");
+                let (from, to) = (escape(self.op(from)), escape(self.op(to)));
+                write!(s, "\"activation\",\"from\":{from},\"to\":{to},\"delay\":{delay}")?;
             }
             TraceEvent::Stall { pipe, upto, .. } => {
-                s.push_str(",\"pipe\":");
-                json_string(&mut s, self.pipeline(pipe));
-                s.push_str(",\"upto\":");
-                json_string(&mut s, self.stage(pipe, upto as usize));
+                let (upto, pipe) =
+                    (escape(self.stage(pipe, upto.into())), escape(self.pipeline(pipe)));
+                write!(s, "\"stall\",\"pipe\":{pipe},\"upto\":{upto}")?;
             }
             TraceEvent::Flush { pipe, upto, discarded, .. } => {
-                s.push_str(",\"pipe\":");
-                json_string(&mut s, self.pipeline(pipe));
+                write!(s, "\"flush\",\"pipe\":{}", escape(self.pipeline(pipe)))?;
                 if let Some(st) = upto {
-                    s.push_str(",\"upto\":");
-                    json_string(&mut s, self.stage(pipe, st as usize));
+                    write!(s, ",\"upto\":{}", escape(self.stage(pipe, st.into())))?;
                 }
-                let _ = write!(s, ",\"discarded\":{discarded}");
+                write!(s, ",\"discarded\":{discarded}")?;
             }
-            TraceEvent::MemoryAccess { resource, addr, value, .. }
-            | TraceEvent::RegisterWrite { resource, addr, value, .. } => {
-                s.push_str(",\"resource\":");
-                json_string(&mut s, self.resource(resource));
-                let _ = write!(s, ",\"addr\":{addr},\"value\":{value}");
+            TraceEvent::MemoryAccess { resource, addr, value, .. } => {
+                write!(s, "\"memory_access\",\"resource\":{}", escape(self.resource(resource)))?;
+                write!(s, ",\"addr\":{addr},\"value\":{value}")?;
+            }
+            TraceEvent::RegisterWrite { resource, addr, value, .. } => {
+                write!(s, "\"register_write\",\"resource\":{}", escape(self.resource(resource)))?;
+                write!(s, ",\"addr\":{addr},\"value\":{value}")?;
             }
             TraceEvent::Print { op, value, .. } => {
-                s.push_str(",\"op\":");
-                json_string(&mut s, self.op(op));
-                let _ = write!(s, ",\"value\":{value}");
+                write!(s, "\"print\",\"op\":{},\"value\":{value}", escape(self.op(op)))?;
             }
             TraceEvent::ProbeHit { probe, resource, addr, value, .. } => {
-                let _ = write!(s, ",\"probe\":{probe},\"resource\":");
-                json_string(&mut s, self.resource(resource));
-                let _ = write!(s, ",\"addr\":{addr},\"value\":{value}");
+                write!(s, "\"probe\",\"probe\":{probe},\"resource\":")?;
+                write!(s, "{},\"addr\":{addr},\"value\":{value}", escape(self.resource(resource)))?;
             }
         }
-        s.push('}');
-        s
+        s.write_char('}')
     }
 }
 
@@ -392,27 +342,6 @@ pub fn events_to_jsonl(names: &NameTable, events: &[TraceEvent]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Appends `text` as a JSON string literal (quotes, backslashes and
-/// control characters escaped — model names are identifiers, but the
-/// exporter must never emit invalid JSON).
-fn json_string(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -464,13 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn event_accessors_expose_cycle_and_kind() {
+    fn events_expose_their_cycle() {
         let ev = TraceEvent::Decode { cycle: 11, pc: 4, word: 0xff, op: OpId(1), cache_hit: true };
         assert_eq!(ev.cycle(), 11);
-        assert_eq!(ev.kind(), TraceKind::Decode);
-        assert_eq!(ev.kind().name(), "decode");
         let st = TraceEvent::Stall { cycle: 2, pipe: PipelineId(0), upto: 1 };
         assert_eq!(st.cycle(), 2);
-        assert_eq!(st.kind(), TraceKind::Stall);
     }
 }

@@ -10,7 +10,7 @@
 
 use std::io::{self, Write};
 
-use crate::{NameTable, TraceEvent};
+use crate::trace::{NameTable, TraceEvent};
 
 /// Writes `events` as a VCD document shaped by `names`.
 ///
@@ -21,6 +21,7 @@ use crate::{NameTable, TraceEvent};
 pub fn write_vcd<W: Write>(names: &NameTable, events: &[TraceEvent], w: &mut W) -> io::Result<()> {
     let layout = Layout::of(names);
 
+    // The version text is part of the pinned format (tests/golden/pipeline.vcd).
     writeln!(w, "$version lisa-trace pipeline timeline $end")?;
     writeln!(w, "$timescale 1 ns $end")?;
     writeln!(w, "$comment one time unit = one control step $end")?;

@@ -10,8 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use lisa_core::model::{Model, OpId, PipelineId, ResourceId};
-use lisa_probe::{ArchProfile, Heatmap};
-use lisa_trace::{NameTable, TraceEvent};
+use lisa_sim::{ArchProfile, Heatmap, NameTable, TraceEvent};
 use proptest::prelude::*;
 
 /// Memories outside the model, so their heatmaps can take any bucket

@@ -2,6 +2,7 @@
 //! events, `break` probes stop `run_until` with a `Breakpoint` reason,
 //! and the architectural profile is identical across both backends.
 
+use lisa_core::model::ResourceId;
 use lisa_core::Model;
 use lisa_sim::{ArchProfile, ProbeSpec, SimMode, Simulator, StopReason, TraceEvent};
 
@@ -165,6 +166,71 @@ fn watchpoint_hits_appear_in_trace_stream() {
                 );
             }
         }
+    }
+}
+
+/// The `(probe, resource, addr, value)` of every probe hit in `events`.
+fn hits(events: &[TraceEvent]) -> Vec<(u16, ResourceId, u64, i64)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::ProbeHit { probe, resource, addr, value, .. } => {
+                Some((probe, resource, addr, value))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn watch_hits_only_inside_its_half_open_range() {
+    let model = Model::from_source(TOY).expect("model builds");
+    let dmem = model.resource_by_name("dmem").unwrap().id;
+    for mode in MODES {
+        let program = ["LDI R1, 7", "ST R1, 7", "ST R1, 8", "ST R1, 16", "HLT"];
+        let mut sim = boot(&model, mode, &program);
+        sim.set_trace(true);
+        sim.set_probes(compile_spec(&model, "watch dmem[8..16]"));
+        assert_eq!(run_to_halt(&mut sim, &model, 50), StopReason::Halted, "{mode:?}");
+        assert_eq!(hits(&sim.take_events()), [(0, dmem, 8, 7)], "{mode:?}");
+        assert_eq!(sim.probe_report(), [("watch dmem[8..16]".to_owned(), 1)], "{mode:?}");
+        assert_eq!(sim.probe_hits(), 1, "{mode:?}");
+    }
+}
+
+#[test]
+fn overlapping_watches_each_hit() {
+    let model = Model::from_source(TOY).expect("model builds");
+    let dmem = model.resource_by_name("dmem").unwrap().id;
+    for mode in MODES {
+        let mut sim = boot(&model, mode, &["LDI R1, 1", "ST R1, 9", "HLT"]);
+        sim.set_trace(true);
+        sim.set_probes(compile_spec(&model, "watch dmem[0..16]; watch dmem[8..32]"));
+        assert_eq!(run_to_halt(&mut sim, &model, 50), StopReason::Halted, "{mode:?}");
+        assert_eq!(hits(&sim.take_events()), [(0, dmem, 9, 1), (1, dmem, 9, 1)], "{mode:?}");
+        let counts: Vec<u64> = sim.probe_report().into_iter().map(|(_, n)| n).collect();
+        assert_eq!(counts, [1, 1], "{mode:?}");
+    }
+}
+
+#[test]
+fn pc_probes_match_only_program_counter_writes() {
+    let model = Model::from_source(TOY).expect("model builds");
+    let pc = model.resource_by_name("pc").unwrap().id;
+    // `R1 = 5` and `R2 = 3` write the probed values to other registers.
+    let program = ["LDI R1, 5", "LDI R2, 3", "LDI R3, 0", "LDI R3, 0", "LDI R3, 0", "HLT"];
+    for mode in MODES {
+        let mut sim = boot(&model, mode, &program);
+        sim.set_trace(true);
+        sim.set_probes(compile_spec(&model, "break 5; trace 3"));
+        // The tracepoint hits without stopping; the breakpoint stops.
+        let reason = run_to_halt(&mut sim, &model, 50);
+        assert_eq!(reason, StopReason::Breakpoint { probe: 0, pc: 5 }, "{mode:?}");
+        assert_eq!(hits(&sim.take_events()), [(1, pc, 0, 3), (0, pc, 0, 5)], "{mode:?}");
+        // The stop is cleared once taken: resuming runs on to the halt.
+        assert_eq!(run_to_halt(&mut sim, &model, 50), StopReason::Halted, "{mode:?}");
+        let report = [("break 5".to_owned(), 1), ("trace 3".to_owned(), 1)];
+        assert_eq!(sim.probe_report(), report, "{mode:?}");
     }
 }
 
@@ -348,10 +414,10 @@ fn profile_span_follows_enable_restore_and_set_probes() {
     // `LD R2, 5` at cycle 11.
     //
     // The last four move resources between the ops backend's plain
-    // counters and the runtime's matcher mid-run: a register probe on a
-    // register the loop writes, a breakpoint (every PC write is then
-    // matched), and a trace sink (every event is then built), so
-    // counts taken on both paths must add up.
+    // counters and the observer's probe matcher mid-run: a register
+    // probe on a register the loop writes, a breakpoint (every PC write
+    // is then matched), and a trace sink (every event is then built),
+    // so counts taken on both paths must add up.
     let cases: [(&str, &[Step], &[Step]); 8] = [
         ("restore", &[Enable, Run(3), Snap, Run(2), Restore, Run(2)], &[Run(3), Enable, Run(2)]),
         ("re-enable", &[Enable, Run(3), Enable, Run(2)], &[Run(3), Enable, Run(2)]),

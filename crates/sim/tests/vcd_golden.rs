@@ -9,11 +9,11 @@
 //! To bless an intentional format change:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p lisa-trace --test vcd_golden
+//! UPDATE_GOLDEN=1 cargo test -p lisa-sim --test vcd_golden
 //! ```
 
 use lisa_core::model::{OpId, PipelineId};
-use lisa_trace::{write_vcd, NameTable, TraceEvent};
+use lisa_sim::{write_vcd, NameTable, TraceEvent};
 
 /// A two-pipeline machine with distinct stage depths, exercising the
 /// full variable layout (cpu.op + per-stage wires + stall/flush strobes).

@@ -1,7 +1,7 @@
 //! lisa-spans — cross-layer runtime span tracing.
 //!
 //! Counters (`lisa-metrics`) say *how much*; simulation events
-//! (`lisa-trace`) say *what the machine did*; neither says **where the
+//! (`lisa-sim`'s trace) say *what the machine did*; neither says **where the
 //! wall-clock time of a request goes** across the serve → exec → sim
 //! path. This crate fills that gap with a low-overhead span layer:
 //!

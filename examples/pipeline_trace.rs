@@ -7,8 +7,7 @@
 //! ```
 
 use lisa::models::vliw62;
-use lisa::sim::SimMode;
-use lisa::trace::{TraceEvent, TraceKind};
+use lisa::sim::{SimMode, TraceEvent};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wb = vliw62::workbench()?;
@@ -34,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("pipeline trace (cycle in brackets; note the PG→PS→PW→PR→DP fill");
     println!("and the Dispatch gap while the multicycle NOP stalls DP/DC):\n");
     for event in &events {
-        if event.kind() == TraceKind::Exec {
+        if matches!(event, TraceEvent::Exec { .. }) {
             println!("  {}", names.line(event));
         }
     }
@@ -42,17 +41,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The typed events carry the pipeline structure directly — check a
     // few cycle-accurate facts the string trace could only hint at.
-    assert!(events.iter().any(|e| e.kind() == TraceKind::Fetch));
-    assert!(events.iter().any(|e| e.kind() == TraceKind::Decode));
+    assert!(events.iter().any(|e| matches!(e, TraceEvent::Fetch { .. })));
+    assert!(events.iter().any(|e| matches!(e, TraceEvent::Decode { .. })));
     let staged_execs =
         events.iter().filter(|e| matches!(e, TraceEvent::Exec { stage: Some(_), .. })).count();
     assert!(staged_execs > 0, "vliw62 executes operations inside pipeline stages");
     assert!(
-        events.iter().any(|e| e.kind() == TraceKind::Stall),
+        events.iter().any(|e| matches!(e, TraceEvent::Stall { .. })),
         "the multicycle NOP must stall the fetch pipeline"
     );
     assert!(
-        events.iter().any(|e| e.kind() == TraceKind::RegisterWrite),
+        events.iter().any(|e| matches!(e, TraceEvent::RegisterWrite { .. })),
         "register writes are observable"
     );
 

@@ -335,11 +335,11 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
     let names = sim.name_table();
     let text = if has_flag(args, "--vcd") {
         let mut buf = Vec::new();
-        lisa::trace::write_vcd(&names, &events, &mut buf)
+        lisa::sim::write_vcd(&names, &events, &mut buf)
             .map_err(|e| format!("cannot render VCD: {e}"))?;
         String::from_utf8(buf).map_err(|e| format!("VCD is not UTF-8: {e}"))?
     } else {
-        lisa::trace::events_to_jsonl(&names, &events)
+        lisa::sim::events_to_jsonl(&names, &events)
     };
     match flag_value(args, "--out") {
         Some(path) => {
@@ -487,7 +487,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
         queue,
         timeout: std::time::Duration::from_millis(timeout_ms),
         once: has_flag(args, "--once"),
-        limits: lisa::serve::http::Limits::default(),
     };
     let state = std::sync::Arc::new(lisa::serve::AppState::new());
     let server = lisa::serve::Server::bind(config, state)

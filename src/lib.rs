@@ -9,12 +9,11 @@
 //! | [`bits`] | `lisa-bits` | bit-accurate values and `0b01x` patterns |
 //! | [`core`] | `lisa-core` | the LISA language: lexer, parser, AST, model database |
 //! | [`isa`]  | `lisa-isa`  | generated decoder/encoder/assembler/disassembler |
-//! | [`sim`]  | `lisa-sim`  | interpretive + compiled (micro-op) cycle-accurate simulators |
+//! | [`sim`]  | `lisa-sim`  | interpretive + compiled (micro-op) cycle-accurate simulators; trace events (JSONL/VCD), probes, architecture profiles |
 //! | [`asm`]  | `lisa-asm`  | program-level assembler (labels, `\|\|` bars, directives) |
 //! | [`docgen`] | `lisa-docgen` | automatic ISA manuals |
 //! | [`models`] | `lisa-models` | vliw62 / accu16 / tinyrisc models + DSP kernels |
 //! | [`exec`] | `lisa-exec` | parallel batch runner with checkpoint/restore forking |
-//! | [`trace`] | `lisa-trace` | structured trace events, profiles, JSONL/VCD exporters |
 //! | [`conform`] | `lisa-conform` | ISA-driven differential fuzzing, metamorphic oracles, shrinking |
 //! | [`metrics`] | `lisa-metrics` | always-on runtime metrics: lock-free registry, Prometheus/JSON exposition |
 //! | [`spans`] | `lisa-spans` | cross-layer runtime span tracing with Chrome-trace/JSONL export |
@@ -56,4 +55,3 @@ pub use lisa_models as models;
 pub use lisa_serve as serve;
 pub use lisa_sim as sim;
 pub use lisa_spans as spans;
-pub use lisa_trace as trace;

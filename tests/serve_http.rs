@@ -26,7 +26,6 @@ fn boot(
         workers,
         queue,
         timeout: Duration::from_millis(timeout_ms),
-        once: false,
         ..ServeConfig::default()
     };
     let server = Server::bind(config, Arc::clone(&state)).expect("bind ephemeral port");

@@ -25,7 +25,6 @@ fn boot(
         workers,
         queue,
         timeout: Duration::from_secs(10),
-        once: false,
         ..ServeConfig::default()
     };
     let server = Server::bind(config, Arc::clone(&state)).expect("bind");
